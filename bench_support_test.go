@@ -12,9 +12,10 @@ import (
 
 var benchDeployCounter atomic.Int64
 
-// runMiddlewareOverhead deploys a minimal in-process platform and measures
-// the full client→MA→LA→SeD→client path on a no-op service.
-func runMiddlewareOverhead(b *testing.B) {
+// runMiddlewareOverhead deploys a minimal platform, in-process or over
+// loopback TCP, and measures the full client→MA→LA→SeD→client path on a
+// no-op service.
+func runMiddlewareOverhead(b *testing.B, local bool) {
 	b.Helper()
 	id := benchDeployCounter.Add(1)
 	desc, err := diet.NewProfileDesc("noop", 0, 0, 1)
@@ -40,7 +41,7 @@ func runMiddlewareOverhead(b *testing.B) {
 				},
 			}},
 		}},
-		Local: true,
+		Local: local,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -370,7 +370,14 @@ func BenchmarkAblationForecast(b *testing.B) {
 // per-call cost of submission + scheduling + transfer the paper bounds at
 // ~70 ms on Grid'5000 hardware.
 func BenchmarkMiddlewareOverhead(b *testing.B) {
-	runMiddlewareOverhead(b)
+	runMiddlewareOverhead(b, true)
+}
+
+// BenchmarkMiddlewareOverheadTCP is the same path over loopback TCP: what the
+// persistent framed transport adds to the in-process call (warm pooled
+// connections, no dial and no envelope codec in steady state).
+func BenchmarkMiddlewareOverheadTCP(b *testing.B) {
+	runMiddlewareOverhead(b, false)
 }
 
 // BenchmarkScalingSweep measures ablation A4: how the campaign scales with

@@ -505,50 +505,42 @@ func (a *Agent) collect(req CollectRequest) []scheduler.Estimate {
 		ests []scheduler.Estimate
 		ok   bool
 	}
+	// results holds an answer from every child, so a probe that outlives the
+	// deadline below (a hung child accepts and never answers; a refused
+	// connection fails fast on its own) still completes its send and exits.
 	results := make(chan result, len(children))
 	for _, c := range children {
 		go func(c ChildInfo) {
-			// The child RPC gets its own bound: a hung child (accepting but
-			// never answering) must read as a miss, not block this goroutine
-			// forever; connection-refused fails fast on its own.
-			done := make(chan result, 1)
-			go func() {
-				switch c.Kind {
-				case "SeD":
-					var reply EstimateReply
-					var err error
-					if len(req.DataIDs) > 0 {
-						// Data-carrying requests go through the richer query so
-						// the SeD prices its input transfers; plain requests keep
-						// the original wire shape, byte for byte.
-						err = rpc.Call(c.Addr, "sed:"+c.Name, "EstimateFor",
-							EstimateQuery{Service: req.Service, DataIDs: req.DataIDs}, &reply)
-					} else {
-						err = rpc.Call(c.Addr, "sed:"+c.Name, "Estimate", req.Service, &reply)
-					}
-					if err == nil && reply.OK {
-						done <- result{name: c.Name, ests: []scheduler.Estimate{reply.Est}, ok: true}
-						return
-					}
-					// An alive child without the service is a healthy answer.
-					done <- result{name: c.Name, ok: err == nil}
-				default: // sub-agent
-					var ests []scheduler.Estimate
-					err := rpc.Call(c.Addr, "agent:"+c.Name, "Collect", req, &ests)
-					done <- result{name: c.Name, ests: ests, ok: err == nil}
+			switch c.Kind {
+			case "SeD":
+				var reply EstimateReply
+				var err error
+				if len(req.DataIDs) > 0 {
+					// Data-carrying requests go through the richer query so
+					// the SeD prices its input transfers; plain requests keep
+					// the original wire shape, byte for byte.
+					err = rpc.Call(c.Addr, "sed:"+c.Name, "EstimateFor",
+						EstimateQuery{Service: req.Service, DataIDs: req.DataIDs}, &reply)
+				} else {
+					err = rpc.Call(c.Addr, "sed:"+c.Name, "Estimate", req.Service, &reply)
 				}
-			}()
-			select {
-			case r := <-done:
-				results <- r
-			case <-time.After(a.cfg.CollectTimeout):
-				results <- result{name: c.Name}
+				if err == nil && reply.OK {
+					results <- result{name: c.Name, ests: []scheduler.Estimate{reply.Est}, ok: true}
+					return
+				}
+				// An alive child without the service is a healthy answer.
+				results <- result{name: c.Name, ok: err == nil}
+			default: // sub-agent
+				var ests []scheduler.Estimate
+				err := rpc.Call(c.Addr, "agent:"+c.Name, "Collect", req, &ests)
+				results <- result{name: c.Name, ests: ests, ok: err == nil}
 			}
 		}(c)
 	}
 	var merged []scheduler.Estimate
 	answered := make(map[string]bool, len(children))
-	deadline := time.After(a.cfg.CollectTimeout)
+	deadline := time.NewTimer(a.cfg.CollectTimeout)
+	defer deadline.Stop()
 	for range children {
 		select {
 		case r := <-results:
@@ -556,7 +548,7 @@ func (a *Agent) collect(req CollectRequest) []scheduler.Estimate {
 			if r.ok {
 				merged = append(merged, r.ests...)
 			}
-		case <-deadline:
+		case <-deadline.C:
 			// Children that have not answered are treated as unavailable.
 			a.noteCollectMisses(children, answered, seqs)
 			return a.truncate(req, merged)
@@ -707,14 +699,18 @@ func (a *Agent) Submit(req SubmitRequest) (*SubmitReply, error) {
 		Service: req.Service, Seq: req.Seq, WorkGFlops: req.WorkGFlops,
 	}, ests)
 	reply := &SubmitReply{Estimates: ests}
-	nc := &naming.Client{Addr: a.cfg.Naming}
-	for _, idx := range order {
-		name := ests[idx].ServerID
-		entry, err := nc.Resolve(name)
-		if err != nil {
-			continue // server vanished between estimate and resolve
-		}
-		reply.Servers = append(reply.Servers, ServerRef{Name: name, Addr: entry.Addr})
+	ranked := make([]string, len(order))
+	for i, idx := range order {
+		ranked[i] = ests[idx].ServerID
+	}
+	// One naming exchange for the whole list; a server that vanished between
+	// estimate and resolve is simply missing from the answer.
+	entries, err := (&naming.Client{Addr: a.cfg.Naming}).ResolveAll(ranked)
+	if err != nil {
+		return nil, fmt.Errorf("diet: resolving candidate servers for %q: %w", req.Service, err)
+	}
+	for _, e := range entries {
+		reply.Servers = append(reply.Servers, ServerRef{Name: e.Name, Addr: e.Addr})
 	}
 	if len(reply.Servers) == 0 {
 		return nil, fmt.Errorf("diet: all candidate servers for %q are unresolvable", req.Service)

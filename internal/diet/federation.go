@@ -253,30 +253,31 @@ func (a *Agent) forwardToPeers(req PeerForwardRequest) []scheduler.Estimate {
 		Hops:          req.Hops,
 		Visited:       append(append([]string(nil), req.Visited...), a.cfg.Name),
 	}
+	// As in collect: results is buffered for every target, so a forward that
+	// outlives the deadline still completes its send and exits.
 	results := make(chan []scheduler.Estimate, len(targets))
 	for _, p := range targets {
 		go func(p PeerInfo) {
-			done := make(chan []scheduler.Estimate, 1)
-			go func() {
-				var reply PeerForwardReply
-				err := rpc.Call(p.Addr, "agent:"+p.Name, "PeerForward", out, &reply)
-				if err != nil || reply.Dropped {
-					done <- nil
-					return
-				}
-				done <- reply.Estimates
-			}()
-			select {
-			case ests := <-done:
-				results <- ests
-			case <-time.After(a.cfg.CollectTimeout):
+			var reply PeerForwardReply
+			err := rpc.Call(p.Addr, "agent:"+p.Name, "PeerForward", out, &reply)
+			if err != nil || reply.Dropped {
 				results <- nil
+				return
 			}
+			results <- reply.Estimates
 		}(p)
 	}
+	deadline := time.NewTimer(a.cfg.CollectTimeout)
+	defer deadline.Stop()
 	var merged []scheduler.Estimate
+wait:
 	for range targets {
-		merged = append(merged, <-results...)
+		select {
+		case ests := <-results:
+			merged = append(merged, ests...)
+		case <-deadline.C:
+			break wait // peers that have not answered contribute nothing
+		}
 	}
 	a.statMu.Lock()
 	a.forwarded++

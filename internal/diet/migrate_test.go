@@ -229,16 +229,18 @@ func TestReplanRidesHeartbeat(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if sed.Parent() == "LA-hb-b" && sed.Power() == 88 {
-			if ma.ReplanCount() == 0 || ma.MigratedCount() != 1 {
+		// The SeD commits to its new parent inside the Reparent call; the MA
+		// books the pass only once that call has returned, so wait for both.
+		if sed.Parent() == "LA-hb-b" && sed.Power() == 88 && ma.ReplanCount() > 0 && ma.MigratedCount() > 0 {
+			if ma.MigratedCount() != 1 {
 				t.Fatalf("replan stats off: replans=%d migrated=%d", ma.ReplanCount(), ma.MigratedCount())
 			}
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("heartbeat-driven replan never migrated the SeD (parent %q, power %g)",
-		sed.Parent(), sed.Power())
+	t.Fatalf("heartbeat-driven replan never migrated the SeD (parent %q, power %g, replans=%d migrated=%d)",
+		sed.Parent(), sed.Power(), ma.ReplanCount(), ma.MigratedCount())
 }
 
 // TestMigrationChaosConcurrentSolves is the race/chaos test the migration

@@ -101,6 +101,21 @@ func (s *Service) Resolve(name string) (Entry, error) {
 	return e, nil
 }
 
+// ResolveAll returns the bindings of names in the order given, leaving out
+// the names that are not bound: one exchange where a caller ranking N servers
+// would otherwise make N.
+func (s *Service) ResolveAll(names []string) []Entry {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]Entry, 0, len(names))
+	for _, name := range names {
+		if e, ok := s.entries[name]; ok {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // List returns all bindings whose name starts with prefix, sorted by name.
 func (s *Service) List(prefix string) []Entry {
 	s.mu.RLock()
@@ -147,6 +162,13 @@ func (s *Service) Handler() rpc.Handler {
 			}
 			return rpc.Encode(e)
 		},
+		"ResolveAll": func(body []byte) ([]byte, error) {
+			var names []string
+			if err := rpc.Decode(body, &names); err != nil {
+				return nil, err
+			}
+			return rpc.Encode(s.ResolveAll(names))
+		},
 		"List": func(body []byte) ([]byte, error) {
 			var prefix string
 			if err := rpc.Decode(body, &prefix); err != nil {
@@ -179,6 +201,14 @@ func (c *Client) Resolve(name string) (Entry, error) {
 	var e Entry
 	err := rpc.Call(c.Addr, ObjectName, "Resolve", name, &e)
 	return e, err
+}
+
+// ResolveAll looks names up remotely in one exchange: the bound ones, in the
+// order given.
+func (c *Client) ResolveAll(names []string) ([]Entry, error) {
+	var out []Entry
+	err := rpc.Call(c.Addr, ObjectName, "ResolveAll", names, &out)
+	return out, err
 }
 
 // List enumerates bindings remotely.

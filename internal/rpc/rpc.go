@@ -1,9 +1,10 @@
 // Package rpc is the distributed-object layer DIET builds on. The real DIET
 // uses CORBA (omniORB) for transparent remote method invocation; this
 // package provides the same facility with Go primitives: named objects
-// exposing methods, invoked over TCP with gob-encoded envelopes, plus an
-// in-process "local" transport so whole deployments can run inside one test
-// binary without sockets.
+// exposing methods, invoked over persistent TCP connections carrying
+// length-prefixed binary frames (wire.go, pool.go), plus an in-process
+// "local" transport so whole deployments can run inside one test binary
+// without sockets.
 //
 // Addresses are either "tcp:host:port" (or a bare "host:port") for network
 // objects, or "local:name" for in-process objects registered with ServeLocal.
@@ -14,7 +15,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -24,34 +24,30 @@ import (
 // Handler dispatches one method call on one object.
 type Handler func(method string, body []byte) ([]byte, error)
 
-// ErrNoObject is returned when the target object is not registered.
+// ErrNoObject is returned when the target object is not registered. It
+// survives both transports: errors.Is(err, ErrNoObject) holds at the caller.
 var ErrNoObject = errors.New("rpc: no such object")
 
-// request is the wire envelope for a call.
-type request struct {
-	Object string
-	Method string
-	Body   []byte
-}
-
-// response is the wire envelope for a reply.
-type response struct {
-	Body []byte
-	Err  string
-}
+// ErrUnavailable is wrapped by every failure to get a response out of a tcp
+// peer at all: the dial failed, or the connection broke before the first
+// response byte. The handler may or may not have run.
+var ErrUnavailable = errors.New("rpc: peer unavailable")
 
 // Server hosts named objects and serves invocations.
 type Server struct {
 	mu      sync.RWMutex
 	objects map[string]Handler
-	ln      net.Listener
-	wg      sync.WaitGroup
-	closed  bool
+
+	connMu sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]bool // accepted connections; true while a handler runs
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewServer returns an empty server.
 func NewServer() *Server {
-	return &Server{objects: make(map[string]Handler)}
+	return &Server{objects: make(map[string]Handler), conns: make(map[net.Conn]bool)}
 }
 
 // Register exposes an object under the given name. Re-registering replaces
@@ -69,19 +65,20 @@ func (s *Server) Unregister(object string) {
 	delete(s.objects, object)
 }
 
-// dispatch runs a request against the registered handler.
-func (s *Server) dispatch(req request) response {
+// dispatch runs a call against the registered handler and returns the
+// response status and payload (see replyOf).
+func (s *Server) dispatch(object, method string, body []byte) (byte, []byte) {
 	s.mu.RLock()
-	h, ok := s.objects[req.Object]
+	h, ok := s.objects[object]
 	s.mu.RUnlock()
 	if !ok {
-		return response{Err: fmt.Sprintf("%v: %q", ErrNoObject, req.Object)}
+		return statusNoObject, []byte(object)
 	}
-	body, err := h(req.Method, req.Body)
+	out, err := h(method, body)
 	if err != nil {
-		return response{Err: err.Error()}
+		return statusError, []byte(err.Error())
 	}
-	return response{Body: body}
+	return statusOK, out
 }
 
 // Start begins serving on addr ("host:port", ":0" for ephemeral) in the
@@ -91,9 +88,9 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
+	s.connMu.Lock()
 	s.ln = ln
-	s.mu.Unlock()
+	s.connMu.Unlock()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -112,29 +109,88 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// serveConn handles one connection carrying exactly one request/response
-// exchange, the simple and robust pattern for coarse-grained GridRPC calls.
+// serveConn answers the requests of one connection, one at a time, until the
+// peer closes it, sends a malformed frame, or the server shuts down.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	var req request
-	if err := gob.NewDecoder(conn).Decode(&req); err != nil {
+	if !s.setBusy(conn, false) {
 		return
 	}
-	resp := s.dispatch(req)
-	_ = gob.NewEncoder(conn).Encode(resp)
+	defer s.forget(conn)
+	br := newReader(conn)
+	for {
+		frame, _, err := readFrame(br, minRequest)
+		if err != nil || !s.setBusy(conn, true) {
+			return
+		}
+		status, payload, ok := s.serveFrame(frame)
+		if !ok {
+			return
+		}
+		err = writeFrame(conn, responseHeader(status, len(payload)), payload)
+		if err != nil || !s.setBusy(conn, false) {
+			return
+		}
+	}
 }
 
-// Close stops the listener, waits for in-flight calls and removes any local
-// registrations pointing at this server.
-func (s *Server) Close() error {
-	s.mu.Lock()
+// serveFrame runs one request frame and returns the response to send; ok is
+// false for a frame whose fields overrun it, which ends the connection. A
+// frame of another version is answered with an error naming both versions:
+// its length prefix was sound, so the connection stays in step.
+func (s *Server) serveFrame(frame []byte) (status byte, payload []byte, ok bool) {
+	if v := frame[0]; v != frameVersion {
+		return statusError, []byte(fmt.Sprintf("rpc: request frame is version %d, this side speaks version %d", v, frameVersion)), true
+	}
+	object, method, body, ok := parseRequest(frame[1:])
+	if !ok {
+		return 0, nil, false
+	}
+	if len(body) == 0 {
+		body = nil
+	}
+	status, payload = s.dispatch(string(object), string(method), body)
+	if len(payload) > maxFrame-minResponse {
+		return statusError, []byte(fmt.Sprintf("rpc: reply of %d bytes exceeds the %d byte frame limit", len(payload), maxFrame)), true
+	}
+	return status, payload, true
+}
+
+// setBusy records whether conn is inside a handler. It reports false once
+// the server is closed: the connection then stops serving.
+func (s *Server) setBusy(conn net.Conn, busy bool) bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
+		return false
+	}
+	s.conns[conn] = busy
+	return true
+}
+
+func (s *Server) forget(conn net.Conn) {
+	s.connMu.Lock()
+	delete(s.conns, conn)
+	s.connMu.Unlock()
+}
+
+// Close stops the listener and closes every idle connection; calls already
+// inside a handler finish and are answered, then Close returns. It also
+// removes any local registrations pointing at this server.
+func (s *Server) Close() error {
+	s.connMu.Lock()
+	if s.closed {
+		s.connMu.Unlock()
 		return nil
 	}
 	s.closed = true
 	ln := s.ln
-	s.mu.Unlock()
+	for conn, busy := range s.conns {
+		if !busy {
+			conn.Close()
+		}
+	}
+	s.connMu.Unlock()
 	if ln != nil {
 		ln.Close()
 	}
@@ -187,32 +243,9 @@ func Invoke(addr, object, method string, body []byte) ([]byte, error) {
 		if s == nil {
 			return nil, fmt.Errorf("rpc: no local server at %q", addr)
 		}
-		resp := s.dispatch(request{Object: object, Method: method, Body: body})
-		if resp.Err != "" {
-			return nil, errors.New(resp.Err)
-		}
-		return resp.Body, nil
+		return replyOf(s.dispatch(object, method, body))
 	}
-	addr = strings.TrimPrefix(addr, "tcp:")
-	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: dialing %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(request{Object: object, Method: method, Body: body}); err != nil {
-		return nil, fmt.Errorf("rpc: sending to %s: %w", addr, err)
-	}
-	var resp response
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("rpc: %s closed the connection", addr)
-		}
-		return nil, fmt.Errorf("rpc: receiving from %s: %w", addr, err)
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	return resp.Body, nil
+	return invokeTCP(strings.TrimPrefix(addr, "tcp:"), object, method, body)
 }
 
 // Encode gob-encodes a value for use as a call body.
