@@ -10,6 +10,7 @@ package cosmo
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Params describes a flat-ish FLRW cosmology plus the primordial spectrum.
@@ -21,7 +22,27 @@ type Params struct {
 	Sigma8 float64 // rms linear fluctuation in 8 Mpc/h spheres at z=0
 	Ns     float64 // primordial spectral index
 
-	ampl float64 // cached P(k) amplitude fixed by Sigma8 (lazily computed)
+	// Constants derived from the fields above, each computed on first use and
+	// published as its float64 bits through sync/atomic (0 = not computed
+	// yet). Goroutines that find one missing all derive the same value, so
+	// their stores agree. These are plain words, not sync.Once or
+	// atomic.Uint64, because callers copy a Params to vary it
+	// (ramses.ConfigFromNamelist) and go vet's copylocks rejects copying
+	// either. The exported fields must not change once a method has run.
+	ampl    uint64 // P(k) amplitude fixed by Sigma8
+	gamma   uint64 // shape parameter of the transfer function
+	growth1 uint64 // unnormalised growth factor today
+}
+
+// constant returns the derived constant held in word, which must be one of
+// p's, deriving and publishing it on first use.
+func (p *Params) constant(word *uint64, derive func(*Params) float64) float64 {
+	if bits := atomic.LoadUint64(word); bits != 0 {
+		return math.Float64frombits(bits)
+	}
+	v := derive(p)
+	atomic.StoreUint64(word, math.Float64bits(v))
+	return v
 }
 
 // WMAP3 returns the WMAP 3-year parameters, the data the paper's GRAFIC
@@ -81,7 +102,8 @@ func (p *Params) GrowthFactor(a float64) float64 {
 	if a <= 0 {
 		return 0
 	}
-	return p.growthUnnormalised(a) / p.growthUnnormalised(1)
+	growth1 := p.constant(&p.growth1, func(p *Params) float64 { return p.growthUnnormalised(1) })
+	return p.growthUnnormalised(a) / growth1
 }
 
 func (p *Params) growthUnnormalised(a float64) float64 {
@@ -108,7 +130,9 @@ func (p *Params) Transfer(k float64) float64 {
 	if k <= 0 {
 		return 1
 	}
-	gamma := p.OmegaM * p.H * math.Exp(-p.OmegaB*(1+math.Sqrt(2*p.H)/p.OmegaM))
+	gamma := p.constant(&p.gamma, func(p *Params) float64 {
+		return p.OmegaM * p.H * math.Exp(-p.OmegaB*(1+math.Sqrt(2*p.H)/p.OmegaM))
+	})
 	q := k / gamma
 	t := math.Log(1+2.34*q) / (2.34 * q)
 	poly := 1 + 3.89*q + math.Pow(16.1*q, 2) + math.Pow(5.46*q, 3) + math.Pow(6.71*q, 4)
@@ -121,13 +145,16 @@ func (p *Params) Power(k float64) float64 {
 	if k <= 0 {
 		return 0
 	}
-	if p.ampl == 0 {
-		p.ampl = 1
-		s8 := p.Sigma(8)
-		p.ampl = (p.Sigma8 / s8) * (p.Sigma8 / s8)
-	}
 	t := p.Transfer(k)
-	return p.ampl * math.Pow(k, p.Ns) * t * t
+	return p.amplitude() * math.Pow(k, p.Ns) * t * t
+}
+
+// amplitude returns the P(k) amplitude that makes Sigma(8) equal Sigma8.
+func (p *Params) amplitude() float64 {
+	return p.constant(&p.ampl, func(p *Params) float64 {
+		s8 := p.sigma(8, 1)
+		return (p.Sigma8 / s8) * (p.Sigma8 / s8)
+	})
 }
 
 // PowerAt returns the linear power spectrum at expansion factor a,
@@ -140,7 +167,10 @@ func (p *Params) PowerAt(k, a float64) float64 {
 // Sigma returns the rms linear mass fluctuation in top-hat spheres of
 // comoving radius r (Mpc/h) at z = 0:
 // σ²(r) = 1/(2π²) ∫ k² P(k) W²(kr) dk, W(x) = 3(sin x − x cos x)/x³.
-func (p *Params) Sigma(r float64) float64 {
+func (p *Params) Sigma(r float64) float64 { return p.sigma(r, p.amplitude()) }
+
+// sigma is Sigma for a spectrum of amplitude ampl.
+func (p *Params) sigma(r, ampl float64) float64 {
 	integrand := func(lnk float64) float64 {
 		k := math.Exp(lnk)
 		x := k * r
@@ -150,12 +180,8 @@ func (p *Params) Sigma(r float64) float64 {
 		} else {
 			w = 3 * (math.Sin(x) - x*math.Cos(x)) / (x * x * x)
 		}
-		pk := 1.0
-		if p.ampl != 0 {
-			pk = p.ampl
-		}
 		t := p.Transfer(k)
-		pk *= math.Pow(k, p.Ns) * t * t
+		pk := ampl * (math.Pow(k, p.Ns) * t * t)
 		return k * k * k * pk * w * w // extra k from d(lnk) measure
 	}
 	integral := simpson(integrand, math.Log(1e-5), math.Log(1e3), 4096)

@@ -2,6 +2,7 @@ package cosmo
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -201,5 +202,52 @@ func TestHubbleTimeGyr(t *testing.T) {
 	want := 9.77792 / 0.73
 	if math.Abs(c.HubbleTimeGyr()-want) > 1e-9 {
 		t.Errorf("HubbleTimeGyr = %g, want %g", c.HubbleTimeGyr(), want)
+	}
+}
+
+func TestPowerAtConcurrentFirstUse(t *testing.T) {
+	// The amplitude, shape parameter and D(1) are derived on first use. Eight
+	// goroutines racing for that first use on one shared Params must all see
+	// the finished constants: the value a lone caller gets, bit for bit.
+	serial := WMAP3().PowerAt(0.1, 0.5)
+	for round := 0; round < 20; round++ {
+		shared := WMAP3()
+		var wg sync.WaitGroup
+		got := make([]float64, 8)
+		start := make(chan struct{})
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[g] = shared.PowerAt(0.1, 0.5)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g, v := range got {
+			if v != serial {
+				t.Fatalf("round %d goroutine %d: PowerAt = %g, serial value %g", round, g, v, serial)
+			}
+		}
+	}
+}
+
+func TestSigmaNeedsNoWarmUp(t *testing.T) {
+	// Sigma on a fresh Params is normalised without a prior Power call.
+	c := WMAP3()
+	if got := c.Sigma(8); math.Abs(got-c.Sigma8)/c.Sigma8 > 1e-3 {
+		t.Errorf("Sigma(8) on a fresh Params = %g, want %g", got, c.Sigma8)
+	}
+}
+
+func TestCopyBeforeUseIsIndependent(t *testing.T) {
+	// ramses.ConfigFromNamelist copies a fresh Params and edits the copy; the
+	// copy must calibrate to its own Sigma8, not inherit anything.
+	base := WMAP3()
+	c := *base
+	c.Sigma8 = 2 * base.Sigma8
+	if ratio := c.Power(0.1) / base.Power(0.1); math.Abs(ratio-4) > 1e-9 {
+		t.Errorf("doubling Sigma8 on a copy scaled P(k) by %g, want 4", ratio)
 	}
 }

@@ -9,7 +9,9 @@ package fft
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
+	"sync"
 )
 
 // IsPow2 reports whether n is a positive power of two.
@@ -17,12 +19,12 @@ func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // Forward computes the in-place forward DFT of data (sign convention
 // X[k] = sum_n x[n] exp(-2πi kn/N)). len(data) must be a power of two.
-func Forward(data []complex128) error { return transform(data, -1) }
+func Forward(data []complex128) error { return transform(data, forward) }
 
 // Inverse computes the in-place inverse DFT including the 1/N normalisation,
 // so Inverse(Forward(x)) == x up to rounding.
 func Inverse(data []complex128) error {
-	if err := transform(data, +1); err != nil {
+	if err := transform(data, inverse); err != nil {
 		return err
 	}
 	scale := complex(1/float64(len(data)), 0)
@@ -32,9 +34,48 @@ func Inverse(data []complex128) error {
 	return nil
 }
 
-// transform runs the iterative Cooley–Tukey radix-2 algorithm with the given
-// exponent sign.
-func transform(data []complex128, sign float64) error {
+// The two directions of a transform, indexing twiddleTable.w.
+const (
+	forward = iota // exponent sign −1
+	inverse        // exponent sign +1
+)
+
+// twiddleTable holds the factors the butterflies of one size multiply by:
+// w[dir][k] = step^k for k < size/2, with step = exp(∓2πi/size). They are
+// accumulated by repeated multiplication, not evaluated per k, because that
+// is what transform did on every line before the tables existed and the
+// rounding of every field downstream depends on it.
+type twiddleTable struct {
+	once sync.Once
+	w    [2][]complex128
+}
+
+// twiddles is indexed by log2(size). A table is built the first time any
+// transform reaches its size and is shared by all goroutines from then on;
+// the tables up to size n hold n−1 factors per direction between them.
+var twiddles [bits.UintSize]twiddleTable
+
+// twiddle returns the factors for butterflies of size 1<<level.
+func twiddle(level, dir int) []complex128 {
+	t := &twiddles[level]
+	t.once.Do(func() {
+		size := 1 << level
+		for d, sign := range [2]float64{forward: -1, inverse: +1} {
+			step := cmplx.Exp(complex(0, sign*2*math.Pi/float64(size)))
+			w := complex(1, 0)
+			t.w[d] = make([]complex128, size/2)
+			for k := range t.w[d] {
+				t.w[d][k] = w
+				w *= step
+			}
+		}
+	})
+	return t.w[dir]
+}
+
+// transform runs the iterative Cooley–Tukey radix-2 algorithm in the given
+// direction.
+func transform(data []complex128, dir int) error {
 	n := len(data)
 	if !IsPow2(n) {
 		return fmt.Errorf("fft: length %d is not a power of two", n)
@@ -51,17 +92,16 @@ func transform(data []complex128, sign float64) error {
 		j |= bit
 	}
 	// Butterfly passes.
-	for size := 2; size <= n; size <<= 1 {
+	for level, size := 1, 2; size <= n; level, size = level+1, size<<1 {
 		half := size / 2
-		step := cmplx.Exp(complex(0, sign*2*math.Pi/float64(size)))
+		w := twiddle(level, dir)
 		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := data[start+k]
-				b := data[start+k+half] * w
-				data[start+k] = a + b
-				data[start+k+half] = a - b
-				w *= step
+			lo, hi := data[start:start+half], data[start+half:start+size]
+			for k, wk := range w {
+				a := lo[k]
+				b := hi[k] * wk
+				lo[k] = a + b
+				hi[k] = a - b
 			}
 		}
 	}

@@ -112,6 +112,11 @@ func (g *Generator) deltaFromNoise(noise *fft.Grid3, boxSize, a, kMin float64) (
 	}
 	vol := boxSize * boxSize * boxSize
 	norm := float64(n*n*n) / vol
+	// P(k, a) = D(a)²·P(k): the growth factor is a quadrature and the same
+	// for every mode, so it is taken once per field, and the product below
+	// keeps the association order of cosmo.PowerAt(k, a) * norm.
+	growth := g.Cosmo.GrowthFactor(a)
+	growth2 := growth * growth
 	for iz := 0; iz < n; iz++ {
 		kz := fft.WaveNumber(iz, n, boxSize)
 		for iy := 0; iy < n; iy++ {
@@ -124,7 +129,7 @@ func (g *Generator) deltaFromNoise(noise *fft.Grid3, boxSize, a, kMin float64) (
 					delta.Data[idx] = 0
 					continue
 				}
-				amp := math.Sqrt(g.Cosmo.PowerAt(k, a) * norm)
+				amp := math.Sqrt(growth2 * g.Cosmo.Power(k) * norm)
 				delta.Data[idx] *= complex(amp, 0)
 			}
 		}

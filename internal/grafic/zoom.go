@@ -89,7 +89,7 @@ func (g *Generator) MultiLevel(n int, topBox, astart float64, center [3]float64,
 
 	// Generate particles level by level, masking out the region the next
 	// finer level covers so the volume is tiled exactly once.
-	var all particles.Set
+	all := make(particles.Set, 0, nLevels*n*n*n)
 	for l := 0; l < nLevels; l++ {
 		psi, err := displacement(deltas[l], levels[l].BoxSize)
 		if err != nil {
@@ -119,7 +119,7 @@ func (g *Generator) levelParticles(psi [3]*fft.Grid3, n int, topBox, astart floa
 	velFactor := astart * 100 * g.Cosmo.E(astart) * g.Cosmo.GrowthRate(astart)
 	boxSize := topBox * frac
 	mass := g.Cosmo.ParticleMass(boxSize, n)
-	var parts particles.Set
+	parts := make(particles.Set, 0, n*n*n)
 	dxBox := frac / float64(n)
 	for iz := 0; iz < n; iz++ {
 		for iy := 0; iy < n; iy++ {

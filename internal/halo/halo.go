@@ -7,6 +7,7 @@ package halo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/particles"
@@ -70,68 +71,70 @@ func FindHalos(parts particles.Set, a, box float64, params Params) (*Catalog, er
 	if ncell > 256 {
 		ncell = 256
 	}
-	cellOf := func(pos [3]float64) int {
-		ix := int(particles.Wrap(pos[0]) * float64(ncell))
-		iy := int(particles.Wrap(pos[1]) * float64(ncell))
-		iz := int(particles.Wrap(pos[2]) * float64(ncell))
-		if ix >= ncell {
-			ix = ncell - 1
-		}
-		if iy >= ncell {
-			iy = ncell - 1
-		}
-		if iz >= ncell {
-			iz = ncell - 1
-		}
-		return (iz*ncell+iy)*ncell + ix
-	}
-	cells := make(map[int][]int)
-	for i := range parts {
-		c := cellOf(parts[i].Pos)
-		cells[c] = append(cells[c], i)
-	}
+	index := newCellIndex(parts, ncell)
 
 	uf := newUnionFind(n)
-	mod := func(v int) int {
-		v %= ncell
-		if v < 0 {
-			v += ncell
-		}
-		return v
-	}
-	for i := range parts {
+	for _, e := range index.sorted {
+		i, cell := int(uint32(e)), int(e>>32)
 		pi := parts[i].Pos
-		ix := int(particles.Wrap(pi[0]) * float64(ncell))
-		iy := int(particles.Wrap(pi[1]) * float64(ncell))
-		iz := int(particles.Wrap(pi[2]) * float64(ncell))
-		for dz := -1; dz <= 1; dz++ {
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					c := (mod(iz+dz)*ncell+mod(iy+dy))*ncell + mod(ix+dx)
-					for _, j := range cells[c] {
-						if j <= i {
-							continue // each pair once
-						}
-						if particles.Dist2(pi, parts[j].Pos) <= link2 {
-							uf.union(i, j)
-						}
-					}
+		cx, cy, cz := cell%ncell, cell/ncell%ncell, cell/(ncell*ncell)
+		ys, ny := neighbours(cy, ncell)
+		zs, nz := neighbours(cz, ncell)
+		join := func(run []uint64) {
+			for _, e := range run {
+				j := int(uint32(e))
+				if j > i && particles.Dist2(pi, parts[j].Pos) <= link2 { // each pair once
+					uf.union(i, j)
+				}
+			}
+		}
+		for _, iz := range zs[:nz] {
+			for _, iy := range ys[:ny] {
+				row := iz*ncell + iy
+				switch {
+				case ncell < 3:
+					join(index.run(row, 0, ncell-1))
+				case cx == 0:
+					join(index.run(row, 0, 1))
+					join(index.run(row, ncell-1, ncell-1))
+				case cx == ncell-1:
+					join(index.run(row, cx-1, cx))
+					join(index.run(row, 0, 0))
+				default:
+					join(index.run(row, cx-1, cx+1))
 				}
 			}
 		}
 	}
 
-	// Collect groups.
-	groups := make(map[int][]int)
+	// Collect groups: count each root's members, lay the groups that reach
+	// MinParticles out in one array, and fill them in particle order.
+	size := make([]int32, n)
 	for i := 0; i < n; i++ {
-		r := uf.find(i)
-		groups[r] = append(groups[r], i)
+		size[uf.find(i)]++
 	}
-	for _, members := range groups {
-		if len(members) < params.MinParticles {
-			continue
+	start := make([]int32, n) // for a kept root, where its next member goes
+	kept := 0
+	for r, sz := range size {
+		if int(sz) >= params.MinParticles {
+			start[r] = int32(kept)
+			kept += int(sz)
+		} else {
+			size[r] = 0
 		}
-		cat.Halos = append(cat.Halos, makeHalo(parts, members))
+	}
+	members := make([]int, kept)
+	for i := 0; i < n; i++ {
+		if r := uf.find(i); size[r] > 0 {
+			members[start[r]] = i
+			start[r]++
+		}
+	}
+	for r, sz := range size {
+		if sz > 0 {
+			end := start[r] // every member placed, so start has reached the group's end
+			cat.Halos = append(cat.Halos, makeHalo(parts, members[end-sz:end]))
+		}
 	}
 	sort.Slice(cat.Halos, func(i, j int) bool {
 		if cat.Halos[i].Mass != cat.Halos[j].Mass {
@@ -143,6 +146,66 @@ func FindHalos(parts particles.Set, a, box float64, params Params) (*Catalog, er
 		cat.Halos[i].ID = i
 	}
 	return cat, nil
+}
+
+// cellIndex bins particles on an ncell³ grid without a table of ncell³
+// entries (at the linking length most cells are empty). Cells are keyed
+// (iz*ncell+iy)*ncell+ix, so the cells of one (iz, iy) row that are adjacent
+// in x are adjacent in key order, and a sorted particle list plus the start
+// of each row finds a run of up to three neighbouring cells at once.
+type cellIndex struct {
+	ncell    int
+	sorted   []uint64 // cell key <<32 | particle index, ascending
+	rowStart []int32  // row r's particles are sorted[rowStart[r]:rowStart[r+1]]
+}
+
+func newCellIndex(parts particles.Set, ncell int) *cellIndex {
+	x := &cellIndex{
+		ncell:    ncell,
+		sorted:   make([]uint64, len(parts)),
+		rowStart: make([]int32, ncell*ncell+1),
+	}
+	cellOf := func(v float64) int {
+		c := int(particles.Wrap(v) * float64(ncell))
+		if c >= ncell {
+			c = ncell - 1
+		}
+		return c
+	}
+	for i := range parts {
+		pos := parts[i].Pos
+		row := cellOf(pos[2])*ncell + cellOf(pos[1])
+		x.sorted[i] = uint64(row*ncell+cellOf(pos[0]))<<32 | uint64(i)
+		x.rowStart[row+1]++
+	}
+	slices.Sort(x.sorted)
+	for r := 0; r < ncell*ncell; r++ {
+		x.rowStart[r+1] += x.rowStart[r]
+	}
+	return x
+}
+
+// run returns the entries of sorted whose cell is in the given row with an x
+// coordinate in [xlo, xhi].
+func (x *cellIndex) run(row, xlo, xhi int) []uint64 {
+	span := x.sorted[x.rowStart[row]:x.rowStart[row+1]]
+	lo, hi := uint64(row*x.ncell+xlo)<<32, uint64(row*x.ncell+xhi+1)<<32
+	from, _ := slices.BinarySearch(span, lo)
+	to, _ := slices.BinarySearch(span, hi)
+	return span[from:to]
+}
+
+// neighbours returns the distinct cell coordinates within one cell of c along
+// an axis of ncell periodic cells: c−1, c and c+1 wrapped, which coincide
+// when the axis has fewer than three cells.
+func neighbours(c, ncell int) (out [3]int, n int) {
+	if ncell < 3 {
+		for v := 0; v < ncell; v++ {
+			out[v] = v
+		}
+		return out, ncell
+	}
+	return [3]int{(c + ncell - 1) % ncell, c, (c + 1) % ncell}, 3
 }
 
 // makeHalo aggregates the member particles into a Halo, unwrapping periodic

@@ -33,6 +33,8 @@ type Solver struct {
 	p Params
 
 	phi  *fft.Grid3   // potential work grid
+	rho  []float64    // density work grid of Step, refilled before each solve
+	sin2 []float64    // (2·Ng·sin(π·i/Ng))² per mesh index, the Green's function terms
 	acc  [3][]float64 // cell-centred acceleration components (−∇φ)
 	accA float64      // expansion factor the cached acc grids were built at
 }
@@ -57,8 +59,15 @@ func New(p Params) (*Solver, error) {
 	}
 	s := &Solver{p: p, phi: phi, accA: -1}
 	n3 := p.Ng * p.Ng * p.Ng
+	s.rho = make([]float64, n3)
 	for d := 0; d < 3; d++ {
 		s.acc[d] = make([]float64, n3)
+	}
+	fn := float64(p.Ng)
+	s.sin2 = make([]float64, p.Ng)
+	for i := range s.sin2 {
+		si := 2 * fn * math.Sin(math.Pi*float64(i)/fn)
+		s.sin2[i] = si * si
 	}
 	return s, nil
 }
@@ -75,11 +84,19 @@ func MomentumFromVel(v, a, boxSize float64) float64 { return a * v / (100 * boxS
 func VelFromMomentum(p, a, boxSize float64) float64 { return 100 * boxSize * p / a }
 
 // Density deposits the particle masses onto the mesh with cloud-in-cell
-// weights and returns the overdensity field δ = ρ/ρ̄ − 1 as a flat array in
-// (iz*Ng+iy)*Ng+ix order. An empty set yields δ = −1 everywhere.
+// weights and returns the overdensity field δ = ρ/ρ̄ − 1 as a freshly
+// allocated flat array in (iz*Ng+iy)*Ng+ix order. An empty set yields δ = −1
+// everywhere.
 func (s *Solver) Density(parts particles.Set) []float64 {
 	n := s.p.Ng
 	rho := make([]float64, n*n*n)
+	overdensity(rho, n, parts)
+	return rho
+}
+
+// overdensity overwrites rho, an n³ mesh, with the overdensity of parts.
+func overdensity(rho []float64, n int, parts particles.Set) {
+	clear(rho)
 	var totalMass float64
 	for i := range parts {
 		totalMass += parts[i].Mass
@@ -90,97 +107,86 @@ func (s *Solver) Density(parts particles.Set) []float64 {
 		for i := range rho {
 			rho[i] = -1
 		}
-		return rho
+		return
 	}
 	for i := range rho {
 		rho[i] = rho[i]/mean - 1
 	}
-	return rho
+}
+
+// cicStencil is the cloud-in-cell footprint of one position on an n³
+// periodic mesh: the eight cells it touches and the per-axis weights. Corner
+// c = (dz*2+dy)*2+dx has weight w[0][dx]·w[1][dy]·w[2][dz]; deposit and
+// gather multiply the three factors onto the value one by one, in that
+// order, so sharing a stencil between grids changes no rounding.
+type cicStencil struct {
+	cell [8]int
+	w    [3][2]float64
+}
+
+// at sets st to the stencil of pos (unit box) on an n³ mesh.
+func (st *cicStencil) at(n int, pos [3]float64) {
+	var lo, hi [3]int
+	for d := 0; d < 3; d++ {
+		u := particles.Wrap(pos[d])*float64(n) - 0.5
+		base := math.Floor(u)
+		f := u - base
+		st.w[d] = [2]float64{1 - f, f}
+		lo[d] = wrapIndex(int(base), n)
+		hi[d] = wrapIndex(int(base)+1, n)
+	}
+	for c := range st.cell {
+		ix, iy, iz := lo[0], lo[1], lo[2]
+		if c&1 != 0 {
+			ix = hi[0]
+		}
+		if c&2 != 0 {
+			iy = hi[1]
+		}
+		if c&4 != 0 {
+			iz = hi[2]
+		}
+		st.cell[c] = (iz*n+iy)*n + ix
+	}
+}
+
+// wrapIndex maps a mesh index into [0, n) periodically. Stencil indices are
+// in range except at the box faces, so the division is the rare path.
+func wrapIndex(i, n int) int {
+	if uint(i) < uint(n) {
+		return i
+	}
+	i %= n
+	if i < 0 {
+		i += n
+	}
+	return i
 }
 
 // depositCIC adds mass m at position pos (unit box) to grid with CIC weights.
 func depositCIC(grid []float64, n int, pos [3]float64, m float64) {
-	var i0 [3]int
-	var f [3]float64
-	for d := 0; d < 3; d++ {
-		u := particles.Wrap(pos[d])*float64(n) - 0.5
-		base := math.Floor(u)
-		f[d] = u - base
-		i0[d] = int(base)
+	var st cicStencil
+	st.at(n, pos)
+	for c, cell := range st.cell {
+		grid[cell] += m * st.w[0][c&1] * st.w[1][c>>1&1] * st.w[2][c>>2]
 	}
-	mod := func(v int) int {
-		v %= n
-		if v < 0 {
-			v += n
-		}
-		return v
+}
+
+// gather samples grid at the stencil's position.
+func (st *cicStencil) gather(grid []float64) float64 {
+	var sum float64
+	for c, cell := range st.cell {
+		sum += grid[cell] * st.w[0][c&1] * st.w[1][c>>1&1] * st.w[2][c>>2]
 	}
-	for dz := 0; dz < 2; dz++ {
-		wz := f[2]
-		if dz == 0 {
-			wz = 1 - f[2]
-		}
-		iz := mod(i0[2] + dz)
-		for dy := 0; dy < 2; dy++ {
-			wy := f[1]
-			if dy == 0 {
-				wy = 1 - f[1]
-			}
-			iy := mod(i0[1] + dy)
-			for dx := 0; dx < 2; dx++ {
-				wx := f[0]
-				if dx == 0 {
-					wx = 1 - f[0]
-				}
-				ix := mod(i0[0] + dx)
-				grid[(iz*n+iy)*n+ix] += m * wx * wy * wz
-			}
-		}
-	}
+	return sum
 }
 
 // interpCIC samples grid at pos with the same CIC kernel used for deposit,
 // which guarantees momentum-conserving force interpolation.
 func interpCIC(grid []float64, n int, pos [3]float64) float64 {
-	var i0 [3]int
-	var f [3]float64
-	for d := 0; d < 3; d++ {
-		u := particles.Wrap(pos[d])*float64(n) - 0.5
-		base := math.Floor(u)
-		f[d] = u - base
-		i0[d] = int(base)
-	}
-	mod := func(v int) int {
-		v %= n
-		if v < 0 {
-			v += n
-		}
-		return v
-	}
-	var sum float64
-	for dz := 0; dz < 2; dz++ {
-		wz := f[2]
-		if dz == 0 {
-			wz = 1 - f[2]
-		}
-		iz := mod(i0[2] + dz)
-		for dy := 0; dy < 2; dy++ {
-			wy := f[1]
-			if dy == 0 {
-				wy = 1 - f[1]
-			}
-			iy := mod(i0[1] + dy)
-			for dx := 0; dx < 2; dx++ {
-				wx := f[0]
-				if dx == 0 {
-					wx = 1 - f[0]
-				}
-				ix := mod(i0[0] + dx)
-				sum += grid[(iz*n+iy)*n+ix] * wx * wy * wz
-			}
-		}
-	}
-	return sum
+	var st cicStencil
+	st.at(n, pos)
+	return st.gather(grid)
 }
 
 // Potential solves ∇²φ = (3/2)(ΩM/a)·δ on the periodic mesh using the
@@ -200,14 +206,10 @@ func (s *Solver) Potential(delta []float64, a float64) error {
 		return err
 	}
 	coef := 1.5 * s.p.Cosmo.OmegaM / a
-	fn := float64(n)
 	for iz := 0; iz < n; iz++ {
-		sz := 2 * fn * math.Sin(math.Pi*float64(iz)/fn)
 		for iy := 0; iy < n; iy++ {
-			sy := 2 * fn * math.Sin(math.Pi*float64(iy)/fn)
 			for ix := 0; ix < n; ix++ {
-				sx := 2 * fn * math.Sin(math.Pi*float64(ix)/fn)
-				k2 := sx*sx + sy*sy + sz*sz
+				k2 := s.sin2[ix] + s.sin2[iy] + s.sin2[iz]
 				idx := (iz*n+iy)*n + ix
 				if k2 == 0 {
 					s.phi.Data[idx] = 0 // mean of φ is a free gauge
@@ -225,21 +227,16 @@ func (s *Solver) Potential(delta []float64, a float64) error {
 func (s *Solver) buildAccel(a float64) {
 	n := s.p.Ng
 	scale := float64(n) / 2 // central difference over 2Δx with Δx = 1/n
-	mod := func(v int) int {
-		v %= n
-		if v < 0 {
-			v += n
-		}
-		return v
-	}
 	at := func(ix, iy, iz int) float64 { return real(s.phi.Data[(iz*n+iy)*n+ix]) }
 	for iz := 0; iz < n; iz++ {
+		zm, zp := wrapIndex(iz-1, n), wrapIndex(iz+1, n)
 		for iy := 0; iy < n; iy++ {
+			ym, yp := wrapIndex(iy-1, n), wrapIndex(iy+1, n)
 			for ix := 0; ix < n; ix++ {
 				idx := (iz*n+iy)*n + ix
-				s.acc[0][idx] = -(at(mod(ix+1), iy, iz) - at(mod(ix-1), iy, iz)) * scale
-				s.acc[1][idx] = -(at(ix, mod(iy+1), iz) - at(ix, mod(iy-1), iz)) * scale
-				s.acc[2][idx] = -(at(ix, iy, mod(iz+1)) - at(ix, iy, mod(iz-1))) * scale
+				s.acc[0][idx] = -(at(wrapIndex(ix+1, n), iy, iz) - at(wrapIndex(ix-1, n), iy, iz)) * scale
+				s.acc[1][idx] = -(at(ix, yp, iz) - at(ix, ym, iz)) * scale
+				s.acc[2][idx] = -(at(ix, iy, zp) - at(ix, iy, zm)) * scale
 			}
 		}
 	}
@@ -260,11 +257,9 @@ func (s *Solver) Solve(delta []float64, a float64) error {
 // AccelAt returns the interpolated acceleration −∇φ at pos, valid after a
 // Solve at the current epoch.
 func (s *Solver) AccelAt(pos [3]float64) [3]float64 {
-	return [3]float64{
-		interpCIC(s.acc[0], s.p.Ng, pos),
-		interpCIC(s.acc[1], s.p.Ng, pos),
-		interpCIC(s.acc[2], s.p.Ng, pos),
-	}
+	var st cicStencil
+	st.at(s.p.Ng, pos)
+	return [3]float64{st.gather(s.acc[0]), st.gather(s.acc[1]), st.gather(s.acc[2])}
 }
 
 // fKick is the kick coefficient dp/da = −∇φ · fKick(a).
@@ -313,14 +308,17 @@ func (s *Solver) Step(parts particles.Set, a, da float64) error {
 	if da <= 0 {
 		return fmt.Errorf("nbody: step da must be positive, got %g", da)
 	}
+	n := s.p.Ng
 	if s.accA != a {
-		if err := s.Solve(s.Density(parts), a); err != nil {
+		overdensity(s.rho, n, parts)
+		if err := s.Solve(s.rho, a); err != nil {
 			return err
 		}
 	}
 	s.kickDrift(parts, a, da)
 	aNew := a + da
-	if err := s.Solve(s.Density(parts), aNew); err != nil {
+	overdensity(s.rho, n, parts)
+	if err := s.Solve(s.rho, aNew); err != nil {
 		return err
 	}
 	s.secondKick(parts, a, aNew, da)

@@ -114,6 +114,13 @@ func Phase2(cfg Config, center [3]float64, nLevels int, dir string) (*Phase2Resu
 // ("the results of the simulation are packed into a tarball file"): the halo
 // catalogs, a merger-tree summary and the galaxy catalog.
 func (p *Phase2Result) WriteTarball(path string) error {
+	return p.writeTarball(path, halo.WriteCatalog)
+}
+
+// writeTarball is WriteTarball with the catalogue encoder as a parameter, so
+// a test can make packing fail part-way. A failure after the file exists
+// closes it and removes the partial archive.
+func (p *Phase2Result) writeTarball(path string, writeCatalog func(io.Writer, *halo.Catalog) error) (err error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
@@ -121,6 +128,12 @@ func (p *Phase2Result) WriteTarball(path string) error {
 	if err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			f.Close() // already failing; a second Close after a failed one is harmless
+			os.Remove(path)
+		}
+	}()
 	gz := gzip.NewWriter(f)
 	tw := tar.NewWriter(gz)
 
@@ -135,7 +148,7 @@ func (p *Phase2Result) WriteTarball(path string) error {
 
 	for i, cat := range p.Catalogs {
 		var buf bytes.Buffer
-		if err := halo.WriteCatalog(&buf, cat); err != nil {
+		if err := writeCatalog(&buf, cat); err != nil {
 			return fmt.Errorf("ramses: packing catalog %d: %w", i, err)
 		}
 		if err := addFile(fmt.Sprintf("halos_%03d.dat", i+1), buf.Bytes()); err != nil {

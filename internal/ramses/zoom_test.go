@@ -1,6 +1,9 @@
 package ramses
 
 import (
+	"errors"
+	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -116,5 +119,50 @@ func TestPhase2InMemory(t *testing.T) {
 func TestReadTarballIndexMissing(t *testing.T) {
 	if _, err := ReadTarballIndex(filepath.Join(t.TempDir(), "nope.tar.gz")); err == nil {
 		t.Error("expected error for missing tarball")
+	}
+}
+
+// openFiles counts this process's open file descriptors, or returns -1 where
+// /proc is not available.
+func openFiles() int {
+	entries, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(entries)
+}
+
+func TestWriteTarballFailureClosesAndRemoves(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.NPart = 8
+	res, err := Phase2(permissive(cfg), [3]float64{0.5, 0.5, 0.5}, 2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "results.tar.gz")
+	boom := errors.New("catalogue writer failed")
+	calls := 0
+	failSecond := func(w io.Writer, c *halo.Catalog) error {
+		if calls++; calls == 2 {
+			return boom
+		}
+		return halo.WriteCatalog(w, c)
+	}
+	before := openFiles()
+	if err := res.writeTarball(path, failSecond); !errors.Is(err, boom) {
+		t.Fatalf("writeTarball error = %v, want the catalogue writer's", err)
+	}
+	if after := openFiles(); before >= 0 && after != before {
+		t.Errorf("%d descriptors open after the failure, %d before: the tarball file leaked", after, before)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("partial tarball left behind (stat error %v)", err)
+	}
+	// The same result still packs once the writer works.
+	if err := res.WriteTarball(path); err != nil {
+		t.Fatal(err)
+	}
+	if names, err := ReadTarballIndex(path); err != nil || len(names) == 0 {
+		t.Errorf("tarball after recovery: names %v, error %v", names, err)
 	}
 }
