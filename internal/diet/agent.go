@@ -119,7 +119,7 @@ type SubmitRequest struct {
 	// DataIDs are the persistent inputs the call references by ID without
 	// bytes attached — the data the chosen server must fetch. They ride the
 	// collect fan-out so each SeD prices its own input transfers into the
-	// estimate (gob ignores the field on older peers).
+	// estimate.
 	DataIDs []string
 }
 
@@ -142,9 +142,14 @@ type CollectRequest struct {
 	// sub-agent's collect span joins the request's trace.
 	RequestID string
 	// DataIDs carries the request's persistent input references down the
-	// tree; data-wired SeDs answer through EstimateFor and include the
-	// predicted input-transfer time in their estimation vector.
+	// tree; data-wired SeDs include the predicted input-transfer time in
+	// their estimation vector.
 	DataIDs []string
+}
+
+// CollectReply is a subtree's answer to a CollectRequest.
+type CollectReply struct {
+	Estimates []scheduler.Estimate
 }
 
 // TopologyNode describes the deployed hierarchy for inspection.
@@ -509,21 +514,13 @@ func (a *Agent) collect(req CollectRequest) []scheduler.Estimate {
 	// deadline below (a hung child accepts and never answers; a refused
 	// connection fails fast on its own) still completes its send and exits.
 	results := make(chan result, len(children))
+	query := EstimateQuery{Service: req.Service, DataIDs: req.DataIDs}
 	for _, c := range children {
 		go func(c ChildInfo) {
 			switch c.Kind {
 			case "SeD":
 				var reply EstimateReply
-				var err error
-				if len(req.DataIDs) > 0 {
-					// Data-carrying requests go through the richer query so
-					// the SeD prices its input transfers; plain requests keep
-					// the original wire shape, byte for byte.
-					err = rpc.Call(c.Addr, "sed:"+c.Name, "EstimateFor",
-						EstimateQuery{Service: req.Service, DataIDs: req.DataIDs}, &reply)
-				} else {
-					err = rpc.Call(c.Addr, "sed:"+c.Name, "Estimate", req.Service, &reply)
-				}
+				err := rpc.Call(c.Addr, "sed:"+c.Name, "Estimate", &query, &reply)
 				if err == nil && reply.OK {
 					results <- result{name: c.Name, ests: []scheduler.Estimate{reply.Est}, ok: true}
 					return
@@ -531,9 +528,9 @@ func (a *Agent) collect(req CollectRequest) []scheduler.Estimate {
 				// An alive child without the service is a healthy answer.
 				results <- result{name: c.Name, ok: err == nil}
 			default: // sub-agent
-				var ests []scheduler.Estimate
-				err := rpc.Call(c.Addr, "agent:"+c.Name, "Collect", req, &ests)
-				results <- result{name: c.Name, ests: ests, ok: err == nil}
+				var reply CollectReply
+				err := rpc.Call(c.Addr, "agent:"+c.Name, "Collect", &req, &reply)
+				results <- result{name: c.Name, ests: reply.Estimates, ok: err == nil}
 			}
 		}(c)
 	}
@@ -802,7 +799,7 @@ func (a *Agent) handler() rpc.Handler {
 			if a.metrics != nil {
 				a.metrics.collectSeconds.With(a.cfg.Name).Observe(done.Sub(t0).Seconds())
 			}
-			return rpc.Encode(ests)
+			return rpc.Encode(&CollectReply{Estimates: ests})
 		},
 		"Submit": func(body []byte) ([]byte, error) {
 			var req SubmitRequest

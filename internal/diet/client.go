@@ -102,8 +102,12 @@ type Client struct {
 	seq    atomic.Int64
 
 	mu    sync.Mutex
-	calls []CallInfo
+	calls ring[CallInfo] // behind History: the last historyCap completed calls
 }
+
+// historyCap bounds the per-client call history. A client lives as long as
+// the gateway that pools it; the paper's campaigns are a hundred calls.
+const historyCap = 1024
 
 // clientSessions distinguishes sessions within one process; the random part
 // distinguishes processes sharing a logsvc bus.
@@ -172,7 +176,7 @@ func (c *Client) submit(service string, workGFlops float64, seq int, requestID s
 	t0 := time.Now()
 	var reply SubmitReply
 	err := rpc.Call(c.maAddr, "agent:"+c.cfg.MAName, "Submit",
-		SubmitRequest{Service: service, WorkGFlops: workGFlops, Seq: seq, RequestID: requestID, DataIDs: dataIDs}, &reply)
+		&SubmitRequest{Service: service, WorkGFlops: workGFlops, Seq: seq, RequestID: requestID, DataIDs: dataIDs}, &reply)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -319,8 +323,7 @@ func (c *Client) call(p *Profile, o callOptions) (*CallInfo, error) {
 	for i := 0; i < n; i++ {
 		srv := reply.Servers[(i+o.rotate)%n]
 		attempt := time.Now()
-		var solved SolveReply
-		err := rpc.Call(srv.Addr, "sed:"+srv.Name, "Solve", p, &solved)
+		info, err := c.solveOn(srv, p, seq, t0, finding, "server ")
 		if err != nil {
 			lastErr = err
 			// The kill-and-requeue of the live stack: the request's work on
@@ -334,29 +337,53 @@ func (c *Client) call(p *Profile, o callOptions) (*CallInfo, error) {
 			}
 			continue // fault tolerance: try the next ranked server
 		}
-		*p = *solved.Profile
-		done := time.Now()
-		total := done.Sub(t0)
-		compute := time.Duration(solved.Timing.ComputeMS * float64(time.Millisecond))
-		queue := time.Duration(solved.Timing.QueueWaitMS * float64(time.Millisecond))
-		publishSpan(c.cfg.Events, span(requestID, "client:"+c.id, logsvc.KindComplete,
-			p.Service, "server "+srv.Name, t0, done))
-		info := CallInfo{
-			Seq:       seq,
-			RequestID: requestID,
-			Server:    srv.Name,
-			Finding:   finding,
-			QueueWait: queue,
-			Compute:   compute,
-			Latency:   total - finding - compute,
-			Total:     total,
-		}
-		c.mu.Lock()
-		c.calls = append(c.calls, info)
-		c.mu.Unlock()
-		return &info, nil
+		return info, nil
 	}
 	return nil, fmt.Errorf("diet: all %d servers failed for %q: %w", n, p.Service, lastErr)
+}
+
+// solveOn is the solve leg of every call, ranked or bound: ship p to one
+// server, merge the solved INOUT/OUT arguments back into p, publish the
+// complete span and record the call. The IN arguments stay the caller's own —
+// the server does not send them back, so an input passed by DataID is still a
+// reference afterwards. A reply that does not have exactly p's INOUT/OUT
+// arguments fails the attempt and leaves p untouched. t0 is when the call
+// began, finding what the MA round trip took of it (0 for a bound call).
+func (c *Client) solveOn(srv ServerRef, p *Profile, seq int, t0 time.Time, finding time.Duration, spanDetail string) (*CallInfo, error) {
+	var solved SolveReply
+	if err := rpc.Call(srv.Addr, "sed:"+srv.Name, "Solve", p, &solved); err != nil {
+		return nil, err
+	}
+	firstOut := p.LastIn + 1
+	if firstOut < 0 || firstOut > len(p.Args) || len(solved.Args) != len(p.Args)-firstOut {
+		return nil, fmt.Errorf("diet: %s answered %q with %d INOUT/OUT arguments, profile has %d arguments after LastIn=%d",
+			srv.Name, p.Service, len(solved.Args), len(p.Args), p.LastIn)
+	}
+	copy(p.Args[firstOut:], solved.Args)
+	done := time.Now()
+	total := done.Sub(t0)
+	compute := time.Duration(solved.Timing.ComputeMS * float64(time.Millisecond))
+	publishSpan(c.cfg.Events, span(p.RequestID, "client:"+c.id, logsvc.KindComplete,
+		p.Service, spanDetail+srv.Name, t0, done))
+	info := CallInfo{
+		Seq:       seq,
+		RequestID: p.RequestID,
+		Server:    srv.Name,
+		Finding:   finding,
+		QueueWait: time.Duration(solved.Timing.QueueWaitMS * float64(time.Millisecond)),
+		Compute:   compute,
+		Latency:   total - finding - compute,
+		Total:     total,
+	}
+	c.record(info)
+	return &info, nil
+}
+
+// record adds a completed call to the history ring.
+func (c *Client) record(info CallInfo) {
+	c.mu.Lock()
+	c.calls.add(info, historyCap)
+	c.mu.Unlock()
 }
 
 // callGateway is the WithGateway leg of the single call path: ship the
@@ -412,9 +439,7 @@ func (c *Client) callGateway(p *Profile, o callOptions) (*CallInfo, error) {
 		Latency:   total - finding - compute,
 		Total:     total,
 	}
-	c.mu.Lock()
-	c.calls = append(c.calls, info)
-	c.mu.Unlock()
+	c.record(info)
 	return &info, nil
 }
 
@@ -454,12 +479,10 @@ func WaitAll(calls []*AsyncCall) error {
 	return first
 }
 
-// History returns the timing records of every completed call in completion
-// order; the experiment harness turns these into the Figure 6 series.
+// History returns the timing records of the last historyCap completed calls,
+// oldest first, in completion order — the Figure 6 series of a campaign.
 func (c *Client) History() []CallInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]CallInfo, len(c.calls))
-	copy(out, c.calls)
-	return out
+	return c.calls.snapshot()
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cori"
 	"repro/internal/dataman"
-	"repro/internal/logsvc"
 	"repro/internal/metrics"
 	"repro/internal/naming"
 	"repro/internal/rpc"
@@ -18,33 +17,8 @@ import (
 // span — just the SeD-side spans plus the complete span emitted here.
 func (c *Client) callOn(srv ServerRef, p *Profile) (*CallInfo, error) {
 	seq := int(c.seq.Add(1))
-	requestID := c.requestID(seq)
-	p.RequestID = requestID
-	t0 := time.Now()
-	var solved SolveReply
-	if err := rpc.Call(srv.Addr, "sed:"+srv.Name, "Solve", p, &solved); err != nil {
-		return nil, err
-	}
-	*p = *solved.Profile
-	done := time.Now()
-	total := done.Sub(t0)
-	compute := time.Duration(solved.Timing.ComputeMS * float64(time.Millisecond))
-	queue := time.Duration(solved.Timing.QueueWaitMS * float64(time.Millisecond))
-	publishSpan(c.cfg.Events, span(requestID, "client:"+c.id, logsvc.KindComplete,
-		p.Service, "bound call, server "+srv.Name, t0, done))
-	info := CallInfo{
-		Seq:       seq,
-		RequestID: requestID,
-		Server:    srv.Name,
-		QueueWait: queue,
-		Compute:   compute,
-		Latency:   total - compute,
-		Total:     total,
-	}
-	c.mu.Lock()
-	c.calls = append(c.calls, info)
-	c.mu.Unlock()
-	return &info, nil
+	p.RequestID = c.requestID(seq)
+	return c.solveOn(srv, p, seq, time.Now(), 0, "bound call, server ")
 }
 
 // SeDSpec describes one SeD of a deployment.

@@ -56,6 +56,30 @@ type ForecastAccuracy struct {
 // rotate out, so accuracy reflects recent behaviour, not all history.
 const sedSolveRecordCap = 512
 
+// ring keeps the newest max values added to it. It grows by append until
+// full, so a short-lived owner pays only for what it recorded. The owner
+// does the locking.
+type ring[T any] struct {
+	items []T
+	next  int // the oldest item, overwritten next, once the ring is full
+}
+
+func (r *ring[T]) add(v T, max int) {
+	if len(r.items) < max {
+		r.items = append(r.items, v)
+		return
+	}
+	r.items[r.next] = v
+	r.next = (r.next + 1) % max
+}
+
+// snapshot copies the kept values out, oldest first.
+func (r *ring[T]) snapshot() []T {
+	out := make([]T, 0, len(r.items))
+	out = append(out, r.items[r.next:]...)
+	return append(out, r.items[:r.next]...)
+}
+
 // mispredictBuckets grade relative forecast error: a few percent is a good
 // model, triple digits is a cold or lying one.
 var mispredictBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 200, 400}

@@ -117,6 +117,12 @@ func (d Direction) String() string {
 // FileName preserves the original name. A persistent argument may carry a
 // DataID instead of inline data, referring to data already resident on the
 // server.
+//
+// Data of an argument decoded off the wire is not a copy: it shares the
+// frame it arrived in (a SeD's view of the request, a client's view of the
+// solved OUT arguments), so it keeps that whole frame alive for as long as it
+// is referenced. Code that retains a small argument beyond the call —
+// SeD.storePersistent does — must clone it.
 type Arg struct {
 	Kind       ArgKind
 	Base       BaseType
@@ -443,6 +449,9 @@ func (d *ProfileDesc) Matches(p *Profile) error {
 	if p.LastIn != d.LastIn || p.LastInOut != d.LastInOut || p.LastOut != d.LastOut {
 		return fmt.Errorf("diet: profile indices (%d,%d,%d) do not match descriptor (%d,%d,%d)",
 			p.LastIn, p.LastInOut, p.LastOut, d.LastIn, d.LastInOut, d.LastOut)
+	}
+	if len(p.Args) != len(d.Args) {
+		return fmt.Errorf("diet: profile has %d arguments, descriptor %d", len(p.Args), len(d.Args))
 	}
 	for i := range d.Args {
 		if p.Direction(i) == Out {

@@ -1,6 +1,7 @@
 package diet
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -127,17 +128,19 @@ type SeDConfig struct {
 // defaultDataFallbackMBps is the assumed bandwidth for unmodelled links.
 const defaultDataFallbackMBps = 100
 
-// solveTiming is returned to the client alongside the solved profile so the
+// solveTiming is returned to the client alongside the solved arguments so the
 // experiment harness can split queue wait from compute time.
 type solveTiming struct {
 	QueueWaitMS float64
 	ComputeMS   float64
 }
 
-// SolveReply is the wire reply of a Solve call.
+// SolveReply is the wire reply of a Solve call: the timing and the solved
+// profile's INOUT and OUT arguments, Args[LastIn+1:]. The IN arguments do not
+// travel back — the client still holds them.
 type SolveReply struct {
-	Profile *Profile
-	Timing  solveTiming
+	Args   []Arg
+	Timing solveTiming
 }
 
 // EstimateReply answers a monitoring query from the parent agent.
@@ -191,9 +194,8 @@ type SeD struct {
 	solved     int
 	busySecs   float64
 	// records is the bounded per-solve forecast ring (predicted vs measured
-	// durations); recNext is the rotation cursor once the ring is full.
-	records []SolveRecord
-	recNext int
+	// durations).
+	records ring[SolveRecord]
 	// power and parent start from the config and are mutated by the live
 	// migration protocol (Reparent, SetPower).
 	power  float64
@@ -581,7 +583,7 @@ func (s *SeD) predictTransfer(from string, sizeMB float64) float64 {
 }
 
 // Solve queues the profile, waits for a slot, runs the solve function and
-// returns the profile with its OUT arguments filled.
+// returns the filled INOUT and OUT arguments (also left in p).
 func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 	s.mu.Lock()
 	entry, ok := s.services[p.Service]
@@ -756,7 +758,7 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 	})
 	s.storePersistent(p)
 	return &SolveReply{
-		Profile: p,
+		Args: p.Args[p.LastIn+1:],
 		Timing: solveTiming{
 			// Queue wait is everything that was not computing: the SeD FIFO
 			// plus any batch reservation wait inside the executor.
@@ -826,12 +828,7 @@ func (s *SeD) attemptTrace(p *Profile) func(attempt int, wait time.Duration, kil
 // refreshes the per-service accuracy gauge.
 func (s *SeD) recordSolve(rec SolveRecord) {
 	s.statMu.Lock()
-	if len(s.records) < sedSolveRecordCap {
-		s.records = append(s.records, rec)
-	} else {
-		s.records[s.recNext] = rec
-		s.recNext = (s.recNext + 1) % sedSolveRecordCap
-	}
+	s.records.add(rec, sedSolveRecordCap)
 	s.statMu.Unlock()
 	if s.metrics != nil {
 		s.metrics.mispredictPct.With(s.cfg.Name, rec.Service).Observe(rec.MispredictPct())
@@ -845,10 +842,7 @@ func (s *SeD) recordSolve(rec SolveRecord) {
 func (s *SeD) SolveRecords() []SolveRecord {
 	s.statMu.Lock()
 	defer s.statMu.Unlock()
-	out := make([]SolveRecord, 0, len(s.records))
-	out = append(out, s.records[s.recNext:]...)
-	out = append(out, s.records[:s.recNext]...)
-	return out
+	return s.records.snapshot()
 }
 
 // ForecastAccuracy summarises live forecast quality per service over the
@@ -934,13 +928,16 @@ func (s *SeD) storePersistent(p *Profile) {
 		if a.DataID == "" {
 			a.DataID = fmt.Sprintf("%s/%s/%d/%d", s.cfg.Name, p.Service, s.solved, i)
 		}
-		s.dataStore[a.DataID] = a.Data
+		// An INOUT the solve left alone still aliases the request frame: keep
+		// a copy, or eight stored bytes pin the frame's megabytes for good.
+		data := bytes.Clone(a.Data)
+		s.dataStore[a.DataID] = data
 		if s.cfg.Data != nil {
 			mode := dataman.Persistent
 			if a.Persist == Sticky {
 				mode = dataman.Sticky
 			}
-			out = append(out, produced{id: a.DataID, mode: mode, data: a.Data})
+			out = append(out, produced{id: a.DataID, mode: mode, data: data})
 		}
 	}
 	s.mu.Unlock()
@@ -1004,18 +1001,12 @@ func (s *SeD) Stats() Stats {
 func (s *SeD) handler() rpc.Handler {
 	return rpc.HandlerFunc(map[string]func([]byte) ([]byte, error){
 		"Estimate": func(body []byte) ([]byte, error) {
-			var service string
-			if err := rpc.Decode(body, &service); err != nil {
-				return nil, err
-			}
-			return rpc.Encode(s.Estimate(service))
-		},
-		"EstimateFor": func(body []byte) ([]byte, error) {
 			var q EstimateQuery
 			if err := rpc.Decode(body, &q); err != nil {
 				return nil, err
 			}
-			return rpc.Encode(s.EstimateFor(q))
+			reply := s.EstimateFor(q)
+			return rpc.Encode(&reply)
 		},
 		"Solve": func(body []byte) ([]byte, error) {
 			var p Profile

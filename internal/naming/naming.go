@@ -163,11 +163,11 @@ func (s *Service) Handler() rpc.Handler {
 			return rpc.Encode(e)
 		},
 		"ResolveAll": func(body []byte) ([]byte, error) {
-			var names []string
-			if err := rpc.Decode(body, &names); err != nil {
+			var req resolveAllRequest
+			if err := rpc.Decode(body, &req); err != nil {
 				return nil, err
 			}
-			return rpc.Encode(s.ResolveAll(names))
+			return rpc.Encode(&resolveAllReply{Entries: s.ResolveAll(req.Names)})
 		},
 		"List": func(body []byte) ([]byte, error) {
 			var prefix string
@@ -206,9 +206,44 @@ func (c *Client) Resolve(name string) (Entry, error) {
 // ResolveAll looks names up remotely in one exchange: the bound ones, in the
 // order given.
 func (c *Client) ResolveAll(names []string) ([]Entry, error) {
-	var out []Entry
-	err := rpc.Call(c.Addr, ObjectName, "ResolveAll", names, &out)
-	return out, err
+	var reply resolveAllReply
+	err := rpc.Call(c.Addr, ObjectName, "ResolveAll", &resolveAllRequest{Names: names}, &reply)
+	return reply.Entries, err
+}
+
+// resolveAllRequest and resolveAllReply are the bodies of the ResolveAll
+// exchange, the one naming call on the path of every GridRPC call; they have
+// a hand-written layout (rpc.WireBody) where the registry's other, cold
+// methods use gob: a list of name texts out, a list of entries — name, addr
+// and kind texts — back.
+type resolveAllRequest struct{ Names []string }
+
+type resolveAllReply struct{ Entries []Entry }
+
+func (q *resolveAllRequest) WireSize() int              { return rpc.TextsSize(q.Names) }
+func (q *resolveAllRequest) AppendWire(b []byte) []byte { return rpc.AppendTexts(b, q.Names) }
+func (q *resolveAllRequest) ReadWire(r *rpc.Reader)     { q.Names = r.Texts() }
+
+func (p *resolveAllReply) WireSize() int {
+	n := rpc.LenSize
+	for _, e := range p.Entries {
+		n += 3*rpc.LenSize + len(e.Name) + len(e.Addr) + len(e.Kind)
+	}
+	return n
+}
+
+func (p *resolveAllReply) AppendWire(b []byte) []byte {
+	b = rpc.AppendCount(b, len(p.Entries))
+	for _, e := range p.Entries {
+		b = rpc.AppendText(rpc.AppendText(rpc.AppendText(b, e.Name), e.Addr), e.Kind)
+	}
+	return b
+}
+
+func (p *resolveAllReply) ReadWire(r *rpc.Reader) {
+	p.Entries = rpc.ReadList(r, 3*rpc.LenSize, func(e *Entry, r *rpc.Reader) {
+		e.Name, e.Addr, e.Kind = r.Text(), r.Text(), r.Text()
+	})
 }
 
 // List enumerates bindings remotely.

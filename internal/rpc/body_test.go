@@ -1,0 +1,125 @@
+package rpc
+
+import (
+	"encoding/binary"
+	"errors"
+	"math"
+	"runtime"
+	"testing"
+)
+
+// pairBody is a minimal WireBody: a list of texts and a byte slice.
+type pairBody struct {
+	Names []string
+	Blob  []byte
+}
+
+func (p *pairBody) WireSize() int { return TextsSize(p.Names) + LenSize + len(p.Blob) }
+func (p *pairBody) AppendWire(b []byte) []byte {
+	return AppendBytes(AppendTexts(b, p.Names), p.Blob)
+}
+func (p *pairBody) ReadWire(r *Reader) { p.Names, p.Blob = r.Texts(), r.Bytes() }
+
+func TestWireBodyBypassesGob(t *testing.T) {
+	in := &pairBody{Names: []string{"a", ""}, Blob: []byte{1, 2, 3}}
+	wire, err := Encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{0, 0, 0, 2, 0, 0, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 3, 1, 2, 3}
+	if string(wire) != string(want) || cap(wire) != len(want) {
+		t.Fatalf("encoding = %v (cap %d), want %v", wire, cap(wire), want)
+	}
+	var out pairBody
+	if err := Decode(wire, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Names) != 2 || out.Names[0] != "a" || out.Names[1] != "" || string(out.Blob) != "\x01\x02\x03" {
+		t.Errorf("decoded %+v", out)
+	}
+	// The blob is the wire's own bytes, capped: an append reallocates instead
+	// of running into whatever follows it in the frame.
+	if &out.Blob[0] != &wire[len(wire)-3] || cap(out.Blob) != 3 {
+		t.Errorf("blob is a copy or uncapped (cap %d)", cap(out.Blob))
+	}
+	if err := Decode(append(wire, 0), &pairBody{}); !errors.Is(err, ErrBody) {
+		t.Errorf("trailing byte: %v, want ErrBody", err)
+	}
+	if err := Decode(nil, &pairBody{}); !errors.Is(err, ErrBody) {
+		t.Errorf("empty body: %v, want ErrBody", err)
+	}
+}
+
+// A count or a length is checked against the bytes left before anything is
+// sized by it: a few bytes claiming four billion elements cost nothing.
+func TestReaderChecksClaimsBeforeAllocating(t *testing.T) {
+	claim := binary.BigEndian.AppendUint32(nil, math.MaxUint32)
+	claim = append(claim, make([]byte, 64)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		if err := Decode(claim, &pairBody{}); !errors.Is(err, ErrBody) {
+			t.Fatalf("over-claimed list: %v, want ErrBody", err)
+		}
+		r := Reader{rest: claim}
+		if b := r.Bytes(); b != nil || r.Err() == nil {
+			t.Fatalf("over-claimed byte slice read as %d bytes, err %v", len(b), r.Err())
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing 200 over-claimed bodies allocated %d bytes", grew)
+	}
+	// Exactly as many minimum-size elements as fit is fine; one more is not.
+	fits := AppendTexts(nil, make([]string, 16))
+	if err := Decode(AppendBytes(fits, nil), &pairBody{}); err != nil {
+		t.Errorf("16 empty texts in 64 bytes: %v", err)
+	}
+	binary.BigEndian.PutUint32(fits, 17)
+	if err := Decode(fits, &pairBody{}); !errors.Is(err, ErrBody) {
+		t.Errorf("17 texts claimed in 64 bytes: %v, want ErrBody", err)
+	}
+}
+
+func TestReaderScalars(t *testing.T) {
+	var b []byte
+	b = AppendInt(b, -1)
+	b = AppendInt(b, math.MinInt64)
+	b = AppendFloat64(b, math.Inf(-1))
+	b = AppendFloat64(b, math.Float64frombits(0x7ff8dead0000beef)) // a NaN with a payload
+	b = AppendBool(b, true)
+	b = AppendBool(b, false)
+	b = AppendText(b, "zoé")
+	r := Reader{rest: b}
+	if v := r.Int(); v != -1 {
+		t.Errorf("Int = %d", v)
+	}
+	if v := r.Int(); v != math.MinInt64 {
+		t.Errorf("Int = %d", v)
+	}
+	if v := r.Float64(); !math.IsInf(v, -1) {
+		t.Errorf("Float64 = %v", v)
+	}
+	if v := math.Float64bits(r.Float64()); v != 0x7ff8dead0000beef {
+		t.Errorf("NaN bits = %x", v)
+	}
+	if !r.Bool() || r.Bool() {
+		t.Error("bools came back wrong")
+	}
+	if s := r.Text(); s != "zoé" {
+		t.Errorf("Text = %q", s)
+	}
+	if r.Err() != nil || len(r.rest) != 0 {
+		t.Fatalf("err %v, %d bytes left", r.Err(), len(r.rest))
+	}
+	// The first failure sticks and later reads are zero values.
+	r = Reader{rest: []byte{2}}
+	r.Bool()
+	first := r.Err()
+	if first == nil {
+		t.Fatal("bool byte 2 accepted")
+	}
+	if r.Int() != 0 || r.Text() != "" || r.Count(1) != 0 || r.Err() != first {
+		t.Errorf("reads after a failure: err %v, want the first one kept", r.Err())
+	}
+}

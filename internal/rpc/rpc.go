@@ -11,8 +11,6 @@
 package rpc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -246,20 +244,6 @@ func Invoke(addr, object, method string, body []byte) ([]byte, error) {
 		return replyOf(s.dispatch(object, method, body))
 	}
 	return invokeTCP(strings.TrimPrefix(addr, "tcp:"), object, method, body)
-}
-
-// Encode gob-encodes a value for use as a call body.
-func Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode gob-decodes a call body into v (a pointer).
-func Decode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
 // Call is the typed convenience wrapper: encodes in, invokes, decodes into

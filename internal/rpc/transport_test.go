@@ -482,17 +482,17 @@ func TestTransportVersionMismatch(t *testing.T) {
 	}
 	defer c.Close()
 	cc := &clientConn{Conn: c, br: newReader(c)}
-	future := frameOf(frameVersion+1, 0, 3, 'o', 'b', 'j', 0, 0, 'x')
-	frame, _, err := cc.roundTrip(future, nil)
+	v1 := frameOf(1, 0, 3, 'o', 'b', 'j', 0, 0, 'x')
+	frame, _, err := cc.roundTrip(v1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = replyOf(frame[0], frame[1:])
-	if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("version mismatch = %v, want an error naming versions 2 and 1", err)
+	if err == nil || !strings.Contains(err.Error(), "is version 1") || !strings.Contains(err.Error(), "speaks version 2") {
+		t.Fatalf("version mismatch = %v, want an error naming versions 1 and 2", err)
 	}
 	if runs.Load() != 0 {
-		t.Error("handler ran for a frame of an unknown version")
+		t.Error("handler ran for a frame of another version")
 	}
 	header, _ := requestHeader("obj", "Echo", 2)
 	frame, _, err = cc.roundTrip(header, []byte("ok"))

@@ -19,9 +19,11 @@ import (
 //	response: len | status  | body (statusOK), object name or error text
 //
 // version and status are one byte, objLen and methLen two bytes big-endian.
-// Bodies are opaque here (callers gob-encode them with Encode).
+// Bodies are opaque here (callers encode them with Encode). Version 2 is the
+// frame of version 1 around bodies that are no longer all gob (body.go): the
+// byte moved so that a version 1 peer is refused by name, not misread.
 const (
-	frameVersion = 1
+	frameVersion = 2
 
 	// maxFrame bounds a frame's declared length: the 1 GiB encoding/gob
 	// enforces on the bodies it carries.
