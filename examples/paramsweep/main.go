@@ -72,7 +72,7 @@ func main() {
 	catalog := core.NewDataCatalog()
 	staging := core.NewDataStore("staging")
 	ss := rpc.NewServer()
-	ss.Register(dataman.ObjectName, staging.Handler())
+	staging.Serve(ss)
 	stagingAddr, err := rpc.ServeLocal("paramsweep-staging", ss)
 	if err != nil {
 		log.Fatal(err)

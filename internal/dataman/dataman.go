@@ -38,11 +38,33 @@ func (m Mode) String() string {
 	return "persistent"
 }
 
-// Item is one stored datum.
+// Item is one stored datum. It crosses the wire in a hand-written layout
+// (rpc.WireBody: ID text, Mode int, Data bytes), so Get, Put, Replicate and
+// FetchTo move Data as a segment of its own instead of through gob: a sender
+// must not change Data until the call returns, and the Data of an Item a store
+// was handed over tcp aliases the frame it arrived in — as long as the item is
+// stored, so is that frame.
 type Item struct {
 	ID   string
 	Mode Mode
 	Data []byte
+}
+
+var _ rpc.WireBody = (*Item)(nil)
+
+// WireSize implements rpc.WireBody.
+func (it *Item) WireSize() int { return 2*rpc.LenSize + len(it.ID) + rpc.IntSize + len(it.Data) }
+
+// AppendWire implements rpc.WireBody.
+func (it *Item) AppendWire(w rpc.Writer) rpc.Writer {
+	return w.Text(it.ID).Int(int(it.Mode)).Bytes(it.Data)
+}
+
+// ReadWire implements rpc.WireBody.
+func (it *Item) ReadWire(r *rpc.Reader) {
+	it.ID = r.Text()
+	it.Mode = Mode(r.Int())
+	it.Data = r.Bytes()
 }
 
 // Store is one node's local data container.
@@ -101,15 +123,30 @@ func (s *Store) IDs() []string {
 	return out
 }
 
-// Handler exposes the store over rpc.
+// Serve exposes the store on srv under ObjectName. Get answers with the item
+// itself, so over tcp its data goes out from the store's memory.
+func (s *Store) Serve(srv *rpc.Server) {
+	srv.RegisterTyped(ObjectName, map[string]rpc.TypedMethod{
+		"Get": func(body []byte) (rpc.WireBody, error) { return s.get(body) },
+	}, s.Handler())
+}
+
+// get is the Get method: the item named by a gob string.
+func (s *Store) get(body []byte) (*Item, error) {
+	var id string
+	if err := rpc.Decode(body, &id); err != nil {
+		return nil, err
+	}
+	it, err := s.Get(id)
+	return &it, err
+}
+
+// Handler exposes the store over rpc, every reply encoded here: what Serve
+// registers, but for a Get that copies the item's data into its reply.
 func (s *Store) Handler() rpc.Handler {
 	return rpc.HandlerFunc(map[string]func([]byte) ([]byte, error){
 		"Get": func(body []byte) ([]byte, error) {
-			var id string
-			if err := rpc.Decode(body, &id); err != nil {
-				return nil, err
-			}
-			it, err := s.Get(id)
+			it, err := s.get(body)
 			if err != nil {
 				return nil, err
 			}
@@ -335,7 +372,7 @@ func (c *Catalog) FetchTo(id, toNode string) (Item, error) {
 	// Best-effort local replica, with Replicate's orphan cleanup on a
 	// publish refusal.
 	var accepted bool
-	if err := rpc.Call(dstAddr, ObjectName, "Put", it, &accepted); err != nil {
+	if err := rpc.Call(dstAddr, ObjectName, "Put", &it, &accepted); err != nil {
 		return it, nil
 	}
 	if err := c.Publish(id, toNode, it.Mode); err != nil {
@@ -387,7 +424,7 @@ func (c *Catalog) Put(id, node string, mode Mode, data []byte) error {
 		return fmt.Errorf("dataman: unknown node %q", node)
 	}
 	var accepted bool
-	if err := rpc.Call(addr, ObjectName, "Put", Item{ID: id, Mode: mode, Data: data}, &accepted); err != nil {
+	if err := rpc.Call(addr, ObjectName, "Put", &Item{ID: id, Mode: mode, Data: data}, &accepted); err != nil {
 		return fmt.Errorf("dataman: storing %q on %s: %w", id, node, err)
 	}
 	if err := c.Publish(id, node, mode); err != nil {
@@ -426,7 +463,7 @@ func (c *Catalog) Replicate(id, toNode string) error {
 		return err
 	}
 	var accepted bool
-	if err := rpc.Call(dstAddr, ObjectName, "Put", it, &accepted); err != nil {
+	if err := rpc.Call(dstAddr, ObjectName, "Put", &it, &accepted); err != nil {
 		return fmt.Errorf("dataman: replicating %q to %s: %w", id, toNode, err)
 	}
 	c.observeTransfer(from, toNode, c.itemSizeMB(id, it), time.Since(t0))

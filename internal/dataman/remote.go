@@ -99,7 +99,7 @@ func (c *Catalog) Handler() rpc.Handler {
 			if err != nil {
 				return nil, err
 			}
-			return rpc.Encode(it)
+			return rpc.Encode(&it)
 		},
 		"ReplicaCount": func(body []byte) ([]byte, error) {
 			var id string

@@ -101,9 +101,20 @@ type Client struct {
 	id     string // session identity prefixing every request ID
 	seq    atomic.Int64
 
+	// gatewayHTTP carries the WithGateway calls; its Timeout is gatewayTimeout.
+	gatewayHTTP *http.Client
+
 	mu    sync.Mutex
 	calls ring[CallInfo] // behind History: the last historyCap completed calls
 }
+
+// gatewayTimeout bounds one WithGateway call from request to decoded reply, so
+// a gateway that accepts a solve and never answers fails the call instead of
+// hanging its caller for good. The gateway answers only once the solve is
+// done: the bound has to cover admission, finding and the longest solve a
+// platform runs (the paper's campaign, 100 zooms on 11 SeDs in 16 h, is well
+// over an hour per solve), not a network round trip.
+const gatewayTimeout = 4 * time.Hour
 
 // historyCap bounds the per-client call history. A client lives as long as
 // the gateway that pools it; the paper's campaigns are a hundred calls.
@@ -142,7 +153,10 @@ func InitializeConfig(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("diet: resolving master agent %q: %w", cfg.MAName, err)
 	}
-	return &Client{cfg: cfg, maAddr: entry.Addr, id: newClientID()}, nil
+	return &Client{
+		cfg: cfg, maAddr: entry.Addr, id: newClientID(),
+		gatewayHTTP: &http.Client{Timeout: gatewayTimeout},
+	}, nil
 }
 
 // Finalize closes the session. Like diet_finalize it does not invalidate
@@ -400,7 +414,7 @@ func (c *Client) callGateway(p *Profile, o callOptions) (*CallInfo, error) {
 	}
 	seq := int(c.seq.Add(1))
 	t0 := time.Now()
-	resp, err := http.Post(o.gateway+"/api/v1/solve", "application/json", bytes.NewReader(body))
+	resp, err := c.gatewayHTTP.Post(o.gateway+"/api/v1/solve", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("diet: gateway call for %q failed: %w", p.Service, err)
 	}

@@ -1,7 +1,11 @@
 package diet
 
 import (
+	"errors"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/rpc"
 )
@@ -124,5 +128,41 @@ func TestCallWithAsyncAndShim(t *testing.T) {
 	}
 	if n := len(client.History()); n != 2 {
 		t.Errorf("history has %d calls, want 2", n)
+	}
+}
+
+// A gateway that accepts the solve and never answers fails the call when the
+// client's bound runs out; it used to hang the caller on the zero-timeout
+// default HTTP client.
+func TestGatewayCallTimesOutOnASilentGateway(t *testing.T) {
+	d := newAPIDeployment(t, "MA-api-silent-gw")
+	client, err := d.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if client.gatewayHTTP.Timeout != gatewayTimeout {
+		t.Fatalf("gateway calls are bounded by %v, want gatewayTimeout", client.gatewayHTTP.Timeout)
+	}
+	release := make(chan struct{})
+	silent := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
+	defer silent.Close()
+	defer close(release) // before Close, which waits for the handler
+	client.gatewayHTTP.Timeout = 50 * time.Millisecond
+
+	p, _ := NewProfile("double", 0, 0, 1)
+	p.SetScalarInt(0, 21, Volatile)
+	done := make(chan error, 1)
+	go func() {
+		_, err := client.Call(p, WithGateway(silent.URL))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		var timeout interface{ Timeout() bool }
+		if err == nil || !errors.As(err, &timeout) || !timeout.Timeout() {
+			t.Errorf("call to a silent gateway = %v, want a timeout", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("call to a silent gateway is still waiting after 200 times its bound")
 	}
 }

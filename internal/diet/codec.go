@@ -35,20 +35,20 @@ func argsSize(args []Arg) int {
 	return n
 }
 
-func appendArgs(b []byte, args []Arg) []byte {
-	b = rpc.AppendCount(b, len(args))
+func appendArgs(w rpc.Writer, args []Arg) rpc.Writer {
+	w = w.Count(len(args))
 	for i := range args {
 		a := &args[i]
-		b = rpc.AppendInt(b, int(a.Kind))
-		b = rpc.AppendInt(b, int(a.Base))
-		b = rpc.AppendInt(b, int(a.Persist))
-		b = rpc.AppendInt(b, a.Rows)
-		b = rpc.AppendInt(b, a.Cols)
-		b = rpc.AppendText(b, a.FileName)
-		b = rpc.AppendText(b, a.DataID)
-		b = rpc.AppendBytes(b, a.Data)
+		w = w.Int(int(a.Kind))
+		w = w.Int(int(a.Base))
+		w = w.Int(int(a.Persist))
+		w = w.Int(a.Rows)
+		w = w.Int(a.Cols)
+		w = w.Text(a.FileName)
+		w = w.Text(a.DataID)
+		w = w.Bytes(a.Data)
 	}
-	return b
+	return w
 }
 
 // readArgs reads an argument list; each Data aliases what r reads.
@@ -72,14 +72,14 @@ func (p *Profile) WireSize() int {
 }
 
 // AppendWire implements rpc.WireBody.
-func (p *Profile) AppendWire(b []byte) []byte {
-	b = rpc.AppendText(b, p.Service)
-	b = rpc.AppendInt(b, p.LastIn)
-	b = rpc.AppendInt(b, p.LastInOut)
-	b = rpc.AppendInt(b, p.LastOut)
-	b = rpc.AppendFloat64(b, p.WorkGFlops)
-	b = rpc.AppendText(b, p.RequestID)
-	return appendArgs(b, p.Args)
+func (p *Profile) AppendWire(w rpc.Writer) rpc.Writer {
+	w = w.Text(p.Service)
+	w = w.Int(p.LastIn)
+	w = w.Int(p.LastInOut)
+	w = w.Int(p.LastOut)
+	w = w.Float64(p.WorkGFlops)
+	w = w.Text(p.RequestID)
+	return appendArgs(w, p.Args)
 }
 
 // ReadWire implements rpc.WireBody. Beyond the layout it holds a profile off
@@ -103,10 +103,10 @@ func (p *Profile) ReadWire(r *rpc.Reader) {
 func (s *SolveReply) WireSize() int { return 2*rpc.Float64Size + argsSize(s.Args) }
 
 // AppendWire implements rpc.WireBody.
-func (s *SolveReply) AppendWire(b []byte) []byte {
-	b = rpc.AppendFloat64(b, s.Timing.QueueWaitMS)
-	b = rpc.AppendFloat64(b, s.Timing.ComputeMS)
-	return appendArgs(b, s.Args)
+func (s *SolveReply) AppendWire(w rpc.Writer) rpc.Writer {
+	w = w.Float64(s.Timing.QueueWaitMS)
+	w = w.Float64(s.Timing.ComputeMS)
+	return appendArgs(w, s.Args)
 }
 
 // ReadWire implements rpc.WireBody.
@@ -122,8 +122,8 @@ func (q *EstimateQuery) WireSize() int {
 }
 
 // AppendWire implements rpc.WireBody.
-func (q *EstimateQuery) AppendWire(b []byte) []byte {
-	return rpc.AppendTexts(rpc.AppendText(b, q.Service), q.DataIDs)
+func (q *EstimateQuery) AppendWire(w rpc.Writer) rpc.Writer {
+	return w.Text(q.Service).Texts(q.DataIDs)
 }
 
 // ReadWire implements rpc.WireBody.
@@ -136,8 +136,8 @@ func (q *EstimateQuery) ReadWire(r *rpc.Reader) {
 func (e *EstimateReply) WireSize() int { return rpc.BoolSize + e.Est.WireSize() }
 
 // AppendWire implements rpc.WireBody.
-func (e *EstimateReply) AppendWire(b []byte) []byte {
-	return e.Est.AppendWire(rpc.AppendBool(b, e.OK))
+func (e *EstimateReply) AppendWire(w rpc.Writer) rpc.Writer {
+	return e.Est.AppendWire(w.Bool(e.OK))
 }
 
 // ReadWire implements rpc.WireBody.
@@ -152,11 +152,11 @@ func (c *CollectRequest) WireSize() int {
 }
 
 // AppendWire implements rpc.WireBody.
-func (c *CollectRequest) AppendWire(b []byte) []byte {
-	b = rpc.AppendText(b, c.Service)
-	b = rpc.AppendInt(b, c.Limit)
-	b = rpc.AppendText(b, c.RequestID)
-	return rpc.AppendTexts(b, c.DataIDs)
+func (c *CollectRequest) AppendWire(w rpc.Writer) rpc.Writer {
+	w = w.Text(c.Service)
+	w = w.Int(c.Limit)
+	w = w.Text(c.RequestID)
+	return w.Texts(c.DataIDs)
 }
 
 // ReadWire implements rpc.WireBody.
@@ -171,8 +171,8 @@ func (c *CollectRequest) ReadWire(r *rpc.Reader) {
 func (c *CollectReply) WireSize() int { return scheduler.EstimatesSize(c.Estimates) }
 
 // AppendWire implements rpc.WireBody.
-func (c *CollectReply) AppendWire(b []byte) []byte {
-	return scheduler.AppendEstimates(b, c.Estimates)
+func (c *CollectReply) AppendWire(w rpc.Writer) rpc.Writer {
+	return scheduler.AppendEstimates(w, c.Estimates)
 }
 
 // ReadWire implements rpc.WireBody.
@@ -184,12 +184,12 @@ func (s *SubmitRequest) WireSize() int {
 }
 
 // AppendWire implements rpc.WireBody.
-func (s *SubmitRequest) AppendWire(b []byte) []byte {
-	b = rpc.AppendText(b, s.Service)
-	b = rpc.AppendFloat64(b, s.WorkGFlops)
-	b = rpc.AppendInt(b, s.Seq)
-	b = rpc.AppendText(b, s.RequestID)
-	return rpc.AppendTexts(b, s.DataIDs)
+func (s *SubmitRequest) AppendWire(w rpc.Writer) rpc.Writer {
+	w = w.Text(s.Service)
+	w = w.Float64(s.WorkGFlops)
+	w = w.Int(s.Seq)
+	w = w.Text(s.RequestID)
+	return w.Texts(s.DataIDs)
 }
 
 // ReadWire implements rpc.WireBody.
@@ -212,12 +212,12 @@ func (s *SubmitReply) WireSize() int {
 }
 
 // AppendWire implements rpc.WireBody.
-func (s *SubmitReply) AppendWire(b []byte) []byte {
-	b = rpc.AppendCount(b, len(s.Servers))
+func (s *SubmitReply) AppendWire(w rpc.Writer) rpc.Writer {
+	w = w.Count(len(s.Servers))
 	for _, srv := range s.Servers {
-		b = rpc.AppendText(rpc.AppendText(b, srv.Name), srv.Addr)
+		w = w.Text(srv.Name).Text(srv.Addr)
 	}
-	return scheduler.AppendEstimates(b, s.Estimates)
+	return scheduler.AppendEstimates(w, s.Estimates)
 }
 
 // ReadWire implements rpc.WireBody.

@@ -118,6 +118,83 @@ func TestDecodedArgDataAliasesTheBody(t *testing.T) {
 	}
 }
 
+// segmentProfiles are profiles whose file arguments lie on both sides of
+// rpc.SegmentCut, at the places where the segmenting encoder has an edge: the
+// cut itself, several large arguments in one profile, a large argument first
+// and one last (nothing of the head behind it), each with the number of pieces
+// it goes to a socket in.
+func segmentProfiles(t testing.TB) []segmentCase {
+	t.Helper()
+	const cut = rpc.SegmentCut
+	build := func(sizes ...int) *Profile {
+		p, err := NewProfile("segments", len(sizes)-1, len(sizes)-1, len(sizes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range sizes {
+			data := make([]byte, n)
+			for k := range data {
+				data[k] = byte(i + k)
+			}
+			p.SetFileBytes(i, "f", data, Volatile)
+		}
+		p.SetScalarInt(len(sizes), 7, Volatile) // a small argument behind the files
+		return p
+	}
+	largeLast := build(cut+1, 16)
+	largeLast.Args = largeLast.Args[:2] // drop the scalar: the data of the last argument ends the body
+	largeLast.Args[0], largeLast.Args[1] = largeLast.Args[1], largeLast.Args[0]
+	largeLast.LastIn, largeLast.LastInOut, largeLast.LastOut = 1, 1, 1
+	return []segmentCase{
+		{build(0), 1},
+		{build(cut - 1), 1},
+		{build(cut), 3},
+		{build(cut + 1), 3},
+		{build(cut-1, cut, cut-1), 3},
+		{build(cut-200, cut-200), 1}, // longer than the cut as a whole, no field that is
+		{largeLast, 2},
+		{build(4*cut, 3, 1<<20, cut), 7},
+		{build(1<<20, 1<<20), 5},
+	}
+}
+
+type segmentCase struct {
+	p      *Profile
+	pieces int
+}
+
+// The body a socket is given is the flat encoding cut at every argument of
+// rpc.SegmentCut bytes or more, and those arguments are the caller's own
+// memory, not copies.
+func TestLargeArgDataIsSentInPlace(t *testing.T) {
+	for _, c := range segmentProfiles(t) {
+		p, pieces := c.p, c.pieces
+		wire := wiretest.RoundTrip(t, p, &Profile{})
+		segs := rpc.Segments(p)
+		if len(segs) != pieces {
+			t.Errorf("%d arguments, %d bytes: %d segments, want %d", len(p.Args), len(wire), len(segs), pieces)
+			continue
+		}
+		next := 0
+		for _, a := range p.Args {
+			if len(a.Data) < rpc.SegmentCut {
+				continue
+			}
+			for next < len(segs) && &segs[next][0] != &a.Data[0] {
+				next++
+			}
+			if next == len(segs) || len(segs[next]) != len(a.Data) {
+				t.Errorf("an argument of %d bytes is not a segment of its own", len(a.Data))
+			}
+		}
+		reply := &SolveReply{Args: p.Args}
+		wiretest.RoundTrip(t, reply, &SolveReply{})
+		if got := len(rpc.Segments(reply)); got != pieces {
+			t.Errorf("the same arguments in a solve reply: %d segments, want %d", got, pieces)
+		}
+	}
+}
+
 // FuzzTypedBodies feeds arbitrary bytes to every decoder of this package:
 // error or value, never a panic, and a value encodes back to the same bytes.
 func FuzzTypedBodies(f *testing.F) {
@@ -136,6 +213,21 @@ func FuzzTypedBodies(f *testing.F) {
 			claim := append([]byte(nil), wire...)
 			binary.BigEndian.PutUint32(claim[at:], math.MaxUint32)
 			f.Add(uint8(kind), claim)
+		}
+	}
+	// Arguments around rpc.SegmentCut, as a profile and as a solve reply
+	// (kinds 0 and 1), but for the megabyte ones, which would only slow the
+	// mutator down; added last, so the seeds above keep their numbers.
+	for _, c := range segmentProfiles(f) {
+		for kind, body := range []rpc.WireBody{c.p, &SolveReply{Args: c.p.Args}} {
+			if body.WireSize() > 1<<16 {
+				continue
+			}
+			wire, err := rpc.Encode(body)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint8(kind), wire)
 		}
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {

@@ -283,12 +283,12 @@ func (s *SeD) objectName() string { return "sed:" + s.cfg.Name }
 // service and with its parent agent, and starts the FIFO dispatcher. It is
 // the moral equivalent of diet_SeD(), except it returns instead of blocking.
 func (s *SeD) Start() error {
-	s.server.Register(s.objectName(), s.handler())
+	s.server.RegisterTyped(s.objectName(), s.typedMethods(), s.handler())
 	if s.cfg.Data != nil {
 		// The SeD is a data node: its store answers on the same server, and
 		// the catalog learns the node so fetched replicas can land here.
 		s.dataNode = dataman.NewStore(s.cfg.Name)
-		s.server.Register(dataman.ObjectName, s.dataNode.Handler())
+		s.dataNode.Serve(s.server)
 	}
 	var err error
 	if s.cfg.Local {
@@ -997,7 +997,22 @@ func (s *SeD) Stats() Stats {
 	}
 }
 
-// handler exposes the SeD over rpc.
+// typedMethods are the methods whose reply the server encodes: over tcp the
+// solved arguments' data goes out from where the solver (or, for an INOUT
+// argument it left alone, the request frame) put it.
+func (s *SeD) typedMethods() map[string]rpc.TypedMethod {
+	return map[string]rpc.TypedMethod{
+		"Solve": func(body []byte) (rpc.WireBody, error) {
+			var p Profile
+			if err := rpc.Decode(body, &p); err != nil {
+				return nil, err
+			}
+			return s.Solve(&p)
+		},
+	}
+}
+
+// handler exposes the SeD's other methods over rpc.
 func (s *SeD) handler() rpc.Handler {
 	return rpc.HandlerFunc(map[string]func([]byte) ([]byte, error){
 		"Estimate": func(body []byte) ([]byte, error) {
@@ -1007,17 +1022,6 @@ func (s *SeD) handler() rpc.Handler {
 			}
 			reply := s.EstimateFor(q)
 			return rpc.Encode(&reply)
-		},
-		"Solve": func(body []byte) ([]byte, error) {
-			var p Profile
-			if err := rpc.Decode(body, &p); err != nil {
-				return nil, err
-			}
-			reply, err := s.Solve(&p)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(reply)
 		},
 		"Ping": func([]byte) ([]byte, error) {
 			return rpc.Encode("pong")

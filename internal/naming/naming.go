@@ -220,9 +220,9 @@ type resolveAllRequest struct{ Names []string }
 
 type resolveAllReply struct{ Entries []Entry }
 
-func (q *resolveAllRequest) WireSize() int              { return rpc.TextsSize(q.Names) }
-func (q *resolveAllRequest) AppendWire(b []byte) []byte { return rpc.AppendTexts(b, q.Names) }
-func (q *resolveAllRequest) ReadWire(r *rpc.Reader)     { q.Names = r.Texts() }
+func (q *resolveAllRequest) WireSize() int                      { return rpc.TextsSize(q.Names) }
+func (q *resolveAllRequest) AppendWire(w rpc.Writer) rpc.Writer { return w.Texts(q.Names) }
+func (q *resolveAllRequest) ReadWire(r *rpc.Reader)             { q.Names = r.Texts() }
 
 func (p *resolveAllReply) WireSize() int {
 	n := rpc.LenSize
@@ -232,12 +232,12 @@ func (p *resolveAllReply) WireSize() int {
 	return n
 }
 
-func (p *resolveAllReply) AppendWire(b []byte) []byte {
-	b = rpc.AppendCount(b, len(p.Entries))
+func (p *resolveAllReply) AppendWire(w rpc.Writer) rpc.Writer {
+	w = w.Count(len(p.Entries))
 	for _, e := range p.Entries {
-		b = rpc.AppendText(rpc.AppendText(rpc.AppendText(b, e.Name), e.Addr), e.Kind)
+		w = w.Text(e.Name).Text(e.Addr).Text(e.Kind)
 	}
-	return b
+	return w
 }
 
 func (p *resolveAllReply) ReadWire(r *rpc.Reader) {

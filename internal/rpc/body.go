@@ -7,13 +7,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net"
 )
 
 // WireBody is a call body with a hand-written layout: the structs that cross
 // the wire on every GridRPC call (profile, estimates, submit/collect/solve
-// requests and replies, naming's batched resolve) implement it on their
-// pointer types, and Encode/Decode use it instead of gob. Everything else —
-// admin, gossip, migration, federation, data-manager bodies — stays gob.
+// requests and replies, naming's batched resolve) and the data manager's Item
+// implement it on their pointer types, and Encode/Decode use it instead of
+// gob. Everything else — admin, gossip, migration, federation, the data
+// manager's bookkeeping — stays gob.
 //
 // The layout is positional, all integers big-endian like the frame header:
 //
@@ -30,8 +32,9 @@ import (
 type WireBody interface {
 	// WireSize is the exact length AppendWire adds, so Encode allocates once.
 	WireSize() int
-	// AppendWire appends the body's encoding to b.
-	AppendWire(b []byte) []byte
+	// AppendWire appends the body's encoding to w and returns the result, as
+	// append does: every Writer method returns the Writer to go on with.
+	AppendWire(w Writer) Writer
 	// ReadWire fills the body from r. Byte-slice fields alias the data r
 	// reads (see Reader.Bytes); errors are left in r.
 	ReadWire(r *Reader)
@@ -45,17 +48,113 @@ const (
 	LenSize     = 4 // the length prefix of a text, a byte slice or a list
 )
 
-// Encode encodes a value for use as a call body: a WireBody by its own
-// layout, anything else with gob.
+// SegmentCut is the length from which a byte-slice field of a WireBody is
+// sent from the memory it is in instead of being copied next to the fields
+// around it (Writer.Bytes). Below it, one more entry in the writev costs more
+// than the copy it saves.
+const SegmentCut = 4 << 10
+
+// Encode encodes a value for use as a call body, in one slice: a WireBody by
+// its own layout, anything else with gob.
 func Encode(v any) ([]byte, error) {
-	if w, ok := v.(WireBody); ok {
-		return w.AppendWire(make([]byte, 0, w.WireSize())), nil
+	if b, ok := v.(WireBody); ok {
+		return flatWire(b, b.WireSize()), nil
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// flatWire is a WireBody of size bytes in one slice of exactly that size.
+func flatWire(b WireBody, size int) []byte {
+	return b.AppendWire(Writer{segments{head: make([]byte, 0, size)}}).head
+}
+
+// encode is Encode for a body on its way to a socket: the same bytes, with
+// the large byte fields of a WireBody referenced where they are. The caller
+// must leave those bytes alone until the segments have been written.
+func encode(v any) (segments, error) {
+	b, ok := v.(WireBody)
+	if !ok {
+		flat, err := Encode(v)
+		return segments{head: flat}, err
+	}
+	// A body shorter than the cut has no field to reference: its head is the
+	// one exact slice of Encode. A longer one starts its head at the cut and
+	// grows it if it must.
+	size := b.WireSize()
+	if size < SegmentCut {
+		return segments{head: flatWire(b, size)}, nil
+	}
+	return b.AppendWire(Writer{segments{head: make([]byte, 0, SegmentCut), refs: new([]ref)}}).segments, nil
+}
+
+// Segments is the encoding of a WireBody in the pieces the tcp transport
+// hands to writev: concatenated they are Encode(v), and every byte field of
+// at least SegmentCut bytes is a piece of its own, aliasing v.
+func Segments(v WireBody) net.Buffers {
+	s, _ := encode(v)
+	return s.appendTo(nil)
+}
+
+// segments is an encoded body in the pieces it is sent in: head holds every
+// byte but those of the fields in refs, which stay in the caller's memory. A
+// body without refs is its head. (The list is behind a pointer to keep the
+// struct at four words: it is passed and returned by value on every call, and
+// a larger one would live in memory instead of registers.)
+type segments struct {
+	head []byte
+	refs *[]ref
+}
+
+// cuts is the list of fields cut out of the head, in order.
+func (s segments) cuts() []ref {
+	if s.refs == nil {
+		return nil
+	}
+	return *s.refs
+}
+
+// ref is a byte field cut out of a head: data belongs after head[:at].
+type ref struct {
+	at   int
+	data []byte
+}
+
+// size is the length of the whole body.
+func (s segments) size() int {
+	n := len(s.head)
+	for _, r := range s.cuts() {
+		n += len(r.data)
+	}
+	return n
+}
+
+// appendTo appends the body's pieces to bufs in wire order. Empty stretches
+// of head (two referenced fields in a row cannot be, a length lies between
+// them; a referenced field last can) are left out.
+func (s segments) appendTo(bufs net.Buffers) net.Buffers {
+	from := 0
+	for _, r := range s.cuts() {
+		bufs = append(bufs, s.head[from:r.at], r.data)
+		from = r.at
+	}
+	if from < len(s.head) {
+		bufs = append(bufs, s.head[from:])
+	}
+	return bufs
+}
+
+// flat is the body in one slice: the head itself when nothing was cut out of
+// it, a copy otherwise. The local: transport sends this, so a handler never
+// shares memory with its caller.
+func (s segments) flat() []byte {
+	if len(s.cuts()) == 0 {
+		return s.head
+	}
+	return bytes.Join(s.appendTo(nil), nil)
 }
 
 // Decode decodes a call body into v (a pointer). A WireBody must consume the
@@ -175,32 +274,68 @@ func (r *Reader) Bytes() []byte {
 // Text reads a string.
 func (r *Reader) Text() string { return string(r.Bytes()) }
 
-// AppendInt appends an int.
-func AppendInt(b []byte, v int) []byte { return binary.BigEndian.AppendUint64(b, uint64(int64(v))) }
-
-// AppendFloat64 appends a float64.
-func AppendFloat64(b []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(b, math.Float64bits(v))
+// Writer builds a WireBody encoding field by field, the mirror of Reader. It
+// is a value threaded through the calls like the slice of an append — every
+// method returns the Writer holding what it added — and small enough to live
+// in registers. Nothing it does can fail: the sizes that cannot be framed are
+// refused where the frame is built (maxFrame). The zero Writer is ready to
+// use and copies every field.
+type Writer struct {
+	// What has been written so far. With refs nil every byte field is copied
+	// into head (the body is wanted in one slice, Encode); otherwise Bytes
+	// lists there the ones it leaves where they are.
+	segments
 }
 
-// AppendBool appends a bool.
-func AppendBool(b []byte, v bool) []byte {
+// Int appends an int.
+func (w Writer) Int(v int) Writer {
+	w.head = binary.BigEndian.AppendUint64(w.head, uint64(int64(v)))
+	return w
+}
+
+// Float64 appends a float64.
+func (w Writer) Float64(v float64) Writer {
+	w.head = binary.BigEndian.AppendUint64(w.head, math.Float64bits(v))
+	return w
+}
+
+// Bool appends a bool.
+func (w Writer) Bool(v bool) Writer {
+	var b byte
 	if v {
-		return append(b, 1)
+		b = 1
 	}
-	return append(b, 0)
+	w.head = append(w.head, b)
+	return w
 }
 
-// AppendCount appends a list's element count; it also prefixes texts and
-// byte slices. A count beyond 32 bits cannot be framed (maxFrame) and is a
-// caller bug.
-func AppendCount(b []byte, n int) []byte { return binary.BigEndian.AppendUint32(b, uint32(n)) }
+// Count appends a list's element count; it also prefixes texts and byte
+// slices. A count beyond 32 bits cannot be framed (maxFrame) and is a caller
+// bug.
+func (w Writer) Count(n int) Writer {
+	w.head = binary.BigEndian.AppendUint32(w.head, uint32(n))
+	return w
+}
 
-// AppendBytes appends a byte slice.
-func AppendBytes(b, v []byte) []byte { return append(AppendCount(b, len(v)), v...) }
+// Bytes appends a byte slice. On its way to a socket a slice of SegmentCut
+// bytes or more is not copied: v itself is sent, and must not change until
+// the call it is part of has returned.
+func (w Writer) Bytes(v []byte) Writer {
+	w = w.Count(len(v))
+	if len(v) >= SegmentCut && w.refs != nil {
+		*w.refs = append(*w.refs, ref{at: len(w.head), data: v})
+		return w
+	}
+	w.head = append(w.head, v...)
+	return w
+}
 
-// AppendText appends a string.
-func AppendText(b []byte, s string) []byte { return append(AppendCount(b, len(s)), s...) }
+// Text appends a string.
+func (w Writer) Text(s string) Writer {
+	w = w.Count(len(s))
+	w.head = append(w.head, s...)
+	return w
+}
 
 // TextsSize is the encoded size of a list of strings.
 func TextsSize(list []string) int {
@@ -211,13 +346,13 @@ func TextsSize(list []string) int {
 	return n
 }
 
-// AppendTexts appends a list of strings.
-func AppendTexts(b []byte, list []string) []byte {
-	b = AppendCount(b, len(list))
+// Texts appends a list of strings.
+func (w Writer) Texts(list []string) Writer {
+	w = w.Count(len(list))
 	for _, s := range list {
-		b = AppendText(b, s)
+		w = w.Text(s)
 	}
-	return b
+	return w
 }
 
 // Texts reads a list of strings; an empty list reads as nil.

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -14,11 +15,86 @@ type pairBody struct {
 	Blob  []byte
 }
 
-func (p *pairBody) WireSize() int { return TextsSize(p.Names) + LenSize + len(p.Blob) }
-func (p *pairBody) AppendWire(b []byte) []byte {
-	return AppendBytes(AppendTexts(b, p.Names), p.Blob)
+func (p *pairBody) WireSize() int              { return TextsSize(p.Names) + LenSize + len(p.Blob) }
+func (p *pairBody) AppendWire(w Writer) Writer { return w.Texts(p.Names).Bytes(p.Blob) }
+func (p *pairBody) ReadWire(r *Reader)         { p.Names, p.Blob = r.Texts(), r.Bytes() }
+
+// blobsBody is a WireBody of several byte slices: the shape of a profile
+// with several file arguments.
+type blobsBody struct{ Blobs [][]byte }
+
+func (b *blobsBody) WireSize() int {
+	n := LenSize
+	for _, blob := range b.Blobs {
+		n += LenSize + len(blob)
+	}
+	return n
 }
-func (p *pairBody) ReadWire(r *Reader) { p.Names, p.Blob = r.Texts(), r.Bytes() }
+
+func (b *blobsBody) AppendWire(w Writer) Writer {
+	w = w.Count(len(b.Blobs))
+	for _, blob := range b.Blobs {
+		w = w.Bytes(blob)
+	}
+	return w
+}
+
+func (b *blobsBody) ReadWire(r *Reader) {
+	b.Blobs = ReadList(r, LenSize, func(blob *[]byte, r *Reader) { *blob = r.Bytes() })
+}
+
+// A byte field of SegmentCut bytes or more is left where it is on the way to
+// a socket and copied on the way into one slice; the bytes are the same, and
+// the local: transport gets the one slice.
+func TestLargeFieldsAreReferencedNotCopied(t *testing.T) {
+	small, atCut, large := make([]byte, SegmentCut-1), make([]byte, SegmentCut), make([]byte, 1<<20)
+	for _, blob := range [][]byte{small, atCut, large} {
+		for i := range blob {
+			blob[i] = byte(i * 7)
+		}
+	}
+	in := &blobsBody{Blobs: [][]byte{large, small, atCut, nil, large}}
+	flat, err := Encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(flat) != in.WireSize() || cap(flat) != len(flat) {
+		t.Fatalf("flat encoding is %d bytes in a buffer of %d, WireSize says %d", len(flat), cap(flat), in.WireSize())
+	}
+	body, err := encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := body.cuts()
+	if len(cuts) != 3 || &cuts[0].data[0] != &large[0] || &cuts[1].data[0] != &atCut[0] || &cuts[2].data[0] != &large[0] {
+		t.Fatalf("%d fields referenced, want the three of SegmentCut bytes or more, in place", len(cuts))
+	}
+	if body.size() != len(flat) || string(body.flat()) != string(flat) {
+		t.Error("the segments do not flatten to the flat encoding")
+	}
+	pieces := body.appendTo(nil)
+	// head | large | head (small inside it) | atCut | head | large, and
+	// nothing after the last field.
+	if len(pieces) != 6 || string(bytes.Join(pieces, nil)) != string(flat) {
+		t.Errorf("%d pieces, want 6 that join to the flat encoding", len(pieces))
+	}
+	// Written twice, as the retry on a stale connection does, the second
+	// copy is whole: WriteTo consumed a list of its own.
+	var sent streamConn
+	for i := 0; i < 2; i++ {
+		if err := writeFrame(&sent, []byte("hdr"), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := "hdr" + string(flat); sent.out.String() != want+want {
+		t.Error("a body written twice did not arrive whole twice")
+	}
+	// A body under the cut as a whole is one exact slice either way.
+	tiny, _ := encode(&blobsBody{Blobs: [][]byte{{1}, {2, 3}}})
+	if tiny.refs != nil || cap(tiny.head) != len(tiny.head) {
+		t.Errorf("a small body: %d refs, head of %d in a buffer of %d", len(tiny.cuts()), len(tiny.head), cap(tiny.head))
+	}
+}
 
 func TestWireBodyBypassesGob(t *testing.T) {
 	in := &pairBody{Names: []string{"a", ""}, Blob: []byte{1, 2, 3}}
@@ -71,26 +147,21 @@ func TestReaderChecksClaimsBeforeAllocating(t *testing.T) {
 		t.Errorf("refusing 200 over-claimed bodies allocated %d bytes", grew)
 	}
 	// Exactly as many minimum-size elements as fit is fine; one more is not.
-	fits := AppendTexts(nil, make([]string, 16))
-	if err := Decode(AppendBytes(fits, nil), &pairBody{}); err != nil {
+	fits, _ := Encode(&pairBody{Names: make([]string, 16)})
+	if err := Decode(fits, &pairBody{}); err != nil {
 		t.Errorf("16 empty texts in 64 bytes: %v", err)
 	}
 	binary.BigEndian.PutUint32(fits, 17)
-	if err := Decode(fits, &pairBody{}); !errors.Is(err, ErrBody) {
+	if err := Decode(fits[:len(fits)-LenSize], &pairBody{}); !errors.Is(err, ErrBody) {
 		t.Errorf("17 texts claimed in 64 bytes: %v, want ErrBody", err)
 	}
 }
 
 func TestReaderScalars(t *testing.T) {
-	var b []byte
-	b = AppendInt(b, -1)
-	b = AppendInt(b, math.MinInt64)
-	b = AppendFloat64(b, math.Inf(-1))
-	b = AppendFloat64(b, math.Float64frombits(0x7ff8dead0000beef)) // a NaN with a payload
-	b = AppendBool(b, true)
-	b = AppendBool(b, false)
-	b = AppendText(b, "zoé")
-	r := Reader{rest: b}
+	w := Writer{}.Int(-1).Int(math.MinInt64).Float64(math.Inf(-1))
+	w = w.Float64(math.Float64frombits(0x7ff8dead0000beef)) // a NaN with a payload
+	w = w.Bool(true).Bool(false).Text("zoé")
+	r := Reader{rest: w.head}
 	if v := r.Int(); v != -1 {
 		t.Errorf("Int = %d", v)
 	}

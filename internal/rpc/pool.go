@@ -100,7 +100,7 @@ func dial(addr string) (*clientConn, error) {
 
 // roundTrip sends one request and reads its response frame. started reports
 // whether any response byte arrived before err.
-func (cc *clientConn) roundTrip(header, body []byte) (frame []byte, started bool, err error) {
+func (cc *clientConn) roundTrip(header []byte, body segments) (frame []byte, started bool, err error) {
 	if err := writeFrame(cc.Conn, header, body); err != nil {
 		return nil, false, err
 	}
@@ -112,8 +112,8 @@ func (cc *clientConn) roundTrip(header, body []byte) (frame []byte, started bool
 // last use, which shows as a failure before the first response byte: only
 // then, and only once, the call is repeated on a freshly dialled connection.
 // A failure on a fresh connection, or after response bytes arrived, is final.
-func invokeTCP(addr, object, method string, body []byte) ([]byte, error) {
-	header, err := requestHeader(object, method, len(body))
+func invokeTCP(addr, object, method string, body segments) ([]byte, error) {
+	header, err := requestHeader(object, method, body.size())
 	if err != nil {
 		return nil, err
 	}

@@ -19,8 +19,15 @@ import (
 	"time"
 )
 
-// Handler dispatches one method call on one object.
+// Handler dispatches one method call on one object and answers with the
+// encoded reply.
 type Handler func(method string, body []byte) ([]byte, error)
+
+// TypedMethod handles one method of an object and answers with the reply
+// itself, which the server encodes: over tcp its large byte fields then go
+// out from the memory they are in (Writer.Bytes), which the method must leave
+// alone from its return on.
+type TypedMethod func(body []byte) (WireBody, error)
 
 // ErrNoObject is returned when the target object is not registered. It
 // survives both transports: errors.Is(err, ErrNoObject) holds at the caller.
@@ -34,7 +41,7 @@ var ErrUnavailable = errors.New("rpc: peer unavailable")
 // Server hosts named objects and serves invocations.
 type Server struct {
 	mu      sync.RWMutex
-	objects map[string]Handler
+	objects map[string]handler
 
 	connMu sync.Mutex
 	ln     net.Listener
@@ -45,12 +52,41 @@ type Server struct {
 
 // NewServer returns an empty server.
 func NewServer() *Server {
-	return &Server{objects: make(map[string]Handler), conns: make(map[net.Conn]bool)}
+	return &Server{objects: make(map[string]handler), conns: make(map[net.Conn]bool)}
 }
 
+// handler is the one shape every registered object is dispatched in: the
+// reply in the pieces it is to be sent in.
+type handler func(method string, body []byte) (segments, error)
+
 // Register exposes an object under the given name. Re-registering replaces
-// the previous handler.
+// the previous handler. (Not RegisterTyped with no typed method: the lookup in
+// the empty table is a tenth of an in-process call.)
 func (s *Server) Register(object string, h Handler) {
+	s.register(object, func(method string, body []byte) (segments, error) {
+		out, err := h(method, body)
+		return segments{head: out}, err
+	})
+}
+
+// RegisterTyped is Register for an object some of whose methods are typed;
+// every other method goes to rest.
+func (s *Server) RegisterTyped(object string, typed map[string]TypedMethod, rest Handler) {
+	s.register(object, func(method string, body []byte) (segments, error) {
+		fn, ok := typed[method]
+		if !ok {
+			out, err := rest(method, body)
+			return segments{head: out}, err
+		}
+		reply, err := fn(body)
+		if err != nil {
+			return segments{}, err
+		}
+		return encode(reply)
+	})
+}
+
+func (s *Server) register(object string, h handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.objects[object] = h
@@ -65,16 +101,16 @@ func (s *Server) Unregister(object string) {
 
 // dispatch runs a call against the registered handler and returns the
 // response status and payload (see replyOf).
-func (s *Server) dispatch(object, method string, body []byte) (byte, []byte) {
+func (s *Server) dispatch(object, method string, body []byte) (byte, segments) {
 	s.mu.RLock()
 	h, ok := s.objects[object]
 	s.mu.RUnlock()
 	if !ok {
-		return statusNoObject, []byte(object)
+		return statusNoObject, segments{head: []byte(object)}
 	}
 	out, err := h(method, body)
 	if err != nil {
-		return statusError, []byte(err.Error())
+		return statusError, segments{head: []byte(err.Error())}
 	}
 	return statusOK, out
 }
@@ -125,7 +161,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if !ok {
 			return
 		}
-		err = writeFrame(conn, responseHeader(status, len(payload)), payload)
+		err = writeFrame(conn, responseHeader(status, payload.size()), payload)
 		if err != nil || !s.setBusy(conn, false) {
 			return
 		}
@@ -136,20 +172,20 @@ func (s *Server) serveConn(conn net.Conn) {
 // false for a frame whose fields overrun it, which ends the connection. A
 // frame of another version is answered with an error naming both versions:
 // its length prefix was sound, so the connection stays in step.
-func (s *Server) serveFrame(frame []byte) (status byte, payload []byte, ok bool) {
+func (s *Server) serveFrame(frame []byte) (status byte, payload segments, ok bool) {
 	if v := frame[0]; v != frameVersion {
-		return statusError, []byte(fmt.Sprintf("rpc: request frame is version %d, this side speaks version %d", v, frameVersion)), true
+		return statusError, segments{head: []byte(fmt.Sprintf("rpc: request frame is version %d, this side speaks version %d", v, frameVersion))}, true
 	}
 	object, method, body, ok := parseRequest(frame[1:])
 	if !ok {
-		return 0, nil, false
+		return 0, segments{}, false
 	}
 	if len(body) == 0 {
 		body = nil
 	}
 	status, payload = s.dispatch(string(object), string(method), body)
-	if len(payload) > maxFrame-minResponse {
-		return statusError, []byte(fmt.Sprintf("rpc: reply of %d bytes exceeds the %d byte frame limit", len(payload), maxFrame)), true
+	if n := payload.size(); n > maxFrame-minResponse {
+		return statusError, segments{head: []byte(fmt.Sprintf("rpc: reply of %d bytes exceeds the %d byte frame limit", n, maxFrame))}, true
 	}
 	return status, payload, true
 }
@@ -234,6 +270,13 @@ var DialTimeout = 5 * time.Second
 // Invoke calls object.method at addr with an opaque body and returns the
 // opaque reply. It chooses the transport from the address scheme.
 func Invoke(addr, object, method string, body []byte) ([]byte, error) {
+	return invoke(addr, object, method, segments{head: body})
+}
+
+// invoke is Invoke with the body in segments. Only tcp sends them as they
+// are; the local transport flattens request and reply, and those copies are
+// what keeps caller and handler from sharing memory.
+func invoke(addr, object, method string, body segments) ([]byte, error) {
 	if name, ok := strings.CutPrefix(addr, "local:"); ok {
 		localMu.RLock()
 		s := localRegistry[name]
@@ -241,23 +284,26 @@ func Invoke(addr, object, method string, body []byte) ([]byte, error) {
 		if s == nil {
 			return nil, fmt.Errorf("rpc: no local server at %q", addr)
 		}
-		return replyOf(s.dispatch(object, method, body))
+		status, reply := s.dispatch(object, method, body.flat())
+		return replyOf(status, reply.flat())
 	}
 	return invokeTCP(strings.TrimPrefix(addr, "tcp:"), object, method, body)
 }
 
 // Call is the typed convenience wrapper: encodes in, invokes, decodes into
-// out (pass nil for methods without a reply payload).
+// out (pass nil for methods without a reply payload). Over tcp the large
+// byte fields of a WireBody are sent from where they are (Writer.Bytes): the
+// caller must not modify them until Call returns.
 func Call(addr, object, method string, in, out any) error {
-	var body []byte
+	var body segments
 	var err error
 	if in != nil {
-		body, err = Encode(in)
+		body, err = encode(in)
 		if err != nil {
 			return fmt.Errorf("rpc: encoding request for %s.%s: %w", object, method, err)
 		}
 	}
-	reply, err := Invoke(addr, object, method, body)
+	reply, err := invoke(addr, object, method, body)
 	if err != nil {
 		return err
 	}

@@ -104,6 +104,78 @@ func TestTransportRestartRetriesOnce(t *testing.T) {
 	}
 }
 
+// The same across a restart with a body in segments: the first attempt
+// consumed part of what it was writing when the dead connection showed, and
+// the second must still put the whole body on the wire.
+func TestTransportRestartResendsEverySegment(t *testing.T) {
+	in := &blobsBody{Blobs: [][]byte{make([]byte, 1<<20), []byte("between"), make([]byte, 3<<19), make([]byte, SegmentCut)}}
+	rnd := rand.New(rand.NewSource(20))
+	for _, blob := range in.Blobs {
+		rnd.Read(blob)
+	}
+	want, err := Encode(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, addr, runs1 := countingServer(t, "127.0.0.1:0")
+	var out blobsBody
+	if err := Call(addr, "obj", "Echo", in, &out); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	_, addr2, runs2 := countingServer(t, addr)
+	if addr2 != addr {
+		t.Fatalf("restarted on %s, want %s", addr2, addr)
+	}
+	if got := idleCount(addr); got != 1 {
+		t.Fatalf("%d pooled connections across the restart, want the stale one", got)
+	}
+
+	out = blobsBody{}
+	if err := Call(addr, "obj", "Echo", in, &out); err != nil {
+		t.Fatalf("call across the restart: %v", err)
+	}
+	if got, _ := Encode(&out); !bytes.Equal(got, want) {
+		t.Error("the body that arrived on the second attempt is not the body sent")
+	}
+	if runs1.Load() != 1 || runs2.Load() != 1 {
+		t.Errorf("handler runs: old server %d, new server %d, want 1 and 1", runs1.Load(), runs2.Load())
+	}
+}
+
+// Segments count towards the frame limit like any other byte: a typed reply
+// and a request whose pieces sum past maxFrame are refused before a byte of
+// them is written, with the errors a flat body of that size gets.
+func TestTransportSegmentsSumAgainstTheFrameLimit(t *testing.T) {
+	const pieces = 17
+	shared := make([]byte, maxFrame/(pieces-1)) // never touched: seventeen views of the same 64 MiB
+	huge := &blobsBody{Blobs: make([][]byte, pieces)}
+	for i := range huge.Blobs {
+		huge.Blobs[i] = shared
+	}
+	s := NewServer()
+	s.RegisterTyped("obj", map[string]TypedMethod{
+		"Huge": func([]byte) (WireBody, error) { return huge, nil },
+	}, func(string, []byte) ([]byte, error) { return nil, nil })
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, err = Invoke(addr, "obj", "Huge", nil)
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 1073741824 byte frame limit") || !strings.HasPrefix(err.Error(), "rpc: reply of") {
+		t.Errorf("reply of %d bytes in segments = %v, want the frame-limit error", huge.WireSize(), err)
+	}
+	err = Call(addr, "obj", "Drop", huge, nil)
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 1073741824 byte frame limit") || !strings.HasPrefix(err.Error(), "rpc: request of") {
+		t.Errorf("request of %d bytes in segments = %v, want the frame-limit error", huge.WireSize(), err)
+	}
+	// Both refusals left the connection in step.
+	if _, err := Invoke(addr, "obj", "Drop", []byte("x")); err != nil {
+		t.Errorf("call after the refusals: %v", err)
+	}
+}
+
 // With the peer gone for good, the retry's dial is refused: the call fails
 // with ErrUnavailable instead of looping.
 func TestTransportStaleConnectionPeerGone(t *testing.T) {
@@ -483,7 +555,7 @@ func TestTransportVersionMismatch(t *testing.T) {
 	defer c.Close()
 	cc := &clientConn{Conn: c, br: newReader(c)}
 	v1 := frameOf(1, 0, 3, 'o', 'b', 'j', 0, 0, 'x')
-	frame, _, err := cc.roundTrip(v1, nil)
+	frame, _, err := cc.roundTrip(v1, segments{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +567,7 @@ func TestTransportVersionMismatch(t *testing.T) {
 		t.Error("handler ran for a frame of another version")
 	}
 	header, _ := requestHeader("obj", "Echo", 2)
-	frame, _, err = cc.roundTrip(header, []byte("ok"))
+	frame, _, err = cc.roundTrip(header, segments{head: []byte("ok")})
 	if err != nil || frame[0] != statusOK || string(frame[1:]) != "ok" {
 		t.Fatalf("request after the mismatch = %x, %v", frame, err)
 	}
@@ -587,7 +659,7 @@ func FuzzReadResponse(f *testing.F) {
 		conn := &streamConn{in: bytes.NewReader(data)}
 		cc := &clientConn{Conn: conn, br: newReader(conn)}
 		header, _ := requestHeader("obj", "Echo", 0)
-		frame, started, err := cc.roundTrip(header, nil)
+		frame, started, err := cc.roundTrip(header, segments{})
 		if err != nil {
 			if started != (len(data) > 0) {
 				t.Fatalf("started = %v on a %d byte response", started, len(data))

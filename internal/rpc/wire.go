@@ -19,7 +19,8 @@ import (
 //	response: len | status  | body (statusOK), object name or error text
 //
 // version and status are one byte, objLen and methLen two bytes big-endian.
-// Bodies are opaque here (callers encode them with Encode). Version 2 is the
+// Bodies are opaque here (callers encode them with Encode; Call and typed
+// handlers hand theirs over in segments, body.go). Version 2 is the
 // frame of version 1 around bodies that are no longer all gob (body.go): the
 // byte moved so that a version 1 peer is refused by name, not misread.
 const (
@@ -87,9 +88,13 @@ func readFrame(br *bufio.Reader, least uint32) (frame []byte, started bool, err 
 }
 
 // writeFrame sends header and body as one frame with a single writev; the
-// body is the caller's slice, never copied.
-func writeFrame(conn net.Conn, header, body []byte) error {
-	bufs := net.Buffers{header, body}
+// body's pieces are the caller's memory, never copied. WriteTo consumes the
+// list it is called on, so the list is built here, per attempt: body is
+// intact afterwards and can be sent again.
+func writeFrame(conn net.Conn, header []byte, body segments) error {
+	bufs := make(net.Buffers, 1, 2+2*len(body.cuts()))
+	bufs[0] = header
+	bufs = body.appendTo(bufs)
 	_, err := bufs.WriteTo(conn)
 	return err
 }

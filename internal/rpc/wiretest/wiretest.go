@@ -5,6 +5,7 @@
 package wiretest
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -81,8 +82,9 @@ func equal(a, b reflect.Value) bool {
 }
 
 // RoundTrip encodes in, checks that the encoding is exactly WireSize bytes
-// in a buffer allocated once, decodes it into out (a fresh body of the same
-// type) and checks the two are Equal. It returns the encoding.
+// in a buffer allocated once and that the segments a socket is given spell
+// the same bytes, decodes it into out (a fresh body of the same type) and
+// checks the two are Equal. It returns the encoding.
 func RoundTrip(t *testing.T, in, out rpc.WireBody) []byte {
 	t.Helper()
 	wire, err := rpc.Encode(in)
@@ -92,6 +94,7 @@ func RoundTrip(t *testing.T, in, out rpc.WireBody) []byte {
 	if len(wire) != in.WireSize() || cap(wire) != len(wire) {
 		t.Errorf("%T: encoding is %d bytes in a buffer of %d, WireSize says %d", in, len(wire), cap(wire), in.WireSize())
 	}
+	SameSegments(t, in, wire)
 	if err := rpc.Decode(wire, out); err != nil {
 		t.Fatalf("decoding %T from %x: %v", in, wire, err)
 	}
@@ -99,6 +102,23 @@ func RoundTrip(t *testing.T, in, out rpc.WireBody) []byte {
 		t.Errorf("round trip changed the body:\n sent %+v\n got  %+v", in, out)
 	}
 	return wire
+}
+
+// SameSegments checks that the pieces body goes to a socket in (rpc.Segments)
+// are, end to end, wire — its encoding in one slice — with no empty piece
+// among them: the two ways out of the encoder put the same bytes on the wire.
+func SameSegments(t *testing.T, body rpc.WireBody, wire []byte) {
+	t.Helper()
+	var joined []byte
+	for i, piece := range rpc.Segments(body) {
+		if len(piece) == 0 {
+			t.Errorf("%T: segment %d is empty", body, i)
+		}
+		joined = append(joined, piece...)
+	}
+	if !bytes.Equal(joined, wire) {
+		t.Errorf("%T: segments join to %d bytes that differ from the %d of the flat encoding", body, len(joined), len(wire))
+	}
 }
 
 // RefuseDamaged checks that every proper prefix of a valid encoding, the
@@ -118,8 +138,8 @@ func RefuseDamaged(t *testing.T, wire []byte, fresh func() rpc.WireBody) {
 
 // FuzzDecode is the body of a decoder's fuzz target: decoding data into body
 // must not panic, and a body that decodes must encode back to data byte for
-// byte (the layout has one encoding per value) in WireSize bytes. It reports
-// whether data decoded.
+// byte (the layout has one encoding per value) in WireSize bytes, in one slice
+// and in segments. It reports whether data decoded.
 func FuzzDecode(t *testing.T, data []byte, body rpc.WireBody) bool {
 	t.Helper()
 	if err := rpc.Decode(data, body); err != nil {
@@ -132,5 +152,6 @@ func FuzzDecode(t *testing.T, data []byte, body rpc.WireBody) bool {
 	if string(again) != string(data) || body.WireSize() != len(data) {
 		t.Fatalf("%T decoded from %x encodes back to %x (WireSize %d)", body, data, again, body.WireSize())
 	}
+	SameSegments(t, body, data)
 	return true
 }

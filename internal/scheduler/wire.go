@@ -14,24 +14,24 @@ const estimateFixed = 2*rpc.LenSize + 4*rpc.IntSize + 9*rpc.Float64Size + rpc.Bo
 // WireSize is the exact length AppendWire adds.
 func (e *Estimate) WireSize() int { return estimateFixed + len(e.ServerID) + len(e.Service) }
 
-// AppendWire appends the estimate's encoding to b.
-func (e *Estimate) AppendWire(b []byte) []byte {
-	b = rpc.AppendText(b, e.ServerID)
-	b = rpc.AppendText(b, e.Service)
-	b = rpc.AppendInt(b, e.Capacity)
-	b = rpc.AppendInt(b, e.Running)
-	b = rpc.AppendInt(b, e.QueueLen)
-	b = rpc.AppendFloat64(b, e.PowerGFlops)
-	b = rpc.AppendFloat64(b, e.FreeMemMB)
-	b = rpc.AppendFloat64(b, e.LastSolveSeconds)
-	b = rpc.AppendBool(b, e.HasForecast)
-	b = rpc.AppendInt(b, e.ForecastSamples)
-	b = rpc.AppendFloat64(b, e.EWMASolveSeconds)
-	b = rpc.AppendFloat64(b, e.ForecastBaseS)
-	b = rpc.AppendFloat64(b, e.ForecastPerGFlopS)
-	b = rpc.AppendFloat64(b, e.ForecastConfidence)
-	b = rpc.AppendFloat64(b, e.PendingWorkSeconds)
-	return rpc.AppendFloat64(b, e.InputTransferSeconds)
+// AppendWire appends the estimate's encoding to w.
+func (e *Estimate) AppendWire(w rpc.Writer) rpc.Writer {
+	w = w.Text(e.ServerID)
+	w = w.Text(e.Service)
+	w = w.Int(e.Capacity)
+	w = w.Int(e.Running)
+	w = w.Int(e.QueueLen)
+	w = w.Float64(e.PowerGFlops)
+	w = w.Float64(e.FreeMemMB)
+	w = w.Float64(e.LastSolveSeconds)
+	w = w.Bool(e.HasForecast)
+	w = w.Int(e.ForecastSamples)
+	w = w.Float64(e.EWMASolveSeconds)
+	w = w.Float64(e.ForecastBaseS)
+	w = w.Float64(e.ForecastPerGFlopS)
+	w = w.Float64(e.ForecastConfidence)
+	w = w.Float64(e.PendingWorkSeconds)
+	return w.Float64(e.InputTransferSeconds)
 }
 
 // ReadWire fills the estimate from r.
@@ -64,12 +64,12 @@ func EstimatesSize(ests []Estimate) int {
 }
 
 // AppendEstimates appends a list of estimates.
-func AppendEstimates(b []byte, ests []Estimate) []byte {
-	b = rpc.AppendCount(b, len(ests))
+func AppendEstimates(w rpc.Writer, ests []Estimate) rpc.Writer {
+	w = w.Count(len(ests))
 	for i := range ests {
-		b = ests[i].AppendWire(b)
+		w = ests[i].AppendWire(w)
 	}
-	return b
+	return w
 }
 
 // ReadEstimates reads a list of estimates; an empty list reads as nil.

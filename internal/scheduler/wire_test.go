@@ -26,10 +26,16 @@ func TestEstimateWireRoundTrip(t *testing.T) {
 	}
 }
 
+// estimateList is a body that is nothing but a list of estimates, as the
+// collect reply of package diet is.
+type estimateList []Estimate
+
+func (l *estimateList) WireSize() int                      { return EstimatesSize(*l) }
+func (l *estimateList) AppendWire(w rpc.Writer) rpc.Writer { return AppendEstimates(w, *l) }
+func (l *estimateList) ReadWire(r *rpc.Reader)             { *l = ReadEstimates(r) }
+
 func TestEstimateListSize(t *testing.T) {
-	ests := make([]Estimate, 3)
+	ests := make(estimateList, 3)
 	wiretest.Fill(&ests[1])
-	if wire := AppendEstimates(nil, ests); len(wire) != EstimatesSize(ests) {
-		t.Fatalf("list is %d bytes, EstimatesSize says %d", len(wire), EstimatesSize(ests))
-	}
+	wiretest.RoundTrip(t, &ests, &estimateList{})
 }
