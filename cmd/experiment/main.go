@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"repro/internal/scheduler"
 	"repro/internal/simgrid"
@@ -70,7 +71,22 @@ func main() {
 		*all = true
 	}
 
-	run := func(name string) *simgrid.ExperimentResult {
+	// Every figure below is virtual time. Each branch also reads this
+	// stopwatch once its simulation is done and ends its summary line with
+	// the real time that took — what the repository benchmark's sim_suite
+	// workload measures, part by part.
+	begin := time.Now()
+	stop := func(err error) time.Duration {
+		if err != nil {
+			log.Fatal(err)
+		}
+		return time.Since(begin)
+	}
+	simulated := func(wall time.Duration) string {
+		return fmt.Sprintf("simulated in %s", wall.Round(10*time.Microsecond))
+	}
+
+	run := func(name string) (*simgrid.ExperimentResult, time.Duration) {
 		pol, err := scheduler.ByName(name, *seed)
 		if err != nil {
 			log.Fatal(err)
@@ -84,11 +100,9 @@ func main() {
 		cfg.BatchForecast = *batchFc
 		cfg.ArrivalGapS = *arrivalGap
 		cfg.Forecast = *forecast || *batchFc || name == "forecastaware" || name == "contentionaware"
+		begin = time.Now()
 		res, err := simgrid.RunExperiment(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
+		return res, stop(err)
 	}
 
 	if *sweep {
@@ -101,19 +115,16 @@ func main() {
 		}
 		fmt.Printf("Sweep A4a — makespan vs SeD count (%d requests, policy=%s):\n", *requests, *policyName)
 		points, err := simgrid.SweepSeDs(mk, []int{1, 2, 3, 4}, *requests)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("  SeDs  makespan_h  speedup  mean_latency_h")
+		wall := stop(err)
+		fmt.Printf("  SeDs  makespan_h  speedup  mean_latency_h   (%s)\n", simulated(wall))
 		for _, p := range points {
 			fmt.Printf("  %4d  %10.2f  %7.1f  %14.2f\n", p.SeDs, p.MakespanHours, p.Speedup, p.MeanLatencyMS/3.6e6)
 		}
 		fmt.Printf("\nSweep A4b — makespan vs campaign size (11 SeDs, policy=%s):\n", *policyName)
+		begin = time.Now()
 		points, err = simgrid.SweepRequests(mk, []int{25, 50, 100, 200, 400})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("  reqs  makespan_h  speedup  mean_latency_h")
+		wall = stop(err)
+		fmt.Printf("  reqs  makespan_h  speedup  mean_latency_h   (%s)\n", simulated(wall))
 		for _, p := range points {
 			fmt.Printf("  %4d  %10.2f  %7.1f  %14.2f\n", p.Requests, p.MakespanHours, p.Speedup, p.MeanLatencyMS/3.6e6)
 		}
@@ -132,9 +143,7 @@ func main() {
 			cfg.ArrivalGapS = *arrivalGap
 			return cfg
 		}, *rounds)
-		if err != nil {
-			log.Fatal(err)
-		}
+		wall := stop(err)
 		row := func(name string, r *simgrid.ExperimentResult) {
 			fmt.Printf("  %-20s makespan %s  (%.2fh)  speedup %.1fx\n",
 				name, simgrid.Hours(r.TotalS), r.MakespanHours(), r.SequentialS/r.TotalS)
@@ -151,8 +160,8 @@ func main() {
 		row("roundrobin", res.SkewRoundRobin)
 		row("poweraware (misled)", res.SkewPowerAware)
 		row("forecast (trained)", res.SkewTrained)
-		fmt.Printf("  → measuring speed instead of trusting it saves %.1f%% over the misled static plug-in\n",
-			res.ForecastGainPct())
+		fmt.Printf("  → measuring speed instead of trusting it saves %.1f%% over the misled static plug-in (%s)\n",
+			res.ForecastGainPct(), simulated(wall))
 		return
 	}
 
@@ -167,9 +176,7 @@ func main() {
 			cfg.ArrivalGapS = *arrivalGap
 			return cfg
 		}, *rounds)
-		if err != nil {
-			log.Fatal(err)
-		}
+		wall := stop(err)
 		row := func(name string, r *simgrid.ExperimentResult) {
 			fmt.Printf("  %-28s makespan %s (%.2fh)  kills %3d  requeues %3d  idle pad %6.1fh  wasted %6.1fh\n",
 				name, simgrid.Hours(r.TotalS), r.MakespanHours(),
@@ -180,8 +187,8 @@ func main() {
 		fmt.Println(" miscalibrated platform (Nancy delivers 35%, Sophia1 50% of advertised):")
 		row("static plan + fixed grants", res.Static)
 		row("measured plan + forecasts", res.Trained)
-		fmt.Printf("  → closing the forecast loop saves %.1f%% makespan and %.1f%% overrun+pad cost\n",
-			res.MakespanGainPct(), res.ReservationGainPct())
+		fmt.Printf("  → closing the forecast loop saves %.1f%% makespan and %.1f%% overrun+pad cost (%s)\n",
+			res.MakespanGainPct(), res.ReservationGainPct(), simulated(wall))
 		if len(res.Changes) > 0 {
 			fmt.Printf("  replanned placements (after %d training round(s)):\n", res.Rounds-1)
 			for _, c := range res.Changes {
@@ -200,9 +207,7 @@ func main() {
 			cfg.ArrivalGapS = *arrivalGap
 			return cfg
 		}, *joinSeD, *rounds)
-		if err != nil {
-			log.Fatal(err)
-		}
+		wall := stop(err)
 		fmt.Printf(" %s joins cluster %q after %d training round(s); prior services:\n", res.JoinSeD, res.Cluster, res.Rounds-1)
 		for _, p := range res.Prior {
 			fmt.Printf("   %-12s %d merged samples, confidence %.2f, delivered %.1f GFlops\n",
@@ -214,8 +219,8 @@ func main() {
 		}
 		row("cold join", res.Cold, res.ColdJoin)
 		row("warm join", res.Warm, res.WarmJoin)
-		fmt.Printf("  → the gossiped prior removes %.1f points of forecast error and saves %.1f%% makespan\n",
-			res.MispredictDeltaPts(), res.MakespanDeltaPct())
+		fmt.Printf("  → the gossiped prior removes %.1f points of forecast error and saves %.1f%% makespan (%s)\n",
+			res.MispredictDeltaPts(), res.MakespanDeltaPct(), simulated(wall))
 		return
 	}
 
@@ -228,9 +233,7 @@ func main() {
 			cfg.ArrivalGapS = *arrivalGap
 			return cfg
 		}, simgrid.ReplanAblationConfig{Rounds: *rounds, ReplanIntervalS: *rpInterval})
-		if err != nil {
-			log.Fatal(err)
-		}
+		wall := stop(err)
 		c := res.Config
 		fmt.Printf(" drifting/miscalibrated platform: CanonicalSkew, plus %s drifting to %.0f%% at %s;\n",
 			c.DriftSeD, 100*c.DriftFactor, simgrid.Hours(c.DriftAtS))
@@ -242,8 +245,8 @@ func main() {
 		row("static plan (frozen)", res.Static)
 		row("live replanning", res.Live)
 		row("offline replan (restart)", res.Offline)
-		fmt.Printf("  → live replanning saves %.1f%% makespan with no restart — %.1f%% of the offline-replan win (%.1f%%)\n",
-			res.LiveGainPct(), res.RecoveryPct(), res.OfflineGainPct())
+		fmt.Printf("  → live replanning saves %.1f%% makespan with no restart — %.1f%% of the offline-replan win (%.1f%%) (%s)\n",
+			res.LiveGainPct(), res.RecoveryPct(), res.OfflineGainPct(), simulated(wall))
 		for _, ev := range res.Live.Replans {
 			if ev.PowerUpdates == 0 && len(ev.Moved) == 0 {
 				continue
@@ -274,9 +277,7 @@ func main() {
 			cfg.ArrivalGapS = *arrivalGap
 			return cfg
 		}, simgrid.BackfillAblationConfig{Rounds: *rounds, Nodes: *bfNodes})
-		if err != nil {
-			log.Fatal(err)
-		}
+		wall := stop(err)
 		fmt.Printf(" %d jobs from the measured CanonicalSkew campaign packed onto a %d-node cluster\n", res.Jobs, res.Nodes)
 		row := func(a simgrid.BackfillArm) {
 			fmt.Printf("  %-24s mean wait %s  max wait %s  makespan %s  sized walltimes %3d  backfilled %3d (%d of them sized)  kills %d\n",
@@ -286,8 +287,8 @@ func main() {
 		row(res.NoBackfill)
 		row(res.FixedGrant)
 		row(res.Forecast)
-		fmt.Printf("  → forecast-sized walltimes cut mean queue wait %.1f%% vs fixed-grant backfill (%.1f%% vs no backfill) and makespan %.1f%%\n",
-			res.WaitGainPct(), res.BackfillValuePct(), res.MakespanGainPct())
+		fmt.Printf("  → forecast-sized walltimes cut mean queue wait %.1f%% vs fixed-grant backfill (%.1f%% vs no backfill) and makespan %.1f%% (%s)\n",
+			res.WaitGainPct(), res.BackfillValuePct(), res.MakespanGainPct(), simulated(wall))
 		return
 	}
 
@@ -300,9 +301,7 @@ func main() {
 			cfg.ArrivalGapS = *arrivalGap
 			return cfg
 		}, simgrid.FailureAblationConfig{DetectS: *flDetect})
-		if err != nil {
-			log.Fatal(err)
-		}
+		wall := stop(err)
 		fmt.Println(" canonical schedule: crash+restart, partition+heal, in-flight losses, one permanent node death, one tail outage")
 		row := func(name string, r *simgrid.ExperimentResult) {
 			fmt.Printf("  %-22s makespan %s (%.2fh)  solves lost %2d  requeued %2d\n",
@@ -311,8 +310,8 @@ func main() {
 		row("no failures", res.Healthy)
 		row("failures, self-healing", res.Healing)
 		row("failures, fragile", res.Fragile)
-		fmt.Printf("  → self-healing saves %.1f%% makespan and %d solves vs the fragile hierarchy, costing %.1f%% over the failure-free run\n",
-			res.MakespanGainPct(), res.SolvesSaved(), res.HealingOverheadPct())
+		fmt.Printf("  → self-healing saves %.1f%% makespan and %d solves vs the fragile hierarchy, costing %.1f%% over the failure-free run (%s)\n",
+			res.MakespanGainPct(), res.SolvesSaved(), res.HealingOverheadPct(), simulated(wall))
 		if ok, why := res.RestartsWarm(); ok {
 			fmt.Println("  every healed restart rejoined with a trusted forecast model (snapshot warm restore)")
 		} else {
@@ -330,12 +329,10 @@ func main() {
 			Campaigns:   *wfRuns,
 			MaxParallel: *wfParallel,
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
+		wall := stop(err)
 		res.Print(os.Stdout)
-		fmt.Printf("  → pricing stages from measured models saves %.1f%% of the trained campaign under CanonicalSkew\n",
-			res.SkewGainPct())
+		fmt.Printf("  → pricing stages from measured models saves %.1f%% of the trained campaign under CanonicalSkew (%s)\n",
+			res.SkewGainPct(), simulated(wall))
 		return
 	}
 
@@ -345,9 +342,7 @@ func main() {
 			MAs:  *fedMAs,
 			Base: simgrid.FederationConfig{ArrivalRateHz: *fedRate},
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
+		wall := stop(err)
 		cfg := res.Federated.Config
 		fmt.Printf(" stream: %d requests over %d services at %.0f/s; finding costs %.0fms serial per MA, misses %.0fms, forward RTT %.0fms, %.0f%% of services foreign\n",
 			cfg.Requests, cfg.Services, cfg.ArrivalRateHz, cfg.SubmitCostMS, cfg.MissCostMS, cfg.ForwardRTTMS, 100*cfg.ForeignFrac)
@@ -357,8 +352,8 @@ func main() {
 		}
 		row("1 MA", res.Single)
 		row(fmt.Sprintf("%d federated MAs", cfg.MAs), res.Federated)
-		fmt.Printf("  → federation lifts saturation throughput %.2fx and cuts p99 submit latency %.1fx under the same stream\n",
-			res.ThroughputGainX(), res.P99GainX())
+		fmt.Printf("  → federation lifts saturation throughput %.2fx and cuts p99 submit latency %.1fx under the same stream (%s)\n",
+			res.ThroughputGainX(), res.P99GainX(), simulated(wall))
 		return
 	}
 
@@ -369,27 +364,29 @@ func main() {
 			Datasets:  *daSets,
 			Seed:      *seed,
 		})
+		wall := time.Since(begin)
 		res.Print(os.Stdout)
-		fmt.Printf("  → pricing input transfers from the trained pair models saves %.1f%% makespan and %.1f%% of the bytes moved\n",
-			res.MakespanGainPct(), res.BytesSavedPct())
+		fmt.Printf("  → pricing input transfers from the trained pair models saves %.1f%% makespan and %.1f%% of the bytes moved (%s)\n",
+			res.MakespanGainPct(), res.BytesSavedPct(), simulated(wall))
 		return
 	}
 
 	if *compare {
 		fmt.Println("Ablation A1 — default equal distribution vs the plug-in scheduler (paper §8):")
 		for _, name := range []string{"roundrobin", "random", "mct", "poweraware", "forecastaware", "contentionaware"} {
-			res := run(name)
-			fmt.Printf("  %-15s makespan %s  (%.2fh)  speedup %.1fx\n",
+			res, wall := run(name)
+			fmt.Printf("  %-15s makespan %s  (%.2fh)  speedup %.1fx  (%s)\n",
 				name, simgrid.Hours(res.TotalS), res.MakespanHours(),
-				res.SequentialS/res.TotalS)
+				res.SequentialS/res.TotalS, simulated(wall))
 		}
-		rr, pa := run("roundrobin"), run("poweraware")
+		rr, _ := run("roundrobin")
+		pa, _ := run("poweraware")
 		fmt.Printf("  plug-in scheduler saves %s (%.1f%%)\n",
 			simgrid.Hours(rr.TotalS-pa.TotalS), 100*(rr.TotalS-pa.TotalS)/rr.TotalS)
 		return
 	}
 
-	res := run(*policyName)
+	res, wall := run(*policyName)
 	if *all || *fig5 {
 		res.PrintGantt(os.Stdout, 96)
 		fmt.Println()
@@ -402,5 +399,6 @@ func main() {
 	}
 	if *all || *totals {
 		res.PrintTotals(os.Stdout)
+		fmt.Printf("  %s of real time\n", simulated(wall))
 	}
 }

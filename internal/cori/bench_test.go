@@ -82,3 +82,19 @@ func BenchmarkRegistryPrior(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkModelAfterObserve measures Model when every call follows an
+// Observe — one SeD solving and estimating in turn, so the kept window fit is
+// never reused and the ring is walked each time.
+func BenchmarkModelAfterObserve(b *testing.B) {
+	m := benchMonitor(64)
+	s := Sample{Service: "zoom", WorkGFlops: 5000, Duration: 125 * time.Second, QueueDepth: 3, Wait: 90 * time.Second}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Observe(s)
+		if _, ok := m.Model("zoom"); !ok {
+			b.Fatal("model must exist")
+		}
+	}
+}

@@ -88,10 +88,6 @@ type history struct {
 	ewmaSeconds float64
 	lastAt      time.Time
 
-	// Online least-squares accumulators over the *ring* contents are
-	// recomputed on demand; keeping them windowed (not lifetime sums) lets
-	// the model track servers whose delivered power drifts.
-
 	// prior is a gossiped cluster model installed by WarmStart; it is
 	// blended into Model output with priorWeight effective samples until
 	// local history outweighs it. priorAt stamps the installation so the
@@ -99,6 +95,15 @@ type history struct {
 	prior       *Model
 	priorWeight float64
 	priorAt     time.Time
+
+	// fit is windowFit of the ring as it stands — sums over the *ring*, not
+	// lifetime sums, so the model tracks servers whose delivered power drifts
+	// — kept so that a Model call between two Observes does not walk the ring
+	// again. Whatever changes ring, count or ewmaSeconds clears fitValid;
+	// Restore builds new histories, and WarmStart touches only the prior,
+	// which is blended in on every call.
+	fit      Model
+	fitValid bool
 }
 
 // Model is a snapshot of the forecaster's state for one service — the
@@ -321,28 +326,55 @@ func (m *Monitor) Observe(s Sample) {
 	if s.At.After(h.lastAt) {
 		h.lastAt = s.At
 	}
+	h.fitValid = false
 }
 
 // Model snapshots the forecaster state for a service. ok is false when the
 // Monitor has never observed the service and holds no gossiped prior for it.
-func (m *Monitor) Model(service string) (Model, bool) {
+func (m *Monitor) Model(service string) (model Model, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.modelLocked(service)
+	ok = m.modelLocked(service, &model)
+	return model, ok
 }
 
-// modelLocked builds the (possibly prior-blended) model; m.mu must be held.
-func (m *Monitor) modelLocked(service string) (Model, bool) {
+// modelLocked builds the (possibly prior-blended) model into out; m.mu must
+// be held.
+func (m *Monitor) modelLocked(service string, out *Model) bool {
 	h := m.svc[service]
 	if h == nil || (h.count == 0 && h.prior == nil) {
-		return Model{Service: service}, false
+		*out = Model{Service: service}
+		return false
 	}
 	if h.count == 0 {
 		// Nothing observed locally yet: the warm-started prior *is* the
 		// model, trusted at its decayed confidence.
-		return m.priorModel(h, service), true
+		*out = m.priorModel(h, service)
+		return true
 	}
-	out := Model{
+	if !h.fitValid {
+		h.windowFit(service, &h.fit)
+		h.fitValid = true
+	}
+	*out = h.fit
+	// What follows depends on the clock and is evaluated on every call.
+	age := m.now().Sub(h.lastAt)
+	if age < 0 {
+		age = 0
+	}
+	out.AgeSeconds = age.Seconds()
+	out.Confidence = math.Exp2(-age.Seconds() / m.cfg.HalfLife.Seconds())
+	if h.prior != nil {
+		*out = m.blendPrior(*out, h)
+	}
+	return true
+}
+
+// windowFit writes into out the part of the model that depends on the
+// history alone, not on the clock: the lifetime count, the EWMA, and the means
+// and least-squares fits over the ring.
+func (h *history) windowFit(service string, out *Model) {
+	*out = Model{
 		Service:     service,
 		Samples:     h.count,
 		Window:      len(h.ring),
@@ -406,16 +438,6 @@ func (m *Monitor) modelLocked(service string) (Model, bool) {
 			}
 		}
 	}
-	age := m.now().Sub(h.lastAt)
-	if age < 0 {
-		age = 0
-	}
-	out.AgeSeconds = age.Seconds()
-	out.Confidence = math.Exp2(-age.Seconds() / m.cfg.HalfLife.Seconds())
-	if h.prior != nil {
-		out = m.blendPrior(out, h)
-	}
-	return out, true
 }
 
 // priorConfidence is the installed prior's confidence decayed from its

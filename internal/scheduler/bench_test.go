@@ -35,6 +35,7 @@ func benchEstimates(n int) []Estimate {
 func benchRank(b *testing.B, p Policy, n int) {
 	ests := benchEstimates(n)
 	req := Request{Service: "zoom", WorkGFlops: 20000}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if got := p.Rank(req, ests); len(got) != n {
@@ -46,3 +47,8 @@ func benchRank(b *testing.B, p Policy, n int) {
 func BenchmarkForecastAwareRank64(b *testing.B)   { benchRank(b, NewForecastAware(), 64) }
 func BenchmarkContentionAwareRank64(b *testing.B) { benchRank(b, NewContentionAware(), 64) }
 func BenchmarkPowerAwareRank64(b *testing.B)      { benchRank(b, NewPowerAware(), 64) }
+
+// Eleven candidates is the paper's platform: what the MA ranks on every call.
+func BenchmarkForecastAwareRank11(b *testing.B)   { benchRank(b, NewForecastAware(), 11) }
+func BenchmarkContentionAwareRank11(b *testing.B) { benchRank(b, NewContentionAware(), 11) }
+func BenchmarkPowerAwareRank11(b *testing.B)      { benchRank(b, NewPowerAware(), 11) }

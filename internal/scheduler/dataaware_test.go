@@ -42,7 +42,7 @@ func randomEstimates(rng *rand.Rand, withTransfers bool) []Estimate {
 // request — compute + wait + transfer — written out independently of the
 // policies' internals.
 func completionCost(e Estimate, work, minConf float64) float64 {
-	dur := forecastDur(e, work, minConf)
+	dur := forecastDur(&e, work, minConf)
 	cap := float64(e.Capacity)
 	if cap < 1 {
 		cap = 1
@@ -86,7 +86,7 @@ func TestDataAwareNeverWorseThanDataLocal(t *testing.T) {
 // preA13Score reproduces the policies' scoring exactly as it was before the
 // transfer term existed.
 func preA13Score(name string, e Estimate, work, minConf float64) float64 {
-	dur := forecastDur(e, work, minConf)
+	dur := forecastDur(&e, work, minConf)
 	cap := float64(e.Capacity)
 	if cap < 1 {
 		cap = 1

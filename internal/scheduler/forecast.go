@@ -1,7 +1,5 @@
 package scheduler
 
-import "sort"
-
 // This file holds the history-aware plug-in policies fed by the CoRI-style
 // forecaster (internal/cori). Both rank by *predicted seconds*, so servers
 // with and without forecast data stay comparable inside one request: a
@@ -11,7 +9,7 @@ import "sort"
 
 // forecastDur predicts the duration of work on one server: the fitted model
 // when the server has trusted history, else the power-based estimate.
-func forecastDur(e Estimate, work, minConfidence float64) float64 {
+func forecastDur(e *Estimate, work, minConfidence float64) float64 {
 	if e.HasForecast && e.ForecastSamples > 0 && e.ForecastConfidence >= minConfidence {
 		if p := e.ForecastSolveSeconds(work); p > 0 {
 			return p
@@ -47,12 +45,11 @@ func (f *ForecastAware) Name() string { return "forecastaware" }
 
 // Rank implements Policy.
 func (f *ForecastAware) Rank(req Request, ests []Estimate) []int {
-	base := byServerID(ests)
 	work := req.WorkGFlops
 	if work <= 0 {
 		work = f.DefaultWorkGFlops
 	}
-	score := func(e Estimate) float64 {
+	return rankByScore(ests, func(e *Estimate) float64 {
 		pending := float64(e.QueueLen + e.Running + 1)
 		cap := float64(e.Capacity)
 		if cap < 1 {
@@ -62,9 +59,7 @@ func (f *ForecastAware) Rank(req Request, ests []Estimate) []int {
 		// completion time rather than scaling with the queue. Data-local
 		// servers carry 0 here and win the ties they used to lose.
 		return pending*forecastDur(e, work, f.MinConfidence)/cap + e.InputTransferSeconds
-	}
-	sort.SliceStable(base, func(a, b int) bool { return score(ests[base[a]]) < score(ests[base[b]]) })
-	return base
+	})
 }
 
 // ContentionAware is the queue-wait variant: it ranks by the forecast drain
@@ -90,12 +85,11 @@ func (c *ContentionAware) Name() string { return "contentionaware" }
 
 // Rank implements Policy.
 func (c *ContentionAware) Rank(req Request, ests []Estimate) []int {
-	base := byServerID(ests)
 	work := req.WorkGFlops
 	if work <= 0 {
 		work = c.DefaultWorkGFlops
 	}
-	score := func(e Estimate) float64 {
+	return rankByScore(ests, func(e *Estimate) float64 {
 		dur := forecastDur(e, work, c.MinConfidence)
 		cap := float64(e.Capacity)
 		if cap < 1 {
@@ -111,7 +105,5 @@ func (c *ContentionAware) Rank(req Request, ests []Estimate) []int {
 		// The third dimension of the estimate: compute + wait + the predicted
 		// time for the input data to arrive (0 when data-local).
 		return wait + dur + e.InputTransferSeconds
-	}
-	sort.SliceStable(base, func(a, b int) bool { return score(ests[base[a]]) < score(ests[base[b]]) })
-	return base
+	})
 }

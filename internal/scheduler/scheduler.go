@@ -7,9 +7,11 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -86,6 +88,12 @@ type Request struct {
 
 // Policy ranks candidate servers for a request, best first. Implementations
 // must be deterministic given their own state and safe for concurrent use.
+//
+// Every policy here starts from the candidates in ServerID order (duplicate
+// IDs keep the order they were given in); the scoring policies then compute
+// each candidate's score once and sort stably on it, so equal scores stay in
+// ServerID order. A NaN score (Inf/Inf in an estimate) ranks after every
+// number, NaNs among themselves in ServerID order.
 type Policy interface {
 	Name() string
 	// Rank returns indices into ests ordered from most to least preferred.
@@ -99,8 +107,45 @@ func byServerID(ests []Estimate) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return ests[idx[a]].ServerID < ests[idx[b]].ServerID })
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(ests[a].ServerID, ests[b].ServerID); c != 0 {
+			return c
+		}
+		return a - b
+	})
 	return idx
+}
+
+// scoredIndex is one candidate's sort key: its index into ests and its score.
+type scoredIndex struct {
+	idx   int
+	score float64
+}
+
+// byScore orders keys by ascending score, NaN last.
+func byScore(a, b scoredIndex) int {
+	if an, bn := math.IsNaN(a.score), math.IsNaN(b.score); an != bn {
+		if an {
+			return 1
+		}
+		return -1
+	}
+	return cmp.Compare(a.score, b.score)
+}
+
+// rankByScore is the body of every scoring policy: lower score first, ties
+// in ServerID order. score runs once per candidate, on the estimate in place.
+func rankByScore(ests []Estimate, score func(e *Estimate) float64) []int {
+	order := byServerID(ests)
+	keys := make([]scoredIndex, len(order))
+	for i, idx := range order {
+		keys[i] = scoredIndex{idx: idx, score: score(&ests[idx])}
+	}
+	slices.SortStableFunc(keys, byScore)
+	for i := range keys {
+		order[i] = keys[i].idx
+	}
+	return order
 }
 
 // RoundRobin reproduces DIET's default behaviour in the paper's experiment:
@@ -172,8 +217,7 @@ func (m *MCT) Name() string { return "mct" }
 
 // Rank implements Policy.
 func (m *MCT) Rank(req Request, ests []Estimate) []int {
-	base := byServerID(ests)
-	score := func(e Estimate) float64 {
+	return rankByScore(ests, func(e *Estimate) float64 {
 		st := e.LastSolveSeconds
 		if st <= 0 {
 			st = m.DefaultSolveSeconds
@@ -184,9 +228,7 @@ func (m *MCT) Rank(req Request, ests []Estimate) []int {
 			cap = 1
 		}
 		return pending * st / cap
-	}
-	sort.SliceStable(base, func(a, b int) bool { return score(ests[base[a]]) < score(ests[base[b]]) })
-	return base
+	})
 }
 
 // PowerAware is the plug-in the paper proposes as future work (§8): it maps
@@ -207,12 +249,11 @@ func (p *PowerAware) Name() string { return "poweraware" }
 
 // Rank implements Policy.
 func (p *PowerAware) Rank(req Request, ests []Estimate) []int {
-	base := byServerID(ests)
 	work := req.WorkGFlops
 	if work <= 0 {
 		work = p.DefaultWorkGFlops
 	}
-	score := func(e Estimate) float64 {
+	return rankByScore(ests, func(e *Estimate) float64 {
 		power := e.PowerGFlops
 		if power <= 0 {
 			power = 1
@@ -223,9 +264,7 @@ func (p *PowerAware) Rank(req Request, ests []Estimate) []int {
 			cap = 1
 		}
 		return pending * work / power / cap
-	}
-	sort.SliceStable(base, func(a, b int) bool { return score(ests[base[a]]) < score(ests[base[b]]) })
-	return base
+	})
 }
 
 // ByName constructs a policy from its canonical name; the experiment harness

@@ -338,11 +338,11 @@ type sedState struct {
 	heldDone    []func(healS float64) // partition: deferred result deliveries
 }
 
-// estimate builds the scheduler's view of the SeD, mirroring
+// estimate writes the scheduler's view of the SeD into est, mirroring
 // diet.SeD.Estimate: static fields from the advertised configuration, and —
 // when a CoRI monitor is attached — the forecast extension from its model.
-func (s *sedState) estimate(service string) scheduler.Estimate {
-	est := scheduler.Estimate{
+func (s *sedState) estimate(service string, est *scheduler.Estimate) {
+	*est = scheduler.Estimate{
 		ServerID:         s.place.Name,
 		Service:          service,
 		Capacity:         1,
@@ -353,10 +353,9 @@ func (s *sedState) estimate(service string) scheduler.Estimate {
 	}
 	if s.monitor != nil {
 		if model, ok := s.monitor.Model(service); ok {
-			model.ApplyToEstimate(&est, s.monitor.DrainEstimate(model, s.pending, s.queue+s.running, 1))
+			model.ApplyToEstimate(est, s.monitor.DrainEstimate(model, s.pending, s.queue+s.running, 1))
 		}
 	}
-	return est
 }
 
 // predict mirrors the schedulers' duration view of this SeD at dispatch: the
@@ -470,9 +469,11 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	// choose ranks the SeDs with the plug-in policy and returns the winner.
 	// Under self-healing, nodes evicted by failure detection leave the
 	// candidate set, and a job that already bounced off a node avoids it —
-	// the client-failover mirror.
+	// the client-failover mirror. Every call fills the same estimate buffer:
+	// no policy keeps ests beyond Rank.
+	estBuf := make([]scheduler.Estimate, len(seds))
 	choose := func(service string, work float64, seq int, avoid map[string]bool) *sedState {
-		ests := make([]scheduler.Estimate, 0, len(seds))
+		n := 0
 		for _, s := range seds {
 			if cfg.SelfHealing && s.excluded {
 				continue
@@ -480,15 +481,18 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 			if avoid[s.place.Name] {
 				continue
 			}
-			ests = append(ests, s.estimate(service))
+			s.estimate(service, &estBuf[n])
+			n++
 		}
-		if len(ests) == 0 {
+		if n == 0 {
 			// Everything excluded or avoided: fall back to the full set
 			// rather than dropping the request on the floor.
 			for _, s := range seds {
-				ests = append(ests, s.estimate(service))
+				s.estimate(service, &estBuf[n])
+				n++
 			}
 		}
+		ests := estBuf[:n]
 		order := cfg.Policy.Rank(scheduler.Request{Service: service, Seq: seq, WorkGFlops: work}, ests)
 		return byName[ests[order[0]].ServerID]
 	}
@@ -515,8 +519,13 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		id, service, work := job.id, job.service, job.work
 		predS, predByModel := sed.predict(service, work)
 		now := sim.Now()
-		reqID := fmt.Sprintf("sim-%d", id)
-		sedComp := "SeD:" + sed.place.Name
+		// The span labels are built only for a run that is traced.
+		var reqID, sedComp, served string
+		if cfg.Spans != nil {
+			reqID = fmt.Sprintf("sim-%d", id)
+			sedComp = "SeD:" + sed.place.Name
+			served = "server " + sed.place.Name
+		}
 		transferS := cfg.Platform.TransferTime(maSite, sed.place.Site, cfg.NamelistKB/1024).Seconds()
 		arriveS := now + transferS
 		startS := arriveS
@@ -602,8 +611,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		}
 		endS := startS + durS
 		emitSpan(reqID, sedComp, logsvc.KindSolve, service, "", startS, endS)
-		emitSpan(reqID, "client", logsvc.KindComplete, service,
-			"server "+sed.place.Name, job.submitS, endS)
+		emitSpan(reqID, "client", logsvc.KindComplete, service, served, job.submitS, endS)
 		depthAtAdmission := sed.queue + sed.running
 		sed.queue++
 		sed.pending[service]++
@@ -705,11 +713,15 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	place = func(job *simJob) {
 		now := sim.Now()
 		sed := choose(job.service, job.work, job.id, job.avoid)
-		reqID := fmt.Sprintf("sim-%d", job.id)
+		var reqID, chose string
+		if cfg.Spans != nil {
+			reqID = fmt.Sprintf("sim-%d", job.id)
+			chose = "chose " + sed.place.Name
+		}
 		if job.attempt == 1 {
 			job.dispatch0 = now
 			emitSpan(reqID, "client", logsvc.KindSubmit, job.service, "", job.submitS, now)
-			emitSpan(reqID, "MA", logsvc.KindSchedule, job.service, "chose "+sed.place.Name, job.submitS, now)
+			emitSpan(reqID, "MA", logsvc.KindSchedule, job.service, chose, job.submitS, now)
 		}
 		if failEnabled {
 			switch {

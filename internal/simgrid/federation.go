@@ -2,7 +2,6 @@ package simgrid
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 )
@@ -147,38 +146,55 @@ func (r *FederationResult) latencyQuantile(q float64) float64 {
 // drained one at a time on the virtual clock.
 type maServer struct {
 	sim   *Sim
-	queue []func(startS float64)
+	queue fifo[maWork]
 	busy  bool
-	costs []float64
+	// One item is in service at a time, so its completion is one handler per
+	// server, created once, reading the item from cur.
+	cur      maWork
+	complete func()
 }
 
-func (m *maServer) enqueue(costS float64, done func(startS float64)) {
-	m.queue = append(m.queue, done)
-	m.costs = append(m.costs, costS)
+// maWork is one queued finding phase or miss probe of request req.
+type maWork struct {
+	done  func(req int)
+	req   int
+	costS float64
+}
+
+func newMAServer(sim *Sim) *maServer {
+	m := &maServer{sim: sim}
+	m.complete = func() {
+		w := m.cur
+		m.cur, m.busy = maWork{}, false
+		w.done(w.req)
+		m.drain()
+	}
+	return m
+}
+
+func (m *maServer) enqueue(costS float64, req int, done func(req int)) {
+	m.queue.push(maWork{done: done, req: req, costS: costS})
 	m.drain()
 }
 
 func (m *maServer) drain() {
-	if m.busy || len(m.queue) == 0 {
+	if m.busy || m.queue.len() == 0 {
 		return
 	}
 	m.busy = true
-	fn, cost := m.queue[0], m.costs[0]
-	m.queue, m.costs = m.queue[1:], m.costs[1:]
-	start := m.sim.Now()
-	_ = m.sim.After(cost, func() {
-		m.busy = false
-		fn(start)
-		m.drain()
-	})
+	m.cur = m.queue.pop()
+	_ = m.sim.After(m.cur.costS, m.complete)
 }
 
-// routeOf sticky-routes a service name onto an MA index, the same FNV-1a
-// hash the live gateway uses.
+// routeOf sticky-routes a service name onto an MA index, the same FNV-1a hash
+// the live gateway uses (hash/fnv's New32a, written out to allocate nothing).
 func routeOf(service string, mas int) int {
-	h := fnv.New32a()
-	h.Write([]byte(service))
-	return int(h.Sum32()) % mas
+	h := uint32(2166136261)
+	for i := 0; i < len(service); i++ {
+		h ^= uint32(service[i])
+		h *= 16777619
+	}
+	return int(h) % mas
 }
 
 // RunFederation replays an open-loop submission stream against a federated
@@ -190,7 +206,7 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 	sim := NewSim()
 	servers := make([]*maServer, cfg.MAs)
 	for i := range servers {
-		servers[i] = &maServer{sim: sim}
+		servers[i] = newMAServer(sim)
 	}
 
 	// Service placement: sticky routing and SeD homes agree by construction
@@ -214,18 +230,16 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 	submitS := cfg.SubmitCostMS / 1000
 	missS := cfg.MissCostMS / 1000
 	rttS := cfg.ForwardRTTMS / 1000
+	finish := func(req int) { res.Requests[req].DoneS = sim.Now() }
 	for i := 0; i < cfg.Requests; i++ {
 		i := i
 		svc := i % cfg.Services
 		arrive := float64(i) / cfg.ArrivalRateHz
 		route, home := routeOf(names[svc], cfg.MAs), homeOf[svc]
 		res.Requests[i] = FederationRequestRecord{Service: names[svc], ArriveS: arrive}
-		finish := func(float64) {
-			res.Requests[i].DoneS = sim.Now()
-		}
 		_ = sim.At(arrive, func() {
 			if route == home {
-				servers[route].enqueue(submitS, finish)
+				servers[route].enqueue(submitS, i, finish)
 				return
 			}
 			// Local miss at the sticky-routed MA: its collect comes up empty
@@ -234,16 +248,16 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 			// crosses the wire back.
 			res.Requests[i].Forwarded = true
 			res.Forwards++
-			servers[route].enqueue(missS, func(float64) {
+			servers[route].enqueue(missS, i, func(int) {
 				for p := range servers {
 					if p == route || p == home {
 						continue
 					}
-					servers[p].enqueue(missS, func(float64) {})
+					servers[p].enqueue(missS, i, func(int) {})
 				}
 				_ = sim.After(rttS/2, func() {
-					servers[home].enqueue(submitS, func(float64) {
-						_ = sim.After(rttS/2, func() { finish(0) })
+					servers[home].enqueue(submitS, i, func(int) {
+						_ = sim.After(rttS/2, func() { finish(i) })
 					})
 				})
 			})
