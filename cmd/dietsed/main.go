@@ -126,8 +126,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// The monitor is bound by NewSeD (MonitorBinder), so walltimes are
-		// sized from the same history the SeD's estimates report.
+		// The SeD hands its monitor to every Execute, so walltimes are sized
+		// from the same history the SeD's estimates report.
 		batchExec = &batch.ForecastExecutor{
 			System: sys, JobName: *name, Nodes: *batchJobNodes,
 			Policy: batch.WalltimePolicy{Fixed: *batchWall},

@@ -60,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer core.GrpcFinalize(client)
+	defer client.Finalize()
 
 	profile, err := core.NewProfile("scale", 1, 1, 2)
 	if err != nil {

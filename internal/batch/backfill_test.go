@@ -152,7 +152,7 @@ func TestBackfillNeverDelaysHead(t *testing.T) {
 }
 
 // TestForecastExecutorReportsQueueWait checks the wait plumbing the SeD
-// feeds to the CoRI wait-on-depth regression: ExecuteSizedWait reports the
+// feeds to the CoRI wait-on-depth regression: Execute reports the
 // time the reservation actually waited for nodes.
 func TestForecastExecutorReportsQueueWait(t *testing.T) {
 	s, _ := New(Config{TotalNodes: 1, Backfill: true})
@@ -161,14 +161,14 @@ func TestForecastExecutorReportsQueueWait(t *testing.T) {
 
 	now := time.Unix(1_000_000, 0)
 	e := &ForecastExecutor{
-		System: s, JobName: "solve", Nodes: 1, Monitor: trainedMonitor(&now),
+		System: s, JobName: "solve", Nodes: 1,
 		Policy: WalltimePolicy{Fixed: time.Minute},
 	}
 	done := make(chan error, 1)
 	var wait time.Duration
 	go func() {
 		var err error
-		wait, err = e.ExecuteSizedWait("svc", 0, func() error { return nil })
+		wait, err = e.Execute("svc", 0, trainedMonitor(&now), func() error { return nil }, nil)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

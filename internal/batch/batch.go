@@ -517,22 +517,3 @@ func (s *System) Close() {
 	defer s.mu.Unlock()
 	s.closed = true
 }
-
-// Executor adapts the batch system to the diet.Executor interface: each SeD
-// solve becomes a batch job reserving Nodes for Walltime — the "transparent
-// reservations" integration of the paper's conclusion.
-type Executor struct {
-	System   *System
-	JobName  string
-	Nodes    int
-	Walltime time.Duration
-}
-
-// Execute implements the Executor contract used by diet.SeD.
-func (e *Executor) Execute(run func() error) error {
-	j, err := e.System.Submit(e.JobName, e.Nodes, e.Walltime, run)
-	if err != nil {
-		return err
-	}
-	return e.System.Wait(j)
-}

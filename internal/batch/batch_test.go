@@ -189,22 +189,28 @@ func TestCloseRefusesSubmission(t *testing.T) {
 	}
 }
 
+// TestExecutorAdapter checks the fixed-grant case the deleted batch.Executor
+// served: with no monitor to size from, every solve becomes one reservation
+// at the policy's Fixed walltime, the body runs and its error comes back.
 func TestExecutorAdapter(t *testing.T) {
 	s, _ := New(Config{TotalNodes: 2})
-	e := &Executor{System: s, JobName: "solve", Nodes: 1, Walltime: time.Minute}
+	e := &ForecastExecutor{System: s, JobName: "solve", Nodes: 1, Policy: WalltimePolicy{Fixed: time.Minute}}
 	var ran bool
-	if err := e.Execute(func() error { ran = true; return nil }); err != nil {
+	if _, err := e.Execute("svc", 0, nil, func() error { ran = true; return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
 		t.Error("executor did not run the body")
 	}
 	boom := errors.New("bad solve")
-	if err := e.Execute(func() error { return boom }); !errors.Is(err, boom) {
+	if _, err := e.Execute("svc", 0, nil, func() error { return boom }, nil); !errors.Is(err, boom) {
 		t.Errorf("Execute error = %v", err)
 	}
-	if st := s.Stats(); st.Submitted != 2 {
-		t.Errorf("stats %+v", st)
+	if st := s.Stats(); st.Submitted != 2 || st.Reserved != 2*time.Minute {
+		t.Errorf("stats %+v, want 2 reservations of the fixed minute", st)
+	}
+	if st := e.Stats(); st.FixedFallback != 2 || st.ForecastSized != 0 {
+		t.Errorf("executor stats %+v, want 2 fixed grants", st)
 	}
 }
 

@@ -103,11 +103,9 @@ type ExecStats struct {
 }
 
 // ForecastExecutor routes each solve through a reservation whose walltime is
-// sized by a WalltimePolicy from the SeD's CoRI monitor — the
-// forecast-closed version of Executor. It implements the sized-executor
-// contract diet.SeD probes for, so the service name and work estimate of
-// every solve reach the sizing policy; a plain Execute call falls back to
-// the fixed grant. Attempts killed at walltime expiry requeue with a
+// sized by a WalltimePolicy from the SeD's CoRI monitor — the "transparent
+// reservations" integration of the paper's conclusion. It implements
+// diet.Executor. Attempts killed at walltime expiry requeue with a
 // RequeueFactor-widened grant up to MaxAttempts. Invocations of the body
 // are serialised across attempts (Go cannot kill a killed attempt's
 // goroutine, so the requeue waits it out rather than overlapping it), but a
@@ -117,24 +115,12 @@ type ForecastExecutor struct {
 	System  *System
 	JobName string
 	Nodes   int
-	Monitor *cori.Monitor
 	Policy  WalltimePolicy
 	// MaxAttempts bounds kill-and-requeue retries (default 3).
 	MaxAttempts int
 
 	mu    sync.Mutex
 	stats ExecStats
-}
-
-// BindMonitor adopts the SeD's monitor when the executor was built without
-// one — diet.NewSeD probes for this, so a ForecastExecutor in a
-// DeploymentSpec needs no explicit monitor wiring.
-func (e *ForecastExecutor) BindMonitor(m *cori.Monitor) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.Monitor == nil {
-		e.Monitor = m
-	}
 }
 
 // Stats returns a snapshot of the executor's sizing counters.
@@ -144,43 +130,22 @@ func (e *ForecastExecutor) Stats() ExecStats {
 	return e.stats
 }
 
-// Execute implements diet.Executor for callers without work information:
-// the reservation uses the fixed grant.
-func (e *ForecastExecutor) Execute(run func() error) error {
-	return e.ExecuteSized("", 0, run)
-}
-
-// ExecuteSized implements the diet sized-executor contract: size the
-// walltime from the monitor's forecast for this service and work, submit,
-// and on an overrun kill requeue with a widened grant.
-func (e *ForecastExecutor) ExecuteSized(service string, workGFlops float64, run func() error) error {
-	_, err := e.ExecuteSizedWait(service, workGFlops, run)
-	return err
-}
-
-// ExecuteSizedWait is ExecuteSized returning the measured batch-queue wait:
-// submit→start, summed over every reservation attempt the solve took. This
-// is the wait the queue actually imposed — a backfilled reservation reports
-// the shortened wait it won, and a killed attempt's thrown-away compute is
-// not counted as waiting — which diet.SeD folds into cori.Sample.Wait so
-// the wait-on-depth regression trains on real backfill behaviour instead of
-// the FIFO drain it would otherwise assume. Attempt bodies are serialised
-// and abandoned attempts (killed while a previous invocation was still
-// draining) skip the body entirely, so `run` never executes twice
-// concurrently.
-func (e *ForecastExecutor) ExecuteSizedWait(service string, workGFlops float64, run func() error) (time.Duration, error) {
-	return e.ExecuteSizedTrace(service, workGFlops, run, nil)
-}
-
-// ExecuteSizedTrace is ExecuteSizedWait with a per-attempt lifecycle
-// callback: after each reservation attempt finishes (normally or killed at
-// its walltime) the callback receives the attempt number, the batch-queue
-// wait that attempt paid, whether it was killed, and its submit/end stamps.
-// diet.SeD probes for this (TracingExecutor) to turn attempts into reserve
-// and overrun_kill spans of the request's trace. A nil trace skips the
-// bookkeeping, making this exactly ExecuteSizedWait.
-func (e *ForecastExecutor) ExecuteSizedTrace(service string, workGFlops float64, run func() error,
-	trace func(attempt int, wait time.Duration, killed bool, start, end time.Time)) (time.Duration, error) {
+// Execute implements diet.Executor: size the walltime from the monitor's
+// forecast for this service and work (the policy's fixed grant on a nil or
+// cold monitor), submit, and on an overrun kill requeue with a widened grant.
+// It returns the measured batch-queue wait: submit→start, summed over every
+// reservation attempt the solve took. This is the wait the queue actually
+// imposed — a backfilled reservation reports the shortened wait it won, and
+// a killed attempt's thrown-away compute is not counted as waiting — which
+// diet.SeD folds into cori.Sample.Wait so the wait-on-depth regression trains
+// on real backfill behaviour instead of the FIFO drain it would otherwise
+// assume. After each attempt finishes (normally or killed at its walltime) a
+// non-nil attempt callback receives the attempt number, the batch-queue wait
+// that attempt paid, whether it was killed, and its submit/end stamps;
+// diet.SeD turns those into the reserve and overrun_kill spans of the
+// request's trace.
+func (e *ForecastExecutor) Execute(service string, workGFlops float64, monitor *cori.Monitor, run func() error,
+	attempt func(n int, wait time.Duration, killed bool, start, end time.Time)) (time.Duration, error) {
 	pol := e.Policy.WithDefaults()
 	nodes := e.Nodes
 	if nodes < 1 {
@@ -190,16 +155,7 @@ func (e *ForecastExecutor) ExecuteSizedTrace(service string, workGFlops float64,
 	if maxAttempts < 1 {
 		maxAttempts = 3
 	}
-	e.mu.Lock()
-	monitor := e.Monitor
-	e.mu.Unlock()
-	var wall time.Duration
-	var sized bool
-	if service != "" {
-		wall, sized = pol.Size(monitor, service, workGFlops)
-	} else {
-		wall, sized = pol.Fixed, false
-	}
+	wall, sized := pol.Size(monitor, service, workGFlops)
 	e.mu.Lock()
 	if sized {
 		e.stats.ForecastSized++
@@ -215,7 +171,7 @@ func (e *ForecastExecutor) ExecuteSizedTrace(service string, workGFlops float64,
 	// never executes concurrently with itself.
 	var runMu sync.Mutex
 	var queueWait time.Duration
-	for attempt := 1; ; attempt++ {
+	for n := 1; ; n++ {
 		abandoned := &atomic.Bool{}
 		script := func() error {
 			runMu.Lock()
@@ -234,8 +190,8 @@ func (e *ForecastExecutor) ExecuteSizedTrace(service string, workGFlops float64,
 			return queueWait, err
 		}
 		err = e.System.Wait(j)
-		if trace != nil {
-			trace(attempt, j.WaitTime(), errors.Is(err, ErrWalltime), attemptStart, time.Now())
+		if attempt != nil {
+			attempt(n, j.WaitTime(), errors.Is(err, ErrWalltime), attemptStart, time.Now())
 		}
 		queueWait += j.WaitTime()
 		e.mu.Lock()
@@ -250,7 +206,7 @@ func (e *ForecastExecutor) ExecuteSizedTrace(service string, workGFlops float64,
 		abandoned.Store(true)
 		e.mu.Lock()
 		e.stats.OverrunKills++
-		if attempt >= maxAttempts {
+		if n >= maxAttempts {
 			e.mu.Unlock()
 			return queueWait, err
 		}

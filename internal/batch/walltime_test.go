@@ -125,18 +125,18 @@ func TestForecastExecutorOverrunKillAndRequeue(t *testing.T) {
 		m.Observe(cori.Sample{Service: "svc", Duration: 10 * time.Millisecond, At: now})
 	}
 	e := &ForecastExecutor{
-		System: s, JobName: "sized", Nodes: 1, Monitor: m,
+		System: s, JobName: "sized", Nodes: 1,
 		Policy:      WalltimePolicy{Fixed: time.Minute, Margin: 0.01},
 		MaxAttempts: 5,
 	}
 	var runs atomic.Int32
-	err := e.ExecuteSized("svc", 0, func() error {
+	_, err := e.Execute("svc", 0, m, func() error {
 		runs.Add(1)
 		time.Sleep(35 * time.Millisecond)
 		return nil
-	})
+	}, nil)
 	if err != nil {
-		t.Fatalf("ExecuteSized = %v, want eventual success after requeues", err)
+		t.Fatalf("Execute = %v, want eventual success after requeues", err)
 	}
 	st := e.Stats()
 	if st.ForecastSized != 1 {
@@ -162,7 +162,7 @@ func TestForecastExecutorGivesUpAfterMaxAttempts(t *testing.T) {
 	}
 	block := make(chan struct{})
 	defer close(block)
-	err := e.Execute(func() error { <-block; return nil })
+	_, err := e.Execute("svc", 0, nil, func() error { <-block; return nil }, nil)
 	if !errors.Is(err, ErrWalltime) {
 		t.Fatalf("Execute = %v, want ErrWalltime after exhausting attempts", err)
 	}
@@ -184,7 +184,7 @@ func TestExecuteSizedTraceReportsAttempts(t *testing.T) {
 		m.Observe(cori.Sample{Service: "svc", Duration: 10 * time.Millisecond, At: now})
 	}
 	e := &ForecastExecutor{
-		System: s, JobName: "traced", Nodes: 1, Monitor: m,
+		System: s, JobName: "traced", Nodes: 1,
 		Policy:      WalltimePolicy{Fixed: time.Minute, Margin: 0.01},
 		MaxAttempts: 5,
 	}
@@ -195,7 +195,7 @@ func TestExecuteSizedTraceReportsAttempts(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var seen []attemptRec
-	_, err := e.ExecuteSizedTrace("svc", 0, func() error {
+	_, err := e.Execute("svc", 0, m, func() error {
 		time.Sleep(35 * time.Millisecond)
 		return nil
 	}, func(attempt int, wait time.Duration, killed bool, start, end time.Time) {
@@ -207,7 +207,7 @@ func TestExecuteSizedTraceReportsAttempts(t *testing.T) {
 		seen = append(seen, attemptRec{attempt, wait, killed})
 	})
 	if err != nil {
-		t.Fatalf("ExecuteSizedTrace = %v, want eventual success", err)
+		t.Fatalf("Execute = %v, want eventual success", err)
 	}
 	st := e.Stats()
 	mu.Lock()

@@ -41,8 +41,6 @@ type (
 	CallInfo = diet.CallInfo
 	// AsyncCall is an in-flight asynchronous request.
 	AsyncCall = diet.AsyncCall
-	// FunctionHandle is the GridRPC server/service binding.
-	FunctionHandle = diet.FunctionHandle
 	// Agent is a Master or Local Agent.
 	Agent = diet.Agent
 	// AgentConfig configures an agent.
@@ -134,14 +132,6 @@ var (
 	// store to register on it.
 	NewDataCatalog = dataman.NewCatalog
 	NewDataStore   = dataman.NewStore
-
-	// GridRPC-compatible aliases (the paper §5.3.1: every diet_ function is
-	// duplicated with a grpc_ function).
-	GrpcInitialize = diet.GrpcInitialize
-	GrpcFinalize   = diet.GrpcFinalize
-	GrpcWait       = diet.GrpcWait
-	GrpcWaitAll    = diet.GrpcWaitAll
-	GrpcWaitAny    = diet.GrpcWaitAny
 
 	// Scheduling policies. The forecast-aware pair ranks on the CoRI
 	// history every SeD collects (internal/cori) and degrades to

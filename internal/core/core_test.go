@@ -48,7 +48,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer core.GrpcFinalize(client)
+	defer client.Finalize()
 
 	p, err := core.NewProfile("triple", 0, 0, 1)
 	if err != nil {

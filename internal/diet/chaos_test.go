@@ -2,11 +2,13 @@ package diet
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/rpc"
 	"repro/internal/scheduler"
 )
@@ -440,4 +442,96 @@ func TestCollectNDeadChildRegistrationResets(t *testing.T) {
 	if fmt.Sprint(la.Children()[0].Name) != "SeD-cme2" {
 		t.Fatalf("unexpected child set: %+v", la.Children())
 	}
+}
+
+// sedBalance asserts a SeD's admission bookkeeping after every solve it was
+// handed has returned: nothing queued or running, no service left in pending
+// (not even at zero), the three solve counters at the given values — so
+// started − completed − failed is the number still inside, zero — and the
+// queue-depth gauge back at zero.
+func sedBalance(t *testing.T, s *SeD, service string, started, completed, failed float64) {
+	t.Helper()
+	if st := s.Stats(); st.Queued != 0 || st.Running != 0 {
+		t.Errorf("queued %d running %d after every solve returned, want 0 and 0", st.Queued, st.Running)
+	}
+	s.statMu.Lock()
+	if len(s.pending) != 0 {
+		t.Errorf("pending = %v, want no service left (a zeroed key is walked by every estimate)", s.pending)
+	}
+	s.statMu.Unlock()
+	name := s.cfg.Name
+	got := [3]float64{
+		s.metrics.started.With(name, service).Value(),
+		s.metrics.completed.With(name, service).Value(),
+		s.metrics.failed.With(name, service).Value(),
+	}
+	if got != [3]float64{started, completed, failed} {
+		t.Errorf("started/completed/failed = %v, want [%v %v %v]", got, started, completed, failed)
+	}
+	if depth := s.metrics.queueDepth.With(name).Value(); depth != 0 {
+		t.Errorf("queue-depth gauge reads %v on an idle SeD", depth)
+	}
+}
+
+// TestChaosRejectedSolvesLeaveCountersBalanced drives the two ways a SeD
+// refuses a solve it has already looked at — its FIFO is full, or it stops
+// while the solve is still queued — and checks each leaves the admission
+// counters, the pending map, the solve counters and the depth gauge where a
+// solve that never arrived would have: the scheduler reads the first two on
+// every estimate and the operator reads the rest.
+func TestChaosRejectedSolvesLeaveCountersBalanced(t *testing.T) {
+	release := make(chan struct{})
+	desc, _ := NewProfileDesc("work", 0, 0, 1)
+	desc.Set(0, Scalar, Int)
+	desc.Set(1, Scalar, Int)
+	newSeD := func(name string) *SeD {
+		s, err := NewSeD(SeDConfig{Name: name, Capacity: 1, Metrics: metrics.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddService(desc, func(p *Profile) error {
+			<-release
+			return p.SetScalarInt(1, 1, Volatile)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	request := func() *Profile {
+		p, _ := NewProfile("work", 0, 0, 1)
+		p.SetScalarInt(0, 1, Volatile)
+		return p
+	}
+
+	t.Run("queue full", func(t *testing.T) {
+		s := newSeD("SeD-full")
+		// A one-place FIFO, taken: set before the dispatcher exists, so the
+		// next solve finds it full for certain.
+		s.jobs = make(chan *sedJob, 1)
+		s.jobs <- &sedJob{grant: make(chan struct{})}
+		_, err := s.Solve(request())
+		if err == nil || !strings.Contains(err.Error(), "queue full") {
+			t.Fatalf("solve on a full queue = %v, want it refused", err)
+		}
+		sedBalance(t, s, "work", 0, 0, 0)
+	})
+
+	t.Run("stopped while queued", func(t *testing.T) {
+		s := newSeD("SeD-stop")
+		go s.dispatch()
+		errs := make(chan error, 2)
+		go func() { _, err := s.Solve(request()); errs <- err }()
+		waitFor(t, func() bool { return s.Stats().Running == 1 })
+		go func() { _, err := s.Solve(request()); errs <- err }()
+		waitFor(t, func() bool { return s.Stats().Queued == 1 })
+		s.Close()
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "stopped before solving") {
+			t.Fatalf("queued solve on a stopped SeD = %v, want it refused", err)
+		}
+		close(release) // the solve that held the slot runs to its end
+		if err := <-errs; err != nil {
+			t.Fatalf("running solve on a stopped SeD = %v, want it to finish", err)
+		}
+		sedBalance(t, s, "work", 2, 1, 1)
+	})
 }

@@ -169,30 +169,18 @@ func (c *Client) Finalize() {}
 // returned estimates (each carries the SeD's CoRI forecast extension)
 // before launching any solve.
 func (c *Client) FindServers(service string, workGFlops float64) (*SubmitReply, time.Duration, error) {
-	var found findResult
-	p := &Profile{Service: service}
-	if _, err := c.Call(p, WithWork(workGFlops), withFindOnly(&found)); err != nil {
-		return nil, 0, err
-	}
-	return found.reply, found.finding, nil
+	seq := int(c.seq.Add(1))
+	return c.submit(service, workGFlops, seq, c.requestID(seq), nil)
 }
 
-// Submit asks the Master Agent for the ranked server list for a service.
-//
-// Deprecated: Submit is the historical name of FindServers; new code should
-// use FindServers (or Call directly). Kept so existing callers and examples
-// compile unchanged.
-func (c *Client) Submit(service string, workGFlops float64) (*SubmitReply, time.Duration, error) {
-	return c.FindServers(service, workGFlops)
-}
-
+// submit is the finding phase: one Submit round trip to the Master Agent.
 func (c *Client) submit(service string, workGFlops float64, seq int, requestID string, dataIDs []string) (*SubmitReply, time.Duration, error) {
 	t0 := time.Now()
 	var reply SubmitReply
 	err := rpc.Call(c.maAddr, "agent:"+c.cfg.MAName, "Submit",
 		&SubmitRequest{Service: service, WorkGFlops: workGFlops, Seq: seq, RequestID: requestID, DataIDs: dataIDs}, &reply)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("diet: submission of %q failed: %w", service, err)
 	}
 	found := time.Now()
 	publishSpan(c.cfg.Events, span(requestID, "client:"+c.id, logsvc.KindSubmit, service,
@@ -222,33 +210,17 @@ func inputDataIDs(p *Profile) []string {
 // CallOption tweaks a Call.
 type CallOption func(*callOptions)
 
-// findResult receives the finding-phase outcome of a find-only Call (the
-// Submit shim's out-parameters).
-type findResult struct {
-	reply   *SubmitReply
-	finding time.Duration
-}
-
 type callOptions struct {
 	workGFlops float64
-	async      **AsyncCall
 	gateway    string
 	servers    *SubmitReply
 	rotate     int
-	findOnly   *findResult
 }
 
 // WithWork passes a work estimate (GFlops) to the scheduler, used by the
 // power-aware plug-in policy.
 func WithWork(gflops float64) CallOption {
 	return func(o *callOptions) { o.workGFlops = gflops }
-}
-
-// WithAsync makes Call return immediately with (nil, nil) and deliver the
-// outcome through the handle stored in *h — the one code path behind the
-// deprecated CallAsync. The profile must not be touched until Wait returns.
-func WithAsync(h **AsyncCall) CallOption {
-	return func(o *callOptions) { o.async = h }
 }
 
 // WithGateway routes the call through a gateway's HTTP JSON API (POST
@@ -264,46 +236,24 @@ func WithGateway(baseURL string) CallOption {
 // list, starting the failover walk rotate positions in (wrapping). The
 // gateway's submission batching uses it: one batch leader pays the MA round
 // trip, the followers ride its reply with rotated starting servers so a
-// batch does not pile onto one SeD.
+// batch does not pile onto one SeD. A one-server list is a bound call, the
+// grpc_function_handle_init of GridRPC: it skips the MA, so its trace has no
+// submit or schedule span.
 func WithServers(reply *SubmitReply, rotate int) CallOption {
 	return func(o *callOptions) { o.servers, o.rotate = reply, rotate }
-}
-
-// withFindOnly stops the call after the finding phase, recording the ranked
-// reply into res — the Submit shim. Unexported: find-only is not a shape new
-// code should reach for.
-func withFindOnly(res *findResult) CallOption {
-	return func(o *callOptions) { o.findOnly = res }
 }
 
 // Call performs a complete GridRPC call: find a server through the MA, ship
 // the profile to the chosen SeD, execute, and bring the INOUT/OUT arguments
 // back into p. On failure of the best server it falls over to the next
-// servers in the ranked list. Options select the variants — WithAsync for a
-// background call (outcome on the handle), WithGateway to route through a
-// gateway, WithWork to hint the scheduler — all sharing this one retry and
-// trace path.
+// servers in the ranked list. Options select the variants — WithGateway to
+// route through a gateway, WithServers to reuse a ranked list, WithWork to
+// hint the scheduler — all sharing this one retry and trace path.
 func (c *Client) Call(p *Profile, opts ...CallOption) (*CallInfo, error) {
 	var o callOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.async != nil {
-		a := &AsyncCall{done: make(chan struct{})}
-		*o.async = a
-		inner := o
-		inner.async = nil
-		go func() {
-			defer close(a.done)
-			a.info, a.err = c.call(p, inner)
-		}()
-		return nil, nil
-	}
-	return c.call(p, o)
-}
-
-// call is the single synchronous code path behind every submission variant.
-func (c *Client) call(p *Profile, o callOptions) (*CallInfo, error) {
 	// The work hint rides the profile to the SeD for the CoRI monitor. Set
 	// unconditionally: a call without WithWork must ship 0 (unknown), not a
 	// stale hint from an earlier call reusing this profile, or the monitor
@@ -322,12 +272,8 @@ func (c *Client) call(p *Profile, o callOptions) (*CallInfo, error) {
 		var err error
 		reply, finding, err = c.submit(p.Service, o.workGFlops, seq, requestID, inputDataIDs(p))
 		if err != nil {
-			return nil, fmt.Errorf("diet: submission of %q failed: %w", p.Service, err)
+			return nil, err
 		}
-	}
-	if o.findOnly != nil {
-		o.findOnly.reply, o.findOnly.finding = reply, finding
-		return nil, nil
 	}
 	n := len(reply.Servers)
 	if n == 0 {
@@ -337,7 +283,7 @@ func (c *Client) call(p *Profile, o callOptions) (*CallInfo, error) {
 	for i := 0; i < n; i++ {
 		srv := reply.Servers[(i+o.rotate)%n]
 		attempt := time.Now()
-		info, err := c.solveOn(srv, p, seq, t0, finding, "server ")
+		info, err := c.solveOn(srv, p, seq, t0, finding)
 		if err != nil {
 			lastErr = err
 			// The kill-and-requeue of the live stack: the request's work on
@@ -356,14 +302,14 @@ func (c *Client) call(p *Profile, o callOptions) (*CallInfo, error) {
 	return nil, fmt.Errorf("diet: all %d servers failed for %q: %w", n, p.Service, lastErr)
 }
 
-// solveOn is the solve leg of every call, ranked or bound: ship p to one
+// solveOn is the solve leg of every call: ship p to one
 // server, merge the solved INOUT/OUT arguments back into p, publish the
 // complete span and record the call. The IN arguments stay the caller's own —
 // the server does not send them back, so an input passed by DataID is still a
 // reference afterwards. A reply that does not have exactly p's INOUT/OUT
 // arguments fails the attempt and leaves p untouched. t0 is when the call
-// began, finding what the MA round trip took of it (0 for a bound call).
-func (c *Client) solveOn(srv ServerRef, p *Profile, seq int, t0 time.Time, finding time.Duration, spanDetail string) (*CallInfo, error) {
+// began, finding what the MA round trip took of it (0 with WithServers).
+func (c *Client) solveOn(srv ServerRef, p *Profile, seq int, t0 time.Time, finding time.Duration) (*CallInfo, error) {
 	var solved SolveReply
 	if err := rpc.Call(srv.Addr, "sed:"+srv.Name, "Solve", p, &solved); err != nil {
 		return nil, err
@@ -378,7 +324,7 @@ func (c *Client) solveOn(srv ServerRef, p *Profile, seq int, t0 time.Time, findi
 	total := done.Sub(t0)
 	compute := time.Duration(solved.Timing.ComputeMS * float64(time.Millisecond))
 	publishSpan(c.cfg.Events, span(p.RequestID, "client:"+c.id, logsvc.KindComplete,
-		p.Service, spanDetail+srv.Name, t0, done))
+		p.Service, "server "+srv.Name, t0, done))
 	info := CallInfo{
 		Seq:       seq,
 		RequestID: p.RequestID,
@@ -472,12 +418,12 @@ func (a *AsyncCall) Wait() (*CallInfo, error) {
 
 // CallAsync launches Call in the background, the diet_call_async of the C
 // API. The profile must not be touched until Wait returns.
-//
-// Deprecated: CallAsync is a thin wrapper over Call with WithAsync; new
-// code should use that option directly.
 func (c *Client) CallAsync(p *Profile, opts ...CallOption) *AsyncCall {
-	var a *AsyncCall
-	c.Call(p, append(append([]CallOption(nil), opts...), WithAsync(&a))...)
+	a := &AsyncCall{done: make(chan struct{})}
+	go func() {
+		defer close(a.done)
+		a.info, a.err = c.Call(p, opts...)
+	}()
 	return a
 }
 

@@ -10,9 +10,9 @@ import (
 	"repro/internal/rpc"
 )
 
-// The unified submission API: Call is the single code path, Submit and
-// CallAsync are thin shims over it, and CallOptions swap behavior without
-// forking the retry/trace logic.
+// The client API: Call is the single code path, CallOptions swap behaviour
+// without forking the retry/trace logic, FindServers is the finding phase on
+// its own and CallAsync is Call on a goroutine.
 
 func newAPIDeployment(t *testing.T, ma string) *Deployment {
 	t.Helper()
@@ -34,27 +34,29 @@ func newAPIDeployment(t *testing.T, ma string) *Deployment {
 	})
 }
 
-func TestSubmitShimRanksServers(t *testing.T) {
-	d := newAPIDeployment(t, "MA-api-submit")
+func TestFindServersRanksWithoutSolving(t *testing.T) {
+	d := newAPIDeployment(t, "MA-api-find")
 	client, err := d.Client()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Finalize()
 
-	reply, finding, err := client.Submit("double", 1)
+	reply, finding, err := client.FindServers("double", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reply.Servers) != 2 {
-		t.Fatalf("Submit found %d servers, want 2", len(reply.Servers))
+		t.Fatalf("FindServers found %d servers, want 2", len(reply.Servers))
 	}
 	if finding <= 0 {
-		t.Error("Submit reported a non-positive finding time")
+		t.Error("FindServers reported a non-positive finding time")
 	}
-	// The shim must not solve anything — only find.
 	if n := len(client.History()); n != 0 {
-		t.Errorf("Submit recorded %d calls in history, want 0", n)
+		t.Errorf("FindServers recorded %d calls in history, want 0", n)
+	}
+	if _, _, err := client.FindServers("no-such-service", 1); err == nil {
+		t.Error("FindServers for a service nobody offers should fail")
 	}
 }
 
@@ -66,7 +68,7 @@ func TestCallWithServersRotation(t *testing.T) {
 	}
 	defer client.Finalize()
 
-	reply, _, err := client.Submit("double", 1)
+	reply, _, err := client.FindServers("double", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,47 @@ func TestCallWithServersRotation(t *testing.T) {
 	}
 }
 
-func TestCallWithAsyncAndShim(t *testing.T) {
+// A one-server list binds the call to that server, the GridRPC
+// grpc_function_handle_init: it lands there whatever the MA would rank, and
+// is recorded in the history like any other call.
+func TestBoundCallReachesNamedServer(t *testing.T) {
+	d := newAPIDeployment(t, "MA-api-bound")
+	client, err := d.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Finalize()
+
+	bound := &SubmitReply{Servers: []ServerRef{{Name: "SeD-b", Addr: d.SeDs[1].Addr()}}}
+	for i := 0; i < 3; i++ {
+		p, _ := NewProfile("double", 0, 0, 1)
+		p.SetScalarInt(0, int64(i), Volatile)
+		info, err := client.Call(p, WithServers(bound, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Server != "SeD-b" {
+			t.Fatalf("bound call used %q", info.Server)
+		}
+		if v, _ := p.ScalarInt(1); v != int64(2*i) {
+			t.Errorf("bound call %d result %d, want %d", i, v, 2*i)
+		}
+	}
+	hist := client.History()
+	if len(hist) != 3 {
+		t.Fatalf("history has %d calls, want the 3 bound calls", len(hist))
+	}
+	for _, h := range hist {
+		if h.Server != "SeD-b" || h.RequestID == "" {
+			t.Errorf("history entry %+v, want a traced call on SeD-b", h)
+		}
+	}
+}
+
+// CallAsync is Call on a goroutine (diet_call_async): options pass through,
+// the outcome lands on the handle, WaitAll collects a set and reports the
+// first error.
+func TestCallAsyncWaitAll(t *testing.T) {
 	d := newAPIDeployment(t, "MA-api-async")
 	client, err := d.Client()
 	if err != nil {
@@ -98,36 +140,41 @@ func TestCallWithAsyncAndShim(t *testing.T) {
 	}
 	defer client.Finalize()
 
-	// The option form: Call returns immediately, the outcome lands on the
-	// handle.
-	p1, _ := NewProfile("double", 0, 0, 1)
-	p1.SetScalarInt(0, 3, Volatile)
-	var h *AsyncCall
-	if info, err := client.Call(p1, WithAsync(&h)); info != nil || err != nil {
-		t.Fatalf("async Call returned (%v, %v), want (nil, nil)", info, err)
+	bound := &SubmitReply{Servers: []ServerRef{{Name: "SeD-a", Addr: d.SeDs[0].Addr()}}}
+	var calls []*AsyncCall
+	var profiles []*Profile
+	for i := 0; i < 4; i++ {
+		p, _ := NewProfile("double", 0, 0, 1)
+		p.SetScalarInt(0, int64(i), Volatile)
+		profiles = append(profiles, p)
+		if i == 0 {
+			calls = append(calls, client.CallAsync(p, WithServers(bound, 0)))
+		} else {
+			calls = append(calls, client.CallAsync(p))
+		}
 	}
-	if h == nil {
-		t.Fatal("WithAsync left the handle nil")
-	}
-	if _, err := h.Wait(); err != nil {
+	if err := WaitAll(calls); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := p1.ScalarInt(1); v != 6 {
-		t.Errorf("async result = %d, want 6", v)
+	for i, p := range profiles {
+		if v, _ := p.ScalarInt(1); v != int64(2*i) {
+			t.Errorf("async call %d result %d, want %d", i, v, 2*i)
+		}
+	}
+	if info, err := calls[0].Wait(); err != nil || info.Server != "SeD-a" {
+		t.Errorf("bound async call = %+v, %v, want it on SeD-a", info, err)
+	}
+	if n := len(client.History()); n != 4 {
+		t.Errorf("history has %d calls, want 4", n)
 	}
 
-	// The deprecated shim routes through the same path.
-	p2, _ := NewProfile("double", 0, 0, 1)
-	p2.SetScalarInt(0, 4, Volatile)
-	h2 := client.CallAsync(p2)
-	if _, err := h2.Wait(); err != nil {
-		t.Fatal(err)
+	wrong, _ := NewProfile("no-such-service", 0, 0, 1)
+	failing := client.CallAsync(wrong)
+	if info, err := failing.Wait(); err == nil || info != nil {
+		t.Errorf("async call of an unknown service = %+v, %v, want an error", info, err)
 	}
-	if v, _ := p2.ScalarInt(1); v != 8 {
-		t.Errorf("shim async result = %d, want 8", v)
-	}
-	if n := len(client.History()); n != 2 {
-		t.Errorf("history has %d calls, want 2", n)
+	if err := WaitAll(append(calls, failing)); err == nil {
+		t.Error("WaitAll swallowed the failed call's error")
 	}
 }
 

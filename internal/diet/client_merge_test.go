@@ -98,6 +98,7 @@ func TestCallRefusesAReplyOfAnotherShape(t *testing.T) {
 
 		p, _ := NewProfile("cat", 0, 0, 1)
 		p.SetFileBytes(0, "in.txt", []byte("x"), Volatile)
+		// A one-server list is a bound call: nothing to fail over to.
 		_, err = client.Call(p, WithServers(&SubmitReply{Servers: []ServerRef{liar}}, 0))
 		if err == nil || !strings.Contains(err.Error(), "INOUT/OUT arguments") {
 			t.Errorf("%s: call = %v, want the reply's shape refused", name, err)
@@ -112,9 +113,6 @@ func TestCallRefusesAReplyOfAnotherShape(t *testing.T) {
 		}
 		if out, _ := p.StringArg(1); out != "x" {
 			t.Errorf("%s: OUT argument after failover = %q", name, out)
-		}
-		if _, err := client.callOn(liar, p); err == nil {
-			t.Errorf("%s: a bound call accepted the reply", name)
 		}
 	}
 }

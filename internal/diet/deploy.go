@@ -12,15 +12,6 @@ import (
 	"repro/internal/scheduler"
 )
 
-// callOn ships a profile straight to one server, used by bound function
-// handles. The call skips the MA, so its trace has no submit or schedule
-// span — just the SeD-side spans plus the complete span emitted here.
-func (c *Client) callOn(srv ServerRef, p *Profile) (*CallInfo, error) {
-	seq := int(c.seq.Add(1))
-	p.RequestID = c.requestID(seq)
-	return c.solveOn(srv, p, seq, time.Now(), 0, "bound call, server ")
-}
-
 // SeDSpec describes one SeD of a deployment.
 type SeDSpec struct {
 	Name        string
@@ -30,8 +21,8 @@ type SeDSpec struct {
 	PowerGFlops float64
 	Services    []ServiceSpec
 	// Executor optionally routes this SeD's solves through a batch system
-	// (e.g. batch.Executor for fixed grants, batch.ForecastExecutor for
-	// forecast-sized reservations). Nil executes solves inline.
+	// (batch.ForecastExecutor: forecast-sized reservations, the policy's
+	// fixed grant while the monitor is cold). Nil executes solves inline.
 	Executor Executor
 }
 

@@ -6,62 +6,59 @@ import (
 
 	"repro/internal/cori"
 	"repro/internal/rpc"
-	"repro/internal/scheduler"
 )
 
-// sizedRecorder records what the SeD hands a SizedExecutor per solve.
-type sizedRecorder struct {
-	services []string
-	works    []float64
-	bound    *cori.Monitor
+// fakeAttempt is one scripted reservation attempt of a fakeExecutor.
+type fakeAttempt struct {
+	wait   time.Duration
+	killed bool
+	length time.Duration
 }
 
-func (r *sizedRecorder) Execute(run func() error) error { return run() }
-func (r *sizedRecorder) ExecuteSized(service string, workGFlops float64, run func() error) error {
-	r.services = append(r.services, service)
-	r.works = append(r.works, workGFlops)
-	return run()
-}
-func (r *sizedRecorder) BindMonitor(m *cori.Monitor) { r.bound = m }
+// fakeExecutor is the one test double of the Executor contract: it records
+// what the SeD hands it per solve, replays a scripted attempt lifecycle into
+// the callback (without the timing sensitivity of a real enforced walltime),
+// runs the body and reports a scripted reservation wait.
+type fakeExecutor struct {
+	reportWait time.Duration
+	attempts   []fakeAttempt
 
-// TestSeDRoutesSolvesThroughSizedExecutor checks the forecast-sized
-// reservation plumbing: the SeD hands the executor the service name and the
-// client's work estimate, and binds its own CoRI monitor so walltime sizing
-// reads the same history the estimates do.
-func TestSeDRoutesSolvesThroughSizedExecutor(t *testing.T) {
+	services   []string
+	works      []float64
+	monitors   []*cori.Monitor
+	nilAttempt []bool // whether the SeD passed a nil attempt callback
+}
+
+func (f *fakeExecutor) Execute(service string, workGFlops float64, monitor *cori.Monitor, run func() error,
+	attempt func(n int, wait time.Duration, killed bool, start, end time.Time)) (time.Duration, error) {
+	f.services = append(f.services, service)
+	f.works = append(f.works, workGFlops)
+	f.monitors = append(f.monitors, monitor)
+	f.nilAttempt = append(f.nilAttempt, attempt == nil)
+	if attempt != nil {
+		start := time.Now()
+		for i, a := range f.attempts {
+			attempt(i+1, a.wait, a.killed, start, start.Add(a.length))
+			start = start.Add(a.length)
+		}
+	}
+	return f.reportWait, run()
+}
+
+// TestSeDRoutesSolvesThroughExecutor checks the forecast-sized reservation
+// plumbing: the SeD hands the executor the service name, the client's work
+// estimate and its own CoRI monitor — so walltime sizing reads the same
+// history the estimates do — and, with neither an event sink nor a metrics
+// registry to consume it, no attempt callback at all.
+func TestSeDRoutesSolvesThroughExecutor(t *testing.T) {
 	rpc.ResetLocal()
 	defer rpc.ResetLocal()
 
-	rec := &sizedRecorder{}
-	spec := DeploymentSpec{
-		MAName: "MA1",
-		Policy: scheduler.NewRoundRobin(),
-		LAs:    []string{"LA1"},
-		Local:  true,
-	}
-	desc, _ := NewProfileDesc("echo", 0, 0, 1)
-	desc.Set(0, Scalar, Int)
-	desc.Set(1, Scalar, Int)
-	svc := ServiceSpec{Desc: desc, Solve: func(p *Profile) error {
-		v, err := p.ScalarInt(0)
-		if err != nil {
-			return err
-		}
-		return p.SetScalarInt(1, v+1, Volatile)
-	}}
-	spec.SeDs = []SeDSpec{{
+	rec := &fakeExecutor{}
+	d := echoDeployment(t, nil, nil, []string{"LA1"}, []SeDSpec{{
 		Name: "SeD1", Parent: "LA1", Capacity: 1, PowerGFlops: 50,
-		Services: []ServiceSpec{svc}, Executor: rec,
-	}}
-	d, err := Deploy(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	if rec.bound == nil || rec.bound != d.SeDs[0].Monitor() {
-		t.Fatal("deploy must bind the SeD's monitor to the sized executor")
-	}
+		Services: []ServiceSpec{echoService()}, Executor: rec,
+	}})
 
 	client, err := d.Client()
 	if err != nil {
@@ -78,53 +75,31 @@ func TestSeDRoutesSolvesThroughSizedExecutor(t *testing.T) {
 	if len(rec.services) != 1 || rec.services[0] != "echo" {
 		t.Fatalf("executor saw services %v, want [echo]", rec.services)
 	}
-	if len(rec.works) != 1 || rec.works[0] != 1234 {
+	if rec.works[0] != 1234 {
 		t.Fatalf("executor saw work %v, want the client's 1234 GFlop estimate", rec.works)
+	}
+	if rec.monitors[0] == nil || rec.monitors[0] != d.SeDs[0].Monitor() {
+		t.Fatal("the SeD must hand the executor its own monitor")
+	}
+	if !rec.nilAttempt[0] {
+		t.Fatal("attempt callback built though nothing consumes it")
 	}
 }
 
-// waitReporter is a WaitReportingExecutor that claims every reservation
-// waited a fixed, large time in the batch queue.
-type waitReporter struct {
-	sizedRecorder
-	reportWait time.Duration
-}
-
-func (r *waitReporter) ExecuteSizedWait(service string, workGFlops float64, run func() error) (time.Duration, error) {
-	return r.reportWait, r.ExecuteSized(service, workGFlops, run)
-}
-
 // TestSeDFeedsReportedBatchWaitToMonitor checks the queue-wait plumbing
-// behind the wait-on-depth regression: when the executor measures its batch
-// queue wait, the CoRI sample's Wait carries that measurement — backfilled
-// reservations train the regression with the waits they actually saw — not
-// just the wall-clock gap inside the SeD.
+// behind the wait-on-depth regression: the CoRI sample's Wait carries the
+// reservation wait the executor reports — backfilled reservations train the
+// regression with the waits they actually saw — not just the wall-clock gap
+// inside the SeD.
 func TestSeDFeedsReportedBatchWaitToMonitor(t *testing.T) {
 	rpc.ResetLocal()
 	defer rpc.ResetLocal()
 
-	rec := &waitReporter{reportWait: 5 * time.Second}
-	spec := DeploymentSpec{
-		MAName: "MA1",
-		Policy: scheduler.NewRoundRobin(),
-		LAs:    []string{"LA1"},
-		Local:  true,
-	}
-	desc, _ := NewProfileDesc("echo", 0, 0, 1)
-	desc.Set(0, Scalar, Int)
-	desc.Set(1, Scalar, Int)
-	svc := ServiceSpec{Desc: desc, Solve: func(p *Profile) error {
-		return p.SetScalarInt(1, 1, Volatile)
-	}}
-	spec.SeDs = []SeDSpec{{
+	rec := &fakeExecutor{reportWait: 5 * time.Second}
+	d := echoDeployment(t, nil, nil, []string{"LA1"}, []SeDSpec{{
 		Name: "SeD1", Parent: "LA1", Capacity: 1, PowerGFlops: 50,
-		Services: []ServiceSpec{svc}, Executor: rec,
-	}}
-	d, err := Deploy(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
+		Services: []ServiceSpec{echoService()}, Executor: rec,
+	}})
 
 	client, err := d.Client()
 	if err != nil {
@@ -144,7 +119,7 @@ func TestSeDFeedsReportedBatchWaitToMonitor(t *testing.T) {
 		if len(svc.Samples) != 1 {
 			t.Fatalf("one observed sample expected, got %d", len(svc.Samples))
 		}
-		// The solve itself is instantaneous; the sample's wait must be
+		// The solve itself takes a millisecond; the sample's wait must be
 		// dominated by the executor's reported 5 s reservation wait.
 		if w := svc.Samples[0].Wait; w < rec.reportWait || w > rec.reportWait+time.Second {
 			t.Fatalf("sample wait %v, want ≈ the reported %v batch wait", w, rec.reportWait)

@@ -113,7 +113,7 @@ func newSedMetrics(reg *metrics.Registry, sed string) *sedMetrics {
 		completed: reg.NewCounter("diet_sed_solves_completed_total",
 			"solves finished successfully", "sed", "service"),
 		failed: reg.NewCounter("diet_sed_solves_failed_total",
-			"solves that returned an error", "sed", "service"),
+			"admitted solves that returned an error or were still queued when the SeD stopped", "sed", "service"),
 		queueWait: reg.NewHistogram("diet_sed_queue_wait_seconds",
 			"observed wait between admission and compute start (FIFO + batch reservation)",
 			nil, "sed", "service"),

@@ -230,28 +230,6 @@ func TestSeDMetricsExposition(t *testing.T) {
 	}
 }
 
-// fakeTracingExecutor scripts a batch executor's attempt lifecycle: one
-// attempt killed at its walltime, then a successful requeue — without the
-// timing sensitivity of a real enforced walltime.
-type fakeTracingExecutor struct{}
-
-func (fakeTracingExecutor) Execute(run func() error) error { return run() }
-func (fakeTracingExecutor) ExecuteSized(service string, work float64, run func() error) error {
-	return run()
-}
-func (fakeTracingExecutor) ExecuteSizedWait(service string, work float64, run func() error) (time.Duration, error) {
-	return 0, run()
-}
-func (fakeTracingExecutor) ExecuteSizedTrace(service string, work float64, run func() error,
-	trace func(attempt int, wait time.Duration, killed bool, start, end time.Time)) (time.Duration, error) {
-	t0 := time.Now()
-	if trace != nil {
-		trace(1, 10*time.Millisecond, true, t0, t0.Add(30*time.Millisecond))
-		trace(2, 5*time.Millisecond, false, t0.Add(30*time.Millisecond), t0.Add(60*time.Millisecond))
-	}
-	return 15 * time.Millisecond, run()
-}
-
 // TestBatchAttemptSpans checks the kill-and-requeue leg of the trace: each
 // reservation attempt becomes a reserve span and each walltime kill an
 // overrun_kill span, all under the request's ID, with the batch counters fed.
@@ -262,7 +240,12 @@ func TestBatchAttemptSpans(t *testing.T) {
 	reg := metrics.NewRegistry()
 	d := echoDeployment(t, bus, reg, []string{"LA1"}, []SeDSpec{{
 		Name: "SeD1", Parent: "LA1", Capacity: 1, PowerGFlops: 50,
-		Services: []ServiceSpec{echoService()}, Executor: fakeTracingExecutor{},
+		Services: []ServiceSpec{echoService()},
+		// One attempt killed at its walltime, then a successful requeue.
+		Executor: &fakeExecutor{reportWait: 15 * time.Millisecond, attempts: []fakeAttempt{
+			{wait: 10 * time.Millisecond, killed: true, length: 30 * time.Millisecond},
+			{wait: 5 * time.Millisecond, length: 30 * time.Millisecond},
+		}},
 	}})
 
 	client, err := d.Client()

@@ -21,57 +21,33 @@ import (
 // solve_serviceName functions.
 type SolveFunc func(p *Profile) error
 
-// Executor runs a solve body. The default executes inline; the batch package
-// provides an Executor that routes solves through an OAR-style reservation,
-// the "batch submission manager" of the paper's conclusion.
+// Executor runs a solve body on behalf of a SeD — inline by default, through
+// an OAR-style reservation for batch.ForecastExecutor, the "batch submission
+// manager" of the paper's conclusion. The SeD hands it the service name and
+// the client's work estimate, its own CoRI monitor (so a reservation is sized
+// from the same solve history the estimates are built from), the body, and a
+// per-attempt callback — nil when nothing would consume it — to be invoked
+// after each reservation attempt with its number, the batch-queue wait it
+// paid, whether it was killed at its walltime, and its submit and end stamps.
+// Execute returns the reservation wait it imposed (submit→start, summed over
+// attempts; 0 when the body runs inline): the SeD adds it to its own FIFO
+// wait, so the CoRI wait-on-depth regression trains on the wait the batch
+// scheduler really imposed — shortened when the reservation was backfilled,
+// and excluding the compute a killed attempt threw away. The signature names
+// only builtin, time and cori types, so batch implements it without importing
+// diet.
 type Executor interface {
-	Execute(run func() error) error
-}
-
-// SizedExecutor is an Executor that sizes its reservation from the solve's
-// service name and work estimate — batch.ForecastExecutor implements it to
-// derive each walltime from the SeD's CoRI forecast instead of a fixed
-// grant. SeDs probe for it and fall back to plain Execute.
-type SizedExecutor interface {
-	Executor
-	ExecuteSized(service string, workGFlops float64, run func() error) error
-}
-
-// WaitReportingExecutor is a SizedExecutor that also measures how long the
-// solve's reservation waited in the batch queue (submit→start, summed over
-// attempts). SeDs probe for it so the wait they feed the CoRI wait-on-depth
-// regression is the queue wait the batch scheduler actually imposed —
-// shortened when the reservation was backfilled, and excluding the compute
-// a killed attempt threw away — rather than the raw wall-clock gap between
-// admission and compute start. batch.ForecastExecutor implements it.
-type WaitReportingExecutor interface {
-	SizedExecutor
-	ExecuteSizedWait(service string, workGFlops float64, run func() error) (time.Duration, error)
-}
-
-// TracingExecutor is a WaitReportingExecutor that also reports the lifecycle
-// of every reservation attempt — submit stamp, measured batch-queue wait,
-// whether the attempt was killed at its walltime, and when it ended. SeDs
-// probe for it so each attempt becomes a reserve span (and each kill an
-// overrun_kill span) in the request's trace. The callback type is a plain
-// func so batch can implement the contract without importing diet.
-type TracingExecutor interface {
-	WaitReportingExecutor
-	ExecuteSizedTrace(service string, workGFlops float64, run func() error,
-		trace func(attempt int, wait time.Duration, killed bool, start, end time.Time)) (time.Duration, error)
-}
-
-// MonitorBinder is an Executor that wants the SeD's CoRI monitor — NewSeD
-// probes for it and hands its monitor over, so walltime sizing reads the
-// same solve history the SeD's estimates are built from.
-type MonitorBinder interface {
-	BindMonitor(*cori.Monitor)
+	Execute(service string, workGFlops float64, monitor *cori.Monitor, run func() error,
+		attempt func(n int, wait time.Duration, killed bool, start, end time.Time)) (time.Duration, error)
 }
 
 // directExecutor runs the solve in the calling goroutine.
 type directExecutor struct{}
 
-func (directExecutor) Execute(run func() error) error { return run() }
+func (directExecutor) Execute(_ string, _ float64, _ *cori.Monitor, run func() error,
+	_ func(int, time.Duration, bool, time.Time, time.Time)) (time.Duration, error) {
+	return 0, run()
+}
 
 // SeDConfig configures a Server Daemon.
 type SeDConfig struct {
@@ -238,9 +214,6 @@ func NewSeD(cfg SeDConfig) (*SeD, error) {
 	}
 	for i := 0; i < cfg.Capacity; i++ {
 		s.slots <- struct{}{}
-	}
-	if b, ok := cfg.Executor.(MonitorBinder); ok {
-		b.BindMonitor(s.monitor)
 	}
 	return s, nil
 }
@@ -582,8 +555,9 @@ func (s *SeD) predictTransfer(from string, sizeMB float64) float64 {
 	return sizeMB / mbps
 }
 
-// Solve queues the profile, waits for a slot, runs the solve function and
-// returns the filled INOUT and OUT arguments (also left in p).
+// Solve admits the profile to the FIFO, runs the solve function through the
+// executor once a slot is granted, records the outcome and returns the filled
+// INOUT and OUT arguments (also left in p).
 func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 	s.mu.Lock()
 	entry, ok := s.services[p.Service]
@@ -602,48 +576,11 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 	// The completed solve is judged against this prediction (SolveRecord),
 	// which is how MispredictPct accounting works on the live stack.
 	predS, predByModel := s.predictSolve(p.Service, p.WorkGFlops)
-	job := &sedJob{grant: make(chan struct{})}
-	s.statMu.Lock()
-	depthAtAdmission := s.queued + s.running
-	s.queued++
-	s.pending[p.Service]++
-	s.statMu.Unlock()
-	if s.metrics != nil {
-		s.metrics.started.With(s.cfg.Name, p.Service).Inc()
-		s.metrics.queueDepth.With(s.cfg.Name).Set(float64(depthAtAdmission + 1))
-	}
-	select {
-	case s.jobs <- job:
-	default:
-		s.statMu.Lock()
-		s.queued--
-		s.pending[p.Service]--
-		s.statMu.Unlock()
-		return nil, fmt.Errorf("diet: SeD %s queue full", s.cfg.Name)
-	}
-	select {
-	case <-job.grant:
-	case <-s.stop:
-		// The SeD died under this queued solve. Failing the call (instead of
-		// waiting for a grant that will never come) is what lets the client
-		// kill-and-requeue the work on the next ranked server.
-		select {
-		case <-job.grant:
-			// Granted in the same instant the SeD stopped: run this last solve.
-		default:
-			s.statMu.Lock()
-			s.queued--
-			s.pending[p.Service]--
-			s.statMu.Unlock()
-			return nil, fmt.Errorf("diet: SeD %s stopped before solving %q", s.cfg.Name, p.Service)
-		}
+	depthAtAdmission, err := s.admit(p.Service)
+	if err != nil {
+		return nil, err
 	}
 	granted := time.Now()
-
-	s.statMu.Lock()
-	s.queued--
-	s.running++
-	s.statMu.Unlock()
 	if p.RequestID != "" {
 		// The FIFO wait: admission to slot grant. Batch reservation wait, if
 		// any, appears as reserve spans inside the executor below.
@@ -658,60 +595,27 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 	// Sample contract is "compute time, excluding queue wait"). The executor
 	// serialises body invocations, so on requeue the last run's stamps win.
 	var solveStart, solveEnd time.Time
-	body := func() error {
+	batchWait, err := s.cfg.Executor.Execute(p.Service, p.WorkGFlops, s.monitor, func() error {
 		solveStart = time.Now()
 		err := entry.solve(p)
 		solveEnd = time.Now()
 		return err
-	}
-	var err error
-	var batchWait time.Duration
-	var batchWaitMeasured bool
-	switch ex := s.cfg.Executor.(type) {
-	case TracingExecutor:
-		// Like WaitReportingExecutor below, plus a per-attempt callback that
-		// turns each reservation into a reserve span and each walltime kill
-		// into an overrun_kill span carrying the wasted compute.
-		batchWait, err = ex.ExecuteSizedTrace(p.Service, p.WorkGFlops, body, s.attemptTrace(p))
-		batchWaitMeasured = true
-	case WaitReportingExecutor:
-		// Forecast-sized reservations with measured queue wait: the batch
-		// scheduler reports how long the reservation really waited (a
-		// backfilled job reports its shortened wait), so the wait sample
-		// below reflects backfill behaviour instead of wall-clock gaps.
-		batchWait, err = ex.ExecuteSizedWait(p.Service, p.WorkGFlops, body)
-		batchWaitMeasured = true
-	case SizedExecutor:
-		// Forecast-sized reservations: the executor sees which service and
-		// how much work, so it can derive the walltime from the CoRI model.
-		err = ex.ExecuteSized(p.Service, p.WorkGFlops, body)
-	default:
-		err = s.cfg.Executor.Execute(body)
-	}
-
+	}, s.attemptTrace(p))
 	end := time.Now()
 	var compute time.Duration
 	if err == nil && !solveStart.IsZero() {
 		compute = solveEnd.Sub(solveStart)
 	}
 	s.statMu.Lock()
-	s.running--
-	s.pending[p.Service]--
-	if s.pending[p.Service] <= 0 {
-		delete(s.pending, p.Service)
-	}
 	if compute > 0 {
 		s.lastSolveS = compute.Seconds()
 		s.busySecs += compute.Seconds()
 	}
 	s.solved++
-	depthNow := s.queued + s.running
 	s.statMu.Unlock()
+	s.shift(p.Service, 0, -1)
 	s.slots <- struct{}{} // release the slot
 	publish(s.cfg.Events, "SeD:"+s.cfg.Name, "solve_end", p.Service)
-	if s.metrics != nil {
-		s.metrics.queueDepth.With(s.cfg.Name).Set(float64(depthNow))
-	}
 
 	if err != nil {
 		if s.metrics != nil {
@@ -725,17 +629,11 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 	}
 	// Feed the CoRI monitor so the next Estimate carries a fitted forecast.
 	// Failed solves are excluded: their durations do not predict service time.
-	// The observed wait (everything between admission and compute start,
-	// clamped positive so it reads as known) trains the wait-on-depth
-	// regression behind Model.WaitAtDepth. When the executor measures its
-	// reservation wait, the batch component is that measurement — the SeD
-	// FIFO wait plus the queue wait the batch scheduler actually imposed,
-	// which credits backfill and excludes killed attempts' wasted compute —
-	// so Estimate's drain forecast learns real backfill behaviour.
-	wait := solveStart.Sub(enq)
-	if batchWaitMeasured {
-		wait = granted.Sub(enq) + batchWait
-	}
+	// The observed wait — this SeD's FIFO wait plus the reservation wait the
+	// executor reported, clamped positive so it reads as known — trains the
+	// wait-on-depth regression behind Model.WaitAtDepth, so Estimate's drain
+	// forecast learns real backfill behaviour.
+	wait := granted.Sub(enq) + batchWait
 	if wait <= 0 {
 		wait = time.Microsecond
 	}
@@ -768,6 +666,66 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 	}, nil
 }
 
+// admit puts one solve of the service in the FIFO and blocks until the
+// dispatcher grants it a slot, returning the depth (queued + running) it
+// found on arrival. A full queue refuses the solve before it is counted; a
+// SeD that stops under a queued solve takes it back out and counts it failed.
+func (s *SeD) admit(service string) (int, error) {
+	job := &sedJob{grant: make(chan struct{})}
+	select {
+	case s.jobs <- job:
+	default:
+		return 0, fmt.Errorf("diet: SeD %s queue full", s.cfg.Name)
+	}
+	depth := s.shift(service, +1, 0)
+	if s.metrics != nil {
+		s.metrics.started.With(s.cfg.Name, service).Inc()
+	}
+	select {
+	case <-job.grant:
+	case <-s.stop:
+		// The SeD died under this queued solve. Failing the call (instead of
+		// waiting for a grant that will never come) is what lets the client
+		// kill-and-requeue the work on the next ranked server.
+		select {
+		case <-job.grant:
+			// Granted in the same instant the SeD stopped: run this last solve.
+		default:
+			s.shift(service, -1, 0)
+			if s.metrics != nil {
+				s.metrics.failed.With(s.cfg.Name, service).Inc()
+			}
+			return 0, fmt.Errorf("diet: SeD %s stopped before solving %q", s.cfg.Name, service)
+		}
+	}
+	s.shift(service, -1, +1)
+	return depth, nil
+}
+
+// shift is the only writer of queued, running and pending: a solve enters the
+// FIFO (+1, 0), is granted a slot (-1, +1), or leaves — taken back out of the
+// queue (-1, 0) or done running (0, -1). The service's pending count follows
+// the net change and its key goes when the count reaches zero, so Estimate and
+// DrainEstimate never walk services with nothing outstanding. The queue-depth
+// gauge is set under the same lock, so it cannot lag the counters. Returns the
+// depth (queued + running) before the move.
+func (s *SeD) shift(service string, dQueued, dRunning int) int {
+	s.statMu.Lock()
+	defer s.statMu.Unlock()
+	depth := s.queued + s.running
+	s.queued += dQueued
+	s.running += dRunning
+	if n := s.pending[service] + dQueued + dRunning; n > 0 {
+		s.pending[service] = n
+	} else {
+		delete(s.pending, service)
+	}
+	if s.metrics != nil {
+		s.metrics.queueDepth.With(s.cfg.Name).Set(float64(s.queued + s.running))
+	}
+	return depth
+}
+
 // predictSolve mirrors the simulator's prediction (sedState.predict): the
 // CoRI model forecast when the model is trusted, else the advertised-power
 // estimate work/power. The bool reports which path produced the prediction.
@@ -786,8 +744,8 @@ func (s *SeD) predictSolve(service string, work float64) (float64, bool) {
 	return work / power, false
 }
 
-// attemptTrace builds the per-attempt callback a TracingExecutor invokes:
-// every reservation attempt becomes a reserve span (submit to start, the
+// attemptTrace builds the per-attempt callback handed to the executor: every
+// reservation attempt becomes a reserve span (submit to start, the
 // batch-queue wait) and every walltime kill an overrun_kill span covering
 // the compute the kill threw away. Returns nil when nothing would consume
 // the trace, so the executor skips the bookkeeping entirely.

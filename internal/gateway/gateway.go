@@ -244,7 +244,7 @@ func (g *Gateway) findServers(idx int, service string, work float64) (reply *die
 	if g.metrics != nil {
 		g.metrics.maSubmitted.With(g.cfg.MAs[idx]).Inc()
 	}
-	f.reply, _, f.err = g.clients[idx].Submit(service, work)
+	f.reply, _, f.err = g.clients[idx].FindServers(service, work)
 	if f.err != nil {
 		g.perMA[idx].failed.Add(1)
 	}
