@@ -2,6 +2,7 @@ package diet
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -505,10 +506,13 @@ func TestChaosRejectedSolvesLeaveCountersBalanced(t *testing.T) {
 
 	t.Run("queue full", func(t *testing.T) {
 		s := newSeD("SeD-full")
-		// A one-place FIFO, taken: set before the dispatcher exists, so the
-		// next solve finds it full for certain.
-		s.jobs = make(chan *sedJob, 1)
-		s.jobs <- &sedJob{grant: make(chan struct{})}
+		// The FIFO filled to its bound by hand, so the next solve finds it
+		// full for certain.
+		s.statMu.Lock()
+		for held := make(chan struct{}); s.waiting.len() < sedQueueCap; {
+			s.waiting.push(held)
+		}
+		s.statMu.Unlock()
 		_, err := s.Solve(request())
 		if err == nil || !strings.Contains(err.Error(), "queue full") {
 			t.Fatalf("solve on a full queue = %v, want it refused", err)
@@ -518,7 +522,6 @@ func TestChaosRejectedSolvesLeaveCountersBalanced(t *testing.T) {
 
 	t.Run("stopped while queued", func(t *testing.T) {
 		s := newSeD("SeD-stop")
-		go s.dispatch()
 		errs := make(chan error, 2)
 		go func() { _, err := s.Solve(request()); errs <- err }()
 		waitFor(t, func() bool { return s.Stats().Running == 1 })
@@ -534,4 +537,335 @@ func TestChaosRejectedSolvesLeaveCountersBalanced(t *testing.T) {
 		}
 		sedBalance(t, s, "work", 2, 1, 1)
 	})
+}
+
+// gatedSeD is a SeD whose "work" solves announce their input on started, then
+// hold their slot until the gate of that input closes — so a test frees
+// exactly one slot at a time and sees which queued solve it went to.
+type gatedSeD struct {
+	s       *SeD
+	started chan int64
+	gates   []chan struct{}
+	errs    chan error
+	arrived int // solves submitted
+	settled int // solves whose error was collected
+	running atomic.Int64
+	peak    atomic.Int64
+}
+
+func newGatedSeD(t *testing.T, name string, capacity, solves int) *gatedSeD {
+	t.Helper()
+	s, err := NewSeD(SeDConfig{Name: name, Capacity: capacity, Metrics: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &gatedSeD{s: s, started: make(chan int64, solves), errs: make(chan error, solves)}
+	for i := 0; i < solves; i++ {
+		g.gates = append(g.gates, make(chan struct{}))
+	}
+	desc, _ := NewProfileDesc("work", 0, 0, 1)
+	desc.Set(0, Scalar, Int)
+	desc.Set(1, Scalar, Int)
+	if err := s.AddService(desc, func(p *Profile) error {
+		id, err := p.ScalarInt(0)
+		if err != nil {
+			return err
+		}
+		n := g.running.Add(1)
+		for peak := g.peak.Load(); n > peak && !g.peak.CompareAndSwap(peak, n); peak = g.peak.Load() {
+		}
+		g.started <- id
+		<-g.gates[id]
+		g.running.Add(-1)
+		return p.SetScalarInt(1, id, Volatile)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return g
+}
+
+// solve submits the next solve and returns once the SeD has admitted it —
+// running or queued — so submissions arrive in the order they are made.
+func (g *gatedSeD) solve(t *testing.T) {
+	t.Helper()
+	id := g.arrived
+	g.arrived++
+	go func() {
+		p, _ := NewProfile("work", 0, 0, 1)
+		p.SetScalarInt(0, int64(id), Volatile)
+		_, err := g.s.Solve(p)
+		g.errs <- err
+	}()
+	started := g.s.metrics.started.With(g.s.cfg.Name, "work")
+	waitFor(t, func() bool { return started.Value() == float64(g.arrived) })
+}
+
+// next is the input of the next solve to be granted a slot.
+func (g *gatedSeD) next(t *testing.T) int64 {
+	t.Helper()
+	select {
+	case id := <-g.started:
+		return id
+	case <-time.After(5 * time.Second):
+		t.Fatal("no queued solve was granted a slot within 5s")
+		return -1
+	}
+}
+
+// nextSet is the inputs of the next n solves granted, in ascending order.
+func (g *gatedSeD) nextSet(t *testing.T, n int) []int64 {
+	t.Helper()
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = g.next(t)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// queued is the length of the SeD's FIFO, read under the lock that pops it.
+func (g *gatedSeD) queued() int {
+	g.s.statMu.Lock()
+	defer g.s.statMu.Unlock()
+	return g.s.waiting.len()
+}
+
+// settle is the error of the next solve to return.
+func (g *gatedSeD) settle() error {
+	g.settled++
+	return <-g.errs
+}
+
+// finish closes every gate not yet closed and collects the errors of the
+// solves still out.
+func (g *gatedSeD) finish(t *testing.T, closed int) []error {
+	t.Helper()
+	for _, gate := range g.gates[closed:g.arrived] {
+		close(gate)
+	}
+	var errs []error
+	for g.settled < g.arrived {
+		errs = append(errs, g.settle())
+	}
+	return errs
+}
+
+// idRange is from, from+1, …, to-1.
+func idRange(from, to int) []int64 {
+	var ids []int64
+	for i := from; i < to; i++ {
+		ids = append(ids, int64(i))
+	}
+	return ids
+}
+
+// TestChaosAdmissionFIFO pins the SeD's admission contract at capacities 1, 2
+// and 4: solves are granted slots strictly in arrival order and never more
+// than Capacity run at once; while a Reparent drains, freed slots go to the
+// drain and a solve queued meanwhile is granted only when the drain ends —
+// first, ahead of later arrivals; and Close under queued solves refuses them
+// with the counters balanced.
+func TestChaosAdmissionFIFO(t *testing.T) {
+	const extra = 5 // solves queued behind the ones holding every slot
+	for _, capacity := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("capacity %d", capacity), func(t *testing.T) {
+			t.Run("arrival order", func(t *testing.T) {
+				n := capacity + extra
+				g := newGatedSeD(t, fmt.Sprintf("SeD-order-%d", capacity), capacity, n)
+				for i := 0; i < n; i++ {
+					g.solve(t)
+				}
+				if got := g.nextSet(t, capacity); !slices.Equal(got, idRange(0, capacity)) {
+					t.Fatalf("first grants %v, want the first %d arrivals", got, capacity)
+				}
+				if st := g.s.Stats(); st.Running != capacity || st.Queued != extra {
+					t.Fatalf("running %d queued %d, want %d and %d", st.Running, st.Queued, capacity, extra)
+				}
+				// Free one slot at a time: each goes to the oldest queued solve.
+				for k := 0; k < extra; k++ {
+					close(g.gates[k])
+					if id := g.next(t); id != int64(capacity+k) {
+						t.Fatalf("freed slot %d granted to solve %d, want %d (arrival order)", k, id, capacity+k)
+					}
+				}
+				for _, err := range g.finish(t, extra) {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if peak := g.peak.Load(); peak > int64(capacity) {
+					t.Fatalf("%d solves ran at once on %d slots", peak, capacity)
+				}
+				sedBalance(t, g.s, "work", float64(n), float64(n), 0)
+			})
+
+			t.Run("drain", func(t *testing.T) {
+				rpc.ResetLocal()
+				t.Cleanup(rpc.ResetLocal)
+				parent := rpc.NewServer()
+				parent.Register("agent:LA-new", rpc.HandlerFunc(map[string]func([]byte) ([]byte, error){
+					"ChildRegister": func([]byte) ([]byte, error) { return rpc.Encode(ChildRegisterReply{OK: true}) },
+				}))
+				parentAddr, err := rpc.ServeLocal(fmt.Sprintf("agent-drain-%d", capacity), parent)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { parent.Close() })
+
+				n := 2*capacity + 1
+				g := newGatedSeD(t, fmt.Sprintf("SeD-drain-%d", capacity), capacity, n)
+				for i := 0; i < capacity; i++ {
+					g.solve(t)
+				}
+				g.nextSet(t, capacity)
+				reparented := make(chan error, 1)
+				go func() {
+					_, err := g.s.Reparent(ReparentRequest{Parent: "LA-new", ParentAddr: parentAddr})
+					reparented <- err
+				}()
+				waitFor(t, func() bool {
+					g.s.statMu.Lock()
+					defer g.s.statMu.Unlock()
+					return g.s.drainFull != nil
+				})
+				// capacity+1 solves queue behind the drain.
+				for i := 0; i <= capacity; i++ {
+					g.solve(t)
+				}
+				// Each freed slot goes to the drain, none to the queue, until
+				// the last one completes the drain.
+				for k := 0; k < capacity; k++ {
+					close(g.gates[k])
+					if err := g.settle(); err != nil {
+						t.Fatal(err)
+					}
+					if q := g.queued(); k < capacity-1 && q != capacity+1 {
+						t.Fatalf("a slot freed during the drain went to the queue: %d queued, want %d", q, capacity+1)
+					}
+				}
+				if err := <-reparented; err != nil {
+					t.Fatal(err)
+				}
+				if got := g.nextSet(t, capacity); !slices.Equal(got, idRange(capacity, 2*capacity)) {
+					t.Fatalf("after the drain granted %v, want the %d solves queued first", got, capacity)
+				}
+				if q := g.queued(); q != 1 {
+					t.Fatalf("%d solves still queued after the drain, want 1", q)
+				}
+				close(g.gates[capacity])
+				if id := g.next(t); id != int64(2*capacity) {
+					t.Fatalf("freed slot granted to solve %d, want %d", id, 2*capacity)
+				}
+				for _, err := range g.finish(t, capacity+1) {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := g.s.Parent(); got != "LA-new" {
+					t.Fatalf("parent = %q after the reparent, want LA-new", got)
+				}
+				sedBalance(t, g.s, "work", float64(n), float64(n), 0)
+			})
+
+			t.Run("close", func(t *testing.T) {
+				n := capacity + 2
+				g := newGatedSeD(t, fmt.Sprintf("SeD-close-%d", capacity), capacity, n+1)
+				for i := 0; i < n; i++ {
+					g.solve(t)
+				}
+				g.nextSet(t, capacity)
+				g.s.Close()
+				// The queued solves come back refused; then the running ones
+				// finish, and their freed slots grant nothing new.
+				for i := 0; i < 2; i++ {
+					if err := g.settle(); err == nil || !strings.Contains(err.Error(), "stopped before solving") {
+						t.Fatalf("queued solve on a closed SeD = %v, want it refused", err)
+					}
+				}
+				for _, gate := range g.gates[:capacity] {
+					close(gate)
+				}
+				for i := 0; i < capacity; i++ {
+					if err := g.settle(); err != nil {
+						t.Fatalf("running solve on a closed SeD = %v, want it to finish", err)
+					}
+				}
+				g.solve(t)
+				if err := g.settle(); err == nil || !strings.Contains(err.Error(), "stopped before solving") {
+					t.Fatalf("solve arriving at a closed SeD = %v, want it refused", err)
+				}
+				sedBalance(t, g.s, "work", float64(n+1), float64(capacity), 3)
+			})
+		})
+	}
+}
+
+// TestChaosConcurrentPersistentSolves runs two persistent solves on one SeD at
+// once: the fast one names and stores its datum while the slow one is still
+// computing and completes afterwards. Naming the datum reads the SeD's solve
+// count, which a completing solve writes; under -race this pins that the read
+// holds the lock the write does.
+func TestChaosConcurrentPersistentSolves(t *testing.T) {
+	desc, _ := NewProfileDesc("keep", 0, 0, 1)
+	desc.Set(0, Scalar, Int)
+	desc.Set(1, Scalar, Int)
+	rpc.ResetLocal()
+	t.Cleanup(rpc.ResetLocal)
+	s, err := NewSeD(SeDConfig{
+		Name: "SeD-keep", Capacity: 2, Local: true, Naming: startLocalNaming(t, "naming-keep"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.AddService(desc, func(p *Profile) error {
+		ms, err := p.ScalarInt(0)
+		if err != nil {
+			return err
+		}
+		// A sleep, not a channel: the slow solve must not synchronise with
+		// the fast one, or the race detector could not see the two overlap.
+		time.Sleep(time.Duration(ms) * time.Millisecond)
+		return p.SetScalarInt(1, ms, Persistent)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	solve := func(ms int64) (*SolveReply, error) {
+		p, _ := NewProfile("keep", 0, 0, 1)
+		p.SetScalarInt(0, ms, Volatile)
+		return s.Solve(p)
+	}
+	type result struct {
+		reply *SolveReply
+		err   error
+	}
+	slow := make(chan result, 1)
+	go func() {
+		reply, err := solve(200)
+		slow <- result{reply, err}
+	}()
+	waitFor(t, func() bool { return s.Stats().Running == 1 })
+	fast, err := solve(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nothing but this receive between the two: a Stats call here would order
+	// the fast solve's read before the slow solve's write.
+	r := <-slow
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	ids := []string{fast.Args[0].DataID, r.reply.Args[0].DataID}
+	if ids[0] == "" || ids[0] == ids[1] {
+		t.Fatalf("persistent data IDs %q, want two distinct", ids)
+	}
+	for _, id := range ids {
+		if _, ok := s.StoredData(id); !ok {
+			t.Fatalf("datum %q not stored on the SeD", id)
+		}
+	}
 }

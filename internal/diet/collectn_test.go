@@ -65,8 +65,8 @@ func TestCollectNPrefersIdleServers(t *testing.T) {
 	go d.SeDs[0].Solve(pBlock)
 	defer close(block)
 
-	// Wait until the SeD reports the running solve (a spin without sleeping
-	// can win the race against the dispatcher goroutine under load).
+	// Wait until the SeD reports the running solve (the solve goroutine may
+	// not have been scheduled yet).
 	deadline := time.Now().Add(5 * time.Second)
 	for d.SeDs[0].Estimate("double").Est.Running == 0 {
 		if time.Now().After(deadline) {

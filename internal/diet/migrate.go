@@ -86,42 +86,39 @@ var reparentDrainTimeout = 30 * time.Second
 var reparentRegisterTimeout = 10 * time.Second
 
 // Reparent drains the SeD and re-registers it under a new parent agent: the
-// SeD takes every capacity slot — so no solve is mid-execution and no queued
-// job can be granted while the parent switches — registers with the new
-// parent (carrying its cluster label, exactly like a fresh join), then
-// releases the slots. Queued and newly arriving solves keep accumulating
-// during the drain and are granted unchanged afterwards: no solve is lost,
-// dropped or re-run by a move. The CoRI monitor is untouched — it lives in
-// this process, so the model history travels with the SeD by construction.
+// SeD comes to hold every capacity slot — the free ones at once, each busy one
+// as its solve finishes — so no solve is mid-execution and none queued can be
+// granted while the parent switches. It registers with the new parent
+// (carrying its cluster label, exactly like a fresh join), then hands the
+// slots back, to the queued solves first in arrival order. Queued and newly
+// arriving solves keep accumulating during the drain and are granted
+// unchanged afterwards: no solve is lost, dropped or re-run by a move. The
+// CoRI monitor is untouched — it lives in this process, so the model history
+// travels with the SeD by construction.
 func (s *SeD) Reparent(req ReparentRequest) (ReparentReply, error) {
 	if req.Parent == "" || req.ParentAddr == "" {
 		return ReparentReply{}, fmt.Errorf("diet: SeD %s: reparent needs a parent name and address", s.cfg.Name)
 	}
-	// Pause the dispatcher for the duration of the drain: freed slots must
-	// come to us, not seed new solves that would stretch the drain past its
+	// While the drain runs, a finishing solve hands its slot to the drain,
+	// not to the next queued solve that would stretch the drain past its
 	// timeout on a busy SeD.
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
-	deadline := time.After(reparentDrainTimeout)
-	taken := 0
-	release := func() {
-		for i := 0; i < taken; i++ {
-			s.slots <- struct{}{}
-		}
+	full := make(chan struct{})
+	s.statMu.Lock()
+	s.drainFull, s.drained, s.free = full, s.free, 0
+	if s.drained == s.cfg.Capacity {
+		close(full)
 	}
-	for taken < s.cfg.Capacity {
-		select {
-		case <-s.slots:
-			taken++
-		case <-s.stop:
-			release()
-			return ReparentReply{}, fmt.Errorf("diet: SeD %s closed during reparent", s.cfg.Name)
-		case <-deadline:
-			release()
-			return ReparentReply{}, fmt.Errorf("diet: SeD %s: reparent timed out draining in-flight solves", s.cfg.Name)
-		}
+	s.statMu.Unlock()
+	defer s.endDrain()
+	select {
+	case <-full:
+	case <-s.stop:
+		return ReparentReply{}, fmt.Errorf("diet: SeD %s closed during reparent", s.cfg.Name)
+	case <-time.After(reparentDrainTimeout):
+		return ReparentReply{}, fmt.Errorf("diet: SeD %s: reparent timed out draining in-flight solves", s.cfg.Name)
 	}
-	defer release()
 
 	// Commit to the new parent *before* registering there: the SeD's Stats
 	// answer is what heartbeat sweeps trust, and once the new parent lists
@@ -185,6 +182,19 @@ func (s *SeD) Reparent(req ReparentRequest) (ReparentReply, error) {
 	}
 	publish(s.cfg.Events, "SeD:"+s.cfg.Name, "reparent", old+" -> "+req.Parent)
 	return ReparentReply{OK: true, Parent: req.Parent}, nil
+}
+
+// endDrain ends a Reparent's drain and hands back the slots it holds, to the
+// queued solves first in arrival order. Slots still out with running solves
+// come back through the normal release once those finish.
+func (s *SeD) endDrain() {
+	s.statMu.Lock()
+	defer s.statMu.Unlock()
+	held := s.drained
+	s.drainFull, s.drained = nil, 0
+	for ; held > 0; held-- {
+		s.releaseLocked()
+	}
 }
 
 // SetPower re-advertises the SeD's effective processing power — the

@@ -133,8 +133,8 @@ type serviceEntry struct {
 
 // SeD is a Server Daemon: it encapsulates a computational server, keeps the
 // list of problems it can solve, answers monitoring queries from its parent
-// agent, and executes solve requests through a FIFO queue of configurable
-// width (paper: "each server cannot compute more than one simulation at the
+// agent, and executes solve requests in arrival order on a configurable number
+// of slots (paper: "each server cannot compute more than one simulation at the
 // same time").
 type SeD struct {
 	cfg    SeDConfig
@@ -150,19 +150,24 @@ type SeD struct {
 	// served on the SeD's own rpc server so catalog replicas can land here.
 	dataNode *dataman.Store
 
-	jobs     chan *sedJob
-	slots    chan struct{}
 	stop     chan struct{}
 	stopOnce sync.Once
-	// drainMu arbitrates slot ownership between the dispatcher (reader) and
-	// a draining Reparent (writer): while a reparent drains, freed slots go
-	// to the drain exclusively instead of being raffled against new grants,
-	// so a busy SeD's drain completes in one solve duration, not unbounded.
-	drainMu sync.RWMutex
+	// drainMu serialises Reparent drains: one at a time holds the slots.
+	drainMu sync.Mutex
 
 	metrics *sedMetrics // nil unless cfg.Metrics is set
 
-	statMu     sync.Mutex
+	statMu sync.Mutex
+	// Admission state, all under statMu. free counts idle solve slots; a
+	// solve that finds one and nobody queued takes it in admit. Otherwise it
+	// waits in the FIFO until a finishing solve hands it its slot directly.
+	// While a Reparent drains (drainFull non-nil), freed slots go to the
+	// drain instead, counted in drained; drainFull closes when it holds
+	// every slot.
+	free       int
+	waiting    grantQueue
+	drainFull  chan struct{}
+	drained    int
 	queued     int
 	running    int
 	pending    map[string]int // accepted-but-unfinished solves, by service
@@ -180,8 +185,52 @@ type SeD struct {
 	parentFailovers int
 }
 
-type sedJob struct {
-	grant chan struct{}
+// sedQueueCap bounds the solves one SeD holds queued for a slot; the next
+// is refused with "queue full".
+const sedQueueCap = 16384
+
+// grantQueue is the SeD's FIFO of queued solves: one grant channel each,
+// oldest at items[head], closed when the solve is handed a slot. The backing
+// array grows only as far as the queue has been deep; a pop zeroes the slot
+// it leaves and a push reclaims the popped prefix before growing.
+type grantQueue struct {
+	items []chan struct{} // waiting solves are items[head:]
+	head  int
+}
+
+func (q *grantQueue) len() int { return len(q.items) - q.head }
+
+func (q *grantQueue) push(g chan struct{}) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, g)
+}
+
+func (q *grantQueue) pop() chan struct{} {
+	g := q.items[q.head]
+	q.items[q.head] = nil
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return g
+}
+
+// remove takes a still-queued grant out of the FIFO, keeping the others in
+// order; false means it was already popped (granted).
+func (q *grantQueue) remove(g chan struct{}) bool {
+	for i := q.head; i < len(q.items); i++ {
+		if q.items[i] == g {
+			copy(q.items[i:], q.items[i+1:])
+			q.items[len(q.items)-1] = nil
+			q.items = q.items[:len(q.items)-1]
+			return true
+		}
+	}
+	return false
 }
 
 // NewSeD creates a SeD; call AddService then Start.
@@ -204,16 +253,12 @@ func NewSeD(cfg SeDConfig) (*SeD, error) {
 		server:    rpc.NewServer(),
 		services:  make(map[string]serviceEntry),
 		dataStore: make(map[string][]byte),
-		jobs:      make(chan *sedJob, 16384),
-		slots:     make(chan struct{}, cfg.Capacity),
+		free:      cfg.Capacity,
 		stop:      make(chan struct{}),
 		pending:   make(map[string]int),
 		power:     cfg.PowerGFlops,
 		parent:    cfg.Parent,
 		metrics:   newSedMetrics(cfg.Metrics, cfg.Name),
-	}
-	for i := 0; i < cfg.Capacity; i++ {
-		s.slots <- struct{}{}
 	}
 	return s, nil
 }
@@ -252,9 +297,9 @@ func (s *SeD) Addr() string { return s.addr }
 // objectName is the rpc object identity of this SeD.
 func (s *SeD) objectName() string { return "sed:" + s.cfg.Name }
 
-// Start exposes the SeD (in-process or TCP), registers it with the naming
-// service and with its parent agent, and starts the FIFO dispatcher. It is
-// the moral equivalent of diet_SeD(), except it returns instead of blocking.
+// Start exposes the SeD (in-process or TCP) and registers it with the naming
+// service and with its parent agent. It is the moral equivalent of
+// diet_SeD(), except it returns instead of blocking.
 func (s *SeD) Start() error {
 	s.server.RegisterTyped(s.objectName(), s.typedMethods(), s.handler())
 	if s.cfg.Data != nil {
@@ -277,8 +322,6 @@ func (s *SeD) Start() error {
 			return fmt.Errorf("diet: SeD %s joining the data catalog: %w", s.cfg.Name, err)
 		}
 	}
-	go s.dispatch()
-
 	nc := &naming.Client{Addr: s.cfg.Naming}
 	if err := nc.Register(naming.Entry{Name: s.cfg.Name, Addr: s.addr, Kind: "SeD"}); err != nil {
 		return fmt.Errorf("diet: registering SeD %s: %w", s.cfg.Name, err)
@@ -390,33 +433,20 @@ func (s *SeD) ParentFailoverCount() int {
 	return s.parentFailovers
 }
 
-// Close stops serving. Queued requests fail with closed-connection errors.
-// Close is idempotent.
+// Close stops serving. Queued solves are refused ("stopped before solving");
+// running ones finish. Close is idempotent.
 func (s *SeD) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
 	return s.server.Close()
 }
 
-// dispatch grants queued jobs strictly in arrival order, one token per
-// concurrent slot — a true FIFO even under heavy concurrency. Slot
-// acquisition happens under drainMu's read side, so a draining Reparent
-// (write side) pauses new grants instead of racing them for freed slots.
-func (s *SeD) dispatch() {
-	for {
-		select {
-		case <-s.stop:
-			return
-		case j := <-s.jobs:
-			s.drainMu.RLock()
-			select {
-			case <-s.stop:
-				s.drainMu.RUnlock()
-				return
-			case <-s.slots:
-				close(j.grant)
-			}
-			s.drainMu.RUnlock()
-		}
+// stopped reports whether Close has been called.
+func (s *SeD) stopped() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -612,9 +642,10 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 		s.busySecs += compute.Seconds()
 	}
 	s.solved++
+	seq := s.solved
+	s.shiftLocked(p.Service, 0, -1)
+	s.releaseLocked()
 	s.statMu.Unlock()
-	s.shift(p.Service, 0, -1)
-	s.slots <- struct{}{} // release the slot
 	publish(s.cfg.Events, "SeD:"+s.cfg.Name, "solve_end", p.Service)
 
 	if err != nil {
@@ -654,7 +685,7 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 		PredictedS: predS, PredictedByModel: predByModel,
 		MeasuredS: compute.Seconds(), WaitS: wait.Seconds(), When: end,
 	})
-	s.storePersistent(p)
+	s.storePersistent(p, seq)
 	return &SolveReply{
 		Args: p.Args[p.LastIn+1:],
 		Timing: solveTiming{
@@ -666,32 +697,49 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 	}, nil
 }
 
-// admit puts one solve of the service in the FIFO and blocks until the
-// dispatcher grants it a slot, returning the depth (queued + running) it
-// found on arrival. A full queue refuses the solve before it is counted; a
-// SeD that stops under a queued solve takes it back out and counts it failed.
+// admit gives one solve of the service a slot, returning the depth (queued +
+// running) it found on arrival. A free slot with nobody queued is taken on
+// the spot; otherwise the solve joins the FIFO and blocks until a finishing
+// solve (or the end of a drain) hands it a slot, strictly in arrival order.
+// A full queue refuses the solve before it is counted; a SeD that stops under
+// a queued solve takes it back out and counts it failed.
 func (s *SeD) admit(service string) (int, error) {
-	job := &sedJob{grant: make(chan struct{})}
-	select {
-	case s.jobs <- job:
-	default:
+	s.statMu.Lock()
+	if s.waiting.len() >= sedQueueCap {
+		s.statMu.Unlock()
 		return 0, fmt.Errorf("diet: SeD %s queue full", s.cfg.Name)
 	}
-	depth := s.shift(service, +1, 0)
+	var depth int
+	var grant chan struct{}
+	if s.free > 0 && s.waiting.len() == 0 && !s.stopped() {
+		s.free--
+		depth = s.shiftLocked(service, 0, +1)
+	} else {
+		depth = s.shiftLocked(service, +1, 0)
+		grant = make(chan struct{})
+		s.waiting.push(grant)
+	}
+	s.statMu.Unlock()
 	if s.metrics != nil {
 		s.metrics.started.With(s.cfg.Name, service).Inc()
 	}
+	if grant == nil {
+		return depth, nil
+	}
 	select {
-	case <-job.grant:
+	case <-grant:
 	case <-s.stop:
 		// The SeD died under this queued solve. Failing the call (instead of
 		// waiting for a grant that will never come) is what lets the client
-		// kill-and-requeue the work on the next ranked server.
-		select {
-		case <-job.grant:
-			// Granted in the same instant the SeD stopped: run this last solve.
-		default:
-			s.shift(service, -1, 0)
+		// kill-and-requeue the work on the next ranked server. A solve granted
+		// in the same instant is no longer queued: it runs as the last one.
+		s.statMu.Lock()
+		dropped := s.waiting.remove(grant)
+		if dropped {
+			s.shiftLocked(service, -1, 0)
+		}
+		s.statMu.Unlock()
+		if dropped {
 			if s.metrics != nil {
 				s.metrics.failed.With(s.cfg.Name, service).Inc()
 			}
@@ -702,16 +750,39 @@ func (s *SeD) admit(service string) (int, error) {
 	return depth, nil
 }
 
-// shift is the only writer of queued, running and pending: a solve enters the
-// FIFO (+1, 0), is granted a slot (-1, +1), or leaves — taken back out of the
-// queue (-1, 0) or done running (0, -1). The service's pending count follows
-// the net change and its key goes when the count reaches zero, so Estimate and
-// DrainEstimate never walk services with nothing outstanding. The queue-depth
-// gauge is set under the same lock, so it cannot lag the counters. Returns the
-// depth (queued + running) before the move.
+// releaseLocked returns one slot: to a draining Reparent, else straight to
+// the oldest queued solve, else to the free count. A stopped SeD grants
+// nothing new. Called with statMu held.
+func (s *SeD) releaseLocked() {
+	switch {
+	case s.drainFull != nil:
+		s.drained++
+		if s.drained == s.cfg.Capacity {
+			close(s.drainFull)
+		}
+	case s.waiting.len() > 0 && !s.stopped():
+		close(s.waiting.pop())
+	default:
+		s.free++
+	}
+}
+
+// shift is the only writer of queued, running and pending: a solve takes a
+// free slot on arrival (0, +1) or enters the FIFO (+1, 0) and is later granted
+// one (-1, +1), or leaves — taken back out of the queue (-1, 0) or done
+// running (0, -1). The service's pending count follows the net change and its
+// key goes when the count reaches zero, so Estimate and DrainEstimate never
+// walk services with nothing outstanding. The queue-depth gauge is set under
+// the same lock, so it cannot lag the counters. Returns the depth (queued +
+// running) before the move.
 func (s *SeD) shift(service string, dQueued, dRunning int) int {
 	s.statMu.Lock()
 	defer s.statMu.Unlock()
+	return s.shiftLocked(service, dQueued, dRunning)
+}
+
+// shiftLocked is shift for callers already holding statMu.
+func (s *SeD) shiftLocked(service string, dQueued, dRunning int) int {
 	depth := s.queued + s.running
 	s.queued += dQueued
 	s.running += dRunning
@@ -869,8 +940,10 @@ func (s *SeD) resolvePersistent(p *Profile) {
 // storePersistent keeps persistent/sticky INOUT and OUT data on the server,
 // addressable by DataID in later calls. When the SeD is data-wired the datum
 // also lands in its node store and is published to the catalog, so later
-// requests anywhere on the platform can locate, price and fetch it.
-func (s *SeD) storePersistent(p *Profile) {
+// requests anywhere on the platform can locate, price and fetch it. seq is
+// the solve's number, read under statMu when it completed; it names data the
+// client left without an ID.
+func (s *SeD) storePersistent(p *Profile, seq int) {
 	type produced struct {
 		id   string
 		mode dataman.Mode
@@ -884,7 +957,7 @@ func (s *SeD) storePersistent(p *Profile) {
 			continue
 		}
 		if a.DataID == "" {
-			a.DataID = fmt.Sprintf("%s/%s/%d/%d", s.cfg.Name, p.Service, s.solved, i)
+			a.DataID = fmt.Sprintf("%s/%s/%d/%d", s.cfg.Name, p.Service, seq, i)
 		}
 		// An INOUT the solve left alone still aliases the request frame: keep
 		// a copy, or eight stored bytes pin the frame's megabytes for good.
