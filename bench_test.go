@@ -15,7 +15,7 @@
 // Figures 5/6 and the totals replay the full Grid'5000 campaign in the
 // discrete-event simulator; headline values are exported as benchmark
 // metrics, and `go test -bench Fig5 -v` additionally prints the same rows
-// the paper plots. Run `go run ./cmd/experiment -all` for the stand-alone
+// the paper plots. Run `go run ./cmd/experiment` for the stand-alone
 // report.
 package repro
 

@@ -5,7 +5,7 @@
 //
 // Typical bring-up, mirroring the paper's 1 MA + 6 LA hierarchy:
 //
-//	dietagent -name MA1 -kind MA -with-naming -listen :9000
+//	dietagent -name MA1 -kind MA -host-naming :9001 -listen :9000
 //	dietagent -name LA-Nancy -kind LA -parent MA1 -naming host:9001 -listen :9100
 package main
 
@@ -31,6 +31,25 @@ import (
 	"repro/internal/scheduler"
 )
 
+// randomSeed seeds the random policy; replanService is the service whose
+// measured models drive live replanning, the campaign's long zoom solves.
+const (
+	randomSeed    = 1
+	replanService = "ramsesZoom2"
+)
+
+// host serves one platform service (the naming service, the data catalog or
+// the LogService bus) in this process on addr and returns the bound address.
+func host(what, object string, handler rpc.Handler, addr string) (string, *rpc.Server) {
+	server := rpc.NewServer()
+	server.Register(object, handler)
+	bound, err := server.Start(addr)
+	if err != nil {
+		log.Fatalf("starting %s: %v", what, err)
+	}
+	return bound, server
+}
+
 func main() {
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 	var (
@@ -38,51 +57,43 @@ func main() {
 		kind       = flag.String("kind", "MA", "agent kind: MA or LA")
 		parent     = flag.String("parent", "", "parent agent name (LA only)")
 		namingAddr = flag.String("naming", "", "naming service address (host:port)")
-		withNaming = flag.Bool("with-naming", false, "host the naming service in this process")
-		namingPort = flag.String("naming-listen", ":9001", "naming service listen address (with -with-naming)")
+		hostNaming = flag.String("host-naming", "", "host the naming service in this process on this listen address (empty = use -naming)")
 		listen     = flag.String("listen", ":9000", "agent listen address")
 		policy     = flag.String("policy", "roundrobin", "MA scheduling policy: roundrobin, random, mct, poweraware, forecastaware, contentionaware")
 		peers      = flag.String("peers", "", "comma-separated peer Master Agent names to federate with; a Submit this MA cannot satisfy locally is forwarded to the federation (MA only)")
 		fwdHops    = flag.Int("forward-hops", diet.DefaultForwardHops, "how many MAs a federated request may traverse, counting this MA's forward as the first hop")
-		seed       = flag.Int64("seed", 1, "seed for the random policy")
 		heartbeat  = flag.Duration("heartbeat", 0, "ping children every interval, evicting dead ones; each sweep also gossips CoRI models through the hierarchy (0 = off)")
 		maxMissed  = flag.Int("max-missed", 3, "consecutive missed heartbeats before a child is evicted")
 		missEvict  = flag.Int("heartbeat-miss-evict", 0, "evict a child after this many consecutive failed estimate collections, independent of the heartbeat sweeps (0 = off)")
-		replanInt  = flag.Duration("replan-interval", 0, "live replanning cadence: re-plan the paper deployment from the gossip registry and migrate SeDs online (needs -heartbeat; 0 = off)")
-		replanSvc  = flag.String("replan-service", "ramsesZoom2", "service whose measured models drive live replanning")
-		replanMin  = flag.Float64("replan-min-delta", 0, "hysteresis: drop replan power refreshes within this percentage of the applied figure (0 = keep every refresh)")
-		replanDwel = flag.Duration("replan-dwell", 0, "hysteresis: minimum time between parent moves of the same SeD; moves wanted sooner are deferred (0 = move freely)")
+		replanInt  = flag.Duration("replan-interval", 0, "live replanning cadence: re-plan the paper deployment from the gossip registry's "+replanService+" models and migrate SeDs online (needs -heartbeat; 0 = off)")
+		replanMin  = flag.Float64("replan-min-delta", 0, "hysteresis: drop replan power refreshes within this percentage of the applied figure (needs -replan-interval; 0 = keep every refresh)")
+		replanDwel = flag.Duration("replan-dwell", 0, "hysteresis: minimum time between parent moves of the same SeD; moves wanted sooner are deferred (needs -replan-interval; 0 = move freely)")
 		evictConf  = flag.Float64("evict-confidence", 0, "expire gossip-registry contributions whose decayed confidence falls below this floor (0 = keep forever)")
 		evictHL    = flag.Duration("evict-halflife", time.Hour, "confidence decay half-life registry eviction uses")
-		withCat    = flag.Bool("with-datacatalog", false, "host the platform data catalog in this process; SeDs join it with dietsed -data-catalog")
-		catPort    = flag.String("datacatalog-listen", ":9003", "data catalog listen address (with -with-datacatalog)")
+		hostCat    = flag.String("host-datacatalog", "", "host the platform data catalog in this process on this listen address; SeDs join it with dietsed -data-catalog (empty = not hosted)")
 		catCap     = flag.Int("datacatalog-replica-cap", 0, "replicas per dataset the hosted catalog mints on demand-fetch paths (0 = unlimited)")
 		logEvents  = flag.Bool("log-events", false, "log middleware trace events (registrations, evictions, replans, migrations)")
 		// Observability: host the LogService bus (typically beside the MA,
 		// like the paper's monitoring node), publish to a remote one, and/or
 		// expose Prometheus metrics over HTTP.
-		withLogsvc = flag.Bool("with-logservice", false, "host the LogService bus in this process (the monitoring node beside the MA)")
-		logsvcPort = flag.String("logservice-listen", ":9002", "LogService listen address (with -with-logservice)")
+		hostLogsvc = flag.String("host-logservice", "", "host the LogService bus in this process on this listen address, the monitoring node beside the MA (empty = not hosted)")
 		logsvcHist = flag.Int("logservice-history", 4096, "events the hosted LogService bus retains")
 		logsvcAddr = flag.String("logservice", "", "publish trace events and request spans to the LogService bus at this address")
 		httpAddr   = flag.String("http", "", "serve /metrics, /statusz and /debug/pprof/ on this address (empty = off)")
 	)
 	flag.Parse()
+	if *replanInt <= 0 && (*replanMin > 0 || *replanDwel > 0) {
+		log.Fatal("-replan-min-delta and -replan-dwell damp live replanning; set -replan-interval too")
+	}
 
-	if *withNaming {
-		ns := naming.NewService()
-		server := rpc.NewServer()
-		server.Register(naming.ObjectName, ns.Handler())
-		addr, err := server.Start(*namingPort)
-		if err != nil {
-			log.Fatalf("starting naming service: %v", err)
-		}
+	if *hostNaming != "" {
+		addr, server := host("naming service", naming.ObjectName, naming.NewService().Handler(), *hostNaming)
 		defer server.Close()
 		*namingAddr = addr
 		log.Printf("naming service listening on %s", addr)
 	}
 	if *namingAddr == "" {
-		fmt.Fprintln(os.Stderr, "either -naming or -with-naming is required")
+		fmt.Fprintln(os.Stderr, "either -naming or -host-naming is required")
 		os.Exit(2)
 	}
 
@@ -95,7 +106,7 @@ func main() {
 	default:
 		log.Fatalf("unknown agent kind %q (want MA or LA)", *kind)
 	}
-	pol, err := scheduler.ByName(*policy, *seed)
+	pol, err := scheduler.ByName(*policy, randomSeed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -120,31 +131,21 @@ func main() {
 		log.Printf("federating with %v (forward budget %d hops)", cfg.Peers, *fwdHops)
 	}
 
-	if *withCat {
+	if *hostCat != "" {
 		cat := dataman.NewCatalog()
 		if *catCap > 0 {
 			cat.SetReplicaCap(*catCap)
 		}
-		cs := rpc.NewServer()
-		cs.Register(dataman.CatalogObjectName, cat.Handler())
-		addr, err := cs.Start(*catPort)
-		if err != nil {
-			log.Fatalf("starting data catalog: %v", err)
-		}
-		defer cs.Close()
+		addr, server := host("data catalog", dataman.CatalogObjectName, cat.Handler(), *hostCat)
+		defer server.Close()
 		log.Printf("data catalog on %s; join SeDs with dietsed -data-catalog %s", addr, addr)
 	}
 
 	var sinks logsvc.Tee
-	if *withLogsvc {
+	if *hostLogsvc != "" {
 		bus := logsvc.New(*logsvcHist)
-		ls := rpc.NewServer()
-		ls.Register(logsvc.ObjectName, bus.Handler())
-		addr, err := ls.Start(*logsvcPort)
-		if err != nil {
-			log.Fatalf("starting LogService bus: %v", err)
-		}
-		defer ls.Close()
+		addr, server := host("LogService bus", logsvc.ObjectName, bus.Handler(), *hostLogsvc)
+		defer server.Close()
 		log.Printf("LogService bus on %s (history %d); attach with dietmon -logservice %s", addr, *logsvcHist, addr)
 		sinks = append(sinks, bus)
 	}
@@ -182,19 +183,17 @@ func main() {
 			log.Fatal("-replan-interval is a Master Agent role")
 		}
 		cfg.ReplanInterval = *replanInt
+		// Damped when asked: migration thrash costs a drain pause per move,
+		// so noisy measurements shouldn't bounce SeDs between parents.
+		var h *deploy.Hysteresis
 		if *replanMin > 0 || *replanDwel > 0 {
-			// Damped: migration thrash costs a drain pause per move, so noisy
-			// measurements shouldn't bounce SeDs between parents.
-			h := deploy.NewHysteresis(deploy.HysteresisConfig{
+			h = deploy.NewHysteresis(deploy.HysteresisConfig{
 				MinPowerDeltaPct: *replanMin, Dwell: *replanDwel,
 			})
-			cfg.Replanner = deploy.LiveReplannerWith(platform.PaperDeployment(), *replanSvc, h)
-			log.Printf("live replanning every %s from %q models (hysteresis: min delta %.1f%%, dwell %s)",
-				*replanInt, *replanSvc, *replanMin, *replanDwel)
-		} else {
-			cfg.Replanner = deploy.LiveReplanner(platform.PaperDeployment(), *replanSvc)
-			log.Printf("live replanning every %s from %q models", *replanInt, *replanSvc)
 		}
+		cfg.Replanner = deploy.LiveReplannerWith(platform.PaperDeployment(), replanService, h)
+		log.Printf("live replanning every %s from %q models (hysteresis: min delta %.1f%%, dwell %s)",
+			*replanInt, replanService, *replanMin, *replanDwel)
 	}
 	agent, err := diet.NewAgent(cfg)
 	if err != nil {

@@ -1,5 +1,5 @@
 // Command dietmon is the VizDIET analog of the paper's monitoring setup: it
-// attaches to a running LogService bus (see dietagent -with-logservice),
+// attaches to a running LogService bus (see dietagent -host-logservice),
 // tails the event stream, renders live per-kind counts and a Gantt of the
 // request spans, and can export the whole trace as chrome://tracing JSON.
 //

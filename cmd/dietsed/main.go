@@ -27,36 +27,24 @@ import (
 	"repro/internal/services"
 )
 
-// logForecastAccuracy prints live forecast quality per service: the mean
-// |predicted − measured| relative error over the SeD's recent solves, and how
-// many predictions came from a trusted CoRI model vs the power fallback.
-func logForecastAccuracy(sed *diet.SeD) {
+// forecastAccuracy renders live forecast quality, one line per service: the
+// mean |predicted − measured| relative error over the SeD's recent solves, and
+// how many predictions came from a trusted CoRI model vs the power fallback.
+// -cori-stats logs the lines and /statusz serves them.
+func forecastAccuracy(sed *diet.SeD) []string {
 	acc := sed.ForecastAccuracy()
 	svcs := make([]string, 0, len(acc))
 	for svc := range acc {
 		svcs = append(svcs, svc)
 	}
 	sort.Strings(svcs)
-	for _, svc := range svcs {
+	lines := make([]string, len(svcs))
+	for i, svc := range svcs {
 		a := acc[svc]
-		log.Printf("forecast %s: %d solves, mean |pred-meas| %.1f%%, %.0f%% model-predicted",
+		lines[i] = fmt.Sprintf("forecast %s: %d solves, mean |pred-meas| %.1f%%, %.0f%% model-predicted",
 			svc, a.Solves, a.MeanAbsPct, 100*a.ModelShare)
 	}
-}
-
-// writeForecastAccuracy renders the same summary into the /statusz page.
-func writeForecastAccuracy(w http.ResponseWriter, sed *diet.SeD) {
-	acc := sed.ForecastAccuracy()
-	svcs := make([]string, 0, len(acc))
-	for svc := range acc {
-		svcs = append(svcs, svc)
-	}
-	sort.Strings(svcs)
-	for _, svc := range svcs {
-		a := acc[svc]
-		fmt.Fprintf(w, "forecast %s: %d solves, mean |pred-meas| %.1f%%, %.0f%% model-predicted\n",
-			svc, a.Solves, a.MeanAbsPct, 100*a.ModelShare)
-	}
+	return lines
 }
 
 func main() {
@@ -83,7 +71,7 @@ func main() {
 		coriStats    = flag.Duration("cori-stats", 0, "log CoRI metrics every interval (0 = off)")
 		// Persistence: snapshot the monitor so restarts keep their training.
 		coriSnapshot = flag.String("cori-snapshot", "", "persist the CoRI monitor to this file: loaded at boot when present, saved on shutdown")
-		coriSnapInt  = flag.Duration("cori-snapshot-interval", 0, "additionally save the CoRI snapshot every interval (0 = only on shutdown)")
+		coriSnapInt  = flag.Duration("cori-snapshot-interval", 0, "additionally save the CoRI snapshot every interval (needs -cori-snapshot; 0 = only on shutdown)")
 		// Batch reservations: route every solve through an OAR-style queue
 		// with walltime enforcement, forecast-sized grants and backfill.
 		batchNodes    = flag.Int("batch-nodes", 0, "route solves through a batch queue managing this many nodes (0 = run solves inline)")
@@ -102,6 +90,9 @@ func main() {
 		httpAddr   = flag.String("http", "", "serve /metrics, /statusz and /debug/pprof/ on this address (empty = off)")
 	)
 	flag.Parse()
+	if *coriSnapInt > 0 && *coriSnapshot == "" {
+		log.Fatal("-cori-snapshot-interval saves the -cori-snapshot file; set -cori-snapshot too")
+	}
 	if *namingAddr == "" {
 		log.Fatal("-naming is required")
 	}
@@ -185,7 +176,9 @@ func main() {
 	if reg != nil {
 		addr, shutdown, err := metrics.Serve(*httpAddr, reg, func(w http.ResponseWriter) {
 			fmt.Fprintf(w, "SeD %s parent %s services %v\n\n", *name, *parent, sed.ServiceNames())
-			writeForecastAccuracy(w, sed)
+			for _, line := range forecastAccuracy(sed) {
+				fmt.Fprintln(w, line)
+			}
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -220,14 +213,16 @@ func main() {
 				for _, svc := range sed.Monitor().Services() {
 					log.Printf("CoRI %s: %v", svc, sed.Monitor().Metrics(svc))
 				}
-				logForecastAccuracy(sed)
+				for _, line := range forecastAccuracy(sed) {
+					log.Print(line)
+				}
 				if batchExec != nil {
 					log.Printf("batch: %+v exec: %+v", batchExec.System.Stats(), batchExec.Stats())
 				}
 			}
 		}()
 	}
-	if *coriSnapshot != "" && *coriSnapInt > 0 {
+	if *coriSnapInt > 0 {
 		go func() {
 			for range time.Tick(*coriSnapInt) {
 				if err := sed.Monitor().SaveFile(*coriSnapshot); err != nil {

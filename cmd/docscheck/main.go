@@ -11,6 +11,9 @@
 //   - a cmd/* section in docs/cli.md documents a flag the binary no longer
 //     defines (stale docs);
 //
+//   - a command line in any *.md file runs a cmd/* binary with a flag the
+//     binary does not define (a stale invocation);
+//
 //   - an ablation implemented in internal/simgrid ("... ablation (A<n>)")
 //     has no row in README.md's ablation index.
 //
@@ -23,6 +26,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -51,21 +55,37 @@ func main() {
 // returns the problems found (empty = docs are consistent).
 func Check(root string) ([]string, error) {
 	var problems []string
-	links, err := CheckLinks(root)
-	if err != nil {
-		return nil, err
+	for _, check := range []func(string) ([]string, error){CheckLinks, CheckCLIDocs, CheckInvocations, CheckAblationIndex} {
+		found, err := check(root)
+		if err != nil {
+			return nil, err
+		}
+		problems = append(problems, found...)
 	}
-	problems = append(problems, links...)
-	flags, err := CheckCLIDocs(root)
-	if err != nil {
-		return nil, err
-	}
-	problems = append(problems, flags...)
-	ablations, err := CheckAblationIndex(root)
-	if err != nil {
-		return nil, err
-	}
-	return append(problems, ablations...), nil
+	return problems, nil
+}
+
+// walkMarkdown calls fn with the root-relative path and the text of every
+// *.md file under root outside .git.
+func walkMarkdown(root string, fn func(rel, doc string)) error {
+	return filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(d.Name(), ".md") {
+			return nil
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		fn(rel, string(data))
+		return nil
+	})
 }
 
 var linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
@@ -75,30 +95,13 @@ var linkRe = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 // are skipped; a trailing #fragment is ignored.
 func CheckLinks(root string) ([]string, error) {
 	var problems []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if d.Name() == ".git" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(d.Name(), ".md") {
-			return nil
-		}
-		if d.Name() == "SNIPPETS.md" {
+	err := walkMarkdown(root, func(rel, doc string) {
+		if filepath.Base(rel) == "SNIPPETS.md" {
 			// Quoted exemplar material from other repositories; its links
 			// point into trees we do not carry.
-			return nil
+			return
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		for _, m := range linkRe.FindAllStringSubmatch(string(data), -1) {
+		for _, m := range linkRe.FindAllStringSubmatch(doc, -1) {
 			target := m[1]
 			if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") ||
 				strings.HasPrefix(target, "#") {
@@ -110,12 +113,11 @@ func CheckLinks(root string) ([]string, error) {
 			if target == "" {
 				continue
 			}
-			resolved := filepath.Join(filepath.Dir(path), filepath.FromSlash(target))
+			resolved := filepath.Join(root, filepath.Dir(rel), filepath.FromSlash(target))
 			if _, err := os.Stat(resolved); err != nil {
 				problems = append(problems, fmt.Sprintf("%s: broken relative link %q", rel, m[1]))
 			}
 		}
-		return nil
 	})
 	return problems, err
 }
@@ -132,33 +134,23 @@ var (
 // has a section, each defined flag appears in that section, and each flag
 // the section documents still exists in the binary.
 func CheckCLIDocs(root string) ([]string, error) {
-	cliPath := filepath.Join(root, "docs", "cli.md")
-	data, err := os.ReadFile(cliPath)
+	data, err := os.ReadFile(filepath.Join(root, "docs", "cli.md"))
 	if err != nil {
 		return nil, fmt.Errorf("docscheck: %w", err)
 	}
 	sections := splitSections(string(data))
-
-	dirs, err := filepath.Glob(filepath.Join(root, "cmd", "*"))
+	binaries, err := cmdFlags(root)
 	if err != nil {
 		return nil, err
 	}
 	var problems []string
-	for _, dir := range dirs {
-		info, err := os.Stat(dir)
-		if err != nil || !info.IsDir() {
-			continue
-		}
-		name := filepath.Base(dir)
+	for _, name := range sortedKeys(binaries) {
 		section, ok := sections[name]
 		if !ok {
 			problems = append(problems, fmt.Sprintf("docs/cli.md: no section for cmd/%s", name))
 			continue
 		}
-		defined, err := definedFlags(dir)
-		if err != nil {
-			return nil, err
-		}
+		defined := binaries[name]
 		for _, f := range sortedKeys(defined) {
 			if !strings.Contains(section, "`-"+f+"`") {
 				problems = append(problems, fmt.Sprintf("docs/cli.md: cmd/%s section is missing flag `-%s`", name, f))
@@ -171,6 +163,78 @@ func CheckCLIDocs(root string) ([]string, error) {
 		}
 	}
 	return problems, nil
+}
+
+// historyFiles record what the tree used to be: the command lines in them
+// are history, not instructions.
+var historyFiles = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "SNIPPETS.md": true}
+
+var (
+	codeSpanRe = regexp.MustCompile("`([^`\n]+)`")
+	argFlagRe  = regexp.MustCompile(`^--?([a-zA-Z][a-zA-Z0-9-]*)`)
+)
+
+// CheckInvocations verifies every command line the docs show for a cmd/*
+// binary passes only flags the binary defines. A command line is a line of
+// a fenced block, `\`-continued lines joined, or an inline code span, that
+// starts with `go run ./cmd/<bin>` or with <bin> (or any path ending in it);
+// its flags run up to a comment or a shell operator. Other programs and the
+// history files are not checked.
+func CheckInvocations(root string) ([]string, error) {
+	binaries, err := cmdFlags(root)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	err = walkMarkdown(root, func(rel, doc string) {
+		if historyFiles[filepath.Base(rel)] {
+			return
+		}
+		for _, line := range commandLines(doc) {
+			args := strings.Fields(line)
+			if len(args) > 2 && args[0] == "go" && args[1] == "run" && strings.HasPrefix(path.Clean(args[2]), "cmd/") {
+				args = args[2:]
+			}
+			if len(args) == 0 {
+				continue
+			}
+			bin := path.Base(args[0])
+			defined, ok := binaries[bin]
+			for _, arg := range args[1:] {
+				if !ok || strings.HasPrefix(arg, "#") || strings.ContainsAny(arg[:1], "|&;<>") {
+					break
+				}
+				if m := argFlagRe.FindStringSubmatch(arg); m != nil && !defined[m[1]] {
+					problems = append(problems, fmt.Sprintf("%s: `%s` passes -%s, which cmd/%s does not define", rel, strings.Join(args, " "), m[1], bin))
+				}
+			}
+		}
+	})
+	return problems, err
+}
+
+// commandLines returns the candidate command lines of a Markdown document:
+// each line of a fenced block, with `\`-continued lines joined, and each
+// inline code span outside one.
+func commandLines(doc string) []string {
+	var out []string
+	fenced, pending := false, ""
+	for _, line := range strings.Split(doc, "\n") {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+			fenced = !fenced
+		case !fenced:
+			for _, m := range codeSpanRe.FindAllStringSubmatch(line, -1) {
+				out = append(out, m[1])
+			}
+		case strings.HasSuffix(line, `\`):
+			pending += strings.TrimSuffix(line, `\`) + " "
+		default:
+			out = append(out, pending+line)
+			pending = ""
+		}
+	}
+	return out
 }
 
 var ablationMarkRe = regexp.MustCompile(`ablation \((A\d+)\)`)
@@ -204,28 +268,16 @@ func CheckAblationIndex(root string) ([]string, error) {
 			}
 		}
 	}
+	// Numeric order (A2 before A10): the ids sorted as text, then stably by length.
+	ids := sortedKeys(seen)
+	sort.SliceStable(ids, func(i, j int) bool { return len(ids[i]) < len(ids[j]) })
 	var problems []string
-	for _, id := range sortedKeys2(seen) {
+	for _, id := range ids {
 		if !strings.Contains(string(readme), "| "+id+" |") {
 			problems = append(problems, fmt.Sprintf("README.md: ablation index has no | %s | row (%s implements it)", id, seen[id]))
 		}
 	}
 	return problems, nil
-}
-
-// sortedKeys2 sorts ablation ids numerically (A2 before A10).
-func sortedKeys2(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) < len(out[j])
-		}
-		return out[i] < out[j]
-	})
-	return out
 }
 
 // splitSections maps each "### cmd/<name>" heading in cli.md to the text of
@@ -247,6 +299,24 @@ func splitSections(doc string) map[string]string {
 		out[name] = body
 	}
 	return out
+}
+
+// cmdFlags maps each cmd/* binary to the flags it defines.
+func cmdFlags(root string) (map[string]map[string]bool, error) {
+	dirs, err := filepath.Glob(filepath.Join(root, "cmd", "*"))
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]map[string]bool)
+	for _, dir := range dirs {
+		if info, err := os.Stat(dir); err != nil || !info.IsDir() {
+			continue
+		}
+		if out[filepath.Base(dir)], err = definedFlags(dir); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // definedFlags collects the flag names a cmd/* package defines.
@@ -271,7 +341,7 @@ func definedFlags(dir string) (map[string]bool, error) {
 	return out, nil
 }
 
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

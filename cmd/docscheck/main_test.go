@@ -109,6 +109,30 @@ func main() {
 	}
 }
 
+func TestCheckInvocationsCatchesStaleFlags(t *testing.T) {
+	// A stale flag is reported in an inline code span and on a `\`-continued
+	// fenced line, with the binary reached by name, through go run or by any
+	// path. Defined flags, anything after a comment or a pipe, programs
+	// outside cmd/ (bench -compare, examples) and history files are not.
+	root := writeTree(t, map[string]string{
+		"cmd/tool/main.go": toolMain,
+		"docs/guide.md": "Run `tool -alpha x -gone` or `go run ./cmd/tool -beta-gamma=1s`.\n\n" +
+			"```sh\n./bin/tool -alpha x \\\n    -stale 3   # -ignored after a comment\n" +
+			"tool -alpha 1 | grep -v -nope\nbench -compare old.json new.json\n" +
+			"go run ./examples/demo -whatever\n```\n",
+		"CHANGES.md": "Removed `tool -gone`.\n",
+	})
+	problems, err := CheckInvocations(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 2 ||
+		!strings.Contains(problems[0], "docs/guide.md: `tool -alpha x -gone` passes -gone, which cmd/tool does not define") ||
+		!strings.Contains(problems[1], "`./bin/tool -alpha x -stale 3") || !strings.Contains(problems[1], "passes -stale") {
+		t.Fatalf("want exactly -gone then -stale, got %v", problems)
+	}
+}
+
 func TestCheckMissingSection(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"docs/cli.md":         "# CLI\n",

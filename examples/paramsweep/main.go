@@ -33,14 +33,15 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/core"
 	"repro/internal/cori"
 	"repro/internal/dataman"
 	"repro/internal/deploy"
+	"repro/internal/diet"
 	"repro/internal/halo"
 	"repro/internal/platform"
 	"repro/internal/ramses"
 	"repro/internal/rpc"
+	"repro/internal/scheduler"
 	"repro/internal/services"
 )
 
@@ -56,21 +57,21 @@ func main() {
 	}
 	defer os.RemoveAll(base)
 
-	var seds []core.SeDSpec
+	var seds []diet.SeDSpec
 	powers := []float64{40, 50, 60, 70}
 	for i, p := range powers {
-		seds = append(seds, core.SeDSpec{
+		seds = append(seds, diet.SeDSpec{
 			Name: fmt.Sprintf("SeD%d", i+1), Parent: "LA1",
 			Capacity: 1, PowerGFlops: p,
-			Services: []core.ServiceSpec{
+			Services: []diet.ServiceSpec{
 				{Desc: services.Zoom1Desc(), Solve: services.SolveZoom1(base)},
 			},
 		})
 	}
 	// The platform data manager: a catalog every SeD joins, plus a staging
 	// node standing in for the NFS server the namelists are published from.
-	catalog := core.NewDataCatalog()
-	staging := core.NewDataStore("staging")
+	catalog := dataman.NewCatalog()
+	staging := dataman.NewStore("staging")
 	ss := rpc.NewServer()
 	staging.Serve(ss)
 	stagingAddr, err := rpc.ServeLocal("paramsweep-staging", ss)
@@ -96,11 +97,11 @@ func main() {
 		return movedKB, transfers
 	}
 
-	deployment, err := core.Deploy(core.DeploymentSpec{
+	deployment, err := diet.Deploy(diet.DeploymentSpec{
 		MAName: "MA1",
 		LAs:    []string{"LA1"},
 		SeDs:   seds,
-		Policy: core.NewContentionAware(), // history-aware; power-aware fallback while cold
+		Policy: scheduler.NewContentionAware(), // history-aware; power-aware fallback while cold
 		Local:  true,
 		Data:   catalog,
 	})
@@ -149,16 +150,16 @@ func main() {
 
 	// newRefProfile builds a ramsesZoom1 call whose namelist is a platform
 	// data reference instead of an inline payload.
-	newRefProfile := func(id string) *core.Profile {
-		p, err := core.NewProfile(services.Zoom1Name, 0, 0, 2)
+	newRefProfile := func(id string) *diet.Profile {
+		p, err := diet.NewProfile(services.Zoom1Name, 0, 0, 2)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := p.SetFileRef(0, "namelist.nml", id, core.Persistent); err != nil {
+		if err := p.SetFileRef(0, "namelist.nml", id, diet.Persistent); err != nil {
 			log.Fatal(err)
 		}
-		p.SetFileBytes(1, "", nil, core.Volatile)
-		p.SetScalarInt(2, 0, core.Volatile)
+		p.SetFileBytes(1, "", nil, diet.Volatile)
+		p.SetScalarInt(2, 0, diet.Volatile)
 		return p
 	}
 
@@ -170,15 +171,15 @@ func main() {
 	}
 	runPass := func() []outcome {
 		results := make([]outcome, len(sweep))
-		calls := make([]*core.AsyncCall, len(sweep))
-		profiles := make([]*core.Profile, len(sweep))
+		calls := make([]*diet.AsyncCall, len(sweep))
+		profiles := make([]*diet.Profile, len(sweep))
 		for i := range sweep {
 			profiles[i] = newRefProfile(dataIDs[i])
 			// The work hint rides the profile to the SeD, so the CoRI monitors
 			// can pair durations with a work size and measure delivered power.
-			calls[i] = client.CallAsync(profiles[i], core.WithWork(sweepWorkGFlops))
+			calls[i] = client.CallAsync(profiles[i], diet.WithWork(sweepWorkGFlops))
 		}
-		if err := core.WaitAll(calls); err != nil {
+		if err := diet.WaitAll(calls); err != nil {
 			log.Fatal(err)
 		}
 		for i := range sweep {
@@ -247,7 +248,7 @@ func main() {
 	// KB-scale namelists make the transfer term negligible, so placement
 	// stays compute-driven and points that land on a new SeD re-fetch from
 	// the nearest replica; the GB-scale case where locality wins placement
-	// is the A13 simulation (experiment -data-ablation).
+	// is the A13 simulation (experiment -ablation A13).
 	fmt.Println("\ndata plane (persistent namelists, fetched by DataID through the catalog):")
 	fmt.Printf("  pass 1: %d transfers, %.1f KB moved — every namelist pulled from staging once\n", pass1Transfers, pass1KB)
 	fmt.Printf("  pass 2: %d transfers, %.1f KB moved — points landing on a fresh SeD pulled a replica\n",

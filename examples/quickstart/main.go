@@ -9,22 +9,22 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/diet"
 )
 
 func main() {
 	// Describe the service: one IN vector, one IN scalar factor, one OUT
 	// vector (the profile layout a C DIET server would declare with
 	// diet_profile_desc_alloc("scale", 1, 1, 2)).
-	desc, err := core.NewProfileDesc("scale", 1, 1, 2)
+	desc, err := diet.NewProfileDesc("scale", 1, 1, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	desc.Set(0, core.Vector, core.Double)
-	desc.Set(1, core.Scalar, core.Double)
-	desc.Set(2, core.Vector, core.Double)
+	desc.Set(0, diet.Vector, diet.Double)
+	desc.Set(1, diet.Scalar, diet.Double)
+	desc.Set(2, diet.Vector, diet.Double)
 
-	solve := func(p *core.Profile) error {
+	solve := func(p *diet.Profile) error {
 		v, err := p.VectorDouble(0)
 		if err != nil {
 			return err
@@ -37,16 +37,16 @@ func main() {
 		for i := range v {
 			out[i] = f * v[i]
 		}
-		return p.SetVectorDouble(2, out, core.Volatile)
+		return p.SetVectorDouble(2, out, diet.Volatile)
 	}
 
 	// Deploy the platform: MA ← LA ← SeD, all in-process.
-	deployment, err := core.Deploy(core.DeploymentSpec{
+	deployment, err := diet.Deploy(diet.DeploymentSpec{
 		MAName: "MA1",
 		LAs:    []string{"LA1"},
-		SeDs: []core.SeDSpec{{
+		SeDs: []diet.SeDSpec{{
 			Name: "SeD1", Parent: "LA1", Capacity: 1, PowerGFlops: 4,
-			Services: []core.ServiceSpec{{Desc: desc, Solve: solve}},
+			Services: []diet.ServiceSpec{{Desc: desc, Solve: solve}},
 		}},
 		Local: true,
 	})
@@ -62,13 +62,13 @@ func main() {
 	}
 	defer client.Finalize()
 
-	profile, err := core.NewProfile("scale", 1, 1, 2)
+	profile, err := diet.NewProfile("scale", 1, 1, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	profile.SetVectorDouble(0, []float64{1, 2, 3, 4}, core.Volatile)
-	profile.SetScalarDouble(1, 2.5, core.Volatile)
-	profile.SetVectorDouble(2, nil, core.Volatile) // OUT placeholder
+	profile.SetVectorDouble(0, []float64{1, 2, 3, 4}, diet.Volatile)
+	profile.SetScalarDouble(1, 2.5, diet.Volatile)
+	profile.SetVectorDouble(2, nil, diet.Volatile) // OUT placeholder
 
 	info, err := client.Call(profile)
 	if err != nil {

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/diet"
 	"repro/internal/halo"
 	"repro/internal/logsvc"
@@ -121,7 +120,7 @@ func main() {
 
 	// Three SeDs on two "clusters" with different processing powers, a
 	// miniature of the paper's heterogeneous 11-SeD deployment.
-	var seds []core.SeDSpec
+	var seds []diet.SeDSpec
 	for _, s := range []struct {
 		name    string
 		cluster string
@@ -131,16 +130,16 @@ func main() {
 		{"Toulouse1", "toulouse", 44.8},
 		{"Lyon1", "lyon", 53.8},
 	} {
-		seds = append(seds, core.SeDSpec{
+		seds = append(seds, diet.SeDSpec{
 			Name: s.name, Parent: "LA-" + s.cluster, Cluster: s.cluster,
 			Capacity: 1, PowerGFlops: s.power,
-			Services: []core.ServiceSpec{
+			Services: []diet.ServiceSpec{
 				{Desc: services.Zoom1Desc(), Solve: services.SolveZoom1(base)},
 				{Desc: services.Zoom2Desc(), Solve: services.SolveZoom2(base)},
 			},
 		})
 	}
-	deployment, err := core.Deploy(core.DeploymentSpec{
+	deployment, err := diet.Deploy(diet.DeploymentSpec{
 		MAName:  "MA1",
 		LAs:     []string{"LA-nancy", "LA-toulouse", "LA-lyon"},
 		SeDs:    seds,

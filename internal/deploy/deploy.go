@@ -246,7 +246,7 @@ func (p *Plan) Spec(policy scheduler.Policy, services []diet.ServiceSpec, local 
 func (p *Plan) Commands(namingAddr string) []string {
 	out := []string{
 		fmt.Sprintf("# on %s", p.MA.Site),
-		fmt.Sprintf("dietagent -name %s -kind MA -with-naming -naming-listen %s", p.MA.Name, namingAddr),
+		fmt.Sprintf("dietagent -name %s -kind MA -host-naming %s", p.MA.Name, namingAddr),
 	}
 	for _, la := range p.LAs {
 		out = append(out,

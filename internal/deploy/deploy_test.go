@@ -171,7 +171,7 @@ func TestCommands(t *testing.T) {
 	cmds := plan.Commands("ma-host:9001")
 	joined := strings.Join(cmds, "\n")
 	for _, want := range []string{
-		"dietagent -name MA1 -kind MA -with-naming",
+		"dietagent -name MA1 -kind MA -host-naming ma-host:9001",
 		"dietagent -name LA-grillon -kind LA -parent MA1",
 		"dietsed -name Nancy1 -parent LA-grillon -naming ma-host:9001",
 		"-cluster violette",

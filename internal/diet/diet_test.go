@@ -56,36 +56,50 @@ func newTestDeployment(t *testing.T, spec DeploymentSpec) *Deployment {
 }
 
 func TestEndToEndCall(t *testing.T) {
-	rpc.ResetLocal()
-	d := newTestDeployment(t, DeploymentSpec{
-		MAName: "MA-e2e",
-		LAs:    []string{"LA1"},
-		SeDs: []SeDSpec{{
-			Name: "SeD1", Parent: "LA1", Capacity: 1, PowerGFlops: 4,
-			Services: []ServiceSpec{sleepService("double", 0, nil)},
-		}},
-		Local: true,
-	})
-	client, err := d.Client()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Finalize()
+	// The default policy without a work hint, and a plug-in policy ranking
+	// with the client's WithWork estimate, serve the call the same way.
+	for _, tc := range []struct {
+		name   string
+		policy scheduler.Policy
+		opts   []CallOption
+	}{
+		{"default", nil, nil},
+		{"poweraware_WithWork", scheduler.NewPowerAware(), []CallOption{WithWork(100)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rpc.ResetLocal()
+			d := newTestDeployment(t, DeploymentSpec{
+				MAName: "MA-e2e",
+				LAs:    []string{"LA1"},
+				SeDs: []SeDSpec{{
+					Name: "SeD1", Parent: "LA1", Capacity: 1, PowerGFlops: 4,
+					Services: []ServiceSpec{sleepService("double", 0, nil)},
+				}},
+				Policy: tc.policy,
+				Local:  true,
+			})
+			client, err := d.Client()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Finalize()
 
-	p, _ := NewProfile("double", 0, 0, 1)
-	p.SetScalarInt(0, 21, Volatile)
-	info, err := client.Call(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Server != "SeD1" {
-		t.Errorf("served by %q", info.Server)
-	}
-	if v, err := p.ScalarInt(1); err != nil || v != 42 {
-		t.Errorf("result = %d, %v; want 42", v, err)
-	}
-	if info.Finding <= 0 || info.Total <= 0 {
-		t.Errorf("timings not recorded: %+v", info)
+			p, _ := NewProfile("double", 0, 0, 1)
+			p.SetScalarInt(0, 21, Volatile)
+			info, err := client.Call(p, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Server != "SeD1" {
+				t.Errorf("served by %q", info.Server)
+			}
+			if v, err := p.ScalarInt(1); err != nil || v != 42 {
+				t.Errorf("result = %d, %v; want 42", v, err)
+			}
+			if info.Finding <= 0 || info.Total <= 0 {
+				t.Errorf("timings not recorded: %+v", info)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,11 @@
 // The data model mirrors DIET's: a problem is described by a profile with
 // IN, INOUT and OUT arguments of scalar/vector/matrix/string/file types and
 // volatile/persistent/sticky persistence modes.
+//
+// This package is the paper's §4 surface in one import: everything an
+// application needs to "gridify" a service the way §5 gridifies RAMSES
+// (examples/quickstart uses nothing else). Plug-in policies come from
+// internal/scheduler, the platform data catalog from internal/dataman.
 package diet
 
 import (
