@@ -40,12 +40,8 @@ var (
 	forecast   = flag.Bool("forecast", false, "attach a CoRI monitor to every SeD (history for forecastaware/contentionaware)")
 )
 
-// The trained ablations run rounds campaigns per arm (rounds-1 train, the
-// last measures); A7's joining SeD needs a cluster sibling to gossip from.
-const (
-	rounds  = 2
-	joinSeD = "Nancy2"
-)
+// joinSeD is A7's joining SeD; it needs a cluster sibling to gossip from.
+const joinSeD = "Nancy2"
 
 // campaign is the paper's campaign at the chosen size, seed and arrival gap,
 // the base every ablation arm starts from.
@@ -220,7 +216,7 @@ func forecastAblation(w io.Writer) {
 		cfg := withGrants()
 		cfg.BatchMode = *batch
 		return cfg
-	}, rounds)
+	}, simgrid.TrainingRounds)
 	wall := stop(begin, err)
 	row := func(name string, r *simgrid.ExperimentResult) {
 		fmt.Fprintf(w, "  %-20s makespan %s  (%.2fh)  speedup %.1fx\n",
@@ -245,7 +241,7 @@ func forecastAblation(w io.Writer) {
 func deployAblation(w io.Writer) {
 	fmt.Fprintln(w, "Ablation A6 — static planning + fixed grants vs measured-power planning + forecast-sized reservations:")
 	begin := time.Now()
-	res, err := simgrid.RunDeployAblation(withGrants, rounds)
+	res, err := simgrid.RunDeployAblation(withGrants, simgrid.TrainingRounds)
 	wall := stop(begin, err)
 	row := func(name string, r *simgrid.ExperimentResult) {
 		fmt.Fprintf(w, "  %-28s makespan %s (%.2fh)  kills %3d  requeues %3d  idle pad %6.1fh  wasted %6.1fh\n",
@@ -270,7 +266,7 @@ func deployAblation(w io.Writer) {
 func warmStartAblation(w io.Writer) {
 	fmt.Fprintln(w, "Ablation A7 — cold vs warm-started SeD join on a characterized cluster:")
 	begin := time.Now()
-	res, err := simgrid.RunWarmStartAblation(campaign, joinSeD, rounds)
+	res, err := simgrid.RunWarmStartAblation(campaign, joinSeD, simgrid.TrainingRounds)
 	wall := stop(begin, err)
 	fmt.Fprintf(w, " %s joins cluster %q after %d training round(s); prior services:\n", res.JoinSeD, res.Cluster, res.Rounds-1)
 	for _, p := range res.Prior {
@@ -290,13 +286,12 @@ func warmStartAblation(w io.Writer) {
 func replanAblation(w io.Writer) {
 	fmt.Fprintln(w, "Ablation A8 — frozen static plan vs live replanning+migration vs offline replan restart:")
 	begin := time.Now()
-	res, err := simgrid.RunReplanAblation(campaign, simgrid.ReplanAblationConfig{Rounds: rounds})
+	res, err := simgrid.RunReplanAblation(campaign, simgrid.ReplanAblationConfig{})
 	wall := stop(begin, err)
-	c := res.Config
 	fmt.Fprintf(w, " drifting/miscalibrated platform: CanonicalSkew, plus %s drifting to %.0f%% at %s;\n",
-		c.DriftSeD, 100*c.DriftFactor, simgrid.Hours(c.DriftAtS))
+		simgrid.ReplanAblationDriftSeD, 100*simgrid.ReplanAblationDriftFactor, simgrid.Hours(simgrid.ReplanAblationDriftAtS))
 	fmt.Fprintf(w, " %s misdeployed under %s at bring-up; live arm replans every %s\n",
-		c.MisplacedSeD, c.MisplacedParent, simgrid.Hours(c.ReplanIntervalS))
+		simgrid.ReplanAblationMisplacedSeD, simgrid.ReplanAblationMisplacedParent, simgrid.Hours(simgrid.ReplanAblationIntervalS))
 	row := func(name string, r *simgrid.ExperimentResult) {
 		fmt.Fprintf(w, "  %-26s makespan %s (%.2fh)\n", name, simgrid.Hours(r.TotalS), r.MakespanHours())
 	}
@@ -318,7 +313,7 @@ func replanAblation(w io.Writer) {
 		fmt.Fprintf(w, "  WARNING: %s\n", why)
 	}
 	if len(res.Changes) > 0 {
-		fmt.Fprintf(w, "  offline replan placements (after %d training round(s)):\n", res.Config.Rounds-1)
+		fmt.Fprintf(w, "  offline replan placements (after %d training round(s)):\n", simgrid.TrainingRounds-1)
 		for _, ch := range res.Changes {
 			fmt.Fprintf(w, "    %s\n", ch)
 		}
@@ -328,7 +323,7 @@ func replanAblation(w io.Writer) {
 func backfillAblation(w io.Writer) {
 	fmt.Fprintln(w, "Ablation A9 — queue-wait cost of walltime sizing under conservative backfilling:")
 	begin := time.Now()
-	res, err := simgrid.RunBackfillAblation(campaign, simgrid.BackfillAblationConfig{Rounds: rounds})
+	res, err := simgrid.RunBackfillAblation(campaign, simgrid.BackfillAblationConfig{})
 	wall := stop(begin, err)
 	fmt.Fprintf(w, " %d jobs from the measured CanonicalSkew campaign packed onto a %d-node cluster\n", res.Jobs, res.Nodes)
 	row := func(a simgrid.BackfillArm) {
@@ -383,15 +378,16 @@ func federationAblation(w io.Writer) {
 	begin := time.Now()
 	res, err := simgrid.RunFederationAblation(simgrid.FederationAblationConfig{})
 	wall := stop(begin, err)
-	cfg := res.Federated.Config
 	fmt.Fprintf(w, " stream: %d requests over %d services at %.0f/s; finding costs %.0fms serial per MA, misses %.0fms, forward RTT %.0fms, %.0f%% of services foreign\n",
-		cfg.Requests, cfg.Services, cfg.ArrivalRateHz, cfg.SubmitCostMS, cfg.MissCostMS, cfg.ForwardRTTMS, 100*cfg.ForeignFrac)
+		simgrid.FederationRequests, simgrid.FederationServices, simgrid.FederationArrivalRateHz,
+		simgrid.FederationSubmitCostMS, simgrid.FederationMissCostMS, simgrid.FederationForwardRTTMS,
+		100*simgrid.FederationForeignFrac)
 	row := func(name string, r *simgrid.FederationResult) {
 		fmt.Fprintf(w, "  %-18s throughput %6.1f/s  p99 submit latency %8.3fs  mean %7.3fs  span %6.1fs  forwards %d\n",
 			name, r.ThroughputPerSec(), r.P99LatencyS(), r.MeanLatencyS(), r.TotalS, r.Forwards)
 	}
 	row("1 MA", res.Single)
-	row(fmt.Sprintf("%d federated MAs", cfg.MAs), res.Federated)
+	row(fmt.Sprintf("%d federated MAs", simgrid.FederatedMAs), res.Federated)
 	fmt.Fprintf(w, "  → federation lifts saturation throughput %.2fx and cuts p99 submit latency %.1fx under the same stream (%s)\n",
 		res.ThroughputGainX(), res.P99GainX(), wall)
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -43,8 +45,13 @@ func TestSelectAblations(t *testing.T) {
 
 // TestEveryAblationRuns runs each table entry once at the command's default
 // flags: an entry whose simulation fails stops the test binary, and one
-// wired to the wrong function prints another ablation's header.
+// wired to the wrong function prints another ablation's header. Together
+// the entries print what -ablation all prints, and with the wall-clock text
+// masked that must match testdata/ablation_all.golden byte for byte: the
+// setup lines read the simulator's constants, and every figure is virtual
+// time.
 func TestEveryAblationRuns(t *testing.T) {
+	var all strings.Builder
 	for _, a := range ablations {
 		var out strings.Builder
 		a.run(&out)
@@ -52,5 +59,20 @@ func TestEveryAblationRuns(t *testing.T) {
 		if !strings.HasPrefix(first, "Ablation "+a.id+" ") && !strings.HasPrefix(first, "Sweep "+a.id+"a ") {
 			t.Errorf("entry %s printed %q first", a.id, first)
 		}
+		all.WriteString(out.String())
+	}
+	want, err := os.ReadFile("testdata/ablation_all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := regexp.MustCompile(`simulated in [^)]*`).ReplaceAllString(all.String(), "")
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("-ablation all output differs from the golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("-ablation all output has %d lines, the golden %d", len(gl), len(wl))
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/scheduler"
 )
 
 // TransferSample is one measured data movement between two nodes.
@@ -202,6 +204,20 @@ func (tm *TransferMonitor) Predict(from, to string, sizeMB float64) (seconds, co
 		return 0, 0, false
 	}
 	return p, m.Confidence, true
+}
+
+// PredictOr prices moving sizeMB from one node to the other: the pair
+// model's forecast when it is trusted at the shared confidence floor
+// (scheduler.DefaultMinConfidence), else sizeMB over fallbackMBps. A nil
+// monitor always falls back. The live SeD and the simulator's data ablation
+// both price input transfers through it.
+func (tm *TransferMonitor) PredictOr(from, to string, sizeMB, fallbackMBps float64) float64 {
+	if tm != nil {
+		if sec, conf, ok := tm.Predict(from, to, sizeMB); ok && conf >= scheduler.DefaultMinConfidence {
+			return sec
+		}
+	}
+	return sizeMB / fallbackMBps
 }
 
 // Pairs lists the observed pair keys, sorted.

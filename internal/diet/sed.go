@@ -556,9 +556,13 @@ func (s *SeD) inputTransferSeconds(dataIDs []string) float64 {
 		if !ok || sizeMB <= 0 {
 			continue
 		}
+		mbps := s.cfg.DataFallbackMBps
+		if mbps <= 0 {
+			mbps = defaultDataFallbackMBps
+		}
 		best := math.MaxFloat64
 		for _, n := range nodes {
-			if sec := s.predictTransfer(n, sizeMB); sec < best {
+			if sec := s.cfg.Transfers.PredictOr(n, s.cfg.Name, sizeMB, mbps); sec < best {
 				best = sec
 			}
 		}
@@ -567,22 +571,6 @@ func (s *SeD) inputTransferSeconds(dataIDs []string) float64 {
 		}
 	}
 	return total
-}
-
-// predictTransfer prices moving sizeMB from a node to this SeD: the trusted
-// per-pair bandwidth model when one exists, else the fallback bandwidth.
-func (s *SeD) predictTransfer(from string, sizeMB float64) float64 {
-	if s.cfg.Transfers != nil {
-		if sec, conf, ok := s.cfg.Transfers.Predict(from, s.cfg.Name, sizeMB); ok &&
-			conf >= scheduler.DefaultMinConfidence {
-			return sec
-		}
-	}
-	mbps := s.cfg.DataFallbackMBps
-	if mbps <= 0 {
-		mbps = defaultDataFallbackMBps
-	}
-	return sizeMB / mbps
 }
 
 // Solve admits the profile to the FIFO, runs the solve function through the

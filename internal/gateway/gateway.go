@@ -14,7 +14,6 @@ package gateway
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -175,20 +174,25 @@ func (g *Gateway) Close() {
 	}
 }
 
-// route sticky-routes a service onto one MA: FNV-1a of the service name
-// modulo the pool, so every submission of one service lands on the same MA
-// (whose subtree then holds the service's warm models) while distinct
-// services spread across the federation.
-func (g *Gateway) route(service string) int {
-	h := fnv.New32a()
-	h.Write([]byte(service))
-	return int(h.Sum32()) % len(g.clients)
+// Route sticky-routes a service onto one of n MAs: the 32-bit FNV-1a hash of
+// its name modulo n, so every submission of one service lands on the same MA
+// (whose subtree holds the service's warm models) while distinct services
+// spread across the federation. It allocates nothing, reduces unsigned so the
+// index is in [0, n) whatever the width of int, and is the routing the
+// simulator's federation mirror runs too.
+func Route(service string, n int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(service); i++ {
+		h ^= uint32(service[i])
+		h *= 16777619
+	}
+	return int(h % uint32(n))
 }
 
 // RouteMA reports which MA a service sticky-routes to (for tests and the
 // status page).
 func (g *Gateway) RouteMA(service string) string {
-	return g.cfg.MAs[g.route(service)]
+	return g.cfg.MAs[Route(service, len(g.clients))]
 }
 
 // admit passes the admission controller: a token from the bounded queue or
@@ -275,7 +279,7 @@ func (g *Gateway) Solve(p *diet.Profile) (*diet.CallInfo, time.Duration, error) 
 		g.metrics.admissionS.With().Observe(admission.Seconds())
 	}
 
-	idx := g.route(p.Service)
+	idx := Route(p.Service, len(g.clients))
 	reply, rotate, err := g.findServers(idx, p.Service, p.WorkGFlops)
 	if err != nil {
 		g.errors.Add(1)

@@ -54,23 +54,18 @@ type BatchQueueJob struct {
 	ShadowViolations int
 }
 
-// BatchQueueConfig sizes the virtual cluster queue.
+// BatchQueueConfig sizes the virtual cluster queue. A killed attempt
+// requeues with its grant widened by batch.WalltimePolicy's default
+// RequeueFactor, up to maxBatchAttempts — the live executor's defaults.
 type BatchQueueConfig struct {
 	Nodes    int
 	Backfill bool
-	// RequeueFactor widens the grant after a walltime kill (default 2,
-	// mirroring batch.WalltimePolicy.RequeueFactor).
-	RequeueFactor float64
-	// MaxAttempts bounds kill-and-requeue retries (default 3, mirroring
-	// batch.ForecastExecutor.MaxAttempts).
-	MaxAttempts int
 }
 
 // bfQueued is one waiting attempt.
 type bfQueued struct {
 	job        *BatchQueueJob
 	enqueueS   float64
-	attempt    int
 	wallS      float64 // this attempt's grant (widened after kills)
 	headBoundS float64 // tightest shadow bound promised while head; <0 = none
 }
@@ -92,17 +87,13 @@ type bfRunning struct {
 // jump ahead, ranked by batch.OrderBackfill (forecast-sized first, then
 // tighter walltimes, then submission order). An attempt whose script
 // outlives its grant is killed at expiry and requeued with a
-// RequeueFactor-widened grant up to MaxAttempts. Jobs are mutated in place.
+// RequeueFactor-widened grant up to maxBatchAttempts. Jobs are mutated in
+// place.
 func SimulateBatchQueue(cfg BatchQueueConfig, jobs []*BatchQueueJob) error {
 	if cfg.Nodes < 1 {
 		return fmt.Errorf("simgrid: batch queue needs >= 1 node, got %d", cfg.Nodes)
 	}
-	if cfg.RequeueFactor <= 1 {
-		cfg.RequeueFactor = 2
-	}
-	if cfg.MaxAttempts < 1 {
-		cfg.MaxAttempts = maxBatchAttempts
-	}
+	requeueFactor := batch.WalltimePolicy{}.WithDefaults().RequeueFactor
 	for _, j := range jobs {
 		if j.Nodes < 1 || j.Nodes > cfg.Nodes {
 			return fmt.Errorf("simgrid: job %d requests %d nodes, cluster has %d", j.ID, j.Nodes, cfg.Nodes)
@@ -227,20 +218,17 @@ func SimulateBatchQueue(cfg BatchQueueConfig, jobs []*BatchQueueJob) error {
 			// job requeues at the tail with a widened grant, like
 			// batch.ForecastExecutor's kill-and-requeue.
 			r.job.Kills++
-			if r.job.Kills >= cfg.MaxAttempts {
+			if r.job.Kills >= maxBatchAttempts {
 				r.job.Failed = true
 				r.job.EndS = r.releaseS
 				continue
 			}
-			queue = append(queue, &bfQueued{
-				job: r.job, enqueueS: t, attempt: r.job.Kills + 1,
-				wallS: r.wallS * cfg.RequeueFactor, headBoundS: -1,
-			})
+			queue = append(queue, &bfQueued{job: r.job, enqueueS: t, wallS: r.wallS * requeueFactor, headBoundS: -1})
 		}
 		running = keep
 		for next < len(arrivals) && arrivals[next].ArriveS <= t {
 			j := arrivals[next]
-			queue = append(queue, &bfQueued{job: j, enqueueS: j.ArriveS, attempt: 1, wallS: j.WallS, headBoundS: -1})
+			queue = append(queue, &bfQueued{job: j, enqueueS: j.ArriveS, wallS: j.WallS, headBoundS: -1})
 			next++
 		}
 		schedule(t)
@@ -260,22 +248,23 @@ type BackfillArm struct {
 	OverrunKills   int     // attempts killed at walltime expiry
 }
 
-// BackfillAblationConfig tunes RunBackfillAblation. Zero values select the
-// canonical A9 setup.
-type BackfillAblationConfig struct {
-	// Rounds is campaigns per training: rounds-1 train the monitors, the
-	// last supplies the measured job stream (default 2).
-	Rounds int
-	// Nodes is the virtual cluster the job stream is packed onto (default
-	// 8 — fewer than the deployment's 11 SeDs, so the queue is contended,
-	// with enough width that wide jobs leave backfillable slack).
-	Nodes int
-	// WideEvery makes every n-th job a wide multi-node ensemble run that
-	// blocks the queue head and opens backfill windows (default 7).
-	WideEvery int
-	// WideNodes is the width of those jobs (default Nodes-2).
-	WideNodes int
-}
+// BackfillAblationConfig is empty: the A9 cluster and job stream are fixed
+// by the constants below. The type stays because the repository benchmark
+// (bench/suite.go) passes its zero value to RunBackfillAblation.
+type BackfillAblationConfig struct{}
+
+// The A9 cluster and job stream.
+const (
+	// backfillNodes is the virtual cluster the job stream is packed onto:
+	// fewer than the deployment's 11 SeDs, so the queue is contended, with
+	// enough width that wide jobs leave backfillable slack.
+	backfillNodes = 8
+	// Every backfillWideEvery-th job is a wide ensemble run of
+	// backfillWideNodes nodes that blocks the queue head and opens backfill
+	// windows.
+	backfillWideEvery = 7
+	backfillWideNodes = backfillNodes - 2
+)
 
 // BackfillAblationResult compares the three arms of A9 on one job stream.
 type BackfillAblationResult struct {
@@ -334,46 +323,30 @@ func userGrantS(runS float64) float64 {
 	return userGrantBuckets[len(userGrantBuckets)-1]
 }
 
-// RunBackfillAblation runs A9: train CoRI monitors over rounds-1 campaigns
-// on the CanonicalSkew platform (forecast-aware scheduling, exactly like the
-// other trained ablations), take the measured campaign's solves as a batch
-// job stream — each record's true duration, work size and submission time,
-// with every WideEvery-th job widened into a multi-node ensemble run — and
-// pack it onto a contended virtual cluster three ways: pure FIFO, backfill
-// over user-bucketed fixed grants, and backfill over forecast-sized grants
-// (batch.WalltimePolicy over the per-SeD trained model, the same shared
-// policy the live ForecastExecutor runs). Queue-wait and makespan tell how
+// RunBackfillAblation runs A9: train CoRI monitors over TrainingRounds-1
+// campaigns on the CanonicalSkew platform (forecast-aware scheduling,
+// exactly like the other trained ablations), take the measured campaign's
+// solves as a batch job stream — each record's true duration, work size and
+// submission time, with every backfillWideEvery-th job widened into a
+// multi-node ensemble run — and pack it onto a contended virtual cluster
+// three ways: pure FIFO, backfill over user-bucketed fixed grants, and
+// backfill over forecast-sized grants (batch.WalltimePolicy.Size over the
+// per-SeD trained model, the call the live ForecastExecutor makes). Queue-wait and makespan tell how
 // much of the follow-up paper's dominant cost forecast sizing recovers.
-func RunBackfillAblation(mkCfg func() ExperimentConfig, abl BackfillAblationConfig) (*BackfillAblationResult, error) {
-	if abl.Rounds < 2 {
-		abl.Rounds = 2
-	}
-	if abl.Nodes < 2 {
-		abl.Nodes = 8
-	}
-	if abl.WideEvery < 2 {
-		abl.WideEvery = 7
-	}
-	if abl.WideNodes < 2 || abl.WideNodes > abl.Nodes {
-		abl.WideNodes = abl.Nodes - 2
-		if abl.WideNodes < 2 {
-			abl.WideNodes = 2
-		}
-	}
-
+func RunBackfillAblation(mkCfg func() ExperimentConfig, _ BackfillAblationConfig) (*BackfillAblationResult, error) {
 	cfg := mkCfg()
 	cfg.Policy = scheduler.NewForecastAware()
 	cfg.Forecast = true
 	cfg.TruePowerFactor = CanonicalSkew
 	cfg.CoRI.HalfLife = TrainingHalfLife
 	cfg.Monitors = make(map[string]*cori.Monitor, len(cfg.Deployment.SeDs))
-	results, err := RunExperimentRounds(cfg, abl.Rounds)
+	results, err := RunExperimentRounds(cfg, TrainingRounds)
 	if err != nil {
 		return nil, fmt.Errorf("simgrid: backfill ablation training: %w", err)
 	}
 	final := results[len(results)-1]
-	if len(final.Records) < 2*abl.WideEvery {
-		return nil, fmt.Errorf("simgrid: backfill ablation needs >= %d requests, got %d", 2*abl.WideEvery, len(final.Records))
+	if len(final.Records) < 2*backfillWideEvery {
+		return nil, fmt.Errorf("simgrid: backfill ablation needs >= %d requests, got %d", 2*backfillWideEvery, len(final.Records))
 	}
 
 	// One job template per measured solve; per-arm copies are re-sized below.
@@ -385,8 +358,8 @@ func RunBackfillAblation(mkCfg func() ExperimentConfig, abl BackfillAblationConf
 	specs := make([]jobSpec, len(final.Records))
 	for i, rec := range final.Records {
 		nodes := 1
-		if (i+1)%abl.WideEvery == 0 {
-			nodes = abl.WideNodes
+		if (i+1)%backfillWideEvery == 0 {
+			nodes = backfillWideNodes
 		}
 		specs[i] = jobSpec{
 			arriveS: rec.SubmitS, runS: rec.DurationS(), workGFlops: rec.WorkGFlops,
@@ -402,13 +375,11 @@ func RunBackfillAblation(mkCfg func() ExperimentConfig, abl BackfillAblationConf
 				RunS: sp.runS, WallS: userGrantS(sp.runS),
 			}
 			if forecastSized {
+				// The live ForecastExecutor's sizing call, falling back to
+				// the user's grant on a cold model.
 				pol := batch.WalltimePolicy{Fixed: time.Duration(j.WallS * float64(time.Second))}
-				if mon := cfg.Monitors[sp.sed]; mon != nil {
-					if model, ok := mon.Model("ramsesZoom2"); ok {
-						if w, ok := pol.FromForecast(model.SolveSeconds(sp.workGFlops), model.Confidence); ok {
-							j.WallS, j.Sized = w.Seconds(), true
-						}
-					}
+				if w, sized := pol.Size(cfg.Monitors[sp.sed], phase2Service, sp.workGFlops); sized {
+					j.WallS, j.Sized = w.Seconds(), true
 				}
 			}
 			out[i] = j
@@ -418,7 +389,7 @@ func RunBackfillAblation(mkCfg func() ExperimentConfig, abl BackfillAblationConf
 
 	runArm := func(name string, backfill, forecastSized bool) (BackfillArm, error) {
 		jobs := mkJobs(forecastSized)
-		if err := SimulateBatchQueue(BatchQueueConfig{Nodes: abl.Nodes, Backfill: backfill}, jobs); err != nil {
+		if err := SimulateBatchQueue(BatchQueueConfig{Nodes: backfillNodes, Backfill: backfill}, jobs); err != nil {
 			return BackfillArm{}, fmt.Errorf("simgrid: backfill ablation %s arm: %w", name, err)
 		}
 		arm := BackfillArm{Name: name}
@@ -449,7 +420,7 @@ func RunBackfillAblation(mkCfg func() ExperimentConfig, abl BackfillAblationConf
 		return arm, nil
 	}
 
-	out := &BackfillAblationResult{Jobs: len(specs), Nodes: abl.Nodes}
+	out := &BackfillAblationResult{Jobs: len(specs), Nodes: backfillNodes}
 	if out.NoBackfill, err = runArm("no backfill", false, false); err != nil {
 		return nil, err
 	}

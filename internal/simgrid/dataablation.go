@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cori"
-	"repro/internal/scheduler"
 )
 
 // This file runs the data ablation (A13): a data-heavy parameter sweep with
@@ -24,105 +23,73 @@ import (
 // the platform and pays the WAN again and again, while the aware arm
 // concentrates them where the bytes already are.
 
-// DataServer is one compute node of the A13 platform.
-type DataServer struct {
+// DataAblationConfig parameterises the A13 comparison. Only the submission
+// order varies; the platform and the sweep are the tables below.
+type DataAblationConfig struct {
+	// Seed shuffles the submission order of the sweep points (0 = 7).
+	Seed int64
+}
+
+// The A13 sweep.
+const (
+	// dataStorageNode initially holds every dataset.
+	dataStorageNode = "nfs"
+	// The sweep reads dataDatasets distinct snapshots of dataDatasetMB each
+	// (GRAFIC-scale); dataPointsPerDataset points consume each one, at
+	// dataWorkGFlops of compute per point.
+	dataDatasets         = 6
+	dataDatasetMB        = 3000.0
+	dataPointsPerDataset = 8
+	dataWorkGFlops       = 2000.0
+	// dataDefaultMBps is the bandwidth of a link dataBandwidthMBps does not
+	// list.
+	dataDefaultMBps = 100.0
+	// dataFallbackMBps is the aware arm's assumed bandwidth while a pair's
+	// transfer model is still untrusted — the live SeD's DataFallbackMBps,
+	// still optimistic about the 10 MB/s WAN links.
+	dataFallbackMBps = 50.0
+	// dataMaxInFlight caps concurrently running sweep points, so placement
+	// decisions interleave with completions and the transfer monitor trains
+	// mid-sweep.
+	dataMaxInFlight = 4
+)
+
+// dataServer is one compute node of the A13 platform.
+type dataServer struct {
 	Name        string
 	PowerGFlops float64
 }
 
-// DataAblationConfig parameterises the A13 comparison. The zero value runs
-// the default data-heavy sweep (see withDefaults) — an empty config is never
-// inert.
-type DataAblationConfig struct {
-	// Servers is the compute platform (default: four SeDs of mixed power,
-	// two behind a slow WAN link from the storage node).
-	Servers []DataServer
-	// StorageNode initially holds every dataset (default "nfs").
-	StorageNode string
-	// Datasets is how many distinct snapshots the sweep reads (default 6);
-	// DatasetMB is each snapshot's size (default 3000 — GRAFIC-scale).
-	Datasets  int
-	DatasetMB float64
-	// PointsPerDataset is how many sweep points consume each snapshot
-	// (default 8); WorkGFlops is one point's compute cost (default 2000).
-	PointsPerDataset int
-	WorkGFlops       float64
-	// BandwidthMBps maps cori.PairKey(a, b) to the link's virtual bandwidth;
-	// pairs not listed run at DefaultMBps (default 100). The default map puts
-	// Nancy and Sophia behind a 10 MB/s WAN from the storage node.
-	BandwidthMBps map[string]float64
-	DefaultMBps   float64
-	// FallbackMBps is the aware arm's assumed bandwidth while a pair's
-	// transfer model is still untrusted — the live SeD's DataFallbackMBps
-	// knob (default 50, still optimistic about the 10 MB/s WAN links).
-	FallbackMBps float64
-	// MaxInFlight caps concurrently running sweep points (default 4), so
-	// placement decisions interleave with completions and the transfer
-	// monitor trains mid-sweep.
-	MaxInFlight int
-	// Seed shuffles the submission order of the sweep points (default 7).
-	Seed int64
+// dataServers is the compute platform: four SeDs of mixed power, two behind
+// a slow WAN link from the storage node.
+var dataServers = []dataServer{
+	{Name: "Lyon1", PowerGFlops: 70},
+	{Name: "Lyon2", PowerGFlops: 60},
+	{Name: "Nancy1", PowerGFlops: 50},
+	{Name: "Sophia1", PowerGFlops: 40},
 }
 
-// withDefaults fills the zero fields with the default data-heavy sweep.
-func (c DataAblationConfig) withDefaults() DataAblationConfig {
-	if len(c.Servers) == 0 {
-		c.Servers = []DataServer{
-			{Name: "Lyon1", PowerGFlops: 70},
-			{Name: "Lyon2", PowerGFlops: 60},
-			{Name: "Nancy1", PowerGFlops: 50},
-			{Name: "Sophia1", PowerGFlops: 40},
-		}
-	}
-	if c.StorageNode == "" {
-		c.StorageNode = "nfs"
-	}
-	if c.Datasets < 1 {
-		c.Datasets = 6
-	}
-	if c.DatasetMB <= 0 {
-		c.DatasetMB = 3000
-	}
-	if c.PointsPerDataset < 1 {
-		c.PointsPerDataset = 8
-	}
-	if c.WorkGFlops <= 0 {
-		c.WorkGFlops = 2000
-	}
-	if c.BandwidthMBps == nil {
-		c.BandwidthMBps = map[string]float64{
-			cori.PairKey("nfs", "Lyon1"):      100,
-			cori.PairKey("nfs", "Lyon2"):      100,
-			cori.PairKey("nfs", "Nancy1"):     10,
-			cori.PairKey("nfs", "Sophia1"):    10,
-			cori.PairKey("Lyon1", "Nancy1"):   20,
-			cori.PairKey("Lyon1", "Sophia1"):  20,
-			cori.PairKey("Lyon2", "Nancy1"):   20,
-			cori.PairKey("Lyon2", "Sophia1"):  20,
-			cori.PairKey("Nancy1", "Sophia1"): 15,
-		}
-	}
-	if c.DefaultMBps <= 0 {
-		c.DefaultMBps = 100
-	}
-	if c.FallbackMBps <= 0 {
-		c.FallbackMBps = 50
-	}
-	if c.MaxInFlight < 1 {
-		c.MaxInFlight = 4
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
-	}
-	return c
+// dataBandwidthMBps maps cori.PairKey(a, b) to the link's virtual
+// bandwidth: Nancy and Sophia sit behind a 10 MB/s WAN from the storage
+// node.
+var dataBandwidthMBps = map[string]float64{
+	cori.PairKey("nfs", "Lyon1"):      100,
+	cori.PairKey("nfs", "Lyon2"):      100,
+	cori.PairKey("nfs", "Nancy1"):     10,
+	cori.PairKey("nfs", "Sophia1"):    10,
+	cori.PairKey("Lyon1", "Nancy1"):   20,
+	cori.PairKey("Lyon1", "Sophia1"):  20,
+	cori.PairKey("Lyon2", "Nancy1"):   20,
+	cori.PairKey("Lyon2", "Sophia1"):  20,
+	cori.PairKey("Nancy1", "Sophia1"): 15,
 }
 
-// bandwidth returns the virtual MB/s of the a↔b link.
-func (c DataAblationConfig) bandwidth(a, b string) float64 {
-	if bw, ok := c.BandwidthMBps[cori.PairKey(a, b)]; ok && bw > 0 {
+// dataBandwidth returns the virtual MB/s of the a↔b link.
+func dataBandwidth(a, b string) float64 {
+	if bw, ok := dataBandwidthMBps[cori.PairKey(a, b)]; ok {
 		return bw
 	}
-	return c.DefaultMBps
+	return dataDefaultMBps
 }
 
 // DataArmResult is one scheduling arm's outcome over the sweep.
@@ -171,7 +138,7 @@ func (r *DataAblationResult) Print(w io.Writer) {
 // dataSed is the ablation's view of one server: capacity 1, a drain time, and
 // the set of snapshots already resident on its store.
 type dataSed struct {
-	DataServer
+	dataServer
 	freeAt float64
 	has    map[int]bool // dataset index → resident
 }
@@ -180,22 +147,22 @@ type dataSed struct {
 // workload, submission order, platform, and caching behaviour; aware
 // additionally prices predicted input transfers into placement, from the
 // monitor its own completed transfers train.
-func runDataArm(cfg DataAblationConfig, aware bool) *DataArmResult {
+func runDataArm(seed int64, aware bool) *DataArmResult {
 	sim := NewSim()
 	var monitor *cori.TransferMonitor
 	if aware {
 		monitor = cori.NewTransferMonitor(cori.Config{HalfLife: TrainingHalfLife, Now: virtualClock(sim)})
 	}
 
-	seds := make([]*dataSed, len(cfg.Servers))
-	for i, s := range cfg.Servers {
-		seds[i] = &dataSed{DataServer: s, has: map[int]bool{}}
+	seds := make([]*dataSed, len(dataServers))
+	for i, s := range dataServers {
+		seds[i] = &dataSed{dataServer: s, has: map[int]bool{}}
 	}
 	// holders[d] is the sorted set of nodes a replica of dataset d lives on;
 	// every dataset starts on the storage node only.
-	holders := make([][]string, cfg.Datasets)
+	holders := make([][]string, dataDatasets)
 	for d := range holders {
-		holders[d] = []string{cfg.StorageNode}
+		holders[d] = []string{dataStorageNode}
 	}
 	addHolder := func(d int, node string) {
 		for _, h := range holders[d] {
@@ -207,33 +174,30 @@ func runDataArm(cfg DataAblationConfig, aware bool) *DataArmResult {
 		sort.Strings(holders[d])
 	}
 
-	// The sweep: PointsPerDataset points per snapshot, submission order
+	// The sweep: dataPointsPerDataset points per snapshot, submission order
 	// shuffled by the seed so neither arm sees datasets in convenient runs.
 	type point struct{ dataset int }
 	var queue []point
-	for d := 0; d < cfg.Datasets; d++ {
-		for p := 0; p < cfg.PointsPerDataset; p++ {
+	for d := 0; d < dataDatasets; d++ {
+		for p := 0; p < dataPointsPerDataset; p++ {
 			queue = append(queue, point{dataset: d})
 		}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	rng.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
 
 	// predictTransfer is the aware arm's pricing: 0 when the bytes are
-	// already resident, else the cheapest predicted pull from any replica —
-	// the trusted pair model when one exists, the optimistic fallback
-	// bandwidth until then. Exactly the live SeD's inputTransferSeconds.
+	// already resident, else the cheapest predicted pull from any replica,
+	// each priced by cori.TransferMonitor.PredictOr like the live SeD's
+	// inputTransferSeconds — the trusted pair model when one exists, the
+	// optimistic fallback bandwidth until then.
 	predictTransfer := func(s *dataSed, d int) float64 {
 		if s.has[d] {
 			return 0
 		}
 		best := -1.0
 		for _, h := range holders[d] {
-			secs, conf, ok := monitor.Predict(h, s.Name, cfg.DatasetMB)
-			if !ok || conf < scheduler.DefaultMinConfidence {
-				secs = cfg.DatasetMB / cfg.FallbackMBps
-			}
-			if best < 0 || secs < best {
+			if secs := monitor.PredictOr(h, s.Name, dataDatasetMB, dataFallbackMBps); best < 0 || secs < best {
 				best = secs
 			}
 		}
@@ -249,7 +213,7 @@ func runDataArm(cfg DataAblationConfig, aware bool) *DataArmResult {
 
 	var dispatch func()
 	dispatch = func() {
-		for inflight < cfg.MaxInFlight && next < len(queue) {
+		for inflight < dataMaxInFlight && next < len(queue) {
 			job := queue[next]
 			seq := next
 			next++
@@ -264,7 +228,7 @@ func runDataArm(cfg DataAblationConfig, aware bool) *DataArmResult {
 				if s.freeAt > start {
 					start = s.freeAt
 				}
-				score := start + cfg.WorkGFlops/s.PowerGFlops
+				score := start + dataWorkGFlops/s.PowerGFlops
 				if aware {
 					score += predictTransfer(s, job.dataset)
 				}
@@ -284,14 +248,14 @@ func runDataArm(cfg DataAblationConfig, aware bool) *DataArmResult {
 			transfer, from := 0.0, ""
 			if !sed.has[job.dataset] {
 				for _, h := range holders[job.dataset] {
-					if t := cfg.DatasetMB / cfg.bandwidth(h, sed.Name); from == "" || t < transfer {
+					if t := dataDatasetMB / dataBandwidth(h, sed.Name); from == "" || t < transfer {
 						transfer, from = t, h
 					}
 				}
-				res.BytesMovedMB += cfg.DatasetMB
+				res.BytesMovedMB += dataDatasetMB
 				res.Transfers++
 			}
-			end := start + transfer + cfg.WorkGFlops/sed.PowerGFlops
+			end := start + transfer + dataWorkGFlops/sed.PowerGFlops
 			sed.freeAt = end
 			inflight++
 			if from != "" {
@@ -311,7 +275,7 @@ func runDataArm(cfg DataAblationConfig, aware bool) *DataArmResult {
 					addHolder(job.dataset, sedDone.Name)
 					if monitor != nil {
 						monitor.Observe(cori.TransferSample{
-							From: fromDone, To: sedDone.Name, SizeMB: cfg.DatasetMB,
+							From: fromDone, To: sedDone.Name, SizeMB: dataDatasetMB,
 							Duration: time.Duration(trDone * float64(time.Second)),
 						})
 					}
@@ -332,9 +296,11 @@ func runDataArm(cfg DataAblationConfig, aware bool) *DataArmResult {
 
 // RunDataAblation runs both arms of A13 on the same configuration.
 func RunDataAblation(cfg DataAblationConfig) *DataAblationResult {
-	cfg = cfg.withDefaults()
+	if cfg.Seed == 0 {
+		cfg.Seed = 7
+	}
 	return &DataAblationResult{
-		Blind: runDataArm(cfg, false),
-		Aware: runDataArm(cfg, true),
+		Blind: runDataArm(cfg.Seed, false),
+		Aware: runDataArm(cfg.Seed, true),
 	}
 }

@@ -14,7 +14,7 @@ func TestRunDataAblation(t *testing.T) {
 	res := RunDataAblation(DataAblationConfig{})
 
 	// Inert-empty-config guard: the default sweep really ran.
-	wantSolves := 6 * 8 // default Datasets × PointsPerDataset
+	wantSolves := dataDatasets * dataPointsPerDataset
 	for _, arm := range []*DataArmResult{res.Blind, res.Aware} {
 		if arm.Solves != wantSolves {
 			t.Fatalf("%s: %d solves, want %d — empty config ran a degenerate sweep", arm.Strategy, arm.Solves, wantSolves)

@@ -86,7 +86,7 @@ func RunDeployAblation(mkCfg func() ExperimentConfig, rounds int) (*DeployAblati
 			cfg.BatchGrantS = 30
 		}
 		if cfg.BatchFixedWallS <= 0 {
-			cfg.BatchFixedWallS = DefaultExperiment(nil).BatchFixedWallS
+			cfg.BatchFixedWallS = defaultBatchWallS
 		}
 		return cfg
 	}
@@ -123,7 +123,7 @@ func RunDeployAblation(mkCfg func() ExperimentConfig, rounds int) (*DeployAblati
 	// Re-plan from the trained monitors: the phase-2 service dominates the
 	// campaign, so its models drive placement.
 	plan, changes, err := deploy.Replan(tcfg.Deployment, deploy.Options{
-		Capabilities: deploy.MonitorSource(tcfg.Monitors, "ramsesZoom2"),
+		Capabilities: deploy.MonitorSource(tcfg.Monitors, phase2Service),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("simgrid: deploy ablation replan: %w", err)

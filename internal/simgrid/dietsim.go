@@ -19,34 +19,16 @@ import (
 
 // ExperimentConfig describes the paper's campaign (§6.1): one low-resolution
 // 128³, 100 Mpc/h simulation (phase 1) followed by 100 zoom sub-simulations
-// submitted simultaneously (phase 2), on the PaperDeployment of 11 SeDs.
+// submitted simultaneously (phase 2), on the PaperDeployment of 11 SeDs over
+// the Grid'5000 platform. The middleware cost model and the work sizes are
+// the package's calibration constants, not fields: no caller varies them.
 type ExperimentConfig struct {
-	Platform   *platform.Platform
 	Deployment platform.Deployment
 	Policy     scheduler.Policy
 
 	NRequests int // phase-2 sub-simulations (paper: 100)
-
-	// Work sizes in GFlop. Defaults are calibrated so that a mean-power SeD
-	// takes 1h15m11s for phase 1 and 1h24m01s for a phase-2 request, the
-	// §6.2 means.
-	Phase1WorkGFlops float64
-	Phase2WorkGFlops float64
-	// WorkJitter is the fractional standard deviation of per-request work
-	// (zoom regions differ in clustering); deterministic via Seed.
-	WorkJitter float64
-	Seed       int64
-
-	// Middleware cost model (milliseconds), calibrated to §6.2: the CORBA
-	// marshalling + agent processing per find, and the service-initiation
-	// time on the SeD.
-	ORBOverheadMS float64 // per-request processing at MA + agents (paper find ≈ 49.8 ms total)
-	InitMS        float64 // service initiation on the SeD (paper: 20.8 ms)
-
-	// Data sizes: the namelist file shipped with each request and the
-	// results tarball shipped back.
-	NamelistKB float64
-	ResultMB   float64
+	// Seed drives the per-request work jitter and the finding-time noise.
+	Seed int64
 
 	// BatchMode routes every solve through an OAR-style reservation adding
 	// BatchGrantS seconds before each job attempt starts (ablation A3).
@@ -55,19 +37,16 @@ type ExperimentConfig struct {
 	// BatchFixedWallS is the fixed walltime (seconds) every reservation
 	// requests in BatchMode — the static grant the paper's submissions used.
 	// A job whose solve outlives its walltime is killed at expiry and
-	// requeued with a RequeueFactor-widened grant, mirroring
-	// batch.System{EnforceWalltime} + batch.ForecastExecutor. 0 disables
-	// walltime enforcement (an unbounded grant).
+	// requeued with a widened grant, mirroring batch.System{EnforceWalltime}
+	// + batch.ForecastExecutor. 0 disables walltime enforcement (an
+	// unbounded grant).
 	BatchFixedWallS float64
 	// BatchForecast sizes each reservation's walltime from the SeD's CoRI
-	// model through BatchPolicy instead of the fixed grant — the
+	// model through batch.WalltimePolicy instead of the fixed grant — the
 	// forecast-sized reservations of batch.ForecastExecutor in virtual time.
 	// Requires Forecast; SeDs whose monitor is cold for the service fall
 	// back to BatchFixedWallS.
 	BatchForecast bool
-	// BatchPolicy tunes forecast walltime sizing. Zero value = the batch
-	// package defaults with Fixed overridden by BatchFixedWallS.
-	BatchPolicy batch.WalltimePolicy
 
 	// ArrivalGapS spaces the phase-2 submissions instead of the paper's
 	// all-at-once burst; Figure 6's latency growth is pure burst queueing,
@@ -104,19 +83,14 @@ type ExperimentConfig struct {
 	// ReplanIntervalS enables the live-replanning mirror (diet.Agent
 	// ReplanInterval + ApplyPlan in virtual time): every interval the
 	// campaign re-plans the deployment from the SeDs' current monitors
-	// (deploy.Replan over MonitorSource for ReplanService) and applies the
-	// result online. A SeD whose effective power moved re-advertises it; a
-	// SeD whose placement changed pays ReplanPauseS of drain before
-	// accepting new work and its monitor rides a Snapshot/Restore round-trip
-	// — the reparent protocol's "model travels with the move" guarantee,
-	// exercised rather than assumed. Requires Forecast. 0 disables.
+	// (deploy.Replan over MonitorSource for ramsesZoom2, the service that
+	// dominates the campaign) and applies the result online. A SeD whose
+	// effective power moved re-advertises it; a SeD whose placement changed
+	// pays a drain pause before accepting new work and its monitor rides a
+	// Snapshot/Restore round-trip — the reparent protocol's "model travels
+	// with the move" guarantee, exercised rather than assumed. Requires
+	// Forecast. 0 disables.
 	ReplanIntervalS float64
-	// ReplanService is the service replanning plans by (default
-	// "ramsesZoom2", the service that dominates the campaign).
-	ReplanService string
-	// ReplanPauseS is the drain pause a migrated SeD pays before accepting
-	// new work (default 30s; the live protocol waits out in-flight solves).
-	ReplanPauseS float64
 	// LiveParent optionally scrambles the initial live placement (SeD name →
 	// agent name). Missing names start under their cluster's planned LA
 	// ("LA-<cluster>"); the replanning mirror migrates mismatches back to
@@ -136,28 +110,14 @@ type ExperimentConfig struct {
 	// = the healthy campaign, byte-identical to the no-failure simulator.
 	Failures []FailureEvent
 	// SelfHealing arms the recovery mirror for the failure schedule: crashed
-	// or partitioned nodes are detected after FailureDetectS and their
+	// or partitioned nodes are detected after failureDetectS and their
 	// in-flight work is requeued on the survivors, restarts rejoin warm via
 	// a CoRI snapshot round-trip, and lost dispatches are resubmitted after
-	// FailureRetryS — the virtual-time twin of heartbeat-miss eviction,
+	// failureRetryS — the virtual-time twin of heartbeat-miss eviction,
 	// -cori-snapshot restore and kill-and-requeue in internal/diet. Off = the
 	// fragile hierarchy: work on a dead node waits for its restart, or is
 	// lost outright when no restart is scheduled.
 	SelfHealing bool
-	// FailureDetectS is the crash/partition detection delay (default 90 —
-	// three missed 30 s heartbeats, the live Agent.SweepChildren default).
-	FailureDetectS float64
-	// FailureRetryS is the client resubmission backoff after a timed-out or
-	// lost dispatch (default 30).
-	FailureRetryS float64
-
-	// ReplanMinDeltaPct and ReplanDwellS mirror deploy.HysteresisConfig in
-	// virtual time: a replanning pass drops power refreshes within
-	// ReplanMinDeltaPct percent of the advertised figure, and parent moves
-	// within ReplanDwellS seconds of that SeD's previous move. Zero keeps
-	// every update (the A8 behaviour).
-	ReplanMinDeltaPct float64
-	ReplanDwellS      float64
 
 	// Spans, when set, receives the same span taxonomy the live stack emits
 	// — submit, schedule, queue, reserve, overrun_kill, requeue, solve,
@@ -168,24 +128,60 @@ type ExperimentConfig struct {
 	Spans logsvc.SpanSink
 }
 
+// The campaign's calibration to §6.2.
+const (
+	// orbOverheadMS is the CORBA marshalling and agent processing of one
+	// find (the paper's find time is ≈ 49.8 ms in all).
+	orbOverheadMS = 31.5
+	// initMS is the service initiation on the SeD (paper: 20.8 ms).
+	initMS = 20.8
+	// namelistKB is the namelist file shipped with each request. It is a
+	// float: namelistKB/1024 must not be integer division.
+	namelistKB = 4.0
+	// workJitter is the fractional standard deviation of per-request work
+	// (zoom regions differ in clustering); deterministic via Seed.
+	workJitter = 0.05
+	// defaultBatchWallS is the fixed reservation walltime of the paper run:
+	// a 2 h user grant, comfortably above the ~1h24 mean solve.
+	defaultBatchWallS = 7200.0
+)
+
+// phase2Service is the zoom service that dominates the campaign: the replan
+// pass plans by it, and its model is the one a restart or a move must carry.
+const phase2Service = "ramsesZoom2"
+
+// The recovery mirrors' timings, the live stack's defaults.
+const (
+	// replanPauseS is the drain pause a migrated SeD pays before accepting
+	// new work (the live protocol waits out in-flight solves).
+	replanPauseS = 30.0
+	// failureDetectS is the crash/partition detection delay: three missed
+	// 30 s heartbeats, the live Agent.SweepChildren default.
+	failureDetectS = 90.0
+	// failureRetryS is the client resubmission backoff after a timed-out or
+	// lost dispatch.
+	failureRetryS = 30.0
+)
+
+// grid5000 is the platform every campaign runs on, and the work sizes in
+// GFlop are calibrated so that a mean-power SeD of the paper's deployment
+// takes 1h15m11s for phase 1 and 1h24m01s for a phase-2 request, the §6.2
+// means — whatever deployment a campaign is given.
+var (
+	grid5000         = platform.Grid5000()
+	paperMeanPower   = meanPower(platform.PaperDeployment())
+	phase1WorkGFlops = 4511 * paperMeanPower
+	phase2WorkGFlops = 5041 * paperMeanPower
+)
+
 // DefaultExperiment returns the configuration reproducing the paper run.
 func DefaultExperiment(policy scheduler.Policy) ExperimentConfig {
-	dep := platform.PaperDeployment()
-	mean := meanPower(dep)
 	return ExperimentConfig{
-		Platform:         platform.Grid5000(),
-		Deployment:       dep,
-		Policy:           policy,
-		NRequests:        100,
-		Phase1WorkGFlops: 4511 * mean, // 1h15m11s at mean power
-		Phase2WorkGFlops: 5041 * mean, // 1h24m01s at mean power
-		WorkJitter:       0.05,
-		Seed:             1,
-		ORBOverheadMS:    31.5,
-		InitMS:           20.8,
-		NamelistKB:       4,
-		ResultMB:         64,
-		BatchFixedWallS:  7200, // a 2 h user grant, comfortably above the ~1h24 mean solve
+		Deployment:      platform.PaperDeployment(),
+		Policy:          policy,
+		NRequests:       100,
+		Seed:            1,
+		BatchFixedWallS: defaultBatchWallS,
 	}
 }
 
@@ -379,8 +375,8 @@ func (s *sedState) predict(service string, work float64) (float64, bool) {
 // RunExperiment replays the campaign in virtual time and returns every
 // quantity the paper reports.
 func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
-	if cfg.Platform == nil || len(cfg.Deployment.SeDs) == 0 {
-		return nil, fmt.Errorf("simgrid: experiment needs a platform and a deployment")
+	if len(cfg.Deployment.SeDs) == 0 {
+		return nil, fmt.Errorf("simgrid: experiment needs a deployment")
 	}
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("simgrid: experiment needs a scheduling policy")
@@ -397,6 +393,26 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sim := NewSim()
 	batchExhausted := 0
+
+	// remonitor gives a SeD a fresh monitor on this run's virtual clock and
+	// hands it back through cfg.Monitors, so multi-round drivers and tests
+	// can carry or inspect it. A warm rebuild first restores the SeD's
+	// current model — the snapshot round-trip a restart or a reparent
+	// rides — and keeps the old monitor if the restore fails.
+	remonitor := func(s *sedState, warm bool) {
+		mcfg := cfg.CoRI
+		mcfg.Now = virtualClock(sim)
+		fresh := cori.NewMonitor(mcfg)
+		if warm {
+			if err := fresh.Restore(s.monitor.Snapshot()); err != nil {
+				return
+			}
+		}
+		s.monitor = fresh
+		if cfg.Monitors != nil {
+			cfg.Monitors[s.place.Name] = fresh
+		}
+	}
 
 	seds := make([]*sedState, len(cfg.Deployment.SeDs))
 	byName := make(map[string]*sedState, len(seds))
@@ -420,14 +436,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 				m.SetNow(virtualClock(sim))
 				seds[i].monitor = m
 			} else {
-				mcfg := cfg.CoRI
-				mcfg.Now = virtualClock(sim)
-				seds[i].monitor = cori.NewMonitor(mcfg)
-				if cfg.Monitors != nil {
-					// Hand the trained monitor back so multi-round drivers
-					// and tests can carry or inspect it.
-					cfg.Monitors[p.Name] = seds[i].monitor
-				}
+				remonitor(seds[i], false)
 			}
 		}
 	}
@@ -438,29 +447,21 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	// parallel estimate collection through the LA hierarchy (bounded by the
 	// slowest site round trip), and the ORB/agent processing constant.
 	findingTime := func() float64 {
-		clientRTT := 2 * cfg.Platform.Latency(maSite, maSite).Seconds() * 1000
+		clientRTT := 2 * grid5000.Latency(maSite, maSite).Seconds() * 1000
 		worst := 0.0
 		for _, la := range cfg.Deployment.LAs {
-			rtt := 2 * cfg.Platform.Latency(maSite, la.Site).Seconds() * 1000
+			rtt := 2 * grid5000.Latency(maSite, la.Site).Seconds() * 1000
 			if rtt > worst {
 				worst = rtt
 			}
 		}
 		jitter := rng.NormFloat64() * 0.8
-		return clientRTT + worst + cfg.ORBOverheadMS + jitter
+		return clientRTT + worst + orbOverheadMS + jitter
 	}
 
 	// Failure-injection plumbing. With no schedule every branch below is
 	// dead and the campaign is byte-identical to the no-failure simulator.
 	failEnabled := len(cfg.Failures) > 0
-	detectS := cfg.FailureDetectS
-	if detectS <= 0 {
-		detectS = 90 // three missed 30 s heartbeats
-	}
-	retryS := cfg.FailureRetryS
-	if retryS <= 0 {
-		retryS = 30
-	}
 	lost := 0
 	flog := func(node, kind, detail string) {
 		res.FailureLog = append(res.FailureLog, FailureLogEntry{AtS: sim.Now(), Node: node, Kind: kind, Detail: detail})
@@ -526,7 +527,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 			sedComp = "SeD:" + sed.place.Name
 			served = "server " + sed.place.Name
 		}
-		transferS := cfg.Platform.TransferTime(maSite, sed.place.Site, cfg.NamelistKB/1024).Seconds()
+		transferS := grid5000.TransferTime(maSite, sed.place.Site, namelistKB/1024).Seconds()
 		arriveS := now + transferS
 		startS := arriveS
 		if sed.freeAt > startS {
@@ -537,37 +538,29 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 			// work — it reaches the queue when the schedule says it can.
 			startS = sed.waitUntil
 		}
-		startS += cfg.InitMS / 1000
+		startS += initMS / 1000
 		durS := work / sed.truePower
 		// The queue span covers FIFO wait + init, like the live SeD's; batch
 		// grant delays and kills get their own reserve/overrun_kill spans.
 		emitSpan(reqID, sedComp, logsvc.KindQueue, service, "", arriveS, startS)
 		if cfg.BatchMode {
-			// Reservation: size the walltime (fixed grant, or CoRI forecast
-			// via the same batch.WalltimePolicy the live executor runs), pay
-			// the grant delay per attempt, and replay kill-and-requeue when
-			// the solve outlives its grant — batch.System{EnforceWalltime}
-			// + batch.ForecastExecutor in virtual time.
-			pol := cfg.BatchPolicy
-			if pol.Fixed <= 0 && cfg.BatchFixedWallS > 0 {
-				pol.Fixed = time.Duration(cfg.BatchFixedWallS * float64(time.Second))
+			// Reservation: size the walltime through batch.WalltimePolicy.Size,
+			// the call the live ForecastExecutor makes (the CoRI forecast, or
+			// the fixed grant for a cold monitor), pay the grant delay per
+			// attempt, and replay kill-and-requeue when the solve outlives its
+			// grant — batch.System{EnforceWalltime} + batch.ForecastExecutor
+			// in virtual time.
+			pol := batch.WalltimePolicy{Fixed: time.Duration(cfg.BatchFixedWallS * float64(time.Second))}.WithDefaults()
+			var mon *cori.Monitor
+			if cfg.BatchForecast {
+				mon = sed.monitor
 			}
-			// With no grant configured anywhere and no forecasting, walltimes
-			// are unbounded (the pre-enforcement A3 behaviour); otherwise the
-			// fallback is the resolved policy's Fixed — exactly what the live
-			// ForecastExecutor's Size grants a cold monitor.
-			enforce := pol.Fixed > 0 || cfg.BatchForecast
-			pol = pol.WithDefaults()
-			wall, sized := 0.0, false
-			if enforce {
-				wall = pol.Fixed.Seconds()
-			}
-			if cfg.BatchForecast && sed.monitor != nil {
-				if model, ok := sed.monitor.Model(service); ok {
-					if w, ok := pol.FromForecast(model.SolveSeconds(work), model.Confidence); ok {
-						wall, sized = w.Seconds(), true
-					}
-				}
+			w, sized := pol.Size(mon, service, work)
+			wall := w.Seconds()
+			if cfg.BatchFixedWallS <= 0 && !cfg.BatchForecast {
+				// No grant and no forecasting: walltimes are unbounded (the
+				// pre-enforcement A3 behaviour).
+				wall = 0
 			}
 			res.Batch.Reservations++
 			if sized {
@@ -701,7 +694,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 			// Nowhere left to try this instant: forget the bounce history
 			// and retry after the backoff.
 			job.avoid = nil
-			sim.After(retryS, func() { place(job) })
+			sim.After(failureRetryS, func() { place(job) })
 			return
 		}
 		if delayS > 0 {
@@ -732,8 +725,8 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 				if cfg.SelfHealing {
 					flog(sed.place.Name, "requeue", fmt.Sprintf("req %d lost in flight, resubmitted", job.id))
 					emitSpan(reqID, "client", logsvc.KindRequeue, job.service,
-						fmt.Sprintf("lost in flight to %s", sed.place.Name), now, now+retryS)
-					bounce(job, sed, retryS)
+						fmt.Sprintf("lost in flight to %s", sed.place.Name), now, now+failureRetryS)
+					bounce(job, sed, failureRetryS)
 				} else {
 					lost++
 					flog(sed.place.Name, "lost", fmt.Sprintf("req %d lost in flight, never resubmitted", job.id))
@@ -749,8 +742,8 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 				// Unreachable, not refused: the call times out before the
 				// client fails over.
 				flog(sed.place.Name, "requeue", fmt.Sprintf("req %d timed out against partitioned %s", job.id, sed.place.Name))
-				emitSpan(reqID, "client", logsvc.KindRequeue, job.service, sed.place.Name+" unreachable", now, now+retryS)
-				bounce(job, sed, retryS)
+				emitSpan(reqID, "client", logsvc.KindRequeue, job.service, sed.place.Name+" unreachable", now, now+failureRetryS)
+				bounce(job, sed, failureRetryS)
 				return
 			case !cfg.SelfHealing && sed.downForever:
 				// Nothing detects the dead node; the request joins a queue
@@ -779,7 +772,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	var phase2Submitted bool
 	submitPhase2 := func() {}
 	sim.At(f1/1000, func() {
-		dispatch(0, "ramsesZoom1", cfg.Phase1WorkGFlops, f1, func(rec RequestRecord) {
+		dispatch(0, "ramsesZoom1", phase1WorkGFlops, f1, func(rec RequestRecord) {
 			res.Phase1 = rec
 			res.Phase1S = rec.EndS
 			if !phase2Submitted {
@@ -797,14 +790,14 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		t := sim.Now()
 		for i := 1; i <= cfg.NRequests; i++ {
 			id := i
-			work := cfg.Phase2WorkGFlops * (1 + cfg.WorkJitter*rng.NormFloat64())
-			if work < 0.1*cfg.Phase2WorkGFlops {
-				work = 0.1 * cfg.Phase2WorkGFlops
+			work := phase2WorkGFlops * (1 + workJitter*rng.NormFloat64())
+			if work < 0.1*phase2WorkGFlops {
+				work = 0.1 * phase2WorkGFlops
 			}
 			f := findingTime()
 			t += f/1000 + cfg.ArrivalGapS
 			sim.At(t, func() {
-				dispatch(id, "ramsesZoom2", work, f, func(rec RequestRecord) {
+				dispatch(id, phase2Service, work, f, func(rec RequestRecord) {
 					res.Records = append(res.Records, rec)
 					done++
 				})
@@ -830,13 +823,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		if err := validateFailureSchedule(cfg.Failures, byName); err != nil {
 			return nil, err
 		}
-		modelTrusted := func(s *sedState) bool {
-			if s.monitor == nil {
-				return false
-			}
-			m, ok := s.monitor.Model("ramsesZoom2")
-			return ok && m.Confidence >= scheduler.DefaultMinConfidence && m.SolveSeconds(cfg.Phase2WorkGFlops) > 0
-		}
 		for _, f := range cfg.Failures {
 			f := f
 			sed := byName[f.Node]
@@ -854,10 +840,10 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 						// kill-and-requeue path of the live migration
 						// protocol.
 						crashS := sim.Now()
-						sim.After(detectS, func() {
+						sim.After(failureDetectS, func() {
 							sed.excluded = true
 							held = append(held, sed.cancelInflight()...)
-							flog(f.Node, "detect_evict", fmt.Sprintf("evicted after %.0fs silence, requeueing %d solves", detectS, len(held)))
+							flog(f.Node, "detect_evict", fmt.Sprintf("evicted after %.0fs silence, requeueing %d solves", failureDetectS, len(held)))
 							for _, j := range held {
 								res.Requeued++
 								emitSpan(fmt.Sprintf("sim-%d", j.id), sed.parent, logsvc.KindRequeue, j.service,
@@ -901,27 +887,15 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 						// -cori-snapshot warm restore: the monitor rides a
 						// snapshot round-trip and comes back trained.
 						if sed.monitor != nil {
-							mcfg := cfg.CoRI
-							mcfg.Now = virtualClock(sim)
-							fresh := cori.NewMonitor(mcfg)
-							if err := fresh.Restore(sed.monitor.Snapshot()); err == nil {
-								sed.monitor = fresh
-								if cfg.Monitors != nil {
-									cfg.Monitors[sed.place.Name] = fresh
-								}
-							}
+							remonitor(sed, true)
 						}
-						flog(f.Node, "restart", fmt.Sprintf("rejoined warm, model trusted=%v", modelTrusted(sed)))
+						_, trusted := sed.predict(phase2Service, phase2WorkGFlops)
+						flog(f.Node, "restart", fmt.Sprintf("rejoined warm, model trusted=%v", trusted))
 					} else {
 						// No snapshot on disk: the monitor restarts cold and
 						// retrains from scratch.
 						if sed.monitor != nil {
-							mcfg := cfg.CoRI
-							mcfg.Now = virtualClock(sim)
-							sed.monitor = cori.NewMonitor(mcfg)
-							if cfg.Monitors != nil {
-								cfg.Monitors[sed.place.Name] = sed.monitor
-							}
+							remonitor(sed, false)
 						}
 						flog(f.Node, "restart", "rejoined cold, model retraining from scratch")
 					}
@@ -932,12 +906,12 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 					sed.partitioned = true
 					flog(f.Node, "partition", "node cut off; solves continue, results held")
 					if cfg.SelfHealing {
-						sim.After(detectS, func() {
+						sim.After(failureDetectS, func() {
 							if !sed.partitioned {
 								return // healed before detection
 							}
 							sed.excluded = true
-							flog(f.Node, "detect_evict", fmt.Sprintf("excluded after %.0fs silence", detectS))
+							flog(f.Node, "detect_evict", fmt.Sprintf("excluded after %.0fs silence", failureDetectS))
 						})
 					} else if hasHeal {
 						sed.waitUntil = healS
@@ -976,17 +950,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	// deploy.Replan on its heartbeat and applying the diff with the
 	// SeD-migration protocol (diet.Agent.ApplyPlan).
 	if cfg.ReplanIntervalS > 0 {
-		service := cfg.ReplanService
-		if service == "" {
-			service = "ramsesZoom2"
-		}
-		pause := cfg.ReplanPauseS
-		if pause <= 0 {
-			pause = 30
-		}
-		// Hysteresis mirror (deploy.Hysteresis in virtual time): per-SeD time
-		// of the last applied parent move, for the dwell rule.
-		lastMovedAt := make(map[string]float64)
 		var tick func()
 		tick = func() {
 			if done >= cfg.NRequests {
@@ -1002,16 +965,14 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 				}
 			}
 			plan, _, err := deploy.Replan(cfg.Deployment, deploy.Options{
-				Capabilities: deploy.MonitorSource(mons, service),
+				Capabilities: deploy.MonitorSource(mons, phase2Service),
 			})
 			if err == nil {
 				ev := ReplanEvent{AtS: sim.Now()}
 				power, parent := plan.PowerByName(), plan.ParentByName()
 				for _, s := range seds {
 					if p, ok := power[s.place.Name]; ok && p > 0 &&
-						math.Abs(p-s.advertised) > 1e-9*math.Max(1, s.advertised) &&
-						(cfg.ReplanMinDeltaPct <= 0 || s.advertised <= 0 ||
-							100*math.Abs(p-s.advertised)/s.advertised >= cfg.ReplanMinDeltaPct) {
+						math.Abs(p-s.advertised) > 1e-9*math.Max(1, s.advertised) {
 						s.advertised = p
 						ev.PowerUpdates++
 					}
@@ -1019,12 +980,6 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 					if !ok || s.parent == want {
 						continue
 					}
-					if cfg.ReplanDwellS > 0 {
-						if last, moved := lastMovedAt[s.place.Name]; moved && sim.Now()-last < cfg.ReplanDwellS {
-							continue // inside the dwell window: defer the move
-						}
-					}
-					lastMovedAt[s.place.Name] = sim.Now()
 					// The reparent: drain pause before new work starts, and
 					// the monitor rides the same Snapshot/Restore round-trip
 					// the live protocol's persistence layer guarantees — the
@@ -1033,29 +988,14 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 					if s.freeAt < sim.Now() {
 						s.freeAt = sim.Now()
 					}
-					s.freeAt += pause
+					s.freeAt += replanPauseS
 					if s.monitor != nil {
-						mcfg := cfg.CoRI
-						mcfg.Now = virtualClock(sim)
-						fresh := cori.NewMonitor(mcfg)
-						if err := fresh.Restore(s.monitor.Snapshot()); err == nil {
-							s.monitor = fresh
-							if cfg.Monitors != nil {
-								cfg.Monitors[s.place.Name] = fresh
-							}
-						}
+						remonitor(s, true)
 					}
 					if ev.MovedModelTrusted == nil {
 						ev.MovedModelTrusted = make(map[string]bool)
 					}
-					trusted := false
-					if s.monitor != nil {
-						if m, ok := s.monitor.Model(service); ok &&
-							m.Confidence >= scheduler.DefaultMinConfidence && m.SolveSeconds(cfg.Phase2WorkGFlops) > 0 {
-							trusted = true
-						}
-					}
-					ev.MovedModelTrusted[s.place.Name] = trusted
+					_, ev.MovedModelTrusted[s.place.Name] = s.predict(phase2Service, phase2WorkGFlops)
 					ev.Moved = append(ev.Moved, s.place.Name)
 				}
 				sort.Strings(ev.Moved)
@@ -1086,14 +1026,14 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 			res.TotalS = r.EndS
 		}
 		sumDur += r.DurationS()
-		sumOverhead += (r.FindingMS + cfg.InitMS) / 1000
+		sumOverhead += (r.FindingMS + initMS) / 1000
 	}
 	if n := len(res.Records); n > 0 { // a fragile failure run can lose phase-2 requests
 		res.MeanPhase2S = sumDur / float64(n)
 		res.OverheadMS = sumOverhead / float64(n) * 1000
 	}
 	res.SequentialS = sumDur + res.Phase1.DurationS()
-	res.TotalOverhead = sumOverhead + (res.Phase1.FindingMS+cfg.InitMS)/1000
+	res.TotalOverhead = sumOverhead + (res.Phase1.FindingMS+initMS)/1000
 
 	for _, s := range seds {
 		sum := SeDSummary{Name: s.place.Name, Site: s.place.Site, Power: s.place.PowerGFlops()}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/gateway"
 )
 
 // This file mirrors the multi-MA federation in virtual time: the submission
@@ -20,63 +22,35 @@ import (
 type FederationConfig struct {
 	// MAs is the federation width (1 = the single-MA baseline).
 	MAs int
-	// Services is how many distinct services the request stream spreads
-	// over (default 32).
-	Services int
-	// Requests is the total submission count (default 4000).
-	Requests int
-	// ArrivalRateHz is the open-loop arrival rate of the stream, requests
-	// per virtual second (default 100). Pick it between the single-MA and
-	// federated capacities to see the single MA saturate while the
-	// federation keeps up.
-	ArrivalRateHz float64
-	// SubmitCostMS is one MA's serial processing per finding phase —
-	// collect fan-out, ranking, resolve; the ~30 ms ORB overhead of the
-	// paper's finding-time measurements (default 30).
-	SubmitCostMS float64
-	// MissCostMS is the cheaper probe a peer pays when a forwarded request
-	// finds nothing in its subtree (default SubmitCostMS/3).
-	MissCostMS float64
-	// ForwardRTTMS is the wire round trip a peer forward adds on top of the
-	// home MA's processing (default 10).
-	ForwardRTTMS float64
-	// ForeignFrac is the fraction of services whose SeDs are registered
-	// under a different MA than the gateway's sticky route — deployments
-	// that predate the federation layout, the requests that exercise peer
-	// forwarding (default 0.25; meaningless with one MA).
-	ForeignFrac float64
 }
 
-func (cfg *FederationConfig) defaults() error {
-	if cfg.MAs <= 0 {
-		return fmt.Errorf("simgrid: federation needs at least one MA")
-	}
-	if cfg.Services <= 0 {
-		cfg.Services = 32
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 4000
-	}
-	if cfg.ArrivalRateHz <= 0 {
-		cfg.ArrivalRateHz = 100
-	}
-	if cfg.SubmitCostMS <= 0 {
-		cfg.SubmitCostMS = 30
-	}
-	if cfg.MissCostMS <= 0 {
-		cfg.MissCostMS = cfg.SubmitCostMS / 3
-	}
-	if cfg.ForwardRTTMS <= 0 {
-		cfg.ForwardRTTMS = 10
-	}
-	if cfg.ForeignFrac < 0 || cfg.ForeignFrac > 1 {
-		return fmt.Errorf("simgrid: ForeignFrac %g out of [0,1]", cfg.ForeignFrac)
-	}
-	if cfg.ForeignFrac == 0 {
-		cfg.ForeignFrac = 0.25
-	}
-	return nil
-}
+// The federated submission stream and its costs, exported so a caller
+// printing the setup reads the values the runs used.
+const (
+	// FederationServices is how many distinct services the stream spreads
+	// over, and FederationRequests its total submission count.
+	FederationServices = 32
+	FederationRequests = 4000
+	// FederationArrivalRateHz is the open-loop arrival rate, requests per
+	// virtual second: between the single-MA and federated capacities, so
+	// the single MA saturates while the federation keeps up.
+	FederationArrivalRateHz = 100.0
+	// FederationSubmitCostMS is one MA's serial processing per finding
+	// phase — collect fan-out, ranking, resolve; the ~30 ms ORB overhead of
+	// the paper's finding-time measurements.
+	FederationSubmitCostMS = 30.0
+	// FederationMissCostMS is the cheaper probe a peer pays when a forwarded
+	// request finds nothing in its subtree.
+	FederationMissCostMS = FederationSubmitCostMS / 3
+	// FederationForwardRTTMS is the wire round trip a peer forward adds on
+	// top of the home MA's processing.
+	FederationForwardRTTMS = 10.0
+	// FederationForeignFrac is the fraction of services whose SeDs are
+	// registered under a different MA than the gateway's sticky route —
+	// deployments that predate the federation layout, the requests that
+	// exercise peer forwarding (meaningless with one MA).
+	FederationForeignFrac = 0.25
+)
 
 // FederationRequestRecord is one submission's life in the federated plane.
 type FederationRequestRecord struct {
@@ -91,7 +65,6 @@ func (r FederationRequestRecord) LatencyS() float64 { return r.DoneS - r.ArriveS
 
 // FederationResult aggregates one federated run.
 type FederationResult struct {
-	Config   FederationConfig
 	Requests []FederationRequestRecord
 	Forwards int
 	TotalS   float64 // last reply − first arrival
@@ -186,22 +159,11 @@ func (m *maServer) drain() {
 	_ = m.sim.After(m.cur.costS, m.complete)
 }
 
-// routeOf sticky-routes a service name onto an MA index, the same FNV-1a hash
-// the live gateway uses (hash/fnv's New32a, written out to allocate nothing).
-func routeOf(service string, mas int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(service); i++ {
-		h ^= uint32(service[i])
-		h *= 16777619
-	}
-	return int(h) % mas
-}
-
 // RunFederation replays an open-loop submission stream against a federated
 // (or single) MA plane and reports per-request records.
 func RunFederation(cfg FederationConfig) (*FederationResult, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
+	if cfg.MAs <= 0 {
+		return nil, fmt.Errorf("simgrid: federation needs at least one MA")
 	}
 	sim := NewSim()
 	servers := make([]*maServer, cfg.MAs)
@@ -209,33 +171,36 @@ func RunFederation(cfg FederationConfig) (*FederationResult, error) {
 		servers[i] = newMAServer(sim)
 	}
 
-	// Service placement: sticky routing and SeD homes agree by construction
-	// (both hash the name), except every ⌈1/ForeignFrac⌉-th service, whose
-	// hierarchy is displaced one MA over — those submissions must forward.
+	// Service placement: sticky routing (gateway.Route, the live gateway's
+	// own function) and SeD homes agree by construction, except every
+	// ⌈1/FederationForeignFrac⌉-th service, whose hierarchy is displaced one
+	// MA over — those submissions must forward.
 	foreignEvery := 0
-	if cfg.MAs > 1 && cfg.ForeignFrac > 0 {
-		foreignEvery = int(math.Round(1 / cfg.ForeignFrac))
+	if cfg.MAs > 1 {
+		foreignEvery = int(math.Round(1 / FederationForeignFrac))
 	}
-	homeOf := make([]int, cfg.Services)
-	names := make([]string, cfg.Services)
-	for s := 0; s < cfg.Services; s++ {
+	homeOf := make([]int, FederationServices)
+	names := make([]string, FederationServices)
+	for s := 0; s < FederationServices; s++ {
 		names[s] = fmt.Sprintf("svc%03d", s)
-		homeOf[s] = routeOf(names[s], cfg.MAs)
+		homeOf[s] = gateway.Route(names[s], cfg.MAs)
 		if foreignEvery > 0 && s%foreignEvery == 0 {
 			homeOf[s] = (homeOf[s] + 1) % cfg.MAs
 		}
 	}
 
-	res := &FederationResult{Config: cfg, Requests: make([]FederationRequestRecord, cfg.Requests)}
-	submitS := cfg.SubmitCostMS / 1000
-	missS := cfg.MissCostMS / 1000
-	rttS := cfg.ForwardRTTMS / 1000
+	res := &FederationResult{Requests: make([]FederationRequestRecord, FederationRequests)}
+	const (
+		submitS = FederationSubmitCostMS / 1000
+		missS   = FederationMissCostMS / 1000
+		rttS    = FederationForwardRTTMS / 1000
+	)
 	finish := func(req int) { res.Requests[req].DoneS = sim.Now() }
-	for i := 0; i < cfg.Requests; i++ {
+	for i := 0; i < FederationRequests; i++ {
 		i := i
-		svc := i % cfg.Services
-		arrive := float64(i) / cfg.ArrivalRateHz
-		route, home := routeOf(names[svc], cfg.MAs), homeOf[svc]
+		svc := i % FederationServices
+		arrive := float64(i) / FederationArrivalRateHz
+		route, home := gateway.Route(names[svc], cfg.MAs), homeOf[svc]
 		res.Requests[i] = FederationRequestRecord{Service: names[svc], ArriveS: arrive}
 		_ = sim.At(arrive, func() {
 			if route == home {

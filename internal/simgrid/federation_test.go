@@ -16,8 +16,8 @@ func TestRunFederation(t *testing.T) {
 	if single.Forwards != 0 {
 		t.Errorf("single MA forwarded %d requests, want 0", single.Forwards)
 	}
-	if len(single.Requests) != single.Config.Requests {
-		t.Fatalf("recorded %d requests, want %d", len(single.Requests), single.Config.Requests)
+	if len(single.Requests) != FederationRequests {
+		t.Fatalf("recorded %d requests, want %d", len(single.Requests), FederationRequests)
 	}
 	for i, r := range single.Requests {
 		if r.DoneS <= r.ArriveS {
@@ -54,9 +54,6 @@ func TestRunFederation(t *testing.T) {
 	if _, err := RunFederation(FederationConfig{MAs: 0}); err == nil {
 		t.Error("zero MAs accepted")
 	}
-	if _, err := RunFederation(FederationConfig{MAs: 2, ForeignFrac: 1.5}); err == nil {
-		t.Error("ForeignFrac > 1 accepted")
-	}
 }
 
 // TestRunFederationAblation is the A12 acceptance gate: under a stream that
@@ -66,9 +63,6 @@ func TestRunFederationAblation(t *testing.T) {
 	res, err := RunFederationAblation(FederationAblationConfig{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Config.MAs != 4 {
-		t.Errorf("default federated arm is %d MAs, want 4", res.Config.MAs)
 	}
 
 	// Defaults give ~2.5x throughput and ~10x p99 (the single arm's queue
@@ -92,9 +86,5 @@ func TestRunFederationAblation(t *testing.T) {
 	}
 	if math.IsNaN(res.ThroughputGainX()) || math.IsInf(res.ThroughputGainX(), 0) {
 		t.Error("throughput gain is not finite")
-	}
-
-	if _, err := RunFederationAblation(FederationAblationConfig{MAs: 1}); err == nil {
-		t.Error("a one-MA federated arm accepted")
 	}
 }

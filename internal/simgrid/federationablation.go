@@ -13,20 +13,18 @@ import "fmt"
 // and p99 submit latency is dominated by queueing — while the federation
 // keeps up, paying only the forwarding overhead on foreign services.
 
-// FederationAblationConfig tunes the A12 arms.
-type FederationAblationConfig struct {
-	// MAs is the federated arm's width (default 4).
-	MAs int
-	// Base is the shared stream template; its MAs field is overridden per
-	// arm, everything else (rate, costs, service mix) is common to both.
-	Base FederationConfig
-}
+// FederationAblationConfig is empty: A12 compares one MA with FederatedMAs
+// under the fixed Federation* stream. The type stays because the repository
+// benchmark (bench/suite.go) passes its zero value to RunFederationAblation.
+type FederationAblationConfig struct{}
+
+// FederatedMAs is the federated arm's width.
+const FederatedMAs = 4
 
 // FederationAblationResult compares the two arms of the same stream.
 type FederationAblationResult struct {
-	Config    FederationAblationConfig
 	Single    *FederationResult // 1 MA
-	Federated *FederationResult // Config.MAs federated MAs
+	Federated *FederationResult // FederatedMAs federated MAs
 }
 
 // ThroughputGainX is the saturation-throughput multiple of federating:
@@ -48,26 +46,14 @@ func (r *FederationAblationResult) P99GainX() float64 {
 }
 
 // RunFederationAblation runs A12: the same submission stream against one MA
-// and against cfg.MAs federated MAs.
-func RunFederationAblation(cfg FederationAblationConfig) (*FederationAblationResult, error) {
-	if cfg.MAs <= 0 {
-		cfg.MAs = 4
-	}
-	if cfg.MAs < 2 {
-		return nil, fmt.Errorf("simgrid: federation ablation needs a federated arm of >= 2 MAs")
-	}
-	out := &FederationAblationResult{Config: cfg}
+// and against FederatedMAs federated MAs.
+func RunFederationAblation(FederationAblationConfig) (*FederationAblationResult, error) {
+	out := &FederationAblationResult{}
 	var err error
-
-	single := cfg.Base
-	single.MAs = 1
-	if out.Single, err = RunFederation(single); err != nil {
+	if out.Single, err = RunFederation(FederationConfig{MAs: 1}); err != nil {
 		return nil, fmt.Errorf("simgrid: federation ablation single arm: %w", err)
 	}
-
-	fed := cfg.Base
-	fed.MAs = cfg.MAs
-	if out.Federated, err = RunFederation(fed); err != nil {
+	if out.Federated, err = RunFederation(FederationConfig{MAs: FederatedMAs}); err != nil {
 		return nil, fmt.Errorf("simgrid: federation ablation federated arm: %w", err)
 	}
 	return out, nil

@@ -131,11 +131,11 @@ func TestGoldenSuiteOutputs(t *testing.T) {
 			"forecast":   "07aa20e3f47b03e42fa620d00a0c1f78af0eba9b6cdadcb68129a841df9663e1",
 			"deploy":     "84c72d56127aa4053a0682926902620d177fe3495692d1d01b1a0d7e4208847e",
 			"warmstart":  "2a73ad431139d2709513a0be1bb4baf196a28f604ea5ca0e3aa50215518a1d2e",
-			"replan":     "3e29cfb5d151720417e3616f1269b496081464904a0ac7b2123611ff4229a405",
+			"replan":     "a928f0506f0632013a4d329f553fd8f48ac03a6801dcc2d73522965fb38bedc6",
 			"backfill":   "643a36b2eb580be93cc184d95c4b0bcfa4b928a988865288618130fb497f0512",
-			"failure":    "8a34b97262f44b959aee80e36e8f444e5f7becf017a7dbce6a4c8f65a4c81069",
+			"failure":    "d544656cd44032368f1a0e177ed18e371f41c8ab38c7ce5c4d1a25fc962960e0",
 			"workflow":   "d969472ce948e105a959d49ac52645ed05bb5c4d2a3a49b274e0fb52d683cfe8",
-			"federation": "ab32e6c524d17852d2ff23811f49d02f1099546c587dc095dc1a77dc5d7cc12b",
+			"federation": "9cccc0e3113a7d6c662bebc3ba4e1fc54aa78fb3ede776c9404b3e8c968a206e",
 			"data":       "a6a2e1bf6276fa1458ab38dbc6631d92898ca90d6c3f40e729a85878e0ad519f",
 		},
 		2: {
@@ -143,11 +143,11 @@ func TestGoldenSuiteOutputs(t *testing.T) {
 			"forecast":   "cb5c431da8c73676797fc215225539439eb6dfdfa22cb25c3d18cd136e7bb25d",
 			"deploy":     "3ac9f71af88ca518bbaf4d1556fc920d51e9cfaa85b6a938e9d496ea111204a5",
 			"warmstart":  "0d5095b2179a6ec191338b39e40d91406628be453af753a06994039bc04dc71b",
-			"replan":     "695398b4378433411916c39cb88d7cb6fe9f65c7a2b09c9ea5eefb390dbcb7b9",
+			"replan":     "b0c3ad748c5fcb394ae033d5ecd7c81f67c1fdb369de3dbb657eaa42090f6bdf",
 			"backfill":   "b1d876c6051c3c0a340e11f8c26977b471f654472176fb194528a3b17c3a04e5",
-			"failure":    "bb2c18154a4b573280179e956b92a969e5db9dd2d1f97ba667580c5de2124da6",
+			"failure":    "2905bd69206ca27e55570df2538564e31cc18844bbcc99cbec553a759327cb0b",
 			"workflow":   "d969472ce948e105a959d49ac52645ed05bb5c4d2a3a49b274e0fb52d683cfe8",
-			"federation": "ab32e6c524d17852d2ff23811f49d02f1099546c587dc095dc1a77dc5d7cc12b",
+			"federation": "9cccc0e3113a7d6c662bebc3ba4e1fc54aa78fb3ede776c9404b3e8c968a206e",
 			"data":       "62b82e33b8052ed4f3f4c7ae22883832a1992015d14e15fcda6b91495935e0b5",
 		},
 	}

@@ -26,54 +26,36 @@ import (
 // live middleware the placement additionally carries the §3.1 WAN-traffic
 // cost that deploy.Plan.WANMessagesPerRequest scores.
 
-// ReplanAblationConfig tunes the A8 arms.
-type ReplanAblationConfig struct {
-	// Rounds is the training depth of the offline arm (rounds-1 training
-	// campaigns before the measured one), as in RunDeployAblation.
-	Rounds int
-	// ReplanIntervalS is the live arm's replanning cadence (default 6h — by
-	// the first pass the misplaced SeD has completed measured solves, so its
-	// migration carries a trusted model).
-	ReplanIntervalS float64
-	// MisplacedSeD names a SeD deployed under the wrong LA at bring-up, so
-	// the live arm exercises a real migration, not just power refreshes
-	// (default "Sophia2", parked under the grillon LA).
-	MisplacedSeD    string
-	MisplacedParent string
-	// DriftSeD/DriftFactor/DriftAtS degrade one more SeD during the run
-	// (default "Lille1" to 40% at 2h — before the phase-2 burst, so the
-	// whole campaign runs on a platform no deployment file describes).
-	DriftSeD    string
-	DriftFactor float64
-	DriftAtS    float64
-}
+// ReplanAblationConfig is empty: the A8 scenario is fixed by the
+// constants below. The type stays because the repository benchmark
+// (bench/suite.go) passes its zero value to RunReplanAblation.
+type ReplanAblationConfig struct{}
 
-func (c ReplanAblationConfig) withDefaults() ReplanAblationConfig {
-	if c.Rounds < 2 {
-		c.Rounds = 2
-	}
-	if c.ReplanIntervalS <= 0 {
-		c.ReplanIntervalS = 6 * 3600
-	}
-	if c.MisplacedSeD == "" {
-		c.MisplacedSeD = "Sophia2"
-		c.MisplacedParent = "LA-grillon"
-	}
-	if c.MisplacedParent == "" {
-		c.MisplacedParent = "LA-grillon"
-	}
-	if c.DriftSeD == "" {
-		c.DriftSeD = "Lille1"
-		c.DriftFactor = 0.4
-	}
-	if c.DriftFactor <= 0 {
-		c.DriftFactor = 0.4
-	}
-	if c.DriftAtS <= 0 {
-		c.DriftAtS = 2 * 3600
-	}
-	return c
-}
+// The A8 scenario, exported so a caller printing the setup reads the values
+// the ablation ran.
+const (
+	// ReplanAblationIntervalS is the live arm's replanning cadence: by the
+	// first pass the misplaced SeD has completed measured solves, so its
+	// migration carries a trusted model.
+	ReplanAblationIntervalS = 6 * 3600.0
+	// ReplanAblationMisplacedSeD is deployed under the wrong LA,
+	// ReplanAblationMisplacedParent, at bring-up, so the live arm exercises
+	// a real migration, not just power refreshes.
+	ReplanAblationMisplacedSeD    = "Sophia2"
+	ReplanAblationMisplacedParent = "LA-grillon"
+	// ReplanAblationDriftSeD degrades to ReplanAblationDriftFactor of its
+	// power at ReplanAblationDriftAtS — before the phase-2 burst, so the
+	// whole campaign runs on a platform no deployment file describes.
+	ReplanAblationDriftSeD    = "Lille1"
+	ReplanAblationDriftFactor = 0.4
+	ReplanAblationDriftAtS    = 2 * 3600.0
+)
+
+// TrainingRounds is how many campaigns a trained arm runs: TrainingRounds-1
+// train the monitors, the last one measures. A8 and A9 always run it;
+// RunForecastAblation, RunDeployAblation and RunWarmStartAblation take their
+// count as an argument.
+const TrainingRounds = 2
 
 // ReplanAblationResult compares three arms on the same drifting,
 // miscalibrated platform (CanonicalSkew plus a mid-campaign drift event),
@@ -83,13 +65,11 @@ func (c ReplanAblationConfig) withDefaults() ReplanAblationConfig {
 //   - Static: the hand-planned deployment, frozen — advertised powers
 //     believed for the whole campaign.
 //   - Live: the same cold start, but the hierarchy replans itself every
-//     ReplanIntervalS from its own in-flight measurements and migrates SeDs
-//     online (the diet.Agent.ApplyPlan mirror).
-//   - Offline: the A6 gold standard — rounds-1 full training campaigns, then
-//     a restart with the measured plan applied from t=0.
+//     ReplanAblationIntervalS from its own in-flight measurements and
+//     migrates SeDs online (the diet.Agent.ApplyPlan mirror).
+//   - Offline: the A6 gold standard — TrainingRounds-1 full training
+//     campaigns, then a restart with the measured plan applied from t=0.
 type ReplanAblationResult struct {
-	Config ReplanAblationConfig
-
 	Static  *ExperimentResult
 	Live    *ExperimentResult
 	Offline *ExperimentResult
@@ -165,15 +145,17 @@ func (r ReplanAblationResult) FirstPostMoveForecastTrusted() (bool, string) {
 
 // RunReplanAblation runs A8 on the given configuration template (Policy,
 // Forecast, replanning, drift and placement fields are overridden per arm).
-func RunReplanAblation(mkCfg func() ExperimentConfig, acfg ReplanAblationConfig) (*ReplanAblationResult, error) {
-	acfg = acfg.withDefaults()
+func RunReplanAblation(mkCfg func() ExperimentConfig, _ ReplanAblationConfig) (*ReplanAblationResult, error) {
 	base := func() ExperimentConfig {
 		cfg := mkCfg()
 		cfg.Policy = scheduler.NewPowerAware()
+		// Every arm carries monitors: the static arm for instrumentation
+		// parity (nothing reads them), the others to measure.
+		cfg.Forecast = true
 		cfg.TruePowerFactor = CanonicalSkew
-		cfg.DriftAtS = acfg.DriftAtS
-		cfg.DriftPowerFactor = map[string]float64{acfg.DriftSeD: acfg.DriftFactor}
-		cfg.LiveParent = map[string]string{acfg.MisplacedSeD: acfg.MisplacedParent}
+		cfg.DriftAtS = ReplanAblationDriftAtS
+		cfg.DriftPowerFactor = map[string]float64{ReplanAblationDriftSeD: ReplanAblationDriftFactor}
+		cfg.LiveParent = map[string]string{ReplanAblationMisplacedSeD: ReplanAblationMisplacedParent}
 		// Campaigns span tens of virtual hours; measure on planning timescales.
 		cfg.CoRI.HalfLife = TrainingHalfLife
 		// The paper's all-at-once burst pre-makes every dispatch decision
@@ -185,52 +167,43 @@ func RunReplanAblation(mkCfg func() ExperimentConfig, acfg ReplanAblationConfig)
 		}
 		return cfg
 	}
-	out := &ReplanAblationResult{Config: acfg}
+	out := &ReplanAblationResult{}
 	var err error
 
-	// Static arm: the frozen plan. Monitors attached for instrumentation
-	// parity but nothing reads them.
+	// Static arm: the frozen plan.
 	cfg := base()
-	cfg.Forecast = true
 	if out.Static, err = RunExperiment(cfg); err != nil {
 		return nil, fmt.Errorf("simgrid: replan ablation static arm: %w", err)
 	}
 
 	// Live arm: same cold start, replanning itself mid-campaign.
 	cfg = base()
-	cfg.Forecast = true
-	cfg.ReplanIntervalS = acfg.ReplanIntervalS
+	cfg.ReplanIntervalS = ReplanAblationIntervalS
 	if out.Live, err = RunExperiment(cfg); err != nil {
 		return nil, fmt.Errorf("simgrid: replan ablation live arm: %w", err)
 	}
 
-	// Offline arm: rounds-1 training campaigns (static plan, like the real
-	// operating point a deployment trains at), then a restart with the
-	// measured plan applied from t=0. The restart also fixes the misplaced
-	// SeD — that is what redeploying from the plan does.
+	// Offline arm: TrainingRounds-1 training campaigns (static plan, like
+	// the real operating point a deployment trains at), then a restart with
+	// the measured plan applied from t=0. The restart also fixes the
+	// misplaced SeD — that is what redeploying from the plan does.
 	tcfg := base()
-	tcfg.Forecast = true
 	tcfg.Monitors = make(map[string]*cori.Monitor, len(tcfg.Deployment.SeDs))
 	baseSeed := tcfg.Seed
-	for r := 0; r < acfg.Rounds-1; r++ {
+	for r := 0; r < TrainingRounds-1; r++ {
 		tcfg.Seed = baseSeed + 1000 + int64(r)
 		if _, err = RunExperiment(tcfg); err != nil {
 			return nil, fmt.Errorf("simgrid: replan ablation training round %d: %w", r+1, err)
 		}
 	}
-	service := tcfg.ReplanService
-	if service == "" {
-		service = "ramsesZoom2"
-	}
 	plan, changes, err := deploy.Replan(tcfg.Deployment, deploy.Options{
-		Capabilities: deploy.MonitorSource(tcfg.Monitors, service),
+		Capabilities: deploy.MonitorSource(tcfg.Monitors, phase2Service),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("simgrid: replan ablation offline replan: %w", err)
 	}
 	out.Changes = changes
 	mcfg := base()
-	mcfg.Forecast = true
 	mcfg.Seed = baseSeed
 	mcfg.PlannedPower = plan.PowerByName()
 	mcfg.LiveParent = nil // the restart redeploys everything where planned

@@ -62,9 +62,9 @@ func TestReplanAblationMigrationCarriesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	migs := res.Migrations()
-	moveAt, moved := migs[res.Config.MisplacedSeD]
+	moveAt, moved := migs[ReplanAblationMisplacedSeD]
 	if !moved {
-		t.Fatalf("the misplaced SeD %q was never migrated (migrations: %v)", res.Config.MisplacedSeD, migs)
+		t.Fatalf("the misplaced SeD %q was never migrated (migrations: %v)", ReplanAblationMisplacedSeD, migs)
 	}
 	if moveAt <= 0 || moveAt > res.Live.TotalS {
 		t.Fatalf("migration time %.0fs outside the campaign (total %.0fs)", moveAt, res.Live.TotalS)
@@ -74,7 +74,7 @@ func TestReplanAblationMigrationCarriesModel(t *testing.T) {
 	}
 	// And the move is exactly the placement fix: its first record after the
 	// move is predicted by the model, not advertised power.
-	rec := res.Live.FirstRecordOn(res.Config.MisplacedSeD, moveAt)
+	rec := res.Live.FirstRecordOn(ReplanAblationMisplacedSeD, moveAt)
 	if rec == nil {
 		t.Fatal("no dispatch after the move — the scenario no longer exercises the guarantee")
 	}

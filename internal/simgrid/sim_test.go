@@ -2,7 +2,6 @@ package simgrid
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -313,32 +312,5 @@ func TestFiredClosureIsReleased(t *testing.T) {
 	}
 	if live != s.Pending() {
 		t.Errorf("%d handlers still referenced by the queue, %d events pending", live, s.Pending())
-	}
-}
-
-// TestRouteOfIsFNV1a: the routing hash is hash/fnv's 32-bit FNV-1a, on the
-// service names the federation uses and on arbitrary strings.
-func TestRouteOfIsFNV1a(t *testing.T) {
-	want := func(s string, mas int) int {
-		h := fnv.New32a()
-		h.Write([]byte(s))
-		return int(h.Sum32()) % mas
-	}
-	names := []string{"", "ramsesZoom2"}
-	for i := 0; i < 64; i++ {
-		names = append(names, fmt.Sprintf("svc%03d", i))
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 500; i++ {
-		b := make([]byte, rng.Intn(40))
-		rng.Read(b)
-		names = append(names, string(b))
-	}
-	for _, name := range names {
-		for _, mas := range []int{1, 2, 4, 7, 1 << 20} {
-			if got := routeOf(name, mas); got != want(name, mas) {
-				t.Fatalf("routeOf(%q, %d) = %d, hash/fnv gives %d", name, mas, got, want(name, mas))
-			}
-		}
 	}
 }

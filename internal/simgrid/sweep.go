@@ -55,21 +55,11 @@ func SweepSeDs(policy func() scheduler.Policy, multipliers []int, requests int) 
 		cfg := DefaultExperiment(policy())
 		cfg.Deployment = dep
 		cfg.NRequests = requests
-		res, err := RunExperiment(cfg)
+		p, err := sweepPoint(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("simgrid: sweep point mult=%d: %w", m, err)
 		}
-		var latSum float64
-		for _, r := range res.Records {
-			latSum += r.LatencyMS
-		}
-		out = append(out, SweepPoint{
-			SeDs:          len(dep.SeDs),
-			Requests:      requests,
-			MakespanHours: res.MakespanHours(),
-			Speedup:       res.SequentialS / res.TotalS,
-			MeanLatencyMS: latSum / float64(len(res.Records)),
-		})
+		out = append(out, p)
 	}
 	return out, nil
 }
@@ -81,21 +71,30 @@ func SweepRequests(policy func() scheduler.Policy, sizes []int) ([]SweepPoint, e
 	for _, n := range sizes {
 		cfg := DefaultExperiment(policy())
 		cfg.NRequests = n
-		res, err := RunExperiment(cfg)
+		p, err := sweepPoint(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("simgrid: sweep point n=%d: %w", n, err)
 		}
-		var latSum float64
-		for _, r := range res.Records {
-			latSum += r.LatencyMS
-		}
-		out = append(out, SweepPoint{
-			SeDs:          len(cfg.Deployment.SeDs),
-			Requests:      n,
-			MakespanHours: res.MakespanHours(),
-			Speedup:       res.SequentialS / res.TotalS,
-			MeanLatencyMS: latSum / float64(len(res.Records)),
-		})
+		out = append(out, p)
 	}
 	return out, nil
+}
+
+// sweepPoint runs one campaign of a sweep and summarises it.
+func sweepPoint(cfg ExperimentConfig) (SweepPoint, error) {
+	res, err := RunExperiment(cfg)
+	if err != nil {
+		return SweepPoint{}, err
+	}
+	var latSum float64
+	for _, r := range res.Records {
+		latSum += r.LatencyMS
+	}
+	return SweepPoint{
+		SeDs:          len(cfg.Deployment.SeDs),
+		Requests:      cfg.NRequests,
+		MakespanHours: res.MakespanHours(),
+		Speedup:       res.SequentialS / res.TotalS,
+		MeanLatencyMS: latSum / float64(len(res.Records)),
+	}, nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cori"
 	"repro/internal/platform"
-	"repro/internal/scheduler"
 	"repro/internal/workflow"
 )
 
@@ -24,42 +23,29 @@ import (
 // measured models route the long RAMSES and HaloMaker stages off the degraded
 // nodes; the static engine keeps feeding them.
 
-// WorkflowAblationConfig parameterises the A11 comparison.
-type WorkflowAblationConfig struct {
-	// Campaigns is how many zoom campaigns run back-to-back per arm; the
-	// monitors carry across campaigns, so the early ones are cold training
-	// runs. The default is 5: per-service models blacklist one misadvertised
-	// SeD per campaign for a serial stage, and CanonicalSkew's degraded trio
-	// tops the advertised table, so the dominant ramses3d stage needs three
-	// campaigns of exploration before its model set converges.
-	Campaigns int
-	// Levels and Snapshots shape each campaign's RamsesZoomDocument
-	// (defaults 2 and 3 — the 15-node DAG).
-	Levels, Snapshots int
-	// MaxParallel caps concurrently in-flight nodes per campaign, mirroring
-	// the live runner's cap (default 3).
-	MaxParallel int
-}
+// WorkflowAblationConfig is empty: the A11 campaigns are fixed by the
+// constants below. The type stays because the repository benchmark
+// (bench/suite.go) passes its zero value to RunWorkflowAblation.
+type WorkflowAblationConfig struct{}
 
-// withDefaults fills the zero fields.
-func (c WorkflowAblationConfig) withDefaults() WorkflowAblationConfig {
-	if c.Campaigns < 1 {
-		c.Campaigns = 5
-	}
-	if c.Levels < 1 {
-		c.Levels = 2
-	}
-	if c.Snapshots < 0 {
-		c.Snapshots = 3
-	}
-	if c.Levels == 2 && c.Snapshots == 0 {
-		c.Snapshots = 3
-	}
-	if c.MaxParallel < 1 {
-		c.MaxParallel = 3
-	}
-	return c
-}
+// The A11 campaigns.
+const (
+	// workflowCampaigns is how many zoom campaigns run back-to-back per arm;
+	// the monitors carry across campaigns, so the early ones are cold
+	// training runs. Five, because per-service models blacklist one
+	// misadvertised SeD per campaign for a serial stage, and CanonicalSkew's
+	// degraded trio tops the advertised table, so the dominant ramses3d
+	// stage needs three campaigns of exploration before its model set
+	// converges.
+	workflowCampaigns = 5
+	// workflowLevels and workflowSnapshots shape each campaign's
+	// RamsesZoomDocument: the 15-node DAG.
+	workflowLevels    = 2
+	workflowSnapshots = 3
+	// workflowMaxParallel caps concurrently in-flight nodes per campaign,
+	// mirroring the live runner's cap.
+	workflowMaxParallel = 3
+)
 
 // WorkflowArmResult is one engine's outcome over the campaign sequence.
 type WorkflowArmResult struct {
@@ -120,38 +106,13 @@ func (r *WorkflowAblationResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "  gain (skewed)  %.1f%%\n", r.SkewGainPct())
 }
 
-// wfSed is the ablation's view of one SeD: capacity 1, a drain time, and —
-// for the forecasting engine — a CoRI monitor trained by completed stages.
-type wfSed struct {
-	name       string
-	truePower  float64
-	advertised float64
-	freeAt     float64
-	monitor    *cori.Monitor
-}
-
-// predict mirrors workflow.DietRunner's pricing (cori.BestEstimateSeconds for
-// one server): the trusted model's forecast, else work over advertised power.
-func (s *wfSed) predict(service string, work float64) (float64, bool) {
-	if s.monitor != nil {
-		if m, ok := s.monitor.Model(service); ok && m.Confidence >= scheduler.DefaultMinConfidence {
-			if p := m.SolveSeconds(work); p > 0 {
-				return p, true
-			}
-		}
-	}
-	power := s.advertised
-	if power <= 0 {
-		power = 1
-	}
-	return work / power, false
-}
-
-// runWorkflowArm executes cfg.Campaigns back-to-back campaigns of the zoom
-// DAG under one engine, in a single virtual timeline, carrying the monitors
-// from campaign to campaign.
-func runWorkflowArm(cfg WorkflowAblationConfig, forecastCP bool, skew map[string]float64) (*WorkflowArmResult, error) {
-	doc := workflow.RamsesZoomDocument(cfg.Levels, cfg.Snapshots)
+// runWorkflowArm executes workflowCampaigns back-to-back campaigns of the
+// zoom DAG under one engine, in a single virtual timeline, carrying the
+// monitors from campaign to campaign. Stages are priced by sedState.predict,
+// the campaign simulator's mirror of workflow.DietRunner's pricing, and
+// ready nodes launch through workflow.NextReady, the live runner's pick.
+func runWorkflowArm(forecastCP bool, skew map[string]float64) (*WorkflowArmResult, error) {
+	doc := workflow.RamsesZoomDocument(workflowLevels, workflowSnapshots)
 	dag, err := workflow.FromDocument(doc)
 	if err != nil {
 		return nil, err
@@ -165,13 +126,14 @@ func runWorkflowArm(cfg WorkflowAblationConfig, forecastCP bool, skew map[string
 	type wfNode struct {
 		id, service string
 		work        float64
-		topoIdx     int
 		deps        []string
 	}
 	nodes := make(map[string]*wfNode, len(order))
+	topoIdx := make(map[string]int, len(order))
 	dependents := make(map[string][]string, len(order))
 	for i, id := range order {
-		nodes[id] = &wfNode{id: id, topoIdx: i}
+		nodes[id] = &wfNode{id: id}
+		topoIdx[id] = i
 	}
 	for _, def := range doc.Nodes {
 		n := nodes[def.ID]
@@ -188,13 +150,13 @@ func runWorkflowArm(cfg WorkflowAblationConfig, forecastCP bool, skew map[string
 
 	sim := NewSim()
 	dep := platform.PaperDeployment()
-	seds := make([]*wfSed, len(dep.SeDs))
+	seds := make([]*sedState, len(dep.SeDs))
 	for i, p := range dep.SeDs {
 		truePower := p.PowerGFlops()
 		if f, ok := skew[p.Name]; ok && f > 0 {
 			truePower *= f
 		}
-		seds[i] = &wfSed{name: p.Name, truePower: truePower, advertised: p.PowerGFlops()}
+		seds[i] = &sedState{place: p, truePower: truePower, advertised: p.PowerGFlops()}
 		if forecastCP {
 			seds[i].monitor = cori.NewMonitor(cori.Config{HalfLife: TrainingHalfLife, Now: virtualClock(sim)})
 		}
@@ -237,7 +199,7 @@ func runWorkflowArm(cfg WorkflowAblationConfig, forecastCP bool, skew map[string
 		running, completed := 0, 0
 		var dispatch func()
 		launch := func(n *wfNode) {
-			var sed *wfSed
+			var sed *sedState
 			if forecastCP {
 				bestFinish := math.Inf(1)
 				byModel := false
@@ -291,26 +253,16 @@ func runWorkflowArm(cfg WorkflowAblationConfig, forecastCP bool, skew map[string
 				dispatch()
 				if completed == len(order) {
 					res.CampaignMakespanS = append(res.CampaignMakespanS, sim.Now()-campStart)
-					if c+1 < cfg.Campaigns {
+					if c+1 < workflowCampaigns {
 						runCampaign(c + 1)
 					}
 				}
 			})
 		}
 		dispatch = func() {
-			for running < cfg.MaxParallel && len(ready) > 0 {
-				best := 0
-				for i := 1; i < len(ready); i++ {
-					a, b := nodes[ready[i]], nodes[ready[best]]
-					if forecastCP {
-						pa, pb := priorities[a.id], priorities[b.id]
-						if pa > pb || (pa == pb && a.topoIdx < b.topoIdx) {
-							best = i
-						}
-					} else if a.topoIdx < b.topoIdx {
-						best = i
-					}
-				}
+			for running < workflowMaxParallel && len(ready) > 0 {
+				// The static engine has no priorities: topological order.
+				best := workflow.NextReady(ready, priorities, topoIdx)
 				n := nodes[ready[best]]
 				ready = append(ready[:best], ready[best+1:]...)
 				launch(n)
@@ -328,30 +280,29 @@ func runWorkflowArm(cfg WorkflowAblationConfig, forecastCP bool, skew map[string
 	if err != nil {
 		return nil, err
 	}
-	if got := len(res.CampaignMakespanS); got != cfg.Campaigns {
-		return nil, fmt.Errorf("simgrid: workflow arm %s completed %d of %d campaigns", strategy, got, cfg.Campaigns)
+	if got := len(res.CampaignMakespanS); got != workflowCampaigns {
+		return nil, fmt.Errorf("simgrid: workflow arm %s completed %d of %d campaigns", strategy, got, workflowCampaigns)
 	}
 	res.TotalS = sim.Now()
 	return res, nil
 }
 
 // RunWorkflowAblation runs all four arms of A11.
-func RunWorkflowAblation(cfg WorkflowAblationConfig) (*WorkflowAblationResult, error) {
-	cfg = cfg.withDefaults()
+func RunWorkflowAblation(WorkflowAblationConfig) (*WorkflowAblationResult, error) {
 	var (
 		out WorkflowAblationResult
 		err error
 	)
-	if out.TopoRR, err = runWorkflowArm(cfg, false, nil); err != nil {
+	if out.TopoRR, err = runWorkflowArm(false, nil); err != nil {
 		return nil, err
 	}
-	if out.ForecastCP, err = runWorkflowArm(cfg, true, nil); err != nil {
+	if out.ForecastCP, err = runWorkflowArm(true, nil); err != nil {
 		return nil, err
 	}
-	if out.SkewTopoRR, err = runWorkflowArm(cfg, false, CanonicalSkew); err != nil {
+	if out.SkewTopoRR, err = runWorkflowArm(false, CanonicalSkew); err != nil {
 		return nil, err
 	}
-	if out.SkewForecastCP, err = runWorkflowArm(cfg, true, CanonicalSkew); err != nil {
+	if out.SkewForecastCP, err = runWorkflowArm(true, CanonicalSkew); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -302,15 +302,6 @@ func (d *DAG) ExecutePrioritized(maxParallel int, priority map[string]float64) *
 		}
 	}
 
-	// better reports whether a should launch before b.
-	better := func(a, b string) bool {
-		pa, pb := priority[a], priority[b]
-		if pa != pb {
-			return pa > pb
-		}
-		return topoIdx[a] < topoIdx[b]
-	}
-
 	var dispatch func() // called with mu held
 
 	launch := func(id string) { // called with mu held
@@ -361,12 +352,7 @@ func (d *DAG) ExecutePrioritized(maxParallel int, priority map[string]float64) *
 
 	dispatch = func() {
 		for len(ready) > 0 && (maxParallel <= 0 || running < maxParallel) {
-			best := 0
-			for i := 1; i < len(ready); i++ {
-				if better(ready[i], ready[best]) {
-					best = i
-				}
-			}
+			best := NextReady(ready, priority, topoIdx)
 			id := ready[best]
 			ready = append(ready[:best], ready[best+1:]...)
 			launch(id)
@@ -391,6 +377,25 @@ func (d *DAG) ExecutePrioritized(maxParallel int, priority map[string]float64) *
 		}
 	}
 	return report
+}
+
+// NextReady picks which ready node launches next: the index in ready of the
+// highest priority, with ties and missing entries going to the earlier node
+// in topological order (topoIdx). ExecutePrioritized and the simulator's
+// workflow mirror both launch through it.
+func NextReady(ready []string, priority map[string]float64, topoIdx map[string]int) int {
+	best := 0
+	for i := 1; i < len(ready); i++ {
+		a, b := ready[i], ready[best]
+		if pa, pb := priority[a], priority[b]; pa != pb {
+			if pa > pb {
+				best = i
+			}
+		} else if topoIdx[a] < topoIdx[b] {
+			best = i
+		}
+	}
+	return best
 }
 
 // CriticalPathSeconds prices every node's longest downstream chain: the
