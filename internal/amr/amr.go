@@ -27,10 +27,10 @@ type Cell struct {
 	Level    int
 	Center   [3]float64
 	Size     float64 // edge length, box units
-	Children *[8]*Cell
+	Children *[8]Cell
 	NPart    int
 	Mass     float64
-	PartIdx  []int // indices into the build set; leaves only
+	PartIdx  []int // indices into the build set, ascending; leaves only, nil when empty
 }
 
 // IsLeaf reports whether the cell has no children.
@@ -61,7 +61,8 @@ type Tree struct {
 }
 
 // Build constructs the octree for the particle set, refining every cell whose
-// particle count exceeds p.MRefine until p.MaxLevel.
+// particle count exceeds p.MRefine until p.MaxLevel. The leaves' PartIdx are
+// disjoint sub-slices of one index array.
 func Build(parts particles.Set, p Params) (*Tree, error) {
 	if p.MaxLevel < 0 || p.MaxLevel > 30 {
 		return nil, fmt.Errorf("amr: MaxLevel must be in [0,30], got %d", p.MaxLevel)
@@ -77,18 +78,21 @@ func Build(parts particles.Set, p Params) (*Tree, error) {
 	}
 	root.NPart = len(parts)
 	t := &Tree{Root: root, Params: p, parts: parts}
-	t.refine(root)
+	t.refine(root, make([]int, len(parts)))
 	return t, nil
 }
 
-// refine recursively splits cells exceeding the particle threshold.
-func (t *Tree) refine(c *Cell) {
+// refine recursively splits cells exceeding the particle threshold. A split
+// partitions the cell's indices by octant in place, stably, through scratch
+// (at least as long), so each child's indices stay in ascending order and
+// its mass is summed in that order.
+func (t *Tree) refine(c *Cell, scratch []int) {
 	if c.NPart <= t.Params.MRefine || c.Level >= t.Params.MaxLevel {
 		return
 	}
-	var children [8]*Cell
+	children := new([8]Cell)
 	h := c.Size / 4
-	for o := 0; o < 8; o++ {
+	for o := range children {
 		center := c.Center
 		if o&1 != 0 {
 			center[0] += h
@@ -105,20 +109,36 @@ func (t *Tree) refine(c *Cell) {
 		} else {
 			center[2] -= h
 		}
-		children[o] = &Cell{Level: c.Level + 1, Center: center, Size: c.Size / 2}
+		children[o] = Cell{Level: c.Level + 1, Center: center, Size: c.Size / 2}
 	}
-	for _, idx := range c.PartIdx {
-		p := &t.parts[idx]
-		o := octant(c.Center, p.Pos)
-		child := children[o]
-		child.PartIdx = append(child.PartIdx, idx)
+	idx := c.PartIdx
+	for _, i := range idx {
+		p := &t.parts[i]
+		child := &children[octant(c.Center, p.Pos)]
 		child.NPart++
 		child.Mass += p.Mass
 	}
+	var next [8]int // where each octant's next index goes
+	for o, off := 1, 0; o < 8; o++ {
+		off += children[o-1].NPart
+		next[o] = off
+	}
+	for _, i := range idx {
+		o := octant(c.Center, t.parts[i].Pos)
+		scratch[next[o]] = i
+		next[o]++
+	}
+	copy(idx, scratch[:len(idx)])
+	for o := range children {
+		if child := &children[o]; child.NPart > 0 {
+			end := next[o]
+			child.PartIdx = idx[end-child.NPart : end : end]
+		}
+	}
 	c.PartIdx = nil
-	c.Children = &children
-	for _, child := range children {
-		t.refine(child)
+	c.Children = children
+	for o := range children {
+		t.refine(&children[o], scratch)
 	}
 }
 
@@ -145,7 +165,7 @@ func (t *Tree) Locate(pos [3]float64) *Cell {
 	}
 	c := t.Root
 	for !c.IsLeaf() {
-		c = c.Children[octant(c.Center, pos)]
+		c = &c.Children[octant(c.Center, pos)]
 	}
 	return c
 }
@@ -159,8 +179,8 @@ func (t *Tree) Walk(visit func(*Cell) bool) {
 			return
 		}
 		if c.Children != nil {
-			for _, ch := range c.Children {
-				rec(ch)
+			for o := range c.Children {
+				rec(&c.Children[o])
 			}
 		}
 	}

@@ -321,8 +321,11 @@ func (a *Agent) Start() error {
 		go a.monitor()
 	}
 	// Federation is seeded asynchronously: peers that are not up yet simply
-	// fail to resolve here and are retried on every heartbeat sweep.
-	go a.peerSeed()
+	// fail to resolve here and are retried on every heartbeat sweep. Only an
+	// MA with configured peers has any to seed.
+	if a.cfg.Kind == MasterAgent && len(a.cfg.Peers) > 0 {
+		go a.SweepPeers()
+	}
 	publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "start", a.addr)
 	return nil
 }

@@ -350,15 +350,6 @@ func (a *Agent) forwardHops() int {
 	return DefaultForwardHops
 }
 
-// peerSeed connects the configured peers once at Start (best-effort; the
-// heartbeat sweeps keep retrying the ones that are not up yet).
-func (a *Agent) peerSeed() {
-	if a.cfg.Kind != MasterAgent || len(a.cfg.Peers) == 0 {
-		return
-	}
-	a.SweepPeers()
-}
-
 // peerState is the Agent-embedded federation state; split into its own struct
 // so NewAgent initialises it in one place.
 type peerState struct {

@@ -23,16 +23,7 @@ func Forward(data []complex128) error { return transform(data, forward) }
 
 // Inverse computes the in-place inverse DFT including the 1/N normalisation,
 // so Inverse(Forward(x)) == x up to rounding.
-func Inverse(data []complex128) error {
-	if err := transform(data, inverse); err != nil {
-		return err
-	}
-	scale := complex(1/float64(len(data)), 0)
-	for i := range data {
-		data[i] *= scale
-	}
-	return nil
-}
+func Inverse(data []complex128) error { return transform(data, inverse) }
 
 // The two directions of a transform, indexing twiddleTable.w.
 const (
@@ -74,12 +65,39 @@ func twiddle(level, dir int) []complex128 {
 }
 
 // transform runs the iterative Cooley–Tukey radix-2 algorithm in the given
-// direction.
+// direction, followed by the inverse's normalisation.
 func transform(data []complex128, dir int) error {
 	n := len(data)
 	if !IsPow2(n) {
 		return fmt.Errorf("fft: length %d is not a power of two", n)
 	}
+	var p plan
+	p.init(n, dir)
+	p.line(data)
+	p.normalise(data)
+	return nil
+}
+
+// plan is one direction of the transforms of length n with the butterfly
+// factors of every level looked up, so that the lines of a 3-D transform
+// share one lookup.
+type plan struct {
+	n, log2n int
+	dir      int
+	w        [bits.UintSize][]complex128 // w[level]: factors of the butterflies of size 1<<level
+}
+
+// init looks up the factors of a transform of length n, a power of two.
+func (p *plan) init(n, dir int) {
+	p.n, p.log2n, p.dir = n, bits.TrailingZeros(uint(n)), dir
+	for level := 1; level <= p.log2n; level++ {
+		p.w[level] = twiddle(level, dir)
+	}
+}
+
+// line transforms one contiguous line of length n in place.
+func (p *plan) line(data []complex128) {
+	n := len(data)
 	// Bit-reversal permutation.
 	for i, j := 0, 0; i < n; i++ {
 		if i < j {
@@ -94,7 +112,7 @@ func transform(data []complex128, dir int) error {
 	// Butterfly passes.
 	for level, size := 1, 2; size <= n; level, size = level+1, size<<1 {
 		half := size / 2
-		w := twiddle(level, dir)
+		w := p.w[level]
 		for start := 0; start < n; start += size {
 			lo, hi := data[start:start+half], data[start+half:start+size]
 			for k, wk := range w {
@@ -105,7 +123,50 @@ func transform(data []complex128, dir int) error {
 			}
 		}
 	}
-	return nil
+}
+
+// lines transforms the stride interleaved lines of data, n·stride elements,
+// in place: point i of line s is data[i*stride+s]. Each step of the
+// permutation and each butterfly runs across all the lines at once, over
+// contiguous memory, and gives every element the operations line would give
+// it in the same order.
+func (p *plan) lines(data []complex128, stride int) {
+	n := p.n
+	row := func(i int) []complex128 { return data[i*stride : (i+1)*stride] }
+	for i := 0; i < n; i++ {
+		if j := int(bits.Reverse(uint(i)) >> (bits.UintSize - p.log2n)); i < j {
+			a, b := row(i), row(j)
+			for s := range a {
+				a[s], b[s] = b[s], a[s]
+			}
+		}
+	}
+	for level, size := 1, 2; size <= n; level, size = level+1, size<<1 {
+		half := size / 2
+		for start := 0; start < n; start += size {
+			for k, wk := range p.w[level] {
+				lo, hi := row(start+k), row(start+half+k)
+				for s := range lo {
+					a := lo[s]
+					b := hi[s] * wk
+					lo[s] = a + b
+					hi[s] = a - b
+				}
+			}
+		}
+	}
+}
+
+// normalise applies an inverse transform's 1/n to every element of data, as
+// Inverse does after each line; a forward plan leaves data alone.
+func (p *plan) normalise(data []complex128) {
+	if p.dir != inverse {
+		return
+	}
+	scale := complex(1/float64(p.n), 0)
+	for i := range data {
+		data[i] *= scale
+	}
 }
 
 // Grid3 is a cube of complex values with side n stored contiguously in
@@ -135,52 +196,33 @@ func (g *Grid3) Set(ix, iy, iz int, v complex128) {
 
 // Forward3 computes the in-place 3-D forward DFT of g by transforming along
 // x, then y, then z.
-func Forward3(g *Grid3) error { return transform3(g, Forward) }
+func Forward3(g *Grid3) error { return transform3(g, forward) }
 
 // Inverse3 computes the in-place 3-D inverse DFT of g, including the 1/N³
 // normalisation (each 1-D pass carries its own 1/N).
-func Inverse3(g *Grid3) error { return transform3(g, Inverse) }
+func Inverse3(g *Grid3) error { return transform3(g, inverse) }
 
-// transform3 applies a 1-D transform along each of the three axes.
-func transform3(g *Grid3, pass func([]complex128) error) error {
+// transform3 applies a 1-D transform in the given direction along each of
+// the three axes: the contiguous x rows one by one, then the y lines of each
+// z plane (stride n) and the z lines of the cube (stride n²) a plane at a
+// time.
+func transform3(g *Grid3, dir int) error {
 	n := g.N
-	// Along x: rows are contiguous.
-	for iz := 0; iz < n; iz++ {
-		for iy := 0; iy < n; iy++ {
-			row := g.Data[(iz*n+iy)*n : (iz*n+iy)*n+n]
-			if err := pass(row); err != nil {
-				return err
-			}
-		}
+	if !IsPow2(n) {
+		return fmt.Errorf("fft: grid side %d is not a power of two", n)
 	}
-	// Along y and z: gather strided lines into a scratch buffer.
-	line := make([]complex128, n)
-	for iz := 0; iz < n; iz++ {
-		for ix := 0; ix < n; ix++ {
-			for iy := 0; iy < n; iy++ {
-				line[iy] = g.Data[(iz*n+iy)*n+ix]
-			}
-			if err := pass(line); err != nil {
-				return err
-			}
-			for iy := 0; iy < n; iy++ {
-				g.Data[(iz*n+iy)*n+ix] = line[iy]
-			}
-		}
+	var p plan
+	p.init(n, dir)
+	for row := 0; row < len(g.Data); row += n {
+		p.line(g.Data[row : row+n])
 	}
-	for iy := 0; iy < n; iy++ {
-		for ix := 0; ix < n; ix++ {
-			for iz := 0; iz < n; iz++ {
-				line[iz] = g.Data[(iz*n+iy)*n+ix]
-			}
-			if err := pass(line); err != nil {
-				return err
-			}
-			for iz := 0; iz < n; iz++ {
-				g.Data[(iz*n+iy)*n+ix] = line[iz]
-			}
-		}
+	p.normalise(g.Data)
+	for plane := 0; plane < len(g.Data); plane += n * n {
+		p.lines(g.Data[plane:plane+n*n], n)
 	}
+	p.normalise(g.Data)
+	p.lines(g.Data, n*n)
+	p.normalise(g.Data)
 	return nil
 }
 

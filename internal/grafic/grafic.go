@@ -117,20 +117,36 @@ func (g *Generator) deltaFromNoise(noise *fft.Grid3, boxSize, a, kMin float64) (
 	// keeps the association order of cosmo.PowerAt(k, a) * norm.
 	growth := g.Cosmo.GrowthFactor(a)
 	growth2 := growth * growth
-	for iz := 0; iz < n; iz++ {
-		kz := fft.WaveNumber(iz, n, boxSize)
-		for iy := 0; iy < n; iy++ {
-			ky := fft.WaveNumber(iy, n, boxSize)
-			for ix := 0; ix < n; ix++ {
-				kx := fft.WaveNumber(ix, n, boxSize)
+	// WaveNumber(−f) = −WaveNumber(f), so the up to eight sign images
+	// (±fx, ±fy, ±fz) of a mode share k to the bit: the loops run over
+	// |f| ≤ n/2 per axis and scale every image with one amplitude.
+	for fz := 0; fz <= n/2; fz++ {
+		kz := fft.WaveNumber(fz, n, boxSize)
+		zs, nz := signImages(fz, n)
+		for fy := 0; fy <= n/2; fy++ {
+			ky := fft.WaveNumber(fy, n, boxSize)
+			ys, ny := signImages(fy, n)
+			for fx := 0; fx <= n/2; fx++ {
+				kx := fft.WaveNumber(fx, n, boxSize)
+				xs, nx := signImages(fx, n)
 				k := math.Sqrt(kx*kx + ky*ky + kz*kz)
-				idx := (iz*n+iy)*n + ix
-				if k == 0 || k < kMin {
-					delta.Data[idx] = 0
-					continue
+				drop := k == 0 || k < kMin
+				var amp complex128
+				if !drop {
+					amp = complex(math.Sqrt(growth2*g.Cosmo.Power(k)*norm), 0)
 				}
-				amp := math.Sqrt(growth2 * g.Cosmo.Power(k) * norm)
-				delta.Data[idx] *= complex(amp, 0)
+				for _, iz := range zs[:nz] {
+					for _, iy := range ys[:ny] {
+						for _, ix := range xs[:nx] {
+							idx := (iz*n+iy)*n + ix
+							if drop {
+								delta.Data[idx] = 0
+							} else {
+								delta.Data[idx] *= amp
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -138,6 +154,16 @@ func (g *Generator) deltaFromNoise(noise *fft.Grid3, boxSize, a, kMin float64) (
 		return nil, err
 	}
 	return delta, nil
+}
+
+// signImages returns the grid indices of frequency index f ∈ [0, n/2] and of
+// −f: one index for f = 0 and for the Nyquist index n/2, which is its own
+// image, and two otherwise.
+func signImages(f, n int) (idx [2]int, count int) {
+	if f == 0 || 2*f == n {
+		return [2]int{f}, 1
+	}
+	return [2]int{f, n - f}, 2
 }
 
 // DeltaField returns a real-space overdensity realisation on an n³ grid for

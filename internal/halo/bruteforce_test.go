@@ -1,12 +1,16 @@
 package halo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/cosmo"
+	"repro/internal/grafic"
+	"repro/internal/nbody"
 	"repro/internal/particles"
 )
 
@@ -46,7 +50,7 @@ func bruteForceGroups(parts particles.Set, b float64, minParticles int) [][]int6
 			kept = append(kept, ids)
 		}
 	}
-	slices.SortFunc(kept, func(a, b []int64) int { return int(a[0] - b[0]) })
+	slices.SortFunc(kept, func(a, b []int64) int { return cmp.Compare(a[0], b[0]) })
 	return kept
 }
 
@@ -56,7 +60,7 @@ func catalogGroups(cat *Catalog) [][]int64 {
 	for _, h := range cat.Halos {
 		groups = append(groups, h.IDs)
 	}
-	slices.SortFunc(groups, func(a, b []int64) int { return int(a[0] - b[0]) })
+	slices.SortFunc(groups, func(a, b []int64) int { return cmp.Compare(a[0], b[0]) })
 	return groups
 }
 
@@ -123,20 +127,47 @@ func sizes(groups [][]int64) []int {
 	return out
 }
 
-func TestNeighboursAreDistinct(t *testing.T) {
-	for ncell := 1; ncell <= 5; ncell++ {
-		for c := 0; c < ncell; c++ {
-			cells, n := neighbours(c, ncell)
-			got := slices.Clone(cells[:n])
-			slices.Sort(got)
-			var want []int
-			for _, d := range []int{-1, 0, 1} {
-				want = append(want, ((c+d)%ncell+ncell)%ncell)
+func TestFindHalosMatchesBruteForceOnZoom(t *testing.T) {
+	// The particle set FoF meets in the benchmark's campaign: a two-level
+	// zoom on the box centre (7680 particles, a dense refined region inside
+	// a coarse one), evolved to both snapshots the campaign catalogues.
+	c := cosmo.WMAP3()
+	gen, err := grafic.New(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ics, err := gen.MultiLevel(16, 100, 0.1, [3]float64{0.5, 0.5, 0.5}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := nbody.New(nbody.Params{Ng: 16, Box: 100, Cosmo: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := ics.Parts.Clone()
+	a := 0.1
+	for _, snap := range []struct {
+		aout float64
+		fof  []Params
+	}{
+		{0.5, []Params{{LinkingLength: 0.25, MinParticles: 2}}},                                        // no group reaches 8 yet
+		{1.0, []Params{{LinkingLength: 0.25, MinParticles: 8}, {LinkingLength: 0.2, MinParticles: 1}}}, // the campaign's, and every group
+	} {
+		if err := s.Run(parts, a, snap.aout, 4, nil); err != nil {
+			t.Fatal(err)
+		}
+		a = snap.aout
+		for _, p := range snap.fof {
+			cat, err := FindHalos(parts, a, 100, p)
+			if err != nil {
+				t.Fatal(err)
 			}
-			slices.Sort(want)
-			want = slices.Compact(want)
-			if !slices.Equal(got, want) {
-				t.Errorf("neighbours(%d, %d) = %v, want %v", c, ncell, got, want)
+			got, want := catalogGroups(cat), bruteForceGroups(parts, p.LinkingLength, p.MinParticles)
+			if len(want) == 0 {
+				t.Fatalf("a=%g %+v: brute force finds no group, the check is empty", a, p)
+			}
+			if !slices.EqualFunc(got, want, func(a, b []int64) bool { return slices.Equal(a, b) }) {
+				t.Errorf("a=%g %+v: %d halos %v, brute force finds %d %v", a, p, len(got), sizes(got), len(want), sizes(want))
 			}
 		}
 	}

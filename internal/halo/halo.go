@@ -73,37 +73,36 @@ func FindHalos(parts particles.Set, a, box float64, params Params) (*Catalog, er
 	}
 	index := newCellIndex(parts, ncell)
 
+	// Visit each occupied cell once and test its particles against each
+	// other and against the particles of the 13 neighbour cells in the
+	// forward half of its 3×3×3 neighbourhood: (x+1) in its own row, x−1…x+1
+	// in row (y+1, z) and in the three rows (y−1…y+1, z+1). Every pair of
+	// cells within one cell of each other is then visited from exactly one
+	// side, so each pair of particles is tested once. On an axis of fewer
+	// than three cells the forward and backward neighbours coincide and some
+	// pairs are tested twice, which links nothing new.
 	uf := newUnionFind(n)
-	for _, e := range index.sorted {
-		i, cell := int(uint32(e)), int(e>>32)
-		pi := parts[i].Pos
-		cx, cy, cz := cell%ncell, cell/ncell%ncell, cell/(ncell*ncell)
-		ys, ny := neighbours(cy, ncell)
-		zs, nz := neighbours(cz, ncell)
-		join := func(run []uint64) {
-			for _, e := range run {
-				j := int(uint32(e))
-				if j > i && particles.Dist2(pi, parts[j].Pos) <= link2 { // each pair once
-					uf.union(i, j)
-				}
-			}
+	f := fof{parts: parts, link2: link2, uf: uf, index: index}
+	for lo := 0; lo < n; {
+		key := index.sorted[lo] >> 32
+		hi := lo + 1
+		for hi < n && index.sorted[hi]>>32 == key {
+			hi++
 		}
-		for _, iz := range zs[:nz] {
-			for _, iy := range ys[:ny] {
-				row := iz*ncell + iy
-				switch {
-				case ncell < 3:
-					join(index.run(row, 0, ncell-1))
-				case cx == 0:
-					join(index.run(row, 0, 1))
-					join(index.run(row, ncell-1, ncell-1))
-				case cx == ncell-1:
-					join(index.run(row, cx-1, cx))
-					join(index.run(row, 0, 0))
-				default:
-					join(index.run(row, cx-1, cx+1))
-				}
-			}
+		cell := index.sorted[lo:hi]
+		lo = hi
+		c := int(key)
+		cx, cy, cz := c%ncell, c/ncell%ncell, c/(ncell*ncell)
+		for a, e := range cell {
+			f.linkAll(int(uint32(e)), cell[a+1:])
+		}
+		xm, xp := (cx+ncell-1)%ncell, (cx+1)%ncell
+		ym, yp := (cy+ncell-1)%ncell, (cy+1)%ncell
+		zp := (cz + 1) % ncell
+		f.linkRow(cell, cz*ncell+cy, xp, xp, xp)
+		f.linkRow(cell, cz*ncell+yp, xm, cx, xp)
+		for _, y := range [3]int{ym, cy, yp} {
+			f.linkRow(cell, zp*ncell+y, xm, cx, xp)
 		}
 	}
 
@@ -148,17 +147,59 @@ func FindHalos(parts particles.Set, a, box float64, params Params) (*Catalog, er
 	return cat, nil
 }
 
+// fof is the state of one friends-of-friends pair search.
+type fof struct {
+	parts particles.Set
+	link2 float64 // squared linking length, box units
+	uf    *unionFind
+	index *cellIndex
+}
+
+// linkAll joins particle i with each particle of entries closer than the
+// linking length.
+func (f *fof) linkAll(i int, entries []uint64) {
+	pi := f.parts[i].Pos
+	for _, e := range entries {
+		if j := int(uint32(e)); particles.Dist2(pi, f.parts[j].Pos) <= f.link2 {
+			f.uf.union(i, j)
+		}
+	}
+}
+
+// linkRow joins the particles of cell with their friends among the
+// particles of the given row whose x cell is x0, x1 or x2. A row holds about
+// one particle at the linking length, so it is scanned, not searched.
+func (f *fof) linkRow(cell []uint64, row, x0, x1, x2 int) {
+	x := f.index
+	base := uint64(row * x.ncell)
+	for _, e := range x.sorted[x.rowStart[row]:x.rowStart[row+1]] {
+		if c := int(e>>32 - base); c != x0 && c != x1 && c != x2 {
+			continue
+		}
+		j := int(uint32(e))
+		pj := f.parts[j].Pos
+		for _, ec := range cell {
+			if i := int(uint32(ec)); particles.Dist2(f.parts[i].Pos, pj) <= f.link2 {
+				f.uf.union(i, j)
+			}
+		}
+	}
+}
+
 // cellIndex bins particles on an ncell³ grid without a table of ncell³
 // entries (at the linking length most cells are empty). Cells are keyed
-// (iz*ncell+iy)*ncell+ix, so the cells of one (iz, iy) row that are adjacent
-// in x are adjacent in key order, and a sorted particle list plus the start
-// of each row finds a run of up to three neighbouring cells at once.
+// (iz*ncell+iy)*ncell+ix, so the particles of one cell are adjacent in key
+// order, and the particles of one (iz, iy) row are found from the row's
+// start.
 type cellIndex struct {
 	ncell    int
 	sorted   []uint64 // cell key <<32 | particle index, ascending
 	rowStart []int32  // row r's particles are sorted[rowStart[r]:rowStart[r+1]]
 }
 
+// newCellIndex sorts the particles by cell key: a counting sort by row,
+// which keeps each row's entries in particle order, then a sort of each
+// row's few entries.
 func newCellIndex(parts particles.Set, ncell int) *cellIndex {
 	x := &cellIndex{
 		ncell:    ncell,
@@ -172,40 +213,27 @@ func newCellIndex(parts particles.Set, ncell int) *cellIndex {
 		}
 		return c
 	}
+	rowOf := func(pos [3]float64) int { return cellOf(pos[2])*ncell + cellOf(pos[1]) }
 	for i := range parts {
-		pos := parts[i].Pos
-		row := cellOf(pos[2])*ncell + cellOf(pos[1])
-		x.sorted[i] = uint64(row*ncell+cellOf(pos[0]))<<32 | uint64(i)
-		x.rowStart[row+1]++
+		x.rowStart[rowOf(parts[i].Pos)+1]++
 	}
-	slices.Sort(x.sorted)
 	for r := 0; r < ncell*ncell; r++ {
 		x.rowStart[r+1] += x.rowStart[r]
 	}
-	return x
-}
-
-// run returns the entries of sorted whose cell is in the given row with an x
-// coordinate in [xlo, xhi].
-func (x *cellIndex) run(row, xlo, xhi int) []uint64 {
-	span := x.sorted[x.rowStart[row]:x.rowStart[row+1]]
-	lo, hi := uint64(row*x.ncell+xlo)<<32, uint64(row*x.ncell+xhi+1)<<32
-	from, _ := slices.BinarySearch(span, lo)
-	to, _ := slices.BinarySearch(span, hi)
-	return span[from:to]
-}
-
-// neighbours returns the distinct cell coordinates within one cell of c along
-// an axis of ncell periodic cells: c−1, c and c+1 wrapped, which coincide
-// when the axis has fewer than three cells.
-func neighbours(c, ncell int) (out [3]int, n int) {
-	if ncell < 3 {
-		for v := 0; v < ncell; v++ {
-			out[v] = v
-		}
-		return out, ncell
+	// Place each entry at its row's cursor, rowStart[row], which ends at the
+	// next row's start; shifting by one restores the starts.
+	for i := range parts {
+		pos := parts[i].Pos
+		row := rowOf(pos)
+		x.sorted[x.rowStart[row]] = uint64(row*ncell+cellOf(pos[0]))<<32 | uint64(i)
+		x.rowStart[row]++
 	}
-	return [3]int{(c + ncell - 1) % ncell, c, (c + 1) % ncell}, 3
+	copy(x.rowStart[1:], x.rowStart)
+	x.rowStart[0] = 0
+	for r := 0; r < ncell*ncell; r++ {
+		slices.Sort(x.sorted[x.rowStart[r]:x.rowStart[r+1]])
+	}
+	return x
 }
 
 // makeHalo aggregates the member particles into a Halo, unwrapping periodic

@@ -3,6 +3,7 @@ package nbody
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/hilbert"
 	"repro/internal/mpich"
@@ -40,33 +41,25 @@ func SplitByDomain(parts particles.Set, domains []hilbert.Domain, order uint) []
 func rankStep(comm *mpich.Comm, s *Solver, local particles.Set, domains []hilbert.Domain, order uint, a, da float64) (particles.Set, error) {
 	n := s.p.Ng
 
+	// globalDelta keeps the stencils of the rank's own particles for the
+	// closing kick, like the serial deposit.
 	globalDelta := func(parts particles.Set) []float64 {
 		raw := make([]float64, n*n*n)
-		var mass float64
-		for i := range parts {
-			mass += parts[i].Mass
-			depositCIC(raw, n, parts[i].Pos, parts[i].Mass)
-		}
+		mass := s.depositStencils(raw, parts)
 		raw = comm.AllReduce(mpich.OpSum, raw)
 		mass = comm.AllReduceScalar(mpich.OpSum, mass)
-		mean := mass / float64(n*n*n)
-		delta := make([]float64, len(raw))
-		if mean == 0 {
-			for i := range delta {
-				delta[i] = -1
-			}
-			return delta
-		}
-		for i := range raw {
-			delta[i] = raw[i]/mean - 1
-		}
+		delta := slices.Clone(raw) // rank 0's result is shared with the other ranks
+		normalise(delta, mass)
 		return delta
 	}
 
+	// The solver is the rank's own, so a field cached at a was solved by
+	// the previous step, whose closing kick left s.g for these particles.
 	if s.accA != a {
 		if err := s.Solve(globalDelta(local), a); err != nil {
 			return nil, err
 		}
+		s.gatherAccel()
 	}
 	s.kickDrift(local, a, da)
 

@@ -14,6 +14,7 @@ package nbody
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cosmo"
 	"repro/internal/fft"
@@ -27,6 +28,9 @@ type Params struct {
 	Cosmo *cosmo.Params // background cosmology
 }
 
+// maxNg is the largest mesh whose cell indices fit a stencil's int32.
+const maxNg = 1024
+
 // Solver is a periodic particle-mesh gravity solver. It is not safe for
 // concurrent use; parallel runs give each rank its own Solver.
 type Solver struct {
@@ -37,12 +41,23 @@ type Solver struct {
 	sin2 []float64    // (2·Ng·sin(π·i/Ng))² per mesh index, the Green's function terms
 	acc  [3][]float64 // cell-centred acceleration components (−∇φ)
 	accA float64      // expansion factor the cached acc grids were built at
+
+	// Per-particle state of the last deposit and closing kick, in the
+	// order of the set they were made for: each particle's stencil at its
+	// deposited position, and the acceleration gathered there from the
+	// field at accA. Run's next opening kick reads the same field at the
+	// same positions, so it takes g instead of gathering again.
+	st []cicStencil
+	g  [][3]float64
 }
 
 // New validates params and returns a ready Solver.
 func New(p Params) (*Solver, error) {
 	if !fft.IsPow2(p.Ng) {
 		return nil, fmt.Errorf("nbody: mesh size %d is not a power of two", p.Ng)
+	}
+	if p.Ng > maxNg {
+		return nil, fmt.Errorf("nbody: mesh size %d exceeds %d", p.Ng, maxNg)
 	}
 	if p.Box <= 0 {
 		return nil, fmt.Errorf("nbody: box size must be positive, got %g", p.Box)
@@ -90,19 +105,14 @@ func VelFromMomentum(p, a, boxSize float64) float64 { return 100 * boxSize * p /
 func (s *Solver) Density(parts particles.Set) []float64 {
 	n := s.p.Ng
 	rho := make([]float64, n*n*n)
-	overdensity(rho, n, parts)
+	normalise(rho, s.depositStencils(rho, parts))
 	return rho
 }
 
-// overdensity overwrites rho, an n³ mesh, with the overdensity of parts.
-func overdensity(rho []float64, n int, parts particles.Set) {
-	clear(rho)
-	var totalMass float64
-	for i := range parts {
-		totalMass += parts[i].Mass
-		depositCIC(rho, n, parts[i].Pos, parts[i].Mass)
-	}
-	mean := totalMass / float64(n*n*n)
+// normalise turns rho, the deposited mass on an n³ mesh, into the
+// overdensity ρ/ρ̄ − 1 in place.
+func normalise(rho []float64, totalMass float64) {
+	mean := totalMass / float64(len(rho))
 	if mean == 0 {
 		for i := range rho {
 			rho[i] = -1
@@ -120,7 +130,7 @@ func overdensity(rho []float64, n int, parts particles.Set) {
 // gather multiply the three factors onto the value one by one, in that
 // order, so sharing a stencil between grids changes no rounding.
 type cicStencil struct {
-	cell [8]int
+	cell [8]int32
 	w    [3][2]float64
 }
 
@@ -146,7 +156,7 @@ func (st *cicStencil) at(n int, pos [3]float64) {
 		if c&4 != 0 {
 			iz = hi[2]
 		}
-		st.cell[c] = (iz*n+iy)*n + ix
+		st.cell[c] = int32((iz*n+iy)*n + ix)
 	}
 }
 
@@ -163,13 +173,18 @@ func wrapIndex(i, n int) int {
 	return i
 }
 
+// deposit adds mass m to grid with the stencil's weights.
+func (st *cicStencil) deposit(grid []float64, m float64) {
+	for c, cell := range st.cell {
+		grid[cell] += m * st.w[0][c&1] * st.w[1][c>>1&1] * st.w[2][c>>2]
+	}
+}
+
 // depositCIC adds mass m at position pos (unit box) to grid with CIC weights.
 func depositCIC(grid []float64, n int, pos [3]float64, m float64) {
 	var st cicStencil
 	st.at(n, pos)
-	for c, cell := range st.cell {
-		grid[cell] += m * st.w[0][c&1] * st.w[1][c>>1&1] * st.w[2][c>>2]
-	}
+	st.deposit(grid, m)
 }
 
 // gather samples grid at the stencil's position.
@@ -187,6 +202,22 @@ func interpCIC(grid []float64, n int, pos [3]float64) float64 {
 	var st cicStencil
 	st.at(n, pos)
 	return st.gather(grid)
+}
+
+// depositStencils adds the masses of parts to grid with CIC weights, in
+// particle order, keeps each particle's stencil in s.st for the closing kick
+// and returns the total mass.
+func (s *Solver) depositStencils(grid []float64, parts particles.Set) float64 {
+	n := s.p.Ng
+	s.st = slices.Grow(s.st[:0], len(parts))[:len(parts)]
+	var mass float64
+	for i := range parts {
+		st := &s.st[i]
+		st.at(n, parts[i].Pos)
+		mass += parts[i].Mass
+		st.deposit(grid, parts[i].Mass)
+	}
+	return mass
 }
 
 // Potential solves ∇²φ = (3/2)(ΩM/a)·δ on the periodic mesh using the
@@ -259,7 +290,37 @@ func (s *Solver) Solve(delta []float64, a float64) error {
 func (s *Solver) AccelAt(pos [3]float64) [3]float64 {
 	var st cicStencil
 	st.at(s.p.Ng, pos)
-	return [3]float64{st.gather(s.acc[0]), st.gather(s.acc[1]), st.gather(s.acc[2])}
+	return s.accelFrom(&st)
+}
+
+// accelFrom gathers the three acceleration components at a stencil in one
+// pass over its cells; each component sums its terms as gather would.
+func (s *Solver) accelFrom(st *cicStencil) (g [3]float64) {
+	ax, ay, az := s.acc[0], s.acc[1], s.acc[2]
+	for c, cell := range st.cell {
+		wx, wy, wz := st.w[0][c&1], st.w[1][c>>1&1], st.w[2][c>>2]
+		g[0] += ax[cell] * wx * wy * wz
+		g[1] += ay[cell] * wx * wy * wz
+		g[2] += az[cell] * wx * wy * wz
+	}
+	return g
+}
+
+// locate sets s.st to the stencils of the particles' positions.
+func (s *Solver) locate(parts particles.Set) {
+	s.st = slices.Grow(s.st[:0], len(parts))[:len(parts)]
+	for i := range parts {
+		s.st[i].at(s.p.Ng, parts[i].Pos)
+	}
+}
+
+// gatherAccel fills s.g with the acceleration at every particle's stencil in
+// s.st: the opening kick of a step with no acceleration cached.
+func (s *Solver) gatherAccel() {
+	s.g = slices.Grow(s.g[:0], len(s.st))[:len(s.st)]
+	for i := range s.st {
+		s.g[i] = s.accelFrom(&s.st[i])
+	}
 }
 
 // fKick is the kick coefficient dp/da = −∇φ · fKick(a).
@@ -268,15 +329,15 @@ func (s *Solver) fKick(a float64) float64 { return 1 / (a * s.p.Cosmo.E(a)) }
 // fDrift is the drift coefficient dx/da = p · fDrift(a).
 func (s *Solver) fDrift(a float64) float64 { return 1 / (a * a * a * s.p.Cosmo.E(a)) }
 
-// kickDrift applies the first half kick and the full drift to parts, leaving
-// velocities expressed at epoch a. Requires a field solve at a.
+// kickDrift applies the first half kick with the accelerations in s.g and
+// the full drift to parts, leaving velocities expressed at epoch a.
 func (s *Solver) kickDrift(parts particles.Set, a, da float64) {
 	box := s.p.Box
 	halfKick := 0.5 * da * s.fKick(a)
 	drift := da * s.fDrift(a+da/2)
 	for i := range parts {
 		p := &parts[i]
-		g := s.AccelAt(p.Pos)
+		g := &s.g[i]
 		for d := 0; d < 3; d++ {
 			mom := MomentumFromVel(p.Vel[d], a, box) + g[d]*halfKick
 			p.Vel[d] = VelFromMomentum(mom, a, box) // stash as velocity at epoch a
@@ -285,14 +346,18 @@ func (s *Solver) kickDrift(parts particles.Set, a, da float64) {
 	}
 }
 
-// secondKick applies the closing half kick using the field solved at aNew and
-// re-expresses velocities at the new epoch.
+// secondKick applies the closing half kick using the field solved at aNew,
+// gathered through the stencils of the deposit that field was solved from,
+// and re-expresses velocities at the new epoch. The accelerations stay in
+// s.g for the next step's opening kick.
 func (s *Solver) secondKick(parts particles.Set, a, aNew, da float64) {
 	box := s.p.Box
 	halfKick := 0.5 * da * s.fKick(aNew)
+	s.g = slices.Grow(s.g[:0], len(parts))[:len(parts)]
 	for i := range parts {
 		p := &parts[i]
-		g := s.AccelAt(p.Pos)
+		g := s.accelFrom(&s.st[i])
+		s.g[i] = g
 		for d := 0; d < 3; d++ {
 			mom := MomentumFromVel(p.Vel[d], a, box) + g[d]*halfKick
 			p.Vel[d] = VelFromMomentum(mom, aNew, box)
@@ -300,24 +365,42 @@ func (s *Solver) secondKick(parts particles.Set, a, aNew, da float64) {
 	}
 }
 
+// deposit overwrites s.rho with the overdensity of parts, keeping each
+// particle's stencil.
+func (s *Solver) deposit(parts particles.Set) {
+	clear(s.rho)
+	normalise(s.rho, s.depositStencils(s.rho, parts))
+}
+
 // Step advances the particle set by one kick-drift-kick leapfrog step from
 // expansion factor a to a+da, mutating positions and velocities in place.
 // The field is solved once at a (reusing the cached solve when the previous
 // step ended here) and once at a+da.
 func (s *Solver) Step(parts particles.Set, a, da float64) error {
+	return s.step(parts, a, da, false)
+}
+
+// step is Step. With warm set, s.g already holds every particle's
+// acceleration at a: the previous step's closing kick gathered it from the
+// same field at the same positions, so the opening kick reuses it.
+func (s *Solver) step(parts particles.Set, a, da float64, warm bool) error {
 	if da <= 0 {
 		return fmt.Errorf("nbody: step da must be positive, got %g", da)
 	}
-	n := s.p.Ng
-	if s.accA != a {
-		overdensity(s.rho, n, parts)
-		if err := s.Solve(s.rho, a); err != nil {
-			return err
+	if !warm {
+		if s.accA != a {
+			s.deposit(parts)
+			if err := s.Solve(s.rho, a); err != nil {
+				return err
+			}
+		} else {
+			s.locate(parts)
 		}
+		s.gatherAccel()
 	}
 	s.kickDrift(parts, a, da)
 	aNew := a + da
-	overdensity(s.rho, n, parts)
+	s.deposit(parts)
 	if err := s.Solve(s.rho, aNew); err != nil {
 		return err
 	}
@@ -327,8 +410,8 @@ func (s *Solver) Step(parts particles.Set, a, da float64) error {
 
 // Run advances the particle set from a0 to a1 in nsteps equal steps in a,
 // invoking onStep (if non-nil) after each step with the step index and the
-// new expansion factor. It is the serial equivalent of the paper's RAMSES3d
-// run between two snapshots.
+// new expansion factor; onStep must not change the particles. It is the
+// serial equivalent of the paper's RAMSES3d run between two snapshots.
 func (s *Solver) Run(parts particles.Set, a0, a1 float64, nsteps int, onStep func(step int, a float64)) error {
 	if a1 <= a0 {
 		return fmt.Errorf("nbody: a1 %g must exceed a0 %g", a1, a0)
@@ -339,7 +422,7 @@ func (s *Solver) Run(parts particles.Set, a0, a1 float64, nsteps int, onStep fun
 	da := (a1 - a0) / float64(nsteps)
 	a := a0
 	for step := 0; step < nsteps; step++ {
-		if err := s.Step(parts, a, da); err != nil {
+		if err := s.step(parts, a, da, step > 0); err != nil {
 			return fmt.Errorf("nbody: step %d (a=%.4f): %w", step, a, err)
 		}
 		a += da

@@ -252,12 +252,14 @@ func (r *Reader) Count(minSize int) int {
 	if b == nil {
 		return 0
 	}
-	n := int(binary.BigEndian.Uint32(b))
-	if n > len(r.rest)/minSize {
+	// Compared unsigned: on a 32-bit host a count of 2³¹ or more is a
+	// negative int, which would pass the check.
+	n := binary.BigEndian.Uint32(b)
+	if uint64(n) > uint64(len(r.rest)/minSize) {
 		r.Fail("%d elements of at least %d bytes claimed, %d bytes left", n, minSize, len(r.rest))
 		return 0
 	}
-	return n
+	return int(n)
 }
 
 // Bytes reads a byte slice. It is not copied: the result aliases the data

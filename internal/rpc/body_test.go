@@ -157,6 +157,21 @@ func TestReaderChecksClaimsBeforeAllocating(t *testing.T) {
 	}
 }
 
+// The largest count fails the reader on every word size: converted to a
+// 32-bit int before the check it would be negative, pass, and make a slice
+// of negative length panic.
+func TestReaderRefusesMaxUint32Count(t *testing.T) {
+	claim := binary.BigEndian.AppendUint32(nil, 0xFFFFFFFF)
+	r := Reader{rest: claim}
+	if n := r.Count(1); n != 0 || !errors.Is(r.Err(), ErrBody) {
+		t.Fatalf("Count of 0xFFFFFFFF = %d, err %v; want 0 and ErrBody", n, r.Err())
+	}
+	r = Reader{rest: claim}
+	if list := ReadList(&r, 1, func(*byte, *Reader) {}); list != nil || !errors.Is(r.Err(), ErrBody) {
+		t.Fatalf("ReadList of 0xFFFFFFFF elements = %d elements, err %v; want none and ErrBody", len(list), r.Err())
+	}
+}
+
 func TestReaderScalars(t *testing.T) {
 	w := Writer{}.Int(-1).Int(math.MinInt64).Float64(math.Inf(-1))
 	w = w.Float64(math.Float64frombits(0x7ff8dead0000beef)) // a NaN with a payload
