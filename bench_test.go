@@ -196,10 +196,11 @@ func BenchmarkFig5Distribution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res = paperExperiment(b, scheduler.NewRoundRobin())
 	}
-	busy := res.BusyHoursBySeD()
-	counts := res.RequestCounts()
-	if b.N > 0 {
-		for _, s := range res.PerSeD {
+	busy := make(map[string]float64)
+	counts := make(map[string]int)
+	for _, s := range res.PerSeD {
+		busy[s.Name], counts[s.Name] = s.BusyHours, len(s.Requests)
+		if b.N > 0 {
 			b.Logf("%-11s %2d requests  %6.2f h", s.Name, len(s.Requests), s.BusyHours)
 		}
 	}

@@ -15,7 +15,9 @@
 //     binary does not define (a stale invocation);
 //
 //   - an ablation implemented in internal/simgrid ("... ablation (A<n>)")
-//     has no row in README.md's ablation index.
+//     has no row in README.md's ablation index;
+//
+//   - an exported internal/ declaration is used by tests only (dead API).
 //
 //     docscheck            # check the repository rooted at the working dir
 //     docscheck -root ../..
@@ -55,7 +57,7 @@ func main() {
 // returns the problems found (empty = docs are consistent).
 func Check(root string) ([]string, error) {
 	var problems []string
-	for _, check := range []func(string) ([]string, error){CheckLinks, CheckCLIDocs, CheckInvocations, CheckAblationIndex} {
+	for _, check := range []func(string) ([]string, error){CheckLinks, CheckCLIDocs, CheckInvocations, CheckAblationIndex, CheckDeadAPI} {
 		found, err := check(root)
 		if err != nil {
 			return nil, err
@@ -68,6 +70,15 @@ func Check(root string) ([]string, error) {
 // walkMarkdown calls fn with the root-relative path and the text of every
 // *.md file under root outside .git.
 func walkMarkdown(root string, fn func(rel, doc string)) error {
+	return walkFiles(root, ".md", func(rel string, data []byte) error {
+		fn(rel, string(data))
+		return nil
+	})
+}
+
+// walkFiles calls fn with the root-relative path and the contents of every
+// file under root outside .git whose name ends in suffix.
+func walkFiles(root, suffix string, fn func(rel string, data []byte) error) error {
 	return filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -75,7 +86,7 @@ func walkMarkdown(root string, fn func(rel, doc string)) error {
 		if d.IsDir() && d.Name() == ".git" {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(d.Name(), ".md") {
+		if d.IsDir() || !strings.HasSuffix(d.Name(), suffix) {
 			return nil
 		}
 		data, err := os.ReadFile(p)
@@ -83,8 +94,7 @@ func walkMarkdown(root string, fn func(rel, doc string)) error {
 			return err
 		}
 		rel, _ := filepath.Rel(root, p)
-		fn(rel, string(data))
-		return nil
+		return fn(rel, data)
 	})
 }
 

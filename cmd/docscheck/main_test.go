@@ -264,3 +264,30 @@ func TestCheckAblationIndexCoversDataAblation(t *testing.T) {
 		t.Fatalf("indexed A13 must satisfy the check, got %v", problems)
 	}
 }
+
+func TestCheckDeadAPI(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/lib/lib.go": `package lib
+
+// TestOnly is called from lib_test.go alone.
+func TestOnly() {}
+
+// BenchOnly is called from a bench/ test file alone.
+func BenchOnly() {}
+
+// Live is called from another package's non-test file.
+func Live() {}
+`,
+		"internal/lib/lib_test.go": "package lib\n\nfunc TestLib(t *testing.T) { TestOnly(); Live(); ResetLocal() }\n",
+		"internal/rpc/rpc.go":      "package rpc\n\n// ResetLocal is allowlisted shared test support.\nfunc ResetLocal() {}\n",
+		"internal/app/app.go":      "package app\n\nimport \"repro/internal/lib\"\n\nfunc run() { lib.Live() }\n",
+		"bench/bench_test.go":      "package bench\n\nimport \"repro/internal/lib\"\n\nfunc BenchmarkLib(b *testing.B) { lib.BenchOnly() }\n",
+	})
+	problems, err := CheckDeadAPI(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 1 || !strings.HasPrefix(problems[0], "internal/lib/lib.go:4: lib.TestOnly ") {
+		t.Fatalf("want exactly lib.TestOnly flagged at internal/lib/lib.go:4, got %q", problems)
+	}
+}

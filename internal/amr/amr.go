@@ -1,13 +1,11 @@
 // Package amr implements the adaptive-mesh-refinement octree RAMSES is built
 // around (Teyssier 2002): a fully-threaded tree over the unit box whose cells
 // refine wherever the particle count exceeds a quasi-Lagrangian threshold.
-// The tree provides the refinement maps used by the zoom pipeline and the
-// per-level statistics reported with each snapshot.
+// The tree provides the per-level statistics reported with each snapshot.
 package amr
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/particles"
 )
@@ -35,23 +33,6 @@ type Cell struct {
 
 // IsLeaf reports whether the cell has no children.
 func (c *Cell) IsLeaf() bool { return c.Children == nil }
-
-// Contains reports whether pos lies inside the cell (half-open bounds).
-func (c *Cell) Contains(pos [3]float64) bool {
-	h := c.Size / 2
-	for d := 0; d < 3; d++ {
-		if pos[d] < c.Center[d]-h || pos[d] >= c.Center[d]+h {
-			return false
-		}
-	}
-	return true
-}
-
-// Density returns the cell's mass density in box units (mass per unit volume).
-func (c *Cell) Density() float64 {
-	v := c.Size * c.Size * c.Size
-	return c.Mass / v
-}
 
 // Tree is an AMR octree over the unit box.
 type Tree struct {
@@ -158,18 +139,6 @@ func octant(center, pos [3]float64) int {
 	return o
 }
 
-// Locate returns the leaf containing pos (wrapped into the unit box).
-func (t *Tree) Locate(pos [3]float64) *Cell {
-	for d := 0; d < 3; d++ {
-		pos[d] = particles.Wrap(pos[d])
-	}
-	c := t.Root
-	for !c.IsLeaf() {
-		c = &c.Children[octant(c.Center, pos)]
-	}
-	return c
-}
-
 // Walk visits every cell in depth-first order; returning false from visit
 // prunes the subtree below that cell.
 func (t *Tree) Walk(visit func(*Cell) bool) {
@@ -221,41 +190,4 @@ func (t *Tree) Stats() Stats {
 	})
 	s.EffectiveN = 1 << uint(s.MaxDepth)
 	return s
-}
-
-// RefinementMap rasterises the tree's local depth onto an n×n×n grid: each
-// output cell holds the level of the leaf covering it. The zoom pipeline uses
-// it to verify that resolution concentrates on the re-simulated region.
-func (t *Tree) RefinementMap(n int) []int {
-	out := make([]int, n*n*n)
-	for iz := 0; iz < n; iz++ {
-		for iy := 0; iy < n; iy++ {
-			for ix := 0; ix < n; ix++ {
-				pos := [3]float64{
-					(float64(ix) + 0.5) / float64(n),
-					(float64(iy) + 0.5) / float64(n),
-					(float64(iz) + 0.5) / float64(n),
-				}
-				out[(iz*n+iy)*n+ix] = t.Locate(pos).Level
-			}
-		}
-	}
-	return out
-}
-
-// MaxDensityCell returns the leaf with the highest mass density — a cheap
-// proxy for "highest-density peak" used when picking zoom targets in tests.
-func (t *Tree) MaxDensityCell() *Cell {
-	var best *Cell
-	bestRho := math.Inf(-1)
-	t.Walk(func(c *Cell) bool {
-		if c.IsLeaf() && c.NPart > 0 {
-			if rho := c.Density(); rho > bestRho {
-				bestRho = rho
-				best = c
-			}
-		}
-		return true
-	})
-	return best
 }

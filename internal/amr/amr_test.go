@@ -222,3 +222,69 @@ func TestEmptyTree(t *testing.T) {
 		t.Error("empty tree has no densest cell")
 	}
 }
+
+// Contains reports whether pos lies inside the cell (half-open bounds).
+func (c *Cell) Contains(pos [3]float64) bool {
+	h := c.Size / 2
+	for d := 0; d < 3; d++ {
+		if pos[d] < c.Center[d]-h || pos[d] >= c.Center[d]+h {
+			return false
+		}
+	}
+	return true
+}
+
+// RefinementMap rasterises the tree's local depth onto an n×n×n grid: each
+// output cell holds the level of the leaf covering it. The zoom pipeline uses
+// it to verify that resolution concentrates on the re-simulated region.
+func (t *Tree) RefinementMap(n int) []int {
+	out := make([]int, n*n*n)
+	for iz := 0; iz < n; iz++ {
+		for iy := 0; iy < n; iy++ {
+			for ix := 0; ix < n; ix++ {
+				pos := [3]float64{
+					(float64(ix) + 0.5) / float64(n),
+					(float64(iy) + 0.5) / float64(n),
+					(float64(iz) + 0.5) / float64(n),
+				}
+				out[(iz*n+iy)*n+ix] = t.Locate(pos).Level
+			}
+		}
+	}
+	return out
+}
+
+// MaxDensityCell returns the leaf with the highest mass density — a cheap
+// proxy for "highest-density peak" used when picking zoom targets in tests.
+func (t *Tree) MaxDensityCell() *Cell {
+	var best *Cell
+	bestRho := math.Inf(-1)
+	t.Walk(func(c *Cell) bool {
+		if c.IsLeaf() && c.NPart > 0 {
+			if rho := c.Density(); rho > bestRho {
+				bestRho = rho
+				best = c
+			}
+		}
+		return true
+	})
+	return best
+}
+
+// Density returns the cell's mass density in box units (mass per unit volume).
+func (c *Cell) Density() float64 {
+	v := c.Size * c.Size * c.Size
+	return c.Mass / v
+}
+
+// Locate returns the leaf containing pos (wrapped into the unit box).
+func (t *Tree) Locate(pos [3]float64) *Cell {
+	for d := 0; d < 3; d++ {
+		pos[d] = particles.Wrap(pos[d])
+	}
+	c := t.Root
+	for !c.IsLeaf() {
+		c = &c.Children[octant(c.Center, pos)]
+	}
+	return c
+}

@@ -43,7 +43,6 @@ const (
 	Running
 	Done
 	Failed
-	Cancelled
 )
 
 // String implements fmt.Stringer.
@@ -58,7 +57,7 @@ func (s JobState) String() string {
 	case Failed:
 		return "Failed"
 	}
-	return "Cancelled"
+	return fmt.Sprintf("JobState(%d)", int(s))
 }
 
 // Job is one batch submission.
@@ -84,13 +83,6 @@ type Job struct {
 	headBound  time.Time   // tightest shadow bound recorded while this job was the protected head
 	watchdog   *time.Timer // walltime kill timer (EnforceWalltime); guarded by mu
 	finished   chan struct{}
-}
-
-// State returns the job's current state.
-func (j *Job) State() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
 }
 
 // Err returns the script error after completion.
@@ -427,24 +419,6 @@ func (s *System) startLocked(j *Job, backfilled bool) {
 func (s *System) Wait(j *Job) error {
 	<-j.finished
 	return j.Err()
-}
-
-// Cancel removes a waiting job from the queue. Running jobs cannot be
-// cancelled (like oardel on a running reservation without checkpointing).
-func (s *System) Cancel(id int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, j := range s.queue {
-		if j.ID == id {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			j.mu.Lock()
-			j.state = Cancelled
-			j.mu.Unlock()
-			close(j.finished)
-			return nil
-		}
-	}
-	return fmt.Errorf("batch: job %d is not waiting", id)
 }
 
 // SystemStats is a snapshot of the system.

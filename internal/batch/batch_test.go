@@ -2,6 +2,7 @@ package batch
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -240,4 +241,32 @@ func TestManyJobsDrain(t *testing.T) {
 	if st.Completed != 30 || st.FreeNodes != 3 || st.Running != 0 || st.Waiting != 0 {
 		t.Errorf("final stats %+v", st)
 	}
+}
+
+// Cancelled is the state of a job Cancel removed from the queue.
+const Cancelled = Failed + 1
+
+// State returns the job's current state.
+func (j *Job) State() JobState {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state
+}
+
+// Cancel removes a waiting job from the queue. Running jobs cannot be
+// cancelled (like oardel on a running reservation without checkpointing).
+func (s *System) Cancel(id int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, j := range s.queue {
+		if j.ID == id {
+			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+			j.mu.Lock()
+			j.state = Cancelled
+			j.mu.Unlock()
+			close(j.finished)
+			return nil
+		}
+	}
+	return fmt.Errorf("batch: job %d is not waiting", id)
 }

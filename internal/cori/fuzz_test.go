@@ -32,8 +32,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2]) // truncated
 	f.Add([]byte("{}"))
-	f.Add([]byte(`{"Version":1,"Services":[{"Service":"x","Count":-3}]}`))
-	f.Add([]byte(`{"Version":1,"Services":[{"Service":"x"},{"Service":"x"}]}`))
+	f.Add([]byte(`{"Version":1,"services":[{"Service":"x","Count":-3}]}`))
+	f.Add([]byte(`{"Version":1,"services":[{"Service":"x"},{"Service":"x"}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(data)

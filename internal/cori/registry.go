@@ -238,22 +238,6 @@ func (r *Registry) PriorsFor(cluster string) []Model {
 	return out
 }
 
-// Clusters lists the clusters with at least one contribution, sorted.
-func (r *Registry) Clusters() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := make(map[string]bool)
-	for _, sm := range r.sources {
-		seen[sm.Cluster] = true
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // MergeModels confidence-weights models of one service (typically from
 // sibling SeDs of a cluster) into a single prior. Each model weighs
 // Confidence × Samples, so a fully trained fresh model dominates a stale or

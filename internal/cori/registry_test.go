@@ -2,6 +2,7 @@ package cori
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 )
@@ -285,4 +286,20 @@ func TestWaitRegressionReplacesDrainApprox(t *testing.T) {
 	if lm.MeanWaitSeconds != 0 || lm.WaitPerDepthSeconds != 0 {
 		t.Fatalf("wait-less samples must not train the regression: %+v", lm)
 	}
+}
+
+// Clusters lists the clusters with at least one contribution, sorted.
+func (r *Registry) Clusters() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	seen := make(map[string]bool)
+	for _, sm := range r.sources {
+		seen[sm.Cluster] = true
+	}
+	out := make([]string, 0, len(seen))
+	for c := range seen {
+		out = append(out, c)
+	}
+	sort.Strings(out)
+	return out
 }

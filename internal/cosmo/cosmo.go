@@ -157,18 +157,6 @@ func (p *Params) amplitude() float64 {
 	})
 }
 
-// PowerAt returns the linear power spectrum at expansion factor a,
-// P(k, a) = D(a)² P(k, z=0).
-func (p *Params) PowerAt(k, a float64) float64 {
-	d := p.GrowthFactor(a)
-	return d * d * p.Power(k)
-}
-
-// Sigma returns the rms linear mass fluctuation in top-hat spheres of
-// comoving radius r (Mpc/h) at z = 0:
-// σ²(r) = 1/(2π²) ∫ k² P(k) W²(kr) dk, W(x) = 3(sin x − x cos x)/x³.
-func (p *Params) Sigma(r float64) float64 { return p.sigma(r, p.amplitude()) }
-
 // sigma is Sigma for a spectrum of amplitude ampl.
 func (p *Params) sigma(r, ampl float64) float64 {
 	integrand := func(lnk float64) float64 {
@@ -206,12 +194,6 @@ func (p *Params) HubbleTimeGyr() float64 {
 
 // AgeGyr returns the cosmic time at expansion factor a in gigayears.
 func (p *Params) AgeGyr(a float64) float64 { return p.Age(a) * p.HubbleTimeGyr() }
-
-// ExpansionOfRedshift converts redshift z to expansion factor a = 1/(1+z).
-func ExpansionOfRedshift(z float64) float64 { return 1 / (1 + z) }
-
-// RedshiftOfExpansion converts expansion factor a to redshift z = 1/a - 1.
-func RedshiftOfExpansion(a float64) float64 { return 1/a - 1 }
 
 // simpson integrates f over [a, b] with n (even) composite Simpson panels.
 func simpson(f func(float64) float64, a, b float64, n int) float64 {

@@ -251,3 +251,21 @@ func TestCopyBeforeUseIsIndependent(t *testing.T) {
 		t.Errorf("doubling Sigma8 on a copy scaled P(k) by %g, want 4", ratio)
 	}
 }
+
+// PowerAt returns the linear power spectrum at expansion factor a,
+// P(k, a) = D(a)² P(k, z=0).
+func (p *Params) PowerAt(k, a float64) float64 {
+	d := p.GrowthFactor(a)
+	return d * d * p.Power(k)
+}
+
+// Sigma returns the rms linear mass fluctuation in top-hat spheres of
+// comoving radius r (Mpc/h) at z = 0:
+// σ²(r) = 1/(2π²) ∫ k² P(k) W²(kr) dk, W(x) = 3(sin x − x cos x)/x³.
+func (p *Params) Sigma(r float64) float64 { return p.sigma(r, p.amplitude()) }
+
+// ExpansionOfRedshift converts redshift z to expansion factor a = 1/(1+z).
+func ExpansionOfRedshift(z float64) float64 { return 1 / (1 + z) }
+
+// RedshiftOfExpansion converts expansion factor a to redshift z = 1/a - 1.
+func RedshiftOfExpansion(a float64) float64 { return 1/a - 1 }

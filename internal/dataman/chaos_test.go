@@ -209,6 +209,10 @@ func TestDatamanFetchToMintsCappedReplicas(t *testing.T) {
 	if !cat.HasReplica("grafic/ic", "node1") {
 		t.Fatal("FetchTo must publish the consumer-side replica")
 	}
+	// Size bookkeeping rides along for the forecasters.
+	if mb, ok := cat.SizeMB("grafic/ic"); !ok || mb <= 0 {
+		t.Fatalf("SizeMB = %v, %v; want recorded positive size", mb, ok)
+	}
 	if _, err := stores[1].Get("grafic/ic"); err != nil {
 		t.Fatal("replica bytes must land on the consumer store")
 	}
@@ -244,40 +248,5 @@ func TestDatamanFetchToMintsCappedReplicas(t *testing.T) {
 	}
 	if cat.ReplicaCount("scratch") != 1 {
 		t.Fatal("sticky data must not gain replicas via FetchTo")
-	}
-}
-
-// TestDatamanAutoReplicatorFollowsHotData drives the proactive replicator:
-// one remote access is not enough, repeated accesses earn the node a
-// replica, and the replica-count cap holds platform-wide.
-func TestDatamanAutoReplicatorFollowsHotData(t *testing.T) {
-	cat, _ := cluster(t, 4)
-	if err := cat.Put("hot", "node0", Persistent, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	ar := NewAutoReplicator(cat)
-	ar.MaxReplicas = 2
-	ar.MinAccesses = 2
-
-	if ar.Note("hot", "node1") {
-		t.Fatal("one access must not replicate yet")
-	}
-	if !ar.Note("hot", "node1") {
-		t.Fatal("second access must replicate")
-	}
-	if !cat.HasReplica("hot", "node1") {
-		t.Fatal("replica must exist after the hot threshold")
-	}
-	// node2 is hot too, but the cap of 2 is already spent.
-	ar.Note("hot", "node2")
-	if ar.Note("hot", "node2") {
-		t.Fatal("cap must stop further replication")
-	}
-	if cat.ReplicaCount("hot") != 2 {
-		t.Fatalf("replica count %d, want 2", cat.ReplicaCount("hot"))
-	}
-	// Size bookkeeping rides along for the forecasters.
-	if mb, ok := cat.SizeMB("hot"); !ok || mb <= 0 {
-		t.Fatalf("SizeMB = %v, %v; want recorded positive size", mb, ok)
 	}
 }

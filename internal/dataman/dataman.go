@@ -9,7 +9,6 @@ package dataman
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -39,8 +38,8 @@ func (m Mode) String() string {
 }
 
 // Item is one stored datum. It crosses the wire in a hand-written layout
-// (rpc.WireBody: ID text, Mode int, Data bytes), so Get, Put, Replicate and
-// FetchTo move Data as a segment of its own instead of through gob: a sender
+// (rpc.WireBody: ID text, Mode int, Data bytes), so Get, Put and FetchTo
+// move Data as a segment of its own instead of through gob: a sender
 // must not change Data until the call returns, and the Data of an Item a store
 // was handed over tcp aliases the frame it arrived in — as long as the item is
 // stored, so is that frame.
@@ -79,9 +78,6 @@ func NewStore(node string) *Store {
 	return &Store{node: node, data: make(map[string]Item)}
 }
 
-// Node returns the owning node's name.
-func (s *Store) Node() string { return s.node }
-
 // Put stores a datum locally.
 func (s *Store) Put(id string, mode Mode, data []byte) error {
 	if id == "" {
@@ -109,18 +105,6 @@ func (s *Store) Delete(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.data, id)
-}
-
-// IDs lists the locally stored data IDs, sorted.
-func (s *Store) IDs() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.data))
-	for id := range s.data {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Serve exposes the store on srv under ObjectName. Get answers with the item
@@ -170,14 +154,11 @@ func (s *Store) Handler() rpc.Handler {
 			s.Delete(id)
 			return rpc.Encode(true)
 		},
-		"IDs": func([]byte) ([]byte, error) {
-			return rpc.Encode(s.IDs())
-		},
 	})
 }
 
 // TransferObserver is notified of every measured inter-node data movement
-// the catalog performs (Fetch/FetchTo/Replicate). The glue layer feeds these
+// the catalog performs (Fetch/FetchTo). The glue layer feeds these
 // samples to a cori.TransferMonitor so the scheduler can forecast transfer
 // times; the plain-func shape keeps dataman free of a cori dependency.
 type TransferObserver func(from, to string, sizeMB float64, d time.Duration)
@@ -214,7 +195,6 @@ func (c *Catalog) AddTransferObserver(fn TransferObserver) {
 }
 
 // SetReplicaCap bounds the replicas FetchTo mints on its own (0 = unlimited).
-// Explicit Replicate calls are never capped — the operator knows best.
 func (c *Catalog) SetReplicaCap(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -271,28 +251,6 @@ func (c *Catalog) Publish(id, node string, mode Mode) error {
 	return nil
 }
 
-// Unpublish removes node's replica record of id (the catalog side of
-// diet_free_persistent_data). When the last replica goes, the datum's mode is
-// forgotten so the ID can be republished afresh.
-func (c *Catalog) Unpublish(id, node string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	nodes := c.replicas[id]
-	for i, n := range nodes {
-		if n != node {
-			continue
-		}
-		c.replicas[id] = append(nodes[:i:i], nodes[i+1:]...)
-		if len(c.replicas[id]) == 0 {
-			delete(c.replicas, id)
-			delete(c.modes, id)
-			delete(c.sizes, id)
-		}
-		return nil
-	}
-	return fmt.Errorf("dataman: %q has no replica on %s", id, node)
-}
-
 // Locate returns the nodes holding id, primary first.
 func (c *Catalog) Locate(id string) ([]string, Mode, error) {
 	c.mu.RLock()
@@ -314,7 +272,7 @@ func (c *Catalog) Fetch(id string) (Item, error) {
 
 // fetchAny walks id's replicas, preferring preferNode when it holds one, and
 // returns the item plus the node that actually served it. This is the single
-// retry loop behind Fetch, FetchTo and Replicate.
+// retry loop behind Fetch and FetchTo.
 func (c *Catalog) fetchAny(id, preferNode string) (Item, string, error) {
 	nodes, _, err := c.Locate(id)
 	if err != nil {
@@ -347,8 +305,7 @@ func (c *Catalog) fetchAny(id, preferNode string) (Item, string, error) {
 // reporting it to the observers. A local replica is served for free. When the
 // bytes had to move and the datum is persistent, a replica is published on
 // toNode best-effort — capped by SetReplicaCap — so reuse across a parameter
-// sweep finds the data already local; this is the on-access half of
-// auto-replication (AutoReplicator is the proactive half).
+// sweep finds the data already local.
 func (c *Catalog) FetchTo(id, toNode string) (Item, error) {
 	t0 := time.Now()
 	it, from, err := c.fetchAny(id, toNode)
@@ -369,8 +326,9 @@ func (c *Catalog) FetchTo(id, toNode string) (Item, error) {
 	if !known || it.Mode == Sticky || (rcap > 0 && count >= rcap) {
 		return it, nil
 	}
-	// Best-effort local replica, with Replicate's orphan cleanup on a
-	// publish refusal.
+	// Best-effort local replica. If the catalog refuses the record (the
+	// datum was unpublished and repinned while the copy was in flight), the
+	// orphan bytes are deleted so store and catalog stay consistent.
 	var accepted bool
 	if err := rpc.Call(dstAddr, ObjectName, "Put", &it, &accepted); err != nil {
 		return it, nil
@@ -433,49 +391,6 @@ func (c *Catalog) Put(id, node string, mode Mode, data []byte) error {
 		return err
 	}
 	c.SetSizeMB(id, float64(len(data))/(1<<20))
-	return nil
-}
-
-// Replicate copies a persistent datum onto another node and publishes the
-// new replica. Sticky data refuses to move, as the paper's mode demands.
-func (c *Catalog) Replicate(id, toNode string) error {
-	nodes, mode, err := c.Locate(id)
-	if err != nil {
-		return err
-	}
-	if mode == Sticky {
-		return fmt.Errorf("dataman: %q is sticky on %s and cannot move", id, nodes[0])
-	}
-	for _, n := range nodes {
-		if n == toNode {
-			return nil // already there
-		}
-	}
-	c.mu.RLock()
-	dstAddr, ok := c.nodes[toNode]
-	c.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("dataman: unknown destination node %q", toNode)
-	}
-	t0 := time.Now()
-	it, from, err := c.fetchAny(id, "")
-	if err != nil {
-		return err
-	}
-	var accepted bool
-	if err := rpc.Call(dstAddr, ObjectName, "Put", &it, &accepted); err != nil {
-		return fmt.Errorf("dataman: replicating %q to %s: %w", id, toNode, err)
-	}
-	c.observeTransfer(from, toNode, c.itemSizeMB(id, it), time.Since(t0))
-	if err := c.Publish(id, toNode, mode); err != nil {
-		// The bytes landed but the catalog refused the record (the datum was
-		// unpublished and repinned while the copy was in flight): delete the
-		// orphan so store and catalog stay consistent. Best-effort — an
-		// unreachable store keeps unreachable bytes, nothing worse.
-		var deleted bool
-		_ = rpc.Call(dstAddr, ObjectName, "Delete", id, &deleted)
-		return fmt.Errorf("dataman: publishing replica of %q on %s: %w", id, toNode, err)
-	}
 	return nil
 }
 

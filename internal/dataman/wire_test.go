@@ -16,7 +16,7 @@ func TestItemBodyRoundTrip(t *testing.T) {
 	filled := &Item{}
 	wiretest.Fill(filled)
 	large := &Item{ID: "SeD/persist/3/1", Mode: Sticky, Data: make([]byte, rpc.SegmentCut+1)}
-	for _, in := range []*Item{{}, filled, large, {ID: "é☃", Mode: math.MinInt64, Data: []byte{}}} {
+	for _, in := range []*Item{{}, filled, large, {ID: "é☃", Mode: math.MinInt, Data: []byte{}}} {
 		wire := wiretest.RoundTrip(t, in, &Item{})
 		if len(wire) < 1<<10 {
 			wiretest.RefuseDamaged(t, wire, freshItem)

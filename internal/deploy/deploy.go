@@ -4,8 +4,8 @@
 // topology"; this package encodes that rule — Master Agent at the client's
 // site, one Local Agent per cluster, SeDs under their cluster's LA — scores
 // plans by the wide-area traffic each scheduling request costs, and renders
-// them either as an in-process diet.DeploymentSpec or as the shell commands
-// that launch the dietagent/dietsed binaries across machines.
+// them as the shell commands that launch the dietagent/dietsed binaries
+// across machines.
 //
 // Plans can be static (advertised node powers, the paper's hand-planned
 // hierarchy) or measured: an optional CapabilitySource feeds each SeD's
@@ -20,9 +20,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/diet"
 	"repro/internal/platform"
-	"repro/internal/scheduler"
 )
 
 // Node is one planned component.
@@ -35,7 +33,7 @@ type Node struct {
 	// Power is the effective processing power planning placed this node by:
 	// the advertised figure in a static plan, the confidence-weighted blend
 	// of measurement and advertisement in a measured plan. It is what
-	// Spec/Commands hand the live deployment as the SeD's advertised power.
+	// Commands hand the live deployment as the SeD's advertised power.
 	Power float64
 	// MeasuredGFlops and Confidence record the capability the blend used
 	// (both 0 in a static plan or when the source had nothing trusted).
@@ -51,17 +49,13 @@ type Plan struct {
 	SeDs   []Node
 }
 
-// Topology builds the paper's topology-aware plan from a platform
+// TopologyWith builds the paper's topology-aware plan from a platform
 // deployment: the MA (and naming service) on the MA site, one LA per
-// distinct cluster hosting SeDs, each SeD under its cluster's LA.
-func Topology(d platform.Deployment) (*Plan, error) {
-	return TopologyWith(d, Options{})
-}
-
-// TopologyWith is Topology with planning options: when opts carries a
-// CapabilitySource the SeDs are placed by effective (measured-blend) power
-// and listed best-first, so Spec and Commands advertise delivered
-// throughput to the schedulers instead of the deployment file's guess.
+// distinct cluster hosting SeDs, each SeD under its cluster's LA. When opts
+// carries a CapabilitySource the SeDs are placed by effective
+// (measured-blend) power and listed best-first, so Commands advertise
+// delivered throughput to the schedulers instead of the deployment file's
+// guess.
 func TopologyWith(d platform.Deployment, opts Options) (*Plan, error) {
 	if len(d.SeDs) == 0 {
 		return nil, fmt.Errorf("deploy: deployment has no SeDs")
@@ -92,13 +86,9 @@ func TopologyWith(d platform.Deployment, opts Options) (*Plan, error) {
 	return p, nil
 }
 
-// Flat builds the naive alternative: a single LA co-located with the MA,
-// every SeD directly under it — the layout Topology exists to beat.
-func Flat(d platform.Deployment) (*Plan, error) {
-	return FlatWith(d, Options{})
-}
-
-// FlatWith is Flat with planning options (see TopologyWith).
+// FlatWith builds the naive alternative: a single LA co-located with the
+// MA, every SeD directly under it — the layout TopologyWith exists to beat.
+// opts as for TopologyWith.
 func FlatWith(d platform.Deployment, opts Options) (*Plan, error) {
 	if len(d.SeDs) == 0 {
 		return nil, fmt.Errorf("deploy: deployment has no SeDs")
@@ -122,7 +112,7 @@ func FlatWith(d platform.Deployment, opts Options) (*Plan, error) {
 }
 
 // sortSeDsByPower lists SeDs by delivered throughput, best first (ties by
-// name): the plan's placement order, which Commands and Spec preserve.
+// name): the plan's placement order, which Commands preserves.
 func sortSeDsByPower(seds []Node) {
 	sort.Slice(seds, func(i, j int) bool {
 		if seds[i].Power != seds[j].Power {
@@ -150,36 +140,6 @@ func (p *Plan) ParentByName() map[string]string {
 		out[s.Name] = s.Parent
 	}
 	return out
-}
-
-// Validate checks structural invariants: unique names, every parent exists,
-// LAs parent to the MA, SeDs parent to an LA.
-func (p *Plan) Validate() error {
-	seen := map[string]string{p.MA.Name: "MA", p.Naming.Name: "naming"}
-	las := make(map[string]bool)
-	for _, la := range p.LAs {
-		if _, dup := seen[la.Name]; dup {
-			return fmt.Errorf("deploy: duplicate component name %q", la.Name)
-		}
-		seen[la.Name] = "LA"
-		las[la.Name] = true
-		if la.Parent != p.MA.Name {
-			return fmt.Errorf("deploy: LA %q parents to %q, want the MA", la.Name, la.Parent)
-		}
-	}
-	if len(p.SeDs) == 0 {
-		return fmt.Errorf("deploy: plan has no SeDs")
-	}
-	for _, s := range p.SeDs {
-		if _, dup := seen[s.Name]; dup {
-			return fmt.Errorf("deploy: duplicate component name %q", s.Name)
-		}
-		seen[s.Name] = "SeD"
-		if !las[s.Parent] {
-			return fmt.Errorf("deploy: SeD %q parents to unknown LA %q", s.Name, s.Parent)
-		}
-	}
-	return nil
 }
 
 // WANMessagesPerRequest scores the plan: the number of wide-area messages
@@ -219,25 +179,6 @@ func (p *Plan) CollectLatency(plat *platform.Platform) float64 {
 		}
 	}
 	return worst
-}
-
-// Spec renders the plan as an in-process deployment the diet package can
-// bring up directly; the caller attaches services to each SeD spec.
-func (p *Plan) Spec(policy scheduler.Policy, services []diet.ServiceSpec, local bool) (diet.DeploymentSpec, error) {
-	if err := p.Validate(); err != nil {
-		return diet.DeploymentSpec{}, err
-	}
-	spec := diet.DeploymentSpec{MAName: p.MA.Name, Policy: policy, Local: local}
-	for _, la := range p.LAs {
-		spec.LAs = append(spec.LAs, la.Name)
-	}
-	for _, s := range p.SeDs {
-		spec.SeDs = append(spec.SeDs, diet.SeDSpec{
-			Name: s.Name, Parent: s.Parent, Cluster: s.Cluster,
-			Capacity: 1, PowerGFlops: s.Power, Services: services,
-		})
-	}
-	return spec, nil
 }
 
 // Commands renders the plan as the shell command lines that launch it across

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func TestTopologyPlanShape(t *testing.T) {
 	d := platform.PaperDeployment()
-	p, err := Topology(d)
+	p, err := TopologyWith(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestTopologyPlanShape(t *testing.T) {
 
 func TestFlatPlanShape(t *testing.T) {
 	d := platform.PaperDeployment()
-	p, err := Flat(d)
+	p, err := FlatWith(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +61,8 @@ func TestTopologyBeatsFlatOnWANTraffic(t *testing.T) {
 	// The §3.1 claim made quantitative: the topology-aware hierarchy costs
 	// fewer wide-area messages per scheduling request.
 	d := platform.PaperDeployment()
-	topo, _ := Topology(d)
-	flat, _ := Flat(d)
+	topo, _ := TopologyWith(d, Options{})
+	flat, _ := FlatWith(d, Options{})
 	tw, fw := topo.WANMessagesPerRequest(), flat.WANMessagesPerRequest()
 	if tw >= fw {
 		t.Errorf("topology-aware WAN messages %d should beat flat %d", tw, fw)
@@ -79,8 +80,8 @@ func TestTopologyBeatsFlatOnWANTraffic(t *testing.T) {
 func TestCollectLatency(t *testing.T) {
 	plat := platform.Grid5000()
 	d := platform.PaperDeployment()
-	topo, _ := Topology(d)
-	flat, _ := Flat(d)
+	topo, _ := TopologyWith(d, Options{})
+	flat, _ := FlatWith(d, Options{})
 	lt, lf := topo.CollectLatency(plat), flat.CollectLatency(plat)
 	if lt <= 0 || lf <= 0 {
 		t.Fatal("latencies must be positive")
@@ -94,7 +95,7 @@ func TestCollectLatency(t *testing.T) {
 
 func TestValidateCatchesBrokenPlans(t *testing.T) {
 	d := platform.PaperDeployment()
-	p, _ := Topology(d)
+	p, _ := TopologyWith(d, Options{})
 	bad := *p
 	bad.SeDs = append([]Node(nil), p.SeDs...)
 	bad.SeDs[0].Parent = "LA-ghost"
@@ -111,7 +112,7 @@ func TestValidateCatchesBrokenPlans(t *testing.T) {
 	if err := empty.Validate(); err == nil {
 		t.Error("plan without SeDs should fail validation")
 	}
-	if _, err := Topology(platform.Deployment{MASite: "X"}); err == nil {
+	if _, err := TopologyWith(platform.Deployment{MASite: "X"}, Options{}); err == nil {
 		t.Error("deployment without SeDs should fail")
 	}
 }
@@ -134,7 +135,7 @@ func TestSpecDeploysForReal(t *testing.T) {
 			return p.SetScalarInt(1, v, diet.Volatile)
 		},
 	}}
-	plan, err := Topology(platform.PaperDeployment())
+	plan, err := TopologyWith(platform.PaperDeployment(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestSpecDeploysForReal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if ests := d.MA.Collect("echo"); len(ests) != 11 {
+	if ests := d.MA.CollectN("echo", 0); len(ests) != 11 {
 		t.Fatalf("collected %d estimates, want 11", len(ests))
 	}
 	client, err := d.Client()
@@ -167,7 +168,7 @@ func TestSpecDeploysForReal(t *testing.T) {
 }
 
 func TestCommands(t *testing.T) {
-	plan, _ := Topology(platform.PaperDeployment())
+	plan, _ := TopologyWith(platform.PaperDeployment(), Options{})
 	cmds := plan.Commands("ma-host:9001")
 	joined := strings.Join(cmds, "\n")
 	for _, want := range []string{
@@ -190,4 +191,53 @@ func TestCommands(t *testing.T) {
 	if launches != 1+6+11 {
 		t.Errorf("%d launch commands, want 18", launches)
 	}
+}
+
+// Spec renders the plan as an in-process deployment the diet package can
+// bring up directly; the caller attaches services to each SeD spec.
+func (p *Plan) Spec(policy scheduler.Policy, services []diet.ServiceSpec, local bool) (diet.DeploymentSpec, error) {
+	if err := p.Validate(); err != nil {
+		return diet.DeploymentSpec{}, err
+	}
+	spec := diet.DeploymentSpec{MAName: p.MA.Name, Policy: policy, Local: local}
+	for _, la := range p.LAs {
+		spec.LAs = append(spec.LAs, la.Name)
+	}
+	for _, s := range p.SeDs {
+		spec.SeDs = append(spec.SeDs, diet.SeDSpec{
+			Name: s.Name, Parent: s.Parent, Cluster: s.Cluster,
+			Capacity: 1, PowerGFlops: s.Power, Services: services,
+		})
+	}
+	return spec, nil
+}
+
+// Validate checks structural invariants: unique names, every parent exists,
+// LAs parent to the MA, SeDs parent to an LA.
+func (p *Plan) Validate() error {
+	seen := map[string]string{p.MA.Name: "MA", p.Naming.Name: "naming"}
+	las := make(map[string]bool)
+	for _, la := range p.LAs {
+		if _, dup := seen[la.Name]; dup {
+			return fmt.Errorf("deploy: duplicate component name %q", la.Name)
+		}
+		seen[la.Name] = "LA"
+		las[la.Name] = true
+		if la.Parent != p.MA.Name {
+			return fmt.Errorf("deploy: LA %q parents to %q, want the MA", la.Name, la.Parent)
+		}
+	}
+	if len(p.SeDs) == 0 {
+		return fmt.Errorf("deploy: plan has no SeDs")
+	}
+	for _, s := range p.SeDs {
+		if _, dup := seen[s.Name]; dup {
+			return fmt.Errorf("deploy: duplicate component name %q", s.Name)
+		}
+		seen[s.Name] = "SeD"
+		if !las[s.Parent] {
+			return fmt.Errorf("deploy: SeD %q parents to unknown LA %q", s.Name, s.Parent)
+		}
+	}
+	return nil
 }

@@ -29,7 +29,7 @@ func liveTopologyOf(ma string, las []string, parentOf map[string]string) diet.To
 
 func TestDiffLiveReportsOnlyParentMoves(t *testing.T) {
 	d := platform.PaperDeployment()
-	plan, err := Topology(d)
+	plan, err := TopologyWith(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDiffLiveReportsOnlyParentMoves(t *testing.T) {
 
 func TestPlanMigrationsSkipsDeadTargetsAndNoopRefreshes(t *testing.T) {
 	d := platform.PaperDeployment()
-	plan, err := Topology(d)
+	plan, err := TopologyWith(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestLiveReplannerConvergesLiveHierarchy(t *testing.T) {
 			{Name: "t1", Site: "Toulouse", Cluster: "violette", Machines: 4, CPU: platform.Opteron246},
 		},
 	}
-	plan, err := Topology(dep)
+	plan, err := TopologyWith(dep, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +196,13 @@ func TestLiveReplannerConvergesLiveHierarchy(t *testing.T) {
 		t.Fatalf("want 2 migrations, got %+v", migs)
 	}
 	for _, r := range live.MA.ApplyPlan(migs) {
-		if !r.OK() {
+		if r.Err != "" {
 			t.Fatalf("migration failed: %+v", r)
 		}
 	}
 	wantParent := map[string]string{"n1": "LA-grillon", "n2": "LA-grillon", "t1": "LA-violette"}
 	for _, sed := range live.SeDs {
-		if got := sed.Parent(); got != wantParent[sed.Name()] {
+		if got := sed.Stats().Parent; got != wantParent[sed.Name()] {
 			t.Fatalf("SeD %s under %q, want %q", sed.Name(), got, wantParent[sed.Name()])
 		}
 	}

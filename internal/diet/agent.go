@@ -223,15 +223,6 @@ type Agent struct {
 	stopOnce sync.Once
 
 	metrics *agentMetrics // nil unless cfg.Metrics is set
-
-	statMu         sync.Mutex
-	requests       int
-	evicted        int
-	replans        int
-	migrated       int
-	forwarded      int // requests this MA forwarded to peers
-	peerServed     int // forwarded requests this MA answered for peers
-	forwardDropped int // forwards rejected by the loop guard
 }
 
 // NewAgent creates an agent; call Start to expose and attach it.
@@ -428,9 +419,6 @@ func (a *Agent) SweepChildren() {
 				delete(a.children, c.Name)
 				delete(a.missed, c.Name)
 				delete(a.collectMiss, c.Name)
-				a.statMu.Lock()
-				a.evicted++
-				a.statMu.Unlock()
 				if a.metrics != nil {
 					a.metrics.evictions.With(a.cfg.Name).Inc()
 				}
@@ -442,13 +430,6 @@ func (a *Agent) SweepChildren() {
 		}
 		a.mu.Unlock()
 	}
-}
-
-// EvictedCount reports how many children the monitor has removed.
-func (a *Agent) EvictedCount() int {
-	a.statMu.Lock()
-	defer a.statMu.Unlock()
-	return a.evicted
 }
 
 // childRegister records a child component.
@@ -484,16 +465,11 @@ func (a *Agent) Children() []ChildInfo {
 	return out
 }
 
-// Collect fans the estimate query out to all children in parallel —
+// CollectN fans the estimate query out to all children in parallel —
 // recursing through sub-agents, querying SeDs — and merges the answers.
-// Children that fail or exceed CollectTimeout are skipped.
-func (a *Agent) Collect(service string) []scheduler.Estimate {
-	return a.collect(CollectRequest{Service: service})
-}
-
-// CollectN is Collect with distributed truncation: every agent in the
+// Children that fail or exceed CollectTimeout are skipped. Every agent in the
 // subtree locally ranks its merged estimates and returns at most limit of
-// them, so reply traffic stays bounded as the hierarchy widens.
+// them (0: all), so reply traffic stays bounded as the hierarchy widens.
 func (a *Agent) CollectN(service string, limit int) []scheduler.Estimate {
 	return a.collect(CollectRequest{Service: service, Limit: limit})
 }
@@ -588,9 +564,6 @@ func (a *Agent) noteCollectMisses(children []ChildInfo, answered map[string]bool
 		}
 		a.mu.Unlock()
 		if evict {
-			a.statMu.Lock()
-			a.evicted++
-			a.statMu.Unlock()
 			if a.metrics != nil {
 				a.metrics.collectEvictions.With(a.cfg.Name).Inc()
 			}
@@ -669,9 +642,6 @@ func (a *Agent) Submit(req SubmitRequest) (*SubmitReply, error) {
 	if a.cfg.Kind != MasterAgent {
 		return nil, fmt.Errorf("diet: agent %s is not a master agent", a.cfg.Name)
 	}
-	a.statMu.Lock()
-	a.requests++
-	a.statMu.Unlock()
 	if a.metrics != nil {
 		a.metrics.requests.With(a.cfg.Name).Inc()
 	}
@@ -725,13 +695,6 @@ func (a *Agent) Submit(req SubmitRequest) (*SubmitReply, error) {
 		a.metrics.scheduleSeconds.With(a.cfg.Name).Observe(done.Sub(t0).Seconds())
 	}
 	return reply, nil
-}
-
-// RequestCount reports how many submissions this agent has ranked.
-func (a *Agent) RequestCount() int {
-	a.statMu.Lock()
-	defer a.statMu.Unlock()
-	return a.requests
 }
 
 // Topology walks the subtree and reports its structure.

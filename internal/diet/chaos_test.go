@@ -173,7 +173,7 @@ func TestChaosSeDCrashRestartUnderLoad(t *testing.T) {
 		t.Fatal("chaos clients made no progress")
 	}
 	// The healed tree serves from all three SeDs again.
-	if ests := d.MA.Collect("work"); len(ests) != 3 {
+	if ests := d.MA.CollectN("work", 0); len(ests) != 3 {
 		t.Errorf("healed hierarchy collects %d estimates, want 3", len(ests))
 	}
 }
@@ -193,7 +193,7 @@ func TestChaosLAKillOrphanReadoption(t *testing.T) {
 	orphan, err := NewSeD(SeDConfig{
 		Name: "SeD-chaos2-a", Parent: "LA1", Naming: d.NamingAddr, Local: true,
 		ParentProbe: 2 * time.Millisecond, ParentMaxMissed: 2,
-		FallbackParents: []string{"LA2"},
+		FallbackParents: []string{"LA2"}, Metrics: metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestChaosLAKillOrphanReadoption(t *testing.T) {
 	}
 	// The watchdog must declare the parent dead and re-home under LA2.
 	deadline := time.Now().Add(5 * time.Second)
-	for orphan.ParentFailoverCount() == 0 {
+	for orphan.metrics.parentFailovers.With(orphan.cfg.Name).Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("orphaned SeD never re-homed under the fallback parent")
 		}
@@ -231,10 +231,10 @@ func TestChaosLAKillOrphanReadoption(t *testing.T) {
 	}
 	// Both SeDs answer through LA2 now.
 	deadline = time.Now().Add(5 * time.Second)
-	for len(d.MA.Collect("work")) != 2 {
+	for len(d.MA.CollectN("work", 0)) != 2 {
 		if time.Now().After(deadline) {
 			t.Fatalf("re-adopted SeD not reachable: collect sees %d estimates, want 2",
-				len(d.MA.Collect("work")))
+				len(d.MA.CollectN("work", 0)))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -328,6 +328,7 @@ func TestCollectNDeadChildFailsFastAndEvicts(t *testing.T) {
 	la, err := NewAgent(AgentConfig{
 		Name: "LA-cme", Kind: LocalAgent, Parent: "MA-cme", Naming: d.NamingAddr,
 		Local: true, CollectTimeout: 5 * time.Second, CollectMissEvict: 2,
+		Metrics: metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -381,8 +382,8 @@ func TestCollectNDeadChildFailsFastAndEvicts(t *testing.T) {
 	if len(kids) != 1 || kids[0].Name != "SeD-cme-b" {
 		t.Fatalf("after %d misses children = %+v, want only SeD-cme-b", 2, kids)
 	}
-	if la.EvictedCount() != 1 {
-		t.Errorf("evicted count %d, want 1", la.EvictedCount())
+	if n := evicted(la); n != 1 {
+		t.Errorf("evicted count %v, want 1", n)
 	}
 	// The survivor's streak never grew: many more collects leave it held.
 	for i := 0; i < 5; i++ {
@@ -762,7 +763,7 @@ func TestChaosAdmissionFIFO(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if got := g.s.Parent(); got != "LA-new" {
+				if got := g.s.Stats().Parent; got != "LA-new" {
 					t.Fatalf("parent = %q after the reparent, want LA-new", got)
 				}
 				sedBalance(t, g.s, "work", float64(n), float64(n), 0)

@@ -2,18 +2,13 @@ package diet
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/gwproto"
 	"repro/internal/logsvc"
 	"repro/internal/naming"
 	"repro/internal/rpc"
@@ -100,25 +95,7 @@ type Client struct {
 	maAddr string
 	id     string // session identity prefixing every request ID
 	seq    atomic.Int64
-
-	// gatewayHTTP carries the WithGateway calls; its Timeout is gatewayTimeout.
-	gatewayHTTP *http.Client
-
-	mu    sync.Mutex
-	calls ring[CallInfo] // behind History: the last historyCap completed calls
 }
-
-// gatewayTimeout bounds one WithGateway call from request to decoded reply, so
-// a gateway that accepts a solve and never answers fails the call instead of
-// hanging its caller for good. The gateway answers only once the solve is
-// done: the bound has to cover admission, finding and the longest solve a
-// platform runs (the paper's campaign, 100 zooms on 11 SeDs in 16 h, is well
-// over an hour per solve), not a network round trip.
-const gatewayTimeout = 4 * time.Hour
-
-// historyCap bounds the per-client call history. A client lives as long as
-// the gateway that pools it; the paper's campaigns are a hundred calls.
-const historyCap = 1024
 
 // clientSessions distinguishes sessions within one process; the random part
 // distinguishes processes sharing a logsvc bus.
@@ -134,15 +111,6 @@ func (c *Client) requestID(seq int) string {
 	return fmt.Sprintf("%s-%d", c.id, seq)
 }
 
-// Initialize opens a DIET session from a configuration file.
-func Initialize(configPath string) (*Client, error) {
-	cfg, err := ParseClientConfig(configPath)
-	if err != nil {
-		return nil, err
-	}
-	return InitializeConfig(cfg)
-}
-
 // InitializeConfig opens a DIET session from an in-memory configuration.
 func InitializeConfig(cfg ClientConfig) (*Client, error) {
 	if cfg.MAName == "" {
@@ -153,10 +121,7 @@ func InitializeConfig(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("diet: resolving master agent %q: %w", cfg.MAName, err)
 	}
-	return &Client{
-		cfg: cfg, maAddr: entry.Addr, id: newClientID(),
-		gatewayHTTP: &http.Client{Timeout: gatewayTimeout},
-	}, nil
+	return &Client{cfg: cfg, maAddr: entry.Addr, id: newClientID()}, nil
 }
 
 // Finalize closes the session. Like diet_finalize it does not invalidate
@@ -212,7 +177,6 @@ type CallOption func(*callOptions)
 
 type callOptions struct {
 	workGFlops float64
-	gateway    string
 	servers    *SubmitReply
 	rotate     int
 }
@@ -221,15 +185,6 @@ type callOptions struct {
 // power-aware plug-in policy.
 func WithWork(gflops float64) CallOption {
 	return func(o *callOptions) { o.workGFlops = gflops }
-}
-
-// WithGateway routes the call through a gateway's HTTP JSON API (POST
-// baseURL/api/v1/solve) instead of submitting to this client's Master Agent
-// directly: the gateway does the finding phase (pooled, sticky-routed,
-// batched, admission-controlled) and the solve, and ships the solved
-// arguments back. An admission-control shed surfaces as gwproto.ErrOverload.
-func WithGateway(baseURL string) CallOption {
-	return func(o *callOptions) { o.gateway = strings.TrimRight(baseURL, "/") }
 }
 
 // WithServers skips the finding phase and reuses an already-ranked server
@@ -246,9 +201,9 @@ func WithServers(reply *SubmitReply, rotate int) CallOption {
 // Call performs a complete GridRPC call: find a server through the MA, ship
 // the profile to the chosen SeD, execute, and bring the INOUT/OUT arguments
 // back into p. On failure of the best server it falls over to the next
-// servers in the ranked list. Options select the variants — WithGateway to
-// route through a gateway, WithServers to reuse a ranked list, WithWork to
-// hint the scheduler — all sharing this one retry and trace path.
+// servers in the ranked list. Options select the variants — WithServers to
+// reuse a ranked list, WithWork to hint the scheduler — all sharing this one
+// retry and trace path.
 func (c *Client) Call(p *Profile, opts ...CallOption) (*CallInfo, error) {
 	var o callOptions
 	for _, opt := range opts {
@@ -259,9 +214,6 @@ func (c *Client) Call(p *Profile, opts ...CallOption) (*CallInfo, error) {
 	// stale hint from an earlier call reusing this profile, or the monitor
 	// would pair this solve's duration with the wrong work size.
 	p.WorkGFlops = o.workGFlops
-	if o.gateway != "" {
-		return c.callGateway(p, o)
-	}
 	seq := int(c.seq.Add(1))
 	requestID := c.requestID(seq)
 	p.RequestID = requestID
@@ -304,7 +256,7 @@ func (c *Client) Call(p *Profile, opts ...CallOption) (*CallInfo, error) {
 
 // solveOn is the solve leg of every call: ship p to one
 // server, merge the solved INOUT/OUT arguments back into p, publish the
-// complete span and record the call. The IN arguments stay the caller's own —
+// complete span and report the call. The IN arguments stay the caller's own —
 // the server does not send them back, so an input passed by DataID is still a
 // reference afterwards. A reply that does not have exactly p's INOUT/OUT
 // arguments fails the attempt and leaves p untouched. t0 is when the call
@@ -335,71 +287,6 @@ func (c *Client) solveOn(srv ServerRef, p *Profile, seq int, t0 time.Time, findi
 		Latency:   total - finding - compute,
 		Total:     total,
 	}
-	c.record(info)
-	return &info, nil
-}
-
-// record adds a completed call to the history ring.
-func (c *Client) record(info CallInfo) {
-	c.mu.Lock()
-	c.calls.add(info, historyCap)
-	c.mu.Unlock()
-}
-
-// callGateway is the WithGateway leg of the single call path: ship the
-// profile to a gateway as JSON, let it find and solve, decode the solved
-// arguments back into p.
-func (c *Client) callGateway(p *Profile, o callOptions) (*CallInfo, error) {
-	req, err := p.WireRequest()
-	if err != nil {
-		return nil, err
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	seq := int(c.seq.Add(1))
-	t0 := time.Now()
-	resp, err := c.gatewayHTTP.Post(o.gateway+"/api/v1/solve", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("diet: gateway call for %q failed: %w", p.Service, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var eRep gwproto.ErrorReply
-		if err := json.NewDecoder(resp.Body).Decode(&eRep); err == nil && eRep.Error != "" {
-			if eRep.Overloaded {
-				return nil, fmt.Errorf("diet: gateway shed %q: %w", p.Service, gwproto.ErrOverload)
-			}
-			return nil, fmt.Errorf("diet: gateway rejected %q: %s", p.Service, eRep.Error)
-		}
-		return nil, fmt.Errorf("diet: gateway rejected %q: HTTP %d", p.Service, resp.StatusCode)
-	}
-	var rep gwproto.SolveReply
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("diet: decoding gateway reply for %q: %w", p.Service, err)
-	}
-	if rep.SchemaVersion != gwproto.Version {
-		return nil, fmt.Errorf("diet: gateway speaks schema v%d, client v%d", rep.SchemaVersion, gwproto.Version)
-	}
-	if err := p.ApplyWireArgs(rep.Args); err != nil {
-		return nil, err
-	}
-	p.RequestID = rep.RequestID
-	total := time.Since(t0)
-	finding := time.Duration(rep.Timing.FindingMS * float64(time.Millisecond))
-	compute := time.Duration(rep.Timing.ComputeMS * float64(time.Millisecond))
-	info := CallInfo{
-		Seq:       seq,
-		RequestID: rep.RequestID,
-		Server:    rep.Server,
-		Finding:   finding,
-		QueueWait: time.Duration(rep.Timing.QueueMS * float64(time.Millisecond)),
-		Compute:   compute,
-		Latency:   total - finding - compute,
-		Total:     total,
-	}
-	c.record(info)
 	return &info, nil
 }
 
@@ -437,12 +324,4 @@ func WaitAll(calls []*AsyncCall) error {
 		}
 	}
 	return first
-}
-
-// History returns the timing records of the last historyCap completed calls,
-// oldest first, in completion order — the Figure 6 series of a campaign.
-func (c *Client) History() []CallInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.calls.snapshot()
 }

@@ -162,26 +162,3 @@ func TestPersistentStoreDoesNotPinTheFrame(t *testing.T) {
 		t.Errorf("stored datum changed with the request frame (%x): it is a view of it", stored)
 	}
 }
-
-// The call history is a ring: a client that lives as long as a gateway keeps
-// the newest historyCap records, in completion order.
-func TestClientHistoryIsBounded(t *testing.T) {
-	_, client := catDeployment(t, "MA-ring")
-	const calls = historyCap + 100
-	for i := 0; i < calls; i++ {
-		p, _ := NewProfile("cat", 0, 0, 1)
-		p.SetFileBytes(0, "in.txt", nil, Volatile)
-		if _, err := client.Call(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h := client.History()
-	if len(h) != historyCap {
-		t.Fatalf("history holds %d records after %d calls, want %d", len(h), calls, historyCap)
-	}
-	for i, info := range h {
-		if want := calls - historyCap + 1 + i; info.Seq != want {
-			t.Fatalf("history[%d] is call %d, want %d (oldest kept first)", i, info.Seq, want)
-		}
-	}
-}

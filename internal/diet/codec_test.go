@@ -48,7 +48,7 @@ func TestTypedBodiesRoundTrip(t *testing.T) {
 	mixed.RequestID = "c1-beef-7"
 	oddEst := scheduler.Estimate{
 		ServerID: "Nançy-1", LastSolveSeconds: -1, PowerGFlops: math.Inf(1),
-		ForecastConfidence: math.Float64frombits(0x7ff8000000000abc), Running: math.MinInt64,
+		ForecastConfidence: math.Float64frombits(0x7ff8000000000abc), Running: math.MinInt,
 	}
 	samples := []rpc.WireBody{
 		noArgs, outOnly, mixed,
@@ -57,7 +57,7 @@ func TestTypedBodiesRoundTrip(t *testing.T) {
 		&EstimateReply{Est: oddEst},
 		&CollectRequest{Limit: -1, DataIDs: []string{}},
 		&CollectReply{Estimates: []scheduler.Estimate{{}, oddEst}},
-		&SubmitRequest{WorkGFlops: math.Inf(-1), Seq: math.MaxInt64},
+		&SubmitRequest{WorkGFlops: math.Inf(-1), Seq: math.MaxInt},
 		&SubmitReply{Servers: []ServerRef{{}, {Name: "n"}}},
 		&SubmitReply{Estimates: []scheduler.Estimate{oddEst}},
 	}

@@ -29,7 +29,7 @@ func TestCollectNTruncatesPerAgent(t *testing.T) {
 		MAName: "MA-cn", LAs: []string{"LA1", "LA2"}, SeDs: seds, Local: true,
 	})
 
-	all := d.MA.Collect("double")
+	all := d.MA.CollectN("double", 0)
 	if len(all) != 6 {
 		t.Fatalf("unbounded collect returned %d, want 6", len(all))
 	}

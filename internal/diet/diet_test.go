@@ -282,7 +282,7 @@ func TestHierarchyTwoLevels(t *testing.T) {
 	d := newTestDeployment(t, DeploymentSpec{
 		MAName: "MA-h", LAs: []string{"LA1", "LA2"}, SeDs: seds, Local: true,
 	})
-	ests := d.MA.Collect("double")
+	ests := d.MA.CollectN("double", 0)
 	if len(ests) != 4 {
 		t.Fatalf("collected %d estimates, want 4", len(ests))
 	}
@@ -415,7 +415,11 @@ func TestInitializeFromConfigFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	client, err := Initialize(path)
+	cfg, err := ParseClientConfig(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := InitializeConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,6 +433,7 @@ func TestInitializeFromConfigFile(t *testing.T) {
 	}
 }
 
+// A campaign's Figure 6 series is the CallInfo of each call, in order.
 func TestClientHistory(t *testing.T) {
 	rpc.ResetLocal()
 	d := newTestDeployment(t, DeploymentSpec{
@@ -441,15 +446,13 @@ func TestClientHistory(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p, _ := NewProfile("double", 0, 0, 1)
 		p.SetScalarInt(0, int64(i), Volatile)
-		if _, err := client.Call(p); err != nil {
+		info, err := client.Call(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	h := client.History()
-	if len(h) != 3 {
-		t.Fatalf("history has %d entries", len(h))
-	}
-	for _, info := range h {
+		if info.Seq != i+1 {
+			t.Errorf("call %d reports seq %d", i+1, info.Seq)
+		}
 		if info.Total < info.Compute {
 			t.Errorf("total %v < compute %v", info.Total, info.Compute)
 		}
@@ -520,4 +523,17 @@ func TestSolveErrorSurfacesWhenAllServersFail(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "solver exploded") {
 		t.Errorf("got %v", err)
 	}
+}
+
+// StoredData returns a copy of a persistent datum (the tests read stored results with it).
+func (s *SeD) StoredData(id string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d, ok := s.dataStore[id]
+	if !ok {
+		return nil, false
+	}
+	out := make([]byte, len(d))
+	copy(out, d)
+	return out, true
 }

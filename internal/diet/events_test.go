@@ -71,7 +71,10 @@ func TestMonitoringTrace(t *testing.T) {
 	if counts["solve_begin"] != 1 || counts["solve_end"] != 1 {
 		t.Errorf("solve events begin=%d end=%d, want 1/1", counts["solve_begin"], counts["solve_end"])
 	}
-	comps := bus.Components()
+	comps := map[string]bool{}
+	for _, ev := range bus.History() {
+		comps[ev.Component] = true
+	}
 	if len(comps) != 2 {
 		t.Errorf("components %v", comps)
 	}

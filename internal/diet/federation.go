@@ -104,15 +104,6 @@ func (a *Agent) Peers() []PeerInfo {
 	return out
 }
 
-// ForwardStats reports the federation counters: requests this MA forwarded
-// to peers, requests it answered for peers, and forwards its loop guard
-// dropped.
-func (a *Agent) ForwardStats() (forwarded, served, dropped int) {
-	a.statMu.Lock()
-	defer a.statMu.Unlock()
-	return a.forwarded, a.peerServed, a.forwardDropped
-}
-
 // peerRegister records a peer MA. Peer announcements re-arrive on every
 // heartbeat sweep, so — like childRegister for SeD parent probes — only an
 // actual change (a new peer, a moved address) publishes an event; the
@@ -279,9 +270,6 @@ wait:
 			break wait // peers that have not answered contribute nothing
 		}
 	}
-	a.statMu.Lock()
-	a.forwarded++
-	a.statMu.Unlock()
 	if a.metrics != nil {
 		a.metrics.peerForwards.With(a.cfg.Name).Inc()
 	}
@@ -314,9 +302,6 @@ func (a *Agent) peerForward(req PeerForwardRequest) (PeerForwardReply, error) {
 		}
 	}
 	if dropped || req.Hops <= 0 {
-		a.statMu.Lock()
-		a.forwardDropped++
-		a.statMu.Unlock()
 		if a.metrics != nil {
 			a.metrics.peerForwardDrops.With(a.cfg.Name).Inc()
 		}
@@ -330,9 +315,9 @@ func (a *Agent) peerForward(req PeerForwardRequest) (PeerForwardReply, error) {
 		relay.Hops = req.Hops - 1
 		ests = a.forwardToPeers(relay)
 	}
-	a.statMu.Lock()
-	a.peerServed++
-	a.statMu.Unlock()
+	if a.metrics != nil {
+		a.metrics.peerServed.With(a.cfg.Name).Inc()
+	}
 	if req.RequestID != "" {
 		publishSpan(a.cfg.Events, span(req.RequestID, a.cfg.Kind.String()+":"+a.cfg.Name,
 			logsvc.KindCollect, req.Service,

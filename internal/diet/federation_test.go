@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/naming"
 	"repro/internal/rpc"
 )
@@ -29,7 +30,7 @@ func startMA(t *testing.T, namingAddr, name string, peers []string, hops int) *A
 	t.Helper()
 	ma, err := NewAgent(AgentConfig{
 		Name: name, Kind: MasterAgent, Naming: namingAddr, Local: true,
-		Peers: peers, ForwardHops: hops,
+		Peers: peers, ForwardHops: hops, Metrics: metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,11 +109,11 @@ func TestFederationForwardResolvesForeignService(t *testing.T) {
 	if v, err := p.ScalarInt(1); err != nil || v != 42 {
 		t.Errorf("result = %d, %v; want 42", v, err)
 	}
-	if fwd, _, _ := ma1.ForwardStats(); fwd < 1 {
-		t.Errorf("origin MA forwarded %d requests, want >= 1", fwd)
+	if fwd := ma1.metrics.peerForwards.With(ma1.cfg.Name).Value(); fwd < 1 {
+		t.Errorf("origin MA forwarded %v requests, want >= 1", fwd)
 	}
-	if _, served, _ := ma2.ForwardStats(); served < 1 {
-		t.Errorf("peer MA served %d forwards, want >= 1", served)
+	if served := peerServed(ma2); served < 1 {
+		t.Errorf("peer MA served %v forwards, want >= 1", served)
 	}
 	if peers := ma1.Peers(); len(peers) != 1 || peers[0].Name != "MA-fed2" {
 		t.Errorf("MA-fed1 peers = %+v, want exactly MA-fed2", peers)
@@ -145,8 +146,8 @@ func TestFederationBoundedHops(t *testing.T) {
 	if _, err := clientA.Call(p); err == nil {
 		t.Fatal("one-hop budget reached a service two forwards away")
 	}
-	if _, served, _ := maC.ForwardStats(); served != 0 {
-		t.Errorf("MA-chainC served %d forwards despite the exhausted budget", served)
+	if served := peerServed(maC); served != 0 {
+		t.Errorf("MA-chainC served %v forwards despite the exhausted budget", served)
 	}
 
 	// A second origin with a two-hop budget reaches C through B.
@@ -165,7 +166,7 @@ func TestFederationBoundedHops(t *testing.T) {
 	if info.Server != "SeD-chainC" {
 		t.Errorf("served by %q, want SeD-chainC", info.Server)
 	}
-	if _, served, _ := maC.ForwardStats(); served < 1 {
+	if peerServed(maC) < 1 {
 		t.Error("MA-chainC never served the two-hop forward")
 	}
 }
@@ -174,7 +175,7 @@ func TestFederationBoundedHops(t *testing.T) {
 // surface: a request ID seen twice is dropped, as is a request that lists
 // this MA in its visited set or arrives with no hop budget.
 func TestFederationForwardLoopGuard(t *testing.T) {
-	a, err := NewAgent(AgentConfig{Name: "MA-loop", Kind: MasterAgent})
+	a, err := NewAgent(AgentConfig{Name: "MA-loop", Kind: MasterAgent, Metrics: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +204,8 @@ func TestFederationForwardLoopGuard(t *testing.T) {
 		t.Error("request with no hop budget was not dropped")
 	}
 
-	if _, _, dropped := a.ForwardStats(); dropped != 3 {
-		t.Errorf("loop guard dropped %d, want 3", dropped)
+	if dropped := a.metrics.peerForwardDrops.With(a.cfg.Name).Value(); dropped != 3 {
+		t.Errorf("loop guard dropped %v, want 3", dropped)
 	}
 
 	wrong := req

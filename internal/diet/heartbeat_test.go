@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/rpc"
 )
 
@@ -15,7 +16,7 @@ func TestSweepEvictsDeadSeD(t *testing.T) {
 			{Name: "SeD-hb-a", Parent: "LA1", Services: []ServiceSpec{sleepService("double", 0, nil)}},
 			{Name: "SeD-hb-b", Parent: "LA1", Services: []ServiceSpec{sleepService("double", 0, nil)}},
 		},
-		Local: true,
+		Local: true, Metrics: metrics.NewRegistry(),
 	})
 	la := d.LAs[0]
 	if got := len(la.Children()); got != 2 {
@@ -31,11 +32,11 @@ func TestSweepEvictsDeadSeD(t *testing.T) {
 	if len(kids) != 1 || kids[0].Name != "SeD-hb-b" {
 		t.Fatalf("after sweeps children = %+v, want only SeD-hb-b", kids)
 	}
-	if la.EvictedCount() != 1 {
-		t.Errorf("evicted count %d, want 1", la.EvictedCount())
+	if n := evicted(la); n != 1 {
+		t.Errorf("evicted count %v, want 1", n)
 	}
 	// Scheduling now never sees the dead SeD.
-	ests := d.MA.Collect("double")
+	ests := d.MA.CollectN("double", 0)
 	if len(ests) != 1 || ests[0].ServerID != "SeD-hb-b" {
 		t.Errorf("collect after eviction: %+v", ests)
 	}
@@ -87,6 +88,7 @@ func TestMonitorLoopEvicts(t *testing.T) {
 	la, err := NewAgent(AgentConfig{
 		Name: "LA-hb3", Kind: LocalAgent, Parent: "MA-hb3", Naming: d.NamingAddr,
 		Local: true, HeartbeatInterval: 5 * time.Millisecond, MaxMissed: 2,
+		Metrics: metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +118,7 @@ func TestMonitorLoopEvicts(t *testing.T) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	if la.EvictedCount() != 1 {
-		t.Errorf("evicted %d, want 1", la.EvictedCount())
+	if n := evicted(la); n != 1 {
+		t.Errorf("evicted %v, want 1", n)
 	}
 }

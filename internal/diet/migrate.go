@@ -41,9 +41,6 @@ type MigrationResult struct {
 	PowerChanged bool
 }
 
-// OK reports whether the migration succeeded.
-func (r MigrationResult) OK() bool { return r.Err == "" }
-
 // Moved reports whether the migration changed the SeD's parent (as opposed
 // to a power-only refresh).
 func (r MigrationResult) Moved() bool { return r.Err == "" && r.OldParent != r.NewParent }
@@ -216,20 +213,6 @@ func (s *SeD) SetPower(p float64) bool {
 	return true
 }
 
-// Power reports the power the SeD currently advertises.
-func (s *SeD) Power() float64 {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	return s.power
-}
-
-// Parent reports the agent currently serving this SeD.
-func (s *SeD) Parent() string {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	return s.parent
-}
-
 // MigrateChild executes one migration step at the child's current parent:
 // ask the SeD to reparent, drop it from this agent's child table once it has
 // re-registered, and forward its gossip-registry contribution to the new
@@ -355,10 +338,6 @@ func (a *Agent) ReplanOnce() []MigrationResult {
 			refreshed++
 		}
 	}
-	a.statMu.Lock()
-	a.replans++
-	a.migrated += moved
-	a.statMu.Unlock()
 	if a.metrics != nil {
 		a.metrics.replans.With(a.cfg.Name).Inc()
 		a.metrics.migrations.With(a.cfg.Name).Add(float64(moved))
@@ -369,18 +348,4 @@ func (a *Agent) ReplanOnce() []MigrationResult {
 			fmt.Sprintf("%d move(s), %d power refresh(es)", moved, refreshed))
 	}
 	return res
-}
-
-// ReplanCount reports how many replanning passes this agent has run.
-func (a *Agent) ReplanCount() int {
-	a.statMu.Lock()
-	defer a.statMu.Unlock()
-	return a.replans
-}
-
-// MigratedCount reports how many successful parent moves replanning applied.
-func (a *Agent) MigratedCount() int {
-	a.statMu.Lock()
-	defer a.statMu.Unlock()
-	return a.migrated
 }

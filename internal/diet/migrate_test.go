@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cori"
+	"repro/internal/metrics"
 	"repro/internal/rpc"
 	"repro/internal/scheduler"
 )
@@ -60,7 +61,7 @@ func TestApplyPlanMigratesSeDWithModels(t *testing.T) {
 	}
 
 	res := d.MA.ApplyPlan([]Migration{{SeD: "SeD-mig", NewParent: "LA-mig-b", NewPower: 99}})
-	if len(res) != 1 || !res[0].OK() || !res[0].Moved() {
+	if len(res) != 1 || res[0].Err != "" || !res[0].Moved() {
 		t.Fatalf("migration failed: %+v", res)
 	}
 	if res[0].OldParent != "LA-mig-a" {
@@ -74,8 +75,8 @@ func TestApplyPlanMigratesSeDWithModels(t *testing.T) {
 	if !hasChild(d.LAs[1], "SeD-mig") {
 		t.Fatal("new parent does not list the migrated SeD")
 	}
-	if got := sed.Parent(); got != "LA-mig-b" {
-		t.Fatalf("SeD.Parent() = %q, want LA-mig-b", got)
+	if got := sed.Stats().Parent; got != "LA-mig-b" {
+		t.Fatalf("SeD.Stats().Parent = %q, want LA-mig-b", got)
 	}
 
 	// The planned power is what estimates now advertise.
@@ -126,19 +127,19 @@ func TestApplyPlanPowerOnlyRefresh(t *testing.T) {
 		Local: true,
 	})
 	res := d.MA.ApplyPlan([]Migration{{SeD: "SeD-pow", NewParent: "LA-pow", NewPower: 77}})
-	if len(res) != 1 || !res[0].OK() || res[0].Moved() || !res[0].PowerChanged {
+	if len(res) != 1 || res[0].Err != "" || res[0].Moved() || !res[0].PowerChanged {
 		t.Fatalf("power refresh misreported: %+v", res)
 	}
-	if got := d.SeDs[0].Power(); got != 77 {
+	if got := d.SeDs[0].Stats().Power; got != 77 {
 		t.Fatalf("power = %g, want 77", got)
 	}
-	if got := d.SeDs[0].Parent(); got != "LA-pow" {
+	if got := d.SeDs[0].Stats().Parent; got != "LA-pow" {
 		t.Fatalf("parent changed on a power-only refresh: %q", got)
 	}
 	// Re-applying the same power is a reported no-op — the fixed point a
 	// steady-state replan pass must recognize to stay quiet.
 	res = d.MA.ApplyPlan([]Migration{{SeD: "SeD-pow", NewParent: "LA-pow", NewPower: 77}})
-	if len(res) != 1 || !res[0].OK() || res[0].PowerChanged {
+	if len(res) != 1 || res[0].Err != "" || res[0].PowerChanged {
 		t.Fatalf("repeat refresh must report no power change: %+v", res)
 	}
 }
@@ -164,10 +165,10 @@ func TestApplyPlanReportsFailures(t *testing.T) {
 	if len(res) != 3 {
 		t.Fatalf("want 3 results, got %d", len(res))
 	}
-	if res[0].OK() || res[1].OK() {
+	if res[0].Err == "" || res[1].Err == "" {
 		t.Fatalf("ghost migrations must fail: %+v", res[:2])
 	}
-	if !res[2].OK() || !res[2].Moved() {
+	if res[2].Err != "" || !res[2].Moved() {
 		t.Fatalf("valid migration must survive earlier failures: %+v", res[2])
 	}
 	if !hasChild(d.LAs[1], "SeD-err") {
@@ -192,6 +193,7 @@ func TestReplanRidesHeartbeat(t *testing.T) {
 			// Steady-state plan: SeD-hb belongs under LA-hb-b at power 88.
 			return []Migration{{SeD: "SeD-hb", NewParent: "LA-hb-b", NewPower: 88}}
 		},
+		Metrics: metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,20 +229,22 @@ func TestReplanRidesHeartbeat(t *testing.T) {
 	}
 	defer sed.Close()
 
+	replans := ma.metrics.replans.With(ma.cfg.Name)
+	migrated := ma.metrics.migrations.With(ma.cfg.Name)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		// The SeD commits to its new parent inside the Reparent call; the MA
 		// books the pass only once that call has returned, so wait for both.
-		if sed.Parent() == "LA-hb-b" && sed.Power() == 88 && ma.ReplanCount() > 0 && ma.MigratedCount() > 0 {
-			if ma.MigratedCount() != 1 {
-				t.Fatalf("replan stats off: replans=%d migrated=%d", ma.ReplanCount(), ma.MigratedCount())
+		if sed.Stats().Parent == "LA-hb-b" && sed.Stats().Power == 88 && replans.Value() > 0 && migrated.Value() > 0 {
+			if migrated.Value() != 1 {
+				t.Fatalf("replan stats off: replans=%v migrated=%v", replans.Value(), migrated.Value())
 			}
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("heartbeat-driven replan never migrated the SeD (parent %q, power %g, replans=%d migrated=%d)",
-		sed.Parent(), sed.Power(), ma.ReplanCount(), ma.MigratedCount())
+	t.Fatalf("heartbeat-driven replan never migrated the SeD (parent %q, power %g, replans=%v migrated=%v)",
+		sed.Stats().Parent, sed.Stats().Power, replans.Value(), migrated.Value())
 }
 
 // TestMigrationChaosConcurrentSolves is the race/chaos test the migration
@@ -308,9 +312,9 @@ func TestMigrationChaosConcurrentSolves(t *testing.T) {
 				SeD: "SeD-chaos-mover", NewParent: targets[i%2], NewPower: float64(50 + i),
 			}})
 			for _, r := range res {
-				if !r.OK() {
+				if r.Err != "" {
 					errs <- fmt.Errorf("migration %d: %s (LA-a children %v, LA-b children %v, sed parent %q)",
-						i, r.Err, d.LAs[0].Children(), d.LAs[1].Children(), d.SeDs[0].Parent())
+						i, r.Err, d.LAs[0].Children(), d.LAs[1].Children(), d.SeDs[0].Stats().Parent)
 					return
 				}
 			}
@@ -345,7 +349,7 @@ func TestMigrationChaosConcurrentSolves(t *testing.T) {
 	}
 	// The mover really moved: the last flip (i=19) targeted LA-chaos-a, and
 	// it must still serve solves there.
-	if got := d.SeDs[0].Parent(); got != "LA-chaos-a" {
+	if got := d.SeDs[0].Stats().Parent; got != "LA-chaos-a" {
 		t.Fatalf("mover finished under %q, want LA-chaos-a", got)
 	}
 	p, _ := NewProfile("double", 0, 0, 1)
@@ -369,7 +373,7 @@ func TestSweepHealsLostMigrationHandoff(t *testing.T) {
 			Name: "SeD-heal", Parent: "LA-heal-a", PowerGFlops: 50,
 			Services: []ServiceSpec{sleepService("double", 0, nil)},
 		}},
-		Local: true,
+		Local: true, Metrics: metrics.NewRegistry(),
 	})
 	// Reparent behind the old parent's back — as if its MigrateChild call
 	// lost the reply after the SeD had re-registered.
@@ -396,7 +400,7 @@ func TestSweepHealsLostMigrationHandoff(t *testing.T) {
 	if !hasChild(d.LAs[1], "SeD-heal") {
 		t.Fatal("the true parent must keep the child")
 	}
-	if d.LAs[0].EvictedCount() != 0 {
+	if evicted(d.LAs[0]) != 0 {
 		t.Fatal("healing a handoff is not an eviction")
 	}
 }
@@ -456,7 +460,7 @@ func TestReparentDrainWaitsForRunningSolve(t *testing.T) {
 
 	start := time.Now()
 	res := d.MA.ApplyPlan([]Migration{{SeD: "SeD-drain", NewParent: "LA-drain-b"}})
-	if len(res) != 1 || !res[0].OK() {
+	if len(res) != 1 || res[0].Err != "" {
 		t.Fatalf("migration failed: %+v", res)
 	}
 	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
@@ -470,7 +474,7 @@ func TestReparentDrainWaitsForRunningSolve(t *testing.T) {
 	if got := executed.Load(); got != 2 {
 		t.Fatalf("executed %d solves, want 2", got)
 	}
-	if got := sed.Parent(); got != "LA-drain-b" {
+	if got := sed.Stats().Parent; got != "LA-drain-b" {
 		t.Fatalf("parent = %q, want LA-drain-b", got)
 	}
 }

@@ -151,6 +151,7 @@ type agentMetrics struct {
 	replans          metrics.CounterVec
 	migrations       metrics.CounterVec
 	peerForwards     metrics.CounterVec
+	peerServed       metrics.CounterVec
 	peerForwardDrops metrics.CounterVec
 }
 
@@ -178,6 +179,8 @@ func newAgentMetrics(reg *metrics.Registry, agent string) *agentMetrics {
 			"SeD children migrated by replanning", "agent"),
 		peerForwards: reg.NewCounter("diet_agent_peer_forwards_total",
 			"locally unsatisfiable requests forwarded to federated peer MAs", "agent"),
+		peerServed: reg.NewCounter("diet_agent_peer_served_total",
+			"forwarded requests this MA answered for a federated peer", "agent"),
 		peerForwardDrops: reg.NewCounter("diet_agent_peer_forward_drops_total",
 			"forwarded requests dropped by the federation loop guard", "agent"),
 	}

@@ -280,3 +280,14 @@ func TestBatchAttemptSpans(t *testing.T) {
 		}
 	}
 }
+
+// evicted reads the agent's two eviction families, heartbeat and collect
+// probe, as /metrics exposes them; a must have a metrics registry.
+func evicted(a *Agent) float64 {
+	return a.metrics.evictions.With(a.cfg.Name).Value() + a.metrics.collectEvictions.With(a.cfg.Name).Value()
+}
+
+// peerServed reads diet_agent_peer_served_total for a.
+func peerServed(a *Agent) float64 {
+	return a.metrics.peerServed.With(a.cfg.Name).Value()
+}

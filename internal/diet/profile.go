@@ -174,9 +174,6 @@ func NewProfile(service string, lastIn, lastInOut, lastOut int) (*Profile, error
 	}, nil
 }
 
-// NArgs returns the number of arguments.
-func (p *Profile) NArgs() int { return len(p.Args) }
-
 // Direction returns the direction of argument i.
 func (p *Profile) Direction(i int) Direction {
 	switch {
@@ -325,18 +322,6 @@ func (p *Profile) SetString(i int, s string, persist Persistence) error {
 	return nil
 }
 
-// StringArg reads a string from index i.
-func (p *Profile) StringArg(i int) (string, error) {
-	if err := p.checkIndex(i); err != nil {
-		return "", err
-	}
-	a := &p.Args[i]
-	if a.Kind != Text {
-		return "", fmt.Errorf("diet: argument %d is %s, not string", i, a.Kind)
-	}
-	return string(a.Data), nil
-}
-
 // SetFileBytes stores a file argument (name + content) at index i. DIET
 // transfers volatile files with the call, which is what the paper's client
 // does with <namelist.nml>.
@@ -379,22 +364,6 @@ func (p *Profile) FileBytes(i int) (name string, content []byte, err error) {
 	return a.FileName, a.Data, nil
 }
 
-// PayloadBytes sums the argument payload sizes with the given directions,
-// used to model and measure transfer costs.
-func (p *Profile) PayloadBytes(dirs ...Direction) int {
-	want := make(map[Direction]bool, len(dirs))
-	for _, d := range dirs {
-		want[d] = true
-	}
-	total := 0
-	for i := range p.Args {
-		if want[p.Direction(i)] {
-			total += len(p.Args[i].Data)
-		}
-	}
-	return total
-}
-
 // ArgDesc is an argument's type signature.
 type ArgDesc struct {
 	Kind ArgKind
@@ -429,19 +398,6 @@ func (d *ProfileDesc) Set(i int, kind ArgKind, base BaseType) error {
 	}
 	d.Args[i] = ArgDesc{Kind: kind, Base: base}
 	return nil
-}
-
-// DescOf extracts the signature of a concrete profile.
-func DescOf(p *Profile) *ProfileDesc {
-	d := &ProfileDesc{
-		Service: p.Service,
-		LastIn:  p.LastIn, LastInOut: p.LastInOut, LastOut: p.LastOut,
-		Args: make([]ArgDesc, len(p.Args)),
-	}
-	for i := range p.Args {
-		d.Args[i] = ArgDesc{Kind: p.Args[i].Kind, Base: p.Args[i].Base}
-	}
-	return d
 }
 
 // Matches verifies a concrete profile against the descriptor. OUT arguments

@@ -1,6 +1,7 @@
 package diet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -12,8 +13,8 @@ func TestNewProfileIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NArgs() != 9 {
-		t.Fatalf("NArgs = %d, want 9", p.NArgs())
+	if len(p.Args) != 9 {
+		t.Fatalf("%d args, want 9", len(p.Args))
 	}
 	for i := 0; i <= 6; i++ {
 		if p.Direction(i) != In {
@@ -258,4 +259,45 @@ func TestStringerCoverage(t *testing.T) {
 			t.Error("empty Direction string")
 		}
 	}
+}
+
+// StringArg reads a string from index i.
+func (p *Profile) StringArg(i int) (string, error) {
+	if err := p.checkIndex(i); err != nil {
+		return "", err
+	}
+	a := &p.Args[i]
+	if a.Kind != Text {
+		return "", fmt.Errorf("diet: argument %d is %s, not string", i, a.Kind)
+	}
+	return string(a.Data), nil
+}
+
+// PayloadBytes sums the argument payload sizes with the given directions,
+// used to model and measure transfer costs.
+func (p *Profile) PayloadBytes(dirs ...Direction) int {
+	want := make(map[Direction]bool, len(dirs))
+	for _, d := range dirs {
+		want[d] = true
+	}
+	total := 0
+	for i := range p.Args {
+		if want[p.Direction(i)] {
+			total += len(p.Args[i].Data)
+		}
+	}
+	return total
+}
+
+// DescOf extracts the signature of a concrete profile.
+func DescOf(p *Profile) *ProfileDesc {
+	d := &ProfileDesc{
+		Service: p.Service,
+		LastIn:  p.LastIn, LastInOut: p.LastInOut, LastOut: p.LastOut,
+		Args: make([]ArgDesc, len(p.Args)),
+	}
+	for i := range p.Args {
+		d.Args[i] = ArgDesc{Kind: p.Args[i].Kind, Base: p.Args[i].Base}
+	}
+	return d
 }

@@ -181,8 +181,6 @@ type SeD struct {
 	// migration protocol (Reparent, SetPower).
 	power  float64
 	parent string
-	// parentFailovers counts watchdog re-adoptions (see SeDConfig.ParentProbe).
-	parentFailovers int
 }
 
 // sedQueueCap bounds the solves one SeD holds queued for a slot; the next
@@ -397,7 +395,6 @@ func (s *SeD) parentWatch() {
 			}
 			s.statMu.Lock()
 			s.parent = cand
-			s.parentFailovers++
 			s.statMu.Unlock()
 			if s.metrics != nil {
 				s.metrics.parentFailovers.With(s.cfg.Name).Inc()
@@ -423,14 +420,6 @@ func (s *SeD) registerWith(agent string) error {
 	var reply ChildRegisterReply
 	return rpc.Call(entry.Addr, "agent:"+agent, "ChildRegister",
 		ChildInfo{Name: s.cfg.Name, Addr: s.addr, Kind: "SeD", Cluster: s.cfg.Cluster}, &reply)
-}
-
-// ParentFailoverCount reports how many times the orphan watchdog re-homed
-// this SeD under a fallback parent.
-func (s *SeD) ParentFailoverCount() int {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	return s.parentFailovers
 }
 
 // Close stops serving. Queued solves are refused ("stopped before solving");
@@ -973,19 +962,6 @@ func (s *SeD) storePersistent(p *Profile, seq int) {
 	}
 }
 
-// StoredData returns a copy of a persistent datum (for tests and tools).
-func (s *SeD) StoredData(id string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.dataStore[id]
-	if !ok {
-		return nil, false
-	}
-	out := make([]byte, len(d))
-	copy(out, d)
-	return out, true
-}
-
 // Stats is a snapshot of SeD activity.
 type Stats struct {
 	Name      string
@@ -1065,9 +1041,6 @@ func (s *SeD) handler() rpc.Handler {
 		},
 		"Stats": func([]byte) ([]byte, error) {
 			return rpc.Encode(s.Stats())
-		},
-		"Services": func([]byte) ([]byte, error) {
-			return rpc.Encode(s.ServiceNames())
 		},
 		"Models": func([]byte) ([]byte, error) {
 			return rpc.Encode(ModelsReply{Cluster: s.cfg.Cluster, At: time.Now(), Models: s.Models()})

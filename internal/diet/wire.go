@@ -7,9 +7,9 @@ import (
 )
 
 // This file converts between the in-memory Profile and the gateway's JSON
-// wire contract (gwproto). Both ends of the HTTP API use it: the client's
-// WithGateway path encodes its profile and decodes the solved reply; the
-// gateway decodes incoming requests and encodes results.
+// wire contract (gwproto): the gateway decodes incoming requests and encodes
+// results, and a Go program posting to a gateway encodes its profile with
+// WireRequest.
 
 // wireKind maps ArgKind to its wire tag.
 func wireKind(k ArgKind) string {
@@ -140,20 +140,6 @@ func (p *Profile) applyWireArg(i int, w gwproto.Arg) error {
 		return p.SetFileBytes(i, w.FileName, w.File, persist)
 	}
 	return fmt.Errorf("diet: argument %d: unknown kind %q", i, w.Kind)
-}
-
-// ApplyWireArgs decodes a full wire argument list into the profile (the
-// client's view of a solved reply). The list length must match.
-func (p *Profile) ApplyWireArgs(args []gwproto.Arg) error {
-	if len(args) != len(p.Args) {
-		return fmt.Errorf("diet: wire reply has %d args, profile has %d", len(args), len(p.Args))
-	}
-	for i, w := range args {
-		if err := p.applyWireArg(i, w); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ProfileFromWire builds a Profile from a gateway solve request.

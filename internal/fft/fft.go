@@ -17,14 +17,6 @@ import (
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// Forward computes the in-place forward DFT of data (sign convention
-// X[k] = sum_n x[n] exp(-2πi kn/N)). len(data) must be a power of two.
-func Forward(data []complex128) error { return transform(data, forward) }
-
-// Inverse computes the in-place inverse DFT including the 1/N normalisation,
-// so Inverse(Forward(x)) == x up to rounding.
-func Inverse(data []complex128) error { return transform(data, inverse) }
-
 // The two directions of a transform, indexing twiddleTable.w.
 const (
 	forward = iota // exponent sign −1
@@ -62,20 +54,6 @@ func twiddle(level, dir int) []complex128 {
 		}
 	})
 	return t.w[dir]
-}
-
-// transform runs the iterative Cooley–Tukey radix-2 algorithm in the given
-// direction, followed by the inverse's normalisation.
-func transform(data []complex128, dir int) error {
-	n := len(data)
-	if !IsPow2(n) {
-		return fmt.Errorf("fft: length %d is not a power of two", n)
-	}
-	var p plan
-	p.init(n, dir)
-	p.line(data)
-	p.normalise(data)
-	return nil
 }
 
 // plan is one direction of the transforms of length n with the butterfly

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -224,4 +225,26 @@ func TestIsPow2(t *testing.T) {
 			t.Errorf("IsPow2(%d) = true", n)
 		}
 	}
+}
+
+// Forward computes the in-place forward DFT of data (sign convention
+// X[k] = sum_n x[n] exp(-2πi kn/N)). len(data) must be a power of two.
+func Forward(data []complex128) error { return transform(data, forward) }
+
+// Inverse computes the in-place inverse DFT including the 1/N normalisation,
+// so Inverse(Forward(x)) == x up to rounding.
+func Inverse(data []complex128) error { return transform(data, inverse) }
+
+// transform runs the iterative Cooley–Tukey radix-2 algorithm in the given
+// direction, followed by the inverse's normalisation.
+func transform(data []complex128, dir int) error {
+	n := len(data)
+	if !IsPow2(n) {
+		return fmt.Errorf("fft: length %d is not a power of two", n)
+	}
+	var p plan
+	p.init(n, dir)
+	p.line(data)
+	p.normalise(data)
+	return nil
 }

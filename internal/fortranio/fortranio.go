@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // ErrRecordMismatch is returned when the leading and trailing record length
@@ -23,6 +24,10 @@ var ErrRecordMismatch = errors.New("fortranio: record length markers disagree")
 // legitimately exceed 2 GiB; we bound far lower to fail fast on garbage.
 const MaxRecordLen = 1 << 30
 
+// readChunk is the most a Reader allocates ahead of the bytes that back it:
+// a record's length marker is only a claim until its payload has arrived.
+const readChunk = 1 << 20
+
 // Writer emits Fortran unformatted sequential records to an io.Writer.
 type Writer struct {
 	w   io.Writer
@@ -31,9 +36,6 @@ type Writer struct {
 
 // NewWriter returns a Writer emitting records to w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// Err returns the first error encountered by the writer, if any.
-func (w *Writer) Err() error { return w.err }
 
 // WriteRecord writes one framed record holding the given payload.
 func (w *Writer) WriteRecord(payload []byte) error {
@@ -69,15 +71,6 @@ func (w *Writer) WriteInt32(v int32) error {
 	return w.WriteRecord(buf[:])
 }
 
-// WriteInt32s writes a record holding a slice of 32-bit integers.
-func (w *Writer) WriteInt32s(vs []int32) error {
-	buf := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	return w.WriteRecord(buf)
-}
-
 // WriteFloat32s writes a record holding a slice of 32-bit floats. GRAFIC
 // stores density planes and particle data in single precision.
 func (w *Writer) WriteFloat32s(vs []float32) error {
@@ -96,10 +89,6 @@ func (w *Writer) WriteFloat64s(vs []float64) error {
 	}
 	return w.WriteRecord(buf)
 }
-
-// WriteString writes a record holding raw string bytes (no terminator),
-// matching Fortran character(len=n) records.
-func (w *Writer) WriteString(s string) error { return w.WriteRecord([]byte(s)) }
 
 // Reader consumes Fortran unformatted sequential records from an io.Reader.
 type Reader struct {
@@ -123,9 +112,14 @@ func (r *Reader) ReadRecord() ([]byte, error) {
 	if n > MaxRecordLen {
 		return nil, fmt.Errorf("fortranio: record length %d exceeds maximum %d", n, MaxRecordLen)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r.r, payload); err != nil {
-		return nil, fmt.Errorf("fortranio: truncated record payload: %w", err)
+	payload := make([]byte, 0, min(n, readChunk))
+	for len(payload) < int(n) {
+		have := len(payload)
+		next := min(int(n), have+readChunk)
+		payload = slices.Grow(payload, next-have)[:next]
+		if _, err := io.ReadFull(r.r, payload[have:]); err != nil {
+			return nil, fmt.Errorf("fortranio: truncated record payload: %w", err)
+		}
 	}
 	if _, err := io.ReadFull(r.r, marker[:]); err != nil {
 		return nil, fmt.Errorf("fortranio: truncated trailing marker: %w", err)
@@ -146,22 +140,6 @@ func (r *Reader) ReadInt32() (int32, error) {
 		return 0, fmt.Errorf("fortranio: expected 4-byte int record, got %d bytes", len(p))
 	}
 	return int32(binary.LittleEndian.Uint32(p)), nil
-}
-
-// ReadInt32s reads a record holding 32-bit integers.
-func (r *Reader) ReadInt32s() ([]int32, error) {
-	p, err := r.ReadRecord()
-	if err != nil {
-		return nil, err
-	}
-	if len(p)%4 != 0 {
-		return nil, fmt.Errorf("fortranio: int32 record length %d not a multiple of 4", len(p))
-	}
-	vs := make([]int32, len(p)/4)
-	for i := range vs {
-		vs[i] = int32(binary.LittleEndian.Uint32(p[4*i:]))
-	}
-	return vs, nil
 }
 
 // ReadFloat32s reads a record holding 32-bit floats.
@@ -194,22 +172,4 @@ func (r *Reader) ReadFloat64s() ([]float64, error) {
 		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return vs, nil
-}
-
-// ReadString reads a record and returns its payload as a string.
-func (r *Reader) ReadString() (string, error) {
-	p, err := r.ReadRecord()
-	if err != nil {
-		return "", err
-	}
-	return string(p), nil
-}
-
-// SkipRecord discards the next record, returning its payload length.
-func (r *Reader) SkipRecord() (int, error) {
-	p, err := r.ReadRecord()
-	if err != nil {
-		return 0, err
-	}
-	return len(p), nil
 }

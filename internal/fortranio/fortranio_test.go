@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -192,6 +194,36 @@ func TestGarbageLengthRejected(t *testing.T) {
 	}
 }
 
+// A length marker is only a claim: a record that says 1 GiB and stops after
+// 8 bytes is refused without allocating the gigabyte first.
+func TestClaimedLengthAllocatesOnlyWhatArrives(t *testing.T) {
+	raw := binary.LittleEndian.AppendUint32(nil, MaxRecordLen)
+	raw = append(raw, 1, 2, 3, 4, 5, 6, 7, 8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewReader(bytes.NewReader(raw)).ReadRecord()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a truncated 1 GiB record was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*readChunk {
+		t.Errorf("refusing an 8-byte payload allocated %d bytes, want at most %d", got, 2*readChunk)
+	}
+
+	// A record longer than one chunk still reads back whole.
+	big := make([]byte, 2*readChunk+3)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := NewWriter(&buf).WriteRecord(big); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := NewReader(&buf).ReadRecord(); err != nil || !bytes.Equal(got, big) {
+		t.Errorf("a %d-byte record read back as %d bytes, %v", len(big), len(got), err)
+	}
+}
+
 func TestTypedLengthValidation(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -237,3 +269,53 @@ func TestWriterErrorSticky(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("disk full") }
+
+// Err returns the first error encountered by the writer, if any.
+func (w *Writer) Err() error { return w.err }
+
+// WriteInt32s writes a record holding a slice of 32-bit integers.
+func (w *Writer) WriteInt32s(vs []int32) error {
+	buf := make([]byte, 4*len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
+	}
+	return w.WriteRecord(buf)
+}
+
+// WriteString writes a record holding raw string bytes (no terminator),
+// matching Fortran character(len=n) records.
+func (w *Writer) WriteString(s string) error { return w.WriteRecord([]byte(s)) }
+
+// ReadInt32s reads a record holding 32-bit integers.
+func (r *Reader) ReadInt32s() ([]int32, error) {
+	p, err := r.ReadRecord()
+	if err != nil {
+		return nil, err
+	}
+	if len(p)%4 != 0 {
+		return nil, fmt.Errorf("fortranio: int32 record length %d not a multiple of 4", len(p))
+	}
+	vs := make([]int32, len(p)/4)
+	for i := range vs {
+		vs[i] = int32(binary.LittleEndian.Uint32(p[4*i:]))
+	}
+	return vs, nil
+}
+
+// ReadString reads a record and returns its payload as a string.
+func (r *Reader) ReadString() (string, error) {
+	p, err := r.ReadRecord()
+	if err != nil {
+		return "", err
+	}
+	return string(p), nil
+}
+
+// SkipRecord discards the next record, returning its payload length.
+func (r *Reader) SkipRecord() (int, error) {
+	p, err := r.ReadRecord()
+	if err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}

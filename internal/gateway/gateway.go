@@ -8,8 +8,7 @@
 //
 // The HTTP JSON API it exposes (POST /api/v1/solve, GET /api/v1/status,
 // plus /metrics, /statusz and /debug/pprof) speaks the versioned gwproto
-// contract; diet.Client's WithGateway option is the in-process client of
-// the same wire format.
+// contract.
 package gateway
 
 import (
@@ -187,12 +186,6 @@ func Route(service string, n int) int {
 		h *= 16777619
 	}
 	return int(h % uint32(n))
-}
-
-// RouteMA reports which MA a service sticky-routes to (for tests and the
-// status page).
-func (g *Gateway) RouteMA(service string) string {
-	return g.cfg.MAs[Route(service, len(g.clients))]
 }
 
 // admit passes the admission controller: a token from the bounded queue or

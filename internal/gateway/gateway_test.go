@@ -320,9 +320,9 @@ func TestGatewayBatchingJoinsInflight(t *testing.T) {
 	}
 }
 
-// TestGatewayHTTPAPI drives the full wire path: diet.Client with WithGateway
-// posts a versioned SolveRequest over real HTTP, the gateway solves it
-// through the deployment, and /api/v1/status reports the traffic.
+// TestGatewayHTTPAPI drives the full wire path: a versioned gwproto
+// SolveRequest posted as JSON over real HTTP, solved by the gateway through
+// the deployment, and /api/v1/status reporting the traffic.
 func TestGatewayHTTPAPI(t *testing.T) {
 	d := deployOneMA(t, "MA-gw-http", doubler("double", 0))
 	g := newGateway(t, Config{Naming: d.NamingAddr, MAs: []string{"MA-gw-http"}})
@@ -333,22 +333,28 @@ func TestGatewayHTTPAPI(t *testing.T) {
 	t.Cleanup(func() { shutdown() })
 	base := "http://" + addr
 
-	client, err := d.Client()
+	req, err := intProfile(t, "double", 21).WireRequest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Finalize()
-
-	p := intProfile(t, "double", 21)
-	info, err := client.Call(p, diet.WithGateway(base))
+	solveBody, _ := json.Marshal(req)
+	resp1, err := http.Post(base+"/api/v1/solve", "application/json", bytes.NewReader(solveBody))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := p.ScalarInt(1); err != nil || v != 42 {
-		t.Errorf("result = %d, %v; want 42", v, err)
+	defer resp1.Body.Close()
+	var rep gwproto.SolveReply
+	if err := json.NewDecoder(resp1.Body).Decode(&rep); err != nil || resp1.StatusCode != http.StatusOK {
+		t.Fatalf("solve: HTTP %d, %v", resp1.StatusCode, err)
 	}
-	if info.Server == "" || p.RequestID == "" {
-		t.Errorf("reply missing server (%q) or request ID (%q)", info.Server, p.RequestID)
+	if rep.SchemaVersion != gwproto.Version {
+		t.Errorf("reply schema version %d, want %d", rep.SchemaVersion, gwproto.Version)
+	}
+	if len(rep.Args) != 2 || rep.Args[1].Int == nil || *rep.Args[1].Int != 42 {
+		t.Errorf("reply args %+v; want the result 42", rep.Args)
+	}
+	if rep.Server == "" || rep.RequestID == "" {
+		t.Errorf("reply missing server (%q) or request ID (%q)", rep.Server, rep.RequestID)
 	}
 
 	resp, err := http.Get(base + "/api/v1/status")
@@ -387,4 +393,9 @@ func TestGatewayHTTPAPI(t *testing.T) {
 	} else {
 		resp3.Body.Close()
 	}
+}
+
+// RouteMA reports which MA a service sticky-routes to.
+func (g *Gateway) RouteMA(service string) string {
+	return g.cfg.MAs[Route(service, len(g.clients))]
 }

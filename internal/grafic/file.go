@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/fft"
 	"repro/internal/fortranio"
 )
 
@@ -52,42 +51,6 @@ func WriteField(w io.Writer, h Header, data []float32) error {
 	return nil
 }
 
-// ReadField reads one GRAFIC field file written by WriteField.
-func ReadField(r io.Reader) (Header, []float32, error) {
-	fr := fortranio.NewReader(r)
-	rec, err := fr.ReadRecord()
-	if err != nil {
-		return Header{}, nil, err
-	}
-	if len(rec) != 44 {
-		return Header{}, nil, fmt.Errorf("grafic: header record is %d bytes, want 44", len(rec))
-	}
-	var h Header
-	h.N1 = readInt32(rec[0:])
-	h.N2 = readInt32(rec[4:])
-	h.N3 = readInt32(rec[8:])
-	floats := []*float32{&h.Dx, &h.Ox, &h.Oy, &h.Oz, &h.Astart, &h.OmegaM, &h.OmegaL, &h.H0}
-	for i, p := range floats {
-		*p = readFloat32(rec[12+4*i:])
-	}
-	if h.N1 <= 0 || h.N2 <= 0 || h.N3 <= 0 {
-		return Header{}, nil, fmt.Errorf("grafic: invalid grid dims %dx%dx%d", h.N1, h.N2, h.N3)
-	}
-	planeSize := int(h.N1) * int(h.N2)
-	data := make([]float32, 0, planeSize*int(h.N3))
-	for iz := 0; iz < int(h.N3); iz++ {
-		plane, err := fr.ReadFloat32s()
-		if err != nil {
-			return Header{}, nil, fmt.Errorf("grafic: reading plane %d: %w", iz, err)
-		}
-		if len(plane) != planeSize {
-			return Header{}, nil, fmt.Errorf("grafic: plane %d has %d values, want %d", iz, len(plane), planeSize)
-		}
-		data = append(data, plane...)
-	}
-	return h, data, nil
-}
-
 // WriteDeltaFile writes the top-level overdensity field of ics (the
 // "ic_deltab" file of the GRAFIC convention) to path.
 func WriteDeltaFile(path string, ics *ICs) error {
@@ -126,31 +89,6 @@ func WriteDeltaFile(path string, ics *ICs) error {
 	return f.Close()
 }
 
-// ReadDeltaFile reads a field file from path and returns its header and a
-// complex grid ready for FFT work.
-func ReadDeltaFile(path string) (Header, *fft.Grid3, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	defer f.Close()
-	h, data, err := ReadField(bufio.NewReader(f))
-	if err != nil {
-		return Header{}, nil, err
-	}
-	if h.N1 != h.N2 || h.N2 != h.N3 {
-		return Header{}, nil, fmt.Errorf("grafic: non-cubic field %dx%dx%d", h.N1, h.N2, h.N3)
-	}
-	grid, err := fft.NewGrid3(int(h.N1))
-	if err != nil {
-		return Header{}, nil, err
-	}
-	for i, v := range data {
-		grid.Data[i] = complex(float64(v), 0)
-	}
-	return h, grid, nil
-}
-
 func appendInt32(b []byte, v int32) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
@@ -158,12 +96,4 @@ func appendInt32(b []byte, v int32) []byte {
 func appendFloat32(b []byte, v float32) []byte {
 	bits := math.Float32bits(v)
 	return append(b, byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24))
-}
-
-func readInt32(b []byte) int32 {
-	return int32(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
-}
-
-func readFloat32(b []byte) float32 {
-	return math.Float32frombits(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
 }

@@ -114,7 +114,7 @@ func (g *Generator) deltaFromNoise(noise *fft.Grid3, boxSize, a, kMin float64) (
 	norm := float64(n*n*n) / vol
 	// P(k, a) = D(a)²·P(k): the growth factor is a quadrature and the same
 	// for every mode, so it is taken once per field, and the product below
-	// keeps the association order of cosmo.PowerAt(k, a) * norm.
+	// keeps the association order of (D(a)²·P(k)) * norm.
 	growth := g.Cosmo.GrowthFactor(a)
 	growth2 := growth * growth
 	// WaveNumber(−f) = −WaveNumber(f), so the up to eight sign images

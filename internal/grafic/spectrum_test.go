@@ -1,6 +1,7 @@
 package grafic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -33,7 +34,8 @@ func TestMeasurePowerRecoversInputSpectrum(t *testing.T) {
 		if modes[b] < 50 {
 			continue // too noisy to test
 		}
-		want := c.PowerAt(k[b], a)
+		d := c.GrowthFactor(a)
+		want := d * d * c.Power(k[b])
 		sigma := want * math.Sqrt(2/float64(modes[b]))
 		// Allow 4σ plus a 10% binning/aliasing allowance.
 		tol := 4*sigma + 0.1*want
@@ -110,4 +112,64 @@ func TestMeasurePowerValidation(t *testing.T) {
 	if _, _, _, err := MeasurePower(grid, 100, 0); err == nil {
 		t.Error("nbins=0 should fail")
 	}
+}
+
+// MeasurePower estimates the power spectrum of a real-space overdensity
+// grid covering a box of boxSize Mpc/h: P(k) is averaged over spherical
+// shells in k-space, inverting the convention used by deltaFromNoise
+// (⟨|δ_k|²⟩ = P(k)·N³/V for the forward-DFT field). It returns the shell
+// centres (h/Mpc), the measured P(k) in (Mpc/h)³ and the mode count per
+// shell, which sets the sample variance of each estimate.
+func MeasurePower(delta *fft.Grid3, boxSize float64, nbins int) (k []float64, pk []float64, modes []int, err error) {
+	if nbins < 1 {
+		return nil, nil, nil, fmt.Errorf("grafic: nbins must be >= 1, got %d", nbins)
+	}
+	n := delta.N
+	work, err := fft.NewGrid3(n)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	copy(work.Data, delta.Data)
+	if err := fft.Forward3(work); err != nil {
+		return nil, nil, nil, err
+	}
+	kf := 2 * math.Pi / boxSize            // fundamental frequency
+	kNyq := math.Pi * float64(n) / boxSize // Nyquist
+	binW := (kNyq - kf) / float64(nbins)
+
+	k = make([]float64, nbins)
+	pk = make([]float64, nbins)
+	modes = make([]int, nbins)
+	for b := 0; b < nbins; b++ {
+		k[b] = kf + (float64(b)+0.5)*binW
+	}
+	vol := boxSize * boxSize * boxSize
+	norm := vol / (float64(n*n*n) * float64(n*n*n)) // |δ_k|² → P(k)
+
+	for iz := 0; iz < n; iz++ {
+		kz := fft.WaveNumber(iz, n, boxSize)
+		for iy := 0; iy < n; iy++ {
+			ky := fft.WaveNumber(iy, n, boxSize)
+			for ix := 0; ix < n; ix++ {
+				kx := fft.WaveNumber(ix, n, boxSize)
+				kk := math.Sqrt(kx*kx + ky*ky + kz*kz)
+				if kk < kf || kk >= kNyq {
+					continue
+				}
+				b := int((kk - kf) / binW)
+				if b < 0 || b >= nbins {
+					continue
+				}
+				v := work.Data[(iz*n+iy)*n+ix]
+				pk[b] += (real(v)*real(v) + imag(v)*imag(v)) * norm
+				modes[b]++
+			}
+		}
+	}
+	for b := 0; b < nbins; b++ {
+		if modes[b] > 0 {
+			pk[b] /= float64(modes[b])
+		}
+	}
+	return k, pk, modes, nil
 }

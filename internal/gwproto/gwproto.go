@@ -1,7 +1,8 @@
 // Package gwproto is the versioned wire contract of the client gateway's
-// HTTP JSON API. It is a leaf package: the diet client imports it to speak
-// to a gateway (WithGateway), and the gateway imports it to serve, so the
-// two cannot drift apart — and neither import direction cycles.
+// HTTP JSON API. It is a leaf package: diet imports it to convert profiles
+// (Profile.WireRequest, ProfileFromWire) and the gateway imports it to
+// serve, so the two cannot drift apart — and neither import direction
+// cycles.
 //
 // Every request and reply carries an explicit SchemaVersion (the same idiom
 // as cori snapshots and the diet peer-forward RPCs); a server rejects any

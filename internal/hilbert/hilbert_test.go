@@ -1,6 +1,7 @@
 package hilbert
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -226,4 +227,89 @@ func TestCellIndexLocality(t *testing.T) {
 	if a != b {
 		t.Errorf("same-cell positions map to different indices: %d vs %d", a, b)
 	}
+}
+
+// Decode maps a Peano–Hilbert curve index back to grid coordinates on a
+// 2^order per-axis grid. It is the exact inverse of Encode.
+func Decode(d uint64, order uint) (x, y, z uint32) {
+	coords := deinterleave(d, order)
+	n := uint32(2) << (order - 1)
+	// Gray decode by H ^ (H/2).
+	t := coords[2] >> 1
+	for i := 2; i > 0; i-- {
+		coords[i] ^= coords[i-1]
+	}
+	coords[0] ^= t
+	// Undo excess work.
+	for q := uint32(2); q != n; q <<= 1 {
+		p := q - 1
+		for i := 2; i >= 0; i-- {
+			if coords[i]&q != 0 {
+				coords[0] ^= p
+			} else {
+				t := (coords[0] ^ coords[i]) & p
+				coords[0] ^= t
+				coords[i] ^= t
+			}
+		}
+	}
+	return coords[0], coords[1], coords[2]
+}
+
+// Contains reports whether Hilbert index d belongs to the domain.
+func (dom Domain) Contains(d uint64) bool { return d >= dom.Lo && d < dom.Hi }
+
+// DecomposeWeighted splits the curve into nranks contiguous domains so that
+// each carries a near-equal share of the given per-cell weights (e.g. particle
+// counts per coarse cell in Hilbert order). weights[i] is the load of curve
+// cell i; len(weights) must be 2^(3*order). This is the load-balancing step
+// RAMSES performs at each coarse time step.
+func DecomposeWeighted(order uint, nranks int, weights []float64) ([]Domain, error) {
+	if nranks <= 0 {
+		return nil, fmt.Errorf("hilbert: nranks must be positive, got %d", nranks)
+	}
+	total := uint64(1) << (3 * order)
+	if uint64(len(weights)) != total {
+		return nil, fmt.Errorf("hilbert: got %d weights, want %d for order %d", len(weights), total, order)
+	}
+	var sum float64
+	for i, w := range weights {
+		if w < 0 {
+			return nil, fmt.Errorf("hilbert: negative weight %g at cell %d", w, i)
+		}
+		sum += w
+	}
+	domains := make([]Domain, 0, nranks)
+	target := sum / float64(nranks)
+	var acc float64
+	lo := uint64(0)
+	for i := uint64(0); i < total; i++ {
+		acc += weights[i]
+		// Close the current domain once it reaches its proportional share,
+		// keeping enough cells for the remaining ranks.
+		remainingRanks := nranks - len(domains)
+		if acc >= target && total-i-1 >= uint64(remainingRanks-1) && remainingRanks > 1 {
+			domains = append(domains, Domain{Rank: len(domains), Lo: lo, Hi: i + 1})
+			lo = i + 1
+			acc = 0
+		}
+	}
+	domains = append(domains, Domain{Rank: len(domains), Lo: lo, Hi: total})
+	// Pad with empty trailing domains if weights were so skewed we closed early.
+	for len(domains) < nranks {
+		domains = append(domains, Domain{Rank: len(domains), Lo: total, Hi: total})
+	}
+	return domains, nil
+}
+
+// deinterleave unpacks a curve index into transpose-form coordinates.
+func deinterleave(d uint64, order uint) [3]uint32 {
+	var coords [3]uint32
+	for b := int(order) - 1; b >= 0; b-- {
+		for i := 0; i < 3; i++ {
+			shift := uint(3*b + (2 - i))
+			coords[i] = coords[i]<<1 | uint32((d>>shift)&1)
+		}
+	}
+	return coords
 }

@@ -27,9 +27,6 @@ type Grid struct {
 	E          []float64
 }
 
-// NewGrid allocates a cubic n×n×n grid.
-func NewGrid(n int, gamma float64) (*Grid, error) { return NewBox(n, n, n, gamma) }
-
 // NewBox allocates an NX×NY×NZ grid filled with vacuum.
 func NewBox(nx, ny, nz int, gamma float64) (*Grid, error) {
 	if nx < 4 || ny < 4 || nz < 4 {

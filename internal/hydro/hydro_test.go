@@ -6,16 +6,16 @@ import (
 )
 
 func TestNewGridValidation(t *testing.T) {
-	if _, err := NewGrid(2, 1.4); err == nil {
+	if _, err := NewBox(2, 2, 2, 1.4); err == nil {
 		t.Error("tiny grid should fail")
 	}
-	if _, err := NewGrid(8, 1.0); err == nil {
+	if _, err := NewBox(8, 8, 8, 1.0); err == nil {
 		t.Error("gamma=1 should fail")
 	}
 }
 
 func TestPrimitiveRoundTrip(t *testing.T) {
-	g, err := NewGrid(8, 1.4)
+	g, err := NewBox(8, 8, 8, 1.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 }
 
 func TestUniformGasIsSteady(t *testing.T) {
-	g, _ := NewGrid(8, 1.4)
+	g, _ := NewBox(8, 8, 8, 1.4)
 	for i := range g.Rho {
 		g.SetPrimitive(i, 1.0, 0, 0, 0, 1.0)
 	}
@@ -52,7 +52,7 @@ func TestUniformGasIsSteady(t *testing.T) {
 
 func TestUniformAdvection(t *testing.T) {
 	// A uniform gas moving at constant velocity stays uniform.
-	g, _ := NewGrid(8, 1.4)
+	g, _ := NewBox(8, 8, 8, 1.4)
 	for i := range g.Rho {
 		g.SetPrimitive(i, 1.0, 0.7, -0.3, 0.1, 1.0)
 	}
@@ -73,7 +73,7 @@ func TestUniformAdvection(t *testing.T) {
 func TestConservation(t *testing.T) {
 	// A random-ish smooth initial condition: totals are conserved exactly
 	// (periodic box, conservative scheme).
-	g, _ := NewGrid(16, 1.4)
+	g, _ := NewBox(16, 16, 16, 1.4)
 	n := g.NX
 	for iz := 0; iz < n; iz++ {
 		for iy := 0; iy < n; iy++ {
@@ -212,7 +212,7 @@ func TestSodSymmetryAcrossAxes(t *testing.T) {
 }
 
 func TestApplyGravity(t *testing.T) {
-	g, _ := NewGrid(8, 1.4)
+	g, _ := NewBox(8, 8, 8, 1.4)
 	for i := range g.Rho {
 		g.SetPrimitive(i, 2.0, 0, 0, 0, 1.0)
 	}
@@ -239,7 +239,7 @@ func TestApplyGravity(t *testing.T) {
 }
 
 func TestStepValidation(t *testing.T) {
-	g, _ := NewGrid(8, 1.4)
+	g, _ := NewBox(8, 8, 8, 1.4)
 	s := NewSolver(g)
 	if err := s.Step(0); err == nil {
 		t.Error("dt=0 should fail")
@@ -251,7 +251,7 @@ func TestStepValidation(t *testing.T) {
 
 func TestPositivityUnderStrongShock(t *testing.T) {
 	// A strong blast: density and pressure must stay positive.
-	g, _ := NewGrid(32, 1.4)
+	g, _ := NewBox(32, 32, 32, 1.4)
 	for i := range g.Rho {
 		g.SetPrimitive(i, 1, 0, 0, 0, 0.01)
 	}

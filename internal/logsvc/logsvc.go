@@ -156,29 +156,6 @@ func (b *Bus) PublishEvent(ev Event) {
 	b.mu.Unlock()
 }
 
-// Subscribe registers a live listener with the given channel buffer and
-// returns the channel plus a cancel function.
-func (b *Bus) Subscribe(buffer int) (<-chan Event, func()) {
-	if buffer < 1 {
-		buffer = 16
-	}
-	ch := make(chan Event, buffer)
-	b.mu.Lock()
-	id := b.nextSub
-	b.nextSub++
-	b.subs[id] = ch
-	b.mu.Unlock()
-	cancel := func() {
-		b.mu.Lock()
-		if _, ok := b.subs[id]; ok {
-			delete(b.subs, id)
-			close(ch)
-		}
-		b.mu.Unlock()
-	}
-	return ch, cancel
-}
-
 // History returns a copy of the retained events in order.
 func (b *Bus) History() []Event {
 	b.mu.Lock()
@@ -189,8 +166,8 @@ func (b *Bus) History() []Event {
 }
 
 // HistorySince returns the retained events with Seq > since, in order — the
-// polling form of Subscribe that works over the rpc bus (cmd/dietmon tails
-// a remote deployment with it).
+// polling subscription that works over the rpc bus (cmd/dietmon tails a
+// remote deployment with it).
 func (b *Bus) HistorySince(since int64) []Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -210,14 +187,6 @@ func (b *Bus) Stats() BusStats {
 	}
 }
 
-// Dropped reports how many per-subscriber deliveries have been lost to full
-// buffers since New.
-func (b *Bus) Dropped() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
-}
-
 // CountsByKind aggregates retained events per kind.
 func (b *Bus) CountsByKind() map[string]int {
 	b.mu.Lock()
@@ -226,22 +195,6 @@ func (b *Bus) CountsByKind() map[string]int {
 	for _, ev := range b.history {
 		out[ev.Kind]++
 	}
-	return out
-}
-
-// Components lists the distinct components seen, sorted.
-func (b *Bus) Components() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	set := make(map[string]struct{})
-	for _, ev := range b.history {
-		set[ev.Component] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -261,18 +214,12 @@ func (b *Bus) Handler() rpc.Handler {
 			b.PublishEvent(ev)
 			return rpc.Encode(true)
 		},
-		"History": func([]byte) ([]byte, error) {
-			return rpc.Encode(b.History())
-		},
 		"HistorySince": func(body []byte) ([]byte, error) {
 			var since int64
 			if err := rpc.Decode(body, &since); err != nil {
 				return nil, err
 			}
 			return rpc.Encode(b.HistorySince(since))
-		},
-		"Counts": func([]byte) ([]byte, error) {
-			return rpc.Encode(b.CountsByKind())
 		},
 		"Stats": func([]byte) ([]byte, error) {
 			return rpc.Encode(b.Stats())
@@ -307,25 +254,11 @@ func (r *Remote) PublishSpan(sp Span) {
 	}, &ok)
 }
 
-// History fetches the remote bus history.
-func (r *Remote) History() ([]Event, error) {
-	var out []Event
-	err := rpc.Call(r.Addr, ObjectName, "History", struct{}{}, &out)
-	return out, err
-}
-
 // HistorySince fetches the remote events with Seq > since — the polling
 // subscription cmd/dietmon tails a live deployment with.
 func (r *Remote) HistorySince(since int64) ([]Event, error) {
 	var out []Event
 	err := rpc.Call(r.Addr, ObjectName, "HistorySince", since, &out)
-	return out, err
-}
-
-// Counts fetches the remote per-kind event counts.
-func (r *Remote) Counts() (map[string]int, error) {
-	var out map[string]int
-	err := rpc.Call(r.Addr, ObjectName, "Counts", struct{}{}, &out)
 	return out, err
 }
 

@@ -127,13 +127,6 @@ func (g Gauge) Set(v float64) {
 	g.c.mu.Unlock()
 }
 
-// Add shifts the gauge value.
-func (g Gauge) Add(delta float64) {
-	g.c.mu.Lock()
-	g.c.val += delta
-	g.c.mu.Unlock()
-}
-
 // Value returns the current gauge value.
 func (g Gauge) Value() float64 {
 	g.c.mu.Lock()
@@ -160,20 +153,6 @@ func (h Histogram) Observe(v float64) {
 		}
 	}
 	h.c.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h Histogram) Count() uint64 {
-	h.c.mu.Lock()
-	defer h.c.mu.Unlock()
-	return h.c.count
-}
-
-// Sum returns the sum of observations.
-func (h Histogram) Sum() float64 {
-	h.c.mu.Lock()
-	defer h.c.mu.Unlock()
-	return h.c.val
 }
 
 // CounterVec is a counter family keyed by label values.

@@ -1,7 +1,7 @@
 // Package mpich is a small in-process message-passing substrate with MPI
 // semantics: ranks, point-to-point send/receive with tag matching, and the
-// collectives (barrier, broadcast, reduce, gather) the parallel RAMSES3d
-// solver needs. The paper's solver runs under MPI on a cluster; here each
+// collectives (reduce, all-to-all) the parallel RAMSES3d solver
+// needs. The paper's solver runs under MPI on a cluster; here each
 // rank is a goroutine and the interconnect is Go channels, which preserves
 // the SPMD program structure while staying inside one address space.
 package mpich
@@ -11,19 +11,15 @@ import (
 	"sync"
 )
 
-// AnySource matches a message from any rank in Recv.
+// AnySource matches a message from any rank in recv.
 const AnySource = -1
 
-// AnyTag matches a message with any tag in Recv.
+// AnyTag matches a message with any tag in recv.
 const AnyTag = -1
 
-// reserved internal tags for collectives; user tags must be < tagInternal.
+// tags of the collectives' traffic.
 const (
-	tagInternal = 1 << 28
-	tagBarrier  = tagInternal + iota
-	tagBcast
-	tagReduce
-	tagGather
+	tagReduce = 1<<28 + iota
 	tagAllToAll
 )
 
@@ -54,9 +50,6 @@ func NewWorld(size int) (*World, error) {
 	return w, nil
 }
 
-// Size returns the number of ranks in the world.
-func (w *World) Size() int { return w.size }
-
 // Comm is one rank's endpoint into a World. Comm methods are not safe for
 // concurrent use by multiple goroutines, mirroring MPI's per-rank model.
 type Comm struct {
@@ -79,136 +72,39 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.world.size }
 
-// Send delivers payload to rank dst with the given tag. It blocks only if
+// send delivers payload to rank dst with the given tag. It blocks only if
 // dst's mailbox is full (rendezvous fallback), like a standard-mode MPI send.
-func (c *Comm) Send(dst, tag int, payload any) error {
-	if dst < 0 || dst >= c.world.size {
-		return fmt.Errorf("mpich: send to invalid rank %d", dst)
-	}
-	if tag >= tagInternal || tag < 0 {
-		return fmt.Errorf("mpich: user tag %d out of range [0,%d)", tag, tagInternal)
-	}
-	c.world.mailboxes[dst] <- message{src: c.rank, tag: tag, payload: payload}
-	return nil
-}
-
-// send bypasses tag validation for internal collective traffic.
 func (c *Comm) send(dst, tag int, payload any) {
 	c.world.mailboxes[dst] <- message{src: c.rank, tag: tag, payload: payload}
 }
 
-// Recv blocks until a message matching (src, tag) arrives and returns its
-// payload and actual source. Use AnySource / AnyTag as wildcards. Messages
-// that arrive out of matching order are parked and delivered to later calls.
-func (c *Comm) Recv(src, tag int) (payload any, from int, err error) {
-	if src != AnySource && (src < 0 || src >= c.world.size) {
-		return nil, 0, fmt.Errorf("mpich: recv from invalid rank %d", src)
-	}
-	match := func(m message) bool {
-		return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
-	}
-	for i, m := range c.pending {
-		if match(m) {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			return m.payload, m.src, nil
-		}
-	}
-	for {
-		m := <-c.world.mailboxes[c.rank]
-		if match(m) {
-			return m.payload, m.src, nil
-		}
-		c.pending = append(c.pending, m)
-	}
-}
-
-// recv is Recv for internal collective traffic (panics never expected).
+// recv blocks until a message matching (src, tag) arrives and returns its
+// payload and actual source. AnySource / AnyTag are wildcards. Messages that
+// arrive out of matching order are parked and delivered to later calls.
 func (c *Comm) recv(src, tag int) (any, int) {
-	p, f, _ := c.recvInternal(src, tag)
-	return p, f
-}
-
-func (c *Comm) recvInternal(src, tag int) (any, int, error) {
 	match := func(m message) bool {
 		return (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag)
 	}
 	for i, m := range c.pending {
 		if match(m) {
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			return m.payload, m.src, nil
+			return m.payload, m.src
 		}
 	}
 	for {
 		m := <-c.world.mailboxes[c.rank]
 		if match(m) {
-			return m.payload, m.src, nil
+			return m.payload, m.src
 		}
 		c.pending = append(c.pending, m)
 	}
-}
-
-// Barrier blocks until all ranks have entered it. Implemented as a gather of
-// tokens at rank 0 followed by a broadcast release.
-func (c *Comm) Barrier() {
-	if c.rank == 0 {
-		for i := 1; i < c.Size(); i++ {
-			c.recv(AnySource, tagBarrier)
-		}
-		for i := 1; i < c.Size(); i++ {
-			c.send(i, tagBarrier, nil)
-		}
-	} else {
-		c.send(0, tagBarrier, nil)
-		c.recv(0, tagBarrier)
-	}
-}
-
-// Bcast distributes root's value to every rank and returns it. All ranks must
-// call it; non-root input values are ignored.
-func (c *Comm) Bcast(root int, value any) any {
-	if c.rank == root {
-		for i := 0; i < c.Size(); i++ {
-			if i != root {
-				c.send(i, tagBcast, value)
-			}
-		}
-		return value
-	}
-	v, _ := c.recv(root, tagBcast)
-	return v
-}
-
-// BcastFloat64s distributes root's slice; every rank receives a copy it owns.
-func (c *Comm) BcastFloat64s(root int, data []float64) []float64 {
-	v := c.Bcast(root, data)
-	src := v.([]float64)
-	if c.rank == root {
-		return src
-	}
-	out := make([]float64, len(src))
-	copy(out, src)
-	return out
 }
 
 // ReduceOp combines two float64 values in a reduction.
 type ReduceOp func(a, b float64) float64
 
-// Standard reduction operators.
-var (
-	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
-	OpMax ReduceOp = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	OpMin ReduceOp = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-)
+// OpSum is the summing reduction.
+var OpSum ReduceOp = func(a, b float64) float64 { return a + b }
 
 // AllReduce element-wise reduces local slices across all ranks; every rank
 // receives the combined result. len(local) must agree across ranks.
@@ -245,22 +141,6 @@ func (c *Comm) AllReduce(op ReduceOp, local []float64) []float64 {
 // AllReduceScalar reduces a single value across all ranks.
 func (c *Comm) AllReduceScalar(op ReduceOp, v float64) float64 {
 	return c.AllReduce(op, []float64{v})[0]
-}
-
-// Gather collects each rank's value at root; root receives a slice indexed by
-// rank, others receive nil.
-func (c *Comm) Gather(root int, value any) []any {
-	if c.rank == root {
-		out := make([]any, c.Size())
-		out[root] = value
-		for i := 0; i < c.Size()-1; i++ {
-			v, from := c.recv(AnySource, tagGather)
-			out[from] = v
-		}
-		return out
-	}
-	c.send(root, tagGather, value)
-	return nil
 }
 
 // AllToAll sends send[i] to rank i and returns the slice of payloads received

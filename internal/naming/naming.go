@@ -6,8 +6,6 @@ package naming
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/rpc"
@@ -116,20 +114,6 @@ func (s *Service) ResolveAll(names []string) []Entry {
 	return out
 }
 
-// List returns all bindings whose name starts with prefix, sorted by name.
-func (s *Service) List(prefix string) []Entry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []Entry
-	for _, e := range s.entries {
-		if strings.HasPrefix(e.Name, prefix) {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Handler exposes the service over rpc.
 func (s *Service) Handler() rpc.Handler {
 	return rpc.HandlerFunc(map[string]func([]byte) ([]byte, error){
@@ -141,14 +125,6 @@ func (s *Service) Handler() rpc.Handler {
 			if err := s.Register(e); err != nil {
 				return nil, err
 			}
-			return rpc.Encode(true)
-		},
-		"Unregister": func(body []byte) ([]byte, error) {
-			var name string
-			if err := rpc.Decode(body, &name); err != nil {
-				return nil, err
-			}
-			s.Unregister(name)
 			return rpc.Encode(true)
 		},
 		"Resolve": func(body []byte) ([]byte, error) {
@@ -169,13 +145,6 @@ func (s *Service) Handler() rpc.Handler {
 			}
 			return rpc.Encode(&resolveAllReply{Entries: s.ResolveAll(req.Names)})
 		},
-		"List": func(body []byte) ([]byte, error) {
-			var prefix string
-			if err := rpc.Decode(body, &prefix); err != nil {
-				return nil, err
-			}
-			return rpc.Encode(s.List(prefix))
-		},
 	})
 }
 
@@ -188,12 +157,6 @@ type Client struct {
 func (c *Client) Register(e Entry) error {
 	var ok bool
 	return rpc.Call(c.Addr, ObjectName, "Register", e, &ok)
-}
-
-// Unregister removes a binding remotely.
-func (c *Client) Unregister(name string) error {
-	var ok bool
-	return rpc.Call(c.Addr, ObjectName, "Unregister", name, &ok)
 }
 
 // Resolve looks a name up remotely.
@@ -244,11 +207,4 @@ func (p *resolveAllReply) ReadWire(r *rpc.Reader) {
 	p.Entries = rpc.ReadList(r, 3*rpc.LenSize, func(e *Entry, r *rpc.Reader) {
 		e.Name, e.Addr, e.Kind = r.Text(), r.Text(), r.Text()
 	})
-}
-
-// List enumerates bindings remotely.
-func (c *Client) List(prefix string) ([]Entry, error) {
-	var out []Entry
-	err := rpc.Call(c.Addr, ObjectName, "List", prefix, &out)
-	return out, err
 }

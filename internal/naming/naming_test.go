@@ -1,7 +1,6 @@
 package naming
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/rpc"
@@ -47,26 +46,6 @@ func TestRegisterConflicts(t *testing.T) {
 	}
 }
 
-func TestListSortedAndFiltered(t *testing.T) {
-	s := NewService()
-	for i := 3; i >= 1; i-- {
-		s.Register(Entry{Name: fmt.Sprintf("SeD%d", i), Addr: fmt.Sprintf("a:%d", i), Kind: "SeD"})
-	}
-	s.Register(Entry{Name: "MA1", Addr: "m:1", Kind: "MA"})
-	got := s.List("SeD")
-	if len(got) != 3 {
-		t.Fatalf("%d entries", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1].Name >= got[i].Name {
-			t.Error("list not sorted")
-		}
-	}
-	if all := s.List(""); len(all) != 4 {
-		t.Errorf("List(\"\") = %d entries", len(all))
-	}
-}
-
 func TestRemoteClient(t *testing.T) {
 	defer rpc.ResetLocal()
 	svc := NewService()
@@ -84,15 +63,8 @@ func TestRemoteClient(t *testing.T) {
 	if err != nil || e.Addr != "x:1" {
 		t.Fatalf("Resolve = %+v, %v", e, err)
 	}
-	list, err := c.List("SeD")
-	if err != nil || len(list) != 1 {
-		t.Fatalf("List = %v, %v", list, err)
-	}
-	if err := c.Unregister("SeD-a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Resolve("SeD-a"); err == nil {
-		t.Error("resolve after unregister should fail")
+	if _, err := c.Resolve("SeD-b"); err == nil {
+		t.Error("resolving an unbound name should fail through rpc")
 	}
 	// Conflicting remote rebind surfaces the server error.
 	c.Register(Entry{Name: "Z", Addr: "1"})

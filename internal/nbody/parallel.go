@@ -2,7 +2,6 @@ package nbody
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/hilbert"
@@ -160,16 +159,4 @@ func SimulateParallel(nranks int, p Params, parts particles.Set, a0, a1 float64,
 	}
 	merged.SortByID()
 	return merged, nil
-}
-
-// CostModel estimates the floating-point work of a PM simulation, used by
-// the platform simulator to convert problem sizes into wall-clock times on
-// modelled CPUs. The two terms are the per-step FFT solve (two solves of
-// 3·5·N³·log2(N³) flops each per KDK step) and the per-particle work
-// (deposit + 2 kicks + drift ≈ 250 flops per particle per step).
-func CostModel(ng, nparts, nsteps int) float64 {
-	n3 := float64(ng) * float64(ng) * float64(ng)
-	fftFlops := 2 * 3 * 5 * n3 * math.Log2(n3)
-	partFlops := 250 * float64(nparts)
-	return float64(nsteps) * (fftFlops + partFlops)
 }

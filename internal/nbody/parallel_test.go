@@ -139,3 +139,15 @@ func TestCostModelScaling(t *testing.T) {
 		t.Error("more particles must cost more")
 	}
 }
+
+// CostModel estimates the floating-point work of a PM simulation, meant for
+// the platform simulator to convert problem sizes into wall-clock times on
+// modelled CPUs. The two terms are the per-step FFT solve (two solves of
+// 3·5·N³·log2(N³) flops each per KDK step) and the per-particle work
+// (deposit + 2 kicks + drift ≈ 250 flops per particle per step).
+func CostModel(ng, nparts, nsteps int) float64 {
+	n3 := float64(ng) * float64(ng) * float64(ng)
+	fftFlops := 2 * 3 * 5 * n3 * math.Log2(n3)
+	partFlops := 250 * float64(nparts)
+	return float64(nsteps) * (fftFlops + partFlops)
+}

@@ -87,9 +87,6 @@ func New(p Params) (*Solver, error) {
 	return s, nil
 }
 
-// Params returns the solver configuration.
-func (s *Solver) Params() Params { return s.p }
-
 // MomentumFromVel converts a peculiar velocity in km/s to a code momentum at
 // expansion factor a in a box of boxSize Mpc/h.
 func MomentumFromVel(v, a, boxSize float64) float64 { return a * v / (100 * boxSize) }
@@ -127,7 +124,7 @@ func normalise(rho []float64, totalMass float64) {
 // cicStencil is the cloud-in-cell footprint of one position on an n³
 // periodic mesh: the eight cells it touches and the per-axis weights. Corner
 // c = (dz*2+dy)*2+dx has weight w[0][dx]·w[1][dy]·w[2][dz]; deposit and
-// gather multiply the three factors onto the value one by one, in that
+// accelFrom multiply the three factors onto the value one by one, in that
 // order, so sharing a stencil between grids changes no rounding.
 type cicStencil struct {
 	cell [8]int32
@@ -185,23 +182,6 @@ func depositCIC(grid []float64, n int, pos [3]float64, m float64) {
 	var st cicStencil
 	st.at(n, pos)
 	st.deposit(grid, m)
-}
-
-// gather samples grid at the stencil's position.
-func (st *cicStencil) gather(grid []float64) float64 {
-	var sum float64
-	for c, cell := range st.cell {
-		sum += grid[cell] * st.w[0][c&1] * st.w[1][c>>1&1] * st.w[2][c>>2]
-	}
-	return sum
-}
-
-// interpCIC samples grid at pos with the same CIC kernel used for deposit,
-// which guarantees momentum-conserving force interpolation.
-func interpCIC(grid []float64, n int, pos [3]float64) float64 {
-	var st cicStencil
-	st.at(n, pos)
-	return st.gather(grid)
 }
 
 // depositStencils adds the masses of parts to grid with CIC weights, in
@@ -285,16 +265,9 @@ func (s *Solver) Solve(delta []float64, a float64) error {
 	return nil
 }
 
-// AccelAt returns the interpolated acceleration −∇φ at pos, valid after a
-// Solve at the current epoch.
-func (s *Solver) AccelAt(pos [3]float64) [3]float64 {
-	var st cicStencil
-	st.at(s.p.Ng, pos)
-	return s.accelFrom(&st)
-}
-
 // accelFrom gathers the three acceleration components at a stencil in one
-// pass over its cells; each component sums its terms as gather would.
+// pass over its cells; each component sums its terms in the order of a
+// single-grid CIC gather (cicStencil.gather in stencil_test.go).
 func (s *Solver) accelFrom(st *cicStencil) (g [3]float64) {
 	ax, ay, az := s.acc[0], s.acc[1], s.acc[2]
 	for c, cell := range st.cell {
@@ -431,16 +404,6 @@ func (s *Solver) Run(parts particles.Set, a0, a1 float64, nsteps int, onStep fun
 		}
 	}
 	return nil
-}
-
-// RMSDelta returns the rms of an overdensity field; used as a cheap growth
-// diagnostic in tests and examples.
-func RMSDelta(delta []float64) float64 {
-	var sum float64
-	for _, v := range delta {
-		sum += v * v
-	}
-	return math.Sqrt(sum / float64(len(delta)))
 }
 
 // ProjectDensity integrates the CIC density along the given axis (0=x, 1=y,

@@ -312,3 +312,24 @@ func TestDepositInterpAdjoint(t *testing.T) {
 		t.Errorf("self-overlap %g outside (0,1]", v)
 	}
 }
+
+// Params returns the solver configuration.
+func (s *Solver) Params() Params { return s.p }
+
+// AccelAt returns the interpolated acceleration −∇φ at pos, valid after a
+// Solve at the current epoch.
+func (s *Solver) AccelAt(pos [3]float64) [3]float64 {
+	var st cicStencil
+	st.at(s.p.Ng, pos)
+	return s.accelFrom(&st)
+}
+
+// RMSDelta returns the rms of an overdensity field; used as a cheap growth
+// diagnostic in tests and examples.
+func RMSDelta(delta []float64) float64 {
+	var sum float64
+	for _, v := range delta {
+		sum += v * v
+	}
+	return math.Sqrt(sum / float64(len(delta)))
+}

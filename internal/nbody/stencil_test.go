@@ -104,3 +104,20 @@ func TestDensityReturnsAFreshArray(t *testing.T) {
 		}
 	}
 }
+
+// interpCIC samples grid at pos with the same CIC kernel used for deposit,
+// which guarantees momentum-conserving force interpolation.
+func interpCIC(grid []float64, n int, pos [3]float64) float64 {
+	var st cicStencil
+	st.at(n, pos)
+	return st.gather(grid)
+}
+
+// gather samples grid at the stencil's position.
+func (st *cicStencil) gather(grid []float64) float64 {
+	var sum float64
+	for c, cell := range st.cell {
+		sum += grid[cell] * st.w[0][c&1] * st.w[1][c>>1&1] * st.w[2][c>>2]
+	}
+	return sum
+}

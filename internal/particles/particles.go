@@ -33,44 +33,6 @@ func (s Set) TotalMass() float64 {
 	return m
 }
 
-// CenterOfMass returns the mass-weighted mean position. It does not attempt
-// to unwrap periodic images; callers holding a compact group (e.g. a halo)
-// should recentre with WrapAround first.
-func (s Set) CenterOfMass() [3]float64 {
-	var c [3]float64
-	var m float64
-	for i := range s {
-		for d := 0; d < 3; d++ {
-			c[d] += s[i].Mass * s[i].Pos[d]
-		}
-		m += s[i].Mass
-	}
-	if m > 0 {
-		for d := 0; d < 3; d++ {
-			c[d] /= m
-		}
-	}
-	return c
-}
-
-// MeanVelocity returns the mass-weighted mean peculiar velocity.
-func (s Set) MeanVelocity() [3]float64 {
-	var v [3]float64
-	var m float64
-	for i := range s {
-		for d := 0; d < 3; d++ {
-			v[d] += s[i].Mass * s[i].Vel[d]
-		}
-		m += s[i].Mass
-	}
-	if m > 0 {
-		for d := 0; d < 3; d++ {
-			v[d] /= m
-		}
-	}
-	return v
-}
-
 // Wrap maps a coordinate into [0, 1) periodically.
 func Wrap(x float64) float64 {
 	x -= math.Floor(x)
@@ -143,19 +105,5 @@ func (s Set) Validate() error {
 func (s Set) Clone() Set {
 	out := make(Set, len(s))
 	copy(out, s)
-	return out
-}
-
-// SelectSphere returns the particles within comoving radius r (box units) of
-// center, using minimum-image distances. HaloMaker uses it to cut out the
-// Lagrangian region around a halo for re-simulation.
-func (s Set) SelectSphere(center [3]float64, r float64) Set {
-	var out Set
-	r2 := r * r
-	for i := range s {
-		if Dist2(s[i].Pos, center) <= r2 {
-			out = append(out, s[i])
-		}
-	}
 	return out
 }

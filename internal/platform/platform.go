@@ -184,13 +184,3 @@ func PaperDeployment() Deployment {
 		},
 	}
 }
-
-// SiteOfSeD returns the site hosting the named SeD.
-func (d Deployment) SiteOfSeD(name string) (string, error) {
-	for _, s := range d.SeDs {
-		if s.Name == name {
-			return s.Site, nil
-		}
-	}
-	return "", fmt.Errorf("platform: no SeD %q in deployment", name)
-}

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -153,4 +154,14 @@ func TestCPUTable(t *testing.T) {
 	if Opteron275.GFlops <= Opteron252.GFlops {
 		t.Error("Opteron 275 (dual core) should lead the table")
 	}
+}
+
+// SiteOfSeD returns the site hosting the named SeD.
+func (d Deployment) SiteOfSeD(name string) (string, error) {
+	for _, s := range d.SeDs {
+		if s.Name == name {
+			return s.Site, nil
+		}
+	}
+	return "", fmt.Errorf("platform: no SeD %q in deployment", name)
 }

@@ -107,9 +107,6 @@ func ParseNamelistFile(path string) (*Namelist, error) {
 	return ParseNamelist(f)
 }
 
-// Groups returns the group names in file order.
-func (nl *Namelist) Groups() []string { return append([]string(nil), nl.order...) }
-
 // Has reports whether group/key exists.
 func (nl *Namelist) Has(group, key string) bool {
 	g, ok := nl.groups[strings.ToLower(group)]
@@ -182,21 +179,6 @@ func (nl *Namelist) Floats(group, key string) ([]float64, error) {
 		out[i] = f
 	}
 	return out, nil
-}
-
-// Bool returns a scalar logical value (.true./.false., t/f, true/false).
-func (nl *Namelist) Bool(group, key string) (bool, error) {
-	s, err := nl.String(group, key)
-	if err != nil {
-		return false, err
-	}
-	switch strings.ToLower(strings.Trim(s, ".")) {
-	case "true", "t":
-		return true, nil
-	case "false", "f":
-		return false, nil
-	}
-	return false, fmt.Errorf("ramses: %s/%s: invalid logical %q", group, key, s)
 }
 
 // Set stores a value list, creating the group if needed. Used by writers.

@@ -1,6 +1,7 @@
 package ramses
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -214,4 +215,22 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%s: expected validation error", name)
 		}
 	}
+}
+
+// Groups returns the group names in file order.
+func (nl *Namelist) Groups() []string { return append([]string(nil), nl.order...) }
+
+// Bool returns a scalar logical value (.true./.false., t/f, true/false).
+func (nl *Namelist) Bool(group, key string) (bool, error) {
+	s, err := nl.String(group, key)
+	if err != nil {
+		return false, err
+	}
+	switch strings.ToLower(strings.Trim(s, ".")) {
+	case "true", "t":
+		return true, nil
+	case "false", "f":
+		return false, nil
+	}
+	return false, fmt.Errorf("ramses: %s/%s: invalid logical %q", group, key, s)
 }

@@ -72,15 +72,20 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("ramses: snapshot header has %d fields, want 3", len(head))
 	}
 	s := &Snapshot{A: head[0], Box: head[1]}
-	n := int(head[2])
-	if n < 0 {
-		return nil, fmt.Errorf("ramses: negative particle count %d", n)
-	}
-	s.Parts = make(particles.Set, n)
+	// The header's count sizes nothing: the set is made once the first
+	// position block, which holds only bytes actually read, agrees with it.
+	var n int
 	for d := 0; d < 3; d++ {
 		col, err := fr.ReadFloat64s()
 		if err != nil {
 			return nil, fmt.Errorf("ramses: reading position block %d: %w", d, err)
+		}
+		if d == 0 {
+			if float64(len(col)) != head[2] {
+				return nil, fmt.Errorf("ramses: position block 0 has %d entries, header counts %g", len(col), head[2])
+			}
+			n = len(col)
+			s.Parts = make(particles.Set, n)
 		}
 		if len(col) != n {
 			return nil, fmt.Errorf("ramses: position block %d has %d entries, want %d", d, len(col), n)
@@ -154,14 +159,4 @@ func SaveSnapshot(dir string, i int, s *Snapshot) (string, error) {
 		return "", err
 	}
 	return path, f.Close()
-}
-
-// LoadSnapshot reads the snapshot at the canonical path for index i.
-func LoadSnapshot(dir string, i int) (*Snapshot, error) {
-	f, err := os.Open(SnapshotPath(dir, i))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadSnapshot(bufio.NewReader(f))
 }

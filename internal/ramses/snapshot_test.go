@@ -1,12 +1,16 @@
 package ramses
 
 import (
+	"bufio"
 	"bytes"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/fortranio"
 	"repro/internal/particles"
 )
 
@@ -95,10 +99,60 @@ func TestReadSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
+// A header whose particle count no block backs is refused before anything
+// is sized by it; a count of 1e18 used to panic in makeslice.
+func TestReadSnapshotRefusesUnbackedCount(t *testing.T) {
+	for _, count := range []float64{1e18, 1e15, -1, math.NaN(), 3} {
+		var buf bytes.Buffer
+		fw := fortranio.NewWriter(&buf)
+		fw.WriteFloat64s([]float64{1, 100, count})
+		fw.WriteFloat64s([]float64{0.5})
+		if _, err := ReadSnapshot(&buf); err == nil {
+			t.Errorf("header count %g with a 1-entry position block was accepted", count)
+		}
+	}
+}
+
+// FuzzReadSnapshot feeds ReadSnapshot arbitrary bytes, seeded with a written
+// snapshot: it may refuse them, but must not panic, and what it accepts must
+// write back and read again with as many particles.
+func FuzzReadSnapshot(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, randomSnapshot(4, 2)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteSnapshot(&out, s); err != nil {
+			t.Fatalf("accepted snapshot does not write back: %v", err)
+		}
+		again, err := ReadSnapshot(&out)
+		if err != nil || len(again.Parts) != len(s.Parts) {
+			t.Fatalf("written snapshot reads back as %v, %v", again, err)
+		}
+	})
+}
+
 func TestSnapshotPath(t *testing.T) {
 	p := SnapshotPath("/work", 12)
 	want := filepath.Join("/work", "output_00012", "part.dat")
 	if p != want {
 		t.Errorf("SnapshotPath = %q, want %q", p, want)
 	}
+}
+
+// LoadSnapshot reads the snapshot at the canonical path for index i.
+func LoadSnapshot(dir string, i int) (*Snapshot, error) {
+	f, err := os.Open(SnapshotPath(dir, i))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadSnapshot(bufio.NewReader(f))
 }

@@ -182,31 +182,3 @@ func (p *Phase2Result) writeTarball(path string, writeCatalog func(io.Writer, *h
 	}
 	return f.Close()
 }
-
-// ReadTarballIndex lists the file names inside a phase-2 tarball; the client
-// uses it to check the returned archive really contains results.
-func ReadTarballIndex(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	gz, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	defer gz.Close()
-	tr := tar.NewReader(gz)
-	var names []string
-	for {
-		hdr, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		names = append(names, hdr.Name)
-	}
-	return names, nil
-}

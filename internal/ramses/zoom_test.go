@@ -1,6 +1,8 @@
 package ramses
 
 import (
+	"archive/tar"
+	"compress/gzip"
 	"errors"
 	"io"
 	"os"
@@ -165,4 +167,32 @@ func TestWriteTarballFailureClosesAndRemoves(t *testing.T) {
 	if names, err := ReadTarballIndex(path); err != nil || len(names) == 0 {
 		t.Errorf("tarball after recovery: names %v, error %v", names, err)
 	}
+}
+
+// ReadTarballIndex lists the file names inside a phase-2 tarball; the client
+// uses it to check the returned archive really contains results.
+func ReadTarballIndex(path string) ([]string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	gz, err := gzip.NewReader(f)
+	if err != nil {
+		return nil, err
+	}
+	defer gz.Close()
+	tr := tar.NewReader(gz)
+	var names []string
+	for {
+		hdr, err := tr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		names = append(names, hdr.Name)
+	}
+	return names, nil
 }

@@ -176,16 +176,13 @@ func Decode(data []byte, v any) error {
 var ErrBody = errors.New("rpc: malformed body")
 
 // Reader consumes a WireBody encoding. The first failure sticks: every later
-// read returns a zero value, so a ReadWire runs straight through and the
-// caller checks Err once. No read allocates more than a constant multiple of
+// read returns a zero value, so a ReadWire runs straight through and Decode
+// checks the failure once. No read allocates more than a constant multiple of
 // the bytes still unread.
 type Reader struct {
 	rest []byte
 	err  error
 }
-
-// Err is the first failure met, nil if none.
-func (r *Reader) Err() error { return r.err }
 
 // Fail records a failure found by the caller (a field read fine but does not
 // make sense); it keeps an earlier one.

@@ -173,14 +173,14 @@ func TestReaderRefusesMaxUint32Count(t *testing.T) {
 }
 
 func TestReaderScalars(t *testing.T) {
-	w := Writer{}.Int(-1).Int(math.MinInt64).Float64(math.Inf(-1))
+	w := Writer{}.Int(-1).Int(math.MinInt).Float64(math.Inf(-1))
 	w = w.Float64(math.Float64frombits(0x7ff8dead0000beef)) // a NaN with a payload
 	w = w.Bool(true).Bool(false).Text("zoé")
 	r := Reader{rest: w.head}
 	if v := r.Int(); v != -1 {
 		t.Errorf("Int = %d", v)
 	}
-	if v := r.Int(); v != math.MinInt64 {
+	if v := r.Int(); v != math.MinInt {
 		t.Errorf("Int = %d", v)
 	}
 	if v := r.Float64(); !math.IsInf(v, -1) {
@@ -209,3 +209,6 @@ func TestReaderScalars(t *testing.T) {
 		t.Errorf("reads after a failure: err %v, want the first one kept", r.Err())
 	}
 }
+
+// Err is the first failure met, nil if none.
+func (r *Reader) Err() error { return r.err }

@@ -92,13 +92,6 @@ func (s *Server) register(object string, h handler) {
 	s.objects[object] = h
 }
 
-// Unregister removes an object.
-func (s *Server) Unregister(object string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.objects, object)
-}
-
 // dispatch runs a call against the registered handler and returns the
 // response status and payload (see replyOf).
 func (s *Server) dispatch(object, method string, body []byte) (byte, segments) {

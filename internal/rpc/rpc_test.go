@@ -214,3 +214,10 @@ func TestNilInOut(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Unregister removes an object.
+func (s *Server) Unregister(object string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.objects, object)
+}

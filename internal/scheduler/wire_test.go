@@ -18,7 +18,7 @@ func TestEstimateWireRoundTrip(t *testing.T) {
 		FreeMemMB:          math.Inf(-1),
 		ForecastConfidence: math.Float64frombits(0x7ff8000000000abc),
 		PendingWorkSeconds: math.Copysign(0, -1),
-		Running:            math.MinInt64,
+		Running:            math.MinInt,
 	}
 	for _, e := range []Estimate{{}, filled, odd} {
 		wire := wiretest.RoundTrip(t, &e, &Estimate{})

@@ -1115,21 +1115,3 @@ func (r *ExperimentResult) MeanFindingMS() float64 {
 
 // MakespanHours returns the campaign makespan in hours.
 func (r *ExperimentResult) MakespanHours() float64 { return r.TotalS / 3600 }
-
-// RequestCounts returns the per-SeD request counts keyed by SeD name.
-func (r *ExperimentResult) RequestCounts() map[string]int {
-	out := make(map[string]int, len(r.PerSeD))
-	for _, s := range r.PerSeD {
-		out[s.Name] = len(s.Requests)
-	}
-	return out
-}
-
-// BusyHoursBySeD returns per-SeD total execution hours keyed by name.
-func (r *ExperimentResult) BusyHoursBySeD() map[string]float64 {
-	out := make(map[string]float64, len(r.PerSeD))
-	for _, s := range r.PerSeD {
-		out[s.Name] = s.BusyHours
-	}
-	return out
-}

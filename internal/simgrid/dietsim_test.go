@@ -288,8 +288,8 @@ func TestCampaignSpansMirrorLiveTaxonomy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bus.Dropped() != 0 {
-		t.Fatalf("bus dropped %d spans; widen the test buffer", bus.Dropped())
+	if dropped := bus.Stats().Dropped; dropped != 0 {
+		t.Fatalf("bus dropped %d spans; widen the test buffer", dropped)
 	}
 	groups := logsvc.SpansByRequest(bus.History())
 	if len(groups) != cfg.NRequests+1 { // the phase-1 zoom plus every phase-2 request
@@ -332,4 +332,22 @@ func TestCampaignSpansMirrorLiveTaxonomy(t *testing.T) {
 	if len(back) == 0 {
 		t.Fatal("chrome trace round-trip lost all events")
 	}
+}
+
+// RequestCounts returns the per-SeD request counts keyed by SeD name.
+func (r *ExperimentResult) RequestCounts() map[string]int {
+	out := make(map[string]int, len(r.PerSeD))
+	for _, s := range r.PerSeD {
+		out[s.Name] = len(s.Requests)
+	}
+	return out
+}
+
+// BusyHoursBySeD returns per-SeD total execution hours keyed by name.
+func (r *ExperimentResult) BusyHoursBySeD() map[string]float64 {
+	out := make(map[string]float64, len(r.PerSeD))
+	for _, s := range r.PerSeD {
+		out[s.Name] = s.BusyHours
+	}
+	return out
 }

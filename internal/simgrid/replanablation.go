@@ -101,20 +101,6 @@ func (r ReplanAblationResult) RecoveryPct() float64 {
 	return 100 * (r.Static.TotalS - r.Live.TotalS) / offline
 }
 
-// Migrations flattens the live arm's migration events: SeD name → virtual
-// time of its move.
-func (r ReplanAblationResult) Migrations() map[string]float64 {
-	out := make(map[string]float64)
-	for _, ev := range r.Live.Replans {
-		for _, sed := range ev.Moved {
-			if _, dup := out[sed]; !dup {
-				out[sed] = ev.AtS
-			}
-		}
-	}
-	return out
-}
-
 // FirstPostMoveForecastTrusted reports whether every migrated SeD both kept
 // a trusted model through its move (the snapshot round-trip) and had its
 // first post-move dispatch predicted by that model rather than the

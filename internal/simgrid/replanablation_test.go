@@ -170,3 +170,17 @@ func TestDriftChangesTrueSpeedOnly(t *testing.T) {
 		t.Fatal("drift never slowed a Lille1 solve")
 	}
 }
+
+// Migrations flattens the live arm's migration events: SeD name → virtual
+// time of its move.
+func (r ReplanAblationResult) Migrations() map[string]float64 {
+	out := make(map[string]float64)
+	for _, ev := range r.Live.Replans {
+		for _, sed := range ev.Moved {
+			if _, dup := out[sed]; !dup {
+				out[sed] = ev.AtS
+			}
+		}
+	}
+	return out
+}

@@ -73,7 +73,6 @@ type Sim struct {
 	lane  fifo[event] // sorted on before
 	now   float64
 	seq   int64
-	fired int
 }
 
 // NewSim returns an empty simulation at t=0.
@@ -81,9 +80,6 @@ func NewSim() *Sim { return &Sim{} }
 
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.now }
-
-// Fired returns the number of events processed so far.
-func (s *Sim) Fired() int { return s.fired }
 
 // At schedules fn at absolute virtual time t (>= Now). Beyond the growth of
 // the queue's backing array it allocates nothing.
@@ -166,7 +162,6 @@ func (s *Sim) pop() event {
 func (s *Sim) fire() {
 	e := s.pop()
 	s.now = e.time
-	s.fired++
 	e.fn()
 }
 
@@ -176,19 +171,6 @@ func (s *Sim) Run() int {
 	for s.Pending() > 0 {
 		s.fire()
 		n++
-	}
-	return n
-}
-
-// RunUntil processes events with time <= t, then sets the clock to t.
-func (s *Sim) RunUntil(t float64) int {
-	n := 0
-	for s.Pending() > 0 && s.peek().time <= t {
-		s.fire()
-		n++
-	}
-	if t > s.now {
-		s.now = t
 	}
 	return n
 }

@@ -140,9 +140,8 @@ func TestFiredCounter(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		s.At(float64(i), func() {})
 	}
-	s.Run()
-	if s.Fired() != 7 {
-		t.Errorf("Fired = %d", s.Fired())
+	if n := s.Run(); n != 7 {
+		t.Errorf("Run fired %d events, want 7", n)
 	}
 }
 
@@ -313,4 +312,17 @@ func TestFiredClosureIsReleased(t *testing.T) {
 	if live != s.Pending() {
 		t.Errorf("%d handlers still referenced by the queue, %d events pending", live, s.Pending())
 	}
+}
+
+// RunUntil processes events with time <= t, then sets the clock to t.
+func (s *Sim) RunUntil(t float64) int {
+	n := 0
+	for s.Pending() > 0 && s.peek().time <= t {
+		s.fire()
+		n++
+	}
+	if t > s.now {
+		s.now = t
+	}
+	return n
 }

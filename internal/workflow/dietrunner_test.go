@@ -123,11 +123,7 @@ func ramsesSpecs(t *testing.T, doc *Document) map[string]TaskSpec {
 				return p, nil
 			},
 			Consume: func(ctx *TaskContext, p *diet.Profile, info *diet.CallInfo) error {
-				out, err := p.StringArg(1)
-				if err != nil {
-					return err
-				}
-				ctx.SetOutput(out)
+				ctx.SetOutput(string(p.Args[1].Data))
 				return nil
 			},
 		}

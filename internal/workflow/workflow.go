@@ -34,15 +34,6 @@ type NodeDef struct {
 	Depends string `xml:"depends,attr,omitempty"` // space-separated ids
 }
 
-// ParseXML reads a workflow document.
-func ParseXML(r io.Reader) (*Document, error) {
-	var doc Document
-	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("workflow: parsing XML: %w", err)
-	}
-	return &doc, nil
-}
-
 // WriteXML emits the document with indentation.
 func (d *Document) WriteXML(w io.Writer) error {
 	enc := xml.NewEncoder(w)
@@ -165,15 +156,6 @@ func (d *DAG) cloneShallow() *DAG {
 		c.tasks[id] = &tc
 	}
 	return c
-}
-
-// Document renders the DAG back to its XML form.
-func (d *DAG) Document() *Document {
-	doc := &Document{Name: d.name}
-	for _, id := range d.order {
-		doc.Nodes = append(doc.Nodes, d.tasks[id].def)
-	}
-	return doc
 }
 
 // TopoOrder returns a deterministic topological order, or an error naming a
@@ -415,30 +397,6 @@ func (d *DAG) CriticalPathSeconds(price func(NodeDef) float64) (map[string]float
 		}
 	}
 	return cori.ChainPrices(seconds, dependents)
-}
-
-// CriticalPathLen returns the number of nodes on the longest dependency
-// chain, a cheap parallelism diagnostic.
-func (d *DAG) CriticalPathLen() (int, error) {
-	order, err := d.TopoOrder()
-	if err != nil {
-		return 0, err
-	}
-	depth := make(map[string]int, len(order))
-	longest := 0
-	for _, id := range order {
-		dd := 1
-		for _, dep := range d.tasks[id].deps {
-			if depth[dep]+1 > dd {
-				dd = depth[dep] + 1
-			}
-		}
-		depth[id] = dd
-		if dd > longest {
-			longest = dd
-		}
-	}
-	return longest, nil
 }
 
 // Size returns the number of nodes.

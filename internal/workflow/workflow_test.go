@@ -1,8 +1,10 @@
 package workflow
 
 import (
+	"encoding/xml"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -482,4 +484,46 @@ func TestExecutePrioritizedOrdersReadySet(t *testing.T) {
 	if want := "c,a,b,d"; strings.Join(got, ",") != want {
 		t.Fatalf("launch order %v, want %s", got, want)
 	}
+}
+
+// ParseXML reads a workflow document.
+func ParseXML(r io.Reader) (*Document, error) {
+	var doc Document
+	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
+		return nil, fmt.Errorf("workflow: parsing XML: %w", err)
+	}
+	return &doc, nil
+}
+
+// Document renders the DAG back to its XML form.
+func (d *DAG) Document() *Document {
+	doc := &Document{Name: d.name}
+	for _, id := range d.order {
+		doc.Nodes = append(doc.Nodes, d.tasks[id].def)
+	}
+	return doc
+}
+
+// CriticalPathLen returns the number of nodes on the longest dependency
+// chain, a cheap parallelism diagnostic.
+func (d *DAG) CriticalPathLen() (int, error) {
+	order, err := d.TopoOrder()
+	if err != nil {
+		return 0, err
+	}
+	depth := make(map[string]int, len(order))
+	longest := 0
+	for _, id := range order {
+		dd := 1
+		for _, dep := range d.tasks[id].deps {
+			if depth[dep]+1 > dd {
+				dd = depth[dep] + 1
+			}
+		}
+		depth[id] = dd
+		if dd > longest {
+			longest = dd
+		}
+	}
+	return longest, nil
 }
