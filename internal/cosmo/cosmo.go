@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Params describes a flat-ish FLRW cosmology plus the primordial spectrum.
@@ -22,27 +23,55 @@ type Params struct {
 	Sigma8 float64 // rms linear fluctuation in 8 Mpc/h spheres at z=0
 	Ns     float64 // primordial spectral index
 
-	// Constants derived from the fields above, each computed on first use and
-	// published as its float64 bits through sync/atomic (0 = not computed
-	// yet). Goroutines that find one missing all derive the same value, so
-	// their stores agree. These are plain words, not sync.Once or
-	// atomic.Uint64, because callers copy a Params to vary it
-	// (ramses.ConfigFromNamelist) and go vet's copylocks rejects copying
-	// either. The exported fields must not change once a method has run.
-	ampl    uint64 // P(k) amplitude fixed by Sigma8
-	gamma   uint64 // shape parameter of the transfer function
-	growth1 uint64 // unnormalised growth factor today
+	// own points at the derived constants this Params last used, read and
+	// written through sync/atomic (nil = none yet). They are used only while
+	// their key still equals the fields above, so a copy that changes a field
+	// derives its own. It is an unsafe.Pointer, not an atomic.Pointer,
+	// because callers copy a Params to vary it (ramses.ConfigFromNamelist)
+	// and go vet's copylocks rejects copying an atomic.Pointer.
+	own unsafe.Pointer // *derived
 }
 
-// constant returns the derived constant held in word, which must be one of
-// p's, deriving and publishing it on first use.
-func (p *Params) constant(word *uint64, derive func(*Params) float64) float64 {
-	if bits := atomic.LoadUint64(word); bits != 0 {
-		return math.Float64frombits(bits)
+// derived holds the constants that are pure functions of a Params' six
+// fields. A value is immutable once published.
+type derived struct {
+	key     [6]uint64 // the float64 bits of the fields, in declaration order
+	ampl    float64   // P(k) amplitude fixed by Sigma8
+	gamma   float64   // shape parameter of the transfer function
+	growth1 float64   // unnormalised growth factor today
+}
+
+// last holds the constants of the cosmology derived last in the process, so
+// a fresh Params with the same fields, one per service request, reuses them
+// instead of running the σ8 integral again.
+var last atomic.Pointer[derived]
+
+func (p *Params) key() [6]uint64 {
+	return [6]uint64{
+		math.Float64bits(p.OmegaM), math.Float64bits(p.OmegaL), math.Float64bits(p.OmegaB),
+		math.Float64bits(p.H), math.Float64bits(p.Sigma8), math.Float64bits(p.Ns),
 	}
-	v := derive(p)
-	atomic.StoreUint64(word, math.Float64bits(v))
-	return v
+}
+
+// constants returns the derived constants of p's current fields: p's own if
+// its fields have not changed since, else the process's last ones if they
+// match, else new ones, derived and published in both places. Goroutines
+// that find them missing may all derive them; the values agree to the bit.
+func (p *Params) constants() *derived {
+	k := p.key()
+	if d := (*derived)(atomic.LoadPointer(&p.own)); d != nil && d.key == k {
+		return d
+	}
+	d := last.Load()
+	if d == nil || d.key != k {
+		d = &derived{key: k, growth1: p.growthUnnormalised(1)}
+		d.gamma = p.OmegaM * p.H * math.Exp(-p.OmegaB*(1+math.Sqrt(2*p.H)/p.OmegaM))
+		s8 := p.sigma(8, 1, d.gamma)
+		d.ampl = (p.Sigma8 / s8) * (p.Sigma8 / s8)
+		last.Store(d)
+	}
+	atomic.StorePointer(&p.own, unsafe.Pointer(d))
+	return d
 }
 
 // WMAP3 returns the WMAP 3-year parameters, the data the paper's GRAFIC
@@ -102,8 +131,7 @@ func (p *Params) GrowthFactor(a float64) float64 {
 	if a <= 0 {
 		return 0
 	}
-	growth1 := p.constant(&p.growth1, func(p *Params) float64 { return p.growthUnnormalised(1) })
-	return p.growthUnnormalised(a) / growth1
+	return p.growthUnnormalised(a) / p.constants().growth1
 }
 
 func (p *Params) growthUnnormalised(a float64) float64 {
@@ -123,19 +151,17 @@ func (p *Params) GrowthRate(a float64) float64 {
 	return math.Pow(p.OmegaMAt(a), 0.55)
 }
 
-// Transfer returns the BBKS (Bardeen et al. 1986) CDM transfer function at
-// wavenumber k in h/Mpc, with the Sugiyama (1995) baryon shape correction —
-// the fitting form GRAFIC-era codes used.
-func (p *Params) Transfer(k float64) float64 {
-	if k <= 0 {
-		return 1
-	}
-	gamma := p.constant(&p.gamma, func(p *Params) float64 {
-		return p.OmegaM * p.H * math.Exp(-p.OmegaB*(1+math.Sqrt(2*p.H)/p.OmegaM))
-	})
+// transfer returns the BBKS (Bardeen et al. 1986) CDM transfer function at
+// wavenumber k > 0 in h/Mpc, with the Sugiyama (1995) baryon shape
+// correction — the fitting form GRAFIC-era codes used — for the shape
+// parameter gamma. The integer powers are the products math.Pow forms by
+// repeated squaring, and the conversions keep the sum from fusing a product
+// into it, so each term rounds as math.Pow's did.
+func transfer(k, gamma float64) float64 {
 	q := k / gamma
 	t := math.Log(1+2.34*q) / (2.34 * q)
-	poly := 1 + 3.89*q + math.Pow(16.1*q, 2) + math.Pow(5.46*q, 3) + math.Pow(6.71*q, 4)
+	a, b, c := 16.1*q, 5.46*q, 6.71*q
+	poly := 1 + 3.89*q + float64(a*a) + float64(b*(b*b)) + float64((c*c)*(c*c))
 	return t * math.Pow(poly, -0.25)
 }
 
@@ -145,20 +171,14 @@ func (p *Params) Power(k float64) float64 {
 	if k <= 0 {
 		return 0
 	}
-	t := p.Transfer(k)
-	return p.amplitude() * math.Pow(k, p.Ns) * t * t
+	d := p.constants()
+	t := transfer(k, d.gamma)
+	return d.ampl * math.Pow(k, p.Ns) * t * t
 }
 
-// amplitude returns the P(k) amplitude that makes Sigma(8) equal Sigma8.
-func (p *Params) amplitude() float64 {
-	return p.constant(&p.ampl, func(p *Params) float64 {
-		s8 := p.sigma(8, 1)
-		return (p.Sigma8 / s8) * (p.Sigma8 / s8)
-	})
-}
-
-// sigma is Sigma for a spectrum of amplitude ampl.
-func (p *Params) sigma(r, ampl float64) float64 {
+// sigma is Sigma for a spectrum of amplitude ampl and transfer-function
+// shape gamma.
+func (p *Params) sigma(r, ampl, gamma float64) float64 {
 	integrand := func(lnk float64) float64 {
 		k := math.Exp(lnk)
 		x := k * r
@@ -168,7 +188,7 @@ func (p *Params) sigma(r, ampl float64) float64 {
 		} else {
 			w = 3 * (math.Sin(x) - x*math.Cos(x)) / (x * x * x)
 		}
-		t := p.Transfer(k)
+		t := transfer(k, gamma)
 		pk := ampl * (math.Pow(k, p.Ns) * t * t)
 		return k * k * k * pk * w * w // extra k from d(lnk) measure
 	}

@@ -259,10 +259,22 @@ func (p *Params) PowerAt(k, a float64) float64 {
 	return d * d * p.Power(k)
 }
 
+// Transfer returns the transfer function at wavenumber k in h/Mpc, 1 at
+// k <= 0.
+func (p *Params) Transfer(k float64) float64 {
+	if k <= 0 {
+		return 1
+	}
+	return transfer(k, p.constants().gamma)
+}
+
 // Sigma returns the rms linear mass fluctuation in top-hat spheres of
 // comoving radius r (Mpc/h) at z = 0:
 // σ²(r) = 1/(2π²) ∫ k² P(k) W²(kr) dk, W(x) = 3(sin x − x cos x)/x³.
-func (p *Params) Sigma(r float64) float64 { return p.sigma(r, p.amplitude()) }
+func (p *Params) Sigma(r float64) float64 {
+	d := p.constants()
+	return p.sigma(r, d.ampl, d.gamma)
+}
 
 // ExpansionOfRedshift converts redshift z to expansion factor a = 1/(1+z).
 func ExpansionOfRedshift(z float64) float64 { return 1 / (1 + z) }

@@ -32,33 +32,54 @@ const readChunk = 1 << 20
 type Writer struct {
 	w   io.Writer
 	err error
+	buf []byte // each typed record is framed and encoded here, then written once
 }
 
 // NewWriter returns a Writer emitting records to w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-// WriteRecord writes one framed record holding the given payload.
-func (w *Writer) WriteRecord(payload []byte) error {
-	if w.err != nil {
-		return w.err
+// check reports the writer's first error, or records and returns one if a
+// record of n bytes is too long to frame.
+func (w *Writer) check(n int) error {
+	if w.err == nil && n > MaxRecordLen {
+		w.err = fmt.Errorf("fortranio: record of %d bytes exceeds maximum %d", n, MaxRecordLen)
 	}
-	if len(payload) > MaxRecordLen {
-		w.err = fmt.Errorf("fortranio: record of %d bytes exceeds maximum %d", len(payload), MaxRecordLen)
-		return w.err
+	return w.err
+}
+
+// record returns the payload of a record of n bytes in the writer's buffer,
+// between its two length markers; emit writes the framed record.
+func (w *Writer) record(n int) ([]byte, error) {
+	if err := w.check(n); err != nil {
+		return nil, err
+	}
+	w.buf = slices.Grow(w.buf[:0], n+8)[:n+8]
+	binary.LittleEndian.PutUint32(w.buf, uint32(n))
+	binary.LittleEndian.PutUint32(w.buf[4+n:], uint32(n))
+	return w.buf[4 : 4+n], nil
+}
+
+// emit writes the record last framed by record.
+func (w *Writer) emit() error {
+	if _, err := w.w.Write(w.buf); err != nil {
+		w.err = err
+	}
+	return w.err
+}
+
+// WriteRecord writes one framed record holding the given payload, written
+// from the caller's slice between its two markers, not copied.
+func (w *Writer) WriteRecord(payload []byte) error {
+	if err := w.check(len(payload)); err != nil {
+		return err
 	}
 	var marker [4]byte
 	binary.LittleEndian.PutUint32(marker[:], uint32(len(payload)))
-	if _, err := w.w.Write(marker[:]); err != nil {
-		w.err = err
-		return err
-	}
-	if _, err := w.w.Write(payload); err != nil {
-		w.err = err
-		return err
-	}
-	if _, err := w.w.Write(marker[:]); err != nil {
-		w.err = err
-		return err
+	for _, part := range [][]byte{marker[:], payload, marker[:]} {
+		if _, err := w.w.Write(part); err != nil {
+			w.err = err
+			return err
+		}
 	}
 	return nil
 }
@@ -66,28 +87,37 @@ func (w *Writer) WriteRecord(payload []byte) error {
 // WriteInt32 writes a record holding a single 32-bit integer, the most common
 // header record in GRAFIC/RAMSES files.
 func (w *Writer) WriteInt32(v int32) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], uint32(v))
-	return w.WriteRecord(buf[:])
+	dst, err := w.record(4)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(dst, uint32(v))
+	return w.emit()
 }
 
 // WriteFloat32s writes a record holding a slice of 32-bit floats. GRAFIC
 // stores density planes and particle data in single precision.
 func (w *Writer) WriteFloat32s(vs []float32) error {
-	buf := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+	dst, err := w.record(4 * len(vs))
+	if err != nil {
+		return err
 	}
-	return w.WriteRecord(buf)
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	}
+	return w.emit()
 }
 
 // WriteFloat64s writes a record holding a slice of 64-bit floats.
 func (w *Writer) WriteFloat64s(vs []float64) error {
-	buf := make([]byte, 8*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+	dst, err := w.record(8 * len(vs))
+	if err != nil {
+		return err
 	}
-	return w.WriteRecord(buf)
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
+	return w.emit()
 }
 
 // Reader consumes Fortran unformatted sequential records from an io.Reader.

@@ -319,3 +319,24 @@ func (r *Reader) SkipRecord() (int, error) {
 	}
 	return len(p), nil
 }
+
+func TestWriteFloat64sReusesItsBuffer(t *testing.T) {
+	// Every record is encoded through the writer's one buffer: once it has
+	// grown to the largest record, writing another allocates nothing.
+	w := NewWriter(io.Discard)
+	big, small := make([]float64, 4096), []float64{1, 2, 3}
+	if err := w.WriteFloat64s(big); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := w.WriteFloat64s(big); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteFloat64s(small); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("two WriteFloat64s records made %.0f allocations, want 0", allocs)
+	}
+}

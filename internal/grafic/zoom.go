@@ -102,8 +102,7 @@ func (g *Generator) MultiLevel(n int, topBox, astart float64, center [3]float64,
 			skip = func(q [3]float64) bool { return inBox(q, next.Origin, nextFrac) }
 		}
 		frac := math.Pow(0.5, float64(l))
-		lvlParts := g.levelParticles(psi, n, topBox, astart, levels[l].Origin, frac, int64(l)<<40, skip)
-		all = append(all, lvlParts...)
+		all = g.levelParticles(all, psi, n, topBox, astart, levels[l].Origin, frac, int64(l)<<40, skip)
 	}
 	all.WrapAll()
 
@@ -113,13 +112,13 @@ func (g *Generator) MultiLevel(n int, topBox, astart float64, center [3]float64,
 	return ics, nil
 }
 
-// levelParticles lays particles on one level's grid (skipping masked cells)
-// and applies the Zel'dovich displacement and linear velocities.
-func (g *Generator) levelParticles(psi [3]*fft.Grid3, n int, topBox, astart float64, origin [3]float64, frac float64, idBase int64, skip func([3]float64) bool) particles.Set {
+// levelParticles lays particles on one level's grid (skipping masked cells),
+// applies the Zel'dovich displacement and linear velocities, and appends
+// them to parts.
+func (g *Generator) levelParticles(parts particles.Set, psi [3]*fft.Grid3, n int, topBox, astart float64, origin [3]float64, frac float64, idBase int64, skip func([3]float64) bool) particles.Set {
 	velFactor := astart * 100 * g.Cosmo.E(astart) * g.Cosmo.GrowthRate(astart)
 	boxSize := topBox * frac
 	mass := g.Cosmo.ParticleMass(boxSize, n)
-	parts := make(particles.Set, 0, n*n*n)
 	dxBox := frac / float64(n)
 	for iz := 0; iz < n; iz++ {
 		for iy := 0; iy < n; iy++ {

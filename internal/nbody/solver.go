@@ -133,27 +133,36 @@ type cicStencil struct {
 
 // at sets st to the stencil of pos (unit box) on an n³ mesh.
 func (st *cicStencil) at(n int, pos [3]float64) {
-	var lo, hi [3]int
+	// off[d] holds the offsets of the two cells along axis d in the flat
+	// mesh, whose index (iz*n+iy)*n+ix is iz·n² + iy·n + ix.
+	var off [3][2]int
+	stride := 1
 	for d := 0; d < 3; d++ {
+		// u is in [−0.5, n−0.5), so its floor, the truncation corrected by
+		// one where that rounded up, is in [−1, n−1]; u is never −0.
 		u := particles.Wrap(pos[d])*float64(n) - 0.5
-		base := math.Floor(u)
-		f := u - base
+		lo := int(u)
+		if float64(lo) > u {
+			lo--
+		}
+		f := u - float64(lo)
 		st.w[d] = [2]float64{1 - f, f}
-		lo[d] = wrapIndex(int(base), n)
-		hi[d] = wrapIndex(int(base)+1, n)
+		hi := lo + 1
+		if lo < 0 {
+			lo += n
+		}
+		if hi == n {
+			hi = 0
+		}
+		off[d] = [2]int{lo * stride, hi * stride}
+		stride *= n
 	}
-	for c := range st.cell {
-		ix, iy, iz := lo[0], lo[1], lo[2]
-		if c&1 != 0 {
-			ix = hi[0]
-		}
-		if c&2 != 0 {
-			iy = hi[1]
-		}
-		if c&4 != 0 {
-			iz = hi[2]
-		}
-		st.cell[c] = int32((iz*n+iy)*n + ix)
+	x0, x1 := off[0][0], off[0][1]
+	y0, y1 := off[1][0], off[1][1]
+	z0, z1 := off[2][0], off[2][1]
+	st.cell = [8]int32{
+		int32(z0 + y0 + x0), int32(z0 + y0 + x1), int32(z0 + y1 + x0), int32(z0 + y1 + x1),
+		int32(z1 + y0 + x0), int32(z1 + y0 + x1), int32(z1 + y1 + x0), int32(z1 + y1 + x1),
 	}
 }
 
@@ -170,11 +179,23 @@ func wrapIndex(i, n int) int {
 	return i
 }
 
-// deposit adds mass m to grid with the stencil's weights.
+// deposit adds mass m to grid with the stencil's weights, corner by corner
+// in cell order. Each corner's term m·w_x·w_y·w_z is associated left to
+// right as written, with m·w_x formed once per x weight and (m·w_x)·w_y once
+// per xy pair.
 func (st *cicStencil) deposit(grid []float64, m float64) {
-	for c, cell := range st.cell {
-		grid[cell] += m * st.w[0][c&1] * st.w[1][c>>1&1] * st.w[2][c>>2]
-	}
+	wy, wz := &st.w[1], &st.w[2]
+	mx0, mx1 := m*st.w[0][0], m*st.w[0][1]
+	m00, m10, m01, m11 := mx0*wy[0], mx1*wy[0], mx0*wy[1], mx1*wy[1]
+	c := &st.cell
+	grid[c[0]] += m00 * wz[0]
+	grid[c[1]] += m10 * wz[0]
+	grid[c[2]] += m01 * wz[0]
+	grid[c[3]] += m11 * wz[0]
+	grid[c[4]] += m00 * wz[1]
+	grid[c[5]] += m10 * wz[1]
+	grid[c[6]] += m01 * wz[1]
+	grid[c[7]] += m11 * wz[1]
 }
 
 // depositCIC adds mass m at position pos (unit box) to grid with CIC weights.
@@ -266,16 +287,27 @@ func (s *Solver) Solve(delta []float64, a float64) error {
 }
 
 // accelFrom gathers the three acceleration components at a stencil in one
-// pass over its cells; each component sums its terms in the order of a
-// single-grid CIC gather (cicStencil.gather in stencil_test.go).
+// pass over its cells; each component sums its terms value·wx·wy·wz in the
+// order of a single-grid CIC gather (cicStencil.gather in stencil_test.go).
 func (s *Solver) accelFrom(st *cicStencil) (g [3]float64) {
 	ax, ay, az := s.acc[0], s.acc[1], s.acc[2]
-	for c, cell := range st.cell {
-		wx, wy, wz := st.w[0][c&1], st.w[1][c>>1&1], st.w[2][c>>2]
+	corner := func(cell int32, wx, wy, wz float64) {
 		g[0] += ax[cell] * wx * wy * wz
 		g[1] += ay[cell] * wx * wy * wz
 		g[2] += az[cell] * wx * wy * wz
 	}
+	x0, x1 := st.w[0][0], st.w[0][1]
+	y0, y1 := st.w[1][0], st.w[1][1]
+	z0, z1 := st.w[2][0], st.w[2][1]
+	c := &st.cell
+	corner(c[0], x0, y0, z0)
+	corner(c[1], x1, y0, z0)
+	corner(c[2], x0, y1, z0)
+	corner(c[3], x1, y1, z0)
+	corner(c[4], x0, y0, z1)
+	corner(c[5], x1, y0, z1)
+	corner(c[6], x0, y1, z1)
+	corner(c[7], x1, y1, z1)
 	return g
 }
 

@@ -33,8 +33,13 @@ func (s Set) TotalMass() float64 {
 	return m
 }
 
-// Wrap maps a coordinate into [0, 1) periodically.
+// Wrap maps a coordinate into [0, 1) periodically. A coordinate strictly
+// inside the box is returned as it is, which is what subtracting its floor
+// gives; zero takes the general path, which turns −0 into +0.
 func Wrap(x float64) float64 {
+	if 0 < x && x < 1 {
+		return x
+	}
 	x -= math.Floor(x)
 	if x >= 1 { // guard against -1e-18 flooring to -0 then 1.0
 		x = 0

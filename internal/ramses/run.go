@@ -141,15 +141,23 @@ func Run(cfg Config, dir string) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ramses: generating initial conditions: %w", err)
 	}
-	return RunFromICs(cfg, ics.Parts, dir)
+	return evolve(cfg, ics.Parts, dir)
 }
 
 // RunFromICs runs the time integration from an existing particle set (e.g.
 // initial conditions generated separately, as in the Figure 4 workflow).
+// The caller's set is left as it was.
 func RunFromICs(cfg Config, parts particles.Set, dir string) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return evolve(cfg, parts.Clone(), dir)
+}
+
+// evolve is RunFromICs on a validated cfg and a set it may consume: the
+// integration moves its particles, and the last output's snapshot is the set
+// itself, sorted by ID.
+func evolve(cfg Config, current particles.Set, dir string) (*Result, error) {
 	res := &Result{Config: cfg, Dir: dir}
 	nb := nbody.Params{Ng: cfg.mesh(), Box: cfg.Box, Cosmo: cfg.Cosmo}
 
@@ -162,7 +170,6 @@ func RunFromICs(cfg Config, parts particles.Set, dir string) (*Result, error) {
 		}
 	}
 
-	current := parts.Clone()
 	a := cfg.Astart
 	for i, aout := range cfg.Aout {
 		if cfg.NCPU <= 1 {
@@ -177,7 +184,12 @@ func RunFromICs(cfg Config, parts particles.Set, dir string) (*Result, error) {
 			current = evolved
 		}
 		a = aout
-		snap := &Snapshot{A: aout, Box: cfg.Box, Parts: current.Clone()}
+		// Sorting reorders the set, so every output but the last sorts a
+		// copy: the integration goes on in the order it started with.
+		snap := &Snapshot{A: aout, Box: cfg.Box, Parts: current}
+		if i < len(cfg.Aout)-1 {
+			snap.Parts = current.Clone()
+		}
 		snap.Parts.SortByID()
 		tree, err := amr.Build(snap.Parts, cfg.AMR)
 		if err != nil {

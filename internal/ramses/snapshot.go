@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -51,14 +52,12 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	if err := fw.WriteFloat64s(buf); err != nil {
 		return err
 	}
-	ids := make([]byte, 8*n)
+	// The ID block is each ID's eight little-endian bytes, which is what
+	// writing its bits as a float64 record produces.
 	for i := range s.Parts {
-		id := uint64(s.Parts[i].ID)
-		for b := 0; b < 8; b++ {
-			ids[8*i+b] = byte(id >> (8 * b))
-		}
+		buf[i] = math.Float64frombits(uint64(s.Parts[i].ID))
 	}
-	return fw.WriteRecord(ids)
+	return fw.WriteFloat64s(buf)
 }
 
 // ReadSnapshot reads a snapshot written by WriteSnapshot.

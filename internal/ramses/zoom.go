@@ -50,13 +50,15 @@ func Phase1(cfg Config, dir string) (*Phase1Result, error) {
 
 // Phase2Result is everything a zoom re-simulation produces: the run itself,
 // the per-snapshot halo catalogs, the merger forest, the galaxy catalog and
-// (when a directory was given) the results tarball the DIET service returns.
+// (when a directory was given) the results tarball the DIET service returns,
+// both its bytes and the file they were written to.
 type Phase2Result struct {
 	Run      *Result
 	Catalogs []*halo.Catalog
 	Forest   *mergertree.Forest
 	Galaxies *galics.Catalog
 	TarPath  string
+	Tarball  []byte
 }
 
 // Phase2 re-simulates the region around `center` with nLevels nested boxes
@@ -102,39 +104,24 @@ func Phase2(cfg Config, center [3]float64, nLevels int, dir string) (*Phase2Resu
 	out := &Phase2Result{Run: res, Catalogs: cats, Forest: forest, Galaxies: gals}
 	if dir != "" {
 		tarPath := filepath.Join(dir, "results.tar.gz")
-		if err := out.WriteTarball(tarPath); err != nil {
+		tarball, err := out.writeTarball(tarPath, halo.WriteCatalog)
+		if err != nil {
 			return nil, err
 		}
-		out.TarPath = tarPath
+		out.TarPath, out.Tarball = tarPath, tarball
 	}
 	return out, nil
 }
 
-// WriteTarball packs the phase-2 products the way the paper's service does
+// writeTarball packs the phase-2 products the way the paper's service does
 // ("the results of the simulation are packed into a tarball file"): the halo
-// catalogs, a merger-tree summary and the galaxy catalog.
-func (p *Phase2Result) WriteTarball(path string) error {
-	return p.writeTarball(path, halo.WriteCatalog)
-}
-
-// writeTarball is WriteTarball with the catalogue encoder as a parameter, so
-// a test can make packing fail part-way. A failure after the file exists
-// closes it and removes the partial archive.
-func (p *Phase2Result) writeTarball(path string, writeCatalog func(io.Writer, *halo.Catalog) error) (err error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close() // already failing; a second Close after a failed one is harmless
-			os.Remove(path)
-		}
-	}()
-	gz := gzip.NewWriter(f)
+// catalogs, a merger-tree summary and the galaxy catalog, each catalogue
+// encoded by writeCatalog. The archive is built in memory and written to path
+// once complete, so a failure while packing leaves no file behind; its bytes
+// are returned.
+func (p *Phase2Result) writeTarball(path string, writeCatalog func(io.Writer, *halo.Catalog) error) ([]byte, error) {
+	var archive bytes.Buffer
+	gz := gzip.NewWriter(&archive)
 	tw := tar.NewWriter(gz)
 
 	addFile := func(name string, content []byte) error {
@@ -146,39 +133,47 @@ func (p *Phase2Result) writeTarball(path string, writeCatalog func(io.Writer, *h
 		return err
 	}
 
+	var buf bytes.Buffer
 	for i, cat := range p.Catalogs {
-		var buf bytes.Buffer
+		buf.Reset()
 		if err := writeCatalog(&buf, cat); err != nil {
-			return fmt.Errorf("ramses: packing catalog %d: %w", i, err)
+			return nil, fmt.Errorf("ramses: packing catalog %d: %w", i, err)
 		}
 		if err := addFile(fmt.Sprintf("halos_%03d.dat", i+1), buf.Bytes()); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
-	var tree bytes.Buffer
+	buf.Reset()
 	st := p.Forest.Stats()
-	fmt.Fprintf(&tree, "snapshots %d\nhalos %d\nlinks %d\nmergers %d\nmax_branch %d\nfinal_halos %d\n",
+	fmt.Fprintf(&buf, "snapshots %d\nhalos %d\nlinks %d\nmergers %d\nmax_branch %d\nfinal_halos %d\n",
 		st.Snapshots, st.Halos, st.Links, st.Mergers, st.MaxBranch, st.FinalHalos)
-	if err := addFile("mergertree.txt", tree.Bytes()); err != nil {
-		return err
+	if err := addFile("mergertree.txt", buf.Bytes()); err != nil {
+		return nil, err
 	}
 
-	var gal bytes.Buffer
-	fmt.Fprintf(&gal, "# halo_id stellar_mass cold_gas hot_gas sfr mergers bursts\n")
+	buf.Reset()
+	fmt.Fprintf(&buf, "# halo_id stellar_mass cold_gas hot_gas sfr mergers bursts\n")
 	for _, g := range p.Galaxies.Galaxies {
-		fmt.Fprintf(&gal, "%d %.6e %.6e %.6e %.6e %d %d\n",
+		fmt.Fprintf(&buf, "%d %.6e %.6e %.6e %.6e %d %d\n",
 			g.HaloID, g.StellarMass, g.ColdGas, g.HotGas, g.SFR, g.Mergers, g.Bursts)
 	}
-	if err := addFile("galaxies.txt", gal.Bytes()); err != nil {
-		return err
+	if err := addFile("galaxies.txt", buf.Bytes()); err != nil {
+		return nil, err
 	}
 
 	if err := tw.Close(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := gz.Close(); err != nil {
-		return err
+		return nil, err
 	}
-	return f.Close()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(path, archive.Bytes(), 0o666); err != nil {
+		os.Remove(path)
+		return nil, err
+	}
+	return archive.Bytes(), nil
 }

@@ -151,7 +151,7 @@ func TestWriteTarballFailureClosesAndRemoves(t *testing.T) {
 		return halo.WriteCatalog(w, c)
 	}
 	before := openFiles()
-	if err := res.writeTarball(path, failSecond); !errors.Is(err, boom) {
+	if _, err := res.writeTarball(path, failSecond); !errors.Is(err, boom) {
 		t.Fatalf("writeTarball error = %v, want the catalogue writer's", err)
 	}
 	if after := openFiles(); before >= 0 && after != before {
@@ -161,7 +161,7 @@ func TestWriteTarballFailureClosesAndRemoves(t *testing.T) {
 		t.Errorf("partial tarball left behind (stat error %v)", err)
 	}
 	// The same result still packs once the writer works.
-	if err := res.WriteTarball(path); err != nil {
+	if _, err := res.writeTarball(path, halo.WriteCatalog); err != nil {
 		t.Fatal(err)
 	}
 	if names, err := ReadTarballIndex(path); err != nil || len(names) == 0 {

@@ -15,10 +15,9 @@ package services
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sync/atomic"
 
 	"repro/internal/diet"
 	"repro/internal/halo"
@@ -60,17 +59,24 @@ func Zoom2Desc() *diet.ProfileDesc {
 	return d
 }
 
-var reqCounter atomic.Int64
-
-// scratchDir allocates a unique per-request working directory, the paper's
-// per-simulation NFS working directory.
+// scratchDir makes a new per-request working directory under base, the
+// paper's per-simulation NFS working directory. Its name is unique among
+// every process sharing base, so SeDs on one NFS working area, or a
+// restarted one, never write into another request's directory. base itself
+// is made on first use. The directory is readable by all, as base is, so
+// other accounts on the shared area can read the snapshots and tarball.
 func scratchDir(base, service string) (string, error) {
-	n := reqCounter.Add(1)
-	dir := filepath.Join(base, fmt.Sprintf("%s-%06d", service, n))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	dir, err := os.MkdirTemp(base, service+"-")
+	if errors.Is(err, os.ErrNotExist) {
+		if err := os.MkdirAll(base, 0o755); err != nil {
+			return "", err
+		}
+		dir, err = os.MkdirTemp(base, service+"-")
+	}
+	if err != nil {
 		return "", err
 	}
-	return dir, nil
+	return dir, os.Chmod(dir, 0o755)
 }
 
 // configFromProfile extracts the RAMSES configuration: the namelist file
@@ -166,11 +172,7 @@ func SolveZoom2(baseDir string) diet.SolveFunc {
 			p.SetScalarInt(8, 1, diet.Volatile)
 			return nil
 		}
-		tarBytes, err := os.ReadFile(res.TarPath)
-		if err != nil {
-			return err
-		}
-		p.SetFileBytes(7, "results.tar.gz", tarBytes, diet.Volatile)
+		p.SetFileBytes(7, "results.tar.gz", res.Tarball, diet.Volatile)
 		p.SetScalarInt(8, 0, diet.Volatile)
 		return nil
 	}

@@ -1,6 +1,10 @@
 package services
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -95,6 +99,66 @@ func TestSolveZoom2Direct(t *testing.T) {
 	}
 	if name != "results.tar.gz" || len(tarball) == 0 {
 		t.Errorf("tarball %q, %d bytes", name, len(tarball))
+	}
+}
+
+func TestScratchDirsDoNotCollideAcrossProcesses(t *testing.T) {
+	// Two SeDs on one shared working directory, the paper's NFS layout per
+	// cluster: the other one has already served requests there, and its
+	// per-request directories hold its results under every name a
+	// per-process counter would hand out first.
+	base := t.TempDir()
+	sentinel := []byte("another SeD's results")
+	for n := 1; n <= 64; n++ {
+		dir := filepath.Join(base, fmt.Sprintf("%s-%06d", Zoom2Name, n))
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "results.tar.gz"), sentinel, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := NewZoom2Profile(tinyConfig(), 4, 4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SolveZoom2(base)(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, tarball, err := Zoom2Result(p); err != nil || bytes.Equal(tarball, sentinel) {
+		t.Errorf("the solve returned another request's tarball (error %v)", err)
+	}
+	for n := 1; n <= 64; n++ {
+		path := filepath.Join(base, fmt.Sprintf("%s-%06d", Zoom2Name, n), "results.tar.gz")
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, sentinel) {
+			t.Fatalf("%s was overwritten by this SeD's solve (error %v)", path, err)
+		}
+	}
+}
+
+func TestScratchDirMakesItsBase(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "nfs", "work")
+	a, err := scratchDir(base, Zoom1Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := scratchDir(base, Zoom1Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b || filepath.Dir(a) != base || filepath.Dir(b) != base {
+		t.Errorf("two requests got %s and %s, want two directories under %s", a, b, base)
+	}
+	// Other accounts on the shared area read the outputs, as they could
+	// when every directory was made with mode 0755.
+	for _, dir := range []string{a, b} {
+		fi, err := os.Stat(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fi.Mode().Perm(); got != 0o755 {
+			t.Errorf("%s: mode %v, want rwxr-xr-x", dir, got)
+		}
 	}
 }
 
