@@ -10,81 +10,50 @@ import (
 	"repro/internal/scheduler"
 )
 
+// margin is the walltime's fractional safety pad over a forecast trusted at
+// full confidence.
+const margin = 0.2
+
+// The kill-and-requeue budget of a ForecastExecutor, which the simulator's
+// batch mirrors replay: an attempt killed at its walltime requeues with the
+// grant multiplied by RequeueFactor — the kill proves the grant too small,
+// so the requeue doubles it rather than re-trusting the forecast — and a
+// solve fails once MaxAttempts attempts have been killed.
+const (
+	RequeueFactor = 2
+	MaxAttempts   = 3
+)
+
 // WalltimePolicy sizes reservation walltimes from CoRI duration forecasts,
 // replacing the fixed grant the paper's batch submissions used. The sized
-// walltime is forecast × (1 + Margin/confidence): at full confidence the pad
-// is Margin, and as the model goes stale the pad widens in proportion, so a
+// walltime is forecast × (1 + margin/confidence): at full confidence the pad
+// is 20%, and as the model goes stale the pad widens in proportion, so a
 // half-trusted model gets twice the safety margin. With no trusted forecast
-// at all (cold monitor, or confidence below MinConfidence) the policy falls
-// back to the Fixed grant.
+// at all (cold monitor, or confidence below scheduler.MinConfidence) the
+// policy falls back to the Fixed grant.
 type WalltimePolicy struct {
 	// Fixed is the fallback grant when no trusted forecast exists
 	// (default 2h, a typical user walltime request).
 	Fixed time.Duration
-	// Margin is the fractional safety pad at full confidence (default 0.2).
-	Margin float64
-	// MinConfidence is the trust floor below which the model is ignored
-	// (default scheduler.DefaultMinConfidence, shared with the forecast-aware
-	// policies so every layer agrees on which models count).
-	MinConfidence float64
-	// Max caps the sized walltime (0 = uncapped).
-	Max time.Duration
-	// RequeueFactor multiplies the walltime after an overrun kill
-	// (default 2): the kill proves the grant too small, so the requeue
-	// doubles it rather than re-trusting the forecast.
-	RequeueFactor float64
-}
-
-// WithDefaults resolves the zero-value fields to the documented defaults;
-// the simulator mirror calls it so virtual-time sizing matches the live
-// executor exactly.
-func (p WalltimePolicy) WithDefaults() WalltimePolicy {
-	if p.Fixed <= 0 {
-		p.Fixed = 2 * time.Hour
-	}
-	if p.Margin <= 0 {
-		p.Margin = 0.2
-	}
-	if p.MinConfidence <= 0 {
-		p.MinConfidence = scheduler.DefaultMinConfidence
-	}
-	if p.RequeueFactor <= 1 {
-		p.RequeueFactor = 2
-	}
-	return p
-}
-
-// FromForecast converts a duration forecast (seconds) and model confidence
-// into a walltime. ok is false when the forecast is unusable (non-positive,
-// or confidence below the floor) and the caller must fall back to Fixed.
-// This pure form is shared by the live ForecastExecutor and the simulator's
-// virtual-time mirror, so the two paths cannot drift.
-func (p WalltimePolicy) FromForecast(forecastS, confidence float64) (time.Duration, bool) {
-	p = p.WithDefaults()
-	if forecastS <= 0 || confidence < p.MinConfidence {
-		return 0, false
-	}
-	if confidence > 1 {
-		confidence = 1
-	}
-	wall := time.Duration(forecastS * (1 + p.Margin/confidence) * float64(time.Second))
-	if p.Max > 0 && wall > p.Max {
-		wall = p.Max
-	}
-	return wall, true
 }
 
 // Size picks the walltime for one solve: the forecast-derived walltime when
-// the monitor holds a trusted model for the service, else the fixed grant.
-// sized reports which path was taken.
+// the monitor's model for the service prices the work through
+// scheduler.Estimate.PredictSeconds, else the fixed grant. sized reports
+// which path was taken. The live ForecastExecutor and the simulator's
+// virtual-time mirror both size through it, so the two paths cannot drift.
 func (p WalltimePolicy) Size(m *cori.Monitor, service string, workGFlops float64) (wall time.Duration, sized bool) {
-	p = p.WithDefaults()
 	if m != nil {
 		if model, ok := m.Model(service); ok {
-			if w, ok := p.FromForecast(model.SolveSeconds(workGFlops), model.Confidence); ok {
-				return w, true
+			var est scheduler.Estimate
+			model.ApplyToEstimate(&est, 0)
+			if forecastS, byModel := est.PredictSeconds(workGFlops); byModel {
+				return time.Duration(forecastS * (1 + margin/min(model.Confidence, 1)) * float64(time.Second)), true
 			}
 		}
+	}
+	if p.Fixed <= 0 {
+		return 2 * time.Hour, false
 	}
 	return p.Fixed, false
 }
@@ -106,8 +75,8 @@ type ExecStats struct {
 // sized by a WalltimePolicy from the SeD's CoRI monitor — the "transparent
 // reservations" integration of the paper's conclusion. It implements
 // diet.Executor. Attempts killed at walltime expiry requeue with a
-// RequeueFactor-widened grant up to MaxAttempts. Invocations of the body
-// are serialised across attempts (Go cannot kill a killed attempt's
+// RequeueFactor-widened grant up to MaxAttempts attempts. Invocations of the
+// body are serialised across attempts (Go cannot kill a killed attempt's
 // goroutine, so the requeue waits it out rather than overlapping it), but a
 // body that completed inside a killed grant may still re-run — solve bodies
 // routed through a walltime-enforced System must be idempotent.
@@ -116,8 +85,6 @@ type ForecastExecutor struct {
 	JobName string
 	Nodes   int
 	Policy  WalltimePolicy
-	// MaxAttempts bounds kill-and-requeue retries (default 3).
-	MaxAttempts int
 
 	mu    sync.Mutex
 	stats ExecStats
@@ -146,16 +113,11 @@ func (e *ForecastExecutor) Stats() ExecStats {
 // request's trace.
 func (e *ForecastExecutor) Execute(service string, workGFlops float64, monitor *cori.Monitor, run func() error,
 	attempt func(n int, wait time.Duration, killed bool, start, end time.Time)) (time.Duration, error) {
-	pol := e.Policy.WithDefaults()
 	nodes := e.Nodes
 	if nodes < 1 {
 		nodes = 1
 	}
-	maxAttempts := e.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 3
-	}
-	wall, sized := pol.Size(monitor, service, workGFlops)
+	wall, sized := e.Policy.Size(monitor, service, workGFlops)
 	e.mu.Lock()
 	if sized {
 		e.stats.ForecastSized++
@@ -206,12 +168,12 @@ func (e *ForecastExecutor) Execute(service string, workGFlops float64, monitor *
 		abandoned.Store(true)
 		e.mu.Lock()
 		e.stats.OverrunKills++
-		if n >= maxAttempts {
+		if n >= MaxAttempts {
 			e.mu.Unlock()
 			return queueWait, err
 		}
 		e.stats.Requeues++
 		e.mu.Unlock()
-		wall = time.Duration(float64(wall) * pol.RequeueFactor)
+		wall = time.Duration(float64(wall) * RequeueFactor)
 	}
 }

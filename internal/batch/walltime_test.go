@@ -2,6 +2,7 @@ package batch
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,7 +42,7 @@ func TestWalltimeColdMonitorFallsBackToFixedGrant(t *testing.T) {
 func TestWalltimeStaleModelWidensMargin(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
 	m := trainedMonitor(&now)
-	pol := WalltimePolicy{Fixed: time.Hour, Margin: 0.2}
+	pol := WalltimePolicy{Fixed: time.Hour}
 
 	fresh, sized := pol.Size(m, "svc", 0)
 	if !sized {
@@ -114,39 +115,58 @@ func TestWalltimeEnforcementLeavesFinishersAlone(t *testing.T) {
 	}
 }
 
-func TestForecastExecutorOverrunKillAndRequeue(t *testing.T) {
-	s, _ := New(Config{TotalNodes: 1, EnforceWalltime: true})
+// killGate is a solve body whose first invocation blocks until the
+// executor's attempt callback reports a kill, so the first grant is always
+// outlived however long it is, and every later invocation returns at once.
+type killGate struct {
+	killed chan struct{}
+	once   sync.Once
+	runs   atomic.Int32
+}
+
+func newKillGate() *killGate { return &killGate{killed: make(chan struct{})} }
+
+func (g *killGate) run() error {
+	if g.runs.Add(1) == 1 {
+		<-g.killed
+	}
+	return nil
+}
+
+func (g *killGate) attempt(_ int, _ time.Duration, killed bool, _, _ time.Time) {
+	if killed {
+		g.once.Do(func() { close(g.killed) })
+	}
+}
+
+// sizedMonitor returns a monitor whose trusted model for "svc" predicts
+// 100 ms solves, so the first sized grant is 120 ms and the requeued one
+// twice that.
+func sizedMonitor() *cori.Monitor {
 	now := time.Unix(1_000_000, 0)
-	// The model predicts 1 s but margin is tiny and the real solve takes
-	// longer than the first sized grant: sized ≈ 10 ms × 1.01 → killed,
-	// requeued at ~20 ms, killed, then ~40 ms succeeds.
 	m := cori.NewMonitor(cori.Config{Now: func() time.Time { return now }})
 	for i := 0; i < 4; i++ {
-		m.Observe(cori.Sample{Service: "svc", Duration: 10 * time.Millisecond, At: now})
+		m.Observe(cori.Sample{Service: "svc", Duration: 100 * time.Millisecond, At: now})
 	}
+	return m
+}
+
+func TestForecastExecutorOverrunKillAndRequeue(t *testing.T) {
+	s, _ := New(Config{TotalNodes: 1, EnforceWalltime: true})
 	e := &ForecastExecutor{
 		System: s, JobName: "sized", Nodes: 1,
-		Policy:      WalltimePolicy{Fixed: time.Minute, Margin: 0.01},
-		MaxAttempts: 5,
+		Policy: WalltimePolicy{Fixed: time.Minute},
 	}
-	var runs atomic.Int32
-	_, err := e.Execute("svc", 0, m, func() error {
-		runs.Add(1)
-		time.Sleep(35 * time.Millisecond)
-		return nil
-	}, nil)
-	if err != nil {
-		t.Fatalf("Execute = %v, want eventual success after requeues", err)
+	g := newKillGate()
+	if _, err := e.Execute("svc", 0, sizedMonitor(), g.run, g.attempt); err != nil {
+		t.Fatalf("Execute = %v, want success after one requeue", err)
 	}
 	st := e.Stats()
 	if st.ForecastSized != 1 {
 		t.Fatalf("stats %+v: the first attempt must be forecast-sized", st)
 	}
-	if st.OverrunKills == 0 || st.Requeues == 0 {
-		t.Fatalf("stats %+v: the undersized grant must be killed and requeued", st)
-	}
-	if st.OverrunKills != st.Requeues {
-		t.Fatalf("stats %+v: every kill must requeue on success", st)
+	if st.OverrunKills != 1 || st.Requeues != 1 {
+		t.Fatalf("stats %+v: want the first grant killed and requeued once", st)
 	}
 	if sys := s.Stats(); sys.OverrunKills != st.OverrunKills {
 		t.Fatalf("system kills %d must match executor kills %d", sys.OverrunKills, st.OverrunKills)
@@ -157,8 +177,7 @@ func TestForecastExecutorGivesUpAfterMaxAttempts(t *testing.T) {
 	s, _ := New(Config{TotalNodes: 1, EnforceWalltime: true})
 	e := &ForecastExecutor{
 		System: s, JobName: "doomed", Nodes: 1,
-		Policy:      WalltimePolicy{Fixed: 5 * time.Millisecond},
-		MaxAttempts: 2,
+		Policy: WalltimePolicy{Fixed: 5 * time.Millisecond},
 	}
 	block := make(chan struct{})
 	defer close(block)
@@ -167,8 +186,8 @@ func TestForecastExecutorGivesUpAfterMaxAttempts(t *testing.T) {
 		t.Fatalf("Execute = %v, want ErrWalltime after exhausting attempts", err)
 	}
 	st := e.Stats()
-	if st.FixedFallback != 1 || st.OverrunKills != 2 || st.Requeues != 1 {
-		t.Fatalf("stats %+v, want 2 kills / 1 requeue / fixed fallback", st)
+	if st.FixedFallback != 1 || st.OverrunKills != MaxAttempts || st.Requeues != MaxAttempts-1 {
+		t.Fatalf("stats %+v, want %d kills / %d requeues / fixed fallback", st, MaxAttempts, MaxAttempts-1)
 	}
 }
 
@@ -178,16 +197,11 @@ func TestForecastExecutorGivesUpAfterMaxAttempts(t *testing.T) {
 // and the successful final attempt does not.
 func TestExecuteSizedTraceReportsAttempts(t *testing.T) {
 	s, _ := New(Config{TotalNodes: 1, EnforceWalltime: true})
-	now := time.Unix(1_000_000, 0)
-	m := cori.NewMonitor(cori.Config{Now: func() time.Time { return now }})
-	for i := 0; i < 4; i++ {
-		m.Observe(cori.Sample{Service: "svc", Duration: 10 * time.Millisecond, At: now})
-	}
 	e := &ForecastExecutor{
 		System: s, JobName: "traced", Nodes: 1,
-		Policy:      WalltimePolicy{Fixed: time.Minute, Margin: 0.01},
-		MaxAttempts: 5,
+		Policy: WalltimePolicy{Fixed: time.Minute},
 	}
+	g := newKillGate()
 	type attemptRec struct {
 		attempt int
 		wait    time.Duration
@@ -195,25 +209,23 @@ func TestExecuteSizedTraceReportsAttempts(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var seen []attemptRec
-	_, err := e.Execute("svc", 0, m, func() error {
-		time.Sleep(35 * time.Millisecond)
-		return nil
-	}, func(attempt int, wait time.Duration, killed bool, start, end time.Time) {
+	_, err := e.Execute("svc", 0, sizedMonitor(), g.run, func(attempt int, wait time.Duration, killed bool, start, end time.Time) {
 		mu.Lock()
-		defer mu.Unlock()
 		if end.Before(start) {
 			t.Errorf("attempt %d ends before it starts", attempt)
 		}
 		seen = append(seen, attemptRec{attempt, wait, killed})
+		mu.Unlock()
+		g.attempt(attempt, wait, killed, start, end)
 	})
 	if err != nil {
-		t.Fatalf("Execute = %v, want eventual success", err)
+		t.Fatalf("Execute = %v, want success after one requeue", err)
 	}
 	st := e.Stats()
 	mu.Lock()
 	defer mu.Unlock()
-	if len(seen) != st.OverrunKills+1 {
-		t.Fatalf("callback fired %d times, want one per attempt (%d kills + success)", len(seen), st.OverrunKills)
+	if len(seen) != 2 || st.OverrunKills != 1 {
+		t.Fatalf("callback fired %d times with %d kills, want one kill and one success", len(seen), st.OverrunKills)
 	}
 	for i, rec := range seen {
 		if rec.attempt != i+1 {
@@ -232,5 +244,56 @@ func TestExecuteSizedTraceReportsAttempts(t *testing.T) {
 	}
 	if sum != st.QueueWait {
 		t.Errorf("traced waits sum %v, stats say %v", sum, st.QueueWait)
+	}
+}
+
+// oracleSize is Size as it was before it priced through
+// scheduler.Estimate.PredictSeconds: FromForecast over the model's
+// SolveSeconds, with the old defaults (margin 0.2, floor 0.05, uncapped).
+func oracleSize(fixed time.Duration, m *cori.Monitor, service string, workGFlops float64) (time.Duration, bool) {
+	if fixed <= 0 {
+		fixed = 2 * time.Hour
+	}
+	if m != nil {
+		if model, ok := m.Model(service); ok {
+			forecastS, confidence := model.SolveSeconds(workGFlops), model.Confidence
+			if !(forecastS <= 0 || confidence < 0.05) {
+				if confidence > 1 {
+					confidence = 1
+				}
+				return time.Duration(forecastS * (1 + 0.2/confidence) * float64(time.Second)), true
+			}
+		}
+	}
+	return fixed, false
+}
+
+func TestSizeEqualsOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for trial := 0; trial < 300; trial++ {
+		now := time.Unix(1_000_000, 0)
+		m := cori.NewMonitor(cori.Config{HalfLife: time.Hour, Now: func() time.Time { return now }})
+		if rng.Intn(3) == 0 {
+			// A gossiped prior may claim more than full confidence.
+			m.WarmStart(cori.Model{Service: "svc", Samples: 1 + rng.Intn(10), EWMASeconds: 100 * rng.Float64(), Confidence: 0.5 + rng.Float64()})
+		}
+		for n := rng.Intn(5); n > 0; n-- {
+			m.Observe(cori.Sample{
+				Service:    "svc",
+				WorkGFlops: []float64{0, 100, 1e4 * rng.Float64()}[rng.Intn(3)],
+				Duration:   time.Duration(rng.Int63n(int64(time.Hour))),
+				At:         now,
+			})
+		}
+		now = now.Add(time.Duration(rng.Int63n(int64(6 * time.Hour))))
+		fixed := []time.Duration{0, time.Minute}[rng.Intn(2)]
+		for _, mon := range []*cori.Monitor{m, nil} {
+			work := []float64{0, -5, 100, 1e4 * rng.Float64()}[rng.Intn(4)]
+			got, sized := WalltimePolicy{Fixed: fixed}.Size(mon, "svc", work)
+			want, wantSized := oracleSize(fixed, mon, "svc", work)
+			if got != want || sized != wantSized {
+				t.Fatalf("trial %d: Size = (%v, %v), oracle (%v, %v)", trial, got, sized, want, wantSized)
+			}
+		}
 	}
 }

@@ -13,38 +13,16 @@ import (
 // ablation measures exactly the arithmetic the live campaigns run.
 
 // BestEstimateSeconds prices workGFlops of one service from a collected
-// estimate vector: the cheapest prediction across the offered servers,
-// preferring each server's trusted forecast model and falling back to its
-// advertised power when the model is absent or stale (the same graceful
-// degradation as the forecast-aware policies). byModel reports whether the
-// winning price came from a trusted model — the "forecast-priced" signal the
-// workflow runner surfaces per dispatch. minConfidence <= 0 selects the
-// shared scheduler.DefaultMinConfidence floor.
-func BestEstimateSeconds(ests []scheduler.Estimate, workGFlops, minConfidence float64) (seconds float64, byModel bool) {
-	if minConfidence <= 0 {
-		minConfidence = scheduler.DefaultMinConfidence
-	}
-	found := false
-	for _, e := range ests {
-		sec, model := -1.0, false
-		if e.HasForecast && e.ForecastSamples > 0 && e.ForecastConfidence >= minConfidence {
-			if p := e.ForecastSolveSeconds(workGFlops); p > 0 {
-				sec, model = p, true
-			}
+// estimate vector: the cheapest scheduler.Estimate.PredictSeconds across the
+// offered servers, a model-priced answer winning a tie. byModel reports
+// whether the winning price came from a trusted model — the
+// "forecast-priced" signal the workflow runner surfaces per dispatch.
+func BestEstimateSeconds(ests []scheduler.Estimate, workGFlops float64) (seconds float64, byModel bool) {
+	for i := range ests {
+		sec, model := ests[i].PredictSeconds(workGFlops)
+		if i == 0 || sec < seconds || (sec == seconds && model && !byModel) {
+			seconds, byModel = sec, model
 		}
-		if sec <= 0 {
-			power := e.PowerGFlops
-			if power <= 0 {
-				power = 1
-			}
-			sec, model = workGFlops/power, false
-		}
-		if !found || sec < seconds || (sec == seconds && model && !byModel) {
-			seconds, byModel, found = sec, model, true
-		}
-	}
-	if !found {
-		return 0, false
 	}
 	return seconds, byModel
 }

@@ -47,12 +47,14 @@ type Sample struct {
 	At         time.Time     // completion time
 }
 
+// alpha is the EWMA weight of the newest sample, in both the solve and the
+// transfer monitors.
+const alpha = 0.25
+
 // Config tunes a Monitor. The zero value selects sensible defaults.
 type Config struct {
 	// Window bounds the per-service history ring (default 64).
 	Window int
-	// Alpha is the EWMA weight of the newest sample (default 0.25).
-	Alpha float64
 	// HalfLife is the staleness half-life of forecast confidence: a model
 	// whose newest sample is HalfLife old is trusted half as much
 	// (default 1h, roughly one paper-scale solve).
@@ -66,9 +68,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 64
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.25
 	}
 	if c.HalfLife <= 0 {
 		c.HalfLife = time.Hour
@@ -114,7 +113,7 @@ type Model struct {
 	Window  int // solves currently in the ring
 
 	// EWMASeconds is the exponentially weighted recent solve duration
-	// (per-sample weight Alpha; staleness shows up in Confidence, not here).
+	// (per-sample weight alpha; staleness shows up in Confidence, not here).
 	EWMASeconds float64
 	// BaseSeconds and PerGFlopSeconds are the least-squares fit
 	// duration ≈ BaseSeconds + PerGFlopSeconds·work. PerGFlopSeconds is 0
@@ -321,7 +320,7 @@ func (m *Monitor) Observe(s Sample) {
 	if h.count == 1 {
 		h.ewmaSeconds = d
 	} else {
-		h.ewmaSeconds = m.cfg.Alpha*d + (1-m.cfg.Alpha)*h.ewmaSeconds
+		h.ewmaSeconds = alpha*d + (1-alpha)*h.ewmaSeconds
 	}
 	if s.At.After(h.lastAt) {
 		h.lastAt = s.At
@@ -556,6 +555,20 @@ func (m *Monitor) WarmStart(prior Model) {
 	h.prior = &p
 	h.priorWeight = w
 	h.priorAt = m.now()
+}
+
+// PredictSeconds prices workGFlops of service on a server that advertises
+// powerGFlops and keeps its forecasts in m (nil: no forecaster), through
+// scheduler.Estimate.PredictSeconds: the prediction the live SeD records at
+// admission and the simulator's mirrored SeD replays.
+func (m *Monitor) PredictSeconds(service string, workGFlops, powerGFlops float64) (seconds float64, byModel bool) {
+	est := scheduler.Estimate{PowerGFlops: powerGFlops}
+	if m != nil {
+		if model, ok := m.Model(service); ok {
+			model.ApplyToEstimate(&est, 0)
+		}
+	}
+	return est.PredictSeconds(workGFlops)
 }
 
 // Forecast predicts the solve duration of work GFlops for a service.

@@ -106,16 +106,16 @@ func TestHeterogeneousWorkFitsThroughput(t *testing.T) {
 }
 
 func TestUnknownWorkFallsBackToEWMA(t *testing.T) {
-	m := NewMonitor(Config{Alpha: 0.5})
+	m := NewMonitor(Config{})
 	m.Observe(Sample{Service: "svc", Duration: 100 * time.Second})
 	m.Observe(Sample{Service: "svc", Duration: 200 * time.Second})
 	model, _ := m.Model("svc")
-	// EWMA with alpha 0.5: 0.5·200 + 0.5·100 = 150.
-	if math.Abs(model.EWMASeconds-150) > 1e-9 {
-		t.Fatalf("EWMASeconds = %g, want 150", model.EWMASeconds)
+	// EWMA with alpha 0.25: 0.25·200 + 0.75·100 = 125.
+	if math.Abs(model.EWMASeconds-125) > 1e-9 {
+		t.Fatalf("EWMASeconds = %g, want 125", model.EWMASeconds)
 	}
-	if got := model.SolveSeconds(5000); math.Abs(got-150) > 1e-9 {
-		t.Fatalf("work-size forecast without work history = %g, want the EWMA 150", got)
+	if got := model.SolveSeconds(5000); math.Abs(got-125) > 1e-9 {
+		t.Fatalf("work-size forecast without work history = %g, want the EWMA 125", got)
 	}
 }
 

@@ -56,7 +56,7 @@ func (m *Monitor) Snapshot() Snapshot {
 		Version:         SnapshotVersion,
 		SavedAt:         m.now(),
 		Window:          m.cfg.Window,
-		Alpha:           m.cfg.Alpha,
+		Alpha:           alpha,
 		HalfLifeSeconds: m.cfg.HalfLife.Seconds(),
 	}
 	for svc, h := range m.svc {

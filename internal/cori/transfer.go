@@ -133,7 +133,7 @@ func (tm *TransferMonitor) Observe(s TransferSample) {
 	if h.count == 1 {
 		h.ewmaMBps = mbps
 	} else {
-		h.ewmaMBps = tm.cfg.Alpha*mbps + (1-tm.cfg.Alpha)*h.ewmaMBps
+		h.ewmaMBps = alpha*mbps + (1-alpha)*h.ewmaMBps
 	}
 	if s.At.After(h.lastAt) {
 		h.lastAt = s.At
@@ -208,12 +208,12 @@ func (tm *TransferMonitor) Predict(from, to string, sizeMB float64) (seconds, co
 
 // PredictOr prices moving sizeMB from one node to the other: the pair
 // model's forecast when it is trusted at the shared confidence floor
-// (scheduler.DefaultMinConfidence), else sizeMB over fallbackMBps. A nil
+// (scheduler.MinConfidence), else sizeMB over fallbackMBps. A nil
 // monitor always falls back. The live SeD and the simulator's data ablation
 // both price input transfers through it.
 func (tm *TransferMonitor) PredictOr(from, to string, sizeMB, fallbackMBps float64) float64 {
 	if tm != nil {
-		if sec, conf, ok := tm.Predict(from, to, sizeMB); ok && conf >= scheduler.DefaultMinConfidence {
+		if sec, conf, ok := tm.Predict(from, to, sizeMB); ok && conf >= scheduler.MinConfidence {
 			return sec
 		}
 	}

@@ -51,29 +51,19 @@ type Options struct {
 	// blend of measurement and advertisement — instead of the advertised
 	// figure alone. Nil keeps the static (advertised-power) behaviour.
 	Capabilities CapabilitySource
-	// MinConfidence discards measurements whose confidence has decayed below
-	// it (default scheduler.DefaultMinConfidence, the floor shared with the
-	// forecast-aware policies).
-	MinConfidence float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MinConfidence <= 0 {
-		o.MinConfidence = scheduler.DefaultMinConfidence
-	}
-	return o
 }
 
 // effective blends the advertised power with a measured capability:
 // confidence-weighted toward the measurement, falling back to the advertised
-// power when there is no trusted measurement. It returns the blended power
-// plus the raw measurement and confidence for reporting (both 0 on fallback).
+// power when there is no measurement trusted at scheduler.MinConfidence. It
+// returns the blended power plus the raw measurement and confidence for
+// reporting (both 0 on fallback).
 func (o Options) effective(sed string, advertised float64) (eff, measured, conf float64) {
 	if o.Capabilities == nil {
 		return advertised, 0, 0
 	}
 	c, ok := o.Capabilities(sed)
-	if !ok || c.MeasuredGFlops <= 0 || c.Confidence < o.MinConfidence {
+	if !ok || c.MeasuredGFlops <= 0 || c.Confidence < scheduler.MinConfidence {
 		return advertised, 0, 0
 	}
 	w := c.Confidence

@@ -60,7 +60,6 @@ func TopologyWith(d platform.Deployment, opts Options) (*Plan, error) {
 	if len(d.SeDs) == 0 {
 		return nil, fmt.Errorf("deploy: deployment has no SeDs")
 	}
-	opts = opts.withDefaults()
 	p := &Plan{
 		Naming: Node{Name: "naming", Kind: "naming", Site: d.MASite},
 		MA:     Node{Name: "MA1", Kind: "MA", Site: d.MASite},
@@ -93,7 +92,6 @@ func FlatWith(d platform.Deployment, opts Options) (*Plan, error) {
 	if len(d.SeDs) == 0 {
 		return nil, fmt.Errorf("deploy: deployment has no SeDs")
 	}
-	opts = opts.withDefaults()
 	p := &Plan{
 		Naming: Node{Name: "naming", Kind: "naming", Site: d.MASite},
 		MA:     Node{Name: "MA1", Kind: "MA", Site: d.MASite},

@@ -584,7 +584,7 @@ func (a *Agent) truncate(req CollectRequest, ests []scheduler.Estimate) []schedu
 		return ests
 	}
 	drain := func(e scheduler.Estimate) float64 {
-		if d, trusted := e.TrustedDrainSeconds(scheduler.DefaultMinConfidence); trusted {
+		if d, trusted := e.TrustedDrainSeconds(); trusted {
 			return d
 		}
 		pending := float64(e.QueueLen + e.Running)

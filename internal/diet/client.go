@@ -16,11 +16,11 @@ import (
 
 // ClientConfig is the parsed client configuration file. The file format is
 // the DIET cfg style: one "key = value" per line, '#' comments. Recognised
-// keys: namingAddr (required), MAName (default "MA1"), traceLevel.
+// keys: namingAddr (required), MAName (default "MA1"), and traceLevel,
+// which DIET client files carry and this client accepts and ignores.
 type ClientConfig struct {
-	Naming     string
-	MAName     string
-	TraceLevel int
+	Naming string
+	MAName string
 	// Events is an optional monitoring sink; set programmatically, not from
 	// the configuration file. The client publishes the submit and complete
 	// spans of every call through it.
@@ -59,7 +59,6 @@ func ParseClientConfig(path string) (ClientConfig, error) {
 		case "MAName":
 			cfg.MAName = val
 		case "traceLevel":
-			fmt.Sscanf(val, "%d", &cfg.TraceLevel)
 		default:
 			return ClientConfig{}, fmt.Errorf("diet: %s:%d: unknown key %q", path, lineNo, key)
 		}

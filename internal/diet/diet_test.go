@@ -381,7 +381,8 @@ traceLevel = 2
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Naming != "local:naming-test" || cfg.MAName != "MA7" || cfg.TraceLevel != 2 {
+	// traceLevel is accepted and ignored.
+	if cfg.Naming != "local:naming-test" || cfg.MAName != "MA7" {
 		t.Errorf("parsed %+v", cfg)
 	}
 

@@ -82,7 +82,7 @@ func TestGossipWarmStartsJoiningSeD(t *testing.T) {
 	if !est.HasForecast || est.ForecastSamples <= 0 {
 		t.Fatalf("warm-started SeD must forecast before its first solve: %+v", est)
 	}
-	if est.ForecastConfidence < scheduler.DefaultMinConfidence {
+	if est.ForecastConfidence < scheduler.MinConfidence {
 		t.Fatalf("warm forecast confidence %g below the trust floor", est.ForecastConfidence)
 	}
 	model, ok := joiner.Monitor().Model("double")

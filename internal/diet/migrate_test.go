@@ -89,7 +89,7 @@ func TestApplyPlanMigratesSeDWithModels(t *testing.T) {
 	if !est.HasForecast || est.ForecastSamples != 4 {
 		t.Fatalf("post-move estimate lost the model: %+v", est)
 	}
-	if est.ForecastConfidence < scheduler.DefaultMinConfidence {
+	if est.ForecastConfidence < scheduler.MinConfidence {
 		t.Fatalf("post-move forecast confidence %g below the trust floor", est.ForecastConfidence)
 	}
 	modelAfter, _ := sed.Monitor().Model("double")

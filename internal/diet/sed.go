@@ -56,7 +56,6 @@ type SeDConfig struct {
 	Naming      string  // address of the naming service
 	Capacity    int     // concurrent solves; the paper's SeDs run 1
 	PowerGFlops float64 // advertised processing power of the backing machines
-	MemMB       float64 // advertised memory
 	Cluster     string  // cluster label, e.g. "Toulouse" — the model-gossip resource class
 	WorkDir     string  // scratch directory for services that write files
 	Local       bool    // serve in-process instead of TCP
@@ -488,7 +487,6 @@ func (s *SeD) Estimate(service string) EstimateReply {
 		Running:          running,
 		QueueLen:         queued,
 		PowerGFlops:      power,
-		FreeMemMB:        s.cfg.MemMB,
 		LastSolveSeconds: lastSolve,
 	}
 	if model, okM := s.monitor.Model(service); okM {
@@ -582,7 +580,10 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 	// the scheduler's estimate reflected when it routed the request here.
 	// The completed solve is judged against this prediction (SolveRecord),
 	// which is how MispredictPct accounting works on the live stack.
-	predS, predByModel := s.predictSolve(p.Service, p.WorkGFlops)
+	s.statMu.Lock()
+	power := s.power
+	s.statMu.Unlock()
+	predS, predByModel := s.monitor.PredictSeconds(p.Service, p.WorkGFlops, power)
 	depthAtAdmission, err := s.admit(p.Service)
 	if err != nil {
 		return nil, err
@@ -772,24 +773,6 @@ func (s *SeD) shiftLocked(service string, dQueued, dRunning int) int {
 		s.metrics.queueDepth.With(s.cfg.Name).Set(float64(s.queued + s.running))
 	}
 	return depth
-}
-
-// predictSolve mirrors the simulator's prediction (sedState.predict): the
-// CoRI model forecast when the model is trusted, else the advertised-power
-// estimate work/power. The bool reports which path produced the prediction.
-func (s *SeD) predictSolve(service string, work float64) (float64, bool) {
-	if model, ok := s.monitor.Model(service); ok && model.Confidence >= scheduler.DefaultMinConfidence {
-		if p := model.SolveSeconds(work); p > 0 {
-			return p, true
-		}
-	}
-	s.statMu.Lock()
-	power := s.power
-	s.statMu.Unlock()
-	if power <= 0 {
-		power = 1
-	}
-	return work / power, false
 }
 
 // attemptTrace builds the per-attempt callback handed to the executor: every

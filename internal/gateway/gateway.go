@@ -40,8 +40,6 @@ type Config struct {
 	// Workers bounds how many admitted calls run concurrently; the rest
 	// wait in the admission queue (default 16).
 	Workers int
-	// TraceLevel is passed through to the pooled diet clients.
-	TraceLevel int
 	// Events is an optional monitoring sink shared by the pooled clients.
 	Events diet.EventSink
 	// Metrics is an optional Prometheus registry.
@@ -154,10 +152,7 @@ func New(cfg Config) (*Gateway, error) {
 		metrics:  newGwMetrics(cfg.Metrics),
 	}
 	for _, ma := range cfg.MAs {
-		cl, err := diet.InitializeConfig(diet.ClientConfig{
-			Naming: cfg.Naming, MAName: ma,
-			TraceLevel: cfg.TraceLevel, Events: cfg.Events,
-		})
+		cl, err := diet.InitializeConfig(diet.ClientConfig{Naming: cfg.Naming, MAName: ma, Events: cfg.Events})
 		if err != nil {
 			return nil, fmt.Errorf("gateway: connecting to MA %q: %w", ma, err)
 		}

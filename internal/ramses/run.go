@@ -353,11 +353,15 @@ func ConfigFromNamelist(nl *Namelist) (Config, error) {
 		cfg.Astart = v
 	}
 	if nl.Has("init_params", "seed") {
-		v, err := nl.Int("init_params", "seed")
+		// Parsed at 64 bits, as NamelistFromConfig writes it: Int's int is
+		// 32 bits wide on 32-bit hosts.
+		s, err := nl.String("init_params", "seed")
 		if err != nil {
 			return cfg, err
 		}
-		cfg.Seed = int64(v)
+		if cfg.Seed, err = strconv.ParseInt(s, 10, 64); err != nil {
+			return cfg, fmt.Errorf("ramses: init_params/seed: %w", err)
+		}
 	}
 	for d, key := range []string{"cx", "cy", "cz"} {
 		if nl.Has("init_params", key) {

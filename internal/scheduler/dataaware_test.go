@@ -41,13 +41,13 @@ func randomEstimates(rng *rand.Rand, withTransfers bool) []Estimate {
 // completionCost is the test's own view of a server's predicted cost for the
 // request — compute + wait + transfer — written out independently of the
 // policies' internals.
-func completionCost(e Estimate, work, minConf float64) float64 {
-	dur := forecastDur(&e, work, minConf)
+func completionCost(e Estimate, work float64) float64 {
+	dur, _ := e.PredictSeconds(work)
 	cap := float64(e.Capacity)
 	if cap < 1 {
 		cap = 1
 	}
-	wait, trusted := e.TrustedDrainSeconds(minConf)
+	wait, trusted := e.TrustedDrainSeconds()
 	if !trusted {
 		wait = float64(e.QueueLen+e.Running) * dur / cap
 	}
@@ -69,12 +69,12 @@ func TestDataAwareNeverWorseThanDataLocal(t *testing.T) {
 		if len(order) != len(ests) {
 			t.Fatalf("trial %d: rank returned %d of %d servers", trial, len(order), len(ests))
 		}
-		chosen := completionCost(ests[order[0]], req.WorkGFlops, ca.MinConfidence)
+		chosen := completionCost(ests[order[0]], req.WorkGFlops)
 		for i, e := range ests {
 			if e.InputTransferSeconds != 0 {
 				continue // not data-local
 			}
-			local := completionCost(e, req.WorkGFlops, ca.MinConfidence)
+			local := completionCost(e, req.WorkGFlops)
 			if chosen > local+1e-9 {
 				t.Fatalf("trial %d: chose %s at cost %.3f over data-local %s at cost %.3f\nests[%d]=%+v",
 					trial, ests[order[0]].ServerID, chosen, e.ServerID, local, i, e)
@@ -85,8 +85,8 @@ func TestDataAwareNeverWorseThanDataLocal(t *testing.T) {
 
 // preA13Score reproduces the policies' scoring exactly as it was before the
 // transfer term existed.
-func preA13Score(name string, e Estimate, work, minConf float64) float64 {
-	dur := forecastDur(&e, work, minConf)
+func preA13Score(name string, e Estimate, work float64) float64 {
+	dur, _ := e.PredictSeconds(work)
 	cap := float64(e.Capacity)
 	if cap < 1 {
 		cap = 1
@@ -95,7 +95,7 @@ func preA13Score(name string, e Estimate, work, minConf float64) float64 {
 	case "forecastaware":
 		return float64(e.QueueLen+e.Running+1) * dur / cap
 	default: // contentionaware
-		wait, trusted := e.TrustedDrainSeconds(minConf)
+		wait, trusted := e.TrustedDrainSeconds()
 		if !trusted {
 			wait = float64(e.QueueLen+e.Running) * dur / cap
 		}
@@ -116,8 +116,8 @@ func TestDataBlindRankingUnchanged(t *testing.T) {
 			got := p.Rank(req, ests)
 			want := byServerID(ests)
 			sort.SliceStable(want, func(a, b int) bool {
-				return preA13Score(p.Name(), ests[want[a]], req.WorkGFlops, DefaultMinConfidence) <
-					preA13Score(p.Name(), ests[want[b]], req.WorkGFlops, DefaultMinConfidence)
+				return preA13Score(p.Name(), ests[want[a]], req.WorkGFlops) <
+					preA13Score(p.Name(), ests[want[b]], req.WorkGFlops)
 			})
 			for i := range want {
 				if got[i] != want[i] {

@@ -7,58 +7,32 @@ package scheduler
 // PowerAware scores it, which is the graceful-degradation contract — with no
 // history anywhere, both policies reduce to PowerAware.
 
-// forecastDur predicts the duration of work on one server: the fitted model
-// when the server has trusted history, else the power-based estimate.
-func forecastDur(e *Estimate, work, minConfidence float64) float64 {
-	if e.HasForecast && e.ForecastSamples > 0 && e.ForecastConfidence >= minConfidence {
-		if p := e.ForecastSolveSeconds(work); p > 0 {
-			return p
-		}
-	}
-	power := e.PowerGFlops
-	if power <= 0 {
-		power = 1
-	}
-	return work / power
-}
-
 // ForecastAware ranks servers by the predicted completion time of the new
 // request: (pending ahead of it + itself) × the forecast duration of the
 // request on that server, scaled by capacity — PowerAware with the measured
 // duration model in place of the advertised-power guess.
-type ForecastAware struct {
-	// DefaultWorkGFlops is assumed when the request carries no estimate.
-	DefaultWorkGFlops float64
-	// MinConfidence discards models whose history has gone stale; such
-	// servers are scored from advertised power instead.
-	MinConfidence float64
-}
+type ForecastAware struct{}
 
-// NewForecastAware returns a ForecastAware policy with PowerAware's default
-// work assumption and the shared staleness floor.
-func NewForecastAware() *ForecastAware {
-	return &ForecastAware{DefaultWorkGFlops: 20000, MinConfidence: DefaultMinConfidence}
-}
+// NewForecastAware returns a ForecastAware policy.
+func NewForecastAware() *ForecastAware { return &ForecastAware{} }
 
 // Name implements Policy.
 func (f *ForecastAware) Name() string { return "forecastaware" }
 
 // Rank implements Policy.
 func (f *ForecastAware) Rank(req Request, ests []Estimate) []int {
-	work := req.WorkGFlops
-	if work <= 0 {
-		work = f.DefaultWorkGFlops
-	}
+	work := req.work()
 	return rankByScore(ests, func(e *Estimate) float64 {
 		pending := float64(e.QueueLen + e.Running + 1)
 		cap := float64(e.Capacity)
 		if cap < 1 {
 			cap = 1
 		}
+		dur, _ := e.PredictSeconds(work)
 		// Input transfer happens once, before the compute, so it adds to the
 		// completion time rather than scaling with the queue. Data-local
 		// servers carry 0 here and win the ties they used to lose.
-		return pending*forecastDur(e, work, f.MinConfidence)/cap + e.InputTransferSeconds
+		return pending*dur/cap + e.InputTransferSeconds
 	})
 }
 
@@ -69,33 +43,24 @@ func (f *ForecastAware) Rank(req Request, ests []Estimate) []int {
 // length, ContentionAware uses the forecaster's explicit prediction of when
 // the server frees up, which stays accurate when queued jobs have very
 // different sizes.
-type ContentionAware struct {
-	DefaultWorkGFlops float64
-	MinConfidence     float64
-}
+type ContentionAware struct{}
 
-// NewContentionAware returns a ContentionAware policy with the same defaults
-// as ForecastAware.
-func NewContentionAware() *ContentionAware {
-	return &ContentionAware{DefaultWorkGFlops: 20000, MinConfidence: DefaultMinConfidence}
-}
+// NewContentionAware returns a ContentionAware policy.
+func NewContentionAware() *ContentionAware { return &ContentionAware{} }
 
 // Name implements Policy.
 func (c *ContentionAware) Name() string { return "contentionaware" }
 
 // Rank implements Policy.
 func (c *ContentionAware) Rank(req Request, ests []Estimate) []int {
-	work := req.WorkGFlops
-	if work <= 0 {
-		work = c.DefaultWorkGFlops
-	}
+	work := req.work()
 	return rankByScore(ests, func(e *Estimate) float64 {
-		dur := forecastDur(e, work, c.MinConfidence)
+		dur, _ := e.PredictSeconds(work)
 		cap := float64(e.Capacity)
 		if cap < 1 {
 			cap = 1
 		}
-		wait, trusted := e.TrustedDrainSeconds(c.MinConfidence)
+		wait, trusted := e.TrustedDrainSeconds()
 		if !trusted {
 			// No trusted drain forecast (absent or gone stale): approximate
 			// the wait from the queue length, degrading to ForecastAware's

@@ -29,6 +29,18 @@ func oracleSort(ests []Estimate, score func(e Estimate) float64) []int {
 	return base
 }
 
+// oracleTrustedDrain is TrustedDrainSeconds as it was, with the floor a
+// parameter.
+func oracleTrustedDrain(e Estimate, minConfidence float64) (float64, bool) {
+	if !e.HasForecast || e.ForecastSamples == 0 ||
+		e.ForecastConfidence < minConfidence || e.PendingWorkSeconds < 0 {
+		return 0, false
+	}
+	return e.PendingWorkSeconds, true
+}
+
+// oracleForecastDur is forecastDur, the policies' duration prediction before
+// Estimate.PredictSeconds replaced it.
 func oracleForecastDur(e Estimate, work, minConfidence float64) float64 {
 	if e.HasForecast && e.ForecastSamples > 0 && e.ForecastConfidence >= minConfidence {
 		if p := e.ForecastSolveSeconds(work); p > 0 {
@@ -45,11 +57,9 @@ func oracleForecastDur(e Estimate, work, minConfidence float64) float64 {
 // oracleScore returns the old scoring closure of a scoring policy, nil for
 // the two policies that do not score.
 func oracleScore(p Policy, req Request) func(e Estimate) float64 {
-	work := func(def float64) float64 {
-		if req.WorkGFlops > 0 {
-			return req.WorkGFlops
-		}
-		return def
+	work := req.WorkGFlops
+	if work <= 0 {
+		work = 20000
 	}
 	capOf := func(e Estimate) float64 {
 		if cap := float64(e.Capacity); cap >= 1 {
@@ -57,18 +67,17 @@ func oracleScore(p Policy, req Request) func(e Estimate) float64 {
 		}
 		return 1
 	}
-	switch p := p.(type) {
+	switch p.(type) {
 	case *MCT:
 		return func(e Estimate) float64 {
 			st := e.LastSolveSeconds
 			if st <= 0 {
-				st = p.DefaultSolveSeconds
+				st = 3600
 			}
 			pending := float64(e.QueueLen + e.Running + 1)
 			return pending * st / capOf(e)
 		}
 	case *PowerAware:
-		work := work(p.DefaultWorkGFlops)
 		return func(e Estimate) float64 {
 			power := e.PowerGFlops
 			if power <= 0 {
@@ -78,16 +87,14 @@ func oracleScore(p Policy, req Request) func(e Estimate) float64 {
 			return pending * work / power / capOf(e)
 		}
 	case *ForecastAware:
-		work := work(p.DefaultWorkGFlops)
 		return func(e Estimate) float64 {
 			pending := float64(e.QueueLen + e.Running + 1)
-			return pending*oracleForecastDur(e, work, p.MinConfidence)/capOf(e) + e.InputTransferSeconds
+			return pending*oracleForecastDur(e, work, 0.05)/capOf(e) + e.InputTransferSeconds
 		}
 	case *ContentionAware:
-		work := work(p.DefaultWorkGFlops)
 		return func(e Estimate) float64 {
-			dur := oracleForecastDur(e, work, p.MinConfidence)
-			wait, trusted := e.TrustedDrainSeconds(p.MinConfidence)
+			dur := oracleForecastDur(e, work, 0.05)
+			wait, trusted := oracleTrustedDrain(e, 0.05)
 			if !trusted {
 				wait = float64(e.QueueLen+e.Running) * dur / capOf(e)
 			}

@@ -46,22 +46,45 @@ type Estimate struct {
 	InputTransferSeconds float64
 }
 
-// DefaultMinConfidence is the staleness floor shared by the forecast-aware
-// policies and the agent-side truncation: models whose confidence has
-// decayed below it are ignored in favour of the static fields, so every
-// layer of the stack agrees on which models are trusted.
-const DefaultMinConfidence = 0.05
+// MinConfidence is the staleness floor every layer of the stack applies to a
+// forecast: the policies, the agent-side truncation, the SeD's admission
+// prediction, walltime sizing, DAG pricing and measured-power deployment.
+// Models whose confidence has decayed below it are ignored in favour of the
+// static fields, so all of them agree on which models are trusted.
+const MinConfidence = 0.05
+
+// trusted reports whether the estimate carries a forecast model fitted on
+// at least one solve and still trusted at MinConfidence.
+func (e *Estimate) trusted() bool {
+	return e.HasForecast && e.ForecastSamples > 0 && e.ForecastConfidence >= MinConfidence
+}
 
 // TrustedDrainSeconds returns the forecast drain time of the server's
-// accepted work when the estimate carries a model trusted at minConfidence;
-// ok is false when the caller must fall back to its own queue-based
-// approximation.
-func (e Estimate) TrustedDrainSeconds(minConfidence float64) (float64, bool) {
-	if !e.HasForecast || e.ForecastSamples == 0 ||
-		e.ForecastConfidence < minConfidence || e.PendingWorkSeconds < 0 {
+// accepted work when the estimate carries a trusted model; ok is false when
+// the caller must fall back to its own queue-based approximation.
+func (e *Estimate) TrustedDrainSeconds() (float64, bool) {
+	if !e.trusted() || e.PendingWorkSeconds < 0 {
 		return 0, false
 	}
 	return e.PendingWorkSeconds, true
+}
+
+// PredictSeconds predicts how long work GFlops would take on this server:
+// the trusted model's forecast when it is positive, else work over the
+// advertised power (1 GFlops when none is advertised). byModel reports which
+// path produced the prediction. The policies, the SeD, walltime sizing, DAG
+// pricing and the simulator's mirrored SeD all predict through it.
+func (e *Estimate) PredictSeconds(work float64) (seconds float64, byModel bool) {
+	if e.trusted() {
+		if p := e.ForecastSolveSeconds(work); p > 0 {
+			return p, true
+		}
+	}
+	power := e.PowerGFlops
+	if power <= 0 {
+		power = 1
+	}
+	return work / power, false
 }
 
 // ForecastSolveSeconds predicts how long work GFlops would take on this
@@ -201,16 +224,29 @@ func (r *Random) Rank(req Request, ests []Estimate) []int {
 	return base
 }
 
+// defaultWorkGFlops is the work assumed when a request carries no estimate:
+// ~20 TFlop, ≈1.4 h on a 4-GFlops Opteron.
+const defaultWorkGFlops = 20000
+
+// work is the request's work estimate, defaultWorkGFlops when it has none.
+func (r Request) work() float64 {
+	if r.WorkGFlops <= 0 {
+		return defaultWorkGFlops
+	}
+	return r.WorkGFlops
+}
+
+// defaultSolveSeconds is the solve time MCT assumes for a server with no
+// history.
+const defaultSolveSeconds = 3600
+
 // MCT (minimum completion time) ranks servers by the estimated time until a
 // newly queued request would finish, using each server's last observed solve
 // time. With no history it degrades to least-loaded.
-type MCT struct {
-	// DefaultSolveSeconds is assumed when a server has no history.
-	DefaultSolveSeconds float64
-}
+type MCT struct{}
 
-// NewMCT returns an MCT policy with a 1-hour default service time.
-func NewMCT() *MCT { return &MCT{DefaultSolveSeconds: 3600} }
+// NewMCT returns an MCT policy.
+func NewMCT() *MCT { return &MCT{} }
 
 // Name implements Policy.
 func (m *MCT) Name() string { return "mct" }
@@ -220,7 +256,7 @@ func (m *MCT) Rank(req Request, ests []Estimate) []int {
 	return rankByScore(ests, func(e *Estimate) float64 {
 		st := e.LastSolveSeconds
 		if st <= 0 {
-			st = m.DefaultSolveSeconds
+			st = defaultSolveSeconds
 		}
 		pending := float64(e.QueueLen + e.Running + 1)
 		cap := float64(e.Capacity)
@@ -235,24 +271,17 @@ func (m *MCT) Rank(req Request, ests []Estimate) []int {
 // requests "according to the processing power" by estimating completion time
 // as (work × pending) / GFlops. It removes the Toulouse-vs-Nancy imbalance
 // of Figure 5.
-type PowerAware struct {
-	// DefaultWorkGFlops is assumed when the request carries no estimate.
-	DefaultWorkGFlops float64
-}
+type PowerAware struct{}
 
-// NewPowerAware returns a PowerAware policy assuming ~20 TFlop of work per
-// request when the client does not say (≈1.4 h on a 4-GFlops Opteron).
-func NewPowerAware() *PowerAware { return &PowerAware{DefaultWorkGFlops: 20000} }
+// NewPowerAware returns a PowerAware policy.
+func NewPowerAware() *PowerAware { return &PowerAware{} }
 
 // Name implements Policy.
 func (p *PowerAware) Name() string { return "poweraware" }
 
 // Rank implements Policy.
 func (p *PowerAware) Rank(req Request, ests []Estimate) []int {
-	work := req.WorkGFlops
-	if work <= 0 {
-		work = p.DefaultWorkGFlops
-	}
+	work := req.work()
 	return rankByScore(ests, func(e *Estimate) float64 {
 		power := e.PowerGFlops
 		if power <= 0 {

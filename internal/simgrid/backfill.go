@@ -55,8 +55,8 @@ type BatchQueueJob struct {
 }
 
 // BatchQueueConfig sizes the virtual cluster queue. A killed attempt
-// requeues with its grant widened by batch.WalltimePolicy's default
-// RequeueFactor, up to maxBatchAttempts — the live executor's defaults.
+// requeues with its grant widened by batch.RequeueFactor, up to
+// batch.MaxAttempts attempts — the live executor's budget.
 type BatchQueueConfig struct {
 	Nodes    int
 	Backfill bool
@@ -87,13 +87,12 @@ type bfRunning struct {
 // jump ahead, ranked by batch.OrderBackfill (forecast-sized first, then
 // tighter walltimes, then submission order). An attempt whose script
 // outlives its grant is killed at expiry and requeued with a
-// RequeueFactor-widened grant up to maxBatchAttempts. Jobs are mutated in
-// place.
+// batch.RequeueFactor-widened grant up to batch.MaxAttempts attempts. Jobs
+// are mutated in place.
 func SimulateBatchQueue(cfg BatchQueueConfig, jobs []*BatchQueueJob) error {
 	if cfg.Nodes < 1 {
 		return fmt.Errorf("simgrid: batch queue needs >= 1 node, got %d", cfg.Nodes)
 	}
-	requeueFactor := batch.WalltimePolicy{}.WithDefaults().RequeueFactor
 	for _, j := range jobs {
 		if j.Nodes < 1 || j.Nodes > cfg.Nodes {
 			return fmt.Errorf("simgrid: job %d requests %d nodes, cluster has %d", j.ID, j.Nodes, cfg.Nodes)
@@ -218,12 +217,12 @@ func SimulateBatchQueue(cfg BatchQueueConfig, jobs []*BatchQueueJob) error {
 			// job requeues at the tail with a widened grant, like
 			// batch.ForecastExecutor's kill-and-requeue.
 			r.job.Kills++
-			if r.job.Kills >= maxBatchAttempts {
+			if r.job.Kills >= batch.MaxAttempts {
 				r.job.Failed = true
 				r.job.EndS = r.releaseS
 				continue
 			}
-			queue = append(queue, &bfQueued{job: r.job, enqueueS: t, wallS: r.wallS * requeueFactor, headBoundS: -1})
+			queue = append(queue, &bfQueued{job: r.job, enqueueS: t, wallS: r.wallS * batch.RequeueFactor, headBoundS: -1})
 		}
 		running = keep
 		for next < len(arrivals) && arrivals[next].ArriveS <= t {

@@ -185,11 +185,6 @@ func DefaultExperiment(policy scheduler.Policy) ExperimentConfig {
 	}
 }
 
-// maxBatchAttempts mirrors batch.ForecastExecutor's default retry budget
-// (MaxAttempts): grants that would still overrun after this many attempts
-// fail in the live stack, so the simulator refuses to model past it.
-const maxBatchAttempts = 3
-
 // meanPower averages SeD powers over a deployment.
 func meanPower(dep platform.Deployment) float64 {
 	var sum float64
@@ -354,24 +349,6 @@ func (s *sedState) estimate(service string, est *scheduler.Estimate) {
 	}
 }
 
-// predict mirrors the schedulers' duration view of this SeD at dispatch: the
-// CoRI model when it is trusted at the shared confidence floor, else the
-// advertised-power estimate.
-func (s *sedState) predict(service string, work float64) (float64, bool) {
-	if s.monitor != nil {
-		if model, ok := s.monitor.Model(service); ok && model.Confidence >= scheduler.DefaultMinConfidence {
-			if p := model.SolveSeconds(work); p > 0 {
-				return p, true
-			}
-		}
-	}
-	power := s.advertised
-	if power <= 0 {
-		power = 1
-	}
-	return work / power, false
-}
-
 // RunExperiment replays the campaign in virtual time and returns every
 // quantity the paper reports.
 func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
@@ -518,7 +495,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	// cancel-and-requeue turns them into no-ops.
 	scheduleOn := func(sed *sedState, job *simJob) {
 		id, service, work := job.id, job.service, job.work
-		predS, predByModel := sed.predict(service, work)
+		predS, predByModel := sed.monitor.PredictSeconds(service, work, sed.advertised)
 		now := sim.Now()
 		// The span labels are built only for a run that is traced.
 		var reqID, sedComp, served string
@@ -550,7 +527,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 			// attempt, and replay kill-and-requeue when the solve outlives its
 			// grant — batch.System{EnforceWalltime} + batch.ForecastExecutor
 			// in virtual time.
-			pol := batch.WalltimePolicy{Fixed: time.Duration(cfg.BatchFixedWallS * float64(time.Second))}.WithDefaults()
+			pol := batch.WalltimePolicy{Fixed: time.Duration(cfg.BatchFixedWallS * float64(time.Second))}
 			var mon *cori.Monitor
 			if cfg.BatchForecast {
 				mon = sed.monitor
@@ -573,11 +550,11 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 				startS-cfg.BatchGrantS, startS)
 			if wall > 0 {
 				// Mirror the live executor's retry budget: a solve that still
-				// overruns after maxBatchAttempts grants would fail for real,
+				// overruns after batch.MaxAttempts grants would fail for real,
 				// so the campaign must not silently absorb it (checked after
 				// the run).
 				for attempt := 1; wall < durS; attempt++ {
-					if attempt >= maxBatchAttempts {
+					if attempt >= batch.MaxAttempts {
 						batchExhausted++
 						break
 					}
@@ -594,7 +571,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 					emitSpan(reqID, sedComp, logsvc.KindReserve, service,
 						fmt.Sprintf("attempt %d", attempt+1),
 						startS-cfg.BatchGrantS, startS)
-					wall *= pol.RequeueFactor
+					wall *= batch.RequeueFactor
 				}
 				res.Batch.ReservedS += wall
 				if pad := wall - durS; pad > 0 {
@@ -889,7 +866,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 						if sed.monitor != nil {
 							remonitor(sed, true)
 						}
-						_, trusted := sed.predict(phase2Service, phase2WorkGFlops)
+						_, trusted := sed.monitor.PredictSeconds(phase2Service, phase2WorkGFlops, sed.advertised)
 						flog(f.Node, "restart", fmt.Sprintf("rejoined warm, model trusted=%v", trusted))
 					} else {
 						// No snapshot on disk: the monitor restarts cold and
@@ -995,7 +972,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 					if ev.MovedModelTrusted == nil {
 						ev.MovedModelTrusted = make(map[string]bool)
 					}
-					_, ev.MovedModelTrusted[s.place.Name] = s.predict(phase2Service, phase2WorkGFlops)
+					_, ev.MovedModelTrusted[s.place.Name] = s.monitor.PredictSeconds(phase2Service, phase2WorkGFlops, s.advertised)
 					ev.Moved = append(ev.Moved, s.place.Name)
 				}
 				sort.Strings(ev.Moved)
@@ -1011,7 +988,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 	sim.Run()
 	if batchExhausted > 0 {
 		return nil, fmt.Errorf("simgrid: %d reservations exhausted the %d-attempt walltime budget — the live executor would fail these solves; widen the grant or train the forecasts",
-			batchExhausted, maxBatchAttempts)
+			batchExhausted, batch.MaxAttempts)
 	}
 	if done+lost != cfg.NRequests {
 		return nil, fmt.Errorf("simgrid: only %d of %d requests completed (%d lost to failures)", done, cfg.NRequests, lost)

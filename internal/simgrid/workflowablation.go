@@ -108,9 +108,10 @@ func (r *WorkflowAblationResult) Print(w io.Writer) {
 
 // runWorkflowArm executes workflowCampaigns back-to-back campaigns of the
 // zoom DAG under one engine, in a single virtual timeline, carrying the
-// monitors from campaign to campaign. Stages are priced by sedState.predict,
-// the campaign simulator's mirror of workflow.DietRunner's pricing, and
-// ready nodes launch through workflow.NextReady, the live runner's pick.
+// monitors from campaign to campaign. Stages are priced by
+// cori.Monitor.PredictSeconds, the prediction workflow.DietRunner's pricing
+// makes through scheduler.Estimate.PredictSeconds, and ready nodes launch
+// through workflow.NextReady, the live runner's pick.
 func runWorkflowArm(forecastCP bool, skew map[string]float64) (*WorkflowArmResult, error) {
 	doc := workflow.RamsesZoomDocument(workflowLevels, workflowSnapshots)
 	dag, err := workflow.FromDocument(doc)
@@ -181,7 +182,7 @@ func runWorkflowArm(forecastCP bool, skew map[string]float64) (*WorkflowArmResul
 			priorities, err = dag.CriticalPathSeconds(func(def workflow.NodeDef) float64 {
 				best := math.Inf(1)
 				for _, s := range seds {
-					if p, _ := s.predict(def.Service, stageWork[def.Service]); p < best {
+					if p, _ := s.monitor.PredictSeconds(def.Service, stageWork[def.Service], s.advertised); p < best {
 						best = p
 					}
 				}
@@ -205,7 +206,7 @@ func runWorkflowArm(forecastCP bool, skew map[string]float64) (*WorkflowArmResul
 				byModel := false
 				now := sim.Now()
 				for _, s := range seds {
-					p, model := s.predict(n.service, n.work)
+					p, model := s.monitor.PredictSeconds(n.service, n.work, s.advertised)
 					start := now
 					if s.freeAt > start {
 						start = s.freeAt

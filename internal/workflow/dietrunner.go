@@ -52,9 +52,6 @@ type DietRunner struct {
 	// ServiceWork maps service name → default work hint in GFlops for
 	// nodes whose TaskSpec carries no explicit estimate.
 	ServiceWork map[string]float64
-	// MinConfidence is the forecast staleness floor for pricing
-	// (0 = scheduler.DefaultMinConfidence, the floor the policies share).
-	MinConfidence float64
 	// Retries re-runs a node's whole call (fresh finding phase included)
 	// after the ranked-failover walk inside Call has exhausted every
 	// offered server — the workflow-level requeue.
@@ -151,11 +148,6 @@ func (r *DietRunner) Run(d *DAG, specs map[string]TaskSpec) (*RunReport, error) 
 			return nil, fmt.Errorf("workflow: node %q has neither a bound action nor a task spec", id)
 		}
 	}
-	minConf := r.MinConfidence
-	if minConf <= 0 {
-		minConf = scheduler.DefaultMinConfidence
-	}
-
 	rep := &RunReport{
 		RunID:          fmt.Sprintf("wf%d-%s", runSeq.Add(1), d.Name()),
 		PriceS:         make(map[string]float64),
@@ -187,7 +179,7 @@ func (r *DietRunner) Run(d *DAG, specs map[string]TaskSpec) (*RunReport, error) 
 			}
 			services[svc] = pr
 		}
-		sec, byModel := cori.BestEstimateSeconds(pr.ests, r.workFor(svc, spec), minConf)
+		sec, byModel := cori.BestEstimateSeconds(pr.ests, r.workFor(svc, spec))
 		rep.PriceS[id] = sec
 		if byModel {
 			pr.byModel = true
