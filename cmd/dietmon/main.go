@@ -205,8 +205,7 @@ func main() {
 
 	fmt.Printf("events: %d | %s\n", len(col.events), countsLine(col.events))
 	if st, err := col.src.Stats(); err == nil {
-		fmt.Printf("bus: %d published, %d dropped, %d subscribers, %d retained\n",
-			st.Published, st.Dropped, st.Subscribers, st.HistoryLen)
+		fmt.Printf("bus: %d published, %d retained\n", st.Published, st.HistoryLen)
 	}
 	if *gantt {
 		renderGantt(os.Stdout, col.events, *ganttCols)

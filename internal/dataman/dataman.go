@@ -37,12 +37,11 @@ func (m Mode) String() string {
 	return "persistent"
 }
 
-// Item is one stored datum. It crosses the wire in a hand-written layout
-// (rpc.WireBody: ID text, Mode int, Data bytes), so Get, Put and FetchTo
-// move Data as a segment of its own instead of through gob: a sender
-// must not change Data until the call returns, and the Data of an Item a store
-// was handed over tcp aliases the frame it arrived in — as long as the item is
-// stored, so is that frame.
+// Item is one stored datum. It crosses the wire as its ID text, Mode int
+// and Data bytes (rpc.WireBody), so Get, Put and FetchTo move Data as a
+// segment of its own: a sender must not change Data until the call returns,
+// and the Data of an Item a store was handed over tcp aliases the frame it
+// arrived in — as long as the item is stored, so is that frame.
 type Item struct {
 	ID   string
 	Mode Mode
@@ -52,7 +51,7 @@ type Item struct {
 var _ rpc.WireBody = (*Item)(nil)
 
 // WireSize implements rpc.WireBody.
-func (it *Item) WireSize() int { return 2*rpc.LenSize + len(it.ID) + rpc.IntSize + len(it.Data) }
+func (it *Item) WireSize() int { return rpc.TextSize(it.ID) + rpc.IntSize + rpc.LenSize + len(it.Data) }
 
 // AppendWire implements rpc.WireBody.
 func (it *Item) AppendWire(w rpc.Writer) rpc.Writer {
@@ -109,52 +108,26 @@ func (s *Store) Delete(id string) {
 
 // Serve exposes the store on srv under ObjectName. Get answers with the item
 // itself, so over tcp its data goes out from the store's memory.
-func (s *Store) Serve(srv *rpc.Server) {
-	srv.RegisterTyped(ObjectName, map[string]rpc.TypedMethod{
-		"Get": func(body []byte) (rpc.WireBody, error) { return s.get(body) },
-	}, s.Handler())
-}
-
-// get is the Get method: the item named by a gob string.
-func (s *Store) get(body []byte) (*Item, error) {
-	var id string
-	if err := rpc.Decode(body, &id); err != nil {
-		return nil, err
-	}
-	it, err := s.Get(id)
-	return &it, err
-}
+func (s *Store) Serve(srv *rpc.Server) { srv.RegisterMethods(ObjectName, s.methods()) }
 
 // Handler exposes the store over rpc, every reply encoded here: what Serve
 // registers, but for a Get that copies the item's data into its reply.
-func (s *Store) Handler() rpc.Handler {
-	return rpc.HandlerFunc(map[string]func([]byte) ([]byte, error){
-		"Get": func(body []byte) ([]byte, error) {
-			it, err := s.get(body)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(it)
-		},
-		"Put": func(body []byte) ([]byte, error) {
-			var it Item
-			if err := rpc.Decode(body, &it); err != nil {
-				return nil, err
-			}
-			if err := s.Put(it.ID, it.Mode, it.Data); err != nil {
-				return nil, err
-			}
-			return rpc.Encode(true)
-		},
-		"Delete": func(body []byte) ([]byte, error) {
-			var id string
-			if err := rpc.Decode(body, &id); err != nil {
-				return nil, err
-			}
-			s.Delete(id)
-			return rpc.Encode(true)
-		},
-	})
+func (s *Store) Handler() rpc.Handler { return s.methods().Handler() }
+
+// methods are the store's rpc methods: Get and Delete take the item's ID,
+// Put the item, and only Get answers.
+func (s *Store) methods() rpc.Methods {
+	return rpc.Methods{
+		"Get": rpc.Typed(func(id *rpc.Text) (*Item, error) {
+			it, err := s.Get(string(*id))
+			return &it, err
+		}),
+		"Put": rpc.Typed(func(it *Item) (rpc.WireBody, error) { return nil, s.Put(it.ID, it.Mode, it.Data) }),
+		"Delete": rpc.Typed(func(id *rpc.Text) (rpc.WireBody, error) {
+			s.Delete(string(*id))
+			return nil, nil
+		}),
+	}
 }
 
 // TransferObserver is notified of every measured inter-node data movement
@@ -287,12 +260,13 @@ func (c *Catalog) fetchAny(id, preferNode string) (Item, string, error) {
 		}
 	}
 	var lastErr error
+	key := rpc.Text(id)
 	for _, node := range nodes {
 		c.mu.RLock()
 		addr := c.nodes[node]
 		c.mu.RUnlock()
 		var it Item
-		if err := rpc.Call(addr, ObjectName, "Get", id, &it); err != nil {
+		if err := rpc.Call(addr, ObjectName, "Get", &key, &it); err != nil {
 			lastErr = err
 			continue
 		}
@@ -329,13 +303,12 @@ func (c *Catalog) FetchTo(id, toNode string) (Item, error) {
 	// Best-effort local replica. If the catalog refuses the record (the
 	// datum was unpublished and repinned while the copy was in flight), the
 	// orphan bytes are deleted so store and catalog stay consistent.
-	var accepted bool
-	if err := rpc.Call(dstAddr, ObjectName, "Put", &it, &accepted); err != nil {
+	if err := rpc.Call(dstAddr, ObjectName, "Put", &it, nil); err != nil {
 		return it, nil
 	}
 	if err := c.Publish(id, toNode, it.Mode); err != nil {
-		var deleted bool
-		_ = rpc.Call(dstAddr, ObjectName, "Delete", id, &deleted)
+		key := rpc.Text(id)
+		_ = rpc.Call(dstAddr, ObjectName, "Delete", &key, nil)
 	}
 	return it, nil
 }
@@ -381,13 +354,12 @@ func (c *Catalog) Put(id, node string, mode Mode, data []byte) error {
 	if !ok {
 		return fmt.Errorf("dataman: unknown node %q", node)
 	}
-	var accepted bool
-	if err := rpc.Call(addr, ObjectName, "Put", &Item{ID: id, Mode: mode, Data: data}, &accepted); err != nil {
+	if err := rpc.Call(addr, ObjectName, "Put", &Item{ID: id, Mode: mode, Data: data}, nil); err != nil {
 		return fmt.Errorf("dataman: storing %q on %s: %w", id, node, err)
 	}
 	if err := c.Publish(id, node, mode); err != nil {
-		var deleted bool
-		_ = rpc.Call(addr, ObjectName, "Delete", id, &deleted)
+		key := rpc.Text(id)
+		_ = rpc.Call(addr, ObjectName, "Delete", &key, nil)
 		return err
 	}
 	c.SetSizeMB(id, float64(len(data))/(1<<20))

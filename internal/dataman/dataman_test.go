@@ -282,8 +282,7 @@ func (c *Catalog) Replicate(id, toNode string) error {
 	if err != nil {
 		return err
 	}
-	var accepted bool
-	if err := rpc.Call(dstAddr, ObjectName, "Put", &it, &accepted); err != nil {
+	if err := rpc.Call(dstAddr, ObjectName, "Put", &it, nil); err != nil {
 		return fmt.Errorf("dataman: replicating %q to %s: %w", id, toNode, err)
 	}
 	c.observeTransfer(from, toNode, c.itemSizeMB(id, it), time.Since(t0))
@@ -292,8 +291,8 @@ func (c *Catalog) Replicate(id, toNode string) error {
 		// unpublished and repinned while the copy was in flight): delete the
 		// orphan so store and catalog stay consistent. Best-effort — an
 		// unreachable store keeps unreachable bytes, nothing worse.
-		var deleted bool
-		_ = rpc.Call(dstAddr, ObjectName, "Delete", id, &deleted)
+		key := rpc.Text(id)
+		_ = rpc.Call(dstAddr, ObjectName, "Delete", &key, nil)
 		return fmt.Errorf("dataman: publishing replica of %q on %s: %w", id, toNode, err)
 	}
 	return nil

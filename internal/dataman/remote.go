@@ -26,10 +26,13 @@ var (
 	_ Access = (*Remote)(nil)
 )
 
-// Wire request/reply shapes. Exported fields keep gob happy; the types stay
-// private to the package on both ends.
+// The request and reply bodies of the catalog's methods (rpc.WireBody
+// layouts, their fields in order); Locate, SizeMB and ReplicaCount take the
+// ID alone, and AddNode and Publish answer nothing.
 type (
-	nodeReq    struct{ Node, Addr string }
+	// textPair carries two texts: node and address for AddNode, ID and node
+	// for FetchTo and HasReplica.
+	textPair   struct{ A, B string }
 	publishReq struct {
 		ID, Node string
 		Mode     Mode
@@ -42,80 +45,59 @@ type (
 		MB float64
 		OK bool
 	}
-	fetchToReq struct{ ID, Node string }
-	replicaAsk struct{ ID, Node string }
 )
+
+func (p *textPair) WireSize() int                      { return rpc.TextSize(p.A, p.B) }
+func (p *textPair) AppendWire(w rpc.Writer) rpc.Writer { return w.Text(p.A).Text(p.B) }
+func (p *textPair) ReadWire(r *rpc.Reader)             { p.A, p.B = r.Text(), r.Text() }
+
+func (q *publishReq) WireSize() int { return rpc.TextSize(q.ID, q.Node) + rpc.IntSize }
+func (q *publishReq) AppendWire(w rpc.Writer) rpc.Writer {
+	return w.Text(q.ID).Text(q.Node).Int(int(q.Mode))
+}
+func (q *publishReq) ReadWire(r *rpc.Reader) {
+	q.ID, q.Node, q.Mode = r.Text(), r.Text(), Mode(r.Int())
+}
+
+func (p *locateReply) WireSize() int                      { return rpc.TextsSize(p.Nodes) + rpc.IntSize }
+func (p *locateReply) AppendWire(w rpc.Writer) rpc.Writer { return w.Texts(p.Nodes).Int(int(p.Mode)) }
+func (p *locateReply) ReadWire(r *rpc.Reader)             { p.Nodes, p.Mode = r.Texts(), Mode(r.Int()) }
+
+func (p *sizeReply) WireSize() int                      { return rpc.Float64Size + rpc.BoolSize }
+func (p *sizeReply) AppendWire(w rpc.Writer) rpc.Writer { return w.Float64(p.MB).Bool(p.OK) }
+func (p *sizeReply) ReadWire(r *rpc.Reader)             { p.MB, p.OK = r.Float64(), r.Bool() }
 
 // Handler exposes the catalog over rpc so remote SeDs can share one platform
 // catalog. Transfers a remote FetchTo triggers run (and are measured) on the
 // hosting side, where the observers live.
-func (c *Catalog) Handler() rpc.Handler {
-	return rpc.HandlerFunc(map[string]func([]byte) ([]byte, error){
-		"AddNode": func(body []byte) ([]byte, error) {
-			var req nodeReq
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			if err := c.AddNode(req.Node, req.Addr); err != nil {
-				return nil, err
-			}
-			return rpc.Encode(true)
-		},
-		"Publish": func(body []byte) ([]byte, error) {
-			var req publishReq
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			if err := c.Publish(req.ID, req.Node, req.Mode); err != nil {
-				return nil, err
-			}
-			return rpc.Encode(true)
-		},
-		"Locate": func(body []byte) ([]byte, error) {
-			var id string
-			if err := rpc.Decode(body, &id); err != nil {
-				return nil, err
-			}
-			nodes, mode, err := c.Locate(id)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(locateReply{Nodes: nodes, Mode: mode})
-		},
-		"SizeMB": func(body []byte) ([]byte, error) {
-			var id string
-			if err := rpc.Decode(body, &id); err != nil {
-				return nil, err
-			}
-			mb, ok := c.SizeMB(id)
-			return rpc.Encode(sizeReply{MB: mb, OK: ok})
-		},
-		"FetchTo": func(body []byte) ([]byte, error) {
-			var req fetchToReq
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			it, err := c.FetchTo(req.ID, req.Node)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(&it)
-		},
-		"ReplicaCount": func(body []byte) ([]byte, error) {
-			var id string
-			if err := rpc.Decode(body, &id); err != nil {
-				return nil, err
-			}
-			return rpc.Encode(c.ReplicaCount(id))
-		},
-		"HasReplica": func(body []byte) ([]byte, error) {
-			var req replicaAsk
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			return rpc.Encode(c.HasReplica(req.ID, req.Node))
-		},
-	})
+func (c *Catalog) Handler() rpc.Handler { return c.methods().Handler() }
+
+// methods are the catalog's rpc methods.
+func (c *Catalog) methods() rpc.Methods {
+	return rpc.Methods{
+		"AddNode": rpc.Typed(func(q *textPair) (rpc.WireBody, error) { return nil, c.AddNode(q.A, q.B) }),
+		"Publish": rpc.Typed(func(q *publishReq) (rpc.WireBody, error) { return nil, c.Publish(q.ID, q.Node, q.Mode) }),
+		"Locate": rpc.Typed(func(id *rpc.Text) (*locateReply, error) {
+			nodes, mode, err := c.Locate(string(*id))
+			return &locateReply{Nodes: nodes, Mode: mode}, err
+		}),
+		"SizeMB": rpc.Typed(func(id *rpc.Text) (*sizeReply, error) {
+			mb, ok := c.SizeMB(string(*id))
+			return &sizeReply{MB: mb, OK: ok}, nil
+		}),
+		"FetchTo": rpc.Typed(func(q *textPair) (*Item, error) {
+			it, err := c.FetchTo(q.A, q.B)
+			return &it, err
+		}),
+		"ReplicaCount": rpc.Typed(func(id *rpc.Text) (*rpc.Int, error) {
+			n := rpc.Int(c.ReplicaCount(string(*id)))
+			return &n, nil
+		}),
+		"HasReplica": rpc.Typed(func(q *textPair) (*rpc.Bool, error) {
+			ok := rpc.Bool(c.HasReplica(q.A, q.B))
+			return &ok, nil
+		}),
+	}
 }
 
 // Remote is an Access client against a catalog hosted elsewhere.
@@ -125,20 +107,19 @@ type Remote struct {
 
 // AddNode implements Access.
 func (r *Remote) AddNode(node, addr string) error {
-	var ok bool
-	return rpc.Call(r.Addr, CatalogObjectName, "AddNode", nodeReq{Node: node, Addr: addr}, &ok)
+	return rpc.Call(r.Addr, CatalogObjectName, "AddNode", &textPair{node, addr}, nil)
 }
 
 // Publish implements Access.
 func (r *Remote) Publish(id, node string, mode Mode) error {
-	var ok bool
-	return rpc.Call(r.Addr, CatalogObjectName, "Publish", publishReq{ID: id, Node: node, Mode: mode}, &ok)
+	return rpc.Call(r.Addr, CatalogObjectName, "Publish", &publishReq{ID: id, Node: node, Mode: mode}, nil)
 }
 
 // Locate implements Access.
 func (r *Remote) Locate(id string) ([]string, Mode, error) {
 	var reply locateReply
-	if err := rpc.Call(r.Addr, CatalogObjectName, "Locate", id, &reply); err != nil {
+	key := rpc.Text(id)
+	if err := rpc.Call(r.Addr, CatalogObjectName, "Locate", &key, &reply); err != nil {
 		return nil, Persistent, err
 	}
 	return reply.Nodes, reply.Mode, nil
@@ -147,7 +128,8 @@ func (r *Remote) Locate(id string) ([]string, Mode, error) {
 // SizeMB implements Access.
 func (r *Remote) SizeMB(id string) (float64, bool) {
 	var reply sizeReply
-	if err := rpc.Call(r.Addr, CatalogObjectName, "SizeMB", id, &reply); err != nil {
+	key := rpc.Text(id)
+	if err := rpc.Call(r.Addr, CatalogObjectName, "SizeMB", &key, &reply); err != nil {
 		return 0, false
 	}
 	return reply.MB, reply.OK
@@ -156,7 +138,7 @@ func (r *Remote) SizeMB(id string) (float64, bool) {
 // FetchTo implements Access.
 func (r *Remote) FetchTo(id, toNode string) (Item, error) {
 	var it Item
-	if err := rpc.Call(r.Addr, CatalogObjectName, "FetchTo", fetchToReq{ID: id, Node: toNode}, &it); err != nil {
+	if err := rpc.Call(r.Addr, CatalogObjectName, "FetchTo", &textPair{id, toNode}, &it); err != nil {
 		return Item{}, err
 	}
 	return it, nil
@@ -164,18 +146,19 @@ func (r *Remote) FetchTo(id, toNode string) (Item, error) {
 
 // ReplicaCount implements Access; a transport error reads as unpublished.
 func (r *Remote) ReplicaCount(id string) int {
-	var n int
-	if err := rpc.Call(r.Addr, CatalogObjectName, "ReplicaCount", id, &n); err != nil {
+	var n rpc.Int
+	key := rpc.Text(id)
+	if err := rpc.Call(r.Addr, CatalogObjectName, "ReplicaCount", &key, &n); err != nil {
 		return 0
 	}
-	return n
+	return int(n)
 }
 
 // HasReplica implements Access; a transport error reads as absent.
 func (r *Remote) HasReplica(id, node string) bool {
-	var ok bool
-	if err := rpc.Call(r.Addr, CatalogObjectName, "HasReplica", replicaAsk{ID: id, Node: node}, &ok); err != nil {
+	var ok rpc.Bool
+	if err := rpc.Call(r.Addr, CatalogObjectName, "HasReplica", &textPair{id, node}, &ok); err != nil {
 		return false
 	}
-	return ok
+	return bool(ok)
 }

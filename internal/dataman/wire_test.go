@@ -12,6 +12,28 @@ import (
 
 func freshItem() rpc.WireBody { return &Item{} }
 
+// storeMethods and catalogMethods are the methods of a store and of a
+// hosted catalog, and their bodies, fresh.
+var (
+	storeMethods = []wiretest.Method{
+		{Name: "Get", Req: newText, Rep: freshItem},
+		{Name: "Put", Req: freshItem},
+		{Name: "Delete", Req: newText},
+	}
+	catalogMethods = []wiretest.Method{
+		{Name: "AddNode", Req: newPair},
+		{Name: "Publish", Req: func() rpc.WireBody { return &publishReq{} }},
+		{Name: "Locate", Req: newText, Rep: func() rpc.WireBody { return &locateReply{} }},
+		{Name: "SizeMB", Req: newText, Rep: func() rpc.WireBody { return &sizeReply{} }},
+		{Name: "FetchTo", Req: newPair, Rep: freshItem},
+		{Name: "ReplicaCount", Req: newText, Rep: func() rpc.WireBody { return new(rpc.Int) }},
+		{Name: "HasReplica", Req: newPair, Rep: func() rpc.WireBody { return new(rpc.Bool) }},
+	}
+)
+
+func newText() rpc.WireBody { return new(rpc.Text) }
+func newPair() rpc.WireBody { return &textPair{} }
+
 func TestItemBodyRoundTrip(t *testing.T) {
 	filled := &Item{}
 	wiretest.Fill(filled)
@@ -28,22 +50,45 @@ func TestItemBodyRoundTrip(t *testing.T) {
 	}
 }
 
+// datamanBodies are the bodies of storeMethods and catalogMethods, checked
+// against what a store and a catalog register.
+func datamanBodies(t testing.TB) []func() rpc.WireBody {
+	return append(wiretest.Bodies(t, storeMethods, NewStore("n").methods()), wiretest.Bodies(t, catalogMethods, NewCatalog().methods())...)
+}
+
+func TestDatamanBodiesRoundTrip(t *testing.T) {
+	for _, fresh := range datamanBodies(t) {
+		filled := fresh()
+		wiretest.Fill(filled)
+		for _, in := range []rpc.WireBody{fresh(), filled} {
+			wire := wiretest.RoundTrip(t, in, fresh())
+			wiretest.RefuseDamaged(t, wire, fresh)
+		}
+	}
+}
+
+// FuzzItemBody feeds arbitrary bytes to the decoder of every body of a
+// store and a catalog, the item first.
 func FuzzItemBody(f *testing.F) {
+	bodies := datamanBodies(f)
 	filled := &Item{}
 	wiretest.Fill(filled)
 	wire, _ := rpc.Encode(filled)
-	f.Add(wire)
-	f.Add(wire[:len(wire)-1])
-	f.Add(append(wire[:len(wire):len(wire)], 0))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) { wiretest.FuzzDecode(t, data, &Item{}) })
+	f.Add(uint8(1), wire)
+	f.Add(uint8(1), wire[:len(wire)-1])
+	f.Add(uint8(1), append(wire[:len(wire):len(wire)], 0))
+	f.Add(uint8(1), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
+	f.Add(uint8(1), []byte{})
+	wiretest.Seed(f, bodies)
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		wiretest.FuzzDecode(t, data, bodies[int(kind)%len(bodies)]())
+	})
 }
 
 // Two stores over real sockets: Put, Fetch and Replicate move an item's bytes
 // from the memory they are in to the one frame the other side reads them
-// into, so a transfer allocates about its size once — not the several copies
-// of a gob encoder and decoder — and what arrives is what was stored.
+// into, so a transfer allocates about its size once, and what arrives is
+// what was stored.
 func TestDatamanItemsMoveAsSegmentsOverTCP(t *testing.T) {
 	cat := NewCatalog()
 	stores := map[string]*Store{}
@@ -127,10 +172,11 @@ func TestStoreHandlerAndServeAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		if err := rpc.Call(addr, ObjectName, "Get", "x", &got[i]); err != nil {
+		x, ghost := rpc.Text("x"), rpc.Text("ghost")
+		if err := rpc.Call(addr, ObjectName, "Get", &x, &got[i]); err != nil {
 			t.Fatal(err)
 		}
-		if err := rpc.Call(addr, ObjectName, "Get", "ghost", &Item{}); err == nil {
+		if err := rpc.Call(addr, ObjectName, "Get", &ghost, &Item{}); err == nil {
 			t.Error("a missing item was served")
 		}
 	}

@@ -278,7 +278,7 @@ func (a *Agent) objectName() string { return "agent:" + a.cfg.Name }
 // Start exposes the agent, registers it with the naming service, and — for
 // Local Agents — attaches it to its parent.
 func (a *Agent) Start() error {
-	a.server.Register(a.objectName(), a.handler())
+	a.server.RegisterMethods(a.objectName(), a.methods())
 	var err error
 	if a.cfg.Local {
 		a.addr, err = rpc.ServeLocal("agent-"+a.cfg.Name, a.server)
@@ -301,9 +301,8 @@ func (a *Agent) Start() error {
 		if err != nil {
 			return fmt.Errorf("diet: agent %s resolving parent %q: %w", a.cfg.Name, a.cfg.Parent, err)
 		}
-		var reply ChildRegisterReply
 		err = rpc.Call(parent.Addr, "agent:"+a.cfg.Parent, "ChildRegister",
-			ChildInfo{Name: a.cfg.Name, Addr: a.addr, Kind: "LA"}, &reply)
+			&ChildInfo{Name: a.cfg.Name, Addr: a.addr, Kind: "LA"}, &ChildRegisterReply{})
 		if err != nil {
 			return fmt.Errorf("diet: agent %s attaching to parent %q: %w", a.cfg.Name, a.cfg.Parent, err)
 		}
@@ -382,13 +381,12 @@ func (a *Agent) SweepChildren() {
 		movedTo := ""
 		if c.Kind == "SeD" {
 			var st Stats
-			err = rpc.Call(c.Addr, "sed:"+c.Name, "Stats", struct{}{}, &st)
+			err = rpc.Call(c.Addr, "sed:"+c.Name, "Stats", nil, &st)
 			if err == nil && st.Parent != "" && st.Parent != a.cfg.Name {
 				movedTo = st.Parent
 			}
 		} else {
-			var pong string
-			err = rpc.Call(c.Addr, "agent:"+c.Name, "Ping", struct{}{}, &pong)
+			err = rpc.Call(c.Addr, "agent:"+c.Name, "Ping", nil, nil)
 		}
 		a.mu.Lock()
 		if _, held := a.children[c.Name]; !held || a.regSeq[c.Name] != seqs[c.Name] {
@@ -706,7 +704,7 @@ func (a *Agent) Topology() TopologyNode {
 			node.Children = append(node.Children, TopologyNode{Name: c.Name, Kind: "SeD", Addr: c.Addr})
 		default:
 			var sub TopologyNode
-			if err := rpc.Call(c.Addr, "agent:"+c.Name, "Topology", struct{}{}, &sub); err == nil {
+			if err := rpc.Call(c.Addr, "agent:"+c.Name, "Topology", nil, &sub); err == nil {
 				node.Children = append(node.Children, sub)
 			} else {
 				node.Children = append(node.Children, TopologyNode{Name: c.Name, Kind: "LA?", Addr: c.Addr})
@@ -716,109 +714,73 @@ func (a *Agent) Topology() TopologyNode {
 	return node
 }
 
-// handler exposes the agent over rpc.
-func (a *Agent) handler() rpc.Handler {
-	return rpc.HandlerFunc(map[string]func([]byte) ([]byte, error){
-		"ChildRegister": func(body []byte) ([]byte, error) {
-			var c ChildInfo
-			if err := rpc.Decode(body, &c); err != nil {
-				return nil, err
-			}
-			if err := a.childRegister(c); err != nil {
-				return nil, err
-			}
-			reply := ChildRegisterReply{OK: true}
-			if c.Kind == "SeD" && c.Cluster != "" {
-				// Hand the joiner its cluster's merged models: a SeD on a
-				// known cluster warm-starts instead of running cold.
-				reply.Prior = a.registry.PriorsFor(c.Cluster)
-			}
-			return rpc.Encode(reply)
-		},
-		"GossipRegistry": func(body []byte) ([]byte, error) {
-			var snap cori.RegistrySnapshot
-			if err := rpc.Decode(body, &snap); err != nil {
-				return nil, err
-			}
+// methods are the agent's rpc methods.
+func (a *Agent) methods() rpc.Methods {
+	return rpc.Methods{
+		"ChildRegister": rpc.Typed(a.childRegisterCall),
+		"GossipRegistry": rpc.Typed(func(snap *cori.RegistrySnapshot) (*cori.RegistrySnapshot, error) {
 			// Down-gossip: fold the parent's view in; the reply carries this
 			// subtree's view back up.
-			if err := a.registry.Merge(snap); err != nil {
+			if err := a.registry.Merge(*snap); err != nil {
 				return nil, err
 			}
-			return rpc.Encode(a.registry.Snapshot())
+			back := a.registry.Snapshot()
+			return &back, nil
+		}),
+		"Collect": rpc.Typed(a.collectCall),
+		"Submit":  rpc.Typed(func(req *SubmitRequest) (*SubmitReply, error) { return a.Submit(*req) }),
+		"MigrateChild": rpc.Typed(func(req *MigrateChildRequest) (rpc.WireBody, error) {
+			return nil, a.MigrateChild(*req)
+		}),
+		"PeerRegister": rpc.Typed(a.peerRegisterCall),
+		"PeerForward":  rpc.Typed(a.peerForward),
+		"Topology": func([]byte) (rpc.WireBody, error) {
+			topo := a.Topology()
+			return &topo, nil
 		},
-		"Collect": func(body []byte) ([]byte, error) {
-			var req CollectRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			// A remote Collect is a parent fanning a request down: this
-			// sub-agent's share of the finding phase is its collect span.
-			t0 := time.Now()
-			ests := a.collect(req)
-			done := time.Now()
-			if req.RequestID != "" {
-				publishSpan(a.cfg.Events, span(req.RequestID, a.cfg.Kind.String()+":"+a.cfg.Name,
-					logsvc.KindCollect, req.Service,
-					fmt.Sprintf("%d estimates", len(ests)), t0, done))
-			}
-			if a.metrics != nil {
-				a.metrics.collectSeconds.With(a.cfg.Name).Observe(done.Sub(t0).Seconds())
-			}
-			return rpc.Encode(&CollectReply{Estimates: ests})
-		},
-		"Submit": func(body []byte) ([]byte, error) {
-			var req SubmitRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			reply, err := a.Submit(req)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(reply)
-		},
-		"MigrateChild": func(body []byte) ([]byte, error) {
-			var req MigrateChildRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			reply, err := a.MigrateChild(req)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(reply)
-		},
-		"PeerRegister": func(body []byte) ([]byte, error) {
-			var req PeerRegisterRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			if req.SchemaVersion != PeerSchemaVersion {
-				return nil, fmt.Errorf("diet: MA %s speaks peer schema v%d, got v%d",
-					a.cfg.Name, PeerSchemaVersion, req.SchemaVersion)
-			}
-			if err := a.peerRegister(req.Peer); err != nil {
-				return nil, err
-			}
-			return rpc.Encode(PeerRegisterReply{SchemaVersion: PeerSchemaVersion, OK: true, Name: a.cfg.Name})
-		},
-		"PeerForward": func(body []byte) ([]byte, error) {
-			var req PeerForwardRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			reply, err := a.peerForward(req)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(reply)
-		},
-		"Topology": func([]byte) ([]byte, error) {
-			return rpc.Encode(a.Topology())
-		},
-		"Ping": func([]byte) ([]byte, error) {
-			return rpc.Encode("pong")
-		},
-	})
+		"Ping": func([]byte) (rpc.WireBody, error) { return nil, nil },
+	}
+}
+
+// childRegisterCall is the ChildRegister method: it adopts the child and
+// hands a SeD on a known cluster its cluster's merged models, so that it
+// warm-starts instead of running cold.
+func (a *Agent) childRegisterCall(c *ChildInfo) (*ChildRegisterReply, error) {
+	if err := a.childRegister(*c); err != nil {
+		return nil, err
+	}
+	reply := &ChildRegisterReply{}
+	if c.Kind == "SeD" && c.Cluster != "" {
+		reply.Prior = a.registry.PriorsFor(c.Cluster)
+	}
+	return reply, nil
+}
+
+// collectCall is the Collect method: a parent fanning a request down. This
+// sub-agent's share of the finding phase is its collect span.
+func (a *Agent) collectCall(req *CollectRequest) (*CollectReply, error) {
+	t0 := time.Now()
+	ests := a.collect(*req)
+	done := time.Now()
+	if req.RequestID != "" {
+		publishSpan(a.cfg.Events, span(req.RequestID, a.cfg.Kind.String()+":"+a.cfg.Name,
+			logsvc.KindCollect, req.Service,
+			fmt.Sprintf("%d estimates", len(ests)), t0, done))
+	}
+	if a.metrics != nil {
+		a.metrics.collectSeconds.With(a.cfg.Name).Observe(done.Sub(t0).Seconds())
+	}
+	return &CollectReply{Estimates: ests}, nil
+}
+
+// peerRegisterCall is the PeerRegister method: a peer MA announcing itself.
+func (a *Agent) peerRegisterCall(req *PeerRegisterRequest) (*PeerRegisterReply, error) {
+	if req.SchemaVersion != PeerSchemaVersion {
+		return nil, fmt.Errorf("diet: MA %s speaks peer schema v%d, got v%d",
+			a.cfg.Name, PeerSchemaVersion, req.SchemaVersion)
+	}
+	if err := a.peerRegister(req.Peer); err != nil {
+		return nil, err
+	}
+	return &PeerRegisterReply{SchemaVersion: PeerSchemaVersion, OK: true, Name: a.cfg.Name}, nil
 }

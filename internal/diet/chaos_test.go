@@ -705,9 +705,9 @@ func TestChaosAdmissionFIFO(t *testing.T) {
 				rpc.ResetLocal()
 				t.Cleanup(rpc.ResetLocal)
 				parent := rpc.NewServer()
-				parent.Register("agent:LA-new", rpc.HandlerFunc(map[string]func([]byte) ([]byte, error){
-					"ChildRegister": func([]byte) ([]byte, error) { return rpc.Encode(ChildRegisterReply{OK: true}) },
-				}))
+				parent.RegisterMethods("agent:LA-new", rpc.Methods{
+					"ChildRegister": func([]byte) (rpc.WireBody, error) { return &ChildRegisterReply{}, nil },
+				})
 				parentAddr, err := rpc.ServeLocal(fmt.Sprintf("agent-drain-%d", capacity), parent)
 				if err != nil {
 					t.Fatal(err)
@@ -722,7 +722,7 @@ func TestChaosAdmissionFIFO(t *testing.T) {
 				g.nextSet(t, capacity)
 				reparented := make(chan error, 1)
 				go func() {
-					_, err := g.s.Reparent(ReparentRequest{Parent: "LA-new", ParentAddr: parentAddr})
+					err := g.s.Reparent(ReparentRequest{Parent: "LA-new", ParentAddr: parentAddr})
 					reparented <- err
 				}()
 				waitFor(t, func() bool {

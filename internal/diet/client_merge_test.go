@@ -86,9 +86,9 @@ func TestCallRefusesAReplyOfAnotherShape(t *testing.T) {
 	for name, args := range map[string][]Arg{"Long": make([]Arg, 3), "Short": nil} {
 		reply := &SolveReply{Args: args}
 		fake := rpc.NewServer()
-		fake.Register("sed:"+name, rpc.HandlerFunc(map[string]func([]byte) ([]byte, error){
-			"Solve": func([]byte) ([]byte, error) { return rpc.Encode(reply) },
-		}))
+		fake.RegisterMethods("sed:"+name, rpc.Methods{
+			"Solve": func([]byte) (rpc.WireBody, error) { return reply, nil },
+		})
 		addr, err := rpc.ServeLocal("fake-"+name, fake)
 		if err != nil {
 			t.Fatal(err)

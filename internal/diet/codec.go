@@ -1,15 +1,17 @@
 package diet
 
 import (
+	"repro/internal/cori"
 	"repro/internal/rpc"
 	"repro/internal/scheduler"
 )
 
-// This file is the wire layout of the bodies a GridRPC call exchanges — the
-// rpc.WireBody implementations of the submit, collect, estimate and solve
-// requests and replies. Each body is its fields in the order written here,
-// in the field encodings rpc.WireBody documents; ARCHITECTURE.md (Transport)
-// tabulates them. Every other body of this package is gob.
+// This file is the wire layout of every body the agents and SeDs exchange —
+// the rpc.WireBody implementations of the submit, collect, estimate and solve
+// requests and replies, then of registration, monitoring, migration and
+// federation. Each body is its fields in the order written here, in the
+// field encodings rpc.WireBody documents; ARCHITECTURE.md (Transport)
+// tabulates the ones every call carries.
 
 var (
 	_ rpc.WireBody = (*Profile)(nil)
@@ -204,26 +206,138 @@ func (s *SubmitRequest) ReadWire(r *rpc.Reader) {
 // WireSize implements rpc.WireBody. A submit reply is the ranked server list
 // (name and address texts) and the estimate list.
 func (s *SubmitReply) WireSize() int {
-	n := rpc.LenSize + scheduler.EstimatesSize(s.Estimates)
-	for _, srv := range s.Servers {
-		n += 2*rpc.LenSize + len(srv.Name) + len(srv.Addr)
-	}
-	return n
+	return rpc.ListSize(s.Servers) + scheduler.EstimatesSize(s.Estimates)
 }
 
 // AppendWire implements rpc.WireBody.
 func (s *SubmitReply) AppendWire(w rpc.Writer) rpc.Writer {
-	w = w.Count(len(s.Servers))
-	for _, srv := range s.Servers {
-		w = w.Text(srv.Name).Text(srv.Addr)
-	}
-	return scheduler.AppendEstimates(w, s.Estimates)
+	return scheduler.AppendEstimates(rpc.AppendList(w, s.Servers), s.Estimates)
 }
 
 // ReadWire implements rpc.WireBody.
 func (s *SubmitReply) ReadWire(r *rpc.Reader) {
-	s.Servers = rpc.ReadList(r, 2*rpc.LenSize, func(srv *ServerRef, r *rpc.Reader) {
-		srv.Name, srv.Addr = r.Text(), r.Text()
-	})
-	s.Estimates = scheduler.ReadEstimates(r)
+	s.Servers, s.Estimates = rpc.ReadBodies[ServerRef](r), scheduler.ReadEstimates(r)
+}
+
+// The bodies of registration, monitoring, migration and federation. A
+// topology node is its name, kind and address, then its children.
+
+func (s *ServerRef) WireSize() int                      { return rpc.TextSize(s.Name, s.Addr) }
+func (s *ServerRef) AppendWire(w rpc.Writer) rpc.Writer { return w.Text(s.Name).Text(s.Addr) }
+func (s *ServerRef) ReadWire(r *rpc.Reader)             { s.Name, s.Addr = r.Text(), r.Text() }
+
+func (c *ChildInfo) WireSize() int { return rpc.TextSize(c.Name, c.Addr, c.Kind, c.Cluster) }
+func (c *ChildInfo) AppendWire(w rpc.Writer) rpc.Writer {
+	return w.Text(c.Name).Text(c.Addr).Text(c.Kind).Text(c.Cluster)
+}
+func (c *ChildInfo) ReadWire(r *rpc.Reader) {
+	c.Name, c.Addr, c.Kind, c.Cluster = r.Text(), r.Text(), r.Text(), r.Text()
+}
+
+func (c *ChildRegisterReply) WireSize() int                      { return rpc.ListSize(c.Prior) }
+func (c *ChildRegisterReply) AppendWire(w rpc.Writer) rpc.Writer { return rpc.AppendList(w, c.Prior) }
+func (c *ChildRegisterReply) ReadWire(r *rpc.Reader)             { c.Prior = rpc.ReadBodies[cori.Model](r) }
+
+func (m *ModelsReply) WireSize() int {
+	return rpc.TextSize(m.Cluster) + rpc.TimeSize + rpc.ListSize(m.Models)
+}
+func (m *ModelsReply) AppendWire(w rpc.Writer) rpc.Writer {
+	return rpc.AppendList(w.Text(m.Cluster).Time(m.At), m.Models)
+}
+func (m *ModelsReply) ReadWire(r *rpc.Reader) {
+	m.Cluster, m.At, m.Models = r.Text(), r.Time(), rpc.ReadBodies[cori.Model](r)
+}
+
+// maxTopologyDepth bounds the nesting a TopologyNode decoder accepts: a
+// frame of nothing but first children would otherwise recurse once per 16
+// bytes, deep enough to exhaust the stack.
+const maxTopologyDepth = 64
+
+func (n *TopologyNode) WireSize() int {
+	return rpc.TextSize(n.Name, n.Kind, n.Addr) + rpc.ListSize(n.Children)
+}
+func (n *TopologyNode) AppendWire(w rpc.Writer) rpc.Writer {
+	return rpc.AppendList(w.Text(n.Name).Text(n.Kind).Text(n.Addr), n.Children)
+}
+func (n *TopologyNode) ReadWire(r *rpc.Reader) { n.read(r, 1) }
+
+func (n *TopologyNode) read(r *rpc.Reader, depth int) {
+	if depth > maxTopologyDepth {
+		r.Fail("topology nested deeper than %d", maxTopologyDepth)
+		return
+	}
+	n.Name, n.Kind, n.Addr = r.Text(), r.Text(), r.Text()
+	n.Children = rpc.ReadList(r, 4*rpc.LenSize, func(c *TopologyNode, r *rpc.Reader) { c.read(r, depth+1) })
+}
+
+func (s *Stats) WireSize() int {
+	return rpc.TextSize(s.Name, s.Cluster, s.Parent) + 3*rpc.IntSize + 3*rpc.Float64Size
+}
+func (s *Stats) AppendWire(w rpc.Writer) rpc.Writer {
+	w = w.Text(s.Name).Text(s.Cluster).Text(s.Parent).Float64(s.Power)
+	return w.Int(s.Queued).Int(s.Running).Int(s.Solved).Float64(s.BusySecs).Float64(s.LastSolve)
+}
+func (s *Stats) ReadWire(r *rpc.Reader) {
+	s.Name, s.Cluster, s.Parent, s.Power = r.Text(), r.Text(), r.Text(), r.Float64()
+	s.Queued, s.Running, s.Solved, s.BusySecs, s.LastSolve = r.Int(), r.Int(), r.Int(), r.Float64(), r.Float64()
+}
+
+func (q *ReparentRequest) WireSize() int {
+	return rpc.TextSize(q.Parent, q.ParentAddr) + rpc.Float64Size
+}
+func (q *ReparentRequest) AppendWire(w rpc.Writer) rpc.Writer {
+	return w.Text(q.Parent).Text(q.ParentAddr).Float64(q.NewPower)
+}
+func (q *ReparentRequest) ReadWire(r *rpc.Reader) {
+	q.Parent, q.ParentAddr, q.NewPower = r.Text(), r.Text(), r.Float64()
+}
+
+func (q *MigrateChildRequest) WireSize() int {
+	return rpc.TextSize(q.Child, q.NewParent, q.NewParentAddr) + rpc.Float64Size
+}
+func (q *MigrateChildRequest) AppendWire(w rpc.Writer) rpc.Writer {
+	return w.Text(q.Child).Text(q.NewParent).Text(q.NewParentAddr).Float64(q.NewPower)
+}
+func (q *MigrateChildRequest) ReadWire(r *rpc.Reader) {
+	q.Child, q.NewParent, q.NewParentAddr, q.NewPower = r.Text(), r.Text(), r.Text(), r.Float64()
+}
+
+func (q *PeerRegisterRequest) WireSize() int {
+	return rpc.IntSize + rpc.TextSize(q.Peer.Name, q.Peer.Addr)
+}
+func (q *PeerRegisterRequest) AppendWire(w rpc.Writer) rpc.Writer {
+	return w.Int(q.SchemaVersion).Text(q.Peer.Name).Text(q.Peer.Addr)
+}
+func (q *PeerRegisterRequest) ReadWire(r *rpc.Reader) {
+	q.SchemaVersion, q.Peer.Name, q.Peer.Addr = r.Int(), r.Text(), r.Text()
+}
+
+func (p *PeerRegisterReply) WireSize() int { return rpc.IntSize + rpc.BoolSize + rpc.TextSize(p.Name) }
+func (p *PeerRegisterReply) AppendWire(w rpc.Writer) rpc.Writer {
+	return w.Int(p.SchemaVersion).Bool(p.OK).Text(p.Name)
+}
+func (p *PeerRegisterReply) ReadWire(r *rpc.Reader) {
+	p.SchemaVersion, p.OK, p.Name = r.Int(), r.Bool(), r.Text()
+}
+
+func (q *PeerForwardRequest) WireSize() int {
+	return 3*rpc.IntSize + rpc.Float64Size + rpc.TextSize(q.Service, q.RequestID) + rpc.TextsSize(q.Visited)
+}
+func (q *PeerForwardRequest) AppendWire(w rpc.Writer) rpc.Writer {
+	w = w.Int(q.SchemaVersion).Text(q.Service).Float64(q.WorkGFlops).Int(q.Seq)
+	return w.Text(q.RequestID).Int(q.Hops).Texts(q.Visited)
+}
+func (q *PeerForwardRequest) ReadWire(r *rpc.Reader) {
+	q.SchemaVersion, q.Service, q.WorkGFlops, q.Seq = r.Int(), r.Text(), r.Float64(), r.Int()
+	q.RequestID, q.Hops, q.Visited = r.Text(), r.Int(), r.Texts()
+}
+
+func (p *PeerForwardReply) WireSize() int {
+	return rpc.IntSize + scheduler.EstimatesSize(p.Estimates) + rpc.BoolSize
+}
+func (p *PeerForwardReply) AppendWire(w rpc.Writer) rpc.Writer {
+	return scheduler.AppendEstimates(w.Int(p.SchemaVersion), p.Estimates).Bool(p.Dropped)
+}
+func (p *PeerForwardReply) ReadWire(r *rpc.Reader) {
+	p.SchemaVersion, p.Estimates, p.Dropped = r.Int(), scheduler.ReadEstimates(r), r.Bool()
 }

@@ -2,28 +2,67 @@ package diet
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/cori"
 	"repro/internal/naming"
 	"repro/internal/rpc"
 	"repro/internal/rpc/wiretest"
 	"repro/internal/scheduler"
 )
 
-// typedBodies are the bodies of this package with a hand-written layout,
-// fresh. The decoders read bytes off a socket; the tests below treat them so.
-var typedBodies = []func() rpc.WireBody{
-	func() rpc.WireBody { return &Profile{} },
-	func() rpc.WireBody { return &SolveReply{} },
-	func() rpc.WireBody { return &EstimateQuery{} },
-	func() rpc.WireBody { return &EstimateReply{} },
-	func() rpc.WireBody { return &CollectRequest{} },
-	func() rpc.WireBody { return &CollectReply{} },
-	func() rpc.WireBody { return &SubmitRequest{} },
-	func() rpc.WireBody { return &SubmitReply{} },
+// sedMethods and agentMethods are the methods of a SeD and of an agent, and
+// their bodies, fresh. The decoders read bytes off a socket; the tests below
+// treat them so.
+var (
+	sedMethods = []wiretest.Method{
+		{Name: "Solve", Req: body[Profile], Rep: body[SolveReply]},
+		{Name: "Estimate", Req: body[EstimateQuery], Rep: body[EstimateReply]},
+		{Name: "Ping"},
+		{Name: "Reparent", Req: body[ReparentRequest]},
+		{Name: "SetPower", Req: body[rpc.Float], Rep: body[rpc.Bool]},
+		{Name: "Stats", Rep: body[Stats]},
+		{Name: "Models", Rep: body[ModelsReply]},
+	}
+	agentMethods = []wiretest.Method{
+		{Name: "Collect", Req: body[CollectRequest], Rep: body[CollectReply]},
+		{Name: "Submit", Req: body[SubmitRequest], Rep: body[SubmitReply]},
+		{Name: "ChildRegister", Req: body[ChildInfo], Rep: body[ChildRegisterReply]},
+		{Name: "GossipRegistry", Req: body[cori.RegistrySnapshot], Rep: body[cori.RegistrySnapshot]},
+		{Name: "MigrateChild", Req: body[MigrateChildRequest]},
+		{Name: "PeerRegister", Req: body[PeerRegisterRequest], Rep: body[PeerRegisterReply]},
+		{Name: "PeerForward", Req: body[PeerForwardRequest], Rep: body[PeerForwardReply]},
+		{Name: "Topology", Rep: body[TopologyNode]},
+		{Name: "Ping"},
+	}
+)
+
+// typedBodies are the bodies of sedMethods and agentMethods, checked
+// against what a SeD and an agent register.
+func typedBodies(t testing.TB) []func() rpc.WireBody {
+	t.Helper()
+	a, err := NewAgent(AgentConfig{Name: "MA"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSeD(SeDConfig{Name: "SeD"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(wiretest.Bodies(t, sedMethods, s.methods()), wiretest.Bodies(t, agentMethods, a.methods())...)
+}
+
+// body is a fresh T as a body.
+func body[T any, P interface {
+	*T
+	rpc.WireBody
+}]() rpc.WireBody {
+	return P(new(T))
 }
 
 // filledBody is a body with every field set, made valid where the decoder
@@ -31,10 +70,45 @@ var typedBodies = []func() rpc.WireBody{
 func filledBody(fresh func() rpc.WireBody) rpc.WireBody {
 	body := fresh()
 	wiretest.Fill(body)
+	fixBody(body)
+	return body
+}
+
+func fixBody(body rpc.WireBody) {
 	if p, ok := body.(*Profile); ok {
 		p.LastIn, p.LastInOut, p.LastOut = 0, 0, len(p.Args)-1
 	}
-	return body
+}
+
+// topologyChain is a topology nested depth levels deep, one child each.
+func topologyChain(depth int) *TopologyNode {
+	root := &TopologyNode{Name: "MA"}
+	for n := root; depth > 1; depth-- {
+		n.Children = []TopologyNode{{Name: "LA"}}
+		n = &n.Children[0]
+	}
+	return root
+}
+
+// The topology decoder refuses nesting beyond maxTopologyDepth, which a
+// frame of empty children would otherwise take deep enough to overflow the
+// stack; a gossip report's zero time comes back zero.
+func TestDecoderSafety(t *testing.T) {
+	wiretest.RoundTrip(t, topologyChain(maxTopologyDepth), &TopologyNode{})
+	wire, _ := rpc.Encode(topologyChain(maxTopologyDepth + 1))
+	if err := rpc.Decode(wire, &TopologyNode{}); !errors.Is(err, rpc.ErrBody) {
+		t.Errorf("a topology %d deep: %v, want ErrBody", maxTopologyDepth+1, err)
+	}
+	var models ModelsReply
+	wire, _ = rpc.Encode(&ModelsReply{Cluster: "c"})
+	if err := rpc.Decode(wire, &models); err != nil || models.At != (time.Time{}) {
+		t.Errorf("a zero report time came back as %v, %v", models.At, err)
+	}
+	var snap cori.RegistrySnapshot
+	wire, _ = rpc.Encode(&cori.RegistrySnapshot{Sources: map[string]cori.SourceModels{"s": {Cluster: "c"}}})
+	if err := rpc.Decode(wire, &snap); err != nil || snap.Sources["s"].At != (time.Time{}) {
+		t.Errorf("a zero source time came back as %v, %v", snap.Sources["s"].At, err)
+	}
 }
 
 func TestTypedBodiesRoundTrip(t *testing.T) {
@@ -60,8 +134,11 @@ func TestTypedBodiesRoundTrip(t *testing.T) {
 		&SubmitRequest{WorkGFlops: math.Inf(-1), Seq: math.MaxInt},
 		&SubmitReply{Servers: []ServerRef{{}, {Name: "n"}}},
 		&SubmitReply{Estimates: []scheduler.Estimate{oddEst}},
+		&PeerForwardReply{Estimates: []scheduler.Estimate{oddEst}, Dropped: true},
+		&ModelsReply{Models: []cori.Model{{Service: "s", Confidence: math.NaN()}}},
+		topologyChain(5),
 	}
-	for _, fresh := range typedBodies {
+	for _, fresh := range typedBodies(t) {
 		samples = append(samples, filledBody(fresh))
 		if _, isProfile := fresh().(*Profile); !isProfile {
 			samples = append(samples, fresh()) // the zero value: every list nil
@@ -198,6 +275,7 @@ func TestLargeArgDataIsSentInPlace(t *testing.T) {
 // FuzzTypedBodies feeds arbitrary bytes to every decoder of this package:
 // error or value, never a panic, and a value encodes back to the same bytes.
 func FuzzTypedBodies(f *testing.F) {
+	typedBodies := typedBodies(f)
 	for kind, fresh := range typedBodies {
 		wire, err := rpc.Encode(filledBody(fresh))
 		if err != nil {
@@ -230,6 +308,13 @@ func FuzzTypedBodies(f *testing.F) {
 			f.Add(uint8(kind), wire)
 		}
 	}
+	// A topology nested past the decoder's bound.
+	for kind, fresh := range typedBodies {
+		if _, ok := fresh().(*TopologyNode); ok {
+			wire, _ := rpc.Encode(topologyChain(maxTopologyDepth + 1))
+			f.Add(uint8(kind), wire)
+		}
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		body := typedBodies[int(kind)%len(typedBodies)]()
 		decoded := wiretest.FuzzDecode(t, data, body)
@@ -240,18 +325,26 @@ func FuzzTypedBodies(f *testing.F) {
 }
 
 // serveFrame hands an empty body to the handler as nil; for a method that
-// takes a typed request that is an error, not a zero request.
+// takes a request that is an error, not a zero request.
 func TestTypedRequestsRefuseAnEmptyBody(t *testing.T) {
 	d := newAPIDeployment(t, "MA-empty")
 	sed := d.SeDs[0]
-	for _, c := range []struct{ addr, object, method string }{
-		{d.MA.Addr(), "agent:" + d.MA.Name(), "Submit"},
-		{d.MA.Addr(), "agent:" + d.MA.Name(), "Collect"},
+	type target struct{ addr, object, method string }
+	cases := []target{
 		{d.LAs[0].Addr(), "agent:" + d.LAs[0].Name(), "Collect"},
-		{sed.Addr(), "sed:" + sed.Name(), "Estimate"},
-		{sed.Addr(), "sed:" + sed.Name(), "Solve"},
 		{d.NamingAddr, naming.ObjectName, "ResolveAll"},
-	} {
+	}
+	for _, m := range agentMethods {
+		if m.Req != nil {
+			cases = append(cases, target{d.MA.Addr(), "agent:" + d.MA.Name(), m.Name})
+		}
+	}
+	for _, m := range sedMethods {
+		if m.Req != nil {
+			cases = append(cases, target{sed.Addr(), "sed:" + sed.Name(), m.Name})
+		}
+	}
+	for _, c := range cases {
 		for _, body := range [][]byte{nil, {0, 0}} {
 			_, err := rpc.Invoke(c.addr, c.object, c.method, body)
 			if err == nil || !strings.Contains(err.Error(), rpc.ErrBody.Error()) {

@@ -166,7 +166,7 @@ func (a *Agent) SweepPeers() {
 	for name, p := range known {
 		var reply PeerRegisterReply
 		err := rpc.Call(p.Addr, "agent:"+name, "PeerRegister",
-			PeerRegisterRequest{SchemaVersion: PeerSchemaVersion, Peer: self}, &reply)
+			&PeerRegisterRequest{SchemaVersion: PeerSchemaVersion, Peer: self}, &reply)
 		a.peerMu.Lock()
 		if err != nil || !reply.OK {
 			a.peerMissed[name]++
@@ -250,7 +250,7 @@ func (a *Agent) forwardToPeers(req PeerForwardRequest) []scheduler.Estimate {
 	for _, p := range targets {
 		go func(p PeerInfo) {
 			var reply PeerForwardReply
-			err := rpc.Call(p.Addr, "agent:"+p.Name, "PeerForward", out, &reply)
+			err := rpc.Call(p.Addr, "agent:"+p.Name, "PeerForward", &out, &reply)
 			if err != nil || reply.Dropped {
 				results <- nil
 				return
@@ -283,8 +283,8 @@ wait:
 // from the local subtree, and — when the local subtree has nothing and hops
 // remain — relay to further peers. The origin's MA merges whatever comes back
 // into its normal ranking.
-func (a *Agent) peerForward(req PeerForwardRequest) (PeerForwardReply, error) {
-	reply := PeerForwardReply{SchemaVersion: PeerSchemaVersion}
+func (a *Agent) peerForward(req *PeerForwardRequest) (*PeerForwardReply, error) {
+	reply := &PeerForwardReply{SchemaVersion: PeerSchemaVersion}
 	if req.SchemaVersion != PeerSchemaVersion {
 		return reply, fmt.Errorf("diet: MA %s speaks peer schema v%d, got v%d",
 			a.cfg.Name, PeerSchemaVersion, req.SchemaVersion)
@@ -311,7 +311,7 @@ func (a *Agent) peerForward(req PeerForwardRequest) (PeerForwardReply, error) {
 	t0 := time.Now()
 	ests := a.collect(CollectRequest{Service: req.Service, RequestID: req.RequestID})
 	if len(ests) == 0 && req.Hops > 1 {
-		relay := req
+		relay := *req
 		relay.Hops = req.Hops - 1
 		ests = a.forwardToPeers(relay)
 	}

@@ -182,11 +182,11 @@ func TestFederationForwardLoopGuard(t *testing.T) {
 	req := PeerForwardRequest{
 		SchemaVersion: PeerSchemaVersion, Service: "x", RequestID: "req-1", Hops: 2,
 	}
-	reply, err := a.peerForward(req)
+	reply, err := a.peerForward(&req)
 	if err != nil || reply.Dropped {
 		t.Fatalf("first delivery dropped (%v, %+v)", err, reply)
 	}
-	reply, err = a.peerForward(req)
+	reply, err = a.peerForward(&req)
 	if err != nil || !reply.Dropped {
 		t.Fatalf("request ID seen twice was not dropped (%v, %+v)", err, reply)
 	}
@@ -195,12 +195,12 @@ func TestFederationForwardLoopGuard(t *testing.T) {
 		SchemaVersion: PeerSchemaVersion, Service: "x", RequestID: "req-2",
 		Hops: 2, Visited: []string{"MA-other", "MA-loop"},
 	}
-	if reply, _ = a.peerForward(visited); !reply.Dropped {
+	if reply, _ = a.peerForward(&visited); !reply.Dropped {
 		t.Error("request listing this MA as visited was not dropped")
 	}
 
 	spent := PeerForwardRequest{SchemaVersion: PeerSchemaVersion, Service: "x", RequestID: "req-3"}
-	if reply, _ = a.peerForward(spent); !reply.Dropped {
+	if reply, _ = a.peerForward(&spent); !reply.Dropped {
 		t.Error("request with no hop budget was not dropped")
 	}
 
@@ -211,7 +211,7 @@ func TestFederationForwardLoopGuard(t *testing.T) {
 	wrong := req
 	wrong.SchemaVersion = PeerSchemaVersion + 1
 	wrong.RequestID = "req-4"
-	if _, err := a.peerForward(wrong); err == nil || !strings.Contains(err.Error(), "schema") {
+	if _, err := a.peerForward(&wrong); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Errorf("wrong schema version accepted (err=%v)", err)
 	}
 }

@@ -28,7 +28,6 @@ type ModelsReply struct {
 // cluster models for a registering SeD's cluster (empty when the registry
 // knows nothing about it), so the SeD can warm-start its monitor.
 type ChildRegisterReply struct {
-	OK    bool
 	Prior []cori.Model
 }
 
@@ -65,7 +64,7 @@ func (a *Agent) GossipRound() {
 		switch c.Kind {
 		case "SeD":
 			var reply ModelsReply
-			if err := rpc.Call(c.Addr, "sed:"+c.Name, "Models", struct{}{}, &reply); err != nil {
+			if err := rpc.Call(c.Addr, "sed:"+c.Name, "Models", nil, &reply); err != nil {
 				continue
 			}
 			cluster := reply.Cluster
@@ -75,7 +74,7 @@ func (a *Agent) GossipRound() {
 			a.registry.Update(c.Name, cluster, reply.At, reply.Models)
 		default:
 			var childSnap cori.RegistrySnapshot
-			if err := rpc.Call(c.Addr, "agent:"+c.Name, "GossipRegistry", snap, &childSnap); err != nil {
+			if err := rpc.Call(c.Addr, "agent:"+c.Name, "GossipRegistry", &snap, &childSnap); err != nil {
 				continue
 			}
 			// A version-mismatched reply is skipped like a failed child; the

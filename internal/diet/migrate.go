@@ -52,12 +52,6 @@ type ReparentRequest struct {
 	NewPower   float64 // >0: re-advertise this power after the move
 }
 
-// ReparentReply answers a Reparent call.
-type ReparentReply struct {
-	OK     bool
-	Parent string // the parent now serving this SeD
-}
-
 // MigrateChildRequest asks an agent to hand one of its SeD children to a new
 // parent (Agent.MigrateChild).
 type MigrateChildRequest struct {
@@ -65,11 +59,6 @@ type MigrateChildRequest struct {
 	NewParent     string
 	NewParentAddr string
 	NewPower      float64
-}
-
-// MigrateChildReply answers a MigrateChild call.
-type MigrateChildReply struct {
-	OK bool
 }
 
 // reparentDrainTimeout bounds how long a Reparent waits for in-flight solves
@@ -92,9 +81,9 @@ var reparentRegisterTimeout = 10 * time.Second
 // unchanged afterwards: no solve is lost, dropped or re-run by a move. The
 // CoRI monitor is untouched — it lives in this process, so the model history
 // travels with the SeD by construction.
-func (s *SeD) Reparent(req ReparentRequest) (ReparentReply, error) {
+func (s *SeD) Reparent(req ReparentRequest) error {
 	if req.Parent == "" || req.ParentAddr == "" {
-		return ReparentReply{}, fmt.Errorf("diet: SeD %s: reparent needs a parent name and address", s.cfg.Name)
+		return fmt.Errorf("diet: SeD %s: reparent needs a parent name and address", s.cfg.Name)
 	}
 	// While the drain runs, a finishing solve hands its slot to the drain,
 	// not to the next queued solve that would stretch the drain past its
@@ -112,9 +101,9 @@ func (s *SeD) Reparent(req ReparentRequest) (ReparentReply, error) {
 	select {
 	case <-full:
 	case <-s.stop:
-		return ReparentReply{}, fmt.Errorf("diet: SeD %s closed during reparent", s.cfg.Name)
+		return fmt.Errorf("diet: SeD %s closed during reparent", s.cfg.Name)
 	case <-time.After(reparentDrainTimeout):
-		return ReparentReply{}, fmt.Errorf("diet: SeD %s: reparent timed out draining in-flight solves", s.cfg.Name)
+		return fmt.Errorf("diet: SeD %s: reparent timed out draining in-flight solves", s.cfg.Name)
 	}
 
 	// Commit to the new parent *before* registering there: the SeD's Stats
@@ -139,9 +128,7 @@ func (s *SeD) Reparent(req ReparentRequest) (ReparentReply, error) {
 		if old != "" {
 			nc := &naming.Client{Addr: s.cfg.Naming}
 			if entry, err := nc.Resolve(old); err == nil {
-				var reply ChildRegisterReply
-				_ = rpc.Call(entry.Addr, "agent:"+old, "ChildRegister",
-					ChildInfo{Name: s.cfg.Name, Addr: s.addr, Kind: "SeD", Cluster: s.cfg.Cluster}, &reply)
+				_ = rpc.Call(entry.Addr, "agent:"+old, "ChildRegister", s.childInfo(), &ChildRegisterReply{})
 			}
 		}
 	}
@@ -154,21 +141,19 @@ func (s *SeD) Reparent(req ReparentRequest) (ReparentReply, error) {
 	// someone else and drops it (the lost-handoff healing).
 	regErr := make(chan error, 1)
 	go func() {
-		var reply ChildRegisterReply
-		regErr <- rpc.Call(req.ParentAddr, "agent:"+req.Parent, "ChildRegister",
-			ChildInfo{Name: s.cfg.Name, Addr: s.addr, Kind: "SeD", Cluster: s.cfg.Cluster}, &reply)
+		regErr <- rpc.Call(req.ParentAddr, "agent:"+req.Parent, "ChildRegister", s.childInfo(), &ChildRegisterReply{})
 	}()
 	select {
 	case err := <-regErr:
 		if err != nil {
 			rollback()
-			return ReparentReply{}, fmt.Errorf("diet: SeD %s re-registering under %q: %w", s.cfg.Name, req.Parent, err)
+			return fmt.Errorf("diet: SeD %s re-registering under %q: %w", s.cfg.Name, req.Parent, err)
 		}
 	case <-time.After(reparentRegisterTimeout):
 		rollback()
-		return ReparentReply{}, fmt.Errorf("diet: SeD %s: re-registration under %q timed out", s.cfg.Name, req.Parent)
+		return fmt.Errorf("diet: SeD %s: re-registration under %q timed out", s.cfg.Name, req.Parent)
 	case <-s.stop:
-		return ReparentReply{}, fmt.Errorf("diet: SeD %s closed during reparent", s.cfg.Name)
+		return fmt.Errorf("diet: SeD %s closed during reparent", s.cfg.Name)
 	}
 	// Unlike a fresh join, the cluster prior in the ChildRegister reply is
 	// deliberately ignored: this SeD carries its own trained monitor across
@@ -178,7 +163,7 @@ func (s *SeD) Reparent(req ReparentRequest) (ReparentReply, error) {
 		s.SetPower(req.NewPower)
 	}
 	publish(s.cfg.Events, "SeD:"+s.cfg.Name, "reparent", old+" -> "+req.Parent)
-	return ReparentReply{OK: true, Parent: req.Parent}, nil
+	return nil
 }
 
 // endDrain ends a Reparent's drain and hands back the slots it holds, to the
@@ -220,31 +205,31 @@ func (s *SeD) SetPower(p float64) bool {
 // round. Between the re-registration and the local removal both parents
 // briefly list the child; a Collect in that window may see its estimate
 // twice, which is harmless — the client still dispatches exactly one solve.
-func (a *Agent) MigrateChild(req MigrateChildRequest) (MigrateChildReply, error) {
+func (a *Agent) MigrateChild(req MigrateChildRequest) error {
 	a.mu.RLock()
 	c, ok := a.children[req.Child]
 	a.mu.RUnlock()
 	if !ok {
-		return MigrateChildReply{}, fmt.Errorf("diet: agent %s has no child %q", a.cfg.Name, req.Child)
+		return fmt.Errorf("diet: agent %s has no child %q", a.cfg.Name, req.Child)
 	}
 	if c.Kind != "SeD" {
-		return MigrateChildReply{}, fmt.Errorf("diet: agent %s: child %q is a %s; only SeDs migrate", a.cfg.Name, req.Child, c.Kind)
+		return fmt.Errorf("diet: agent %s: child %q is a %s; only SeDs migrate", a.cfg.Name, req.Child, c.Kind)
 	}
 	if req.NewParent == a.cfg.Name {
 		// Already here: a reparent-to-self would re-register the child and
 		// then drop it below. Treat it as the power-only refresh it is.
 		if req.NewPower > 0 {
-			if err := rpc.Call(c.Addr, "sed:"+c.Name, "SetPower", req.NewPower, nil); err != nil {
-				return MigrateChildReply{}, fmt.Errorf("diet: refreshing %s power: %w", req.Child, err)
+			p := rpc.Float(req.NewPower)
+			if err := rpc.Call(c.Addr, "sed:"+c.Name, "SetPower", &p, nil); err != nil {
+				return fmt.Errorf("diet: refreshing %s power: %w", req.Child, err)
 			}
 		}
-		return MigrateChildReply{OK: true}, nil
+		return nil
 	}
-	var rep ReparentReply
 	err := rpc.Call(c.Addr, "sed:"+c.Name, "Reparent",
-		ReparentRequest{Parent: req.NewParent, ParentAddr: req.NewParentAddr, NewPower: req.NewPower}, &rep)
+		&ReparentRequest{Parent: req.NewParent, ParentAddr: req.NewParentAddr, NewPower: req.NewPower}, nil)
 	if err != nil {
-		return MigrateChildReply{}, fmt.Errorf("diet: migrating %s to %s: %w", req.Child, req.NewParent, err)
+		return fmt.Errorf("diet: migrating %s to %s: %w", req.Child, req.NewParent, err)
 	}
 	a.mu.Lock()
 	delete(a.children, req.Child)
@@ -256,12 +241,12 @@ func (a *Agent) MigrateChild(req MigrateChildRequest) (MigrateChildReply, error)
 	// parent's knowledge until its next gossip round.
 	if contrib, ok := a.registry.SourceSnapshot(req.Child); ok {
 		var back cori.RegistrySnapshot
-		if err := rpc.Call(req.NewParentAddr, "agent:"+req.NewParent, "GossipRegistry", contrib, &back); err == nil {
+		if err := rpc.Call(req.NewParentAddr, "agent:"+req.NewParent, "GossipRegistry", &contrib, &back); err == nil {
 			_ = a.registry.Merge(back)
 		}
 	}
 	publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "migrate_out", req.Child+" -> "+req.NewParent)
-	return MigrateChildReply{OK: true}, nil
+	return nil
 }
 
 // ApplyPlan executes a set of migrations against the live hierarchy rooted
@@ -300,17 +285,18 @@ func (a *Agent) applyPlanOn(topo TopologyNode, migs []Migration) []MigrationResu
 			// Placement already right: refresh the advertised power without a
 			// drain (a no-op migration when NewPower is 0 too).
 			if m.NewPower > 0 {
-				if err := rpc.Call(sedAddr[m.SeD], "sed:"+m.SeD, "SetPower", m.NewPower, &r.PowerChanged); err != nil {
+				p, changed := rpc.Float(m.NewPower), rpc.Bool(false)
+				if err := rpc.Call(sedAddr[m.SeD], "sed:"+m.SeD, "SetPower", &p, &changed); err != nil {
 					r.Err = fmt.Sprintf("refreshing %s power: %v", m.SeD, err)
 				}
+				r.PowerChanged = bool(changed)
 			}
 		default:
 			req := MigrateChildRequest{
 				Child: m.SeD, NewParent: m.NewParent,
 				NewParentAddr: agentAddr[m.NewParent], NewPower: m.NewPower,
 			}
-			var rep MigrateChildReply
-			if err := rpc.Call(agentAddr[cur], "agent:"+cur, "MigrateChild", req, &rep); err != nil {
+			if err := rpc.Call(agentAddr[cur], "agent:"+cur, "MigrateChild", &req, nil); err != nil {
 				r.Err = fmt.Sprintf("migrating %s from %s: %v", m.SeD, cur, err)
 			}
 		}

@@ -377,7 +377,7 @@ func TestSweepHealsLostMigrationHandoff(t *testing.T) {
 	})
 	// Reparent behind the old parent's back — as if its MigrateChild call
 	// lost the reply after the SeD had re-registered.
-	if _, err := d.SeDs[0].Reparent(ReparentRequest{
+	if err := d.SeDs[0].Reparent(ReparentRequest{
 		Parent: "LA-heal-b", ParentAddr: d.LAs[1].Addr(),
 	}); err != nil {
 		t.Fatal(err)

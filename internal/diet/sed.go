@@ -298,7 +298,7 @@ func (s *SeD) objectName() string { return "sed:" + s.cfg.Name }
 // service and with its parent agent. It is the moral equivalent of
 // diet_SeD(), except it returns instead of blocking.
 func (s *SeD) Start() error {
-	s.server.RegisterTyped(s.objectName(), s.typedMethods(), s.handler())
+	s.server.RegisterMethods(s.objectName(), s.methods())
 	if s.cfg.Data != nil {
 		// The SeD is a data node: its store answers on the same server, and
 		// the catalog learns the node so fetched replicas can land here.
@@ -329,8 +329,7 @@ func (s *SeD) Start() error {
 			return fmt.Errorf("diet: SeD %s resolving parent %q: %w", s.cfg.Name, s.cfg.Parent, err)
 		}
 		var reply ChildRegisterReply
-		err = rpc.Call(parent.Addr, "agent:"+s.cfg.Parent, "ChildRegister",
-			ChildInfo{Name: s.cfg.Name, Addr: s.addr, Kind: "SeD", Cluster: s.cfg.Cluster}, &reply)
+		err = rpc.Call(parent.Addr, "agent:"+s.cfg.Parent, "ChildRegister", s.childInfo(), &reply)
 		if err != nil {
 			return fmt.Errorf("diet: SeD %s attaching to parent %q: %w", s.cfg.Name, s.cfg.Parent, err)
 		}
@@ -416,9 +415,12 @@ func (s *SeD) registerWith(agent string) error {
 	if err != nil {
 		return err
 	}
-	var reply ChildRegisterReply
-	return rpc.Call(entry.Addr, "agent:"+agent, "ChildRegister",
-		ChildInfo{Name: s.cfg.Name, Addr: s.addr, Kind: "SeD", Cluster: s.cfg.Cluster}, &reply)
+	return rpc.Call(entry.Addr, "agent:"+agent, "ChildRegister", s.childInfo(), &ChildRegisterReply{})
+}
+
+// childInfo is what the SeD registers with a parent agent as.
+func (s *SeD) childInfo() *ChildInfo {
+	return &ChildInfo{Name: s.cfg.Name, Addr: s.addr, Kind: "SeD", Cluster: s.cfg.Cluster}
 }
 
 // Close stops serving. Queued solves are refused ("stopped before solving");
@@ -975,58 +977,28 @@ func (s *SeD) Stats() Stats {
 	}
 }
 
-// typedMethods are the methods whose reply the server encodes: over tcp the
-// solved arguments' data goes out from where the solver (or, for an INOUT
-// argument it left alone, the request frame) put it.
-func (s *SeD) typedMethods() map[string]rpc.TypedMethod {
-	return map[string]rpc.TypedMethod{
-		"Solve": func(body []byte) (rpc.WireBody, error) {
-			var p Profile
-			if err := rpc.Decode(body, &p); err != nil {
-				return nil, err
-			}
-			return s.Solve(&p)
+// methods are the SeD's rpc methods. Over tcp a solve reply's argument data
+// goes out from where the solver (or, for an INOUT argument it left alone,
+// the request frame) put it.
+func (s *SeD) methods() rpc.Methods {
+	return rpc.Methods{
+		"Solve": rpc.Typed(s.Solve),
+		"Estimate": rpc.Typed(func(q *EstimateQuery) (*EstimateReply, error) {
+			reply := s.EstimateFor(*q)
+			return &reply, nil
+		}),
+		"Ping":     func([]byte) (rpc.WireBody, error) { return nil, nil },
+		"Reparent": rpc.Typed(func(req *ReparentRequest) (rpc.WireBody, error) { return nil, s.Reparent(*req) }),
+		"SetPower": rpc.Typed(func(p *rpc.Float) (*rpc.Bool, error) {
+			changed := rpc.Bool(s.SetPower(float64(*p)))
+			return &changed, nil
+		}),
+		"Stats": func([]byte) (rpc.WireBody, error) {
+			st := s.Stats()
+			return &st, nil
+		},
+		"Models": func([]byte) (rpc.WireBody, error) {
+			return &ModelsReply{Cluster: s.cfg.Cluster, At: time.Now(), Models: s.Models()}, nil
 		},
 	}
-}
-
-// handler exposes the SeD's other methods over rpc.
-func (s *SeD) handler() rpc.Handler {
-	return rpc.HandlerFunc(map[string]func([]byte) ([]byte, error){
-		"Estimate": func(body []byte) ([]byte, error) {
-			var q EstimateQuery
-			if err := rpc.Decode(body, &q); err != nil {
-				return nil, err
-			}
-			reply := s.EstimateFor(q)
-			return rpc.Encode(&reply)
-		},
-		"Ping": func([]byte) ([]byte, error) {
-			return rpc.Encode("pong")
-		},
-		"Reparent": func(body []byte) ([]byte, error) {
-			var req ReparentRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			reply, err := s.Reparent(req)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(reply)
-		},
-		"SetPower": func(body []byte) ([]byte, error) {
-			var p float64
-			if err := rpc.Decode(body, &p); err != nil {
-				return nil, err
-			}
-			return rpc.Encode(s.SetPower(p))
-		},
-		"Stats": func([]byte) ([]byte, error) {
-			return rpc.Encode(s.Stats())
-		},
-		"Models": func([]byte) ([]byte, error) {
-			return rpc.Encode(ModelsReply{Cluster: s.cfg.Cluster, At: time.Now(), Models: s.Models()})
-		},
-	})
 }

@@ -3,9 +3,9 @@
 // node also hosts "the monitoring tools". Components publish trace events
 // (start-up, registrations, solve begin/end, evictions) and request-scoped
 // spans (submit, schedule, queue, solve, complete); the bus keeps a bounded
-// history, fans events out to live subscribers, and aggregates counts —
-// enough to drive a Gantt view, a chrome://tracing export, or the
-// experiment bookkeeping. cmd/dietmon is the VizDIET-analog client.
+// history and aggregates counts — enough to drive a Gantt view, a
+// chrome://tracing export, or the experiment bookkeeping. cmd/dietmon is the
+// VizDIET-analog client, which tails the history.
 package logsvc
 
 import (
@@ -83,14 +83,10 @@ type SpanSink interface {
 	PublishSpan(Span)
 }
 
-// BusStats aggregates the bus's delivery accounting. Dropped events are the
-// price of the never-block contract: a slow subscriber loses events rather
-// than stalling the middleware, and the loss is counted, not silent.
+// BusStats is the bus's accounting.
 type BusStats struct {
-	Published   int64 // events accepted since New
-	Dropped     int64 // per-subscriber deliveries lost to full buffers
-	Subscribers int   // live subscribers
-	HistoryLen  int   // retained events
+	Published  int64 // events accepted since New
+	HistoryLen int   // retained events
 }
 
 // Bus is the event collector. The zero value is not usable; construct with
@@ -99,11 +95,8 @@ type Bus struct {
 	mu        sync.Mutex
 	seq       int64
 	published int64
-	dropped   int64
 	history   []Event
 	max       int
-	subs      map[int]chan Event
-	nextSub   int
 }
 
 // New returns a bus keeping at most maxHistory events (older ones drop).
@@ -111,10 +104,10 @@ func New(maxHistory int) *Bus {
 	if maxHistory < 1 {
 		maxHistory = 1
 	}
-	return &Bus{max: maxHistory, subs: make(map[int]chan Event)}
+	return &Bus{max: maxHistory}
 }
 
-// Publish records a plain event and fans it out to subscribers.
+// Publish records a plain event.
 func (b *Bus) Publish(component, kind, detail string) {
 	b.PublishEvent(Event{Component: component, Kind: kind, Detail: detail})
 }
@@ -132,8 +125,6 @@ func (b *Bus) PublishSpan(sp Span) {
 // PublishEvent records a fully-formed event (the remote handler and the
 // simulator use this to carry trace fields and virtual timestamps). Seq is
 // assigned by the bus; a zero TimeNanos is stamped with wall-clock now.
-// Slow subscribers lose events rather than block the platform (monitoring
-// must never stall the middleware); every loss is counted in Stats.
 func (b *Bus) PublishEvent(ev Event) {
 	b.mu.Lock()
 	b.seq++
@@ -145,13 +136,6 @@ func (b *Bus) PublishEvent(ev Event) {
 	b.history = append(b.history, ev)
 	if len(b.history) > b.max {
 		b.history = b.history[len(b.history)-b.max:]
-	}
-	for _, ch := range b.subs {
-		select {
-		case ch <- ev:
-		default: // drop for laggards — counted, never blocking
-			b.dropped++
-		}
 	}
 	b.mu.Unlock()
 }
@@ -177,14 +161,11 @@ func (b *Bus) HistorySince(since int64) []Event {
 	return out
 }
 
-// Stats returns the bus's delivery accounting.
+// Stats returns the bus's accounting.
 func (b *Bus) Stats() BusStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return BusStats{
-		Published: b.published, Dropped: b.dropped,
-		Subscribers: len(b.subs), HistoryLen: len(b.history),
-	}
+	return BusStats{Published: b.published, HistoryLen: len(b.history)}
 }
 
 // CountsByKind aggregates retained events per kind.
@@ -200,31 +181,29 @@ func (b *Bus) CountsByKind() map[string]int {
 
 // Handler exposes the bus over rpc so remote components can publish and
 // tools can query.
-func (b *Bus) Handler() rpc.Handler {
-	return rpc.HandlerFunc(map[string]func([]byte) ([]byte, error){
-		"Publish": func(body []byte) ([]byte, error) {
-			var ev Event
-			if err := rpc.Decode(body, &ev); err != nil {
-				return nil, err
-			}
+func (b *Bus) Handler() rpc.Handler { return b.methods().Handler() }
+
+// methods are the bus's rpc methods: Publish takes an event and answers
+// nothing, HistorySince takes a sequence number, Stats takes nothing.
+func (b *Bus) methods() rpc.Methods {
+	return rpc.Methods{
+		"Publish": rpc.Typed(func(ev *Event) (rpc.WireBody, error) {
 			if ev.Component == "" || ev.Kind == "" {
 				return nil, fmt.Errorf("logsvc: event needs component and kind")
 			}
 			ev.Seq = 0 // the bus owns sequence numbers
-			b.PublishEvent(ev)
-			return rpc.Encode(true)
+			b.PublishEvent(*ev)
+			return nil, nil
+		}),
+		"HistorySince": rpc.Typed(func(since *rpc.Int) (*events, error) {
+			tail := events(b.HistorySince(int64(*since)))
+			return &tail, nil
+		}),
+		"Stats": func([]byte) (rpc.WireBody, error) {
+			st := b.Stats()
+			return &st, nil
 		},
-		"HistorySince": func(body []byte) ([]byte, error) {
-			var since int64
-			if err := rpc.Decode(body, &since); err != nil {
-				return nil, err
-			}
-			return rpc.Encode(b.HistorySince(since))
-		},
-		"Stats": func([]byte) ([]byte, error) {
-			return rpc.Encode(b.Stats())
-		},
-	})
+	}
 }
 
 // Remote is a client-side handle publishing to a remote bus. It implements
@@ -238,33 +217,61 @@ type Remote struct {
 // Publish sends one event to the remote bus; errors are swallowed because
 // monitoring must never fail the caller.
 func (r *Remote) Publish(component, kind, detail string) {
-	var ok bool
-	_ = rpc.Call(r.Addr, ObjectName, "Publish", Event{Component: component, Kind: kind, Detail: detail}, &ok)
+	_ = rpc.Call(r.Addr, ObjectName, "Publish", &Event{Component: component, Kind: kind, Detail: detail}, nil)
 }
 
 // PublishSpan sends one request-trace span to the remote bus; implements
 // SpanSink. Errors are swallowed like Publish's.
 func (r *Remote) PublishSpan(sp Span) {
-	var ok bool
-	_ = rpc.Call(r.Addr, ObjectName, "Publish", Event{
+	_ = rpc.Call(r.Addr, ObjectName, "Publish", &Event{
 		Component: sp.Component, Kind: sp.Kind, Detail: sp.Detail,
 		RequestID: sp.RequestID, Service: sp.Service,
 		StartNanos: sp.StartNanos, EndNanos: sp.EndNanos,
 		TimeNanos: sp.EndNanos,
-	}, &ok)
+	}, nil)
 }
 
 // HistorySince fetches the remote events with Seq > since — the polling
 // subscription cmd/dietmon tails a live deployment with.
 func (r *Remote) HistorySince(since int64) ([]Event, error) {
-	var out []Event
-	err := rpc.Call(r.Addr, ObjectName, "HistorySince", since, &out)
+	var out events
+	seq := rpc.Int(since)
+	err := rpc.Call(r.Addr, ObjectName, "HistorySince", &seq, &out)
 	return out, err
 }
 
-// Stats fetches the remote bus's delivery accounting.
+// Stats fetches the remote bus's accounting.
 func (r *Remote) Stats() (BusStats, error) {
 	var out BusStats
-	err := rpc.Call(r.Addr, ObjectName, "Stats", struct{}{}, &out)
+	err := rpc.Call(r.Addr, ObjectName, "Stats", nil, &out)
 	return out, err
 }
+
+// The bus's bodies (rpc.WireBody layouts): an event is its fields in
+// declaration order, the HistorySince reply a list of events, the stats
+// their two counts.
+
+func (e *Event) WireSize() int {
+	return 4*rpc.IntSize + rpc.TextSize(e.Component, e.Kind, e.Detail, e.RequestID, e.Service)
+}
+
+func (e *Event) AppendWire(w rpc.Writer) rpc.Writer {
+	w = w.Int64(e.Seq).Int64(e.TimeNanos).Text(e.Component).Text(e.Kind).Text(e.Detail)
+	return w.Text(e.RequestID).Text(e.Service).Int64(e.StartNanos).Int64(e.EndNanos)
+}
+
+func (e *Event) ReadWire(r *rpc.Reader) {
+	e.Seq, e.TimeNanos, e.Component, e.Kind, e.Detail = r.Int64(), r.Int64(), r.Text(), r.Text(), r.Text()
+	e.RequestID, e.Service, e.StartNanos, e.EndNanos = r.Text(), r.Text(), r.Int64(), r.Int64()
+}
+
+// events is the HistorySince reply.
+type events []Event
+
+func (l *events) WireSize() int                      { return rpc.ListSize(*l) }
+func (l *events) AppendWire(w rpc.Writer) rpc.Writer { return rpc.AppendList(w, *l) }
+func (l *events) ReadWire(r *rpc.Reader)             { *l = rpc.ReadBodies[Event](r) }
+
+func (s *BusStats) WireSize() int                      { return 2 * rpc.IntSize }
+func (s *BusStats) AppendWire(w rpc.Writer) rpc.Writer { return w.Int64(s.Published).Int(s.HistoryLen) }
+func (s *BusStats) ReadWire(r *rpc.Reader)             { s.Published, s.HistoryLen = r.Int64(), r.Int() }

@@ -77,8 +77,7 @@ func holderAlive(e Entry) bool {
 	default:
 		return true
 	}
-	var pong string
-	return rpc.Call(e.Addr, object, "Ping", struct{}{}, &pong) == nil
+	return rpc.Call(e.Addr, object, "Ping", nil, nil) == nil
 }
 
 // Unregister removes a binding (idempotent).
@@ -115,37 +114,21 @@ func (s *Service) ResolveAll(names []string) []Entry {
 }
 
 // Handler exposes the service over rpc.
-func (s *Service) Handler() rpc.Handler {
-	return rpc.HandlerFunc(map[string]func([]byte) ([]byte, error){
-		"Register": func(body []byte) ([]byte, error) {
-			var e Entry
-			if err := rpc.Decode(body, &e); err != nil {
-				return nil, err
-			}
-			if err := s.Register(e); err != nil {
-				return nil, err
-			}
-			return rpc.Encode(true)
-		},
-		"Resolve": func(body []byte) ([]byte, error) {
-			var name string
-			if err := rpc.Decode(body, &name); err != nil {
-				return nil, err
-			}
-			e, err := s.Resolve(name)
-			if err != nil {
-				return nil, err
-			}
-			return rpc.Encode(e)
-		},
-		"ResolveAll": func(body []byte) ([]byte, error) {
-			var req resolveAllRequest
-			if err := rpc.Decode(body, &req); err != nil {
-				return nil, err
-			}
-			return rpc.Encode(&resolveAllReply{Entries: s.ResolveAll(req.Names)})
-		},
-	})
+func (s *Service) Handler() rpc.Handler { return s.methods().Handler() }
+
+// methods are the service's rpc methods: Register takes an entry and answers
+// nothing, Resolve takes a name.
+func (s *Service) methods() rpc.Methods {
+	return rpc.Methods{
+		"Register": rpc.Typed(func(e *Entry) (rpc.WireBody, error) { return nil, s.Register(*e) }),
+		"Resolve": rpc.Typed(func(name *rpc.Text) (*Entry, error) {
+			e, err := s.Resolve(string(*name))
+			return &e, err
+		}),
+		"ResolveAll": rpc.Typed(func(req *resolveAllRequest) (*resolveAllReply, error) {
+			return &resolveAllReply{Entries: s.ResolveAll(req.Names)}, nil
+		}),
+	}
 }
 
 // Client is a typed remote handle on a naming service.
@@ -155,14 +138,14 @@ type Client struct {
 
 // Register binds a name remotely.
 func (c *Client) Register(e Entry) error {
-	var ok bool
-	return rpc.Call(c.Addr, ObjectName, "Register", e, &ok)
+	return rpc.Call(c.Addr, ObjectName, "Register", &e, nil)
 }
 
 // Resolve looks a name up remotely.
 func (c *Client) Resolve(name string) (Entry, error) {
 	var e Entry
-	err := rpc.Call(c.Addr, ObjectName, "Resolve", name, &e)
+	key := rpc.Text(name)
+	err := rpc.Call(c.Addr, ObjectName, "Resolve", &key, &e)
 	return e, err
 }
 
@@ -174,11 +157,14 @@ func (c *Client) ResolveAll(names []string) ([]Entry, error) {
 	return reply.Entries, err
 }
 
-// resolveAllRequest and resolveAllReply are the bodies of the ResolveAll
-// exchange, the one naming call on the path of every GridRPC call; they have
-// a hand-written layout (rpc.WireBody) where the registry's other, cold
-// methods use gob: a list of name texts out, a list of entries — name, addr
-// and kind texts — back.
+// An entry crosses the wire as its name, address and kind texts
+// (rpc.WireBody); ResolveAll sends a list of name texts and answers with a
+// list of entries.
+
+func (e *Entry) WireSize() int                      { return rpc.TextSize(e.Name, e.Addr, e.Kind) }
+func (e *Entry) AppendWire(w rpc.Writer) rpc.Writer { return w.Text(e.Name).Text(e.Addr).Text(e.Kind) }
+func (e *Entry) ReadWire(r *rpc.Reader)             { e.Name, e.Addr, e.Kind = r.Text(), r.Text(), r.Text() }
+
 type resolveAllRequest struct{ Names []string }
 
 type resolveAllReply struct{ Entries []Entry }
@@ -187,24 +173,6 @@ func (q *resolveAllRequest) WireSize() int                      { return rpc.Tex
 func (q *resolveAllRequest) AppendWire(w rpc.Writer) rpc.Writer { return w.Texts(q.Names) }
 func (q *resolveAllRequest) ReadWire(r *rpc.Reader)             { q.Names = r.Texts() }
 
-func (p *resolveAllReply) WireSize() int {
-	n := rpc.LenSize
-	for _, e := range p.Entries {
-		n += 3*rpc.LenSize + len(e.Name) + len(e.Addr) + len(e.Kind)
-	}
-	return n
-}
-
-func (p *resolveAllReply) AppendWire(w rpc.Writer) rpc.Writer {
-	w = w.Count(len(p.Entries))
-	for _, e := range p.Entries {
-		w = w.Text(e.Name).Text(e.Addr).Text(e.Kind)
-	}
-	return w
-}
-
-func (p *resolveAllReply) ReadWire(r *rpc.Reader) {
-	p.Entries = rpc.ReadList(r, 3*rpc.LenSize, func(e *Entry, r *rpc.Reader) {
-		e.Name, e.Addr, e.Kind = r.Text(), r.Text(), r.Text()
-	})
-}
+func (p *resolveAllReply) WireSize() int                      { return rpc.ListSize(p.Entries) }
+func (p *resolveAllReply) AppendWire(w rpc.Writer) rpc.Writer { return rpc.AppendList(w, p.Entries) }
+func (p *resolveAllReply) ReadWire(r *rpc.Reader)             { p.Entries = rpc.ReadBodies[Entry](r) }

@@ -7,14 +7,15 @@ import (
 	"repro/internal/rpc/wiretest"
 )
 
-// resolveAllBodies are the two typed bodies of this package, fresh.
-var resolveAllBodies = []func() rpc.WireBody{
-	func() rpc.WireBody { return &resolveAllRequest{} },
-	func() rpc.WireBody { return &resolveAllReply{} },
+// wireMethods are the naming service's methods and their bodies, fresh.
+var wireMethods = []wiretest.Method{
+	{Name: "ResolveAll", Req: func() rpc.WireBody { return &resolveAllRequest{} }, Rep: func() rpc.WireBody { return &resolveAllReply{} }},
+	{Name: "Register", Req: func() rpc.WireBody { return &Entry{} }},
+	{Name: "Resolve", Req: func() rpc.WireBody { return new(rpc.Text) }, Rep: func() rpc.WireBody { return &Entry{} }},
 }
 
 func TestResolveAllBodiesRoundTrip(t *testing.T) {
-	for _, fresh := range resolveAllBodies {
+	for _, fresh := range wiretest.Bodies(t, wireMethods, NewService().methods()) {
 		filled := fresh()
 		wiretest.Fill(filled)
 		for _, in := range []rpc.WireBody{fresh(), filled} {
@@ -26,18 +27,22 @@ func TestResolveAllBodiesRoundTrip(t *testing.T) {
 	wiretest.RoundTrip(t, &resolveAllReply{Entries: []Entry{{}, {Name: "n"}}}, &resolveAllReply{})
 }
 
+// FuzzResolveAllBodies feeds arbitrary bytes to the decoder of every body
+// of the naming service, ResolveAll's first.
 func FuzzResolveAllBodies(f *testing.F) {
+	bodies := wiretest.Bodies(f, wireMethods, NewService().methods())
 	filled := &resolveAllReply{}
 	wiretest.Fill(filled)
 	wire, _ := rpc.Encode(filled)
-	for kind := range resolveAllBodies {
+	for kind := range bodies[:2] {
 		f.Add(uint8(kind), wire)
 		f.Add(uint8(kind), wire[:len(wire)-1])
 		f.Add(uint8(kind), append(wire[:len(wire):len(wire)], 0))
 		f.Add(uint8(kind), []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 		f.Add(uint8(kind), []byte{})
 	}
+	wiretest.Seed(f, bodies)
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		wiretest.FuzzDecode(t, data, resolveAllBodies[int(kind)%len(resolveAllBodies)]())
+		wiretest.FuzzDecode(t, data, bodies[int(kind)%len(bodies)]())
 	})
 }

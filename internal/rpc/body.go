@@ -3,32 +3,33 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
 	"net"
+	"sort"
+	"time"
 )
 
-// WireBody is a call body with a hand-written layout: the structs that cross
-// the wire on every GridRPC call (profile, estimates, submit/collect/solve
-// requests and replies, naming's batched resolve) and the data manager's Item
-// implement it on their pointer types, and Encode/Decode use it instead of
-// gob. Everything else — admin, gossip, migration, federation, the data
-// manager's bookkeeping — stays gob.
+// WireBody is a call body: every request and reply an object's methods
+// exchange implements it on its pointer type, so that a body passed by value
+// to Call or Encode does not compile. A method with nothing to send on one
+// side sends no body there (nil).
 //
 // The layout is positional, all integers big-endian like the frame header:
 //
-//	int      8 bytes, two's complement
+//	int      8 bytes, two's complement (int64 too)
 //	float64  8 bytes, IEEE 754 bits
 //	bool     1 byte, 0 or 1
+//	time     8-byte Unix seconds, 8-byte nanoseconds, read back in UTC
 //	text     4-byte length, then the bytes
 //	bytes    4-byte length, then the bytes
 //	list     4-byte count, then the elements
+//	map      4-byte count, then each key text and value, keys ascending
 //
-// The method names are deliberately none that encoding/gob or encoding/json
-// look for: the same structs ride inside gob and JSON bodies on cold paths and
-// must encode there as plain structs.
+// The method names are deliberately none that encoding/json looks for: the
+// same structs ride inside JSON documents and must encode there as plain
+// structs.
 type WireBody interface {
 	// WireSize is the exact length AppendWire adds, so Encode allocates once.
 	WireSize() int
@@ -45,7 +46,8 @@ const (
 	IntSize     = 8
 	Float64Size = 8
 	BoolSize    = 1
-	LenSize     = 4 // the length prefix of a text, a byte slice or a list
+	TimeSize    = 16
+	LenSize     = 4 // the length prefix of a text, a byte slice, a list or a map
 )
 
 // SegmentCut is the length from which a byte-slice field of a WireBody is
@@ -54,17 +56,10 @@ const (
 // than the copy it saves.
 const SegmentCut = 4 << 10
 
-// Encode encodes a value for use as a call body, in one slice: a WireBody by
-// its own layout, anything else with gob.
-func Encode(v any) ([]byte, error) {
-	if b, ok := v.(WireBody); ok {
-		return flatWire(b, b.WireSize()), nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// Encode encodes a body in one slice. It cannot fail: the error is always
+// nil.
+func Encode(b WireBody) ([]byte, error) {
+	return flatWire(b, b.WireSize()), nil
 }
 
 // flatWire is a WireBody of size bytes in one slice of exactly that size.
@@ -73,30 +68,28 @@ func flatWire(b WireBody, size int) []byte {
 }
 
 // encode is Encode for a body on its way to a socket: the same bytes, with
-// the large byte fields of a WireBody referenced where they are. The caller
-// must leave those bytes alone until the segments have been written.
-func encode(v any) (segments, error) {
-	b, ok := v.(WireBody)
-	if !ok {
-		flat, err := Encode(v)
-		return segments{head: flat}, err
+// its large byte fields referenced where they are. The caller must leave
+// those bytes alone until the segments have been written. A nil body is no
+// bytes.
+func encode(b WireBody) segments {
+	if b == nil {
+		return segments{}
 	}
 	// A body shorter than the cut has no field to reference: its head is the
 	// one exact slice of Encode. A longer one starts its head at the cut and
 	// grows it if it must.
 	size := b.WireSize()
 	if size < SegmentCut {
-		return segments{head: flatWire(b, size)}, nil
+		return segments{head: flatWire(b, size)}
 	}
-	return b.AppendWire(Writer{segments{head: make([]byte, 0, SegmentCut), refs: new([]ref)}}).segments, nil
+	return b.AppendWire(Writer{segments{head: make([]byte, 0, SegmentCut), refs: new([]ref)}}).segments
 }
 
 // Segments is the encoding of a WireBody in the pieces the tcp transport
 // hands to writev: concatenated they are Encode(v), and every byte field of
 // at least SegmentCut bytes is a piece of its own, aliasing v.
 func Segments(v WireBody) net.Buffers {
-	s, _ := encode(v)
-	return s.appendTo(nil)
+	return encode(v).appendTo(nil)
 }
 
 // segments is an encoded body in the pieces it is sent in: head holds every
@@ -157,19 +150,16 @@ func (s segments) flat() []byte {
 	return bytes.Join(s.appendTo(nil), nil)
 }
 
-// Decode decodes a call body into v (a pointer). A WireBody must consume the
-// body exactly; its byte-slice fields alias data, which the caller must not
-// reuse — frames and Encode results never are.
-func Decode(data []byte, v any) error {
-	if w, ok := v.(WireBody); ok {
-		r := Reader{rest: data}
-		w.ReadWire(&r)
-		if r.err == nil && len(r.rest) > 0 {
-			r.err = fmt.Errorf("%w: %d trailing bytes", ErrBody, len(r.rest))
-		}
-		return r.err
+// Decode decodes a call body into b, which must consume it exactly. Its
+// byte-slice fields alias data, which the caller must not reuse — frames and
+// Encode results never are.
+func Decode(data []byte, b WireBody) error {
+	r := Reader{rest: data}
+	b.ReadWire(&r)
+	if r.err == nil && len(r.rest) > 0 {
+		r.err = fmt.Errorf("%w: %d trailing bytes", ErrBody, len(r.rest))
 	}
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+	return r.err
 }
 
 // ErrBody is wrapped by every failure to decode a WireBody.
@@ -206,13 +196,18 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
-// Int reads an int.
-func (r *Reader) Int() int {
+// Int64 reads an int64.
+func (r *Reader) Int64() int64 {
 	b := r.take(IntSize)
 	if b == nil {
 		return 0
 	}
-	v := int64(binary.BigEndian.Uint64(b))
+	return int64(binary.BigEndian.Uint64(b))
+}
+
+// Int reads an int.
+func (r *Reader) Int() int {
+	v := r.Int64()
 	if int64(int(v)) != v {
 		r.Fail("integer %d overflows int", v)
 		return 0
@@ -287,9 +282,25 @@ type Writer struct {
 }
 
 // Int appends an int.
-func (w Writer) Int(v int) Writer {
-	w.head = binary.BigEndian.AppendUint64(w.head, uint64(int64(v)))
+func (w Writer) Int(v int) Writer { return w.Int64(int64(v)) }
+
+// Int64 appends an int64.
+func (w Writer) Int64(v int64) Writer {
+	w.head = binary.BigEndian.AppendUint64(w.head, uint64(v))
 	return w
+}
+
+// Time appends a time: its instant, not its location or monotonic reading.
+func (w Writer) Time(t time.Time) Writer { return w.Int64(t.Unix()).Int64(int64(t.Nanosecond())) }
+
+// Time reads a time, in UTC: the zero time reads as the zero time.
+func (r *Reader) Time() time.Time {
+	sec, nsec := r.Int64(), r.Int64()
+	if nsec < 0 || nsec >= 1e9 {
+		r.Fail("time with %d nanoseconds", nsec)
+		return time.Time{}
+	}
+	return time.Unix(sec, nsec).UTC()
 }
 
 // Float64 appends a float64.
@@ -336,14 +347,17 @@ func (w Writer) Text(s string) Writer {
 	return w
 }
 
-// TextsSize is the encoded size of a list of strings.
-func TextsSize(list []string) int {
-	n := LenSize
-	for _, s := range list {
-		n += LenSize + len(s)
+// TextSize is the encoded size of the given texts, one after the other.
+func TextSize(texts ...string) int {
+	n := len(texts) * LenSize
+	for _, t := range texts {
+		n += len(t)
 	}
 	return n
 }
+
+// TextsSize is the encoded size of a list of strings.
+func TextsSize(list []string) int { return LenSize + TextSize(list...) }
 
 // Texts appends a list of strings.
 func (w Writer) Texts(list []string) Writer {
@@ -374,3 +388,103 @@ func ReadList[T any](r *Reader, minSize int, read func(*T, *Reader)) []T {
 	}
 	return list
 }
+
+// ptrBody is the constraint of the helpers below: *T is a WireBody.
+type ptrBody[T any] interface {
+	*T
+	WireBody
+}
+
+// ListSize is the encoded size of a list of bodies.
+func ListSize[T any, P ptrBody[T]](list []T) int {
+	n := LenSize
+	for i := range list {
+		n += P(&list[i]).WireSize()
+	}
+	return n
+}
+
+// AppendList appends a list of bodies.
+func AppendList[T any, P ptrBody[T]](w Writer, list []T) Writer {
+	w = w.Count(len(list))
+	for i := range list {
+		w = P(&list[i]).AppendWire(w)
+	}
+	return w
+}
+
+// ReadBodies reads a list of bodies; an empty list reads as nil.
+func ReadBodies[T any, P ptrBody[T]](r *Reader) []T {
+	return ReadList(r, P(new(T)).WireSize(), func(v *T, r *Reader) { P(v).ReadWire(r) })
+}
+
+// MapSize is the encoded size of a map of bodies.
+func MapSize[T any, P ptrBody[T]](m map[string]T) int {
+	n := LenSize
+	for k, v := range m {
+		n += LenSize + len(k) + P(&v).WireSize()
+	}
+	return n
+}
+
+// AppendMap appends a map of bodies, its keys in ascending order so that a
+// map has one encoding.
+func AppendMap[T any, P ptrBody[T]](w Writer, m map[string]T) Writer {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	w = w.Count(len(keys))
+	for _, k := range keys {
+		v := m[k]
+		w = P(&v).AppendWire(w.Text(k))
+	}
+	return w
+}
+
+// ReadMap reads a map of bodies; keys out of ascending order, repeats
+// included, are a failure. An empty map reads as nil.
+func ReadMap[T any, P ptrBody[T]](r *Reader) map[string]T {
+	n := r.Count(LenSize + P(new(T)).WireSize())
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]T, n)
+	prev := ""
+	for i := 0; i < n && r.err == nil; i++ {
+		k := r.Text()
+		if i > 0 && k <= prev {
+			r.Fail("map key %q after %q", k, prev)
+		}
+		var v T
+		P(&v).ReadWire(r)
+		m[k], prev = v, k
+	}
+	return m
+}
+
+// Text, Int, Float and Bool are bodies of one value, for the methods that
+// take or answer nothing more.
+type (
+	Text  string
+	Int   int64
+	Float float64
+	Bool  bool
+)
+
+func (t *Text) WireSize() int              { return LenSize + len(*t) }
+func (t *Text) AppendWire(w Writer) Writer { return w.Text(string(*t)) }
+func (t *Text) ReadWire(r *Reader)         { *t = Text(r.Text()) }
+
+func (n *Int) WireSize() int              { return IntSize }
+func (n *Int) AppendWire(w Writer) Writer { return w.Int64(int64(*n)) }
+func (n *Int) ReadWire(r *Reader)         { *n = Int(r.Int64()) }
+
+func (f *Float) WireSize() int              { return Float64Size }
+func (f *Float) AppendWire(w Writer) Writer { return w.Float64(float64(*f)) }
+func (f *Float) ReadWire(r *Reader)         { *f = Float(r.Float64()) }
+
+func (b *Bool) WireSize() int              { return BoolSize }
+func (b *Bool) AppendWire(w Writer) Writer { return w.Bool(bool(*b)) }
+func (b *Bool) ReadWire(r *Reader)         { *b = Bool(r.Bool()) }

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // pairBody is a minimal WireBody: a list of texts and a byte slice.
@@ -43,6 +45,77 @@ func (b *blobsBody) ReadWire(r *Reader) {
 	b.Blobs = ReadList(r, LenSize, func(blob *[]byte, r *Reader) { *blob = r.Bytes() })
 }
 
+// mapBody is a WireBody of one map.
+type mapBody struct{ M map[string]Int }
+
+func (m *mapBody) WireSize() int              { return MapSize(m.M) }
+func (m *mapBody) AppendWire(w Writer) Writer { return AppendMap(w, m.M) }
+func (m *mapBody) ReadWire(r *Reader)         { m.M = ReadMap[Int](r) }
+
+// timeBody is a WireBody of one time.
+type timeBody struct{ T time.Time }
+
+func (b *timeBody) WireSize() int              { return TimeSize }
+func (b *timeBody) AppendWire(w Writer) Writer { return w.Time(b.T) }
+func (b *timeBody) ReadWire(r *Reader)         { b.T = r.Time() }
+
+// reflectNew is a fresh body of the type of b.
+func reflectNew(b WireBody) WireBody {
+	return reflect.New(reflect.TypeOf(b).Elem()).Interface().(WireBody)
+}
+
+// A map is written in key order, so a map has one encoding, and a decoder
+// refuses keys out of that order: re-encoding what it accepts gives back the
+// bytes it read.
+func TestMapKeysAreSorted(t *testing.T) {
+	wire, _ := Encode(&mapBody{M: map[string]Int{"c": 3, "a": 1, "b": 2}})
+	entry := func(k string, v int) []byte { return Writer{}.Text(k).Int(v).head }
+	want := append(append(append(binary.BigEndian.AppendUint32(nil, 3), entry("a", 1)...), entry("b", 2)...), entry("c", 3)...)
+	if !bytes.Equal(wire, want) {
+		t.Fatalf("encoding = %x, want the keys ascending %x", wire, want)
+	}
+	for name, keys := range map[string][]string{"out of order": {"b", "a"}, "repeated": {"a", "a"}} {
+		bad := binary.BigEndian.AppendUint32(nil, 2)
+		for i, k := range keys {
+			bad = append(bad, entry(k, i)...)
+		}
+		if err := Decode(bad, &mapBody{}); !errors.Is(err, ErrBody) {
+			t.Errorf("keys %s: %v, want ErrBody", name, err)
+		}
+	}
+	var empty mapBody
+	if err := Decode([]byte{0, 0, 0, 0}, &empty); err != nil || empty.M != nil {
+		t.Errorf("empty map read as %v, %v; want nil", empty.M, err)
+	}
+}
+
+// A time crosses as its instant and comes back in UTC; the zero time comes
+// back as the zero time, not as some instant of year 1 that is not zero.
+func TestTimeRoundTrip(t *testing.T) {
+	at := time.Date(2007, 3, 26, 10, 30, 0, 123456789, time.FixedZone("CEST", 2*3600))
+	for _, in := range []time.Time{{}, at, time.Unix(0, 0), time.Unix(-1, 999999999)} {
+		wire, _ := Encode(&timeBody{T: in})
+		var out timeBody
+		if err := Decode(wire, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !out.T.Equal(in) || out.T.Location() != time.UTC || out.T.IsZero() != in.IsZero() {
+			t.Errorf("%v came back as %v", in, out.T)
+		}
+	}
+	var zero timeBody
+	wire, _ := Encode(&zero)
+	if err := Decode(wire, &zero); err != nil || zero.T != (time.Time{}) {
+		t.Errorf("the zero time came back as %#v, %v", zero.T, err)
+	}
+	for _, ns := range []int64{-1, 1e9} {
+		bad := Writer{}.Int64(0).Int64(ns).head
+		if err := Decode(bad, &timeBody{}); !errors.Is(err, ErrBody) {
+			t.Errorf("%d nanoseconds: %v, want ErrBody", ns, err)
+		}
+	}
+}
+
 // A byte field of SegmentCut bytes or more is left where it is on the way to
 // a socket and copied on the way into one slice; the bytes are the same, and
 // the local: transport gets the one slice.
@@ -61,10 +134,7 @@ func TestLargeFieldsAreReferencedNotCopied(t *testing.T) {
 	if len(flat) != in.WireSize() || cap(flat) != len(flat) {
 		t.Fatalf("flat encoding is %d bytes in a buffer of %d, WireSize says %d", len(flat), cap(flat), in.WireSize())
 	}
-	body, err := encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := encode(in)
 	cuts := body.cuts()
 	if len(cuts) != 3 || &cuts[0].data[0] != &large[0] || &cuts[1].data[0] != &atCut[0] || &cuts[2].data[0] != &large[0] {
 		t.Fatalf("%d fields referenced, want the three of SegmentCut bytes or more, in place", len(cuts))
@@ -90,13 +160,13 @@ func TestLargeFieldsAreReferencedNotCopied(t *testing.T) {
 		t.Error("a body written twice did not arrive whole twice")
 	}
 	// A body under the cut as a whole is one exact slice either way.
-	tiny, _ := encode(&blobsBody{Blobs: [][]byte{{1}, {2, 3}}})
+	tiny := encode(&blobsBody{Blobs: [][]byte{{1}, {2, 3}}})
 	if tiny.refs != nil || cap(tiny.head) != len(tiny.head) {
 		t.Errorf("a small body: %d refs, head of %d in a buffer of %d", len(tiny.cuts()), len(tiny.head), cap(tiny.head))
 	}
 }
 
-func TestWireBodyBypassesGob(t *testing.T) {
+func TestWireBodyLayout(t *testing.T) {
 	in := &pairBody{Names: []string{"a", ""}, Blob: []byte{1, 2, 3}}
 	wire, err := Encode(in)
 	if err != nil {

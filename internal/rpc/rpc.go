@@ -23,11 +23,46 @@ import (
 // encoded reply.
 type Handler func(method string, body []byte) ([]byte, error)
 
-// TypedMethod handles one method of an object and answers with the reply
-// itself, which the server encodes: over tcp its large byte fields then go
-// out from the memory they are in (Writer.Bytes), which the method must leave
-// alone from its return on.
-type TypedMethod func(body []byte) (WireBody, error)
+// Method handles one method of an object: it decodes its request from body
+// and answers with its reply, nil for none, which the server encodes.
+type Method func(body []byte) (WireBody, error)
+
+// Methods are the methods of an object by name.
+type Methods map[string]Method
+
+// Typed is the Method that decodes its request into a fresh *T and answers
+// with what fn makes of it.
+func Typed[T any, P ptrBody[T], R WireBody](fn func(P) (R, error)) Method {
+	return func(body []byte) (WireBody, error) {
+		in := P(new(T))
+		if err := Decode(body, in); err != nil {
+			return nil, err
+		}
+		return fn(in)
+	}
+}
+
+// handle runs one of the methods and encodes its reply.
+func (m Methods) handle(method string, body []byte) (segments, error) {
+	fn, ok := m[method]
+	if !ok {
+		return segments{}, fmt.Errorf("rpc: no such method %q", method)
+	}
+	reply, err := fn(body)
+	if err != nil {
+		return segments{}, err
+	}
+	return encode(reply), nil
+}
+
+// Handler is the methods as a Handler, for Register: every reply is copied
+// into one slice.
+func (m Methods) Handler() Handler {
+	return func(method string, body []byte) ([]byte, error) {
+		reply, err := m.handle(method, body)
+		return reply.flat(), err
+	}
+}
 
 // ErrNoObject is returned when the target object is not registered. It
 // survives both transports: errors.Is(err, ErrNoObject) holds at the caller.
@@ -60,8 +95,7 @@ func NewServer() *Server {
 type handler func(method string, body []byte) (segments, error)
 
 // Register exposes an object under the given name. Re-registering replaces
-// the previous handler. (Not RegisterTyped with no typed method: the lookup in
-// the empty table is a tenth of an in-process call.)
+// the previous handler.
 func (s *Server) Register(object string, h Handler) {
 	s.register(object, func(method string, body []byte) (segments, error) {
 		out, err := h(method, body)
@@ -69,22 +103,10 @@ func (s *Server) Register(object string, h Handler) {
 	})
 }
 
-// RegisterTyped is Register for an object some of whose methods are typed;
-// every other method goes to rest.
-func (s *Server) RegisterTyped(object string, typed map[string]TypedMethod, rest Handler) {
-	s.register(object, func(method string, body []byte) (segments, error) {
-		fn, ok := typed[method]
-		if !ok {
-			out, err := rest(method, body)
-			return segments{head: out}, err
-		}
-		reply, err := fn(body)
-		if err != nil {
-			return segments{}, err
-		}
-		return encode(reply)
-	})
-}
+// RegisterMethods exposes an object's methods under the given name. Over tcp
+// the large byte fields of a reply go out from the memory they are in
+// (Writer.Bytes), which the method must leave alone from its return on.
+func (s *Server) RegisterMethods(object string, m Methods) { s.register(object, m.handle) }
 
 func (s *Server) register(object string, h handler) {
 	s.mu.Lock()
@@ -283,20 +305,12 @@ func invoke(addr, object, method string, body segments) ([]byte, error) {
 	return invokeTCP(strings.TrimPrefix(addr, "tcp:"), object, method, body)
 }
 
-// Call is the typed convenience wrapper: encodes in, invokes, decodes into
-// out (pass nil for methods without a reply payload). Over tcp the large
-// byte fields of a WireBody are sent from where they are (Writer.Bytes): the
-// caller must not modify them until Call returns.
-func Call(addr, object, method string, in, out any) error {
-	var body segments
-	var err error
-	if in != nil {
-		body, err = encode(in)
-		if err != nil {
-			return fmt.Errorf("rpc: encoding request for %s.%s: %w", object, method, err)
-		}
-	}
-	reply, err := invoke(addr, object, method, body)
+// Call invokes object.method at addr with the request in and decodes the
+// reply into out; nil stands for no body on either side. Over tcp the large
+// byte fields of in are sent from where they are (Writer.Bytes): the caller
+// must not modify them until Call returns.
+func Call(addr, object, method string, in, out WireBody) error {
+	reply, err := invoke(addr, object, method, encode(in))
 	if err != nil {
 		return err
 	}
@@ -306,16 +320,4 @@ func Call(addr, object, method string, in, out any) error {
 		}
 	}
 	return nil
-}
-
-// HandlerFunc adapts a map of typed method handlers into a Handler. Methods
-// not in the map return an error.
-func HandlerFunc(methods map[string]func(body []byte) ([]byte, error)) Handler {
-	return func(method string, body []byte) ([]byte, error) {
-		fn, ok := methods[method]
-		if !ok {
-			return nil, fmt.Errorf("rpc: no such method %q", method)
-		}
-		return fn(body)
-	}
 }

@@ -3,43 +3,41 @@ package rpc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 )
 
 func echoHandler() Handler {
-	return HandlerFunc(map[string]func([]byte) ([]byte, error){
-		"Echo": func(body []byte) ([]byte, error) {
-			var s string
-			if err := Decode(body, &s); err != nil {
-				return nil, err
-			}
-			return Encode("echo:" + s)
-		},
-		"Fail": func([]byte) ([]byte, error) {
+	return Methods{
+		"Echo": Typed(func(s *Text) (*Text, error) { return text("echo:" + string(*s)), nil }),
+		"Fail": func([]byte) (WireBody, error) {
 			return nil, errors.New("deliberate failure")
 		},
-	})
+	}.Handler()
 }
 
+// text is a Text body.
+func text(s string) *Text { return (*Text)(&s) }
+
+// The bodies of one value, and a map, come back as they were sent.
 func TestEncodeDecode(t *testing.T) {
-	type payload struct {
-		A int
-		B string
-		C []float64
-	}
-	in := payload{A: 7, B: "x", C: []float64{1, 2}}
-	raw, err := Encode(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out payload
-	if err := Decode(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.A != in.A || out.B != in.B || len(out.C) != 2 {
-		t.Errorf("round trip mismatch: %+v", out)
+	in := []WireBody{text("zoé"), text(""), new(Int), new(Float), new(Bool)}
+	n, f, b := Int(math.MinInt64), Float(math.Inf(-1)), Bool(true)
+	in = append(in, &n, &f, &b, &mapBody{M: map[string]Int{"b": 2, "a": -1, "": 0}})
+	for _, body := range in {
+		raw, err := Encode(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := reflectNew(body)
+		if err := Decode(raw, out); err != nil {
+			t.Fatalf("%T: %v", body, err)
+		}
+		if again, _ := Encode(out); string(again) != string(raw) || len(raw) != body.WireSize() {
+			t.Errorf("%T: %x came back as %x (WireSize %d)", body, raw, again, body.WireSize())
+		}
 	}
 }
 
@@ -52,8 +50,8 @@ func TestTCPCall(t *testing.T) {
 	}
 	defer s.Close()
 
-	var out string
-	if err := Call(addr, "obj", "Echo", "hello", &out); err != nil {
+	var out Text
+	if err := Call(addr, "obj", "Echo", text("hello"), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out != "echo:hello" {
@@ -69,8 +67,8 @@ func TestTCPCallWithScheme(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var out string
-	if err := Call("tcp:"+addr, "obj", "Echo", "x", &out); err != nil {
+	var out Text
+	if err := Call("tcp:"+addr, "obj", "Echo", text("x"), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out != "echo:x" {
@@ -89,8 +87,8 @@ func TestLocalCall(t *testing.T) {
 	if !strings.HasPrefix(addr, "local:") {
 		t.Fatalf("address %q", addr)
 	}
-	var out string
-	if err := Call(addr, "obj", "Echo", "inproc", &out); err != nil {
+	var out Text
+	if err := Call(addr, "obj", "Echo", text("inproc"), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out != "echo:inproc" {
@@ -125,20 +123,20 @@ func TestNoSuchObjectAndMethod(t *testing.T) {
 	s := NewServer()
 	s.Register("obj", echoHandler())
 	addr, _ := ServeLocal("test-missing", s)
-	if err := Call(addr, "ghost", "Echo", "x", nil); err == nil {
+	if err := Call(addr, "ghost", "Echo", text("x"), nil); err == nil {
 		t.Error("missing object should fail")
 	}
-	if err := Call(addr, "obj", "Ghost", "x", nil); err == nil {
+	if err := Call(addr, "obj", "Ghost", text("x"), nil); err == nil {
 		t.Error("missing method should fail")
 	}
-	if err := Call("local:ghost-server", "obj", "Echo", "x", nil); err == nil {
+	if err := Call("local:ghost-server", "obj", "Echo", text("x"), nil); err == nil {
 		t.Error("missing local server should fail")
 	}
 }
 
 func TestDialFailure(t *testing.T) {
 	// A port that is almost certainly closed.
-	err := Call("127.0.0.1:1", "obj", "Echo", "x", nil)
+	err := Call("127.0.0.1:1", "obj", "Echo", text("x"), nil)
 	if err == nil {
 		t.Error("expected dial failure")
 	}
@@ -160,12 +158,12 @@ func TestConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var out string
-			if err := Call(addr, "obj", "Echo", fmt.Sprint(i), &out); err != nil {
+			var out Text
+			if err := Call(addr, "obj", "Echo", text(fmt.Sprint(i)), &out); err != nil {
 				errs[i] = err
 				return
 			}
-			if out != fmt.Sprintf("echo:%d", i) {
+			if string(out) != fmt.Sprintf("echo:%d", i) {
 				errs[i] = fmt.Errorf("mismatch: %q", out)
 			}
 		}(i)
@@ -184,7 +182,7 @@ func TestUnregister(t *testing.T) {
 	s.Register("obj", echoHandler())
 	addr, _ := ServeLocal("test-unreg", s)
 	s.Unregister("obj")
-	if err := Call(addr, "obj", "Echo", "x", nil); err == nil {
+	if err := Call(addr, "obj", "Echo", text("x"), nil); err == nil {
 		t.Error("unregistered object should fail")
 	}
 }
@@ -193,7 +191,7 @@ func TestCloseRemovesLocal(t *testing.T) {
 	s := NewServer()
 	addr, _ := ServeLocal("test-close", s)
 	s.Close()
-	if err := Call(addr, "obj", "Echo", "x", nil); err == nil {
+	if err := Call(addr, "obj", "Echo", text("x"), nil); err == nil {
 		t.Error("closed server should not serve local calls")
 	}
 }
@@ -201,14 +199,14 @@ func TestCloseRemovesLocal(t *testing.T) {
 func TestNilInOut(t *testing.T) {
 	defer ResetLocal()
 	s := NewServer()
-	s.Register("obj", HandlerFunc(map[string]func([]byte) ([]byte, error){
-		"Ping": func(body []byte) ([]byte, error) {
+	s.RegisterMethods("obj", Methods{
+		"Ping": func(body []byte) (WireBody, error) {
 			if body != nil {
 				return nil, errors.New("expected empty body")
 			}
-			return Encode("pong")
+			return nil, nil
 		},
-	}))
+	})
 	addr, _ := ServeLocal("test-nil", s)
 	if err := Call(addr, "obj", "Ping", nil, nil); err != nil {
 		t.Fatal(err)

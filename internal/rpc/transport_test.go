@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -154,9 +155,10 @@ func TestTransportSegmentsSumAgainstTheFrameLimit(t *testing.T) {
 		huge.Blobs[i] = shared
 	}
 	s := NewServer()
-	s.RegisterTyped("obj", map[string]TypedMethod{
+	s.RegisterMethods("obj", Methods{
 		"Huge": func([]byte) (WireBody, error) { return huge, nil },
-	}, func(string, []byte) ([]byte, error) { return nil, nil })
+		"Drop": func([]byte) (WireBody, error) { return nil, nil },
+	})
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +460,7 @@ func TestTransportErrorsSurviveTheWire(t *testing.T) {
 	}
 	var texts [2]string
 	for i, addr := range []string{tcp, local} {
-		err := Call(addr, "ghost", "Echo", "x", nil)
+		err := Call(addr, "ghost", "Echo", text("x"), nil)
 		if !errors.Is(err, ErrNoObject) || !strings.Contains(err.Error(), `"ghost"`) {
 			t.Errorf("%s: missing object = %v, want ErrNoObject naming it", addr, err)
 		}
@@ -472,7 +474,7 @@ func TestTransportErrorsSurviveTheWire(t *testing.T) {
 		if errors.Is(err, ErrNoObject) || errors.Is(err, ErrUnavailable) {
 			t.Errorf("%s: handler error matches a transport sentinel: %v", addr, err)
 		}
-		texts[i] = Call(addr, "ghost", "Echo", "x", nil).Error()
+		texts[i] = Call(addr, "ghost", "Echo", text("x"), nil).Error()
 	}
 	if texts[0] != texts[1] {
 		t.Errorf("missing-object text differs: tcp %q, local %q", texts[0], texts[1])
@@ -554,20 +556,22 @@ func TestTransportVersionMismatch(t *testing.T) {
 	}
 	defer c.Close()
 	cc := &clientConn{Conn: c, br: newReader(c)}
-	v1 := frameOf(1, 0, 3, 'o', 'b', 'j', 0, 0, 'x')
-	frame, _, err := cc.roundTrip(v1, segments{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = replyOf(frame[0], frame[1:])
-	if err == nil || !strings.Contains(err.Error(), "is version 1") || !strings.Contains(err.Error(), "speaks version 2") {
-		t.Fatalf("version mismatch = %v, want an error naming versions 1 and 2", err)
+	for _, v := range []byte{1, 2} {
+		old := frameOf(v, 0, 3, 'o', 'b', 'j', 0, 0, 'x')
+		frame, _, err := cc.roundTrip(old, segments{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = replyOf(frame[0], frame[1:])
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("is version %d", v)) || !strings.Contains(err.Error(), "speaks version 3") {
+			t.Fatalf("version mismatch = %v, want an error naming versions %d and 3", err, v)
+		}
 	}
 	if runs.Load() != 0 {
 		t.Error("handler ran for a frame of another version")
 	}
 	header, _ := requestHeader("obj", "Echo", 2)
-	frame, _, err = cc.roundTrip(header, segments{head: []byte("ok")})
+	frame, _, err := cc.roundTrip(header, segments{head: []byte("ok")})
 	if err != nil || frame[0] != statusOK || string(frame[1:]) != "ok" {
 		t.Fatalf("request after the mismatch = %x, %v", frame, err)
 	}

@@ -19,15 +19,19 @@ import (
 //	response: len | status  | body (statusOK), object name or error text
 //
 // version and status are one byte, objLen and methLen two bytes big-endian.
-// Bodies are opaque here (callers encode them with Encode; Call and typed
-// handlers hand theirs over in segments, body.go). Version 2 is the
-// frame of version 1 around bodies that are no longer all gob (body.go): the
-// byte moved so that a version 1 peer is refused by name, not misread.
+// Bodies are opaque here (callers encode them as WireBody layouts, body.go;
+// Call and registered methods hand theirs over in segments). The version
+// byte changes whenever a body's layout does, so that a peer built from
+// another tree is refused by name on its first call, not misread: version 3
+// is the frame whose bodies are all WireBody layouts, version 2 the one
+// whose cold-path bodies were not.
 const (
-	frameVersion = 2
+	frameVersion = 3
 
-	// maxFrame bounds a frame's declared length: the 1 GiB encoding/gob
-	// enforces on the bodies it carries.
+	// maxFrame bounds a frame's declared length, and with it what one body
+	// can make its decoder allocate (a Reader allocates no more than a
+	// constant multiple of the bytes it holds): 1 GiB, far beyond the
+	// largest body a platform sends.
 	maxFrame = 1 << 30
 
 	minRequest  = 1 + 2 + 2 // version and two empty names

@@ -9,30 +9,49 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/rpc"
 )
 
 // Fill sets every field under the pointer v to a non-zero value, each
 // different from the last: a layout that forgets a field, or reads two in
-// the wrong order, cannot round-trip a filled body. Slices get two elements,
-// strings are non-ASCII, floats have a fraction.
+// the wrong order, cannot round-trip a filled body. Slices and maps get two
+// elements (a slice nested in three others none, so that a recursive type
+// ends), strings are non-ASCII, floats have a fraction, times are UTC.
 func Fill(v any) {
 	n := 0
-	fill(reflect.ValueOf(v).Elem(), &n)
+	fill(reflect.ValueOf(v).Elem(), &n, 0)
 }
 
-func fill(v reflect.Value, n *int) {
+var timeType = reflect.TypeOf(time.Time{})
+
+func fill(v reflect.Value, n *int, depth int) {
 	*n++
 	switch v.Kind() {
 	case reflect.Struct:
+		if v.Type() == timeType {
+			v.Set(reflect.ValueOf(time.Unix(int64(*n)<<20, int64(*n)).UTC()))
+			return
+		}
 		for i := 0; i < v.NumField(); i++ {
-			fill(v.Field(i), n)
+			fill(v.Field(i), n, depth)
 		}
 	case reflect.Slice:
+		if depth == 3 {
+			return
+		}
 		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
 		for i := 0; i < v.Len(); i++ {
-			fill(v.Index(i), n)
+			fill(v.Index(i), n, depth+1)
+		}
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+		for i := 0; i < 2; i++ {
+			key, val := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fill(key, n, depth+1)
+			fill(val, n, depth+1)
+			v.SetMapIndex(key, val)
 		}
 	case reflect.String:
 		v.SetString("é☃" + string(rune('a'+*n%26)) + string(rune('0'+*n/26%10)))
@@ -40,7 +59,7 @@ func fill(v reflect.Value, n *int) {
 		v.SetBool(true)
 	case reflect.Float64:
 		v.SetFloat(float64(*n) + 0.5)
-	case reflect.Int:
+	case reflect.Int, reflect.Int64:
 		v.SetInt(int64(*n))
 	case reflect.Uint8:
 		v.SetUint(uint64(*n))
@@ -50,7 +69,8 @@ func fill(v reflect.Value, n *int) {
 }
 
 // Equal compares two values the way the wire can tell them apart: floats by
-// bit pattern (so a NaN equals itself), an empty slice equal to a nil one.
+// bit pattern (so a NaN equals itself), times by instant, an empty slice or
+// map equal to a nil one.
 func Equal(a, b any) bool { return equal(reflect.ValueOf(a), reflect.ValueOf(b)) }
 
 func equal(a, b reflect.Value) bool {
@@ -58,6 +78,9 @@ func equal(a, b reflect.Value) bool {
 	case reflect.Pointer:
 		return equal(a.Elem(), b.Elem())
 	case reflect.Struct:
+		if a.Type() == timeType {
+			return a.Interface().(time.Time).Equal(b.Interface().(time.Time))
+		}
 		for i := 0; i < a.NumField(); i++ {
 			if !equal(a.Field(i), b.Field(i)) {
 				return false
@@ -70,6 +93,16 @@ func equal(a, b reflect.Value) bool {
 		}
 		for i := 0; i < a.Len(); i++ {
 			if !equal(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for _, k := range a.MapKeys() {
+			if v := b.MapIndex(k); !v.IsValid() || !equal(a.MapIndex(k), v) {
 				return false
 			}
 		}
@@ -154,4 +187,49 @@ func FuzzDecode(t *testing.T, data []byte, body rpc.WireBody) bool {
 	}
 	SameSegments(t, body, data)
 	return true
+}
+
+// Method is one method of an object on the wire: its name and fresh bodies
+// of its request and its reply, nil for a side that carries no body. A
+// package lists its objects' methods in a table, and its fuzz target and
+// round-trip test take their bodies from it.
+type Method struct {
+	Name     string
+	Req, Rep func() rpc.WireBody
+}
+
+// Bodies checks that table lists exactly the methods an object registers —
+// a method added without its bodies, or listed and gone, shows — and
+// returns the bodies of table, each method's request then its reply.
+func Bodies(t testing.TB, table []Method, registered rpc.Methods) []func() rpc.WireBody {
+	t.Helper()
+	if len(table) != len(registered) {
+		t.Errorf("%d methods listed, %d registered", len(table), len(registered))
+	}
+	var out []func() rpc.WireBody
+	for _, m := range table {
+		if _, ok := registered[m.Name]; !ok {
+			t.Errorf("method %s is listed but not registered", m.Name)
+		}
+		for _, fresh := range []func() rpc.WireBody{m.Req, m.Rep} {
+			if fresh != nil {
+				out = append(out, fresh)
+			}
+		}
+	}
+	return out
+}
+
+// Seed adds to the corpus of a fuzz target taking (kind uint8, data []byte)
+// the encoding of each body, as kind its index: filled, cut in half, with a
+// byte more, and empty.
+func Seed(f *testing.F, bodies []func() rpc.WireBody) {
+	for kind, fresh := range bodies {
+		body := fresh()
+		Fill(body)
+		wire, _ := rpc.Encode(body)
+		for _, seed := range [][]byte{wire, wire[:len(wire)/2], append(wire[:len(wire):len(wire)], 0), {}} {
+			f.Add(uint8(kind), seed)
+		}
+	}
 }

@@ -55,24 +55,14 @@ func (e *Estimate) ReadWire(r *rpc.Reader) {
 }
 
 // EstimatesSize is the encoded size of a list of estimates.
-func EstimatesSize(ests []Estimate) int {
-	n := rpc.LenSize
-	for i := range ests {
-		n += ests[i].WireSize()
-	}
-	return n
-}
+func EstimatesSize(ests []Estimate) int { return rpc.ListSize(ests) }
 
 // AppendEstimates appends a list of estimates.
 func AppendEstimates(w rpc.Writer, ests []Estimate) rpc.Writer {
-	w = w.Count(len(ests))
-	for i := range ests {
-		w = ests[i].AppendWire(w)
-	}
-	return w
+	return rpc.AppendList(w, ests)
 }
 
 // ReadEstimates reads a list of estimates; an empty list reads as nil.
 func ReadEstimates(r *rpc.Reader) []Estimate {
-	return rpc.ReadList(r, estimateFixed, (*Estimate).ReadWire)
+	return rpc.ReadBodies[Estimate](r)
 }
