@@ -47,9 +47,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, o := range res.Outputs {
+	for i, o := range res.Outputs {
+		tree, err := res.Tree(i)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("output %d: a=%.3f  particles=%d  AMR depth=%d (effective %d^3)  leaves=%d\n",
-			o.Index, o.A, len(o.Snap.Parts), o.Tree.MaxDepth, o.Tree.EffectiveN, o.Tree.Leaves)
+			o.Index, o.A, len(o.Snap.Parts), tree.MaxDepth, tree.EffectiveN, tree.Leaves)
 		if o.Path != "" {
 			fmt.Printf("  wrote %s\n", o.Path)
 		}

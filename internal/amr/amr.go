@@ -16,6 +16,17 @@ type Params struct {
 	MRefine  int // refine a cell when it holds more than this many particles
 }
 
+// Validate checks the parameters Build refuses.
+func (p Params) Validate() error {
+	if p.MaxLevel < 0 || p.MaxLevel > 30 {
+		return fmt.Errorf("amr: MaxLevel must be in [0,30], got %d", p.MaxLevel)
+	}
+	if p.MRefine < 1 {
+		return fmt.Errorf("amr: MRefine must be >= 1, got %d", p.MRefine)
+	}
+	return nil
+}
+
 // DefaultParams mirrors RAMSES' common m_refine=8 quasi-Lagrangian policy.
 func DefaultParams() Params { return Params{MaxLevel: 12, MRefine: 8} }
 
@@ -45,11 +56,8 @@ type Tree struct {
 // particle count exceeds p.MRefine until p.MaxLevel. The leaves' PartIdx are
 // disjoint sub-slices of one index array.
 func Build(parts particles.Set, p Params) (*Tree, error) {
-	if p.MaxLevel < 0 || p.MaxLevel > 30 {
-		return nil, fmt.Errorf("amr: MaxLevel must be in [0,30], got %d", p.MaxLevel)
-	}
-	if p.MRefine < 1 {
-		return nil, fmt.Errorf("amr: MRefine must be >= 1, got %d", p.MRefine)
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	root := &Cell{Level: 0, Center: [3]float64{0.5, 0.5, 0.5}, Size: 1}
 	root.PartIdx = make([]int, len(parts))

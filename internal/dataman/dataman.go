@@ -39,9 +39,10 @@ func (m Mode) String() string {
 
 // Item is one stored datum. It crosses the wire as its ID text, Mode int
 // and Data bytes (rpc.WireBody), so Get, Put and FetchTo move Data as a
-// segment of its own: a sender must not change Data until the call returns,
-// and the Data of an Item a store was handed over tcp aliases the frame it
-// arrived in — as long as the item is stored, so is that frame.
+// segment of its own: a sender must not change Data until the call returns.
+// The Data of an Item a store was handed over tcp aliases the frame it
+// arrived in: its Put answers rpc.Keep, so the server leaves that frame to
+// the store and reads no later request into it.
 type Item struct {
 	ID   string
 	Mode Mode
@@ -122,7 +123,12 @@ func (s *Store) methods() rpc.Methods {
 			it, err := s.Get(string(*id))
 			return &it, err
 		}),
-		"Put": rpc.Typed(func(it *Item) (rpc.WireBody, error) { return nil, s.Put(it.ID, it.Mode, it.Data) }),
+		"Put": rpc.Typed(func(it *Item) (rpc.WireBody, error) {
+			if err := s.Put(it.ID, it.Mode, it.Data); err != nil {
+				return nil, err
+			}
+			return rpc.Keep, nil
+		}),
 		"Delete": rpc.Typed(func(id *rpc.Text) (rpc.WireBody, error) {
 			s.Delete(string(*id))
 			return nil, nil

@@ -155,6 +155,48 @@ func TestDatamanItemsMoveAsSegmentsOverTCP(t *testing.T) {
 	}
 }
 
+// A stored item outlives the request it came in: the server reads later
+// large requests into recycled buffers, so a store that kept a view of its
+// Put's frame without that frame being left to it (rpc.Keep through Serve,
+// a Handler's frames never reused) would serve their bytes.
+func TestDatamanPutOutlivesItsFrame(t *testing.T) {
+	// One P: the buffer a request returns is the one the next draws.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, how := range []string{"Serve", "Handler"} {
+		st := NewStore("n")
+		srv := rpc.NewServer()
+		if how == "Serve" {
+			st.Serve(srv)
+		} else {
+			srv.Register(ObjectName, st.Handler())
+		}
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		put := func(id string, fill byte) []byte {
+			it := Item{ID: id, Mode: Persistent, Data: bytes.Repeat([]byte{fill}, 2*rpc.SegmentCut)}
+			if err := rpc.Call(addr, ObjectName, "Put", &it, nil); err != nil {
+				t.Fatal(err)
+			}
+			return it.Data
+		}
+		want := put("kept", 1)
+		for i := 0; i < 8; i++ {
+			put("more", byte(2+i)) // a frame of the same size, to fit the buffer
+		}
+		id := rpc.Text("kept")
+		var got Item
+		if err := rpc.Call(addr, ObjectName, "Get", &id, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Data, want) {
+			t.Errorf("%s: the store serves %q… for an item stored as %q…", how, got.Data[:4], want[:4])
+		}
+		srv.Close()
+	}
+}
+
 // The plain Handler (a server that encodes every reply itself) and Serve
 // answer the same bytes.
 func TestStoreHandlerAndServeAgree(t *testing.T) {

@@ -108,11 +108,18 @@ func BenchmarkSolveLegPayloadTCP(b *testing.B) {
 	}
 }
 
-// One call allocates the frame the SeD reads the request into and the frame
-// the client reads the reply into, and change: a copy of the input or of the
-// output on either side (a flat encoding, a reply rebuilt from its arguments)
-// would put it past in + out + 1 MiB.
+// A steady call allocates the frame the client reads the reply into, and
+// change: the SeD reads the request into the buffer the call before it
+// returned. A copy of the input or of the output on either side (a flat
+// encoding, a reply rebuilt from its arguments), or a request frame no
+// longer recycled, would put it past out + 1 MiB. It is counted on one P,
+// where the buffer a request returns is the one the next draws (on more, a
+// call that lands on another P can miss it: BenchmarkSolveLegPayloadTCP
+// reads about 1.3 MB/op at -cpu 2). Under the race detector, whose pool
+// drops buffers at random, a call may read its request into a fresh frame:
+// there the bound is in + out + 1 MiB.
 func TestSolveLegDoesNotCopyArgumentData(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	in, out := patterned(payloadIn, 1), patterned(payloadOut, 2)
 	client, servers := payloadLeg(t, out)
 	payloadCall(t, client, servers, in, out)
@@ -124,7 +131,11 @@ func TestSolveLegDoesNotCopyArgumentData(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
-	if limit := uint64(payloadIn + payloadOut + 1<<20); perCall >= limit {
+	limit := uint64(payloadOut + 1<<20)
+	if raceDetector {
+		limit += payloadIn
+	}
+	if perCall >= limit {
 		t.Errorf("a call with %d bytes in and %d out allocates %d bytes, want less than %d", payloadIn, payloadOut, perCall, limit)
 	}
 	if !bytes.Equal(in, patterned(payloadIn, 1)) || !bytes.Equal(out, patterned(payloadOut, 2)) {

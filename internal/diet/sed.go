@@ -18,7 +18,10 @@ import (
 
 // SolveFunc computes one service request: it reads the profile's IN/INOUT
 // arguments and fills its INOUT/OUT arguments, like the C API's
-// solve_serviceName functions.
+// solve_serviceName functions. The argument bytes are valid until the solve
+// returns, as DIET frees volatile data after the call: over tcp they are a
+// view of the request frame, which the SeD reads a later request into once
+// the reply is sent. Whatever a solve keeps longer, it copies.
 type SolveFunc func(p *Profile) error
 
 // Executor runs a solve body on behalf of a SeD — inline by default, through
@@ -33,9 +36,12 @@ type SolveFunc func(p *Profile) error
 // attempts; 0 when the body runs inline): the SeD adds it to its own FIFO
 // wait, so the CoRI wait-on-depth regression trains on the wait the batch
 // scheduler really imposed — shortened when the reservation was backfilled,
-// and excluding the compute a killed attempt threw away. The signature names
-// only builtin, time and cori types, so batch implements it without importing
-// diet.
+// and excluding the compute a killed attempt threw away. Execute may return
+// success only once no invocation of the body is still running: an
+// abandoned attempt that may still be inside it must end in an error, which
+// keeps the request frame the arguments live in from being reused under it.
+// The signature names only builtin, time and cori types, so batch implements
+// it without importing diet.
 type Executor interface {
 	Execute(service string, workGFlops float64, monitor *cori.Monitor, run func() error,
 		attempt func(n int, wait time.Duration, killed bool, start, end time.Time)) (time.Duration, error)

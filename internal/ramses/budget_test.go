@@ -9,10 +9,11 @@ import (
 // the benchmark's campaign configuration. The kernels made 27 091 before the
 // solver kept its stencils, the FFT batched its lines, the octree
 // partitioned one index array and FoF searched rows by scan, and about
-// 1 100 after; the budget leaves room for the GALICS chain and the
-// catalogues to grow, not for a per-particle or per-cell allocation to come
-// back.
-const phase2AllocBudget = 5000
+// 1 100 after; 131 once the run stopped building an AMR tree per output that
+// nothing read (Result.Tree builds one on demand). The budget leaves room
+// for the GALICS chain and the catalogues to grow, not for a per-particle or
+// per-cell allocation, nor the per-output tree, to come back.
+const phase2AllocBudget = 400
 
 func TestPhase2AllocationBudget(t *testing.T) {
 	cfg := campaignConfig(1)
@@ -29,10 +30,10 @@ func TestPhase2AllocationBudget(t *testing.T) {
 // phase2ByteBudget bounds the bytes one in-memory zoom re-simulation at the
 // campaign configuration allocates. It was 5.97 MB while Run cloned the
 // initial conditions it had just generated, every output snapshot cloned the
-// evolving set and the nested levels were gathered level by level; the
-// budget gives the reading without those copies 10% headroom, so one of them
-// coming back fails it.
-const phase2ByteBudget = 4_900_000
+// evolving set and the nested levels were gathered level by level, and
+// 4.46 MB while every output built an AMR tree; the budget gives the reading
+// without those (3.46 MB) 10% headroom, so one of them coming back fails it.
+const phase2ByteBudget = 3_800_000
 
 func TestPhase2ByteBudget(t *testing.T) {
 	if raceDetector {

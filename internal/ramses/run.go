@@ -28,7 +28,7 @@ type Config struct {
 	NCPU           int         // MPI ranks; <=1 runs the serial solver
 	ZoomCenter     [3]float64  // centre of the nested boxes, top-box units
 	ZoomLevels     int         // total nested levels; <=1 is a standard run
-	AMR            amr.Params  // refinement policy for per-output tree stats
+	AMR            amr.Params  // refinement policy of Result.Tree
 	FoF            halo.Params // HaloMaker configuration for post-processing
 }
 
@@ -88,6 +88,9 @@ func (c *Config) Validate() error {
 	if c.ZoomLevels < 0 {
 		return fmt.Errorf("ramses: ZoomLevels must be >= 0, got %d", c.ZoomLevels)
 	}
+	if err := c.AMR.Validate(); err != nil {
+		return err
+	}
 	if c.FoF.LinkingLength <= 0 || c.FoF.MinParticles < 1 {
 		return fmt.Errorf("ramses: invalid FoF parameters %+v", c.FoF)
 	}
@@ -102,13 +105,12 @@ func (c *Config) mesh() int {
 	return c.NPart
 }
 
-// Output is one snapshot produced by a run, with its AMR statistics.
+// Output is one snapshot produced by a run.
 type Output struct {
 	Index int
 	A     float64
 	Path  string // empty when the run kept snapshots in memory only
 	Snap  *Snapshot
-	Tree  amr.Stats
 }
 
 // Result is a completed RAMSES run.
@@ -121,9 +123,21 @@ type Result struct {
 // FinalSnapshot returns the last output's snapshot.
 func (r *Result) FinalSnapshot() *Snapshot { return r.Outputs[len(r.Outputs)-1].Snap }
 
-// Run executes a full simulation: initial conditions, time integration with
-// snapshots at each requested epoch, and AMR statistics per output. When dir
-// is non-empty, snapshots are also written there in the output_NNNNN layout.
+// Tree builds the AMR octree of the i-th output's snapshot under the run's
+// refinement policy and returns its statistics. No stage of a run or of a
+// zoom reads the tree, so it is built only when asked.
+func (r *Result) Tree(i int) (amr.Stats, error) {
+	tree, err := amr.Build(r.Outputs[i].Snap.Parts, r.Config.AMR)
+	if err != nil {
+		return amr.Stats{}, err
+	}
+	return tree.Stats(), nil
+}
+
+// Run executes a full simulation: initial conditions and time integration
+// with snapshots at each requested epoch (Result.Tree gives an output's AMR
+// statistics). When dir is non-empty, snapshots are also written there in
+// the output_NNNNN layout.
 func Run(cfg Config, dir string) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -191,11 +205,7 @@ func evolve(cfg Config, current particles.Set, dir string) (*Result, error) {
 			snap.Parts = current.Clone()
 		}
 		snap.Parts.SortByID()
-		tree, err := amr.Build(snap.Parts, cfg.AMR)
-		if err != nil {
-			return nil, err
-		}
-		out := Output{Index: i + 1, A: aout, Snap: snap, Tree: tree.Stats()}
+		out := Output{Index: i + 1, A: aout, Snap: snap}
 		if dir != "" {
 			path, err := SaveSnapshot(dir, i+1, snap)
 			if err != nil {

@@ -32,8 +32,8 @@ func TestRunProducesOutputs(t *testing.T) {
 		if err := out.Snap.Parts.Validate(); err != nil {
 			t.Errorf("output %d particles invalid: %v", i, err)
 		}
-		if out.Tree.Leaves == 0 {
-			t.Errorf("output %d has no AMR stats", i)
+		if tree, err := res.Tree(i); err != nil || tree.Leaves == 0 {
+			t.Errorf("output %d has no AMR stats (%v)", i, err)
 		}
 		if out.Path != "" {
 			t.Errorf("in-memory run should not write files, got %q", out.Path)
@@ -89,8 +89,14 @@ func TestRunStructureGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := res.Outputs[0].Tree
-	last := res.Outputs[len(res.Outputs)-1].Tree
+	first, err := res.Tree(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := res.Tree(len(res.Outputs) - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if last.MaxDepth < first.MaxDepth {
 		t.Errorf("AMR depth shrank: %d -> %d", first.MaxDepth, last.MaxDepth)
 	}

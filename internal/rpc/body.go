@@ -151,8 +151,10 @@ func (s segments) flat() []byte {
 }
 
 // Decode decodes a call body into b, which must consume it exactly. Its
-// byte-slice fields alias data, which the caller must not reuse — frames and
-// Encode results never are.
+// byte-slice fields alias data. A method decoding its request holds them
+// only until it returns: a server reads a later large request into the same
+// memory (framePool), so a field kept longer is copied, or the method
+// answers Keep.
 func Decode(data []byte, b WireBody) error {
 	r := Reader{rest: data}
 	b.ReadWire(&r)

@@ -20,12 +20,28 @@ import (
 )
 
 // Handler dispatches one method call on one object and answers with the
-// encoded reply.
+// encoded reply. It may keep body: the frame of a request to a Handler is
+// never reused.
 type Handler func(method string, body []byte) ([]byte, error)
 
 // Method handles one method of an object: it decodes its request from body
-// and answers with its reply, nil for none, which the server encodes.
+// and answers with its reply, nil for none, which the server encodes. body
+// is the method's until it returns, and the reply may alias it: over tcp a
+// large request frame is reused once the reply is sent, unless the method
+// failed or answered Keep (framePool). Whatever else the method keeps
+// longer, it copies.
 type Method func(body []byte) (WireBody, error)
+
+// Keep is the reply of a method that keeps its request bytes past its
+// return, as a store keeps the data it is sent: it answers with no body, and
+// the frame those bytes arrived in is never reused.
+var Keep WireBody = keep{}
+
+type keep struct{}
+
+func (keep) WireSize() int              { return 0 }
+func (keep) AppendWire(w Writer) Writer { return w }
+func (keep) ReadWire(*Reader)           {}
 
 // Methods are the methods of an object by name.
 type Methods map[string]Method
@@ -42,24 +58,28 @@ func Typed[T any, P ptrBody[T], R WireBody](fn func(P) (R, error)) Method {
 	}
 }
 
-// handle runs one of the methods and encodes its reply.
-func (m Methods) handle(method string, body []byte) (segments, error) {
+// handle runs one of the methods and encodes its reply; kept reports a
+// method that answered Keep.
+func (m Methods) handle(method string, body []byte) (reply segments, kept bool, err error) {
 	fn, ok := m[method]
 	if !ok {
-		return segments{}, fmt.Errorf("rpc: no such method %q", method)
+		return segments{}, false, fmt.Errorf("rpc: no such method %q", method)
 	}
-	reply, err := fn(body)
+	out, err := fn(body)
 	if err != nil {
-		return segments{}, err
+		return segments{}, false, err
 	}
-	return encode(reply), nil
+	if out == Keep {
+		return segments{}, true, nil
+	}
+	return encode(out), false, nil
 }
 
 // Handler is the methods as a Handler, for Register: every reply is copied
 // into one slice.
 func (m Methods) Handler() Handler {
 	return func(method string, body []byte) ([]byte, error) {
-		reply, err := m.handle(method, body)
+		reply, _, err := m.handle(method, body)
 		return reply.flat(), err
 	}
 }
@@ -91,15 +111,16 @@ func NewServer() *Server {
 }
 
 // handler is the one shape every registered object is dispatched in: the
-// reply in the pieces it is to be sent in.
-type handler func(method string, body []byte) (segments, error)
+// reply in the pieces it is to be sent in, and whether the object keeps the
+// request's bytes.
+type handler func(method string, body []byte) (reply segments, kept bool, err error)
 
 // Register exposes an object under the given name. Re-registering replaces
 // the previous handler.
 func (s *Server) Register(object string, h Handler) {
-	s.register(object, func(method string, body []byte) (segments, error) {
+	s.register(object, func(method string, body []byte) (segments, bool, error) {
 		out, err := h(method, body)
-		return segments{head: out}, err
+		return segments{head: out}, true, err
 	})
 }
 
@@ -115,19 +136,20 @@ func (s *Server) register(object string, h handler) {
 }
 
 // dispatch runs a call against the registered handler and returns the
-// response status and payload (see replyOf).
-func (s *Server) dispatch(object, method string, body []byte) (byte, segments) {
+// response status and payload (see replyOf). reuse reports that the call
+// is done with body: the method succeeded and did not keep it.
+func (s *Server) dispatch(object, method string, body []byte) (status byte, payload segments, reuse bool) {
 	s.mu.RLock()
 	h, ok := s.objects[object]
 	s.mu.RUnlock()
 	if !ok {
-		return statusNoObject, segments{head: []byte(object)}
+		return statusNoObject, segments{head: []byte(object)}, true
 	}
-	out, err := h(method, body)
+	out, kept, err := h(method, body)
 	if err != nil {
-		return statusError, segments{head: []byte(err.Error())}
+		return statusError, segments{head: []byte(err.Error())}, false
 	}
-	return statusOK, out
+	return statusOK, out, !kept
 }
 
 // Start begins serving on addr ("host:port", ":0" for ephemeral) in the
@@ -159,7 +181,9 @@ func (s *Server) Start(addr string) (string, error) {
 }
 
 // serveConn answers the requests of one connection, one at a time, until the
-// peer closes it, sends a malformed frame, or the server shuts down.
+// peer closes it, sends a malformed frame, or the server shuts down. A large
+// request frame's buffer is recycled once its reply is out, if the method
+// succeeded and did not keep it (framePool).
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	if !s.setBusy(conn, false) {
@@ -168,16 +192,21 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.forget(conn)
 	br := newReader(conn)
 	for {
-		frame, _, err := readFrame(br, minRequest)
+		frame, buf, err := readRequest(br)
 		if err != nil || !s.setBusy(conn, true) {
 			return
 		}
-		status, payload, ok := s.serveFrame(frame)
+		status, payload, reuse, ok := s.serveFrame(frame)
 		if !ok {
 			return
 		}
-		err = writeFrame(conn, responseHeader(status, payload.size()), payload)
-		if err != nil || !s.setBusy(conn, false) {
+		if err := writeFrame(conn, responseHeader(status, payload.size()), payload); err != nil {
+			return
+		}
+		if buf != nil && reuse {
+			framePool.Put(buf)
+		}
+		if !s.setBusy(conn, false) {
 			return
 		}
 	}
@@ -186,23 +215,24 @@ func (s *Server) serveConn(conn net.Conn) {
 // serveFrame runs one request frame and returns the response to send; ok is
 // false for a frame whose fields overrun it, which ends the connection. A
 // frame of another version is answered with an error naming both versions:
-// its length prefix was sound, so the connection stays in step.
-func (s *Server) serveFrame(frame []byte) (status byte, payload segments, ok bool) {
+// its length prefix was sound, so the connection stays in step. reuse
+// reports that nothing holds the frame once the response is sent.
+func (s *Server) serveFrame(frame []byte) (status byte, payload segments, reuse, ok bool) {
 	if v := frame[0]; v != frameVersion {
-		return statusError, segments{head: []byte(fmt.Sprintf("rpc: request frame is version %d, this side speaks version %d", v, frameVersion))}, true
+		return statusError, segments{head: []byte(fmt.Sprintf("rpc: request frame is version %d, this side speaks version %d", v, frameVersion))}, true, true
 	}
 	object, method, body, ok := parseRequest(frame[1:])
 	if !ok {
-		return 0, segments{}, false
+		return 0, segments{}, false, false
 	}
 	if len(body) == 0 {
 		body = nil
 	}
-	status, payload = s.dispatch(string(object), string(method), body)
+	status, payload, reuse = s.dispatch(string(object), string(method), body)
 	if n := payload.size(); n > maxFrame-minResponse {
-		return statusError, segments{head: []byte(fmt.Sprintf("rpc: reply of %d bytes exceeds the %d byte frame limit", n, maxFrame))}, true
+		return statusError, segments{head: []byte(fmt.Sprintf("rpc: reply of %d bytes exceeds the %d byte frame limit", n, maxFrame))}, reuse, true
 	}
-	return status, payload, true
+	return status, payload, reuse, true
 }
 
 // setBusy records whether conn is inside a handler. It reports false once
@@ -299,7 +329,7 @@ func invoke(addr, object, method string, body segments) ([]byte, error) {
 		if s == nil {
 			return nil, fmt.Errorf("rpc: no local server at %q", addr)
 		}
-		status, reply := s.dispatch(object, method, body.flat())
+		status, reply, _ := s.dispatch(object, method, body.flat())
 		return replyOf(status, reply.flat())
 	}
 	return invokeTCP(strings.TrimPrefix(addr, "tcp:"), object, method, body)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"sync"
 )
 
 // Wire format of the TCP transport. A connection carries a sequence of
@@ -39,7 +40,7 @@ const (
 
 	// readBufSize is the one buffer a connection keeps: a small frame and its
 	// length arrive in a single read, a large one is read straight into its
-	// own slice.
+	// own slice (a recycled one on the server, framePool).
 	readBufSize = 512
 
 	// readChunk is how much of a declared length is allocated before the
@@ -61,31 +62,97 @@ var errFrame = errors.New("rpc: malformed frame")
 func newReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, readBufSize) }
 
 // readFrame reads one frame (without its length prefix) into a slice of
-// exactly its size, which is never reused. started reports whether any byte
-// of the frame had arrived when err was met. The length is validated before
-// anything is allocated.
+// exactly its size, which is never reused: a client reads its replies with
+// it, a server its requests with readRequest. started reports whether any
+// byte of the frame had arrived when err was met. The length is validated
+// before anything is allocated.
 func readFrame(br *bufio.Reader, least uint32) (frame []byte, started bool, err error) {
+	size, started, err := readLength(br, least)
+	if err != nil {
+		return nil, started, err
+	}
+	frame, err = readBody(br, nil, size)
+	return frame, true, err
+}
+
+// framePool holds the buffers of request frames of SegmentCut bytes or more
+// that a server has answered. A buffer goes back only once the reply frame
+// has been written and the method returned without error: a method owns its
+// request bytes until it returns (a reply may alias them until it is sent),
+// and copies whatever it keeps longer, unless it answers Keep, which keeps
+// the frame out of the pool. A method that fails may have left work behind
+// that still reads them, so its frame is never reused either. The pool is
+// emptied by the collector, so a buffer no request draws for two cycles is
+// freed.
+var framePool sync.Pool // of *[]byte
+
+// readRequest is readFrame for a server. A frame of SegmentCut bytes or more
+// is read into the buffer drawn from framePool when that holds it and is at
+// most twice its size, otherwise into a new slice; buf is then the buffer to
+// put back. A buffer that does not fit is dropped, not grown, so one large
+// frame does not pin its memory under every smaller one that follows. A
+// frame below SegmentCut has buf nil.
+func readRequest(br *bufio.Reader) (frame []byte, buf *[]byte, err error) {
+	size, _, err := readLength(br, minRequest)
+	if err != nil {
+		return nil, nil, err
+	}
+	if size < SegmentCut {
+		frame, err = readBody(br, nil, size)
+		return frame, nil, err
+	}
+	var room []byte
+	if buf, _ = framePool.Get().(*[]byte); buf != nil {
+		room = *buf
+	}
+	if cap(room)/2 > size {
+		room = nil
+	}
+	if frame, err = readBody(br, room, size); err != nil {
+		return nil, nil, err
+	}
+	if cap(room) < size {
+		buf = new([]byte) // not &frame, which would move every frame's header to the heap
+		*buf = frame
+	}
+	return frame, buf, nil
+}
+
+// readLength reads and validates the length prefix of a frame.
+func readLength(br *bufio.Reader, least uint32) (size int, started bool, err error) {
 	hdr, err := br.Peek(4)
 	if err != nil {
-		return nil, len(hdr) > 0, err
+		return 0, len(hdr) > 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr)
 	if n < least || n > maxFrame {
-		return nil, true, fmt.Errorf("%w: length %d", errFrame, n)
+		return 0, true, fmt.Errorf("%w: length %d", errFrame, n)
 	}
 	br.Discard(4)
-	size := int(n)
-	frame = make([]byte, min(size, readChunk))
+	return int(n), true, nil
+}
+
+// readBody reads the size bytes of a frame into room when it holds them, and
+// otherwise into a new slice that grows with the bytes that arrive: a
+// declared length is untrusted, so no more than readChunk is allocated ahead
+// of them. The frame's capacity is its length either way.
+func readBody(br *bufio.Reader, room []byte, size int) ([]byte, error) {
+	var frame []byte
+	if cap(room) >= size {
+		frame = room[:size]
+	} else {
+		frame = make([]byte, min(size, readChunk))
+	}
 	for have := 0; ; {
 		if _, err := io.ReadFull(br, frame[have:]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return nil, true, err
+			return nil, err
 		}
 		have = len(frame)
 		if have == size {
-			return frame, true, nil
+			return frame[:size:size], nil
 		}
 		frame = append(frame, make([]byte, min(size-have, readChunk))...)
 	}
