@@ -17,7 +17,10 @@
 //   - an ablation implemented in internal/simgrid ("... ablation (A<n>)")
 //     has no row in README.md's ablation index;
 //
-//   - an exported internal/ declaration is used by tests only (dead API).
+//   - an exported internal/ declaration is used by tests only, or an
+//     exported internal/ struct field is set by tests or decoders only
+//     (checked on the type-checked module; a tree that does not type-check
+//     exits 2).
 //
 //     docscheck            # check the repository rooted at the working dir
 //     docscheck -root ../..
@@ -26,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path"
@@ -38,26 +42,33 @@ import (
 func main() {
 	root := flag.String("root", ".", "repository root to check")
 	flag.Parse()
-	problems, err := Check(*root)
+	os.Exit(run(*root, os.Stdout, os.Stderr))
+}
+
+// run checks the repository at root and returns the exit status: 0 when it
+// is consistent, 1 with its problems, 2 when it cannot be checked.
+func run(root string, stdout, stderr io.Writer) int {
+	problems, err := Check(root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	for _, p := range problems {
-		fmt.Println(p)
+		fmt.Fprintln(stdout, p)
 	}
 	if len(problems) > 0 {
-		fmt.Printf("docscheck: %d problem(s)\n", len(problems))
-		os.Exit(1)
+		fmt.Fprintf(stdout, "docscheck: %d problem(s)\n", len(problems))
+		return 1
 	}
-	fmt.Println("docscheck: docs are consistent with the tree")
+	fmt.Fprintln(stdout, "docscheck: docs are consistent with the tree")
+	return 0
 }
 
 // Check runs every documentation gate over the repository at root and
 // returns the problems found (empty = docs are consistent).
 func Check(root string) ([]string, error) {
 	var problems []string
-	for _, check := range []func(string) ([]string, error){CheckLinks, CheckCLIDocs, CheckInvocations, CheckAblationIndex, CheckDeadAPI} {
+	for _, check := range []func(string) ([]string, error){CheckLinks, CheckCLIDocs, CheckInvocations, CheckAblationIndex, CheckUnused} {
 		found, err := check(root)
 		if err != nil {
 			return nil, err

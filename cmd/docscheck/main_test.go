@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -38,6 +40,7 @@ func main() {
 
 func TestCheckCleanTreePasses(t *testing.T) {
 	root := writeTree(t, map[string]string{
+		"go.mod":           "module example.org/grid\n",
 		"README.md":        "see [the CLI](docs/cli.md) and [tool](cmd/tool/main.go)\n",
 		"docs/cli.md":      goodCLI,
 		"cmd/tool/main.go": toolMain,
@@ -265,9 +268,48 @@ func TestCheckAblationIndexCoversDataAblation(t *testing.T) {
 	}
 }
 
+// unusedCase is one fixture tree for CheckUnused and the problems it must
+// report, each as "file:line: key", sorted.
+type unusedCase struct {
+	name  string
+	files map[string]string
+	want  []string
+}
+
+// fixtureMod is the go.mod of every fixture: the module path is read from
+// it, not assumed.
+const fixtureMod = "module example.org/grid\n"
+
+func runUnusedCases(t *testing.T, cases []unusedCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.files["go.mod"] = fixtureMod
+			problems, err := CheckUnused(writeTree(t, tc.files))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, p := range problems {
+				// "file:line: key is ..."
+				where, _, _ := strings.Cut(p, " is ")
+				got = append(got, where)
+			}
+			sort.Strings(got)
+			if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+				t.Fatalf("reported %q, want %q; problems:\n%s", got, tc.want, strings.Join(problems, "\n"))
+			}
+		})
+	}
+}
+
 func TestCheckDeadAPI(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"internal/lib/lib.go": `package lib
+	runUnusedCases(t, []unusedCase{{
+		// A bench/ test file counts as a user, another package's test does
+		// not, and keptOnPurpose names what stays for tests.
+		name: "used only by a test",
+		files: map[string]string{
+			"internal/lib/lib.go": `package lib
 
 // TestOnly is called from lib_test.go alone.
 func TestOnly() {}
@@ -278,16 +320,189 @@ func BenchOnly() {}
 // Live is called from another package's non-test file.
 func Live() {}
 `,
-		"internal/lib/lib_test.go": "package lib\n\nfunc TestLib(t *testing.T) { TestOnly(); Live(); ResetLocal() }\n",
-		"internal/rpc/rpc.go":      "package rpc\n\n// ResetLocal is allowlisted shared test support.\nfunc ResetLocal() {}\n",
-		"internal/app/app.go":      "package app\n\nimport \"repro/internal/lib\"\n\nfunc run() { lib.Live() }\n",
-		"bench/bench_test.go":      "package bench\n\nimport \"repro/internal/lib\"\n\nfunc BenchmarkLib(b *testing.B) { lib.BenchOnly() }\n",
-	})
-	problems, err := CheckDeadAPI(root)
-	if err != nil {
-		t.Fatal(err)
+			"internal/lib/lib_test.go": "package lib\n\nimport \"testing\"\n\nfunc TestLib(t *testing.T) { TestOnly(); Live() }\n",
+			"internal/rpc/rpc.go":      "package rpc\n\n// ResetLocal is allowlisted shared test support.\nfunc ResetLocal() {}\n",
+			"internal/app/app.go":      "package app\n\nimport \"example.org/grid/internal/lib\"\n\nfunc run() { lib.Live() }\n",
+			"bench/bench_test.go":      "package main\n\nimport (\n\t\"testing\"\n\n\t\"example.org/grid/internal/lib\"\n)\n\nfunc BenchmarkLib(b *testing.B) { lib.BenchOnly() }\n",
+		},
+		want: []string{"internal/lib/lib.go:4: lib.TestOnly"},
+	}, {
+		// A name scan sees Close in use and passes both.
+		name: "dead method sharing its name with a live one",
+		files: map[string]string{
+			"internal/lib/lib.go": `package lib
+
+type File struct{}
+
+func (File) Close() {}
+
+type Pipe struct{}
+
+func (Pipe) Close() {}
+`,
+			"internal/app/app.go": "package app\n\nimport \"example.org/grid/internal/lib\"\n\nfunc run(f lib.File, p lib.Pipe) { f.Close(); _ = p }\n",
+		},
+		want: []string{"internal/lib/lib.go:9: lib.Pipe.Close"},
+	}, {
+		// Count is called on a Catalog, never through Access: the interface
+		// method is dead, and so is the Remote method that only implements it.
+		// Locate is dispatched, so Remote.Locate lives without a direct call.
+		name: "interface method that nothing dispatches",
+		files: map[string]string{
+			"internal/lib/lib.go": `package lib
+
+type Access interface {
+	Locate(id string) string
+	Count(id string) int
+}
+
+type Catalog struct{}
+
+func (*Catalog) Locate(id string) string { return id }
+func (*Catalog) Count(id string) int     { return 1 }
+
+type Remote struct{}
+
+func (*Remote) Locate(id string) string { return id }
+func (*Remote) Count(id string) int     { return 0 }
+`,
+			"internal/app/app.go": `package app
+
+import "example.org/grid/internal/lib"
+
+func run(c *lib.Catalog) int {
+	for _, a := range []lib.Access{c, &lib.Remote{}} {
+		a.Locate("ic")
 	}
-	if len(problems) != 1 || !strings.HasPrefix(problems[0], "internal/lib/lib.go:4: lib.TestOnly ") {
-		t.Fatalf("want exactly lib.TestOnly flagged at internal/lib/lib.go:4, got %q", problems)
+	return c.Count("ic")
+}
+`,
+		},
+		want: []string{"internal/lib/lib.go:16: lib.Remote.Count", "internal/lib/lib.go:5: lib.Access.Count"},
+	}, {
+		name: "String reached only through fmt",
+		files: map[string]string{
+			"internal/lib/lib.go": `package lib
+
+type Level int
+
+func (l Level) String() string { return "level" }
+`,
+			"internal/app/app.go": "package app\n\nimport (\n\t\"fmt\"\n\n\t\"example.org/grid/internal/lib\"\n)\n\nfunc run() { fmt.Println(lib.Level(1)) }\n",
+		},
+	}})
+}
+
+func TestCheckUnsetFields(t *testing.T) {
+	runUnusedCases(t, []unusedCase{{
+		// A name scan never looks at fields.
+		name: "field only a test sets",
+		files: map[string]string{
+			"internal/lib/lib.go":      "package lib\n\ntype Config struct {\n\tUsed     int\n\tTestOnly int\n}\n",
+			"internal/lib/lib_test.go": "package lib\n\nvar _ = Config{TestOnly: 1}\n",
+			"internal/app/app.go":      "package app\n\nimport \"example.org/grid/internal/lib\"\n\nfunc run() lib.Config { return lib.Config{Used: 1} }\n",
+		},
+		want: []string{"internal/lib/lib.go:5: lib.Config.TestOnly"},
+	}, {
+		// res.Batch.Reservations++ sets Batch too; &c.Depth sets Depth, and a
+		// positional literal sets every field.
+		name: "fields set through selectors, & and positional literals",
+		files: map[string]string{
+			"internal/lib/lib.go": `package lib
+
+type Stats struct{ Reservations int }
+
+type Result struct {
+	Batch Stats
+	Depth int
+}
+
+type Pair struct{ A, B float64 }
+`,
+			"internal/app/app.go": `package app
+
+import "example.org/grid/internal/lib"
+
+func run(res *lib.Result, set func(*int)) lib.Pair {
+	res.Batch.Reservations++
+	set(&res.Depth)
+	return lib.Pair{1, 2}
+}
+`,
+		},
+	}, {
+		// A decoder of the module's own copies what an encoder read, so the
+		// fields only ReadWire or a decoding closure assigns are unset.
+		name: "fields only a decoder sets",
+		files: map[string]string{
+			"internal/rpc/rpc.go": "package rpc\n\ntype Reader struct{}\n\nfunc (r *Reader) Float64() float64 { return 0 }\n",
+			"internal/lib/lib.go": `package lib
+
+import "example.org/grid/internal/rpc"
+
+type Estimate struct {
+	Power   float64
+	FreeMem float64
+	Spare   float64
+}
+
+func (e *Estimate) ReadWire(r *rpc.Reader) {
+	e.Power = r.Float64()
+	e.FreeMem = r.Float64()
+}
+
+func Spares() func(*Estimate, *rpc.Reader) {
+	return func(e *Estimate, r *rpc.Reader) { e.Spare = r.Float64() }
+}
+`,
+			"internal/app/app.go": `package app
+
+import (
+	"example.org/grid/internal/lib"
+	"example.org/grid/internal/rpc"
+)
+
+func measure() lib.Estimate { return lib.Estimate{Power: 100} }
+
+func decode(r *rpc.Reader) (e lib.Estimate) {
+	e.ReadWire(r)
+	lib.Spares()(&e, r)
+	return e
+}
+`,
+		},
+		want: []string{"internal/lib/lib.go:7: lib.Estimate.FreeMem", "internal/lib/lib.go:8: lib.Estimate.Spare"},
+	}, {
+		// A decoder sets a tagged field; keptOnPurpose names what stays.
+		name: "tagged and allowlisted fields",
+		files: map[string]string{
+			"internal/lib/lib.go":   "package lib\n\ntype Status struct {\n\tVersion int `json:\"version\"`\n\tSite    string `xml:\"site\"`\n}\n",
+			"internal/diet/diet.go": "package diet\n\ntype SeDSpec struct{ Executor func() }\n",
+			"internal/app/app.go": "package app\n\nimport (\n\t\"example.org/grid/internal/diet\"\n\t\"example.org/grid/internal/lib\"\n)\n\n" +
+				"func run(lib.Status, diet.SeDSpec) {}\n",
+		},
+	}})
+}
+
+func TestCheckRefusesTreeThatDoesNotTypeCheck(t *testing.T) {
+	for name, src := range map[string]string{
+		"type error":     "package lib\n\nfunc F() int { return \"x\" }\n",
+		"missing import": "package lib\n\nimport \"example.org/grid/internal/gone\"\n\nvar _ = gone.X\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			root := writeTree(t, map[string]string{
+				"go.mod":              fixtureMod,
+				"README.md":           "",
+				"docs/cli.md":         "# CLI\n",
+				"internal/lib/lib.go": src,
+			})
+			if problems, err := Check(root); err == nil {
+				t.Fatalf("Check returned %q and no error", problems)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(root, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "internal/lib/lib.go") {
+				t.Fatalf("exit %d, stderr %q, stdout %q; want 2 naming the file", code, stderr.String(), stdout.String())
+			}
+		})
 	}
 }

@@ -17,7 +17,6 @@ type Access interface {
 	Locate(id string) ([]string, Mode, error)
 	SizeMB(id string) (float64, bool)
 	FetchTo(id, toNode string) (Item, error)
-	ReplicaCount(id string) int
 	HasReplica(id, node string) bool
 }
 
@@ -27,8 +26,8 @@ var (
 )
 
 // The request and reply bodies of the catalog's methods (rpc.WireBody
-// layouts, their fields in order); Locate, SizeMB and ReplicaCount take the
-// ID alone, and AddNode and Publish answer nothing.
+// layouts, their fields in order); Locate and SizeMB take the ID alone, and
+// AddNode and Publish answer nothing.
 type (
 	// textPair carries two texts: node and address for AddNode, ID and node
 	// for FetchTo and HasReplica.
@@ -89,10 +88,6 @@ func (c *Catalog) methods() rpc.Methods {
 			it, err := c.FetchTo(q.A, q.B)
 			return &it, err
 		}),
-		"ReplicaCount": rpc.Typed(func(id *rpc.Text) (*rpc.Int, error) {
-			n := rpc.Int(c.ReplicaCount(string(*id)))
-			return &n, nil
-		}),
 		"HasReplica": rpc.Typed(func(q *textPair) (*rpc.Bool, error) {
 			ok := rpc.Bool(c.HasReplica(q.A, q.B))
 			return &ok, nil
@@ -142,16 +137,6 @@ func (r *Remote) FetchTo(id, toNode string) (Item, error) {
 		return Item{}, err
 	}
 	return it, nil
-}
-
-// ReplicaCount implements Access; a transport error reads as unpublished.
-func (r *Remote) ReplicaCount(id string) int {
-	var n rpc.Int
-	key := rpc.Text(id)
-	if err := rpc.Call(r.Addr, CatalogObjectName, "ReplicaCount", &key, &n); err != nil {
-		return 0
-	}
-	return int(n)
 }
 
 // HasReplica implements Access; a transport error reads as absent.

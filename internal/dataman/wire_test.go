@@ -26,7 +26,6 @@ var (
 		{Name: "Locate", Req: newText, Rep: func() rpc.WireBody { return &locateReply{} }},
 		{Name: "SizeMB", Req: newText, Rep: func() rpc.WireBody { return &sizeReply{} }},
 		{Name: "FetchTo", Req: newPair, Rep: freshItem},
-		{Name: "ReplicaCount", Req: newText, Rep: func() rpc.WireBody { return new(rpc.Int) }},
 		{Name: "HasReplica", Req: newPair, Rep: func() rpc.WireBody { return new(rpc.Bool) }},
 	}
 )

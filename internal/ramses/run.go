@@ -20,7 +20,6 @@ type Config struct {
 	Cosmo          *cosmo.Params
 	Box            float64     // comoving box size, Mpc/h
 	NPart          int         // particles per axis (the paper's "resolution")
-	Ng             int         // PM mesh per axis; 0 means NPart
 	Seed           int64       // white-noise seed
 	Astart         float64     // starting expansion factor
 	Aout           []float64   // output epochs, strictly increasing, > Astart
@@ -63,9 +62,6 @@ func (c *Config) Validate() error {
 	if c.NPart < 2 || c.NPart&(c.NPart-1) != 0 {
 		return fmt.Errorf("ramses: NPart must be a power of two >= 2, got %d", c.NPart)
 	}
-	if c.Ng != 0 && (c.Ng < 2 || c.Ng&(c.Ng-1) != 0) {
-		return fmt.Errorf("ramses: Ng must be a power of two >= 2, got %d", c.Ng)
-	}
 	if c.Astart <= 0 || c.Astart >= 1 {
 		return fmt.Errorf("ramses: Astart must be in (0,1), got %g", c.Astart)
 	}
@@ -95,14 +91,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("ramses: invalid FoF parameters %+v", c.FoF)
 	}
 	return nil
-}
-
-// mesh returns the PM mesh size.
-func (c *Config) mesh() int {
-	if c.Ng > 0 {
-		return c.Ng
-	}
-	return c.NPart
 }
 
 // Output is one snapshot produced by a run.
@@ -173,7 +161,7 @@ func RunFromICs(cfg Config, parts particles.Set, dir string) (*Result, error) {
 // itself, sorted by ID.
 func evolve(cfg Config, current particles.Set, dir string) (*Result, error) {
 	res := &Result{Config: cfg, Dir: dir}
-	nb := nbody.Params{Ng: cfg.mesh(), Box: cfg.Box, Cosmo: cfg.Cosmo}
+	nb := nbody.Params{Ng: cfg.NPart, Box: cfg.Box, Cosmo: cfg.Cosmo}
 
 	var solver *nbody.Solver
 	if cfg.NCPU <= 1 {

@@ -39,9 +39,6 @@ type TaskSpec struct {
 	// ctx.SetOutput). When nil, the solved profile itself becomes the
 	// node's output for its dependents.
 	Consume func(ctx *TaskContext, p *diet.Profile, info *diet.CallInfo) error
-	// WorkGFlops is this node's scheduler hint; 0 falls back to the
-	// runner's ServiceWork table for the node's service.
-	WorkGFlops float64
 }
 
 // DietRunner executes workflow DAGs through a DIET platform.
@@ -49,8 +46,7 @@ type DietRunner struct {
 	Client Caller
 	// MaxParallel caps concurrently in-flight nodes (0 = unlimited).
 	MaxParallel int
-	// ServiceWork maps service name → default work hint in GFlops for
-	// nodes whose TaskSpec carries no explicit estimate.
+	// ServiceWork maps service name → work hint in GFlops.
 	ServiceWork map[string]float64
 	// Retries re-runs a node's whole call (fresh finding phase included)
 	// after the ranked-failover walk inside Call has exhausted every
@@ -95,14 +91,6 @@ func (r *RunReport) ForecastPricedCount() int {
 
 // runSeq distinguishes runs within one process for span identities.
 var runSeq atomic.Int64
-
-// workFor resolves a node's work hint: spec override, then service table.
-func (r *DietRunner) workFor(service string, spec TaskSpec) float64 {
-	if spec.WorkGFlops > 0 {
-		return spec.WorkGFlops
-	}
-	return r.ServiceWork[service]
-}
 
 // publishSpan mirrors the middleware's sink contract: sinks that understand
 // spans get the structured form; any other EventSink gets a flat event.
@@ -163,8 +151,7 @@ func (r *DietRunner) Run(d *DAG, specs map[string]TaskSpec) (*RunReport, error) 
 	}
 	services := make(map[string]*pricing)
 	for _, id := range order {
-		spec, ok := specs[id]
-		if !ok {
+		if _, ok := specs[id]; !ok {
 			continue
 		}
 		svc := d.tasks[id].def.Service
@@ -174,12 +161,12 @@ func (r *DietRunner) Run(d *DAG, specs map[string]TaskSpec) (*RunReport, error) 
 			// finding failure) prices at zero and fails — or recovers — as an
 			// ordinary node-level call, skipping only its own dependents.
 			pr = &pricing{}
-			if reply, _, err := r.Client.FindServers(svc, r.workFor(svc, spec)); err == nil {
+			if reply, _, err := r.Client.FindServers(svc, r.ServiceWork[svc]); err == nil {
 				pr.ests = reply.Estimates
 			}
 			services[svc] = pr
 		}
-		sec, byModel := cori.BestEstimateSeconds(pr.ests, r.workFor(svc, spec))
+		sec, byModel := cori.BestEstimateSeconds(pr.ests, r.ServiceWork[svc])
 		rep.PriceS[id] = sec
 		if byModel {
 			pr.byModel = true
@@ -275,7 +262,7 @@ func (r *DietRunner) Run(d *DAG, specs map[string]TaskSpec) (*RunReport, error) 
 			if err != nil {
 				return fmt.Errorf("building profile for %q: %w", id, err)
 			}
-			work := r.workFor(svc, spec)
+			work := r.ServiceWork[svc]
 			var info *diet.CallInfo
 			for attempt := 0; ; attempt++ {
 				info, err = r.Client.Call(p, diet.WithWork(work))
