@@ -13,7 +13,6 @@ import (
 	"path"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 )
 
@@ -37,7 +36,6 @@ var keptOnPurpose = map[string]string{
 	"grafic.Header.Ox":               "part of the GRAFIC header layout; production always writes 0, a test round-trips non-zero values",
 	"grafic.Header.Oy":               "part of the GRAFIC header layout; production always writes 0, a test round-trips non-zero values",
 	"grafic.Header.Oz":               "part of the GRAFIC header layout; production always writes 0, a test round-trips non-zero values",
-	"scheduler.Estimate.FreeMemMB":   "always 0; it stays in the estimate's wire layout until the request-frame version next changes that layout",
 }
 
 // CheckUnused type-checks the Go module at root once and flags what its
@@ -289,7 +287,7 @@ func deadAPI(m *module) []string {
 		}
 		problems = append(problems, fmt.Sprintf("%s: %s is exported but no non-test code uses it: delete it, move it into the test that needs it, or list it in keptOnPurpose", m.pos(d.obj), d.key))
 	}
-	sort.Strings(problems)
+	sortByPlace(problems)
 	return problems
 }
 
@@ -436,7 +434,7 @@ func unsetFields(m *module) []string {
 			problems = append(problems, fmt.Sprintf("%s: %s is a field no non-test code sets: delete it, make it a constant, or list it in keptOnPurpose", m.pos(d.obj), d.key))
 		}
 	}
-	sort.Strings(problems)
+	sortByPlace(problems)
 	return problems
 }
 

@@ -27,6 +27,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -35,7 +36,9 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -360,6 +363,22 @@ func definedFlags(dir string) (map[string]bool, error) {
 		}
 	}
 	return out, nil
+}
+
+// sortByPlace orders "file:line: ..." problems by file, then by line number,
+// so that lib.go:5 comes before lib.go:16.
+func sortByPlace(problems []string) {
+	place := func(p string) (string, int) {
+		file, rest, _ := strings.Cut(p, ":")
+		line, _, _ := strings.Cut(rest, ":")
+		n, _ := strconv.Atoi(line)
+		return file, n
+	}
+	slices.SortFunc(problems, func(a, b string) int {
+		fa, la := place(a)
+		fb, lb := place(b)
+		return cmp.Or(strings.Compare(fa, fb), cmp.Compare(la, lb), strings.Compare(a, b))
+	})
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -269,7 +268,7 @@ func TestCheckAblationIndexCoversDataAblation(t *testing.T) {
 }
 
 // unusedCase is one fixture tree for CheckUnused and the problems it must
-// report, each as "file:line: key", sorted.
+// report, each as "file:line: key", in file and line order.
 type unusedCase struct {
 	name  string
 	files map[string]string
@@ -295,7 +294,6 @@ func runUnusedCases(t *testing.T, cases []unusedCase) {
 				where, _, _ := strings.Cut(p, " is ")
 				got = append(got, where)
 			}
-			sort.Strings(got)
 			if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
 				t.Fatalf("reported %q, want %q; problems:\n%s", got, tc.want, strings.Join(problems, "\n"))
 			}
@@ -378,7 +376,7 @@ func run(c *lib.Catalog) int {
 }
 `,
 		},
-		want: []string{"internal/lib/lib.go:16: lib.Remote.Count", "internal/lib/lib.go:5: lib.Access.Count"},
+		want: []string{"internal/lib/lib.go:5: lib.Access.Count", "internal/lib/lib.go:16: lib.Remote.Count"},
 	}, {
 		name: "String reached only through fmt",
 		files: map[string]string{

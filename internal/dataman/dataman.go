@@ -95,7 +95,7 @@ func (s *Store) Get(id string) (Item, error) {
 	defer s.mu.RUnlock()
 	it, ok := s.data[id]
 	if !ok {
-		return Item{}, fmt.Errorf("dataman: %q not on node %s", id, s.node)
+		return Item{}, fmt.Errorf("dataman: %q not on node %s: %w", id, s.node, rpc.ErrNoObject)
 	}
 	return it, nil
 }
@@ -273,6 +273,9 @@ func (c *Catalog) fetchAny(id, preferNode string) (Item, string, error) {
 		c.mu.RUnlock()
 		var it Item
 		if err := rpc.Call(addr, ObjectName, "Get", &key, &it); err != nil {
+			// Unlike a solve, a Get that failed on one replica says nothing
+			// of the next: each is its own copy on its own node, so every
+			// failure, ErrApp included, moves on.
 			lastErr = err
 			continue
 		}

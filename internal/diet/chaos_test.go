@@ -1,9 +1,9 @@
 package diet
 
 import (
+	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -515,7 +515,7 @@ func TestChaosRejectedSolvesLeaveCountersBalanced(t *testing.T) {
 		}
 		s.statMu.Unlock()
 		_, err := s.Solve(request())
-		if err == nil || !strings.Contains(err.Error(), "queue full") {
+		if !errors.Is(err, rpc.ErrOverloaded) {
 			t.Fatalf("solve on a full queue = %v, want it refused", err)
 		}
 		sedBalance(t, s, "work", 0, 0, 0)
@@ -529,7 +529,7 @@ func TestChaosRejectedSolvesLeaveCountersBalanced(t *testing.T) {
 		go func() { _, err := s.Solve(request()); errs <- err }()
 		waitFor(t, func() bool { return s.Stats().Queued == 1 })
 		s.Close()
-		if err := <-errs; err == nil || !strings.Contains(err.Error(), "stopped before solving") {
+		if err := <-errs; !errors.Is(err, rpc.ErrUnavailable) {
 			t.Fatalf("queued solve on a stopped SeD = %v, want it refused", err)
 		}
 		close(release) // the solve that held the slot runs to its end
@@ -538,6 +538,58 @@ func TestChaosRejectedSolvesLeaveCountersBalanced(t *testing.T) {
 		}
 		sedBalance(t, s, "work", 2, 1, 1)
 	})
+}
+
+// TestChaosOverloadedSeDFailsOver fills one SeD's FIFO to its bound: its
+// refusal is rpc.ErrOverloaded over both transports, so a ranked walk moves
+// on to the next server, and a call bound to that SeD alone returns the
+// refusal. The full SeD never runs the solve.
+func TestChaosOverloadedSeDFailsOver(t *testing.T) {
+	desc, _ := NewProfileDesc("work", 0, 0, 1)
+	desc.Set(0, Scalar, Int)
+	desc.Set(1, Scalar, Int)
+	for _, local := range []bool{true, false} {
+		rpc.ResetLocal()
+		var ran sync.Map // SeD name → true once it ran a solve
+		var seds []SeDSpec
+		for _, name := range []string{"SeD-full", "SeD-free"} {
+			seds = append(seds, SeDSpec{Name: name, Parent: "LA1", Capacity: 1, Services: []ServiceSpec{{Desc: desc,
+				Solve: func(p *Profile) error {
+					ran.Store(name, true)
+					return p.SetScalarInt(1, 1, Volatile)
+				}}}})
+		}
+		d := newTestDeployment(t, DeploymentSpec{MAName: "MA-full", LAs: []string{"LA1"}, SeDs: seds, Local: local})
+		full, free := d.SeDs[0], d.SeDs[1]
+		full.statMu.Lock()
+		for held := make(chan struct{}); full.waiting.len() < sedQueueCap; {
+			full.waiting.push(held)
+		}
+		full.statMu.Unlock()
+		client, err := d.Client()
+		if err != nil {
+			t.Fatal(err)
+		}
+		request := func() *Profile {
+			p, _ := NewProfile("work", 0, 0, 1)
+			p.SetScalarInt(0, 1, Volatile)
+			return p
+		}
+		fullRef := ServerRef{Name: full.Name(), Addr: full.Addr()}
+		freeRef := ServerRef{Name: free.Name(), Addr: free.Addr()}
+		info, err := client.Call(request(), WithServers(&SubmitReply{Servers: []ServerRef{fullRef, freeRef}}, 0))
+		if err != nil || info.Server != free.Name() {
+			t.Fatalf("local=%v: ranked call past a full SeD = %+v, %v, want it served by %s", local, info, err, free.Name())
+		}
+		_, err = client.Call(request(), WithServers(&SubmitReply{Servers: []ServerRef{fullRef}}, 0))
+		if !errors.Is(err, rpc.ErrOverloaded) || !rpc.Retryable(err) {
+			t.Fatalf("local=%v: bound call to a full SeD = %v, want a retryable rpc.ErrOverloaded", local, err)
+		}
+		if _, ok := ran.Load(full.Name()); ok {
+			t.Errorf("local=%v: the full SeD ran a solve", local)
+		}
+		client.Finalize()
+	}
 }
 
 // gatedSeD is a SeD whose "work" solves announce their input on started, then
@@ -780,7 +832,7 @@ func TestChaosAdmissionFIFO(t *testing.T) {
 				// The queued solves come back refused; then the running ones
 				// finish, and their freed slots grant nothing new.
 				for i := 0; i < 2; i++ {
-					if err := g.settle(); err == nil || !strings.Contains(err.Error(), "stopped before solving") {
+					if err := g.settle(); !errors.Is(err, rpc.ErrUnavailable) {
 						t.Fatalf("queued solve on a closed SeD = %v, want it refused", err)
 					}
 				}
@@ -793,7 +845,7 @@ func TestChaosAdmissionFIFO(t *testing.T) {
 					}
 				}
 				g.solve(t)
-				if err := g.settle(); err == nil || !strings.Contains(err.Error(), "stopped before solving") {
+				if err := g.settle(); !errors.Is(err, rpc.ErrUnavailable) {
 					t.Fatalf("solve arriving at a closed SeD = %v, want it refused", err)
 				}
 				sedBalance(t, g.s, "work", float64(n+1), float64(capacity), 3)

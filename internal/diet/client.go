@@ -200,9 +200,10 @@ func WithServers(reply *SubmitReply, rotate int) CallOption {
 // Call performs a complete GridRPC call: find a server through the MA, ship
 // the profile to the chosen SeD, execute, and bring the INOUT/OUT arguments
 // back into p. On failure of the best server it falls over to the next
-// servers in the ranked list. Options select the variants — WithServers to
-// reuse a ranked list, WithWork to hint the scheduler — all sharing this one
-// retry and trace path.
+// servers in the ranked list, unless the solve itself failed there (not
+// rpc.Retryable), which returns at once. Options select the variants —
+// WithServers to reuse a ranked list, WithWork to hint the scheduler — all
+// sharing this one retry and trace path.
 func (c *Client) Call(p *Profile, opts ...CallOption) (*CallInfo, error) {
 	var o callOptions
 	for _, opt := range opts {
@@ -236,6 +237,11 @@ func (c *Client) Call(p *Profile, opts ...CallOption) (*CallInfo, error) {
 		attempt := time.Now()
 		info, err := c.solveOn(srv, p, seq, t0, finding)
 		if err != nil {
+			if !rpc.Retryable(err) {
+				// The solve itself failed: another server would fail it
+				// the same way, so it runs once.
+				return nil, fmt.Errorf("diet: %q failed on %s: %w", p.Service, srv.Name, err)
+			}
 			lastErr = err
 			// The kill-and-requeue of the live stack: the request's work on
 			// the lost server is abandoned and resubmitted to the next ranked

@@ -189,7 +189,7 @@ type SeD struct {
 }
 
 // sedQueueCap bounds the solves one SeD holds queued for a slot; the next
-// is refused with "queue full".
+// is refused as rpc.ErrOverloaded ("queue full").
 const sedQueueCap = 16384
 
 // grantQueue is the SeD's FIFO of queued solves: one grant channel each,
@@ -429,8 +429,8 @@ func (s *SeD) childInfo() *ChildInfo {
 	return &ChildInfo{Name: s.cfg.Name, Addr: s.addr, Kind: "SeD", Cluster: s.cfg.Cluster}
 }
 
-// Close stops serving. Queued solves are refused ("stopped before solving");
-// running ones finish. Close is idempotent.
+// Close stops serving. Queued solves are refused as rpc.ErrUnavailable
+// ("stopped before solving"); running ones finish. Close is idempotent.
 func (s *SeD) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
 	return s.server.Close()
@@ -576,7 +576,7 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 	entry, ok := s.services[p.Service]
 	s.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("diet: SeD %s cannot solve %q", s.cfg.Name, p.Service)
+		return nil, fmt.Errorf("diet: SeD %s cannot solve %q: %w", s.cfg.Name, p.Service, rpc.ErrNoObject)
 	}
 	if err := entry.desc.Matches(p); err != nil {
 		return nil, err
@@ -693,7 +693,7 @@ func (s *SeD) admit(service string) (int, error) {
 	s.statMu.Lock()
 	if s.waiting.len() >= sedQueueCap {
 		s.statMu.Unlock()
-		return 0, fmt.Errorf("diet: SeD %s queue full", s.cfg.Name)
+		return 0, fmt.Errorf("diet: SeD %s queue full: %w", s.cfg.Name, rpc.ErrOverloaded)
 	}
 	var depth int
 	var grant chan struct{}
@@ -729,7 +729,7 @@ func (s *SeD) admit(service string) (int, error) {
 			if s.metrics != nil {
 				s.metrics.failed.With(s.cfg.Name, service).Inc()
 			}
-			return 0, fmt.Errorf("diet: SeD %s stopped before solving %q", s.cfg.Name, service)
+			return 0, fmt.Errorf("diet: SeD %s stopped before solving %q: %w", s.cfg.Name, service, rpc.ErrUnavailable)
 		}
 	}
 	s.shift(service, -1, +1)

@@ -11,9 +11,9 @@
 package rpc
 
 import (
-	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -63,7 +63,7 @@ func Typed[T any, P ptrBody[T], R WireBody](fn func(P) (R, error)) Method {
 func (m Methods) handle(method string, body []byte) (reply segments, kept bool, err error) {
 	fn, ok := m[method]
 	if !ok {
-		return segments{}, false, fmt.Errorf("rpc: no such method %q", method)
+		return segments{}, false, fmt.Errorf("rpc: no such method %q: %w", method, ErrNoObject)
 	}
 	out, err := fn(body)
 	if err != nil {
@@ -83,15 +83,6 @@ func (m Methods) Handler() Handler {
 		return reply.flat(), err
 	}
 }
-
-// ErrNoObject is returned when the target object is not registered. It
-// survives both transports: errors.Is(err, ErrNoObject) holds at the caller.
-var ErrNoObject = errors.New("rpc: no such object")
-
-// ErrUnavailable is wrapped by every failure to get a response out of a tcp
-// peer at all: the dial failed, or the connection broke before the first
-// response byte. The handler may or may not have run.
-var ErrUnavailable = errors.New("rpc: peer unavailable")
 
 // Server hosts named objects and serves invocations.
 type Server struct {
@@ -143,11 +134,15 @@ func (s *Server) dispatch(object, method string, body []byte) (status byte, payl
 	h, ok := s.objects[object]
 	s.mu.RUnlock()
 	if !ok {
-		return statusNoObject, segments{head: []byte(object)}, true
+		// Quoted apart from fmt, object does not escape, so the caller's
+		// string(object) conversion costs no allocation per call.
+		status, payload = failure(fmt.Errorf("%w: %s", ErrNoObject, strconv.Quote(object)))
+		return status, payload, true
 	}
 	out, kept, err := h(method, body)
 	if err != nil {
-		return statusError, segments{head: []byte(err.Error())}, false
+		status, payload = failure(err)
+		return status, payload, false
 	}
 	return statusOK, out, !kept
 }
@@ -214,12 +209,13 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // serveFrame runs one request frame and returns the response to send; ok is
 // false for a frame whose fields overrun it, which ends the connection. A
-// frame of another version is answered with an error naming both versions:
-// its length prefix was sound, so the connection stays in step. reuse
-// reports that nothing holds the frame once the response is sent.
+// frame of another version is answered as unavailable, naming both
+// versions: its length prefix was sound, so the connection stays in step.
+// reuse reports that nothing holds the frame once the response is sent.
 func (s *Server) serveFrame(frame []byte) (status byte, payload segments, reuse, ok bool) {
 	if v := frame[0]; v != frameVersion {
-		return statusError, segments{head: []byte(fmt.Sprintf("rpc: request frame is version %d, this side speaks version %d", v, frameVersion))}, true, true
+		status, payload = failure(fmt.Errorf("rpc: request frame is version %d, this side speaks version %d: %w", v, frameVersion, ErrUnavailable))
+		return status, payload, true, true
 	}
 	object, method, body, ok := parseRequest(frame[1:])
 	if !ok {
@@ -230,7 +226,8 @@ func (s *Server) serveFrame(frame []byte) (status byte, payload segments, reuse,
 	}
 	status, payload, reuse = s.dispatch(string(object), string(method), body)
 	if n := payload.size(); n > maxFrame-minResponse {
-		return statusError, segments{head: []byte(fmt.Sprintf("rpc: reply of %d bytes exceeds the %d byte frame limit", n, maxFrame))}, reuse, true
+		status, payload = failure(fmt.Errorf("rpc: reply of %d bytes exceeds the %d byte frame limit", n, maxFrame))
+		return status, payload, reuse, true
 	}
 	return status, payload, reuse, true
 }
@@ -327,7 +324,7 @@ func invoke(addr, object, method string, body segments) ([]byte, error) {
 		s := localRegistry[name]
 		localMu.RUnlock()
 		if s == nil {
-			return nil, fmt.Errorf("rpc: no local server at %q", addr)
+			return nil, fmt.Errorf("rpc: no local server at %q: %w", addr, ErrUnavailable)
 		}
 		status, reply, _ := s.dispatch(object, method, body.flat())
 		return replyOf(status, reply.flat())

@@ -443,8 +443,7 @@ func TestTransportBodyAboveReadChunk(t *testing.T) {
 }
 
 // The sentinels survive the wire: the same error reads the same over TCP and
-// over local:. ROADMAP item 5 (failover only on ErrUnavailable, never on an
-// application error) builds on this.
+// over local:. Failover (Retryable) decides on them, never on the text.
 func TestTransportErrorsSurviveTheWire(t *testing.T) {
 	defer ResetLocal()
 	s := NewServer()
@@ -547,7 +546,8 @@ func TestTransportMalformedFramesCloseTheConnection(t *testing.T) {
 }
 
 // A request of another frame version gets a clean error naming both
-// versions, and the connection stays in step for the next request.
+// versions, coded unavailable, and the connection stays in step for the next
+// request.
 func TestTransportVersionMismatch(t *testing.T) {
 	_, addr, runs := countingServer(t, "127.0.0.1:0")
 	c, err := net.Dial("tcp", addr)
@@ -556,15 +556,16 @@ func TestTransportVersionMismatch(t *testing.T) {
 	}
 	defer c.Close()
 	cc := &clientConn{Conn: c, br: newReader(c)}
-	for _, v := range []byte{1, 2} {
+	for _, v := range []byte{1, 2, 3} {
 		old := frameOf(v, 0, 3, 'o', 'b', 'j', 0, 0, 'x')
 		frame, _, err := cc.roundTrip(old, segments{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = replyOf(frame[0], frame[1:])
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("is version %d", v)) || !strings.Contains(err.Error(), "speaks version 3") {
-			t.Fatalf("version mismatch = %v, want an error naming versions %d and 3", err, v)
+		if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), fmt.Sprintf("is version %d", v)) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("speaks version %d", frameVersion)) {
+			t.Fatalf("version mismatch = %v, want ErrUnavailable naming versions %d and %d", err, v, frameVersion)
 		}
 	}
 	if runs.Load() != 0 {
@@ -609,13 +610,24 @@ func (c *streamConn) Read(p []byte) (int, error)  { return c.in.Read(p) }
 func (c *streamConn) Write(p []byte) (int, error) { return c.out.Write(p) }
 func (c *streamConn) Close() error                { return nil }
 
+// request is a whole request frame.
+func request(object, method, body string) []byte {
+	header, _ := requestHeader(object, method, len(body))
+	return append(header, body...)
+}
+
 // FuzzServeFrame feeds arbitrary bytes to the server's connection loop. It
 // must never panic, must hand the handler only what a well-formed frame
-// carried, and everything it writes must parse as response frames.
+// carried, and everything it writes must parse as response frames of a known
+// status. The seeds draw every status: the handler fails with the code its
+// method names.
 func FuzzServeFrame(f *testing.F) {
-	good, _ := requestHeader("obj", "Echo", 5)
-	good = append(good, "hello"...)
+	good := request("obj", "Echo", "hello")
 	f.Add(good)
+	for _, method := range []string{"Gone", "Fail", "Down", "Busy"} {
+		f.Add(request("obj", method, "x"))
+	}
+	f.Add(request("ghost", "Echo", "x"))
 	f.Add(append(append([]byte{}, good...), good...))
 	f.Add(good[:len(good)-3])
 	f.Add(frameOf())
@@ -628,6 +640,16 @@ func FuzzServeFrame(f *testing.F) {
 		s.Register("obj", func(method string, body []byte) ([]byte, error) {
 			if len(method)+len(body) > len(data) {
 				t.Errorf("handler got %d bytes out of a %d byte stream", len(method)+len(body), len(data))
+			}
+			switch method {
+			case "Gone":
+				return nil, fmt.Errorf("gone: %w", ErrNoObject)
+			case "Fail":
+				return nil, errors.New("failed")
+			case "Down":
+				return nil, fmt.Errorf("down: %w", ErrUnavailable)
+			case "Busy":
+				return nil, fmt.Errorf("busy: %w", ErrOverloaded)
 			}
 			return body, nil
 		})
@@ -642,18 +664,22 @@ func FuzzServeFrame(f *testing.F) {
 				}
 				return
 			}
-			if frame[0] > statusError {
+			if int(frame[0]) >= len(codes) {
 				t.Fatalf("server wrote unknown status %d", frame[0])
 			}
 		}
 	})
 }
 
-// FuzzReadResponse feeds arbitrary bytes to the client's response reader.
+// FuzzReadResponse feeds arbitrary bytes to the client's response reader. A
+// status of the code table decodes to exactly its sentinel with the text it
+// carried, any other to errFrame.
 func FuzzReadResponse(f *testing.F) {
 	f.Add(frameOf(statusOK, 'h', 'i'))
-	f.Add(frameOf(statusNoObject, 'o'))
-	f.Add(frameOf(statusError, 'n', 'o'))
+	for s := range codes[1:] {
+		f.Add(frameOf(byte(s+1), 'n', 'o'))
+	}
+	f.Add(frameOf(byte(len(codes))))
 	f.Add(frameOf(9))
 	f.Add(frameOf())
 	f.Add([]byte{0, 0})
@@ -674,11 +700,24 @@ func FuzzReadResponse(f *testing.F) {
 			t.Fatalf("frame of %d bytes out of a %d byte response", len(frame), len(data))
 		}
 		body, err := replyOf(frame[0], frame[1:])
-		if err == nil && frame[0] != statusOK {
-			t.Fatalf("status %d read as success", frame[0])
-		}
-		if err == nil && !bytes.Equal(body, data[5:4+len(frame)]) {
-			t.Fatal("body differs from the bytes on the wire")
+		switch status := frame[0]; {
+		case status == statusOK:
+			if err != nil || !bytes.Equal(body, data[5:4+len(frame)]) {
+				t.Fatalf("success read as %q, %v", body, err)
+			}
+		case int(status) < len(codes):
+			for s, code := range codes[1:] {
+				if errors.Is(err, code) != (byte(s+1) == status) {
+					t.Fatalf("status %d read as %v, which does not unwrap to %v alone", status, err, codes[status])
+				}
+			}
+			if err.Error() != string(frame[1:]) {
+				t.Fatalf("status %d read as %q, want the text it carried", status, err)
+			}
+		default:
+			if !errors.Is(err, errFrame) {
+				t.Fatalf("unknown status %d read as %v, want errFrame", status, err)
+			}
 		}
 	})
 }

@@ -17,17 +17,19 @@ import (
 // version can skip a frame it does not understand:
 //
 //	request:  len | version | objLen | object | methLen | method | body
-//	response: len | status  | body (statusOK), object name or error text
+//	response: len | status  | body (statusOK) or error text
 //
 // version and status are one byte, objLen and methLen two bytes big-endian.
-// Bodies are opaque here (callers encode them as WireBody layouts, body.go;
-// Call and registered methods hand theirs over in segments). The version
-// byte changes whenever a body's layout does, so that a peer built from
-// another tree is refused by name on its first call, not misread: version 3
-// is the frame whose bodies are all WireBody layouts, version 2 the one
-// whose cold-path bodies were not.
+// A status other than statusOK is the failure's code, from the one table in
+// codes.go. Bodies are opaque here (callers encode them as WireBody layouts,
+// body.go; Call and registered methods hand theirs over in segments). The
+// version byte changes whenever a body's layout or the status table does, so
+// that a peer built from another tree is refused by name on its first call,
+// not misread: version 4 is the frame whose status is the failure code and
+// whose estimates have no free-memory field, version 3 the first whose
+// bodies were all WireBody layouts.
 const (
-	frameVersion = 3
+	frameVersion = 4
 
 	// maxFrame bounds a frame's declared length, and with it what one body
 	// can make its decoder allocate (a Reader allocates no more than a
@@ -47,13 +49,6 @@ const (
 	// bytes for it have arrived: a header claiming 1 GiB costs 8 MiB until
 	// the peer actually sends more.
 	readChunk = 8 << 20
-)
-
-// Response statuses.
-const (
-	statusOK byte = iota
-	statusNoObject
-	statusError
 )
 
 var errFrame = errors.New("rpc: malformed frame")
@@ -217,19 +212,4 @@ func responseHeader(status byte, payloadLen int) []byte {
 	binary.BigEndian.PutUint32(h, uint32(minResponse+payloadLen))
 	h[4] = status
 	return h
-}
-
-// replyOf maps a response status and payload to what Invoke returns; both
-// transports go through it, so an error reads the same over TCP and local:.
-func replyOf(status byte, payload []byte) ([]byte, error) {
-	switch status {
-	case statusOK:
-		return payload, nil
-	case statusNoObject:
-		return nil, fmt.Errorf("%w: %q", ErrNoObject, payload)
-	case statusError:
-		return nil, errors.New(string(payload))
-	default:
-		return nil, fmt.Errorf("%w: unknown response status %d", errFrame, status)
-	}
 }

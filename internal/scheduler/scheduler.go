@@ -24,7 +24,6 @@ type Estimate struct {
 	Running          int     // solves currently executing
 	QueueLen         int     // requests waiting
 	PowerGFlops      float64 // advertised processing power
-	FreeMemMB        float64
 	LastSolveSeconds float64 // duration of the last completed solve; <0 if none yet
 
 	// CoRI/FAST forecast extension (internal/cori). The zero value means the

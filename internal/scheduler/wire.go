@@ -3,13 +3,13 @@ package scheduler
 import "repro/internal/rpc"
 
 // Wire layout of an Estimate (rpc.WireBody conventions), its fields in
-// declaration order: two texts, three ints and three float64 of the static
+// declaration order: two texts, three ints and two float64 of the static
 // vector, then the forecast extension (bool, int, five float64) and the
 // data-aware float64. Estimates travel inside the estimate, collect and
 // submit replies of package diet, once per SeD per call.
 
 // estimateFixed is the encoded size of everything but the two texts' bytes.
-const estimateFixed = 2*rpc.LenSize + 4*rpc.IntSize + 9*rpc.Float64Size + rpc.BoolSize
+const estimateFixed = 2*rpc.LenSize + 4*rpc.IntSize + 8*rpc.Float64Size + rpc.BoolSize
 
 // WireSize is the exact length AppendWire adds.
 func (e *Estimate) WireSize() int { return estimateFixed + len(e.ServerID) + len(e.Service) }
@@ -22,7 +22,6 @@ func (e *Estimate) AppendWire(w rpc.Writer) rpc.Writer {
 	w = w.Int(e.Running)
 	w = w.Int(e.QueueLen)
 	w = w.Float64(e.PowerGFlops)
-	w = w.Float64(e.FreeMemMB)
 	w = w.Float64(e.LastSolveSeconds)
 	w = w.Bool(e.HasForecast)
 	w = w.Int(e.ForecastSamples)
@@ -42,7 +41,6 @@ func (e *Estimate) ReadWire(r *rpc.Reader) {
 	e.Running = r.Int()
 	e.QueueLen = r.Int()
 	e.PowerGFlops = r.Float64()
-	e.FreeMemMB = r.Float64()
 	e.LastSolveSeconds = r.Float64()
 	e.HasForecast = r.Bool()
 	e.ForecastSamples = r.Int()

@@ -15,7 +15,6 @@ func TestEstimateWireRoundTrip(t *testing.T) {
 		ServerID:           "Nançy-1",
 		LastSolveSeconds:   -1,
 		PowerGFlops:        math.Inf(1),
-		FreeMemMB:          math.Inf(-1),
 		ForecastConfidence: math.Float64frombits(0x7ff8000000000abc),
 		PendingWorkSeconds: math.Copysign(0, -1),
 		Running:            math.MinInt,

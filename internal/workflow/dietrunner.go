@@ -10,6 +10,7 @@ import (
 	"repro/internal/diet"
 	"repro/internal/logsvc"
 	"repro/internal/metrics"
+	"repro/internal/rpc"
 	"repro/internal/scheduler"
 )
 
@@ -50,7 +51,8 @@ type DietRunner struct {
 	ServiceWork map[string]float64
 	// Retries re-runs a node's whole call (fresh finding phase included)
 	// after the ranked-failover walk inside Call has exhausted every
-	// offered server — the workflow-level requeue.
+	// offered server — the workflow-level requeue. A solve that failed by
+	// itself (not rpc.Retryable) is not re-run.
 	Retries int
 	// Events optionally receives a workflow span per node and per run,
 	// alongside the submit/solve/complete spans the call path emits — the
@@ -266,7 +268,7 @@ func (r *DietRunner) Run(d *DAG, specs map[string]TaskSpec) (*RunReport, error) 
 			var info *diet.CallInfo
 			for attempt := 0; ; attempt++ {
 				info, err = r.Client.Call(p, diet.WithWork(work))
-				if err == nil || attempt >= r.Retries {
+				if err == nil || attempt >= r.Retries || !rpc.Retryable(err) {
 					break
 				}
 			}
