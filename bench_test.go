@@ -122,11 +122,10 @@ func BenchmarkFig3ZoomResimulation(b *testing.B) {
 }
 
 // BenchmarkFig4Workflow regenerates Figure 4: the whole simulation pipeline
-// — GRAFIC, RAMSES3d under MPI, HaloMaker per snapshot, TreeMaker,
-// GalaxyMaker — executed as the DAG of the paper's workflow document.
+// — GRAFIC, RAMSES3d, HaloMaker per snapshot, TreeMaker, GalaxyMaker —
+// executed as the DAG of the paper's workflow document.
 func BenchmarkFig4Workflow(b *testing.B) {
 	cfg := benchConfig()
-	cfg.NCPU = 2
 	var galaxies int
 	for i := 0; i < b.N; i++ {
 		doc := workflow.RamsesZoomDocument(0, len(cfg.Aout))

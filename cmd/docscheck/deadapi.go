@@ -33,9 +33,6 @@ var keptOnPurpose = map[string]string{
 	"metrics.Gauge.Value":            "reads a gauge back in diet's tests, which see agent and SeD gauges nowhere else",
 	"diet.SeDSpec.Executor":          "lets a test substitute a fake executor for the inline default",
 	"simgrid.ExperimentConfig.Spans": "the simulated trace TestCampaignSpansMirrorLiveTaxonomy holds to the live span taxonomy",
-	"grafic.Header.Ox":               "part of the GRAFIC header layout; production always writes 0, a test round-trips non-zero values",
-	"grafic.Header.Oy":               "part of the GRAFIC header layout; production always writes 0, a test round-trips non-zero values",
-	"grafic.Header.Oz":               "part of the GRAFIC header layout; production always writes 0, a test round-trips non-zero values",
 }
 
 // CheckUnused type-checks the Go module at root once and flags what its

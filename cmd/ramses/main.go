@@ -1,9 +1,9 @@
 // Command ramses runs a cosmological N-body simulation from a namelist file,
 // the way the paper's RAMSES3d runs inside the service: initial conditions,
-// (optionally MPI-parallel) particle-mesh integration, snapshots at the
-// requested expansion factors and AMR statistics per output. With -render it
-// also prints the projected density field of each snapshot — the paper's
-// Figure 2 time sequence — as ASCII art.
+// particle-mesh integration, snapshots at the requested expansion factors
+// and AMR statistics per output. With -render it also prints the projected
+// density field of each snapshot — the paper's Figure 2 time sequence — as
+// ASCII art.
 //
 //	ramses -nml run.nml -o /tmp/run -render
 package main
@@ -21,7 +21,6 @@ func main() {
 		nml    = flag.String("nml", "", "namelist file (default: built-in small run)")
 		out    = flag.String("o", "", "output directory (default: in-memory only)")
 		render = flag.Bool("render", false, "print projected density as ASCII per output")
-		ncpu   = flag.Int("ncpu", 0, "override namelist ncpu (0 = keep)")
 	)
 	flag.Parse()
 
@@ -36,12 +35,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if *ncpu > 0 {
-		cfg.NCPU = *ncpu
-	}
-
-	fmt.Printf("RAMSES run: %d^3 particles, %.0f Mpc/h, a=%g→%g, ncpu=%d, zoom levels=%d\n",
-		cfg.NPart, cfg.Box, cfg.Astart, cfg.Aout[len(cfg.Aout)-1], cfg.NCPU, cfg.ZoomLevels)
+	fmt.Printf("RAMSES run: %d^3 particles, %.0f Mpc/h, a=%g→%g, zoom levels=%d\n",
+		cfg.NPart, cfg.Box, cfg.Astart, cfg.Aout[len(cfg.Aout)-1], cfg.ZoomLevels)
 
 	res, err := ramses.Run(cfg, *out)
 	if err != nil {

@@ -1,8 +1,8 @@
 // Workflow executes the paper's Figure 4 as a DAG under the workflow engine
 // the conclusion proposes: the XML document represents the nodes and data
 // dependencies, and each node runs a real stage of the pipeline — GRAFIC
-// initial conditions, RAMSES3d under the in-process MPI substrate, one
-// HaloMaker per snapshot (in parallel), TreeMaker, then GalaxyMaker.
+// initial conditions, RAMSES3d, one HaloMaker per snapshot (in parallel),
+// TreeMaker, then GalaxyMaker.
 //
 //	go run ./examples/workflow
 package main
@@ -86,7 +86,6 @@ func main() {
 		cfg.Astart = astart
 		cfg.Aout = aout
 		cfg.StepsPerOutput = 5
-		cfg.NCPU = 2 // run the MPI solver on two in-process ranks
 		var err error
 		result, err = ramses.RunFromICs(cfg, ics.Parts, "")
 		return err

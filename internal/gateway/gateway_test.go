@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -392,6 +393,51 @@ func TestGatewayHTTPAPI(t *testing.T) {
 		t.Errorf("/metrics: %v, %v", resp3, err)
 	} else {
 		resp3.Body.Close()
+	}
+}
+
+// failing is a service whose every solve fails with err.
+func failing(name string, err error) diet.ServiceSpec {
+	spec := doubler(name, 0)
+	spec.Solve = func(*diet.Profile) error { return err }
+	return spec
+}
+
+// TestGatewayHTTPStatusOfFailure: a solve that fails for want of room is a
+// 503 marked overloaded, one no server answered a 503 that is not, and a
+// solve's own failure or a service nobody offers stays 502.
+func TestGatewayHTTPStatusOfFailure(t *testing.T) {
+	d := deployOneMA(t, "MA-gw-codes",
+		failing("full", fmt.Errorf("no slot: %w", rpc.ErrOverloaded)),
+		failing("gone", fmt.Errorf("scratch area gone: %w", rpc.ErrUnavailable)),
+		failing("broken", errors.New("solve diverged")))
+	g := newGateway(t, Config{Naming: d.NamingAddr, MAs: []string{"MA-gw-codes"}})
+	h := g.Handler()
+	for _, tc := range []struct {
+		service    string
+		status     int
+		overloaded bool
+	}{
+		{"full", http.StatusServiceUnavailable, true},
+		{"gone", http.StatusServiceUnavailable, false},
+		{"broken", http.StatusBadGateway, false},
+		{"nobody", http.StatusBadGateway, false},
+	} {
+		req, err := intProfile(t, tc.service, 1).WireRequest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := json.Marshal(req)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/solve", bytes.NewReader(body)))
+		var er gwproto.ErrorReply
+		if err := json.NewDecoder(rec.Body).Decode(&er); err != nil {
+			t.Fatalf("%s: error reply does not decode: %v", tc.service, err)
+		}
+		if rec.Code != tc.status || er.Overloaded != tc.overloaded {
+			t.Errorf("%s: HTTP %d overloaded=%v (%s), want HTTP %d overloaded=%v",
+				tc.service, rec.Code, er.Overloaded, er.Error, tc.status, tc.overloaded)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/diet"
 	"repro/internal/gwproto"
 	"repro/internal/metrics"
+	"repro/internal/rpc"
 )
 
 // This file is the HTTP face of the gateway: the /api/v1 JSON endpoints
@@ -30,7 +31,11 @@ func writeError(w http.ResponseWriter, status int, overloaded bool, format strin
 
 // handleSolve is POST /api/v1/solve: decode the wire profile, run it
 // through the gateway, return the solved arguments and timing. Schema
-// mismatches are 400, admission sheds 503, upstream failures 502.
+// mismatches are 400. A 503 says try again later: overloaded when the
+// admission queue shed the request or the platform's servers refused it for
+// want of room (rpc.ErrOverloaded), not overloaded when no server answered
+// (rpc.ErrUnavailable). Every other upstream failure, a solve's own
+// included, is 502.
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, false, "POST only")
@@ -54,11 +59,14 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	info, admission, err := g.Solve(p)
 	if err != nil {
-		if errors.Is(err, ErrOverload) {
+		switch {
+		case errors.Is(err, ErrOverload), errors.Is(err, rpc.ErrOverloaded):
 			writeError(w, http.StatusServiceUnavailable, true, "%v", err)
-			return
+		case errors.Is(err, rpc.ErrUnavailable):
+			writeError(w, http.StatusServiceUnavailable, false, "%v", err)
+		default:
+			writeError(w, http.StatusBadGateway, false, "%v", err)
 		}
-		writeError(w, http.StatusBadGateway, false, "%v", err)
 		return
 	}
 	args, err := p.WireArgs()

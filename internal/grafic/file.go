@@ -11,14 +11,14 @@ import (
 	"repro/internal/fortranio"
 )
 
-// Header is the GRAFIC field-file header: grid dimensions, cell size, box
-// offsets, starting expansion factor and the cosmological parameters, stored
-// as one Fortran record of 3 int32 + 8 float32 (44 bytes), exactly as the
-// GRAFIC family of codes writes it.
+// Header is the GRAFIC field-file header: grid dimensions, cell size,
+// starting expansion factor and the cosmological parameters. It is stored as
+// one Fortran record of 3 int32 + 8 float32 (44 bytes), exactly as the
+// GRAFIC family of codes writes it; the three floats after the cell size are
+// the box offsets, which WriteField always writes as 0.
 type Header struct {
 	N1, N2, N3     int32   // grid points per axis
 	Dx             float32 // cell size, Mpc/h
-	Ox, Oy, Oz     float32 // box offsets (zoom levels), Mpc/h
 	Astart         float32 // starting expansion factor
 	OmegaM, OmegaL float32
 	H0             float32 // km/s/Mpc
@@ -36,7 +36,7 @@ func WriteField(w io.Writer, h Header, data []float32) error {
 	hdr = appendInt32(hdr, h.N1)
 	hdr = appendInt32(hdr, h.N2)
 	hdr = appendInt32(hdr, h.N3)
-	for _, f := range []float32{h.Dx, h.Ox, h.Oy, h.Oz, h.Astart, h.OmegaM, h.OmegaL, h.H0} {
+	for _, f := range []float32{h.Dx, 0, 0, 0, h.Astart, h.OmegaM, h.OmegaL, h.H0} {
 		hdr = appendFloat32(hdr, f)
 	}
 	if err := fw.WriteRecord(hdr); err != nil {

@@ -18,7 +18,7 @@ import (
 func TestFieldFileRoundTrip(t *testing.T) {
 	h := Header{
 		N1: 4, N2: 4, N3: 4,
-		Dx: 1.5, Ox: 10, Oy: 20, Oz: 30,
+		Dx:     1.5,
 		Astart: 0.1, OmegaM: 0.24, OmegaL: 0.76, H0: 73,
 	}
 	data := make([]float32, 64)
@@ -35,6 +35,14 @@ func TestFieldFileRoundTrip(t *testing.T) {
 	}
 	if gh != h {
 		t.Errorf("header round trip: got %+v, want %+v", gh, h)
+	}
+	// The box offsets between the cell size and aexp are written as zeros.
+	rec, err := fortranio.NewReader(bytes.NewReader(buf.Bytes())).ReadRecord()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if offsets := rec[16:28]; !bytes.Equal(offsets, make([]byte, 12)) {
+		t.Errorf("box offsets written as % x, want zeros", offsets)
 	}
 	for i := range data {
 		if gd[i] != data[i] {
@@ -143,7 +151,8 @@ func ReadField(r io.Reader) (Header, []float32, error) {
 	h.N1 = readInt32(rec[0:])
 	h.N2 = readInt32(rec[4:])
 	h.N3 = readInt32(rec[8:])
-	floats := []*float32{&h.Dx, &h.Ox, &h.Oy, &h.Oz, &h.Astart, &h.OmegaM, &h.OmegaL, &h.H0}
+	var offsets [3]float32 // written as zeros, read past
+	floats := []*float32{&h.Dx, &offsets[0], &offsets[1], &offsets[2], &h.Astart, &h.OmegaM, &h.OmegaL, &h.H0}
 	for i, p := range floats {
 		*p = readFloat32(rec[12+4*i:])
 	}

@@ -84,9 +84,11 @@ type Timing struct {
 	TotalMS     float64 `json:"total_ms"`
 }
 
-// ErrorReply is the body of any non-2xx API response. Overloaded marks an
-// admission-control shed (HTTP 503): the client should back off, the
-// request was never submitted.
+// ErrorReply is the body of any non-2xx API response. Overloaded marks a
+// 503 that asks the client to back off: the gateway's admission control
+// shed the request, or every server it reached refused it for want of room;
+// either way the request did not run. A 503 without it means no server
+// answered, and the request may be tried again later.
 type ErrorReply struct {
 	SchemaVersion int    `json:"schema_version"`
 	Error         string `json:"error"`

@@ -30,7 +30,7 @@ func referenceStep(s *Solver, parts particles.Set, a, da float64) error {
 	n := s.p.Ng
 	if s.accA != a {
 		overdensity(s.rho, n, parts)
-		if err := s.Solve(s.rho, a); err != nil {
+		if err := s.solve(s.rho, a); err != nil {
 			return err
 		}
 	}
@@ -48,7 +48,7 @@ func referenceStep(s *Solver, parts particles.Set, a, da float64) error {
 	}
 	aNew := a + da
 	overdensity(s.rho, n, parts)
-	if err := s.Solve(s.rho, aNew); err != nil {
+	if err := s.solve(s.rho, aNew); err != nil {
 		return err
 	}
 	halfKick = 0.5 * da * s.fKick(aNew)

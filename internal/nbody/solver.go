@@ -32,7 +32,7 @@ type Params struct {
 const maxNg = 1024
 
 // Solver is a periodic particle-mesh gravity solver. It is not safe for
-// concurrent use; parallel runs give each rank its own Solver.
+// concurrent use.
 type Solver struct {
 	p Params
 
@@ -275,10 +275,9 @@ func (s *Solver) buildAccel(a float64) {
 	s.accA = a
 }
 
-// Solve computes the potential and acceleration grids for the given particle
-// distribution at expansion factor a. Exposed so the parallel driver can run
-// the field solve once on a combined density.
-func (s *Solver) Solve(delta []float64, a float64) error {
+// solve computes the potential and acceleration grids for the given particle
+// distribution at expansion factor a.
+func (s *Solver) solve(delta []float64, a float64) error {
 	if err := s.Potential(delta, a); err != nil {
 		return err
 	}
@@ -395,7 +394,7 @@ func (s *Solver) step(parts particles.Set, a, da float64, warm bool) error {
 	if !warm {
 		if s.accA != a {
 			s.deposit(parts)
-			if err := s.Solve(s.rho, a); err != nil {
+			if err := s.solve(s.rho, a); err != nil {
 				return err
 			}
 		} else {
@@ -406,7 +405,7 @@ func (s *Solver) step(parts particles.Set, a, da float64, warm bool) error {
 	s.kickDrift(parts, a, da)
 	aNew := a + da
 	s.deposit(parts)
-	if err := s.Solve(s.rho, aNew); err != nil {
+	if err := s.solve(s.rho, aNew); err != nil {
 		return err
 	}
 	s.secondKick(parts, a, aNew, da)

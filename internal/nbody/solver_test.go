@@ -140,7 +140,7 @@ func TestAccelPointsTowardMass(t *testing.T) {
 	const n = 16
 	s := newSolver(t, n)
 	parts := particles.Set{{Pos: [3]float64{0.5, 0.5, 0.5}, Mass: 1000, ID: 1}}
-	if err := s.Solve(s.Density(parts), 0.5); err != nil {
+	if err := s.solve(s.Density(parts), 0.5); err != nil {
 		t.Fatal(err)
 	}
 	probe := [3]float64{0.5 + 4.0/n, 0.5, 0.5}
@@ -317,7 +317,7 @@ func TestDepositInterpAdjoint(t *testing.T) {
 func (s *Solver) Params() Params { return s.p }
 
 // AccelAt returns the interpolated acceleration −∇φ at pos, valid after a
-// Solve at the current epoch.
+// solve at the current epoch.
 func (s *Solver) AccelAt(pos [3]float64) [3]float64 {
 	var st cicStencil
 	st.at(s.p.Ng, pos)
@@ -332,4 +332,32 @@ func RMSDelta(delta []float64) float64 {
 		sum += v * v
 	}
 	return math.Sqrt(sum / float64(len(delta)))
+}
+
+func TestCostModelScaling(t *testing.T) {
+	base := CostModel(64, 64*64*64, 10)
+	if base <= 0 {
+		t.Fatal("cost must be positive")
+	}
+	if CostModel(64, 64*64*64, 20) != 2*base {
+		t.Error("cost must be linear in steps")
+	}
+	if CostModel(128, 64*64*64, 10) <= base {
+		t.Error("bigger mesh must cost more")
+	}
+	if CostModel(64, 2*64*64*64, 10) <= base {
+		t.Error("more particles must cost more")
+	}
+}
+
+// CostModel estimates the floating-point work of a PM simulation, meant for
+// the platform simulator to convert problem sizes into wall-clock times on
+// modelled CPUs. The two terms are the per-step FFT solve (two solves of
+// 3·5·N³·log2(N³) flops each per KDK step) and the per-particle work
+// (deposit + 2 kicks + drift ≈ 250 flops per particle per step).
+func CostModel(ng, nparts, nsteps int) float64 {
+	n3 := float64(ng) * float64(ng) * float64(ng)
+	fftFlops := 2 * 3 * 5 * n3 * math.Log2(n3)
+	partFlops := 250 * float64(nparts)
+	return float64(nsteps) * (fftFlops + partFlops)
 }

@@ -9,7 +9,7 @@ import (
 const sampleNML = `
 ! RAMSES run parameters
 &RUN_PARAMS
-  ncpu = 4
+  ncpu = 1
   nsteps = 10
 /
 &AMR_PARAMS
@@ -47,11 +47,11 @@ func TestParseNamelist(t *testing.T) {
 	if got := nl.Groups(); len(got) != 5 {
 		t.Fatalf("%d groups: %v", len(got), got)
 	}
-	if v, err := nl.Int("run_params", "ncpu"); err != nil || v != 4 {
+	if v, err := nl.Int("run_params", "ncpu"); err != nil || v != 1 {
 		t.Errorf("ncpu = %d, %v", v, err)
 	}
 	// Case insensitivity.
-	if v, err := nl.Int("RUN_PARAMS", "NCPU"); err != nil || v != 4 {
+	if v, err := nl.Int("RUN_PARAMS", "NCPU"); err != nil || v != 1 {
 		t.Errorf("case-insensitive lookup failed: %d, %v", v, err)
 	}
 	if v, err := nl.Float("cosmo_params", "omega_m"); err != nil || v != 0.24 {
@@ -140,7 +140,7 @@ func TestConfigFromNamelist(t *testing.T) {
 	if cfg.NPart != 32 { // levelmin 5
 		t.Errorf("NPart = %d, want 32", cfg.NPart)
 	}
-	if cfg.NCPU != 4 || cfg.StepsPerOutput != 10 {
+	if cfg.StepsPerOutput != 10 {
 		t.Errorf("run params: %+v", cfg)
 	}
 	if cfg.Astart != 0.05 || cfg.Seed != 99 {
@@ -160,6 +160,34 @@ func TestConfigFromNamelist(t *testing.T) {
 	}
 	if cfg.AMR.MaxLevel != 12 || cfg.AMR.MRefine != 8 {
 		t.Errorf("amr: %+v", cfg.AMR)
+	}
+}
+
+// TestConfigFromNamelistRefusesRanks: the solver runs on one process, so a
+// namelist asking for more is refused by the key's name, while ncpu = 1 and
+// no ncpu at all still parse.
+func TestConfigFromNamelistRefusesRanks(t *testing.T) {
+	parse := func(runParams string) error {
+		nl, err := ParseNamelist(strings.NewReader("&RUN_PARAMS\n" + runParams + "/\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ConfigFromNamelist(nl)
+		return err
+	}
+	for _, ok := range []string{"", "ncpu = 1\n", "ncpu = 1\nnsteps = 4\n", "nsteps = 4\n"} {
+		if err := parse(ok); err != nil {
+			t.Errorf("%q refused: %v", ok, err)
+		}
+	}
+	for _, bad := range []string{"ncpu = 4\n", "NCPU = 2\n"} {
+		err := parse(bad)
+		if err == nil || !strings.Contains(err.Error(), "ncpu") {
+			t.Errorf("%q: err = %v, want a refusal naming ncpu", bad, err)
+		}
+	}
+	if text := NamelistFromConfig(DefaultConfig()); strings.Contains(text, "ncpu") {
+		t.Errorf("NamelistFromConfig writes ncpu:\n%s", text)
 	}
 }
 

@@ -24,7 +24,6 @@ type Config struct {
 	Astart         float64     // starting expansion factor
 	Aout           []float64   // output epochs, strictly increasing, > Astart
 	StepsPerOutput int         // leapfrog steps between consecutive outputs
-	NCPU           int         // MPI ranks; <=1 runs the serial solver
 	ZoomCenter     [3]float64  // centre of the nested boxes, top-box units
 	ZoomLevels     int         // total nested levels; <=1 is a standard run
 	AMR            amr.Params  // refinement policy of Result.Tree
@@ -41,7 +40,6 @@ func DefaultConfig() Config {
 		Astart:         0.05,
 		Aout:           []float64{0.3, 0.6, 1.0},
 		StepsPerOutput: 8,
-		NCPU:           1,
 		ZoomLevels:     1,
 		AMR:            amr.DefaultParams(),
 		FoF:            halo.DefaultParams(),
@@ -161,29 +159,15 @@ func RunFromICs(cfg Config, parts particles.Set, dir string) (*Result, error) {
 // itself, sorted by ID.
 func evolve(cfg Config, current particles.Set, dir string) (*Result, error) {
 	res := &Result{Config: cfg, Dir: dir}
-	nb := nbody.Params{Ng: cfg.NPart, Box: cfg.Box, Cosmo: cfg.Cosmo}
-
-	var solver *nbody.Solver
-	if cfg.NCPU <= 1 {
-		var err error
-		solver, err = nbody.New(nb)
-		if err != nil {
-			return nil, err
-		}
+	solver, err := nbody.New(nbody.Params{Ng: cfg.NPart, Box: cfg.Box, Cosmo: cfg.Cosmo})
+	if err != nil {
+		return nil, err
 	}
 
 	a := cfg.Astart
 	for i, aout := range cfg.Aout {
-		if cfg.NCPU <= 1 {
-			if err := solver.Run(current, a, aout, cfg.StepsPerOutput, nil); err != nil {
-				return nil, err
-			}
-		} else {
-			evolved, err := nbody.SimulateParallel(cfg.NCPU, nb, current, a, aout, cfg.StepsPerOutput)
-			if err != nil {
-				return nil, err
-			}
-			current = evolved
+		if err := solver.Run(current, a, aout, cfg.StepsPerOutput, nil); err != nil {
+			return nil, err
 		}
 		a = aout
 		// Sorting reorders the set, so every output but the last sorts a
@@ -254,7 +238,7 @@ func RenderASCII(m []float64, n int) string {
 // ConfigFromNamelist builds a Config from a parsed RAMSES-style namelist.
 // Recognised groups/keys (all optional, falling back to DefaultConfig):
 //
-//	&RUN_PARAMS    ncpu, nsteps
+//	&RUN_PARAMS    nsteps (an ncpu above 1 is refused)
 //	&AMR_PARAMS    levelmin (NPart = 2^levelmin), levelmax, m_refine
 //	&INIT_PARAMS   aexp_ini, seed, cx, cy, cz, nlevels
 //	&OUTPUT_PARAMS aout (list)
@@ -330,11 +314,15 @@ func ConfigFromNamelist(nl *Namelist) (Config, error) {
 		cfg.AMR.MRefine = m
 	}
 	if nl.Has("run_params", "ncpu") {
+		// The solver runs on one process: a namelist asking for more ranks
+		// is refused, not given a run it did not ask for.
 		v, err := nl.Int("run_params", "ncpu")
 		if err != nil {
 			return cfg, err
 		}
-		cfg.NCPU = v
+		if v > 1 {
+			return cfg, fmt.Errorf("ramses: run_params/ncpu = %d, but the solver runs on one process", v)
+		}
 	}
 	if nl.Has("run_params", "nsteps") {
 		v, err := nl.Int("run_params", "nsteps")
@@ -406,7 +394,6 @@ func ConfigFromNamelist(nl *Namelist) (Config, error) {
 // file it ships as the first service argument.
 func NamelistFromConfig(cfg Config) string {
 	nl := NewNamelist()
-	nl.Set("run_params", "ncpu", strconv.Itoa(cfg.NCPU))
 	nl.Set("run_params", "nsteps", strconv.Itoa(cfg.StepsPerOutput))
 	levelmin := int(math.Round(math.Log2(float64(cfg.NPart))))
 	nl.Set("amr_params", "levelmin", strconv.Itoa(levelmin))

@@ -102,21 +102,6 @@ func TestRunStructureGrows(t *testing.T) {
 	}
 }
 
-func TestRunParallelConfig(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.NCPU = 3
-	res, err := Run(cfg, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Outputs) != 2 {
-		t.Fatalf("%d outputs", len(res.Outputs))
-	}
-	if err := res.FinalSnapshot().Parts.Validate(); err != nil {
-		t.Errorf("parallel run output invalid: %v", err)
-	}
-}
-
 func TestRunZoomConfig(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.ZoomLevels = 2

@@ -54,7 +54,6 @@ func TestNamelistRoundTripProperty(t *testing.T) {
 		cfg.Seed = rng.Int63()
 		cfg.Astart = 0.01 + 0.2*rng.Float64()
 		cfg.StepsPerOutput = 1 + rng.Intn(20)
-		cfg.NCPU = 1 + rng.Intn(8)
 		cfg.ZoomLevels = rng.Intn(4)
 		cfg.ZoomCenter = [3]float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		cfg.Aout = []float64{cfg.Astart + 0.3, cfg.Astart + 0.5}
@@ -69,7 +68,6 @@ func TestNamelistRoundTripProperty(t *testing.T) {
 		return got.NPart == cfg.NPart &&
 			got.Seed == cfg.Seed &&
 			got.StepsPerOutput == cfg.StepsPerOutput &&
-			got.NCPU == cfg.NCPU &&
 			got.ZoomLevels == cfg.ZoomLevels &&
 			got.FoF == cfg.FoF &&
 			len(got.Aout) == len(cfg.Aout)

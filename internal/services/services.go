@@ -22,6 +22,7 @@ import (
 	"repro/internal/diet"
 	"repro/internal/halo"
 	"repro/internal/ramses"
+	"repro/internal/rpc"
 )
 
 // Service names.
@@ -65,18 +66,22 @@ func Zoom2Desc() *diet.ProfileDesc {
 // restarted one, never write into another request's directory. base itself
 // is made on first use. The directory is readable by all, as base is, so
 // other accounts on the shared area can read the snapshots and tarball.
+// A working area the SeD cannot write is the SeD's fault, not the
+// request's, so the failure is rpc.ErrUnavailable: another SeD may serve it.
 func scratchDir(base, service string) (string, error) {
 	dir, err := os.MkdirTemp(base, service+"-")
 	if errors.Is(err, os.ErrNotExist) {
-		if err := os.MkdirAll(base, 0o755); err != nil {
-			return "", err
+		if err = os.MkdirAll(base, 0o755); err == nil {
+			dir, err = os.MkdirTemp(base, service+"-")
 		}
-		dir, err = os.MkdirTemp(base, service+"-")
+	}
+	if err == nil {
+		err = os.Chmod(dir, 0o755)
 	}
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("services: working directory: %w (%w)", err, rpc.ErrUnavailable)
 	}
-	return dir, os.Chmod(dir, 0o755)
+	return dir, nil
 }
 
 // configFromProfile extracts the RAMSES configuration: the namelist file

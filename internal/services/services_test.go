@@ -2,6 +2,7 @@ package services
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -158,6 +159,83 @@ func TestScratchDirMakesItsBase(t *testing.T) {
 		}
 		if got := fi.Mode().Perm(); got != 0o755 {
 			t.Errorf("%s: mode %v, want rwxr-xr-x", dir, got)
+		}
+	}
+}
+
+// A SeD that cannot make its working directory fails the solve as
+// rpc.ErrUnavailable, the fault of the server and not of the request, while
+// a namelist the solver refuses (here one asking for four ranks) stays the
+// request's own failure.
+func TestBrokenWorkDirIsUnavailable(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "work")
+	if err := os.WriteFile(base, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p1, err := NewZoom1Profile(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SolveZoom1(base)(p1); !errors.Is(err, rpc.ErrUnavailable) {
+		t.Errorf("ramsesZoom1 on a file as base: err = %v, want rpc.ErrUnavailable", err)
+	}
+	p2, err := NewZoom2Profile(tinyConfig(), 4, 4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := SolveZoom2(filepath.Join(base, "sub"))(p2); !errors.Is(err, rpc.ErrUnavailable) {
+		t.Errorf("ramsesZoom2 under a file: err = %v, want rpc.ErrUnavailable", err)
+	}
+
+	ranked, err := NewZoom1Profile(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked.SetFileBytes(0, "namelist.nml", []byte("&RUN_PARAMS\n  ncpu = 4\n/\n"), diet.Volatile)
+	err = SolveZoom1(t.TempDir())(ranked)
+	if err == nil || errors.Is(err, rpc.ErrUnavailable) || !strings.Contains(err.Error(), "ncpu") {
+		t.Errorf("ncpu = 4: err = %v, want the request's own failure naming ncpu", err)
+	}
+}
+
+// TestBrokenWorkDirFailsOver: a client whose call lands on a SeD with a
+// broken working area is served by the healthy one.
+func TestBrokenWorkDirFailsOver(t *testing.T) {
+	rpc.ResetLocal()
+	t.Cleanup(rpc.ResetLocal)
+	broken := filepath.Join(t.TempDir(), "work")
+	if err := os.WriteFile(broken, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var specs []diet.SeDSpec
+	for name, base := range map[string]string{"SeD-broken": broken, "SeD-ok": t.TempDir()} {
+		specs = append(specs, diet.SeDSpec{
+			Name: name, Parent: "LA1", Capacity: 1, PowerGFlops: 4,
+			Services: []diet.ServiceSpec{{Desc: Zoom1Desc(), Solve: SolveZoom1(base)}},
+		})
+	}
+	d, err := diet.Deploy(diet.DeploymentSpec{MAName: "MA-workdir", LAs: []string{"LA1"}, SeDs: specs, Local: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	client, err := d.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Finalize() })
+	// Round robin sends one of the two calls to each SeD first.
+	for i := 0; i < 2; i++ {
+		p, err := NewZoom1Profile(tinyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := client.Call(p)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if info.Server != "SeD-ok" {
+			t.Errorf("call %d served by %s", i, info.Server)
 		}
 	}
 }
