@@ -155,11 +155,7 @@ func main() {
 	if *logEvents {
 		sinks = append(sinks, logsvc.Printer{Logf: log.Printf})
 	}
-	switch len(sinks) {
-	case 0:
-	case 1:
-		cfg.Events = sinks[0]
-	default:
+	if len(sinks) > 0 {
 		cfg.Events = sinks
 	}
 

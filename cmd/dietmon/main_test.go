@@ -25,10 +25,10 @@ func serveBus(t *testing.T, bus *logsvc.Bus) string {
 }
 
 func publishSampleTrace(bus *logsvc.Bus) {
-	bus.Publish("SeD:Nancy1", "start", "booted")
+	bus.Publish(logsvc.Event{Component: "SeD:Nancy1", Kind: "start", Detail: "booted"})
 	for i, kind := range []string{logsvc.KindSubmit, logsvc.KindSchedule,
 		logsvc.KindQueue, logsvc.KindSolve, logsvc.KindComplete} {
-		bus.PublishSpan(logsvc.Span{
+		bus.Publish(logsvc.Event{
 			RequestID: "c1-1", Component: "SeD:Nancy1", Kind: kind,
 			Service: "ramsesZoom2", StartNanos: int64(i) * 1000, EndNanos: int64(i+1) * 1000,
 		})
@@ -55,7 +55,7 @@ func TestMonitorAttachesAndExportsTrace(t *testing.T) {
 	if n, _ := col.poll(); n != 0 {
 		t.Fatalf("idle poll fetched %d events, want 0", n)
 	}
-	bus.Publish("MA1", "evict", "LA-Lyon missed 3 heartbeats")
+	bus.Publish(logsvc.Event{Component: "MA1", Kind: "evict", Detail: "LA-Lyon missed 3 heartbeats"})
 	if n, _ := col.poll(); n != 1 {
 		t.Fatalf("incremental poll fetched %d events, want exactly the new one", n)
 	}

@@ -134,11 +134,7 @@ func main() {
 	if *logEvents {
 		sinks = append(sinks, logsvc.Printer{Logf: log.Printf})
 	}
-	switch len(sinks) {
-	case 0:
-	case 1:
-		events = sinks[0]
-	default:
+	if len(sinks) > 0 {
 		events = sinks
 	}
 	var reg *metrics.Registry

@@ -223,6 +223,7 @@ type Agent struct {
 	stopOnce sync.Once
 
 	metrics *agentMetrics // nil unless cfg.Metrics is set
+	trace   tracer
 }
 
 // NewAgent creates an agent; call Start to expose and attach it.
@@ -263,6 +264,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		peerState:   newPeerState(),
 		stop:        make(chan struct{}),
 		metrics:     newAgentMetrics(cfg.Metrics, cfg.Name),
+		trace:       tracer{sink: cfg.Events, name: cfg.Kind.String() + ":" + cfg.Name},
 	}, nil
 }
 
@@ -316,7 +318,7 @@ func (a *Agent) Start() error {
 	if a.cfg.Kind == MasterAgent && len(a.cfg.Peers) > 0 {
 		go a.SweepPeers()
 	}
-	publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "start", a.addr)
+	a.trace.event("start", a.addr)
 	return nil
 }
 
@@ -408,7 +410,7 @@ func (a *Agent) SweepChildren() {
 				delete(a.missed, c.Name)
 				delete(a.collectMiss, c.Name)
 				delete(a.claims, c.Name)
-				publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "child_moved", c.Name+" -> "+movedTo)
+				a.trace.event("child_moved", c.Name, " -> ", movedTo)
 			}
 		case err != nil:
 			delete(a.claims, c.Name)
@@ -420,7 +422,7 @@ func (a *Agent) SweepChildren() {
 				if a.metrics != nil {
 					a.metrics.evictions.With(a.cfg.Name).Inc()
 				}
-				publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "evict", c.Kind+":"+c.Name)
+				a.trace.event("evict", c.Kind, ":", c.Name)
 			}
 		default:
 			a.missed[c.Name] = 0
@@ -446,7 +448,7 @@ func (a *Agent) childRegister(c ChildInfo) error {
 	// A SeD's parent-probe watchdog re-registers on every probe; only an
 	// actual change (a join, a new address) is an event worth tracing.
 	if !held || prev.Addr != c.Addr || prev.Kind != c.Kind {
-		publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "child_register", c.Kind+":"+c.Name)
+		a.trace.event("child_register", c.Kind, ":", c.Name)
 	}
 	return nil
 }
@@ -565,7 +567,7 @@ func (a *Agent) noteCollectMisses(children []ChildInfo, answered map[string]bool
 			if a.metrics != nil {
 				a.metrics.collectEvictions.With(a.cfg.Name).Inc()
 			}
-			publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "collect_evict", c.Kind+":"+c.Name)
+			a.trace.event("collect_evict", c.Kind, ":", c.Name)
 		}
 	}
 }
@@ -643,7 +645,7 @@ func (a *Agent) Submit(req SubmitRequest) (*SubmitReply, error) {
 	if a.metrics != nil {
 		a.metrics.requests.With(a.cfg.Name).Inc()
 	}
-	publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "submit", req.Service)
+	a.trace.event("submit", req.Service)
 	t0 := time.Now()
 	ests := a.collect(CollectRequest{Service: req.Service, RequestID: req.RequestID, DataIDs: req.DataIDs})
 	if len(ests) == 0 && len(a.Peers()) > 0 {
@@ -684,10 +686,9 @@ func (a *Agent) Submit(req SubmitRequest) (*SubmitReply, error) {
 		return nil, fmt.Errorf("diet: all candidate servers for %q are unresolvable", req.Service)
 	}
 	done := time.Now()
-	if req.RequestID != "" {
-		publishSpan(a.cfg.Events, span(req.RequestID, a.cfg.Kind.String()+":"+a.cfg.Name,
-			logsvc.KindSchedule, req.Service,
-			fmt.Sprintf("%d candidates, chose %s", len(ests), reply.Servers[0].Name), t0, done))
+	if req.RequestID != "" && a.trace.on() {
+		a.trace.span(req.RequestID, logsvc.KindSchedule, req.Service, t0, done,
+			fmt.Sprintf("%d candidates, chose %s", len(ests), reply.Servers[0].Name))
 	}
 	if a.metrics != nil {
 		a.metrics.scheduleSeconds.With(a.cfg.Name).Observe(done.Sub(t0).Seconds())
@@ -762,10 +763,9 @@ func (a *Agent) collectCall(req *CollectRequest) (*CollectReply, error) {
 	t0 := time.Now()
 	ests := a.collect(*req)
 	done := time.Now()
-	if req.RequestID != "" {
-		publishSpan(a.cfg.Events, span(req.RequestID, a.cfg.Kind.String()+":"+a.cfg.Name,
-			logsvc.KindCollect, req.Service,
-			fmt.Sprintf("%d estimates", len(ests)), t0, done))
+	if req.RequestID != "" && a.trace.on() {
+		a.trace.span(req.RequestID, logsvc.KindCollect, req.Service, t0, done,
+			fmt.Sprintf("%d estimates", len(ests)))
 	}
 	if a.metrics != nil {
 		a.metrics.collectSeconds.With(a.cfg.Name).Observe(done.Sub(t0).Seconds())

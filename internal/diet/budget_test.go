@@ -83,3 +83,42 @@ func TestIdleSeDHeapBudget(t *testing.T) {
 		t.Fatalf("one idle SeD retains %d B of heap, budget %d", retained, budget)
 	}
 }
+
+// TestNoopCallNilSinkBudget counts what one in-process no-op Call through an
+// MA, an LA and a SeD allocates when no monitoring sink is set. Measured at
+// the commit before each component built its trace name once and formatted
+// span details only for a set sink: 129, the names and details of nine trace
+// sites built and then dropped. Without a sink a site costs a nil check.
+func TestNoopCallNilSinkBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own")
+	}
+	const budget = 114
+	rpc.ResetLocal()
+	d := newTestDeployment(t, DeploymentSpec{
+		MAName: "MA-call-budget", LAs: []string{"LA-call-budget"},
+		SeDs: []SeDSpec{{
+			Name: "SeD-call-budget", Parent: "LA-call-budget", Capacity: 4, PowerGFlops: 4,
+			Services: []ServiceSpec{sleepService("double", 0, nil)},
+		}},
+		Local: true,
+	})
+	client, err := d.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func() {
+		p, err := NewProfile("double", 0, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetScalarInt(0, 21, Volatile)
+		if _, err := client.Call(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // warm the pooled state
+	if allocs := testing.AllocsPerRun(100, call); allocs > budget {
+		t.Fatalf("one no-op call with a nil sink allocates %.0f times, budget %d", allocs, budget)
+	}
+}

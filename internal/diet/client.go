@@ -94,6 +94,7 @@ type Client struct {
 	maAddr string
 	id     string // session identity prefixing every request ID
 	seq    atomic.Int64
+	trace  tracer
 }
 
 // clientSessions distinguishes sessions within one process; the random part
@@ -120,7 +121,8 @@ func InitializeConfig(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("diet: resolving master agent %q: %w", cfg.MAName, err)
 	}
-	return &Client{cfg: cfg, maAddr: entry.Addr, id: newClientID()}, nil
+	id := newClientID()
+	return &Client{cfg: cfg, maAddr: entry.Addr, id: id, trace: tracer{sink: cfg.Events, name: "client:" + id}}, nil
 }
 
 // Finalize closes the session. Like diet_finalize it does not invalidate
@@ -147,8 +149,10 @@ func (c *Client) submit(service string, workGFlops float64, seq int, requestID s
 		return nil, 0, fmt.Errorf("diet: submission of %q failed: %w", service, err)
 	}
 	found := time.Now()
-	publishSpan(c.cfg.Events, span(requestID, "client:"+c.id, logsvc.KindSubmit, service,
-		fmt.Sprintf("%d servers ranked", len(reply.Servers)), t0, found))
+	if c.trace.on() {
+		c.trace.span(requestID, logsvc.KindSubmit, service, t0, found,
+			fmt.Sprintf("%d servers ranked", len(reply.Servers)))
+	}
 	return &reply, found.Sub(t0), nil
 }
 
@@ -248,9 +252,8 @@ func (c *Client) Call(p *Profile, opts ...CallOption) (*CallInfo, error) {
 			// server; the requeue span brackets the failed attempt.
 			if i+1 < n {
 				next := reply.Servers[(i+1+o.rotate)%n]
-				publishSpan(c.cfg.Events, span(requestID, "client:"+c.id, logsvc.KindRequeue,
-					p.Service, fmt.Sprintf("%s failed, retrying on %s", srv.Name, next.Name),
-					attempt, time.Now()))
+				c.trace.span(requestID, logsvc.KindRequeue, p.Service, attempt, time.Now(),
+					srv.Name, " failed, retrying on ", next.Name)
 			}
 			continue // fault tolerance: try the next ranked server
 		}
@@ -280,8 +283,7 @@ func (c *Client) solveOn(srv ServerRef, p *Profile, seq int, t0 time.Time, findi
 	done := time.Now()
 	total := done.Sub(t0)
 	compute := time.Duration(solved.Timing.ComputeMS * float64(time.Millisecond))
-	publishSpan(c.cfg.Events, span(p.RequestID, "client:"+c.id, logsvc.KindComplete,
-		p.Service, "server "+srv.Name, t0, done))
+	c.trace.span(p.RequestID, logsvc.KindComplete, p.Service, t0, done, "server ", srv.Name)
 	info := CallInfo{
 		Seq:       seq,
 		RequestID: p.RequestID,

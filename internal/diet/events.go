@@ -1,7 +1,7 @@
 package diet
 
 import (
-	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/logsvc"
@@ -11,43 +11,37 @@ import (
 // of the real DIET, where every component reports start-up, registrations
 // and solve activity to the monitoring tools deployed beside the MA.
 // internal/logsvc provides local and remote implementations.
-type EventSink interface {
-	Publish(component, kind, detail string)
+type EventSink = logsvc.Sink
+
+// tracer is one component's handle on its sink: the name it publishes under,
+// built once at construction, and the sink, nil when monitoring is off.
+// Monitoring is always optional and never fails the caller, and with a nil
+// sink it costs one nil check per site: a detail given in pieces is joined
+// only for a set sink, and a site whose detail needs formatting asks on()
+// first.
+type tracer struct {
+	sink EventSink
+	name string
 }
 
-// publish emits an event when a sink is configured; monitoring is always
-// optional and never fails the caller.
-func publish(sink EventSink, component, kind, detail string) {
-	if sink != nil {
-		sink.Publish(component, kind, detail)
+// on reports whether a sink is set.
+func (t tracer) on() bool { return t.sink != nil }
+
+// event publishes a plain event whose detail is the pieces joined.
+func (t tracer) event(kind string, detail ...string) {
+	if t.sink != nil {
+		t.sink.Publish(logsvc.Event{Component: t.name, Kind: kind, Detail: strings.Join(detail, "")})
 	}
 }
 
-// publishSpan emits a request-trace span. Sinks that understand spans
-// (logsvc.Bus, logsvc.Remote) get the structured form with its timestamps
-// intact; any other EventSink gets the span flattened into a plain event so
-// no tracing information is lost behind a simpler sink.
-func publishSpan(sink EventSink, sp logsvc.Span) {
-	if sink == nil {
-		return
-	}
-	if ss, ok := sink.(logsvc.SpanSink); ok {
-		ss.PublishSpan(sp)
-		return
-	}
-	detail := fmt.Sprintf("req=%s svc=%s dur=%s", sp.RequestID, sp.Service,
-		time.Duration(sp.EndNanos-sp.StartNanos))
-	if sp.Detail != "" {
-		detail += " " + sp.Detail
-	}
-	sink.Publish(sp.Component, sp.Kind, detail)
-}
-
-// span assembles a logsvc.Span from wall-clock stamps.
-func span(requestID, component, kind, service, detail string, start, end time.Time) logsvc.Span {
-	return logsvc.Span{
-		RequestID: requestID, Component: component, Kind: kind,
-		Service: service, Detail: detail,
-		StartNanos: start.UnixNano(), EndNanos: end.UnixNano(),
+// span publishes a request-trace span bracketed by wall-clock stamps, its
+// detail the pieces joined.
+func (t tracer) span(requestID, kind, service string, start, end time.Time, detail ...string) {
+	if t.sink != nil {
+		t.sink.Publish(logsvc.Event{
+			RequestID: requestID, Component: t.name, Kind: kind,
+			Service: service, Detail: strings.Join(detail, ""),
+			StartNanos: start.UnixNano(), EndNanos: end.UnixNano(),
+		})
 	}
 }

@@ -124,7 +124,7 @@ func (a *Agent) peerRegister(p PeerInfo) error {
 	a.peerMissed[p.Name] = 0
 	a.peerMu.Unlock()
 	if !held || prev.Addr != p.Addr {
-		publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "peer_register", p.Name+" @ "+p.Addr)
+		a.trace.event("peer_register", p.Name, " @ ", p.Addr)
 	}
 	return nil
 }
@@ -174,7 +174,7 @@ func (a *Agent) SweepPeers() {
 				delete(a.peers, name)
 				delete(a.peerMissed, name)
 				a.peerMu.Unlock()
-				publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "peer_evict", name)
+				a.trace.event("peer_evict", name)
 				continue
 			}
 		} else {
@@ -273,8 +273,9 @@ wait:
 	if a.metrics != nil {
 		a.metrics.peerForwards.With(a.cfg.Name).Inc()
 	}
-	publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "peer_forward",
-		fmt.Sprintf("%s -> %d peer(s), %d estimates", req.Service, len(targets), len(merged)))
+	if a.trace.on() {
+		a.trace.event("peer_forward", fmt.Sprintf("%s -> %d peer(s), %d estimates", req.Service, len(targets), len(merged)))
+	}
 	sortEstimates(merged)
 	return merged
 }
@@ -318,10 +319,9 @@ func (a *Agent) peerForward(req *PeerForwardRequest) (*PeerForwardReply, error) 
 	if a.metrics != nil {
 		a.metrics.peerServed.With(a.cfg.Name).Inc()
 	}
-	if req.RequestID != "" {
-		publishSpan(a.cfg.Events, span(req.RequestID, a.cfg.Kind.String()+":"+a.cfg.Name,
-			logsvc.KindCollect, req.Service,
-			fmt.Sprintf("peer forward: %d estimates", len(ests)), t0, time.Now()))
+	if req.RequestID != "" && a.trace.on() {
+		a.trace.span(req.RequestID, logsvc.KindCollect, req.Service, t0, time.Now(),
+			fmt.Sprintf("peer forward: %d estimates", len(ests)))
 	}
 	reply.Estimates = ests
 	return reply, nil

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/logsvc"
 	"repro/internal/metrics"
 	"repro/internal/naming"
 	"repro/internal/rpc"
@@ -222,10 +223,10 @@ type captureSink struct {
 	events []string // "kind detail"
 }
 
-func (c *captureSink) Publish(component, kind, detail string) {
+func (c *captureSink) Publish(ev logsvc.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.events = append(c.events, kind+" "+detail)
+	c.events = append(c.events, ev.Kind+" "+ev.Detail)
 }
 
 func (c *captureSink) count(kind string) int {

@@ -56,7 +56,7 @@ func (a *Agent) GossipRound() {
 			hl = time.Hour
 		}
 		for _, src := range a.registry.EvictStale(time.Now(), hl, a.cfg.EvictConfidenceFloor) {
-			publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "registry_evict", src)
+			a.trace.event("registry_evict", src)
 		}
 	}
 	snap := a.registry.Snapshot()

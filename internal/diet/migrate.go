@@ -162,7 +162,7 @@ func (s *SeD) Reparent(req ReparentRequest) error {
 	if req.NewPower > 0 {
 		s.SetPower(req.NewPower)
 	}
-	publish(s.cfg.Events, "SeD:"+s.cfg.Name, "reparent", old+" -> "+req.Parent)
+	s.trace.event("reparent", old, " -> ", req.Parent)
 	return nil
 }
 
@@ -245,7 +245,7 @@ func (a *Agent) MigrateChild(req MigrateChildRequest) error {
 			_ = a.registry.Merge(back)
 		}
 	}
-	publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "migrate_out", req.Child+" -> "+req.NewParent)
+	a.trace.event("migrate_out", req.Child, " -> ", req.NewParent)
 	return nil
 }
 
@@ -329,9 +329,8 @@ func (a *Agent) ReplanOnce() []MigrationResult {
 		a.metrics.migrations.With(a.cfg.Name).Add(float64(moved))
 	}
 	// A pass that changed nothing (the fixed point) stays silent.
-	if moved > 0 || refreshed > 0 {
-		publish(a.cfg.Events, a.cfg.Kind.String()+":"+a.cfg.Name, "replan",
-			fmt.Sprintf("%d move(s), %d power refresh(es)", moved, refreshed))
+	if (moved > 0 || refreshed > 0) && a.trace.on() {
+		a.trace.event("replan", fmt.Sprintf("%d move(s), %d power refresh(es)", moved, refreshed))
 	}
 	return res
 }

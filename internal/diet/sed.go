@@ -161,6 +161,7 @@ type SeD struct {
 	drainMu sync.Mutex
 
 	metrics *sedMetrics // nil unless cfg.Metrics is set
+	trace   tracer
 
 	statMu sync.Mutex
 	// Admission state, all under statMu. free counts idle solve slots; a
@@ -262,6 +263,7 @@ func NewSeD(cfg SeDConfig) (*SeD, error) {
 		power:     cfg.PowerGFlops,
 		parent:    cfg.Parent,
 		metrics:   newSedMetrics(cfg.Metrics, cfg.Name),
+		trace:     tracer{sink: cfg.Events, name: "SeD:" + cfg.Name},
 	}
 	return s, nil
 }
@@ -344,13 +346,15 @@ func (s *SeD) Start() error {
 			// gossiped cluster models so the first estimates already carry a
 			// confident forecast.
 			s.WarmStart(reply.Prior)
-			publish(s.cfg.Events, "SeD:"+s.cfg.Name, "warm_start", fmt.Sprintf("%d cluster models", len(reply.Prior)))
+			if s.trace.on() {
+				s.trace.event("warm_start", fmt.Sprintf("%d cluster models", len(reply.Prior)))
+			}
 		}
 	}
 	if s.cfg.ParentProbe > 0 && s.cfg.Parent != "" {
 		go s.parentWatch()
 	}
-	publish(s.cfg.Events, "SeD:"+s.cfg.Name, "start", s.addr)
+	s.trace.event("start", s.addr)
 	return nil
 }
 
@@ -385,8 +389,9 @@ func (s *SeD) parentWatch() {
 		if missed < maxMissed {
 			continue
 		}
-		publish(s.cfg.Events, "SeD:"+s.cfg.Name, "orphaned",
-			fmt.Sprintf("parent %s silent for %d probes", parent, missed))
+		if s.trace.on() {
+			s.trace.event("orphaned", fmt.Sprintf("parent %s silent for %d probes", parent, missed))
+		}
 		// Walk the fallbacks (skipping the dead parent); the first answering
 		// agent adopts this SeD. On failure keep probing: the original parent
 		// may yet restart, and registerWith above heals that edge.
@@ -403,7 +408,7 @@ func (s *SeD) parentWatch() {
 			if s.metrics != nil {
 				s.metrics.parentFailovers.With(s.cfg.Name).Inc()
 			}
-			publish(s.cfg.Events, "SeD:"+s.cfg.Name, "adopted", "by "+cand)
+			s.trace.event("adopted", "by ", cand)
 			missed = 0
 			break
 		}
@@ -597,13 +602,13 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 		return nil, err
 	}
 	granted := time.Now()
-	if p.RequestID != "" {
+	if p.RequestID != "" && s.trace.on() {
 		// The FIFO wait: admission to slot grant. Batch reservation wait, if
 		// any, appears as reserve spans inside the executor below.
-		publishSpan(s.cfg.Events, span(p.RequestID, "SeD:"+s.cfg.Name, logsvc.KindQueue,
-			p.Service, fmt.Sprintf("depth %d at admission", depthAtAdmission), enq, granted))
+		s.trace.span(p.RequestID, logsvc.KindQueue, p.Service, enq, granted,
+			fmt.Sprintf("depth %d at admission", depthAtAdmission))
 	}
-	publish(s.cfg.Events, "SeD:"+s.cfg.Name, "solve_begin", p.Service)
+	s.trace.event("solve_begin", p.Service)
 
 	// Compute time is clocked inside the body, not around the Executor call:
 	// a batch executor adds grant delay, batch-queue wait and possibly killed
@@ -632,7 +637,7 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 	s.shiftLocked(p.Service, 0, -1)
 	s.releaseLocked()
 	s.statMu.Unlock()
-	publish(s.cfg.Events, "SeD:"+s.cfg.Name, "solve_end", p.Service)
+	s.trace.event("solve_end", p.Service)
 
 	if err != nil {
 		if s.metrics != nil {
@@ -641,8 +646,7 @@ func (s *SeD) Solve(p *Profile) (*SolveReply, error) {
 		return nil, fmt.Errorf("diet: solve %s on %s: %w", p.Service, s.cfg.Name, err)
 	}
 	if p.RequestID != "" && !solveStart.IsZero() {
-		publishSpan(s.cfg.Events, span(p.RequestID, "SeD:"+s.cfg.Name, logsvc.KindSolve,
-			p.Service, "", solveStart, solveEnd))
+		s.trace.span(p.RequestID, logsvc.KindSolve, p.Service, solveStart, solveEnd)
 	}
 	// Feed the CoRI monitor so the next Estimate carries a fitted forecast.
 	// Failed solves are excluded: their durations do not predict service time.
@@ -789,7 +793,7 @@ func (s *SeD) shiftLocked(service string, dQueued, dRunning int) int {
 // the compute the kill threw away. Returns nil when nothing would consume
 // the trace, so the executor skips the bookkeeping entirely.
 func (s *SeD) attemptTrace(p *Profile) func(attempt int, wait time.Duration, killed bool, start, end time.Time) {
-	if s.cfg.Events == nil && s.metrics == nil {
+	if !s.trace.on() && s.metrics == nil {
 		return nil
 	}
 	return func(attempt int, wait time.Duration, killed bool, start, end time.Time) {
@@ -802,21 +806,21 @@ func (s *SeD) attemptTrace(p *Profile) func(attempt int, wait time.Duration, kil
 				s.metrics.batchRequeues.With(s.cfg.Name).Inc()
 			}
 		}
-		if p.RequestID == "" {
+		if p.RequestID == "" || !s.trace.on() {
 			return
 		}
 		started := start.Add(wait)
 		if attempt > 1 {
 			// A resubmission after a walltime kill: the batch requeue path,
 			// marked with the shared recovery span kind.
-			publishSpan(s.cfg.Events, span(p.RequestID, "SeD:"+s.cfg.Name, logsvc.KindRequeue,
-				p.Service, fmt.Sprintf("attempt %d resubmitted", attempt), start, start))
+			s.trace.span(p.RequestID, logsvc.KindRequeue, p.Service, start, start,
+				fmt.Sprintf("attempt %d resubmitted", attempt))
 		}
-		publishSpan(s.cfg.Events, span(p.RequestID, "SeD:"+s.cfg.Name, logsvc.KindReserve,
-			p.Service, fmt.Sprintf("attempt %d", attempt), start, started))
+		s.trace.span(p.RequestID, logsvc.KindReserve, p.Service, start, started,
+			fmt.Sprintf("attempt %d", attempt))
 		if killed {
-			publishSpan(s.cfg.Events, span(p.RequestID, "SeD:"+s.cfg.Name, logsvc.KindKill,
-				p.Service, fmt.Sprintf("attempt %d killed at walltime", attempt), started, end))
+			s.trace.span(p.RequestID, logsvc.KindKill, p.Service, started, end,
+				fmt.Sprintf("attempt %d killed at walltime", attempt))
 		}
 	}
 }
@@ -895,7 +899,9 @@ func (s *SeD) resolvePersistent(p *Profile) {
 		if err != nil {
 			// Leave the argument unresolved; the solve function decides
 			// whether it can proceed without the bytes.
-			publish(s.cfg.Events, "SeD:"+s.cfg.Name, "data_fetch_failed", id+": "+err.Error())
+			if s.trace.on() {
+				s.trace.event("data_fetch_failed", id+": "+err.Error())
+			}
 			continue
 		}
 		s.mu.Lock()
@@ -948,7 +954,9 @@ func (s *SeD) storePersistent(p *Profile, seq int) {
 		}
 		if err := s.cfg.Data.Publish(d.id, s.cfg.Name, d.mode); err != nil {
 			s.dataNode.Delete(d.id)
-			publish(s.cfg.Events, "SeD:"+s.cfg.Name, "data_publish_failed", d.id+": "+err.Error())
+			if s.trace.on() {
+				s.trace.event("data_publish_failed", d.id+": "+err.Error())
+			}
 		}
 	}
 }

@@ -1,11 +1,13 @@
 // Package logsvc is the monitoring component of the deployment — the role
 // DIET's LogService/VizDIET play in the paper's §6.1 setup, where the MA
-// node also hosts "the monitoring tools". Components publish trace events
-// (start-up, registrations, solve begin/end, evictions) and request-scoped
-// spans (submit, schedule, queue, solve, complete); the bus keeps a bounded
-// history and aggregates counts — enough to drive a Gantt view, a
-// chrome://tracing export, or the experiment bookkeeping. cmd/dietmon is the
-// VizDIET-analog client, which tails the history.
+// node also hosts "the monitoring tools". Components publish one record,
+// Event, through one interface, Sink: plain events (start-up,
+// registrations, solve begin/end, evictions) and request-scoped spans
+// (submit, schedule, queue, solve, complete), which are events that carry
+// the trace fields. The bus keeps a bounded history and aggregates counts —
+// enough to drive a Gantt view, a chrome://tracing export, or the
+// experiment bookkeeping. cmd/dietmon is the VizDIET-analog client, which
+// tails the history.
 package logsvc
 
 import (
@@ -36,10 +38,12 @@ const (
 	KindWorkflow = "workflow"     // runner: one DAG node (or the whole campaign), ready to done
 )
 
-// Event is one trace record. Plain events carry only the first five fields;
-// request-scoped spans also carry the trace fields (RequestID onward), with
-// StartNanos/EndNanos bracketing the spanned work (StartNanos == EndNanos
-// for instant events such as an overrun kill).
+// Event is the one trace record. Plain events carry only the first five
+// fields; request-scoped spans — the unit the middleware publishes while a
+// request moves through client → MA → LA → SeD → batch → solve — also carry
+// the trace fields (RequestID onward), with StartNanos/EndNanos bracketing
+// the spanned work (StartNanos == EndNanos for instant events such as an
+// overrun kill).
 type Event struct {
 	Seq       int64
 	TimeNanos int64
@@ -64,24 +68,10 @@ func (e Event) DurNanos() int64 {
 	return 0
 }
 
-// Span is one request-scoped trace span, the unit the middleware publishes
-// while a request moves through client → MA → LA → SeD → batch → solve.
-type Span struct {
-	RequestID  string // shared by every span of one request
-	Component  string // emitting component
-	Kind       string // one of the Kind* constants
-	Service    string
-	Detail     string
-	StartNanos int64
-	EndNanos   int64
-}
-
-// SpanSink receives request-trace spans. *Bus and *Remote implement it;
-// internal/diet probes its EventSink for this interface and falls back to a
-// flattened Publish when the sink is plain.
-type SpanSink interface {
-	PublishSpan(Span)
-}
+// Span is Event under its old name. It stays only because the repository
+// benchmark (bench/ladder.go) still builds a logsvc.Span; new code writes
+// Event.
+type Span = Event
 
 // BusStats is the bus's accounting.
 type BusStats struct {
@@ -107,25 +97,14 @@ func New(maxHistory int) *Bus {
 	return &Bus{max: maxHistory}
 }
 
-// Publish records a plain event.
-func (b *Bus) Publish(component, kind, detail string) {
-	b.PublishEvent(Event{Component: component, Kind: kind, Detail: detail})
-}
-
-// PublishSpan records a request-trace span; implements SpanSink.
-func (b *Bus) PublishSpan(sp Span) {
-	b.PublishEvent(Event{
-		Component: sp.Component, Kind: sp.Kind, Detail: sp.Detail,
-		RequestID: sp.RequestID, Service: sp.Service,
-		StartNanos: sp.StartNanos, EndNanos: sp.EndNanos,
-		TimeNanos: sp.EndNanos,
-	})
-}
-
-// PublishEvent records a fully-formed event (the remote handler and the
-// simulator use this to carry trace fields and virtual timestamps). Seq is
-// assigned by the bus; a zero TimeNanos is stamped with wall-clock now.
-func (b *Bus) PublishEvent(ev Event) {
+// Publish records one event; implements Sink. Seq is assigned by the bus. A
+// zero TimeNanos is stamped with EndNanos, or with wall-clock now when
+// EndNanos is zero too, so a span sorts by its end and a plain event by
+// when it arrived.
+func (b *Bus) Publish(ev Event) {
+	if ev.TimeNanos == 0 {
+		ev.TimeNanos = ev.EndNanos
+	}
 	b.mu.Lock()
 	b.seq++
 	b.published++
@@ -139,6 +118,11 @@ func (b *Bus) PublishEvent(ev Event) {
 	}
 	b.mu.Unlock()
 }
+
+// PublishSpan is Publish under its old name. It stays only because the
+// repository benchmark (bench/ladder.go) still calls it; new code calls
+// Publish.
+func (b *Bus) PublishSpan(sp Span) { b.Publish(sp) }
 
 // History returns a copy of the retained events in order.
 func (b *Bus) History() []Event {
@@ -191,8 +175,7 @@ func (b *Bus) methods() rpc.Methods {
 			if ev.Component == "" || ev.Kind == "" {
 				return nil, fmt.Errorf("logsvc: event needs component and kind")
 			}
-			ev.Seq = 0 // the bus owns sequence numbers
-			b.PublishEvent(*ev)
+			b.Publish(*ev) // the bus owns sequence numbers
 			return nil, nil
 		}),
 		"HistorySince": rpc.Typed(func(since *rpc.Int) (*events, error) {
@@ -206,29 +189,17 @@ func (b *Bus) methods() rpc.Methods {
 	}
 }
 
-// Remote is a client-side handle publishing to a remote bus. It implements
-// both the plain EventSink shape and SpanSink, so a daemon started with
-// -logservice routes its whole trace — plain events and request spans — to
-// the bus beside the MA.
+// Remote is a client-side handle publishing to a remote bus, so a daemon
+// started with -logservice routes its whole trace — plain events and
+// request spans — to the bus beside the MA.
 type Remote struct {
 	Addr string
 }
 
-// Publish sends one event to the remote bus; errors are swallowed because
-// monitoring must never fail the caller.
-func (r *Remote) Publish(component, kind, detail string) {
-	_ = rpc.Call(r.Addr, ObjectName, "Publish", &Event{Component: component, Kind: kind, Detail: detail}, nil)
-}
-
-// PublishSpan sends one request-trace span to the remote bus; implements
-// SpanSink. Errors are swallowed like Publish's.
-func (r *Remote) PublishSpan(sp Span) {
-	_ = rpc.Call(r.Addr, ObjectName, "Publish", &Event{
-		Component: sp.Component, Kind: sp.Kind, Detail: sp.Detail,
-		RequestID: sp.RequestID, Service: sp.Service,
-		StartNanos: sp.StartNanos, EndNanos: sp.EndNanos,
-		TimeNanos: sp.EndNanos,
-	}, nil)
+// Publish sends one event to the remote bus; implements Sink. Errors are
+// swallowed because monitoring must never fail the caller.
+func (r *Remote) Publish(ev Event) {
+	_ = rpc.Call(r.Addr, ObjectName, "Publish", &ev, nil)
 }
 
 // HistorySince fetches the remote events with Seq > since — the polling

@@ -1,63 +1,43 @@
 package logsvc
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
-// EventSink is the plain publish shape every middleware component accepts
-// (structurally identical to diet.EventSink). *Bus, *Remote, Printer and Tee
-// all satisfy it.
-type EventSink interface {
-	Publish(component, kind, detail string)
+// Sink receives trace events, plain and span alike. *Bus, *Remote, Printer
+// and Tee implement it; every middleware component accepts one
+// (diet.EventSink is this interface).
+type Sink interface {
+	Publish(Event)
 }
 
-// Printer renders events and spans through a printf-style logger — the
-// daemons' -log-events sink, turning the trace into process-log lines.
+// Printer renders events through a printf-style logger — the daemons'
+// -log-events sink, turning the trace into process-log lines.
 type Printer struct {
 	Logf func(format string, v ...any)
 }
 
-// Publish logs one plain event.
-func (p Printer) Publish(component, kind, detail string) {
-	p.Logf("event %-14s %-16s %s", kind, component, detail)
-}
-
-// PublishSpan logs one request-trace span; implements SpanSink.
-func (p Printer) PublishSpan(sp Span) {
-	detail := sp.Detail
+// Publish logs one event: a span as a "span" line with its request,
+// service and duration, a plain event as an "event" line.
+func (p Printer) Publish(ev Event) {
+	if !ev.IsSpan() {
+		p.Logf("event %-14s %-16s %s", ev.Kind, ev.Component, ev.Detail)
+		return
+	}
+	detail := ev.Detail
 	if detail != "" {
 		detail = " " + detail
 	}
 	p.Logf("span  %-14s %-16s req=%s svc=%s dur=%s%s",
-		sp.Kind, sp.Component, sp.RequestID, sp.Service,
-		time.Duration(sp.EndNanos-sp.StartNanos), detail)
+		ev.Kind, ev.Component, ev.RequestID, ev.Service,
+		time.Duration(ev.EndNanos-ev.StartNanos), detail)
 }
 
-// Tee fans events and spans out to every member sink, so a daemon can both
-// publish to a remote LogService bus and echo into its own log. Members that
-// don't understand spans get them flattened into plain events.
-type Tee []EventSink
+// Tee fans events out to every member sink, so a daemon can both publish to
+// a remote LogService bus and echo into its own log.
+type Tee []Sink
 
-// Publish forwards a plain event to every member.
-func (t Tee) Publish(component, kind, detail string) {
+// Publish forwards one event to every member.
+func (t Tee) Publish(ev Event) {
 	for _, s := range t {
-		s.Publish(component, kind, detail)
-	}
-}
-
-// PublishSpan forwards a span to every member; implements SpanSink.
-func (t Tee) PublishSpan(sp Span) {
-	for _, s := range t {
-		if ss, ok := s.(SpanSink); ok {
-			ss.PublishSpan(sp)
-			continue
-		}
-		detail := fmt.Sprintf("req=%s svc=%s dur=%s", sp.RequestID, sp.Service,
-			time.Duration(sp.EndNanos-sp.StartNanos))
-		if sp.Detail != "" {
-			detail += " " + sp.Detail
-		}
-		s.Publish(sp.Component, sp.Kind, detail)
+		s.Publish(ev)
 	}
 }

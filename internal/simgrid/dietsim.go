@@ -121,11 +121,11 @@ type ExperimentConfig struct {
 
 	// Spans, when set, receives the same span taxonomy the live stack emits
 	// — submit, schedule, queue, reserve, overrun_kill, requeue, solve,
-	// complete — with virtual-time stamps (nanoseconds since campaign
-	// start). logsvc.Bus implements it, so a simulated campaign's trace
-	// renders in the same tooling (cmd/dietmon, chrome://tracing export) as
-	// a live one.
-	Spans logsvc.SpanSink
+	// complete — as logsvc events with virtual-time stamps (nanoseconds
+	// since campaign start). Any logsvc.Sink takes them, so a simulated
+	// campaign's trace renders in the same tooling (cmd/dietmon,
+	// chrome://tracing export) as a live one.
+	Spans logsvc.Sink
 }
 
 // The campaign's calibration to §6.2.
@@ -482,7 +482,7 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 		if cfg.Spans == nil {
 			return
 		}
-		cfg.Spans.PublishSpan(logsvc.Span{
+		cfg.Spans.Publish(logsvc.Event{
 			RequestID: requestID, Component: component, Kind: kind,
 			Service: service, Detail: detail,
 			StartNanos: int64(s0 * 1e9), EndNanos: int64(s1 * 1e9),

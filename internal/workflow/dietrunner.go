@@ -94,23 +94,15 @@ func (r *RunReport) ForecastPricedCount() int {
 // runSeq distinguishes runs within one process for span identities.
 var runSeq atomic.Int64
 
-// publishSpan mirrors the middleware's sink contract: sinks that understand
-// spans get the structured form; any other EventSink gets a flat event.
+// publishSpan sends one workflow span when a sink is set.
 func (r *DietRunner) publishSpan(requestID, service, detail string, start, end time.Time) {
-	if r.Events == nil {
-		return
+	if r.Events != nil {
+		r.Events.Publish(logsvc.Event{
+			RequestID: requestID, Component: "workflow", Kind: logsvc.KindWorkflow,
+			Service: service, Detail: detail,
+			StartNanos: start.UnixNano(), EndNanos: end.UnixNano(),
+		})
 	}
-	sp := logsvc.Span{
-		RequestID: requestID, Component: "workflow", Kind: logsvc.KindWorkflow,
-		Service: service, Detail: detail,
-		StartNanos: start.UnixNano(), EndNanos: end.UnixNano(),
-	}
-	if ss, ok := r.Events.(logsvc.SpanSink); ok {
-		ss.PublishSpan(sp)
-		return
-	}
-	r.Events.Publish(sp.Component, sp.Kind,
-		fmt.Sprintf("req=%s svc=%s dur=%s %s", sp.RequestID, sp.Service, end.Sub(start), sp.Detail))
 }
 
 // Run executes the DAG through DIET: nodes named in specs are solved with
