@@ -3,7 +3,9 @@ package diet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -211,6 +213,13 @@ type Agent struct {
 	// collect cannot spend the heartbeat monitor's eviction grace.
 	collectMiss map[string]int
 
+	// walks holds the collects in flight, one per distinct query (walkKey):
+	// a collect that finds an identical one running joins it instead of
+	// walking the subtree again. A walk leaves the map before its waiters
+	// are released, so a collect that starts after a walk ended walks anew.
+	walkMu sync.Mutex
+	walks  map[walkKey]*walk
+
 	// registry is the cluster-keyed store of child SeD models, filled by
 	// gossip rounds and queried when a fresh SeD registers (warm start).
 	registry *cori.Registry
@@ -260,6 +269,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		claims:      make(map[string]string),
 		regSeq:      make(map[string]uint64),
 		collectMiss: make(map[string]int),
+		walks:       make(map[walkKey]*walk),
 		registry:    cori.NewRegistry(),
 		peerState:   newPeerState(),
 		stop:        make(chan struct{}),
@@ -461,7 +471,7 @@ func (a *Agent) Children() []ChildInfo {
 	for _, c := range a.children {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(x, y ChildInfo) int { return strings.Compare(x.Name, y.Name) })
 	return out
 }
 
@@ -470,11 +480,80 @@ func (a *Agent) Children() []ChildInfo {
 // Children that fail or exceed CollectTimeout are skipped. Every agent in the
 // subtree locally ranks its merged estimates and returns at most limit of
 // them (0: all), so reply traffic stays bounded as the hierarchy widens.
+// A collect that overlaps an identical one shares its walk (see collect).
 func (a *Agent) CollectN(service string, limit int) []scheduler.Estimate {
-	return a.collect(CollectRequest{Service: service, Limit: limit})
+	ests, _ := a.collect(CollectRequest{Service: service, Limit: limit})
+	return ests
 }
 
-func (a *Agent) collect(req CollectRequest) []scheduler.Estimate {
+// walkKey is what makes two collects identical: the same service, the same
+// cap and the same inputs, quoted so that no two lists of IDs read alike.
+type walkKey struct {
+	service string
+	limit   int
+	data    string
+}
+
+// walk is one collect in flight. Its leader sets ests before releasing done,
+// and those who joined read them only after; nobody writes them again.
+type walk struct {
+	done      sync.WaitGroup
+	requestID string // the leader's request, named by those who ride along
+	joined    int    // under Agent.walkMu
+	ests      []scheduler.Estimate
+}
+
+// collect answers req from the subtree. If an identical collect is in
+// flight it joins that walk instead of starting its own and returns the walk
+// it rode; nil means it walked itself. Either way the estimates returned are
+// the caller's own.
+func (a *Agent) collect(req CollectRequest) ([]scheduler.Estimate, *walk) {
+	key := walkKey{service: req.Service, limit: req.Limit}
+	if len(req.DataIDs) > 0 {
+		key.data = fmt.Sprintf("%q", req.DataIDs)
+	}
+	a.walkMu.Lock()
+	if w, ok := a.walks[key]; ok {
+		w.joined++
+		a.walkMu.Unlock()
+		if a.metrics != nil {
+			a.metrics.collectJoined.With(a.cfg.Name).Inc()
+		}
+		w.done.Wait()
+		return slices.Clone(w.ests), w
+	}
+	w := &walk{requestID: req.RequestID}
+	w.done.Add(1)
+	a.walks[key] = w
+	a.walkMu.Unlock()
+
+	ests := a.walkSubtree(req)
+
+	a.walkMu.Lock()
+	delete(a.walks, key)
+	joined := w.joined
+	a.walkMu.Unlock()
+	if joined > 0 {
+		w.ests = ests
+		ests = slices.Clone(ests)
+	}
+	w.done.Done()
+	return ests, nil
+}
+
+// rodeDetail is the trace detail of a request that rode another's walk.
+func rodeDetail(w *walk) string {
+	switch {
+	case w == nil:
+		return ""
+	case w.requestID == "":
+		return ", rode a shared walk"
+	}
+	return ", rode the walk of " + w.requestID
+}
+
+// walkSubtree fans the query out to every child and merges the answers.
+func (a *Agent) walkSubtree(req CollectRequest) []scheduler.Estimate {
 	children := a.Children()
 	seqs := make(map[string]uint64, len(children))
 	if a.cfg.CollectMissEvict > 0 {
@@ -633,7 +712,7 @@ func (a *Agent) truncate(req CollectRequest, ests []scheduler.Estimate) []schedu
 
 // sortEstimates orders estimates deterministically by server ID.
 func sortEstimates(ests []scheduler.Estimate) {
-	sort.Slice(ests, func(i, j int) bool { return ests[i].ServerID < ests[j].ServerID })
+	slices.SortFunc(ests, func(x, y scheduler.Estimate) int { return strings.Compare(x.ServerID, y.ServerID) })
 }
 
 // Submit handles a client request at the Master Agent: collect abilities
@@ -645,9 +724,8 @@ func (a *Agent) Submit(req SubmitRequest) (*SubmitReply, error) {
 	if a.metrics != nil {
 		a.metrics.requests.With(a.cfg.Name).Inc()
 	}
-	a.trace.event("submit", req.Service)
 	t0 := time.Now()
-	ests := a.collect(CollectRequest{Service: req.Service, RequestID: req.RequestID, DataIDs: req.DataIDs})
+	ests, rode := a.collect(CollectRequest{Service: req.Service, RequestID: req.RequestID, DataIDs: req.DataIDs})
 	if len(ests) == 0 && len(a.Peers()) > 0 {
 		// Local miss: ask the federation. Recording our own view of the
 		// request ID first means a forward that loops back here is dropped by
@@ -688,7 +766,7 @@ func (a *Agent) Submit(req SubmitRequest) (*SubmitReply, error) {
 	done := time.Now()
 	if req.RequestID != "" && a.trace.on() {
 		a.trace.span(req.RequestID, logsvc.KindSchedule, req.Service, t0, done,
-			fmt.Sprintf("%d candidates, chose %s", len(ests), reply.Servers[0].Name))
+			fmt.Sprintf("%d candidates, chose %s", len(ests), reply.Servers[0].Name), rodeDetail(rode))
 	}
 	if a.metrics != nil {
 		a.metrics.scheduleSeconds.With(a.cfg.Name).Observe(done.Sub(t0).Seconds())
@@ -761,11 +839,11 @@ func (a *Agent) childRegisterCall(c *ChildInfo) (*ChildRegisterReply, error) {
 // sub-agent's share of the finding phase is its collect span.
 func (a *Agent) collectCall(req *CollectRequest) (*CollectReply, error) {
 	t0 := time.Now()
-	ests := a.collect(*req)
+	ests, rode := a.collect(*req)
 	done := time.Now()
 	if req.RequestID != "" && a.trace.on() {
 		a.trace.span(req.RequestID, logsvc.KindCollect, req.Service, t0, done,
-			fmt.Sprintf("%d estimates", len(ests)))
+			fmt.Sprintf("%d estimates", len(ests)), rodeDetail(rode))
 	}
 	if a.metrics != nil {
 		a.metrics.collectSeconds.With(a.cfg.Name).Observe(done.Sub(t0).Seconds())

@@ -310,7 +310,7 @@ func (a *Agent) peerForward(req *PeerForwardRequest) (*PeerForwardReply, error) 
 		return reply, nil
 	}
 	t0 := time.Now()
-	ests := a.collect(CollectRequest{Service: req.Service, RequestID: req.RequestID})
+	ests, _ := a.collect(CollectRequest{Service: req.Service, RequestID: req.RequestID})
 	if len(ests) == 0 && req.Hops > 1 {
 		relay := *req
 		relay.Hops = req.Hops - 1

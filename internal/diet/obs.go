@@ -148,6 +148,7 @@ type agentMetrics struct {
 	gossipRounds     metrics.CounterVec
 	evictions        metrics.CounterVec
 	collectEvictions metrics.CounterVec
+	collectJoined    metrics.CounterVec
 	replans          metrics.CounterVec
 	migrations       metrics.CounterVec
 	peerForwards     metrics.CounterVec
@@ -173,6 +174,8 @@ func newAgentMetrics(reg *metrics.Registry, agent string) *agentMetrics {
 			"children evicted by the heartbeat monitor", "agent"),
 		collectEvictions: reg.NewCounter("diet_agent_collect_evictions_total",
 			"children evicted after consecutive failed collect probes", "agent"),
+		collectJoined: reg.NewCounter("diet_agent_collect_joined_total",
+			"collects that joined an identical collect in flight instead of walking the subtree again", "agent"),
 		replans: reg.NewCounter("diet_agent_replans_total",
 			"replanning passes applied to the live hierarchy", "agent"),
 		migrations: reg.NewCounter("diet_agent_migrations_total",

@@ -156,6 +156,37 @@ func TestTraceIDPropagationTwoLevels(t *testing.T) {
 	}
 }
 
+// TestOneSubmitPerCall: the client's submit span is the one submit record a
+// call leaves on the bus (the MA's share is its schedule span), so the bus's
+// per-kind counts, and dietmon's counts line with them, read one per call.
+func TestOneSubmitPerCall(t *testing.T) {
+	rpc.ResetLocal()
+	defer rpc.ResetLocal()
+	bus := logsvc.New(1000)
+	d := echoDeployment(t, bus, nil, []string{"LA1"}, []SeDSpec{{
+		Name: "SeD1", Parent: "LA1", Capacity: 1, PowerGFlops: 50,
+		Services: []ServiceSpec{echoService()},
+	}})
+	client, err := d.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calls = 3
+	for i := 0; i < calls; i++ {
+		p, _ := NewProfile("echo", 0, 0, 1)
+		p.SetScalarInt(0, int64(i), Volatile)
+		if _, err := client.Call(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counts := bus.CountsByKind()
+	for _, kind := range []string{logsvc.KindSubmit, logsvc.KindSchedule, logsvc.KindComplete} {
+		if counts[kind] != calls {
+			t.Errorf("%d calls left %d %q records, want %d (counts %v)", calls, counts[kind], kind, calls, counts)
+		}
+	}
+}
+
 // TestSeDMetricsExposition is the metrics acceptance test: scraping /metrics
 // on an instrumented deployment returns valid Prometheus text including the
 // queue-wait histogram and the forecast-misprediction metric, and the SeD's
