@@ -66,6 +66,14 @@ func TestDatamanBodiesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireLayoutLock pins the layouts of the store and catalog bodies to the
+// frame version that carries them.
+func TestWireLayoutLock(t *testing.T) {
+	wiretest.Lock(t, map[int]string{
+		4: "ea9a27ff84fa6d69c9a27afb",
+	}, storeMethods, catalogMethods)
+}
+
 // FuzzItemBody feeds arbitrary bytes to the decoder of every body of a
 // store and a catalog, the item first.
 func FuzzItemBody(f *testing.F) {

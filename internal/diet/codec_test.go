@@ -80,6 +80,14 @@ func fixBody(body rpc.WireBody) {
 	}
 }
 
+// TestWireLayoutLock pins the layouts of the SeD and agent bodies to the
+// frame version that carries them.
+func TestWireLayoutLock(t *testing.T) {
+	wiretest.Lock(t, map[int]string{
+		4: "c2d27efdc0e013f0d536c781",
+	}, sedMethods, agentMethods)
+}
+
 // topologyChain is a topology nested depth levels deep, one child each.
 func topologyChain(depth int) *TopologyNode {
 	root := &TopologyNode{Name: "MA"}

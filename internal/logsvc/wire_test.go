@@ -32,3 +32,11 @@ func FuzzBusBodies(f *testing.F) {
 		wiretest.FuzzDecode(t, data, bodies[int(kind)%len(bodies)]())
 	})
 }
+
+// TestWireLayoutLock pins the layouts of the bus bodies to the frame version
+// that carries them.
+func TestWireLayoutLock(t *testing.T) {
+	wiretest.Lock(t, map[int]string{
+		4: "6cd04a002ce8b0b039ac7222",
+	}, wireMethods)
+}

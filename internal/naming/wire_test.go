@@ -46,3 +46,11 @@ func FuzzResolveAllBodies(f *testing.F) {
 		wiretest.FuzzDecode(t, data, bodies[int(kind)%len(bodies)]())
 	})
 }
+
+// TestWireLayoutLock pins the layouts of the naming bodies to the frame
+// version that carries them.
+func TestWireLayoutLock(t *testing.T) {
+	wiretest.Lock(t, map[int]string{
+		4: "df44f025252adc7babb0d7e4",
+	}, wireMethods)
+}

@@ -6,7 +6,11 @@ package wiretest
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"math"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -232,4 +236,57 @@ func Seed(f *testing.F, bodies []func() rpc.WireBody) {
 			f.Add(uint8(kind), seed)
 		}
 	}
+}
+
+// Lock pins the layouts of the bodies of tables to the frame version: a
+// digest of every method's name and the encodings of its request and reply,
+// each filled by Fill, must equal pinned[v], v the version byte the request
+// frames of this build carry. A layout that moves under the same version
+// fails, and so does a version without an entry; earlier entries stay as
+// history.
+func Lock(t *testing.T, pinned map[int]string, tables ...[]Method) {
+	t.Helper()
+	h := sha256.New()
+	for _, table := range tables {
+		for _, m := range table {
+			fmt.Fprintf(h, "%q", m.Name)
+			for _, fresh := range []func() rpc.WireBody{m.Req, m.Rep} {
+				var wire []byte
+				if fresh != nil {
+					body := fresh()
+					Fill(body)
+					wire, _ = rpc.Encode(body) // fails only past the frame limit
+				}
+				fmt.Fprintf(h, " %d:%x", len(wire), wire)
+			}
+		}
+	}
+	got := fmt.Sprintf("%x", h.Sum(nil)[:12])
+	switch v := frameVersion(t); {
+	case pinned[v] == "":
+		t.Errorf("frame version %d has no pinned layout digest: add an entry %d: %q", v, v, got)
+	case pinned[v] != got:
+		t.Errorf("body layouts moved under frame version %d (digest %s, pinned %s): bump frameVersion and add an entry", v, got, pinned[v])
+	}
+}
+
+// frameVersion reads the version byte of this build's request frames off
+// the wire: a listener takes one request and hangs up on it.
+func frameVersion(t *testing.T) int {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go rpc.Call(ln.Addr().String(), "wiretest", "Version", nil, nil) // refused: the connection closes
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var head [5]byte // the frame's length, then its version
+	if _, err := io.ReadFull(conn, head[:]); err != nil {
+		t.Fatal(err)
+	}
+	return int(head[4])
 }
