@@ -21,12 +21,11 @@ import (
 // package path under internal/ (the whole package), pkg.Name, or
 // pkg.Type.Method / pkg.Type.Field for one method or field.
 var keptOnPurpose = map[string]string{
-	"rpc/wiretest":                   "round-trip, damage and fuzz helpers the typed-body tests of diet, dataman, naming and scheduler share, with method tables those tests fill",
+	"rpc/wiretest":                   "round-trip, damage, fuzz and layout-lock helpers the typed-body tests of diet, dataman, logsvc, naming and scheduler share, with method tables those tests fill",
 	"rpc.ResetLocal":                 "clears the in-process object registry between the tests of diet, deploy and workflow",
 	"diet.Agent.ApplyPlan":           "applies a migration plan without a replan loop in deploy's live tests",
 	"diet.Agent.Registry":            "lets the tests of diet and deploy see which children registered",
 	"fortranio.Reader.ReadFloat32s":  "reads back the float32 planes grafic's file test checks",
-	"naming.Service.Unregister":      "unbinds a name so diet's transport test sees a server vanish after estimating",
 	"particles.Set.TotalMass":        "the mass-conservation check of the nbody, grafic, ramses and halo tests",
 	"particles.Set.Validate":         "the set-validity check of the nbody, grafic, ramses and halo tests",
 	"metrics.Counter.Value":          "reads a counter back in diet's tests, which see agent and SeD counters nowhere else",

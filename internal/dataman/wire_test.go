@@ -71,6 +71,7 @@ func TestDatamanBodiesRoundTrip(t *testing.T) {
 func TestWireLayoutLock(t *testing.T) {
 	wiretest.Lock(t, map[int]string{
 		4: "ea9a27ff84fa6d69c9a27afb",
+		5: "ea9a27ff84fa6d69c9a27afb",
 	}, storeMethods, catalogMethods)
 }
 

@@ -104,12 +104,6 @@ type AgentConfig struct {
 	Metrics *metrics.Registry
 }
 
-// ServerRef identifies a chosen server back to the client.
-type ServerRef struct {
-	Name string
-	Addr string
-}
-
 // SubmitRequest is a client problem submission to the Master Agent.
 type SubmitRequest struct {
 	Service    string
@@ -126,9 +120,9 @@ type SubmitRequest struct {
 }
 
 // SubmitReply carries the ranked server list back to the client (the paper:
-// "a list of available servers is sent back to the client").
+// "a list of available servers is sent back to the client"): the estimates,
+// best first, each naming its SeD and the address that SeD serves on.
 type SubmitReply struct {
-	Servers   []ServerRef
 	Estimates []scheduler.Estimate
 }
 
@@ -746,32 +740,19 @@ func (a *Agent) Submit(req SubmitRequest) (*SubmitReply, error) {
 	order := a.cfg.Policy.Rank(scheduler.Request{
 		Service: req.Service, Seq: req.Seq, WorkGFlops: req.WorkGFlops,
 	}, ests)
-	reply := &SubmitReply{Estimates: ests}
-	ranked := make([]string, len(order))
+	ranked := make([]scheduler.Estimate, len(order))
 	for i, idx := range order {
-		ranked[i] = ests[idx].ServerID
-	}
-	// One naming exchange for the whole list; a server that vanished between
-	// estimate and resolve is simply missing from the answer.
-	entries, err := (&naming.Client{Addr: a.cfg.Naming}).ResolveAll(ranked)
-	if err != nil {
-		return nil, fmt.Errorf("diet: resolving candidate servers for %q: %w", req.Service, err)
-	}
-	for _, e := range entries {
-		reply.Servers = append(reply.Servers, ServerRef{Name: e.Name, Addr: e.Addr})
-	}
-	if len(reply.Servers) == 0 {
-		return nil, fmt.Errorf("diet: all candidate servers for %q are unresolvable", req.Service)
+		ranked[i] = ests[idx]
 	}
 	done := time.Now()
 	if req.RequestID != "" && a.trace.on() {
 		a.trace.span(req.RequestID, logsvc.KindSchedule, req.Service, t0, done,
-			fmt.Sprintf("%d candidates, chose %s", len(ests), reply.Servers[0].Name), rodeDetail(rode))
+			fmt.Sprintf("%d candidates, chose %s", len(ests), ranked[0].ServerID), rodeDetail(rode))
 	}
 	if a.metrics != nil {
 		a.metrics.scheduleSeconds.With(a.cfg.Name).Observe(done.Sub(t0).Seconds())
 	}
-	return reply, nil
+	return &SubmitReply{Estimates: ranked}, nil
 }
 
 // Topology walks the subtree and reports its structure.

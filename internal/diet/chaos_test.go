@@ -575,13 +575,11 @@ func TestChaosOverloadedSeDFailsOver(t *testing.T) {
 			p.SetScalarInt(0, 1, Volatile)
 			return p
 		}
-		fullRef := ServerRef{Name: full.Name(), Addr: full.Addr()}
-		freeRef := ServerRef{Name: free.Name(), Addr: free.Addr()}
-		info, err := client.Call(request(), WithServers(&SubmitReply{Servers: []ServerRef{fullRef, freeRef}}, 0))
+		info, err := client.Call(request(), WithServers(rankedList(full.Name(), full.Addr(), free.Name(), free.Addr()), 0))
 		if err != nil || info.Server != free.Name() {
 			t.Fatalf("local=%v: ranked call past a full SeD = %+v, %v, want it served by %s", local, info, err, free.Name())
 		}
-		_, err = client.Call(request(), WithServers(&SubmitReply{Servers: []ServerRef{fullRef}}, 0))
+		_, err = client.Call(request(), WithServers(rankedList(full.Name(), full.Addr()), 0))
 		if !errors.Is(err, rpc.ErrOverloaded) || !rpc.Retryable(err) {
 			t.Fatalf("local=%v: bound call to a full SeD = %v, want a retryable rpc.ErrOverloaded", local, err)
 		}

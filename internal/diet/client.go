@@ -12,6 +12,7 @@ import (
 	"repro/internal/logsvc"
 	"repro/internal/naming"
 	"repro/internal/rpc"
+	"repro/internal/scheduler"
 )
 
 // ClientConfig is the parsed client configuration file. The file format is
@@ -139,6 +140,14 @@ func (c *Client) FindServers(service string, workGFlops float64) (*SubmitReply, 
 	return c.submit(service, workGFlops, seq, c.requestID(seq), nil)
 }
 
+// FindServersFor is FindServers for the call p would make: its service, its
+// work hint and the persistent inputs it references by DataID, which every
+// SeD prices into its estimate, so the ranking is the one Call would get.
+func (c *Client) FindServersFor(p *Profile) (*SubmitReply, time.Duration, error) {
+	seq := int(c.seq.Add(1))
+	return c.submit(p.Service, p.WorkGFlops, seq, c.requestID(seq), p.InputDataIDs())
+}
+
 // submit is the finding phase: one Submit round trip to the Master Agent.
 func (c *Client) submit(service string, workGFlops float64, seq int, requestID string, dataIDs []string) (*SubmitReply, time.Duration, error) {
 	t0 := time.Now()
@@ -151,17 +160,17 @@ func (c *Client) submit(service string, workGFlops float64, seq int, requestID s
 	found := time.Now()
 	if c.trace.on() {
 		c.trace.span(requestID, logsvc.KindSubmit, service, t0, found,
-			fmt.Sprintf("%d servers ranked", len(reply.Servers)))
+			fmt.Sprintf("%d servers ranked", len(reply.Estimates)))
 	}
 	return &reply, found.Sub(t0), nil
 }
 
-// inputDataIDs lists the persistent IN/INOUT references the profile carries
+// InputDataIDs lists the persistent IN/INOUT references the profile carries
 // by DataID only, with no bytes attached — the inputs the chosen server will
 // have to fetch, which data-aware scheduling prices per candidate. A profile
 // without such references returns nil and the submission is wire-identical
 // to the data-blind one.
-func inputDataIDs(p *Profile) []string {
+func (p *Profile) InputDataIDs() []string {
 	var ids []string
 	for i := range p.Args {
 		a := &p.Args[i]
@@ -226,34 +235,34 @@ func (c *Client) Call(p *Profile, opts ...CallOption) (*CallInfo, error) {
 	var finding time.Duration
 	if reply == nil {
 		var err error
-		reply, finding, err = c.submit(p.Service, o.workGFlops, seq, requestID, inputDataIDs(p))
+		reply, finding, err = c.submit(p.Service, o.workGFlops, seq, requestID, p.InputDataIDs())
 		if err != nil {
 			return nil, err
 		}
 	}
-	n := len(reply.Servers)
+	n := len(reply.Estimates)
 	if n == 0 {
 		return nil, fmt.Errorf("diet: no servers offered for %q", p.Service)
 	}
 	var lastErr error
 	for i := 0; i < n; i++ {
-		srv := reply.Servers[(i+o.rotate)%n]
+		srv := &reply.Estimates[(i+o.rotate)%n]
 		attempt := time.Now()
 		info, err := c.solveOn(srv, p, seq, t0, finding)
 		if err != nil {
 			if !rpc.Retryable(err) {
 				// The solve itself failed: another server would fail it
 				// the same way, so it runs once.
-				return nil, fmt.Errorf("diet: %q failed on %s: %w", p.Service, srv.Name, err)
+				return nil, fmt.Errorf("diet: %q failed on %s: %w", p.Service, srv.ServerID, err)
 			}
 			lastErr = err
 			// The kill-and-requeue of the live stack: the request's work on
 			// the lost server is abandoned and resubmitted to the next ranked
 			// server; the requeue span brackets the failed attempt.
 			if i+1 < n {
-				next := reply.Servers[(i+1+o.rotate)%n]
+				next := &reply.Estimates[(i+1+o.rotate)%n]
 				c.trace.span(requestID, logsvc.KindRequeue, p.Service, attempt, time.Now(),
-					srv.Name, " failed, retrying on ", next.Name)
+					srv.ServerID, " failed, retrying on ", next.ServerID)
 			}
 			continue // fault tolerance: try the next ranked server
 		}
@@ -269,25 +278,25 @@ func (c *Client) Call(p *Profile, opts ...CallOption) (*CallInfo, error) {
 // reference afterwards. A reply that does not have exactly p's INOUT/OUT
 // arguments fails the attempt and leaves p untouched. t0 is when the call
 // began, finding what the MA round trip took of it (0 with WithServers).
-func (c *Client) solveOn(srv ServerRef, p *Profile, seq int, t0 time.Time, finding time.Duration) (*CallInfo, error) {
+func (c *Client) solveOn(srv *scheduler.Estimate, p *Profile, seq int, t0 time.Time, finding time.Duration) (*CallInfo, error) {
 	var solved SolveReply
-	if err := rpc.Call(srv.Addr, "sed:"+srv.Name, "Solve", p, &solved); err != nil {
+	if err := rpc.Call(srv.Addr, "sed:"+srv.ServerID, "Solve", p, &solved); err != nil {
 		return nil, err
 	}
 	firstOut := p.LastIn + 1
 	if firstOut < 0 || firstOut > len(p.Args) || len(solved.Args) != len(p.Args)-firstOut {
 		return nil, fmt.Errorf("diet: %s answered %q with %d INOUT/OUT arguments, profile has %d arguments after LastIn=%d",
-			srv.Name, p.Service, len(solved.Args), len(p.Args), p.LastIn)
+			srv.ServerID, p.Service, len(solved.Args), len(p.Args), p.LastIn)
 	}
 	copy(p.Args[firstOut:], solved.Args)
 	done := time.Now()
 	total := done.Sub(t0)
 	compute := time.Duration(solved.Timing.ComputeMS * float64(time.Millisecond))
-	c.trace.span(p.RequestID, logsvc.KindComplete, p.Service, t0, done, "server ", srv.Name)
+	c.trace.span(p.RequestID, logsvc.KindComplete, p.Service, t0, done, "server ", srv.ServerID)
 	info := CallInfo{
 		Seq:       seq,
 		RequestID: p.RequestID,
-		Server:    srv.Name,
+		Server:    srv.ServerID,
 		Finding:   finding,
 		QueueWait: time.Duration(solved.Timing.QueueWaitMS * float64(time.Millisecond)),
 		Compute:   compute,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/rpc"
+	"repro/internal/scheduler"
 )
 
 // The client API: Call is the single code path, CallOptions swap behaviour
@@ -42,8 +43,8 @@ func TestFindServersRanksWithoutSolving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reply.Servers) != 2 {
-		t.Fatalf("FindServers found %d servers, want 2", len(reply.Servers))
+	if len(reply.Estimates) != 2 {
+		t.Fatalf("FindServers found %d servers, want 2", len(reply.Estimates))
 	}
 	if finding <= 0 {
 		t.Error("FindServers reported a non-positive finding time")
@@ -74,7 +75,7 @@ func TestCallWithServersRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := reply.Servers[1].Name; info.Server != want {
+	if want := reply.Estimates[1].ServerID; info.Server != want {
 		t.Errorf("rotated call went to %q, want runner-up %q", info.Server, want)
 	}
 	if info.Finding != 0 {
@@ -83,6 +84,16 @@ func TestCallWithServersRotation(t *testing.T) {
 	if v, _ := p.ScalarInt(1); v != 14 {
 		t.Errorf("result = %d, want 14", v)
 	}
+}
+
+// rankedList is a submit reply that offers the named servers in the order
+// given, each at its address: rankedList(name1, addr1, name2, addr2, …).
+func rankedList(nameAddr ...string) *SubmitReply {
+	reply := &SubmitReply{}
+	for i := 0; i+1 < len(nameAddr); i += 2 {
+		reply.Estimates = append(reply.Estimates, scheduler.Estimate{ServerID: nameAddr[i], Addr: nameAddr[i+1]})
+	}
+	return reply
 }
 
 // A one-server list binds the call to that server, the GridRPC
@@ -96,7 +107,7 @@ func TestBoundCallReachesNamedServer(t *testing.T) {
 	}
 	defer client.Finalize()
 
-	bound := &SubmitReply{Servers: []ServerRef{{Name: "SeD-b", Addr: d.SeDs[1].Addr()}}}
+	bound := rankedList("SeD-b", d.SeDs[1].Addr())
 	for i := 0; i < 3; i++ {
 		p, _ := NewProfile("double", 0, 0, 1)
 		p.SetScalarInt(0, int64(i), Volatile)
@@ -124,7 +135,7 @@ func TestCallAsyncWaitAll(t *testing.T) {
 	}
 	defer client.Finalize()
 
-	bound := &SubmitReply{Servers: []ServerRef{{Name: "SeD-a", Addr: d.SeDs[0].Addr()}}}
+	bound := rankedList("SeD-a", d.SeDs[0].Addr())
 	var calls []*AsyncCall
 	var profiles []*Profile
 	for i := 0; i < 4; i++ {

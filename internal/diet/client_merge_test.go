@@ -94,21 +94,19 @@ func TestCallRefusesAReplyOfAnotherShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer fake.Close()
-		liar := ServerRef{Name: name, Addr: addr}
-
 		p, _ := NewProfile("cat", 0, 0, 1)
 		p.SetFileBytes(0, "in.txt", []byte("x"), Volatile)
 		// A one-server list is a bound call: nothing to fail over to.
-		_, err = client.Call(p, WithServers(&SubmitReply{Servers: []ServerRef{liar}}, 0))
+		_, err = client.Call(p, WithServers(rankedList(name, addr), 0))
 		if err == nil || !strings.Contains(err.Error(), "INOUT/OUT arguments") {
 			t.Errorf("%s: call = %v, want the reply's shape refused", name, err)
 		}
 		if p.Args[1].Data != nil || len(p.Args) != 2 {
 			t.Errorf("%s: the refused reply still changed the profile: %+v", name, p.Args)
 		}
-		honest := ServerRef{Name: d.SeDs[0].Name(), Addr: d.SeDs[0].Addr()}
-		info, err := client.Call(p, WithServers(&SubmitReply{Servers: []ServerRef{liar, honest}}, 0))
-		if err != nil || info.Server != honest.Name {
+		honest := d.SeDs[0]
+		info, err := client.Call(p, WithServers(rankedList(name, addr, honest.Name(), honest.Addr()), 0))
+		if err != nil || info.Server != honest.Name() {
 			t.Fatalf("%s: no failover past the refused reply: %+v, %v", name, info, err)
 		}
 		if out, _ := p.StringArg(1); out != "x" {

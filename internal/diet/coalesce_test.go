@@ -3,7 +3,6 @@ package diet
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,9 +11,7 @@ import (
 	"repro/internal/logsvc"
 	"repro/internal/metrics"
 	"repro/internal/naming"
-	"repro/internal/platform"
 	"repro/internal/rpc"
-	"repro/internal/scheduler"
 )
 
 // The tests of this file pin how an agent coalesces its collects: a collect
@@ -208,11 +205,11 @@ func TestTransportConcurrentSubmitsShareOneWalk(t *testing.T) {
 		if r.err != nil {
 			t.Fatalf("submit %d: %v", i, r.err)
 		}
-		if len(r.reply.Servers) != seds || len(r.reply.Estimates) != seds {
-			t.Fatalf("submit %d: %d servers and %d estimates, want %d of each", i, len(r.reply.Servers), len(r.reply.Estimates), seds)
+		if len(r.reply.Estimates) != seds {
+			t.Fatalf("submit %d: %d servers ranked, want %d", i, len(r.reply.Estimates), seds)
 		}
 		replies[i] = r.reply
-		first[r.reply.Servers[0].Name] = true
+		first[r.reply.Estimates[0].ServerID] = true
 	}
 	for name, n := range g.estimated() {
 		if n != 1 {
@@ -313,20 +310,7 @@ func TestTransportDifferentDataIDsNeverShareAWalk(t *testing.T) {
 // loopback TCP: the path on which calls share the finding phase's walk.
 // joined/op is the share of calls that rode another's walk.
 func BenchmarkConcurrentCallsTCP(b *testing.B) {
-	reg := metrics.NewRegistry()
-	spec := DeploymentSpec{MAName: "MA1", Policy: scheduler.NewRoundRobin(), Metrics: reg}
-	svc := sleepService("double", 0, nil)
-	for _, s := range platform.PaperDeployment().SeDs {
-		la := "LA-" + s.Cluster
-		if !slices.Contains(spec.LAs, la) {
-			spec.LAs = append(spec.LAs, la)
-		}
-		spec.SeDs = append(spec.SeDs, SeDSpec{
-			Name: s.Name, Parent: la, Cluster: s.Cluster,
-			Capacity: 1, PowerGFlops: s.PowerGFlops(), Services: []ServiceSpec{svc},
-		})
-	}
-	d, err := Deploy(spec)
+	d, err := Deploy(paperTCPSpec(metrics.NewRegistry()))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -203,28 +203,20 @@ func (s *SubmitRequest) ReadWire(r *rpc.Reader) {
 	s.DataIDs = r.Texts()
 }
 
-// WireSize implements rpc.WireBody. A submit reply is the ranked server list
-// (name and address texts) and the estimate list.
-func (s *SubmitReply) WireSize() int {
-	return rpc.ListSize(s.Servers) + scheduler.EstimatesSize(s.Estimates)
-}
+// WireSize implements rpc.WireBody. A submit reply is the ranked estimate
+// list, each estimate carrying its SeD's address.
+func (s *SubmitReply) WireSize() int { return scheduler.EstimatesSize(s.Estimates) }
 
 // AppendWire implements rpc.WireBody.
 func (s *SubmitReply) AppendWire(w rpc.Writer) rpc.Writer {
-	return scheduler.AppendEstimates(rpc.AppendList(w, s.Servers), s.Estimates)
+	return scheduler.AppendEstimates(w, s.Estimates)
 }
 
 // ReadWire implements rpc.WireBody.
-func (s *SubmitReply) ReadWire(r *rpc.Reader) {
-	s.Servers, s.Estimates = rpc.ReadBodies[ServerRef](r), scheduler.ReadEstimates(r)
-}
+func (s *SubmitReply) ReadWire(r *rpc.Reader) { s.Estimates = scheduler.ReadEstimates(r) }
 
 // The bodies of registration, monitoring, migration and federation. A
 // topology node is its name, kind and address, then its children.
-
-func (s *ServerRef) WireSize() int                      { return rpc.TextSize(s.Name, s.Addr) }
-func (s *ServerRef) AppendWire(w rpc.Writer) rpc.Writer { return w.Text(s.Name).Text(s.Addr) }
-func (s *ServerRef) ReadWire(r *rpc.Reader)             { s.Name, s.Addr = r.Text(), r.Text() }
 
 func (c *ChildInfo) WireSize() int { return rpc.TextSize(c.Name, c.Addr, c.Kind, c.Cluster) }
 func (c *ChildInfo) AppendWire(w rpc.Writer) rpc.Writer {

@@ -85,6 +85,7 @@ func fixBody(body rpc.WireBody) {
 func TestWireLayoutLock(t *testing.T) {
 	wiretest.Lock(t, map[int]string{
 		4: "c2d27efdc0e013f0d536c781",
+		5: "cea4c6fde7dd5a6f1ab2ce7f",
 	}, sedMethods, agentMethods)
 }
 
@@ -140,8 +141,7 @@ func TestTypedBodiesRoundTrip(t *testing.T) {
 		&CollectRequest{Limit: -1, DataIDs: []string{}},
 		&CollectReply{Estimates: []scheduler.Estimate{{}, oddEst}},
 		&SubmitRequest{WorkGFlops: math.Inf(-1), Seq: math.MaxInt},
-		&SubmitReply{Servers: []ServerRef{{}, {Name: "n"}}},
-		&SubmitReply{Estimates: []scheduler.Estimate{oddEst}},
+		&SubmitReply{Estimates: []scheduler.Estimate{{}, oddEst}},
 		&PeerForwardReply{Estimates: []scheduler.Estimate{oddEst}, Dropped: true},
 		&ModelsReply{Models: []cori.Model{{Service: "s", Confidence: math.NaN()}}},
 		topologyChain(5),
@@ -350,7 +350,7 @@ func TestTypedRequestsRefuseAnEmptyBody(t *testing.T) {
 	type target struct{ addr, object, method string }
 	cases := []target{
 		{d.LAs[0].Addr(), "agent:" + d.LAs[0].Name(), "Collect"},
-		{d.NamingAddr, naming.ObjectName, "ResolveAll"},
+		{d.NamingAddr, naming.ObjectName, "Resolve"},
 	}
 	for _, m := range agentMethods {
 		if m.Req != nil {

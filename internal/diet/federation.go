@@ -25,8 +25,9 @@ import (
 // than misparse — each other. Bump the constant on any incompatible change.
 
 // PeerSchemaVersion is the wire schema of the PeerRegister and PeerForward
-// RPCs. A receiving MA rejects any other version.
-const PeerSchemaVersion = 1
+// RPCs. A receiving MA rejects any other version. Version 2: the forwarded
+// estimates carry their SeD's address, where the origin's client dials it.
+const PeerSchemaVersion = 2
 
 // DefaultForwardHops bounds how many federation hops a request may take when
 // AgentConfig.ForwardHops is unset: the origin's forward plus one relay.

@@ -74,6 +74,43 @@ func startSubtree(t *testing.T, namingAddr, la, sed, parent, service string) {
 	t.Cleanup(func() { s.Close() })
 }
 
+// TestFederationPeerSeDsNeedNoLocalBinding: two MAs, each on its own naming
+// service, the origin's holding only its peer's entry. A service offered
+// only under the peer is served by the peer's SeD, dialled at the address
+// its estimate carries; the origin's naming service never binds it. Until
+// estimates carried the address, the origin resolved the ranked names in
+// its own naming and found no server to offer.
+func TestFederationPeerSeDsNeedNoLocalBinding(t *testing.T) {
+	rpc.ResetLocal()
+	t.Cleanup(rpc.ResetLocal)
+	home := startLocalNaming(t, "naming-fedhome")
+	away := startLocalNaming(t, "naming-fedaway")
+	ma2 := startMA(t, away, "MA-away", nil, 0)
+	startSubtree(t, away, "LA-away", "SeD-away", "MA-away", "awaysvc")
+	if err := (&naming.Client{Addr: home}).Register(naming.Entry{Name: "MA-away", Addr: ma2.Addr(), Kind: "MA"}); err != nil {
+		t.Fatal(err)
+	}
+	ma1 := startMA(t, home, "MA-home", []string{"MA-away"}, 0)
+	ma1.SweepPeers()
+
+	if _, err := (&naming.Client{Addr: home}).Resolve("SeD-away"); err == nil {
+		t.Fatal("the origin's naming service binds the peer's SeD; the test needs it unbound")
+	}
+	client, err := InitializeConfig(ClientConfig{Naming: home, MAName: "MA-home"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := NewProfile("awaysvc", 0, 0, 1)
+	p.SetScalarInt(0, 21, Volatile)
+	info, err := client.Call(p)
+	if err != nil {
+		t.Fatalf("call through the federation failed: %v", err)
+	}
+	if v, _ := p.ScalarInt(1); info.Server != "SeD-away" || v != 42 {
+		t.Errorf("served by %q with result %d, want SeD-away and 42", info.Server, v)
+	}
+}
+
 // TestFederationForwardResolvesForeignService is the acceptance-criteria
 // integration test: a live 2-MA federation resolves (and solves) a service
 // registered only under the peer MA, via peer forwarding.

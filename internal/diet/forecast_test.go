@@ -104,8 +104,8 @@ func TestSubmitRanksByMeasuredSpeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Servers[0].Name != "SeD-fc2-slow" {
-		t.Fatalf("cold ranking must trust advertised power: got %s first", cold.Servers[0].Name)
+	if cold.Estimates[0].ServerID != "SeD-fc2-slow" {
+		t.Fatalf("cold ranking must trust advertised power: got %s first", cold.Estimates[0].ServerID)
 	}
 
 	// One observed solve per SeD (bypassing the scheduler so both learn).
@@ -121,8 +121,8 @@ func TestSubmitRanksByMeasuredSpeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Servers[0].Name != "SeD-fc2-fast" {
-		t.Fatalf("measured history must outrank the advertisement: got %s first", warm.Servers[0].Name)
+	if warm.Estimates[0].ServerID != "SeD-fc2-fast" {
+		t.Fatalf("measured history must outrank the advertisement: got %s first", warm.Estimates[0].ServerID)
 	}
 }
 

@@ -67,7 +67,7 @@ func payloadLeg(t testing.TB, out []byte) (*Client, *SubmitReply) {
 		t.Fatal(err)
 	}
 	servers, _, err := client.FindServers("payload", 0)
-	if err != nil || len(servers.Servers) != 1 {
+	if err != nil || len(servers.Estimates) != 1 {
 		t.Fatalf("finding the one server: %v, %v", servers, err)
 	}
 	return client, servers

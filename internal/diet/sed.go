@@ -144,7 +144,7 @@ type serviceEntry struct {
 type SeD struct {
 	cfg    SeDConfig
 	server *rpc.Server
-	addr   string
+	addr   string // written by Start under statMu, read there by Estimate
 
 	mu        sync.Mutex
 	services  map[string]serviceEntry
@@ -313,15 +313,20 @@ func (s *SeD) Start() error {
 		s.dataNode = dataman.NewStore(s.cfg.Name)
 		s.dataNode.Serve(s.server)
 	}
+	var addr string
 	var err error
 	if s.cfg.Local {
-		s.addr, err = rpc.ServeLocal("sed-"+s.cfg.Name, s.server)
+		addr, err = rpc.ServeLocal("sed-"+s.cfg.Name, s.server)
 	} else {
-		s.addr, err = s.server.Start(s.cfg.ListenAddr)
+		addr, err = s.server.Start(s.cfg.ListenAddr)
 	}
 	if err != nil {
 		return fmt.Errorf("diet: starting SeD %s: %w", s.cfg.Name, err)
 	}
+	// Estimates read the address under statMu: the SeD answers from here on.
+	s.statMu.Lock()
+	s.addr = addr
+	s.statMu.Unlock()
 	if s.cfg.Data != nil {
 		if err := s.cfg.Data.AddNode(s.cfg.Name, s.addr); err != nil {
 			return fmt.Errorf("diet: SeD %s joining the data catalog: %w", s.cfg.Name, err)
@@ -480,14 +485,16 @@ func (s *SeD) WarmStart(models []cori.Model) {
 }
 
 // Estimate builds this SeD's estimation vector for a service, including the
-// CoRI forecast extension when the monitor has history for it.
+// CoRI forecast extension when the monitor has history for it. The vector
+// carries the address the SeD serves on, where a client that ranks it first
+// sends its solve.
 func (s *SeD) Estimate(service string) EstimateReply {
 	s.mu.Lock()
 	_, ok := s.services[service]
 	s.mu.Unlock()
 	s.statMu.Lock()
 	running, queued, lastSolve := s.running, s.queued, s.lastSolveS
-	power := s.power
+	power, addr := s.power, s.addr
 	pending := make(map[string]int, len(s.pending))
 	for svc, n := range s.pending {
 		pending[svc] = n
@@ -495,6 +502,7 @@ func (s *SeD) Estimate(service string) EstimateReply {
 	s.statMu.Unlock()
 	est := scheduler.Estimate{
 		ServerID:         s.cfg.Name,
+		Addr:             addr,
 		Service:          service,
 		Capacity:         s.cfg.Capacity,
 		Running:          running,

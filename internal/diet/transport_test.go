@@ -1,12 +1,17 @@
 package diet
 
 import (
+	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/logsvc"
+	"repro/internal/metrics"
 	"repro/internal/naming"
+	"repro/internal/platform"
 	"repro/internal/rpc"
 	"repro/internal/scheduler"
 )
@@ -14,27 +19,28 @@ import (
 // The tests of this file run the hierarchy over loopback TCP (the rest of the
 // package uses the local: transport), so they see pooled connections.
 
-// TestTransportSubmitResolvesInOneExchange pins the finding phase's exchange
-// count: whatever the number of ranked servers, Agent.Submit asks the naming
-// service once, and a server that lost its binding between estimate and
-// resolve is skipped, not fatal.
-func TestTransportSubmitResolvesInOneExchange(t *testing.T) {
-	svc := naming.NewService()
-	var mu sync.Mutex
-	calls := map[string]int{}
-	inner := svc.Handler()
-	ns := rpc.NewServer()
-	ns.Register(naming.ObjectName, func(method string, body []byte) ([]byte, error) {
-		mu.Lock()
-		calls[method]++
-		mu.Unlock()
-		return inner(method, body)
-	})
-	namingAddr, err := ns.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// TestTransportRankedServersCarryTheirAddress pins where a ranked server is
+// reached: at the address its SeD put in its estimate, the one its LA
+// collected it from. The MA asks the naming service nothing (the exchange
+// budget below counts that), so a SeD that the MA's naming never bound (it
+// registered with another naming service) is offered and serves, and a SeD
+// that died after estimating is dialled, refused as rpc.ErrUnavailable and
+// failed over. Until estimates carried the address, the MA resolved the
+// ranked names in naming and left an unbound server out.
+func TestTransportRankedServersCarryTheirAddress(t *testing.T) {
+	startNaming := func(svc *naming.Service) string {
+		ns := rpc.NewServer()
+		ns.Register(naming.ObjectName, svc.Handler())
+		addr, err := ns.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ns.Close() })
+		return addr
 	}
-	defer ns.Close()
+	namingAddr := startNaming(naming.NewService())
+	other := naming.NewService()
+	otherAddr := startNaming(other)
 
 	ma, err := NewAgent(AgentConfig{Name: "MA-one", Kind: MasterAgent, Naming: namingAddr, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
@@ -44,9 +50,17 @@ func TestTransportSubmitResolvesInOneExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ma.Close()
-	names := []string{"SeD-one-a", "SeD-one-b", "SeD-one-c", "SeD-one-d"}
-	for _, name := range names {
-		sed, err := NewSeD(SeDConfig{Name: name, Parent: "MA-one", Naming: namingAddr, ListenAddr: "127.0.0.1:0"})
+	if err := other.Register(naming.Entry{Name: "MA-one", Addr: ma.Addr(), Kind: "MA"}); err != nil {
+		t.Fatal(err)
+	}
+	const unbound = "SeD-one-b"
+	seds := map[string]*SeD{}
+	for _, name := range []string{"SeD-one-a", unbound, "SeD-one-c", "SeD-one-d"} {
+		at := namingAddr
+		if name == unbound {
+			at = otherAddr
+		}
+		sed, err := NewSeD(SeDConfig{Name: name, Parent: "MA-one", Naming: at, ListenAddr: "127.0.0.1:0"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,56 +72,54 @@ func TestTransportSubmitResolvesInOneExchange(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer sed.Close()
+		seds[name] = sed
 	}
-
-	total := func() (n int) {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, c := range calls {
-			n += c
-		}
-		return n
-	}
-	const submits = 5
-	before := total()
-	for i := 0; i < submits; i++ {
-		reply, err := ma.Submit(SubmitRequest{Service: "work", Seq: i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(reply.Servers) != len(names) {
-			t.Fatalf("submit %d ranked %d servers, want %d", i, len(reply.Servers), len(names))
-		}
-		for _, srv := range reply.Servers {
-			if srv.Addr == "" {
-				t.Fatalf("submit %d: server %s came back without an address", i, srv.Name)
-			}
-		}
-	}
-	if got := total() - before; got != submits {
-		t.Errorf("%d submits made %d naming exchanges, want one each (by method: %v)", submits, got, calls)
-	}
-	mu.Lock()
-	resolveAll := calls["ResolveAll"]
-	mu.Unlock()
-	if resolveAll != submits {
-		t.Errorf("%d ResolveAll exchanges for %d submits", resolveAll, submits)
-	}
-
-	// A server that vanishes from naming after estimating is left out.
-	svc.Unregister("SeD-one-b")
-	reply, err := ma.Submit(SubmitRequest{Service: "work", Seq: submits})
+	client, err := InitializeConfig(ClientConfig{Naming: namingAddr, MAName: "MA-one"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reply.Servers) != len(names)-1 || len(reply.Estimates) != len(names) {
-		t.Fatalf("after unbinding one server: %d servers, %d estimates, want %d and %d",
-			len(reply.Servers), len(reply.Estimates), len(names)-1, len(names))
+	call := func(opts ...CallOption) (*CallInfo, error) {
+		p, _ := NewProfile("work", 0, 0, 1)
+		p.SetScalarInt(0, 21, Volatile)
+		return client.Call(p, opts...)
 	}
-	for _, srv := range reply.Servers {
-		if srv.Name == "SeD-one-b" {
-			t.Error("unbound server still offered to the client")
+
+	served := map[string]bool{}
+	for i := 0; i < len(seds); i++ { // round-robin: each SeD ranked first once
+		info, err := call()
+		if err != nil {
+			t.Fatal(err)
 		}
+		served[info.Server] = true
+	}
+	if !served[unbound] || len(served) != len(seds) {
+		t.Errorf("%d calls were served by %v, want every SeD, %s among them", len(seds), served, unbound)
+	}
+
+	ranked, _, err := client.FindServers("work", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead := -1
+	for i, est := range ranked.Estimates {
+		if sed := seds[est.ServerID]; sed == nil || est.Addr != sed.Addr() {
+			t.Errorf("ranked %s at %q, want the address it serves on", est.ServerID, est.Addr)
+		}
+		if est.ServerID == "SeD-one-c" {
+			lead = i
+		}
+	}
+	if len(ranked.Estimates) != len(seds) || lead < 0 {
+		t.Fatalf("ranked %+v, want all %d SeDs", ranked.Estimates, len(seds))
+	}
+	dead := seds["SeD-one-c"]
+	dead.Close()
+	if _, err := call(WithServers(rankedList(dead.Name(), dead.Addr()), 0)); !errors.Is(err, rpc.ErrUnavailable) || !rpc.Retryable(err) {
+		t.Errorf("a call bound to a dead SeD = %v, want a retryable rpc.ErrUnavailable", err)
+	}
+	info, err := call(WithServers(ranked, lead))
+	if err != nil || info.Server == dead.Name() {
+		t.Errorf("a call led by a dead SeD = %+v, %v, want it failed over", info, err)
 	}
 }
 
@@ -166,13 +178,13 @@ func TestChaosSeDKillWithWarmConnectionsTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	lead := -1
-	for i, srv := range ranked.Servers {
-		if srv.Name == victim.Name() {
+	for i, srv := range ranked.Estimates {
+		if srv.ServerID == victim.Name() {
 			lead = i
 		}
 	}
 	if lead < 0 {
-		t.Fatalf("victim %s not in the ranked list %+v", victim.Name(), ranked.Servers)
+		t.Fatalf("victim %s not in the ranked list %+v", victim.Name(), ranked.Estimates)
 	}
 
 	victim.Close()
@@ -201,5 +213,131 @@ func TestChaosSeDKillWithWarmConnectionsTCP(t *testing.T) {
 	}
 	if !requeued {
 		t.Errorf("no requeue span in the trace of %s", info.RequestID)
+	}
+}
+
+// paperTCPSpec is the paper's platform over loopback TCP: one MA, one LA per
+// cluster, the eleven SeDs of platform.PaperDeployment serving a no-op
+// "double", ranked round-robin.
+func paperTCPSpec(reg *metrics.Registry) DeploymentSpec {
+	spec := DeploymentSpec{MAName: "MA1", Policy: scheduler.NewRoundRobin(), Metrics: reg}
+	svc := sleepService("double", 0, nil)
+	for _, s := range platform.PaperDeployment().SeDs {
+		la := "LA-" + s.Cluster
+		if !slices.Contains(spec.LAs, la) {
+			spec.LAs = append(spec.LAs, la)
+		}
+		spec.SeDs = append(spec.SeDs, SeDSpec{
+			Name: s.Name, Parent: la, Cluster: s.Cluster,
+			Capacity: 1, PowerGFlops: s.PowerGFlops(), Services: []ServiceSpec{svc},
+		})
+	}
+	return spec
+}
+
+// exchanges counts the rpc exchanges a deployment serves. countExchanges
+// registers every object of every component again with each method wrapped,
+// so an exchange is one request a server answered, whoever made it.
+type exchanges struct {
+	n    atomic.Int64
+	mu   sync.Mutex
+	gate chan struct{} // when set, an Estimate waits until it is closed
+}
+
+func countExchanges(d *Deployment) *exchanges {
+	x := &exchanges{}
+	wrap := func(m rpc.Methods) rpc.Methods {
+		out := make(rpc.Methods, len(m))
+		for name, fn := range m {
+			out[name] = func(body []byte) (rpc.WireBody, error) {
+				x.n.Add(1)
+				if name == "Estimate" {
+					x.mu.Lock()
+					gate := x.gate
+					x.mu.Unlock()
+					if gate != nil {
+						<-gate
+					}
+				}
+				return fn(body)
+			}
+		}
+		return out
+	}
+	for _, a := range append([]*Agent{d.MA}, d.LAs...) {
+		a.server.RegisterMethods(a.objectName(), wrap(a.methods()))
+	}
+	for _, s := range d.SeDs {
+		s.server.RegisterMethods(s.objectName(), wrap(s.methods()))
+	}
+	ns := d.Naming.Handler()
+	d.servers[0].Register(naming.ObjectName, func(method string, body []byte) ([]byte, error) {
+		x.n.Add(1)
+		return ns(method, body)
+	})
+	return x
+}
+
+// TestTransportCallExchangeBudget counts the exchanges of a call on the
+// paper's platform (1 MA, 6 LA, 11 SeD): the client's Submit, the MA's six
+// Collects, the LAs' eleven Estimates and the client's Solve, 19 in all. A
+// burst of k overlapping calls walks the hierarchy once, and each call that
+// rides the walk adds only its Submit and its Solve: 19 + 2(k−1). Measured
+// at the commit before the estimates carried their SeD's address: 20 and
+// 20 + 3(k−1), the MA asking naming for the ranked servers' addresses.
+func TestTransportCallExchangeBudget(t *testing.T) {
+	const solo, k = 19, 4
+	d := newTestDeployment(t, paperTCPSpec(metrics.NewRegistry()))
+	client, err := d.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func() *AsyncCall {
+		p, err := NewProfile("double", 0, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetScalarInt(0, 21, Volatile)
+		return client.CallAsync(p)
+	}
+	if _, err := call().Wait(); err != nil { // dial outside the count
+		t.Fatal(err)
+	}
+	x := countExchanges(d)
+	for i := 0; i < 3; i++ {
+		before := x.n.Load()
+		if _, err := call().Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if got := x.n.Load() - before; got != solo {
+			t.Errorf("solo call %d made %d exchanges, want %d", i, got, solo)
+		}
+	}
+
+	// The burst: every Estimate waits until k−1 calls have joined the walk.
+	gate := make(chan struct{})
+	x.mu.Lock()
+	x.gate = gate
+	x.mu.Unlock()
+	joined := d.MA.metrics.collectJoined.With(d.MA.Name())
+	base, before := joined.Value(), x.n.Load()
+	calls := make([]*AsyncCall, k)
+	for i := range calls {
+		calls[i] = call()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for joined.Value()-base < k-1 {
+		if time.Now().After(deadline) {
+			close(gate)
+			t.Fatalf("%v of %d calls joined the walk", joined.Value()-base, k-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	if err := WaitAll(calls); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := x.n.Load()-before, int64(solo+2*(k-1)); got != want {
+		t.Errorf("a burst of %d calls made %d exchanges, want %d", k, got, want)
 	}
 }

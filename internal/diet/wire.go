@@ -60,8 +60,9 @@ func (p *Profile) WireArgs() ([]gwproto.Arg, error) {
 		a := &p.Args[i]
 		w := gwproto.Arg{Persist: wirePersist(a.Persist), DataID: a.DataID}
 		if a.DataID != "" && len(a.Data) == 0 {
-			// A persistent reference travels as just its ID.
-			w.Kind = wireKind(a.Kind)
+			// A persistent reference travels as just its ID (and a file's
+			// name).
+			w.Kind, w.FileName = wireKind(a.Kind), a.FileName
 			out[i] = w
 			continue
 		}
@@ -137,6 +138,9 @@ func (p *Profile) applyWireArg(i int, w gwproto.Arg) error {
 		}
 		return p.SetString(i, s, persist)
 	case "file":
+		if w.DataID != "" && len(w.File) == 0 {
+			return p.SetFileRef(i, w.FileName, w.DataID, persist)
+		}
 		return p.SetFileBytes(i, w.FileName, w.File, persist)
 	}
 	return fmt.Errorf("diet: argument %d: unknown kind %q", i, w.Kind)

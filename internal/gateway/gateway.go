@@ -1,10 +1,10 @@
 // Package gateway is the client-facing front door of a federated DIET
 // deployment: it pools connections to the Master Agents, sticky-routes each
 // service to one MA (so a service's estimates and models stay warm where its
-// hierarchy lives), batches concurrent submissions of the same service into
-// one finding phase, and sheds load with a typed ErrOverload once its
-// bounded admission queue fills — the web-portal layer of PAPERS.md #5 in
-// front of the multi-MA mesh of #1/#2.
+// hierarchy lives), batches concurrent submissions of the same service and
+// inputs into one finding phase, and sheds load with a typed ErrOverload
+// once its bounded admission queue fills — the web-portal layer of
+// PAPERS.md #5 in front of the multi-MA mesh of #1/#2.
 //
 // The HTTP JSON API it exposes (POST /api/v1/solve, GET /api/v1/status,
 // plus /metrics, /statusz and /debug/pprof) speaks the versioned gwproto
@@ -47,9 +47,9 @@ type Config struct {
 }
 
 // finding is one in-flight finding phase that concurrent submissions of the
-// same service share: the first caller (the leader) pays the MA round trip,
-// later callers join as followers and reuse the ranked reply with rotated
-// starting servers.
+// same service and inputs share: the first caller (the leader) pays the MA
+// round trip, later callers join as followers and reuse the ranked reply
+// with rotated starting servers.
 type finding struct {
 	done   chan struct{}
 	reply  *diet.SubmitReply
@@ -67,7 +67,7 @@ type Gateway struct {
 	workers chan struct{} // concurrency tokens, cap Workers
 
 	mu       sync.Mutex
-	inflight map[string]*finding
+	inflight map[batchKey]*finding
 
 	submitted atomic.Int64
 	shed      atomic.Int64
@@ -147,7 +147,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:      cfg,
 		queue:    make(chan struct{}, cfg.QueueCap),
 		workers:  make(chan struct{}, cfg.Workers),
-		inflight: make(map[string]*finding),
+		inflight: make(map[batchKey]*finding),
 		perMA:    make([]maCounters, len(cfg.MAs)),
 		metrics:  newGwMetrics(cfg.Metrics),
 	}
@@ -211,13 +211,29 @@ func (g *Gateway) admit() (func(), error) {
 	}, nil
 }
 
-// findServers runs (or joins) the finding phase for a service. The reply is
-// shared with every concurrent caller of the same service; rotate is this
-// caller's batch position, used to fan the batch across the ranked list
-// instead of piling it onto the top server.
-func (g *Gateway) findServers(idx int, service string, work float64) (reply *diet.SubmitReply, rotate int, err error) {
+// batchKey is what lets two solves share a finding: the same service and
+// the same input data references, quoted so that no two lists of IDs read
+// alike — the key the MA's collects coalesce on. Each SeD prices the
+// transfer of the inputs into its estimate, so solves with other inputs need
+// another ranking. The work hint is left out: a follower is rotated off the
+// leader's first server whatever its hint, and a key per hint would split
+// the batches of callers whose hints all differ.
+type batchKey struct {
+	service string
+	data    string
+}
+
+// findServers runs (or joins) the finding phase for p. The reply is shared
+// with every concurrent caller of the same batchKey; rotate is this caller's
+// batch position, used to fan the batch across the ranked list instead of
+// piling it onto the top server.
+func (g *Gateway) findServers(idx int, p *diet.Profile) (reply *diet.SubmitReply, rotate int, err error) {
+	key := batchKey{service: p.Service}
+	if ids := p.InputDataIDs(); len(ids) > 0 {
+		key.data = fmt.Sprintf("%q", ids)
+	}
 	g.mu.Lock()
-	if f, ok := g.inflight[service]; ok {
+	if f, ok := g.inflight[key]; ok {
 		f.joined++
 		rotate = f.joined
 		g.mu.Unlock()
@@ -229,20 +245,20 @@ func (g *Gateway) findServers(idx int, service string, work float64) (reply *die
 		return f.reply, rotate, f.err
 	}
 	f := &finding{done: make(chan struct{})}
-	g.inflight[service] = f
+	g.inflight[key] = f
 	g.mu.Unlock()
 
 	g.perMA[idx].submitted.Add(1)
 	if g.metrics != nil {
 		g.metrics.maSubmitted.With(g.cfg.MAs[idx]).Inc()
 	}
-	f.reply, _, f.err = g.clients[idx].FindServers(service, work)
+	f.reply, _, f.err = g.clients[idx].FindServersFor(p)
 	if f.err != nil {
 		g.perMA[idx].failed.Add(1)
 	}
 
 	g.mu.Lock()
-	delete(g.inflight, service)
+	delete(g.inflight, key)
 	if f.joined > 0 {
 		g.batches.Add(1)
 	}
@@ -268,7 +284,7 @@ func (g *Gateway) Solve(p *diet.Profile) (*diet.CallInfo, time.Duration, error) 
 	}
 
 	idx := Route(p.Service, len(g.clients))
-	reply, rotate, err := g.findServers(idx, p.Service, p.WorkGFlops)
+	reply, rotate, err := g.findServers(idx, p)
 	if err != nil {
 		g.errors.Add(1)
 		if g.metrics != nil {

@@ -262,22 +262,23 @@ func TestGatewayStickyRouting(t *testing.T) {
 func TestGatewayBatchingJoinsInflight(t *testing.T) {
 	g := &Gateway{
 		cfg:      Config{MAs: []string{"MA-batch"}},
-		inflight: make(map[string]*finding),
+		inflight: make(map[batchKey]*finding),
 		perMA:    make([]maCounters, 1),
 	}
 	f := &finding{done: make(chan struct{})}
 	g.mu.Lock()
-	g.inflight["svc"] = f
+	g.inflight[batchKey{service: "svc"}] = f
 	g.mu.Unlock()
 
 	const followers = 3
+	p := intProfile(t, "svc", 0)
 	rotations := make(chan int, followers)
 	var wg sync.WaitGroup
 	for i := 0; i < followers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reply, rotate, err := g.findServers(0, "svc", 0)
+			reply, rotate, err := g.findServers(0, p)
 			if err != nil {
 				t.Errorf("follower errored: %v", err)
 			}
@@ -303,7 +304,7 @@ func TestGatewayBatchingJoinsInflight(t *testing.T) {
 	}
 	f.reply = &diet.SubmitReply{}
 	g.mu.Lock()
-	delete(g.inflight, "svc")
+	delete(g.inflight, batchKey{service: "svc"})
 	g.mu.Unlock()
 	close(f.done)
 	wg.Wait()

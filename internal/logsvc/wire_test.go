@@ -38,5 +38,6 @@ func FuzzBusBodies(f *testing.F) {
 func TestWireLayoutLock(t *testing.T) {
 	wiretest.Lock(t, map[int]string{
 		4: "6cd04a002ce8b0b039ac7222",
+		5: "6cd04a002ce8b0b039ac7222",
 	}, wireMethods)
 }

@@ -80,13 +80,6 @@ func holderAlive(e Entry) bool {
 	return rpc.Call(e.Addr, object, "Ping", nil, nil) == nil
 }
 
-// Unregister removes a binding (idempotent).
-func (s *Service) Unregister(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.entries, name)
-}
-
 // Resolve returns the binding for name.
 func (s *Service) Resolve(name string) (Entry, error) {
 	s.mu.RLock()
@@ -96,21 +89,6 @@ func (s *Service) Resolve(name string) (Entry, error) {
 		return Entry{}, fmt.Errorf("naming: %q not bound", name)
 	}
 	return e, nil
-}
-
-// ResolveAll returns the bindings of names in the order given, leaving out
-// the names that are not bound: one exchange where a caller ranking N servers
-// would otherwise make N.
-func (s *Service) ResolveAll(names []string) []Entry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Entry, 0, len(names))
-	for _, name := range names {
-		if e, ok := s.entries[name]; ok {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Handler exposes the service over rpc.
@@ -124,9 +102,6 @@ func (s *Service) methods() rpc.Methods {
 		"Resolve": rpc.Typed(func(name *rpc.Text) (*Entry, error) {
 			e, err := s.Resolve(string(*name))
 			return &e, err
-		}),
-		"ResolveAll": rpc.Typed(func(req *resolveAllRequest) (*resolveAllReply, error) {
-			return &resolveAllReply{Entries: s.ResolveAll(req.Names)}, nil
 		}),
 	}
 }
@@ -149,30 +124,9 @@ func (c *Client) Resolve(name string) (Entry, error) {
 	return e, err
 }
 
-// ResolveAll looks names up remotely in one exchange: the bound ones, in the
-// order given.
-func (c *Client) ResolveAll(names []string) ([]Entry, error) {
-	var reply resolveAllReply
-	err := rpc.Call(c.Addr, ObjectName, "ResolveAll", &resolveAllRequest{Names: names}, &reply)
-	return reply.Entries, err
-}
-
 // An entry crosses the wire as its name, address and kind texts
-// (rpc.WireBody); ResolveAll sends a list of name texts and answers with a
-// list of entries.
+// (rpc.WireBody).
 
 func (e *Entry) WireSize() int                      { return rpc.TextSize(e.Name, e.Addr, e.Kind) }
 func (e *Entry) AppendWire(w rpc.Writer) rpc.Writer { return w.Text(e.Name).Text(e.Addr).Text(e.Kind) }
 func (e *Entry) ReadWire(r *rpc.Reader)             { e.Name, e.Addr, e.Kind = r.Text(), r.Text(), r.Text() }
-
-type resolveAllRequest struct{ Names []string }
-
-type resolveAllReply struct{ Entries []Entry }
-
-func (q *resolveAllRequest) WireSize() int                      { return rpc.TextsSize(q.Names) }
-func (q *resolveAllRequest) AppendWire(w rpc.Writer) rpc.Writer { return w.Texts(q.Names) }
-func (q *resolveAllRequest) ReadWire(r *rpc.Reader)             { q.Names = r.Texts() }
-
-func (p *resolveAllReply) WireSize() int                      { return rpc.ListSize(p.Entries) }
-func (p *resolveAllReply) AppendWire(w rpc.Writer) rpc.Writer { return rpc.AppendList(w, p.Entries) }
-func (p *resolveAllReply) ReadWire(r *rpc.Reader)             { p.Entries = rpc.ReadBodies[Entry](r) }

@@ -18,11 +18,6 @@ func TestServiceBasics(t *testing.T) {
 	if _, err := s.Resolve("ghost"); err == nil {
 		t.Error("missing name should fail")
 	}
-	s.Unregister("MA1")
-	if _, err := s.Resolve("MA1"); err == nil {
-		t.Error("unregistered name should fail")
-	}
-	s.Unregister("MA1") // idempotent
 }
 
 func TestRegisterConflicts(t *testing.T) {
@@ -89,48 +84,5 @@ func TestRemoteClientOverTCP(t *testing.T) {
 	e, err := c.Resolve("MA1")
 	if err != nil || e.Kind != "MA" {
 		t.Fatalf("Resolve over TCP = %+v, %v", e, err)
-	}
-}
-
-// ResolveAll is Agent.Submit's one naming exchange: the bound names come back
-// in the order asked, unbound ones are left out ("server vanished between
-// estimate and resolve"), and nothing in gives nothing out — over the wire too.
-func TestTransportResolveAll(t *testing.T) {
-	svc := NewService()
-	for _, n := range []string{"a", "b", "c"} {
-		svc.Register(Entry{Name: n, Addr: "addr-" + n, Kind: "SeD"})
-	}
-	server := rpc.NewServer()
-	server.Register(ObjectName, svc.Handler())
-	addr, err := server.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	c := &Client{Addr: addr}
-
-	for _, tc := range []struct {
-		names []string
-		want  []string
-	}{
-		{[]string{"c", "ghost", "a", "b"}, []string{"c", "a", "b"}},
-		{[]string{"b", "b"}, []string{"b", "b"}},
-		{[]string{"ghost"}, nil},
-		{nil, nil},
-	} {
-		remote, err := c.ResolveAll(tc.names)
-		if err != nil {
-			t.Fatalf("ResolveAll(%v): %v", tc.names, err)
-		}
-		for _, got := range [][]Entry{svc.ResolveAll(tc.names), remote} {
-			if len(got) != len(tc.want) {
-				t.Fatalf("ResolveAll(%v) = %+v, want names %v", tc.names, got, tc.want)
-			}
-			for i, e := range got {
-				if e.Name != tc.want[i] || e.Addr != "addr-"+tc.want[i] || e.Kind != "SeD" {
-					t.Errorf("ResolveAll(%v)[%d] = %+v, want %s", tc.names, i, e, tc.want[i])
-				}
-			}
-		}
 	}
 }

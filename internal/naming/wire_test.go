@@ -9,12 +9,11 @@ import (
 
 // wireMethods are the naming service's methods and their bodies, fresh.
 var wireMethods = []wiretest.Method{
-	{Name: "ResolveAll", Req: func() rpc.WireBody { return &resolveAllRequest{} }, Rep: func() rpc.WireBody { return &resolveAllReply{} }},
 	{Name: "Register", Req: func() rpc.WireBody { return &Entry{} }},
 	{Name: "Resolve", Req: func() rpc.WireBody { return new(rpc.Text) }, Rep: func() rpc.WireBody { return &Entry{} }},
 }
 
-func TestResolveAllBodiesRoundTrip(t *testing.T) {
+func TestNamingBodiesRoundTrip(t *testing.T) {
 	for _, fresh := range wiretest.Bodies(t, wireMethods, NewService().methods()) {
 		filled := fresh()
 		wiretest.Fill(filled)
@@ -23,22 +22,23 @@ func TestResolveAllBodiesRoundTrip(t *testing.T) {
 			wiretest.RefuseDamaged(t, wire, fresh)
 		}
 	}
-	wiretest.RoundTrip(t, &resolveAllRequest{Names: []string{"", "Nançy-1", ""}}, &resolveAllRequest{})
-	wiretest.RoundTrip(t, &resolveAllReply{Entries: []Entry{{}, {Name: "n"}}}, &resolveAllReply{})
+	wiretest.RoundTrip(t, &Entry{Name: "Nançy-1", Kind: "SeD"}, &Entry{})
 }
 
 // FuzzResolveAllBodies feeds arbitrary bytes to the decoder of every body
-// of the naming service, ResolveAll's first.
+// of the naming service, the entry first. It keeps the name it had while
+// ResolveAll's bodies led it, so that its seeds keep theirs.
 func FuzzResolveAllBodies(f *testing.F) {
 	bodies := wiretest.Bodies(f, wireMethods, NewService().methods())
-	filled := &resolveAllReply{}
+	filled := &Entry{}
 	wiretest.Fill(filled)
 	wire, _ := rpc.Encode(filled)
-	for kind := range bodies[:2] {
+	for kind := range bodies {
 		f.Add(uint8(kind), wire)
 		f.Add(uint8(kind), wire[:len(wire)-1])
 		f.Add(uint8(kind), append(wire[:len(wire):len(wire)], 0))
-		f.Add(uint8(kind), []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+		f.Add(uint8(kind), []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0})
+		f.Add(uint8(kind), []byte{0, 0, 0, 1, 'n', 0, 0, 0, 0})
 		f.Add(uint8(kind), []byte{})
 	}
 	wiretest.Seed(f, bodies)
@@ -52,5 +52,6 @@ func FuzzResolveAllBodies(f *testing.F) {
 func TestWireLayoutLock(t *testing.T) {
 	wiretest.Lock(t, map[int]string{
 		4: "df44f025252adc7babb0d7e4",
+		5: "b0fd312f90d91d25eea1d3e5",
 	}, wireMethods)
 }

@@ -162,14 +162,13 @@ func BenchmarkDecodeProfile4MiB(b *testing.B) {
 }
 
 // paperSubmitReply is what the MA answers a client on the paper's platform:
-// 11 ranked servers and their 11 estimation vectors, forecasts included.
+// the estimation vectors of 11 ranked servers, forecasts and addresses
+// included.
 func paperSubmitReply() *diet.SubmitReply {
 	reply := &diet.SubmitReply{}
 	for i := 0; i < 11; i++ {
-		name := fmt.Sprintf("Nancy%d", i+1)
-		reply.Servers = append(reply.Servers, diet.ServerRef{Name: name, Addr: fmt.Sprintf("10.0.0.%d:9100", i+1)})
 		reply.Estimates = append(reply.Estimates, scheduler.Estimate{
-			ServerID: name, Service: "ramsesZoom2", Capacity: 1, QueueLen: i, PowerGFlops: 63.8,
+			ServerID: fmt.Sprintf("Nancy%d", i+1), Addr: fmt.Sprintf("10.0.0.%d:9100", i+1), Service: "ramsesZoom2", Capacity: 1, QueueLen: i, PowerGFlops: 63.8,
 			LastSolveSeconds: 5400, HasForecast: true, ForecastSamples: 12, EWMASolveSeconds: 5300,
 			ForecastConfidence: 0.8, PendingWorkSeconds: 5300 * float64(i),
 		})

@@ -25,11 +25,13 @@ import (
 // body.go; Call and registered methods hand theirs over in segments). The
 // version byte changes whenever a body's layout or the status table does, so
 // that a peer built from another tree is refused by name on its first call,
-// not misread: version 4 is the frame whose status is the failure code and
-// whose estimates have no free-memory field, version 3 the first whose
-// bodies were all WireBody layouts.
+// not misread: version 5 is the frame whose estimates carry the server
+// address (and whose submit reply is the ranked estimates alone), version 4
+// the first whose status is the failure code and whose estimates have no
+// free-memory field, version 3 the first whose bodies were all WireBody
+// layouts.
 const (
-	frameVersion = 4
+	frameVersion = 5
 
 	// maxFrame bounds a frame's declared length, and with it what one body
 	// can make its decoder allocate (a Reader allocates no more than a

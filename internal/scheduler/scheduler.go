@@ -19,6 +19,7 @@ import (
 // ability" for a service.
 type Estimate struct {
 	ServerID         string  // unique SeD identity
+	Addr             string  // where the SeD serves: a client sends its solve there
 	Service          string  // service this estimate answers for
 	Capacity         int     // concurrent solve slots (the paper's SeDs have 1)
 	Running          int     // solves currently executing

@@ -3,20 +3,23 @@ package scheduler
 import "repro/internal/rpc"
 
 // Wire layout of an Estimate (rpc.WireBody conventions), its fields in
-// declaration order: two texts, three ints and two float64 of the static
+// declaration order: three texts, three ints and two float64 of the static
 // vector, then the forecast extension (bool, int, five float64) and the
 // data-aware float64. Estimates travel inside the estimate, collect and
 // submit replies of package diet, once per SeD per call.
 
-// estimateFixed is the encoded size of everything but the two texts' bytes.
-const estimateFixed = 2*rpc.LenSize + 4*rpc.IntSize + 8*rpc.Float64Size + rpc.BoolSize
+// estimateFixed is the encoded size of everything but the three texts' bytes.
+const estimateFixed = 3*rpc.LenSize + 4*rpc.IntSize + 8*rpc.Float64Size + rpc.BoolSize
 
 // WireSize is the exact length AppendWire adds.
-func (e *Estimate) WireSize() int { return estimateFixed + len(e.ServerID) + len(e.Service) }
+func (e *Estimate) WireSize() int {
+	return estimateFixed + len(e.ServerID) + len(e.Addr) + len(e.Service)
+}
 
 // AppendWire appends the estimate's encoding to w.
 func (e *Estimate) AppendWire(w rpc.Writer) rpc.Writer {
 	w = w.Text(e.ServerID)
+	w = w.Text(e.Addr)
 	w = w.Text(e.Service)
 	w = w.Int(e.Capacity)
 	w = w.Int(e.Running)
@@ -36,6 +39,7 @@ func (e *Estimate) AppendWire(w rpc.Writer) rpc.Writer {
 // ReadWire fills the estimate from r.
 func (e *Estimate) ReadWire(r *rpc.Reader) {
 	e.ServerID = r.Text()
+	e.Addr = r.Text()
 	e.Service = r.Text()
 	e.Capacity = r.Int()
 	e.Running = r.Int()
