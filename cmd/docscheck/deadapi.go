@@ -13,6 +13,8 @@ import (
 	"path"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 )
 
@@ -34,17 +36,22 @@ var keptOnPurpose = map[string]string{
 	"simgrid.ExperimentConfig.Spans": "the simulated trace TestCampaignSpansMirrorLiveTaxonomy holds to the live span taxonomy",
 }
 
-// CheckUnused type-checks the Go module at root once and flags what its
-// non-test code never uses: exported internal/ declarations (deadAPI) and
-// exported internal/ struct fields that nothing sets (unsetFields). A bench/
-// file, tests included, counts as a user. A tree that does not type-check
-// is an error, never an empty list.
-func CheckUnused(root string) ([]string, error) {
+// CheckModule type-checks the Go module at root once and flags what its
+// non-test code never uses — exported internal/ declarations (deadAPI) and
+// exported internal/ struct fields that nothing sets (unsetFields) — and
+// the internal/ names the docs cite that it does not declare (staleNames).
+// A bench/ file, tests included, counts as a user. A tree that does not
+// type-check is an error, never an empty list.
+func CheckModule(root string) ([]string, error) {
 	m, err := loadModule(root)
 	if err != nil {
 		return nil, err
 	}
-	return append(deadAPI(m), unsetFields(m)...), nil
+	stale, err := staleNames(m, root)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(deadAPI(m), unsetFields(m)...), stale...), nil
 }
 
 // module is every package of a Go module, type-checked once each against
@@ -432,6 +439,79 @@ func unsetFields(m *module) []string {
 	}
 	sortByPlace(problems)
 	return problems
+}
+
+// citedNameRe matches a code span that cites a Go name of a package:
+// pkg.Name or pkg.Type.Member, a trailing * making the last part a prefix,
+// optionally followed by call arguments.
+var citedNameRe = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Za-z_]\w*))?(\*?)(?:\(.*\))?$`)
+
+// staleNames flags each code span of a *.md file describing the tree that
+// cites pkg.Name or pkg.Type.Member where pkg is the name of an internal/
+// package and no such package declares the name. Spans naming other
+// packages (fmt.Stringer, time.Duration) are not checked.
+func staleNames(m *module, root string) ([]string, error) {
+	byName := make(map[string][]*types.Package)
+	for _, p := range m.pkgs {
+		if strings.HasPrefix(p.dir, "internal/") {
+			byName[p.types.Name()] = append(byName[p.types.Name()], p.types)
+		}
+	}
+	var problems []string
+	err := walkMarkdown(root, func(rel, doc string) {
+		if !describesTree(rel) {
+			return
+		}
+		for _, loc := range codeSpanRe.FindAllStringSubmatchIndex(doc, -1) {
+			span := doc[loc[2]:loc[3]]
+			c := citedNameRe.FindStringSubmatch(span)
+			if c == nil || byName[c[1]] == nil {
+				continue
+			}
+			if !slices.ContainsFunc(byName[c[1]], func(pkg *types.Package) bool { return declares(pkg, c[2], c[3], c[4] == "*") }) {
+				line := strings.Count(doc[:loc[0]], "\n") + 1
+				problems = append(problems, fmt.Sprintf("%s:%d: `%s` is cited but no internal/ package %s declares it", rel, line, span, c[1]))
+			}
+		}
+	})
+	sortByPlace(problems)
+	return problems, err
+}
+
+// describesTree reports whether a *.md file documents the current tree:
+// README.md and ARCHITECTURE.md at the root, and every *.md below it. The
+// other root files are records — the history files, the paper, related
+// work, plans — whose citations may name code that has since gone.
+func describesTree(rel string) bool {
+	rel = filepath.ToSlash(rel)
+	return strings.Contains(rel, "/") || rel == "README.md" || rel == "ARCHITECTURE.md"
+}
+
+// declares reports whether pkg declares name, or the member of its type
+// name when member is set; with prefix, the last part need only begin the
+// declared name.
+func declares(pkg *types.Package, name, member string, prefix bool) bool {
+	match := func(declared, cited string) bool {
+		return declared == cited || prefix && strings.HasPrefix(declared, cited)
+	}
+	if member == "" {
+		return slices.ContainsFunc(pkg.Scope().Names(), func(n string) bool { return match(n, name) })
+	}
+	tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+	if !ok {
+		return false
+	}
+	var members []string
+	ms := types.NewMethodSet(types.NewPointer(tn.Type()))
+	for i := 0; i < ms.Len(); i++ {
+		members = append(members, ms.At(i).Obj().Name())
+	}
+	if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			members = append(members, st.Field(i).Name())
+		}
+	}
+	return slices.ContainsFunc(members, func(n string) bool { return match(n, member) })
 }
 
 // listed reports whether keptOnPurpose names d or its package.

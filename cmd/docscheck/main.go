@@ -18,9 +18,12 @@
 //     has no row in README.md's ablation index;
 //
 //   - an exported internal/ declaration is used by tests only, or an
-//     exported internal/ struct field is set by tests or decoders only
-//     (checked on the type-checked module; a tree that does not type-check
-//     exits 2).
+//     exported internal/ struct field is set by tests or decoders only;
+//
+//   - a code span in README.md, ARCHITECTURE.md or a *.md file below the
+//     root cites pkg.Name or pkg.Type.Member of an internal/ package that
+//     declares no such name (these last checks run on the type-checked module; a tree
+//     that does not type-check exits 2).
 //
 //     docscheck            # check the repository rooted at the working dir
 //     docscheck -root ../..
@@ -71,7 +74,7 @@ func run(root string, stdout, stderr io.Writer) int {
 // returns the problems found (empty = docs are consistent).
 func Check(root string) ([]string, error) {
 	var problems []string
-	for _, check := range []func(string) ([]string, error){CheckLinks, CheckCLIDocs, CheckInvocations, CheckAblationIndex, CheckUnused} {
+	for _, check := range []func(string) ([]string, error){CheckLinks, CheckCLIDocs, CheckInvocations, CheckAblationIndex, CheckModule} {
 		found, err := check(root)
 		if err != nil {
 			return nil, err

@@ -267,7 +267,7 @@ func TestCheckAblationIndexCoversDataAblation(t *testing.T) {
 	}
 }
 
-// unusedCase is one fixture tree for CheckUnused and the problems it must
+// unusedCase is one fixture tree for CheckModule and the problems it must
 // report, each as "file:line: key", in file and line order.
 type unusedCase struct {
 	name  string
@@ -284,7 +284,7 @@ func runUnusedCases(t *testing.T, cases []unusedCase) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.files["go.mod"] = fixtureMod
-			problems, err := CheckUnused(writeTree(t, tc.files))
+			problems, err := CheckModule(writeTree(t, tc.files))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -479,6 +479,51 @@ func decode(r *rpc.Reader) (e lib.Estimate) {
 			"internal/app/app.go": "package app\n\nimport (\n\t\"example.org/grid/internal/diet\"\n\t\"example.org/grid/internal/lib\"\n)\n\n" +
 				"func run(lib.Status, diet.SeDSpec) {}\n",
 		},
+	}})
+}
+
+// staleLib declares the names the stale-name cases cite, each used from
+// non-test code so that only the docs can be at fault.
+var staleLib = map[string]string{
+	"internal/lib/lib.go": `package lib
+
+type Queue struct{ Free int }
+
+func (*Queue) Push() {}
+
+func Live() {}
+`,
+	"internal/app/app.go": "package app\n\nimport \"example.org/grid/internal/lib\"\n\nfunc run() { q := &lib.Queue{Free: 1}; q.Push(); lib.Live() }\n",
+}
+
+func TestCheckStaleDocNames(t *testing.T) {
+	withDocs := func(docs map[string]string) map[string]string {
+		files := make(map[string]string)
+		for k, v := range staleLib {
+			files[k] = v
+		}
+		for k, v := range docs {
+			files[k] = v
+		}
+		return files
+	}
+	runUnusedCases(t, []unusedCase{{
+		// Functions, methods, fields, prefixes and call arguments resolve;
+		// other packages and file names are not Go names of the module.
+		name: "every cited name exists",
+		files: withDocs(map[string]string{
+			"README.md": "`lib.Live`, `lib.Queue.Push()`, `lib.Queue.Free`, `lib.Qu*`,\n" +
+				"`lib.Queue.Pu*`, `lib.go`, `fmt.Stringer`, `other.Gone`\n",
+		}),
+	}, {
+		name: "one stale name",
+		files: withDocs(map[string]string{
+			"README.md":   "Intro.\n\nThe queue is `lib.Queue`; `lib.Queue.Pop` takes the head.\n",
+			"docs/ops.md": "`lib.Live` and `lib.Queue.Push(e)`\n",
+			"CHANGES.md":  "Deleted `lib.Gone`.\n",
+			"PLAN.md":     "Delete `lib.Gone`.\n",
+		}),
+		want: []string{"README.md:3: `lib.Queue.Pop`"},
 	}})
 }
 

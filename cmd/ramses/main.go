@@ -1,7 +1,7 @@
 // Command ramses runs a cosmological N-body simulation from a namelist file,
 // the way the paper's RAMSES3d runs inside the service: initial conditions,
-// particle-mesh integration, snapshots at the requested expansion factors
-// and AMR statistics per output. With -render it also prints the projected
+// particle-mesh integration and snapshots at the requested expansion
+// factors, with the particle count of each. With -render it also prints the projected
 // density field of each snapshot — the paper's Figure 2 time sequence — as
 // ASCII art.
 //
@@ -42,13 +42,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, o := range res.Outputs {
-		tree, err := res.Tree(i)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("output %d: a=%.3f  particles=%d  AMR depth=%d (effective %d^3)  leaves=%d\n",
-			o.Index, o.A, len(o.Snap.Parts), tree.MaxDepth, tree.EffectiveN, tree.Leaves)
+	for _, o := range res.Outputs {
+		fmt.Printf("output %d: a=%.3f  particles=%d\n", o.Index, o.A, len(o.Snap.Parts))
 		if o.Path != "" {
 			fmt.Printf("  wrote %s\n", o.Path)
 		}

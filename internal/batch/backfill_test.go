@@ -11,9 +11,10 @@ import (
 // headBoundOf reads the shadow bound recorded while j was the protected
 // head of a backfill pass (zero when no pass ever backfilled against it).
 func headBoundOf(j *Job) time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.headBound
+	if j.entry.HeadBoundS < 0 {
+		return time.Time{}
+	}
+	return epoch.Add(time.Duration(j.entry.HeadBoundS * float64(time.Second)))
 }
 
 func startOf(j *Job) time.Time {

@@ -14,18 +14,20 @@
 // while the monitor is cold. ForecastExecutor wires that policy into
 // diet.SeD solves and tracks the overrun-kill and idle-pad metrics.
 //
+// The scheduling pass itself is Queue, which has no clock: System drives it
+// on the wall clock, and the simulator's batch replay
+// (simgrid.SimulateBatchQueue) drives the same pass in virtual time.
 // Forecast sizing also feeds back into the queue: the backfill pass prefers
-// forecast-sized jobs when several candidates fit a shadow window
-// (OrderBackfill), because their tight walltimes waste the least of the
-// window, and per-job queue waits are tracked (SystemStats, Job.WaitTime)
-// so the ForecastExecutor can report each solve's real reservation wait to
-// the SeD's CoRI wait-on-depth regression.
+// forecast-sized jobs when several candidates fit a shadow window, because
+// their tight walltimes waste the least of the window, and per-job queue
+// waits are tracked (SystemStats, Job.WaitTime) so the ForecastExecutor can
+// report each solve's real reservation wait to the SeD's CoRI wait-on-depth
+// regression.
 package batch
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -69,7 +71,7 @@ type Job struct {
 	// ForecastSized marks a walltime derived from a trusted CoRI forecast
 	// rather than a fixed user grant. Sized walltimes are tight bounds, so
 	// the backfill pass prefers these jobs when several candidates fit the
-	// shadow window (see OrderBackfill).
+	// shadow window (see Queue.Schedule).
 	ForecastSized bool
 	Script        func() error
 
@@ -80,9 +82,9 @@ type Job struct {
 	start      time.Time
 	end        time.Time
 	backfilled bool        // started ahead of FIFO order by the backfill pass
-	headBound  time.Time   // tightest shadow bound recorded while this job was the protected head
 	watchdog   *time.Timer // walltime kill timer (EnforceWalltime); guarded by mu
 	finished   chan struct{}
+	entry      *Entry[*Job] // the job's place in the System's queue
 }
 
 // Err returns the script error after completion.
@@ -129,12 +131,10 @@ type Config struct {
 type System struct {
 	cfg Config
 
-	mu      sync.Mutex
-	nextID  int
-	free    int
-	queue   []*Job
-	running map[int]*Job
-	closed  bool
+	mu     sync.Mutex
+	nextID int
+	q      *Queue[*Job]
+	closed bool
 
 	// stats
 	submitted      int
@@ -155,8 +155,11 @@ func New(cfg Config) (*System, error) {
 	if cfg.TotalNodes < 1 {
 		return nil, fmt.Errorf("batch: TotalNodes must be >= 1, got %d", cfg.TotalNodes)
 	}
-	return &System{cfg: cfg, free: cfg.TotalNodes, running: make(map[int]*Job)}, nil
+	return &System{cfg: cfg, q: NewQueue[*Job](cfg.TotalNodes, cfg.Backfill)}, nil
 }
+
+// epoch is the origin of the seconds System passes to its Queue.
+var epoch = time.Now()
 
 // Request describes one batch submission.
 type Request struct {
@@ -193,145 +196,25 @@ func (s *System) SubmitRequest(r Request) (*Job, error) {
 		return nil, fmt.Errorf("batch: system is shut down")
 	}
 	s.nextID++
+	now := time.Now()
 	j := &Job{
 		ID: s.nextID, Name: r.Name, Nodes: r.Nodes, Walltime: r.Walltime,
 		ForecastSized: r.ForecastSized,
-		Script:        r.Script, state: Waiting, submit: time.Now(),
+		Script:        r.Script, state: Waiting, submit: now,
 		finished: make(chan struct{}),
 	}
-	s.queue = append(s.queue, j)
+	j.entry = &Entry[*Job]{Job: j, Nodes: r.Nodes, WallS: r.Walltime.Seconds(), Sized: r.ForecastSized}
+	s.q.Push(j.entry, now.Sub(epoch).Seconds())
 	s.submitted++
 	s.schedule()
 	return j, nil
 }
 
-// schedule starts every queued job that may run now. Caller holds s.mu.
-// FIFO order; with Backfill enabled, later jobs that fit in the free nodes
-// may start as long as the head job is not delayed (its start bound is the
-// earliest completion among running jobs that frees enough nodes, estimated
-// with walltimes — conservative backfilling). When several candidates fit
-// the shadow window, forecast-sized jobs go first: their walltimes are
-// tight bounds, so promoting them packs more real work into the window than
-// the padded fixed grants (OrderBackfill is the shared policy).
+// schedule runs the queue's pass now and starts every job it grants.
+// Caller holds s.mu.
 func (s *System) schedule() {
-	if len(s.queue) == 0 {
-		return
-	}
-	// Start from the head while it fits.
-	for len(s.queue) > 0 && s.queue[0].Nodes <= s.free {
-		s.startLocked(s.queue[0], false)
-		s.queue = s.queue[1:]
-	}
-	if !s.cfg.Backfill || len(s.queue) < 2 || s.free == 0 {
-		return
-	}
-	head := s.queue[0]
-	shadow := s.headStartBound(head)
-	cands := make([]BackfillCandidate, 0, len(s.queue)-1)
-	for i, j := range s.queue[1:] {
-		cands = append(cands, BackfillCandidate{
-			Queue: i + 1, Nodes: j.Nodes, Walltime: j.Walltime, ForecastSized: j.ForecastSized,
-		})
-	}
-	picks := SelectBackfill(cands, s.free, shadow.Sub(time.Now()))
-	if len(picks) == 0 {
-		return
-	}
-	// Record the bound this pass promises the head; every later start must
-	// keep it (the shadow-time invariant the property tests assert).
-	head.mu.Lock()
-	if head.headBound.IsZero() || shadow.Before(head.headBound) {
-		head.headBound = shadow
-	}
-	head.mu.Unlock()
-	started := make(map[int]bool, len(picks))
-	for _, c := range picks {
-		started[c.Queue] = true
-		s.startLocked(s.queue[c.Queue], true)
-	}
-	rest := make([]*Job, 0, len(s.queue)-len(started))
-	for i, j := range s.queue {
-		if !started[i] {
-			rest = append(rest, j)
-		}
-	}
-	s.queue = rest
-}
-
-// BackfillCandidate is the scheduler-independent view of one queued job a
-// backfill pass may promote. It exists so the live System and the
-// simulator's virtual-time batch mirror rank candidates through one policy.
-type BackfillCandidate struct {
-	Queue         int // position in the wait queue — the FIFO tiebreak
-	Nodes         int
-	Walltime      time.Duration
-	ForecastSized bool
-}
-
-// OrderBackfill sorts backfill candidates into the order the scheduler
-// tries them: forecast-sized jobs first (their walltimes are tight bounds,
-// so they waste the least of the shadow window and their projected ends are
-// trustworthy), then tighter walltimes, then submission order.
-func OrderBackfill(cands []BackfillCandidate) {
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].ForecastSized != cands[j].ForecastSized {
-			return cands[i].ForecastSized
-		}
-		if cands[i].Walltime != cands[j].Walltime {
-			return cands[i].Walltime < cands[j].Walltime
-		}
-		return cands[i].Queue < cands[j].Queue
-	})
-}
-
-// SelectBackfill is the complete conservative-backfill candidate policy:
-// from the queued jobs behind the head, keep those that fit the free nodes
-// now and whose walltime ends inside the head's shadow window, rank them
-// with OrderBackfill, and greedily admit while nodes remain. The picks are
-// returned in start order. Both System.schedule and the simulator's
-// virtual-time batch model (simgrid.SimulateBatchQueue) select through this
-// one function, so the two policies cannot drift.
-func SelectBackfill(cands []BackfillCandidate, free int, window time.Duration) []BackfillCandidate {
-	fit := make([]BackfillCandidate, 0, len(cands))
-	for _, c := range cands {
-		if c.Nodes <= free && c.Walltime < window {
-			fit = append(fit, c)
-		}
-	}
-	OrderBackfill(fit)
-	var picks []BackfillCandidate
-	for _, c := range fit {
-		if c.Nodes <= free {
-			free -= c.Nodes
-			picks = append(picks, c)
-		}
-	}
-	return picks
-}
-
-// headStartBound estimates when enough nodes free up for the head job,
-// assuming running jobs use their full walltime.
-func (s *System) headStartBound(head *Job) time.Time {
-	type release struct {
-		at    time.Time
-		nodes int
-	}
-	var rel []release
-	for _, j := range s.running {
-		j.mu.Lock()
-		rel = append(rel, release{at: j.start.Add(j.Walltime), nodes: j.Nodes})
-		j.mu.Unlock()
-	}
-	sort.Slice(rel, func(i, k int) bool { return rel[i].at.Before(rel[k].at) })
-	free := s.free
-	for _, r := range rel {
-		free += r.nodes
-		if free >= head.Nodes {
-			return r.at
-		}
-	}
-	// Should not happen (job validated against TotalNodes); far future.
-	return time.Now().Add(24 * time.Hour)
+	now := time.Now()
+	s.q.Schedule(now.Sub(epoch).Seconds(), func(e *Entry[*Job]) { s.startLocked(e.Job, now, e.Backfilled) })
 }
 
 // startLocked transitions a job to Running and launches its script. The job
@@ -340,12 +223,10 @@ func (s *System) headStartBound(head *Job) time.Time {
 // Queue wait (submit→start) is accounted here, split out for backfilled
 // jobs: those waits are what the backfill policy exists to shrink, and what
 // feeds the CoRI wait-on-depth regression through the ForecastExecutor.
-func (s *System) startLocked(j *Job, backfilled bool) {
-	s.free -= j.Nodes
-	s.running[j.ID] = j
+func (s *System) startLocked(j *Job, now time.Time, backfilled bool) {
 	j.mu.Lock()
 	j.state = Running
-	j.start = time.Now()
+	j.start = now
 	j.backfilled = backfilled
 	wait := j.start.Sub(j.submit)
 	j.mu.Unlock()
@@ -377,11 +258,9 @@ func (s *System) startLocked(j *Job, backfilled bool) {
 			j.watchdog.Stop()
 		}
 		j.mu.Unlock()
-		close(j.finished)
 
 		s.mu.Lock()
-		delete(s.running, j.ID)
-		s.free += j.Nodes
+		s.q.Release(j.entry)
 		s.reserved += j.Walltime
 		switch {
 		case errors.Is(err, ErrWalltime):
@@ -397,6 +276,9 @@ func (s *System) startLocked(j *Job, backfilled bool) {
 		}
 		s.schedule()
 		s.mu.Unlock()
+		// Only now may Wait return: the system has counted the job and
+		// returned its nodes.
+		close(j.finished)
 	}
 
 	if s.cfg.EnforceWalltime {
@@ -450,7 +332,7 @@ type SystemStats struct {
 	Backfilled        int
 	BackfillQueueWait time.Duration
 	// ForecastSizedBackfills counts backfilled jobs whose walltime came from
-	// a trusted CoRI forecast — the candidates OrderBackfill prefers.
+	// a trusted CoRI forecast — the candidates the backfill pass prefers.
 	ForecastSizedBackfills int
 }
 
@@ -468,9 +350,9 @@ func (s *System) Stats() SystemStats {
 	defer s.mu.Unlock()
 	return SystemStats{
 		TotalNodes:             s.cfg.TotalNodes,
-		FreeNodes:              s.free,
-		Waiting:                len(s.queue),
-		Running:                len(s.running),
+		FreeNodes:              s.q.Free(),
+		Waiting:                s.q.Waiting(),
+		Running:                s.q.Running(),
 		Submitted:              s.submitted,
 		Completed:              s.completed,
 		Failed:                 s.failed,

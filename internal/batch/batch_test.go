@@ -3,6 +3,7 @@ package batch
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -53,6 +54,41 @@ func TestJobRunsAndCompletes(t *testing.T) {
 	st := s.Stats()
 	if st.Completed != 1 || st.FreeNodes != 4 {
 		t.Errorf("stats %+v", st)
+	}
+}
+
+// TestSettleCountsBeforeFinish pins the order in which a job settles: its
+// finished channel closes only after the system has counted it and taken
+// its nodes back, so Wait never returns while Stats still shows the job
+// running. The test holds s.mu while the script returns: settle may mark
+// the job done but must leave finished open until it gets the lock.
+func TestSettleCountsBeforeFinish(t *testing.T) {
+	s, _ := New(Config{TotalNodes: 1})
+	release := make(chan struct{})
+	j, err := s.Submit("j", 1, time.Hour, func() error { <-release; return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	close(release)
+	for j.State() == Running {
+		runtime.Gosched()
+	}
+	for range 1000 {
+		select {
+		case <-j.finished:
+			s.mu.Unlock()
+			t.Fatal("finished closed before the system counted the job")
+		default:
+			runtime.Gosched()
+		}
+	}
+	s.mu.Unlock()
+	if err := s.Wait(j); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Running != 0 || st.Completed != 1 || st.FreeNodes != 1 {
+		t.Fatalf("Wait returned before the system settled the job: %+v", st)
 	}
 }
 
@@ -258,9 +294,9 @@ func (j *Job) State() JobState {
 func (s *System) Cancel(id int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, j := range s.queue {
-		if j.ID == id {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
+	for i, e := range s.q.waiting {
+		if j := e.Job; j.ID == id {
+			s.q.waiting = append(s.q.waiting[:i], s.q.waiting[i+1:]...)
 			j.mu.Lock()
 			j.state = Cancelled
 			j.mu.Unlock()

@@ -11,21 +11,29 @@ import (
 // results, and a Go program posting to a gateway encodes its profile with
 // WireRequest.
 
-// wireKind maps ArgKind to its wire tag.
-func wireKind(k ArgKind) string {
-	switch k {
-	case Scalar:
-		return "scalar"
-	case Vector:
-		return "vector"
-	case Matrix:
-		return "matrix"
-	case Text:
-		return "string"
-	case File:
-		return "file"
+// parseKind maps a wire kind tag (ArgKind.String) back.
+func parseKind(s string) (ArgKind, error) {
+	for k := Scalar; k <= File; k++ {
+		if k.String() == s {
+			return k, nil
+		}
 	}
-	return ""
+	return 0, fmt.Errorf("diet: unknown kind %q", s)
+}
+
+// parseBase maps a wire base tag (BaseType.String) back. A reference
+// without one is char: that is how references were encoded before they
+// carried their base.
+func parseBase(s string) (BaseType, error) {
+	if s == "" {
+		return Char, nil
+	}
+	for b := Char; b <= Double; b++ {
+		if b.String() == s {
+			return b, nil
+		}
+	}
+	return 0, fmt.Errorf("diet: unknown base %q", s)
 }
 
 // wirePersist maps Persistence to its wire tag ("" for the volatile
@@ -60,9 +68,8 @@ func (p *Profile) WireArgs() ([]gwproto.Arg, error) {
 		a := &p.Args[i]
 		w := gwproto.Arg{Persist: wirePersist(a.Persist), DataID: a.DataID}
 		if a.DataID != "" && len(a.Data) == 0 {
-			// A persistent reference travels as just its ID (and a file's
-			// name).
-			w.Kind, w.FileName = wireKind(a.Kind), a.FileName
+			// A persistent reference travels as its ID and type, no payload.
+			w.Kind, w.Base, w.FileName, w.Rows, w.Cols = a.Kind.String(), a.Base.String(), a.FileName, a.Rows, a.Cols
 			out[i] = w
 			continue
 		}
@@ -112,19 +119,34 @@ func (p *Profile) applyWireArg(i int, w gwproto.Arg) error {
 	if err != nil {
 		return err
 	}
-	switch w.Kind {
-	case "":
+	if w.Kind == "" {
 		p.Args[i] = Arg{} // placeholder OUT slot
 		return nil
+	}
+	if w.DataID != "" && w.Int == nil && w.Double == nil && len(w.Vector) == 0 &&
+		len(w.Matrix) == 0 && w.Str == nil && len(w.File) == 0 {
+		// A reference to server-resident data: its type, no payload.
+		kind, err := parseKind(w.Kind)
+		if err != nil {
+			return fmt.Errorf("diet: argument %d: %w", i, err)
+		}
+		base, err := parseBase(w.Base)
+		if err != nil {
+			return fmt.Errorf("diet: argument %d: %w", i, err)
+		}
+		if persist == Volatile {
+			return fmt.Errorf("diet: argument %d: reference %q must be persistent or sticky", i, w.DataID)
+		}
+		p.Args[i] = Arg{Kind: kind, Base: base, Persist: persist, FileName: w.FileName, Rows: w.Rows, Cols: w.Cols, DataID: w.DataID}
+		return nil
+	}
+	switch w.Kind {
 	case "scalar":
 		switch {
 		case w.Int != nil:
 			return p.SetScalarInt(i, *w.Int, persist)
 		case w.Double != nil:
 			return p.SetScalarDouble(i, *w.Double, persist)
-		case w.DataID != "":
-			p.Args[i] = Arg{Kind: Scalar, Persist: persist, DataID: w.DataID}
-			return nil
 		}
 		return fmt.Errorf("diet: argument %d: scalar needs an int or double payload", i)
 	case "vector":
@@ -138,9 +160,6 @@ func (p *Profile) applyWireArg(i int, w gwproto.Arg) error {
 		}
 		return p.SetString(i, s, persist)
 	case "file":
-		if w.DataID != "" && len(w.File) == 0 {
-			return p.SetFileRef(i, w.FileName, w.DataID, persist)
-		}
 		return p.SetFileBytes(i, w.FileName, w.File, persist)
 	}
 	return fmt.Errorf("diet: argument %d: unknown kind %q", i, w.Kind)

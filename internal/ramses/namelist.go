@@ -1,6 +1,6 @@
 // Package ramses is the application layer of the reproduction: it ties the
-// GRAFIC initial-conditions generator, the particle-mesh/AMR N-body solver
-// and the GALICS post-processing chain into the two simulation phases the
+// GRAFIC initial-conditions generator, the particle-mesh N-body solver
+// (nested zoom ICs, no adaptive refinement) and the GALICS post-processing chain into the two simulation phases the
 // paper runs through DIET — the low-resolution survey (ramsesZoom1) and the
 // per-halo zoom re-simulations (ramsesZoom2).
 package ramses

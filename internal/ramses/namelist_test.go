@@ -158,9 +158,6 @@ func TestConfigFromNamelist(t *testing.T) {
 	if cfg.Box != 100 {
 		t.Errorf("box: %g", cfg.Box)
 	}
-	if cfg.AMR.MaxLevel != 12 || cfg.AMR.MRefine != 8 {
-		t.Errorf("amr: %+v", cfg.AMR)
-	}
 }
 
 // TestConfigFromNamelistRefusesRanks: the solver runs on one process, so a

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/amr"
 	"repro/internal/cosmo"
 	"repro/internal/grafic"
 	"repro/internal/halo"
@@ -26,7 +25,6 @@ type Config struct {
 	StepsPerOutput int         // leapfrog steps between consecutive outputs
 	ZoomCenter     [3]float64  // centre of the nested boxes, top-box units
 	ZoomLevels     int         // total nested levels; <=1 is a standard run
-	AMR            amr.Params  // refinement policy of Result.Tree
 	FoF            halo.Params // HaloMaker configuration for post-processing
 }
 
@@ -41,7 +39,6 @@ func DefaultConfig() Config {
 		Aout:           []float64{0.3, 0.6, 1.0},
 		StepsPerOutput: 8,
 		ZoomLevels:     1,
-		AMR:            amr.DefaultParams(),
 		FoF:            halo.DefaultParams(),
 	}
 }
@@ -82,9 +79,6 @@ func (c *Config) Validate() error {
 	if c.ZoomLevels < 0 {
 		return fmt.Errorf("ramses: ZoomLevels must be >= 0, got %d", c.ZoomLevels)
 	}
-	if err := c.AMR.Validate(); err != nil {
-		return err
-	}
 	if c.FoF.LinkingLength <= 0 || c.FoF.MinParticles < 1 {
 		return fmt.Errorf("ramses: invalid FoF parameters %+v", c.FoF)
 	}
@@ -109,21 +103,9 @@ type Result struct {
 // FinalSnapshot returns the last output's snapshot.
 func (r *Result) FinalSnapshot() *Snapshot { return r.Outputs[len(r.Outputs)-1].Snap }
 
-// Tree builds the AMR octree of the i-th output's snapshot under the run's
-// refinement policy and returns its statistics. No stage of a run or of a
-// zoom reads the tree, so it is built only when asked.
-func (r *Result) Tree(i int) (amr.Stats, error) {
-	tree, err := amr.Build(r.Outputs[i].Snap.Parts, r.Config.AMR)
-	if err != nil {
-		return amr.Stats{}, err
-	}
-	return tree.Stats(), nil
-}
-
 // Run executes a full simulation: initial conditions and time integration
-// with snapshots at each requested epoch (Result.Tree gives an output's AMR
-// statistics). When dir is non-empty, snapshots are also written there in
-// the output_NNNNN layout.
+// with snapshots at each requested epoch. When dir is non-empty, snapshots
+// are also written there in the output_NNNNN layout.
 func Run(cfg Config, dir string) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -239,10 +221,14 @@ func RenderASCII(m []float64, n int) string {
 // Recognised groups/keys (all optional, falling back to DefaultConfig):
 //
 //	&RUN_PARAMS    nsteps (an ncpu above 1 is refused)
-//	&AMR_PARAMS    levelmin (NPart = 2^levelmin), levelmax, m_refine
+//	&AMR_PARAMS    levelmin (NPart = 2^levelmin)
 //	&INIT_PARAMS   aexp_ini, seed, cx, cy, cz, nlevels
 //	&OUTPUT_PARAMS aout (list)
 //	&COSMO_PARAMS  omega_m, omega_l, omega_b, h0 (km/s/Mpc), sigma8, n_s, boxlen (Mpc/h)
+//
+// The paper's namelists also set levelmax and m_refine in &AMR_PARAMS; they
+// are accepted and ignored, since the solver is particle-mesh with nested
+// zoom ICs and never refines.
 func ConfigFromNamelist(nl *Namelist) (Config, error) {
 	cfg := DefaultConfig()
 	if nl.Has("cosmo_params", "omega_m") {
@@ -298,20 +284,6 @@ func ConfigFromNamelist(nl *Namelist) (Config, error) {
 			return cfg, fmt.Errorf("ramses: levelmin %d out of supported range [1,10]", lv)
 		}
 		cfg.NPart = 1 << uint(lv)
-	}
-	if nl.Has("amr_params", "levelmax") {
-		lv, err := nl.Int("amr_params", "levelmax")
-		if err != nil {
-			return cfg, err
-		}
-		cfg.AMR.MaxLevel = lv
-	}
-	if nl.Has("amr_params", "m_refine") {
-		m, err := nl.Int("amr_params", "m_refine")
-		if err != nil {
-			return cfg, err
-		}
-		cfg.AMR.MRefine = m
 	}
 	if nl.Has("run_params", "ncpu") {
 		// The solver runs on one process: a namelist asking for more ranks
@@ -397,8 +369,6 @@ func NamelistFromConfig(cfg Config) string {
 	nl.Set("run_params", "nsteps", strconv.Itoa(cfg.StepsPerOutput))
 	levelmin := int(math.Round(math.Log2(float64(cfg.NPart))))
 	nl.Set("amr_params", "levelmin", strconv.Itoa(levelmin))
-	nl.Set("amr_params", "levelmax", strconv.Itoa(cfg.AMR.MaxLevel))
-	nl.Set("amr_params", "m_refine", strconv.Itoa(cfg.AMR.MRefine))
 	nl.Set("init_params", "aexp_ini", fmt.Sprintf("%g", cfg.Astart))
 	nl.Set("init_params", "seed", strconv.FormatInt(cfg.Seed, 10))
 	nl.Set("init_params", "cx", fmt.Sprintf("%g", cfg.ZoomCenter[0]))

@@ -13,7 +13,6 @@ func tinyConfig() Config {
 	cfg.Astart = 0.1
 	cfg.Aout = []float64{0.5, 1.0}
 	cfg.StepsPerOutput = 4
-	cfg.AMR.MaxLevel = 6
 	return cfg
 }
 
@@ -31,9 +30,6 @@ func TestRunProducesOutputs(t *testing.T) {
 		}
 		if err := out.Snap.Parts.Validate(); err != nil {
 			t.Errorf("output %d particles invalid: %v", i, err)
-		}
-		if tree, err := res.Tree(i); err != nil || tree.Leaves == 0 {
-			t.Errorf("output %d has no AMR stats (%v)", i, err)
 		}
 		if out.Path != "" {
 			t.Errorf("in-memory run should not write files, got %q", out.Path)
@@ -81,7 +77,7 @@ func TestRunMassConservation(t *testing.T) {
 }
 
 func TestRunStructureGrows(t *testing.T) {
-	// Gravitational collapse must deepen the AMR tree over time.
+	// Gravitational collapse must sharpen the densest peak over time.
 	cfg := tinyConfig()
 	cfg.NPart = 16
 	cfg.StepsPerOutput = 6
@@ -89,16 +85,19 @@ func TestRunStructureGrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := res.Tree(0)
-	if err != nil {
-		t.Fatal(err)
+	peak := func(i int) float64 {
+		m, err := ProjectedDensity(res.Outputs[i].Snap, cfg.Cosmo, 16, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var top float64
+		for _, v := range m {
+			top = max(top, v)
+		}
+		return top
 	}
-	last, err := res.Tree(len(res.Outputs) - 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last.MaxDepth < first.MaxDepth {
-		t.Errorf("AMR depth shrank: %d -> %d", first.MaxDepth, last.MaxDepth)
+	if first, last := peak(0), peak(len(res.Outputs)-1); last <= first {
+		t.Errorf("density peak did not grow: %g -> %g", first, last)
 	}
 }
 

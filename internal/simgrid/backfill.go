@@ -11,19 +11,17 @@ import (
 	"repro/internal/scheduler"
 )
 
-// This file mirrors the batch queue's conservative backfilling in virtual
+// This file replays the batch queue's conservative backfilling in virtual
 // time and runs the backfill ablation (A9): what forecast-sized walltimes
 // buy *inside the queue*. The paper's follow-up ("Cosmological Simulations
 // on a Grid of Computers") found queue wait — not compute — dominating
 // campaign makespan on shared clusters; conservative backfill can recover
 // some of that wait, but only when walltimes are tight enough to fit the
-// shadow windows. SimulateBatchQueue replays a job stream through an
-// OAR-style multi-node queue — FIFO head starts, shadow bound from per-job
-// walltimes, candidates ranked by batch.OrderBackfill, kill-and-requeue at
-// walltime expiry — so the candidate-selection policy cannot drift from
-// batch.System.schedule, and RunBackfillAblation compares no backfill,
-// fixed-grant backfill and forecast-sized backfill on the CanonicalSkew
-// platform.
+// shadow windows. SimulateBatchQueue drives batch.Queue, the scheduling
+// pass the live batch.System runs, with a virtual clock — arrivals,
+// releases and kill-and-requeue at walltime expiry are its own — and
+// RunBackfillAblation compares no backfill, fixed-grant backfill and
+// forecast-sized backfill on the CanonicalSkew platform.
 
 // BatchQueueJob is one reservation in the virtual-time cluster batch queue.
 // Inputs describe the submission; the Simulate* fields report what the
@@ -62,30 +60,10 @@ type BatchQueueConfig struct {
 	Backfill bool
 }
 
-// bfQueued is one waiting attempt.
-type bfQueued struct {
-	job        *BatchQueueJob
-	enqueueS   float64
-	wallS      float64 // this attempt's grant (widened after kills)
-	headBoundS float64 // tightest shadow bound promised while head; <0 = none
-}
-
-// bfRunning is one attempt occupying nodes.
-type bfRunning struct {
-	job      *BatchQueueJob
-	wallS    float64
-	boundS   float64 // start + walltime: the conservative release bound
-	releaseS float64 // actual release: start + min(walltime, run)
-	killed   bool    // the attempt hits its walltime before the script ends
-}
-
 // SimulateBatchQueue replays the job stream through the OAR-style queue in
-// virtual time. Scheduling decisions happen at arrivals and releases, the
-// way batch.System.schedule runs on Submit and on job settle: the FIFO head
-// starts while it fits; with Backfill, later jobs that fit the free nodes
-// and are walltime-bounded to finish before the head's shadow bound may
-// jump ahead, ranked by batch.OrderBackfill (forecast-sized first, then
-// tighter walltimes, then submission order). An attempt whose script
+// virtual time. It is an event loop around batch.Queue, the pass the live
+// batch.System runs: the queue schedules at arrivals and releases, the way
+// System schedules on Submit and on job settle. An attempt whose script
 // outlives its grant is killed at expiry and requeued with a
 // batch.RequeueFactor-widened grant up to batch.MaxAttempts attempts. Jobs
 // are mutated in place.
@@ -105,132 +83,72 @@ func SimulateBatchQueue(cfg BatchQueueConfig, jobs []*BatchQueueJob) error {
 	arrivals := append([]*BatchQueueJob(nil), jobs...)
 	sort.SliceStable(arrivals, func(i, k int) bool { return arrivals[i].ArriveS < arrivals[k].ArriveS })
 
-	free := cfg.Nodes
-	var queue []*bfQueued
-	var running []*bfRunning
-
-	start := func(q *bfQueued, t float64, backfilled bool) {
-		free -= q.job.Nodes
-		killed := q.job.RunS > q.wallS
-		dur := q.job.RunS
-		if killed {
-			dur = q.wallS
+	type attempt = batch.Entry[*BatchQueueJob]
+	q := batch.NewQueue[*BatchQueueJob](cfg.Nodes, cfg.Backfill)
+	var running []*attempt // in start order, like the queue's own list
+	start := func(a *attempt) {
+		j := a.Job
+		j.WaitS += a.StartS - a.EnqueueS
+		j.StartS = a.StartS
+		if a.Backfilled {
+			j.Backfilled = true
 		}
-		q.job.WaitS += t - q.enqueueS
-		q.job.StartS = t
-		if backfilled {
-			q.job.Backfilled = true
-		}
-		if q.headBoundS >= 0 {
-			q.job.HeadBoundS = q.headBoundS
-			if t > q.headBoundS+1e-6 {
-				q.job.ShadowViolations++
+		if a.HeadBoundS >= 0 {
+			j.HeadBoundS = a.HeadBoundS
+			if a.StartS > a.HeadBoundS+1e-6 {
+				j.ShadowViolations++
 			}
 		}
-		running = append(running, &bfRunning{
-			job: q.job, wallS: q.wallS, boundS: t + q.wallS, releaseS: t + dur, killed: killed,
-		})
+		running = append(running, a)
 	}
-
-	// headBound mirrors System.headStartBound: the earliest time enough
-	// nodes free up for the head, assuming running attempts use their full
-	// walltime.
-	headBound := func(head *bfQueued) float64 {
-		bounds := make([]*bfRunning, len(running))
-		copy(bounds, running)
-		sort.Slice(bounds, func(i, k int) bool { return bounds[i].boundS < bounds[k].boundS })
-		avail := free
-		for _, r := range bounds {
-			avail += r.job.Nodes
-			if avail >= head.job.Nodes {
-				return r.boundS
-			}
-		}
-		return math.Inf(1) // cannot happen: Nodes was validated against the cluster
-	}
-
-	schedule := func(t float64) {
-		for len(queue) > 0 && queue[0].job.Nodes <= free {
-			start(queue[0], t, false)
-			queue = queue[1:]
-		}
-		if !cfg.Backfill || len(queue) < 2 || free == 0 {
-			return
-		}
-		head := queue[0]
-		shadow := headBound(head)
-		cands := make([]batch.BackfillCandidate, 0, len(queue)-1)
-		for i, q := range queue[1:] {
-			cands = append(cands, batch.BackfillCandidate{
-				Queue: i + 1, Nodes: q.job.Nodes,
-				Walltime:      time.Duration(q.wallS * float64(time.Second)),
-				ForecastSized: q.job.Sized,
-			})
-		}
-		picks := batch.SelectBackfill(cands, free, time.Duration((shadow-t)*float64(time.Second)))
-		if len(picks) == 0 {
-			return
-		}
-		if head.headBoundS < 0 || shadow < head.headBoundS {
-			head.headBoundS = shadow
-		}
-		started := make(map[int]bool, len(picks))
-		for _, c := range picks {
-			started[c.Queue] = true
-			start(queue[c.Queue], t, true)
-		}
-		rest := make([]*bfQueued, 0, len(queue)-len(started))
-		for i, q := range queue {
-			if !started[i] {
-				rest = append(rest, q)
-			}
-		}
-		queue = rest
-	}
+	// An attempt ends at its walltime when the script outlives it.
+	release := func(a *attempt) float64 { return a.StartS + min(a.Job.RunS, a.WallS) }
 
 	next := 0
-	for next < len(arrivals) || len(queue) > 0 || len(running) > 0 {
+	for next < len(arrivals) || q.Waiting() > 0 || len(running) > 0 {
 		t := math.Inf(1)
 		if next < len(arrivals) {
 			t = arrivals[next].ArriveS
 		}
-		for _, r := range running {
-			if r.releaseS < t {
-				t = r.releaseS
+		for _, a := range running {
+			if r := release(a); r < t {
+				t = r
 			}
 		}
 		if math.IsInf(t, 1) {
-			return fmt.Errorf("simgrid: batch queue wedged with %d jobs waiting", len(queue))
+			return fmt.Errorf("simgrid: batch queue wedged with %d jobs waiting", q.Waiting())
 		}
 		keep := running[:0]
-		for _, r := range running {
-			if r.releaseS > t {
-				keep = append(keep, r)
+		for _, a := range running {
+			r := release(a)
+			if r > t {
+				keep = append(keep, a)
 				continue
 			}
-			free += r.job.Nodes
-			if !r.killed {
-				r.job.EndS = r.releaseS
+			q.Release(a)
+			j := a.Job
+			if j.RunS <= a.WallS {
+				j.EndS = r
 				continue
 			}
 			// Killed at expiry: the attempt's compute is thrown away and the
 			// job requeues at the tail with a widened grant, like
 			// batch.ForecastExecutor's kill-and-requeue.
-			r.job.Kills++
-			if r.job.Kills >= batch.MaxAttempts {
-				r.job.Failed = true
-				r.job.EndS = r.releaseS
+			j.Kills++
+			if j.Kills >= batch.MaxAttempts {
+				j.Failed = true
+				j.EndS = r
 				continue
 			}
-			queue = append(queue, &bfQueued{job: r.job, enqueueS: t, wallS: r.wallS * batch.RequeueFactor, headBoundS: -1})
+			q.Push(&attempt{Job: j, Nodes: j.Nodes, WallS: a.WallS * batch.RequeueFactor, Sized: j.Sized}, t)
 		}
 		running = keep
 		for next < len(arrivals) && arrivals[next].ArriveS <= t {
 			j := arrivals[next]
-			queue = append(queue, &bfQueued{job: j, enqueueS: j.ArriveS, wallS: j.WallS, headBoundS: -1})
+			q.Push(&attempt{Job: j, Nodes: j.Nodes, WallS: j.WallS, Sized: j.Sized}, j.ArriveS)
 			next++
 		}
-		schedule(t)
+		q.Schedule(t, start)
 	}
 	return nil
 }
